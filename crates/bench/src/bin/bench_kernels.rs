@@ -1,7 +1,9 @@
 //! `bench_kernels` — machine-readable perf report for the compute backend.
 //!
 //! Measures GFLOP/s for the three matmul kernels at several shapes, elementwise
-//! bandwidth for the optimizer/aggregation sweeps, simulator training
+//! bandwidth for the optimizer/aggregation sweeps, the kernels at the shapes the
+//! ResNetLike and VggLike workloads actually run (`model_shapes`: pooled time over
+//! serial time, the dispatch gate's acceptance rows), simulator training
 //! throughput (steps/sec), and the 1-thread vs 4-thread speedup on the
 //! 256x256x256 matmul (the backend's acceptance benchmark). Emits one JSON
 //! object on stdout so CI can archive the perf trajectory PR over PR.
@@ -10,7 +12,9 @@
 //!   --quick            smaller shapes / fewer repetitions (CI mode)
 //!   --baseline <json>  after printing, compare the `sim_round` steps/sec against the
 //!                      committed baseline report and exit non-zero on a >20%
-//!                      regression (per workers x threads cell)
+//!                      regression (per workers x threads cell), or when a
+//!                      `model_shapes` row of at most one `par::GRAIN` of work is more
+//!                      than 1.25x slower with the pool than without it
 //!
 //! Thread count comes from `SELSYNC_THREADS` (default `available_parallelism`);
 //! the speedup and `sim_round` sections override it internally via the pool's
@@ -18,7 +22,8 @@
 
 use selsync::algorithms;
 use selsync::config::{AlgorithmSpec, TrainConfig};
-use selsync_nn::model::ModelKind;
+use selsync_nn::model::{ModelKind, PaperModel};
+use selsync_nn::optim::{Optimizer, Sgd};
 use selsync_tensor::{ops, par, Tensor};
 use std::time::Instant;
 
@@ -106,6 +111,96 @@ fn bench_matmuls(shapes: &[(usize, usize, usize)], budget_s: f64) -> Vec<KernelR
         });
     }
     results
+}
+
+/// One kernel at a shape a benchmark workload runs every round, timed with the pool
+/// disabled and enabled.
+struct ModelShapeResult {
+    kernel: &'static str,
+    shape: String,
+    /// The estimate the kernel hands to `par::for_each_range`.
+    work: usize,
+    serial_secs: f64,
+    pooled_secs: f64,
+}
+
+impl ModelShapeResult {
+    fn below_grain(&self) -> bool {
+        self.work <= par::GRAIN
+    }
+
+    fn pooled_over_serial(&self) -> f64 {
+        self.pooled_secs / self.serial_secs
+    }
+}
+
+/// Largest `pooled_over_serial` a below-grain row may show under `--baseline`. Such a
+/// call never leaves the calling thread, so the true ratio is 1; a dispatch at these
+/// sizes reads 2x to 5x.
+const BELOW_GRAIN_MAX_RATIO: f64 = 1.25;
+
+/// Time `f` under `with_threads(1)` and under `pooled_threads`, alternating the two
+/// and keeping each side's fastest reading, so a slow stretch of the machine cannot
+/// land on one side only.
+fn serial_and_pooled(budget_s: f64, pooled_threads: usize, mut f: impl FnMut()) -> (f64, f64) {
+    let mut best = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        let serial = par::with_threads(1, || time_per_call(budget_s / 5.0, &mut f));
+        let pooled = par::with_threads(pooled_threads, || time_per_call(budget_s / 5.0, &mut f));
+        best = (best.0.min(serial), best.1.min(pooled));
+    }
+    best
+}
+
+/// The kernels at the shapes the benchmark workloads run (batch 16): the ResNetLike
+/// and VggLike hidden layers for all three matmuls, and axpy / SGD sweeps over each
+/// model's flat parameter vector. The pooled side runs at the configured thread
+/// count, but at least 2 (the pool grows on demand), so the rows mean the same on a
+/// 1-CPU runner.
+fn bench_model_shapes(budget_s: f64) -> (usize, Vec<ModelShapeResult>) {
+    let pooled_threads = par::configured_threads().max(2);
+    let mut results = Vec::new();
+    let mut push = |kernel, shape: String, work, f: &mut dyn FnMut()| {
+        let (serial_secs, pooled_secs) = serial_and_pooled(budget_s, pooled_threads, f);
+        results.push(ModelShapeResult {
+            kernel,
+            shape,
+            work,
+            serial_secs,
+            pooled_secs,
+        });
+    };
+    for hidden in [64usize, 128] {
+        let (m, k, n) = (16, hidden, hidden);
+        let shape = format!("{m}x{k}x{n}");
+        let x = tensor(m, k, 1);
+        let w = tensor(k, n, 2);
+        let dy = tensor(m, n, 3);
+        let mut out = Tensor::zeros(m, n);
+        let mut dw = Tensor::zeros(k, n);
+        push("matmul", shape.clone(), m * k * n, &mut || {
+            ops::matmul_into(&x, &w, &mut out).expect("matmul shapes");
+        });
+        push("matmul_bt", shape.clone(), m * k * n, &mut || {
+            ops::matmul_bt_into(&x, &w, &mut out).expect("matmul_bt shapes");
+        });
+        push("matmul_at", shape, m * k * n, &mut || {
+            ops::matmul_at_into(&x, &dy, &mut dw).expect("matmul_at shapes");
+        });
+    }
+    for kind in [ModelKind::ResNetLike, ModelKind::VggLike] {
+        let dim = PaperModel::build(kind, 1).param_count();
+        let grads: Vec<f32> = (0..dim).map(|i| (i % 13) as f32 * 0.1 - 0.6).collect();
+        let mut params = vec![0.5f32; dim];
+        push("axpy_slice", dim.to_string(), dim, &mut || {
+            ops::axpy_slice(1e-6, &grads, &mut params);
+        });
+        let mut sgd = Sgd::new(0.9, 1e-4);
+        push("sgd_step", dim.to_string(), dim, &mut || {
+            sgd.step(&mut params, &grads, 1e-6);
+        });
+    }
+    (pooled_threads, results)
 }
 
 struct SimRoundResult {
@@ -231,6 +326,9 @@ fn main() {
     // 2 reads + 1 write of f32 per element.
     let axpy_gbs = (elems as f64 * 12.0) / axpy_secs / 1e9;
 
+    // The workloads' own shapes, pool off vs on: the dispatch gate's acceptance rows.
+    let (pooled_threads, model_shapes) = bench_model_shapes(budget_s);
+
     // Simulator round throughput: a small BSP run (the arm every comparison shares).
     let mut cfg = TrainConfig::small(ModelKind::ResNetLike, 4);
     cfg.iterations = if quick { 20 } else { 60 };
@@ -293,6 +391,24 @@ fn main() {
         "  \"elementwise\": {{ \"op\": \"axpy\", \"elems\": {elems}, \"secs_per_call\": {axpy_secs:.6e}, \"gbytes_per_sec\": {axpy_gbs:.3} }},\n"
     ));
     json.push_str(&format!(
+        "  \"model_shapes\": {{ \"grain\": {}, \"pooled_threads\": {pooled_threads}, \"rows\": [\n",
+        par::GRAIN
+    ));
+    for (i, r) in model_shapes.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{ \"kernel\": \"{}\", \"shape\": \"{}\", \"work\": {}, \"below_grain\": {}, \"serial_secs\": {:.6e}, \"pooled_secs\": {:.6e}, \"pooled_over_serial\": {:.3} }}{}\n",
+            r.kernel,
+            r.shape,
+            r.work,
+            r.below_grain(),
+            r.serial_secs,
+            r.pooled_secs,
+            r.pooled_over_serial(),
+            if i + 1 == model_shapes.len() { "" } else { "," }
+        ));
+    }
+    json.push_str("  ] },\n");
+    json.push_str(&format!(
         "  \"simulator\": {{ \"model\": \"resnet_like\", \"workers\": 4, \"iterations\": {}, \"wall_secs\": {:.3}, \"steps_per_sec\": {:.2} }},\n",
         report.iterations, sim_secs, steps_per_sec
     ));
@@ -321,13 +437,30 @@ fn main() {
     if let Some(path) = baseline_path {
         let baseline = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let failures = check_baseline(&json, &baseline);
+        let mut failures = check_baseline(&json, &baseline);
+        for r in model_shapes
+            .iter()
+            .filter(|r| r.below_grain() && r.pooled_over_serial() > BELOW_GRAIN_MAX_RATIO)
+        {
+            failures.push(format!(
+                "{} {} is below one grain ({} <= {}) yet {:.2}x slower at {pooled_threads} \
+                 threads than at 1: it must run on the calling thread",
+                r.kernel,
+                r.shape,
+                r.work,
+                par::GRAIN,
+                r.pooled_over_serial()
+            ));
+        }
         if !failures.is_empty() {
             for f in &failures {
                 eprintln!("bench_kernels: {f}");
             }
             std::process::exit(1);
         }
-        eprintln!("bench_kernels: sim_round within 20% of the committed baseline ({path})");
+        eprintln!(
+            "bench_kernels: sim_round within 20% of the committed baseline ({path}); \
+             below-grain kernels within {BELOW_GRAIN_MAX_RATIO}x of their serial time"
+        );
     }
 }

@@ -44,9 +44,10 @@ pub fn average<V: AsRef<[f32]> + Sync>(vectors: &[V]) -> Vec<f32> {
     out
 }
 
-/// Element-wise mean into a caller-owned buffer (resized as needed), parallel over
-/// fixed element chunks. Per element the sum runs over vectors in order, exactly like
-/// the serial loop, so the result is bit-identical for every thread count.
+/// Element-wise mean into a caller-owned buffer (resized as needed), a gated sweep over
+/// fixed element chunks ([`par::for_each_chunk_mut`], work = output elements). Per
+/// element the sum runs over vectors in order, exactly like the serial loop, so the
+/// result is bit-identical for every thread count.
 pub fn average_into<V: AsRef<[f32]> + Sync>(vectors: &[V], out: &mut Vec<f32>) {
     assert!(!vectors.is_empty(), "cannot average zero vectors");
     let dim = vectors[0].as_ref().len();
@@ -60,7 +61,7 @@ pub fn average_into<V: AsRef<[f32]> + Sync>(vectors: &[V], out: &mut Vec<f32>) {
     out.clear();
     out.resize(dim, 0.0);
     let n = vectors.len() as f32;
-    par::for_each_chunk_mut(out, par::ELEM_CHUNK, |start, chunk| {
+    par::for_each_chunk_mut(dim, out, par::ELEM_CHUNK, |start, chunk| {
         for v in vectors {
             let src = &v.as_ref()[start..start + chunk.len()];
             for (o, &x) in chunk.iter_mut().zip(src.iter()) {
@@ -100,7 +101,7 @@ pub fn average_present_into<V: AsRef<[f32]> + Sync>(
     out.clear();
     out.resize(dim, 0.0);
     let n = present.len() as f32;
-    par::for_each_chunk_mut(out, par::ELEM_CHUNK, |start, chunk| {
+    par::for_each_chunk_mut(dim, out, par::ELEM_CHUNK, |start, chunk| {
         for &m in present {
             let src = &vectors[m].as_ref()[start..start + chunk.len()];
             for (o, &x) in chunk.iter_mut().zip(src.iter()) {

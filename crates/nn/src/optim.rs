@@ -6,7 +6,8 @@
 //! paper's configurations need SGD with momentum + weight decay (ResNet101, VGG11,
 //! Transformer) and Adam (AlexNet).
 //!
-//! Updates run in parallel over fixed element chunks ([`selsync_tensor::par`]); the
+//! Updates are gated sweeps over fixed element chunks ([`selsync_tensor::par`]: on the
+//! calling thread up to one `par::GRAIN` of elements, on the pool above it); the
 //! per-element arithmetic is unchanged, so the update is bit-identical to the serial
 //! loop for every thread count.
 

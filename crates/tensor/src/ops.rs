@@ -1,9 +1,10 @@
 //! Linear-algebra and elementwise operations on [`Tensor`].
 //!
 //! Matrix products are the compute hot path of the neural-network substrate. All three
-//! matmul variants are cache-blocked (row blocks × k/n tiles) and run on the shared
-//! worker pool ([`crate::par`]) once the FLOP count justifies the dispatch. Two
-//! invariants hold for every kernel here:
+//! matmul variants are cache-blocked (row blocks × k/n tiles) and go through the dispatch
+//! gate ([`crate::par::for_each_range`]) with their multiply-add count, so they reach the
+//! shared worker pool only when the arithmetic can amortise the dispatch. Two invariants
+//! hold for every kernel here:
 //!
 //! 1. **Order preservation**: each output element accumulates its `k` products in
 //!    ascending-`p` order, exactly like the straightforward triple loop, regardless of
@@ -18,11 +19,7 @@
 
 use crate::{par, Result, Tensor, TensorError};
 
-/// Multiply-add count (`m·k·n`) above which the matmul kernels parallelise; below it the
-/// pool dispatch costs more than the arithmetic.
-const PAR_FLOP_THRESHOLD: usize = 1 << 16;
-
-/// Output rows per parallel task (and per cache block) in `matmul`/`matmul_bt`.
+/// Output rows per task (and per cache block) in `matmul`/`matmul_bt`.
 const ROW_BLOCK: usize = 4;
 
 /// Columns of `B`/`out` processed per tile (keeps a row block of `out` in L1).
@@ -31,7 +28,7 @@ const N_TILE: usize = 256;
 /// Rows of `B` (the `k` dimension) streamed per tile.
 const K_TILE: usize = 256;
 
-/// Output columns per parallel stripe in `matmul_at_acc`.
+/// Output columns per task (stripe) in `matmul_at_acc`.
 const COL_BLOCK: usize = 64;
 
 /// Independent accumulator lanes (output columns held in registers) per `matmul_bt`
@@ -54,17 +51,6 @@ fn out_shape_err(op: &'static str, out: &Tensor, expected: (usize, usize)) -> Te
         op,
         lhs: out.shape(),
         rhs: expected,
-    }
-}
-
-/// Row blocks for an `m x n` output given the total multiply-add count: one block (fully
-/// serial) below the parallel threshold, [`ROW_BLOCK`]-row blocks above it.
-#[inline]
-fn row_block_elems(m: usize, n: usize, flops: usize) -> usize {
-    if flops >= PAR_FLOP_THRESHOLD && m > 1 {
-        ROW_BLOCK * n
-    } else {
-        m.max(1) * n
     }
 }
 
@@ -103,40 +89,36 @@ pub fn matmul_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     }
     let a_data = a.data();
     let b_data = b.data();
-    // Parallel over row blocks of `out` (disjoint chunks); within a block the classic
+    // One task per row block of `out` (disjoint chunks); within a block the classic
     // k-outer/axpy-inner loop streams B row-by-row, tiled so a ROW_BLOCK x N_TILE
     // panel of `out` stays cache-resident while a K_TILE x N_TILE panel of B is swept.
-    par::for_each_chunk_mut(
-        out.data_mut(),
-        row_block_elems(m, n, m * n * k),
-        |start, oc| {
-            let r0 = start / n;
-            let rows = oc.len() / n;
-            let mut jc = 0;
-            while jc < n {
-                let je = (jc + N_TILE).min(n);
-                let mut pc = 0;
-                while pc < k {
-                    let pe = (pc + K_TILE).min(k);
-                    for p in pc..pe {
-                        let b_row = &b_data[p * n + jc..p * n + je];
-                        for r in 0..rows {
-                            let a_val = a_data[(r0 + r) * k + p];
-                            if a_val == 0.0 {
-                                continue;
-                            }
-                            let o = &mut oc[r * n + jc..r * n + je];
-                            for (oo, &bb) in o.iter_mut().zip(b_row.iter()) {
-                                *oo += a_val * bb;
-                            }
+    par::for_each_chunk_mut(m * k * n, out.data_mut(), ROW_BLOCK * n, |start, oc| {
+        let r0 = start / n;
+        let rows = oc.len() / n;
+        let mut jc = 0;
+        while jc < n {
+            let je = (jc + N_TILE).min(n);
+            let mut pc = 0;
+            while pc < k {
+                let pe = (pc + K_TILE).min(k);
+                for p in pc..pe {
+                    let b_row = &b_data[p * n + jc..p * n + je];
+                    for r in 0..rows {
+                        let a_val = a_data[(r0 + r) * k + p];
+                        if a_val == 0.0 {
+                            continue;
+                        }
+                        let o = &mut oc[r * n + jc..r * n + je];
+                        for (oo, &bb) in o.iter_mut().zip(b_row.iter()) {
+                            *oo += a_val * bb;
                         }
                     }
-                    pc = pe;
                 }
-                jc = je;
+                pc = pe;
             }
-        },
-    );
+            jc = je;
+        }
+    });
     Ok(())
 }
 
@@ -172,59 +154,55 @@ pub fn matmul_bt_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     if m == 0 || n == 0 {
         return Ok(());
     }
-    // Parallel over row blocks; within a block, columns are walked in register-blocked
+    // One task per row block; within a block, columns are walked in register-blocked
     // groups of BT_LANES with the rows inner, so a group of B rows is reused across the
     // whole block while hot. The lanes are *independent output accumulators* (one per
     // column), each summing its k products in ascending-p order — exactly the scalar
     // dot's operation order per element, so results are bit-identical to the scalar
     // kernel while the BT_LANES separate dependency chains hide FMA latency.
-    par::for_each_chunk_mut(
-        out.data_mut(),
-        row_block_elems(m, n, m * n * k),
-        |start, oc| {
-            let r0 = start / n;
-            let rows = oc.len() / n;
-            let mut c0 = 0;
-            while c0 < n {
-                let ce = (c0 + BT_LANES).min(n);
-                if ce - c0 == BT_LANES {
-                    let b0 = &b.row(c0)[..k];
-                    let b1 = &b.row(c0 + 1)[..k];
-                    let b2 = &b.row(c0 + 2)[..k];
-                    let b3 = &b.row(c0 + 3)[..k];
-                    for r in 0..rows {
-                        let a_row = &a.row(r0 + r)[..k];
-                        let mut acc = [0.0f32; BT_LANES];
-                        for p in 0..k {
-                            let av = a_row[p];
-                            acc[0] += av * b0[p];
-                            acc[1] += av * b1[p];
-                            acc[2] += av * b2[p];
-                            acc[3] += av * b3[p];
-                        }
-                        let o = &mut oc[r * n + c0..r * n + ce];
-                        for (oo, &l) in o.iter_mut().zip(acc.iter()) {
-                            *oo += l;
-                        }
+    par::for_each_chunk_mut(m * k * n, out.data_mut(), ROW_BLOCK * n, |start, oc| {
+        let r0 = start / n;
+        let rows = oc.len() / n;
+        let mut c0 = 0;
+        while c0 < n {
+            let ce = (c0 + BT_LANES).min(n);
+            if ce - c0 == BT_LANES {
+                let b0 = &b.row(c0)[..k];
+                let b1 = &b.row(c0 + 1)[..k];
+                let b2 = &b.row(c0 + 2)[..k];
+                let b3 = &b.row(c0 + 3)[..k];
+                for r in 0..rows {
+                    let a_row = &a.row(r0 + r)[..k];
+                    let mut acc = [0.0f32; BT_LANES];
+                    for p in 0..k {
+                        let av = a_row[p];
+                        acc[0] += av * b0[p];
+                        acc[1] += av * b1[p];
+                        acc[2] += av * b2[p];
+                        acc[3] += av * b3[p];
                     }
-                } else {
-                    // Ragged tail: plain scalar dots (same per-element order).
-                    for r in 0..rows {
-                        let a_row = &a.row(r0 + r)[..k];
-                        for c in c0..ce {
-                            let b_row = &b.row(c)[..k];
-                            let mut acc = 0.0f32;
-                            for p in 0..k {
-                                acc += a_row[p] * b_row[p];
-                            }
-                            oc[r * n + c] += acc;
-                        }
+                    let o = &mut oc[r * n + c0..r * n + ce];
+                    for (oo, &l) in o.iter_mut().zip(acc.iter()) {
+                        *oo += l;
                     }
                 }
-                c0 = ce;
+            } else {
+                // Ragged tail: plain scalar dots (same per-element order).
+                for r in 0..rows {
+                    let a_row = &a.row(r0 + r)[..k];
+                    for c in c0..ce {
+                        let b_row = &b.row(c)[..k];
+                        let mut acc = 0.0f32;
+                        for p in 0..k {
+                            acc += a_row[p] * b_row[p];
+                        }
+                        oc[r * n + c] += acc;
+                    }
+                }
             }
-        },
-    );
+            c0 = ce;
+        }
+    });
     Ok(())
 }
 
@@ -262,20 +240,11 @@ pub fn matmul_at_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     }
     // The k dimension is the outer loop (each step scatters a rank-1 update into the
     // whole output), so tasks own disjoint *column stripes* of `out` instead of row
-    // blocks; each stripe sweeps p in ascending order.
-    let stripes = if m * n * k >= PAR_FLOP_THRESHOLD && n > 1 {
-        n.div_ceil(COL_BLOCK)
-    } else {
-        1
-    };
-    let width = n.div_ceil(stripes);
+    // blocks — equal-width stripes of at most COL_BLOCK columns; each stripe sweeps p
+    // in ascending order.
+    let width = n.div_ceil(n.div_ceil(COL_BLOCK));
     let out_ptr = par::SendPtr(out.data_mut().as_mut_ptr());
-    par::parallel_for(stripes, |t| {
-        let jc = t * width;
-        let je = (jc + width).min(n);
-        if jc >= je {
-            return;
-        }
+    par::for_each_range(m * k * n, n, width, |jc, je| {
         for p in 0..k {
             let a_row = a.row(p);
             let b_row = &b.row(p)[jc..je];
@@ -284,7 +253,7 @@ pub fn matmul_at_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
                     continue;
                 }
                 // SAFETY: stripes own disjoint column ranges of every output row, and
-                // the parallel_for blocks until all stripes complete.
+                // `for_each_range` returns only after all stripes complete.
                 let o = unsafe {
                     std::slice::from_raw_parts_mut(out_ptr.get().add(i * n + jc), je - jc)
                 };
@@ -329,8 +298,9 @@ pub fn scale(a: &Tensor, s: f32) -> Tensor {
     a.map(|x| x * s)
 }
 
-/// In-place AXPY: `y += alpha * x`, parallel over fixed element chunks (per-element
-/// arithmetic is unchanged, so results are bit-identical to the serial loop).
+/// In-place AXPY: `y += alpha * x`, a gated sweep over fixed element chunks
+/// ([`par::zip2_mut`]; per-element arithmetic is unchanged, so results are bit-identical
+/// to the serial loop).
 pub fn axpy(alpha: f32, x: &Tensor, y: &mut Tensor) -> Result<()> {
     if y.shape() != x.shape() {
         return Err(TensorError::ShapeMismatch {
@@ -344,7 +314,7 @@ pub fn axpy(alpha: f32, x: &Tensor, y: &mut Tensor) -> Result<()> {
 }
 
 /// Slice AXPY for the flat parameter/gradient vectors the distributed algorithms
-/// exchange: `y += alpha * x`, parallel over fixed chunks.
+/// exchange: `y += alpha * x`, a gated sweep over fixed chunks ([`par::zip2_mut`]).
 pub fn axpy_slice(alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy_slice length mismatch");
     par::zip2_mut(y, x, |yi, xi| yi + alpha * xi);
@@ -497,7 +467,7 @@ mod tests {
 
     #[test]
     fn matmul_parallel_matches_serial_shape() {
-        // Large enough to trigger the rayon path.
+        // Several grains of multiply-adds: goes through the pool.
         let a = Tensor::from_fn(80, 70, |r, c| ((r * 7 + c) % 5) as f32 - 2.0);
         let b = Tensor::from_fn(70, 90, |r, c| ((r + 3 * c) % 7) as f32 - 3.0);
         let c = matmul(&a, &b).unwrap();
@@ -642,8 +612,15 @@ mod tests {
     #[test]
     fn matmul_is_bit_identical_across_thread_counts() {
         // The determinism contract of the compute backend: same bytes out for 1 and 4
-        // threads, for shapes both below and above the parallel threshold.
-        for &(m, k, n) in &[(3usize, 5usize, 4usize), (64, 96, 80), (130, 70, 33)] {
+        // threads, for shapes on both sides of the dispatch gate (`par::GRAIN`
+        // multiply-adds) and on its two edges.
+        for &(m, k, n) in &[
+            (3usize, 5usize, 4usize),
+            (16, 64, 64), // exactly one grain: the largest inline shape
+            (16, 65, 64), // one row of B past it: the smallest pooled one here
+            (64, 96, 80),
+            (130, 70, 33),
+        ] {
             let a = Tensor::from_fn(m, k, |r, c| ((r * 31 + c * 17) % 23) as f32 * 0.17 - 1.9);
             let b = Tensor::from_fn(k, n, |r, c| ((r * 13 + c * 7) % 19) as f32 * 0.11 - 1.0);
             let one = crate::par::with_threads(1, || matmul(&a, &b).unwrap());
@@ -664,12 +641,12 @@ mod tests {
     fn matmul_bt_register_blocking_is_bit_identical_to_scalar_dots() {
         // The BT_LANES register blocking must not change a single bit relative to the
         // straightforward one-dot-per-output scalar kernel, for shapes exercising full
-        // lane groups, ragged tails, and both serial and parallel row-block paths.
+        // lane groups, ragged tails, and both the inline and the pooled row-block paths.
         for &(m, k, n) in &[
             (1usize, 3usize, 1usize),
             (5, 17, 6),
             (8, 33, 7),   // ragged tail (7 % 4 != 0)
-            (64, 96, 80), // above the parallel threshold
+            (64, 96, 80), // above one grain: pooled
             (130, 70, 33),
         ] {
             let a = Tensor::from_fn(m, k, |r, c| ((r * 29 + c * 13) % 31) as f32 * 0.23 - 2.1);
@@ -698,6 +675,26 @@ mod tests {
         axpy(0.25, &xt, &mut yt).unwrap();
         axpy_slice(0.25, &x, &mut y);
         assert_eq!(yt.data(), y.as_slice());
+    }
+
+    #[test]
+    fn axpy_slice_is_bit_identical_for_1_vs_4_threads_around_the_grain() {
+        for len in [par::GRAIN - 1, par::GRAIN, par::GRAIN + 1, 200_000] {
+            let x: Vec<f32> = (0..len).map(|i| (i % 9) as f32 * 0.3 - 1.1).collect();
+            let y: Vec<f32> = (0..len).map(|i| (i % 4) as f32 - 1.5).collect();
+            let (mut one, mut four) = (y.clone(), y.clone());
+            par::with_threads(1, || axpy_slice(0.25, &x, &mut one));
+            par::with_threads(4, || axpy_slice(0.25, &x, &mut four));
+            assert!(
+                one == four,
+                "axpy_slice differs across thread counts at {len}"
+            );
+            let plain: Vec<f32> = y.iter().zip(&x).map(|(yi, xi)| yi + 0.25 * xi).collect();
+            assert!(
+                plain == one,
+                "axpy_slice differs from the plain loop at {len}"
+            );
+        }
     }
 
     #[test]

@@ -17,19 +17,11 @@
 //! worker set, so a 1-CPU machine can still genuinely exercise a 4-thread
 //! schedule.
 //!
-//! The `prelude` keeps the `par_chunks`/`par_chunks_mut` + `zip`/`for_each`
-//! surface of real rayon so call sites written against the registry crate
-//! compile unchanged — but here they are actually parallel. (The workspace's
-//! own kernels now use [`pool::parallel_for`] directly; the prelude exists for
-//! drop-in fidelity and has no in-workspace production callers at present.)
+//! The pool is the crate's whole surface, and it is not a drop-in for registry
+//! rayon: work stealing would give up the determinism guarantee above. The
+//! workspace's kernels call [`pool::parallel_for`] through `selsync_tensor::par`.
 
-pub mod iter;
 pub mod pool;
-
-/// Drop-in `use rayon::prelude::*` surface.
-pub mod prelude {
-    pub use crate::iter::{ParallelSlice, ParallelSliceMut};
-}
 
 /// Number of threads the pool will use for the current call context
 /// (rayon-compatible name).
@@ -39,29 +31,7 @@ pub fn current_num_threads() -> usize {
 
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
     use super::*;
-
-    #[test]
-    fn par_chunks_match_chunks() {
-        let data = [1, 2, 3, 4, 5];
-        let collected: Vec<Vec<i32>> = data.par_chunks(2).map_collect(|c| c.to_vec());
-        assert_eq!(collected, vec![vec![1, 2], vec![3, 4], vec![5]]);
-    }
-
-    #[test]
-    fn par_chunks_mut_zip_for_each() {
-        let mut out = [0i32; 6];
-        let src = [1i32, 2, 3, 4, 5, 6];
-        out.par_chunks_mut(2)
-            .zip(src.par_chunks(2))
-            .for_each(|(o, s)| {
-                for (a, b) in o.iter_mut().zip(s.iter()) {
-                    *a = b * 10;
-                }
-            });
-        assert_eq!(out, [10, 20, 30, 40, 50, 60]);
-    }
 
     #[test]
     fn parallel_for_runs_every_task_exactly_once() {
