@@ -33,13 +33,13 @@
 //! quantities only the simulator computes — the cluster reports schedule-level
 //! facts (docs/TRANSPORT.md).
 
-use selsync::checkpoint::Checkpoint;
 use selsync::conditions::FaultEvent;
-use selsync::config::{AlgorithmSpec, CheckpointSpec};
+use selsync::config::AlgorithmSpec;
 use selsync::process::{
     decode_worker_report, encode_worker_report, ensure_supported, run_process_hub_with,
     run_process_worker_with, WorkerOptions,
 };
+use selsync_bench::{read_resume_image, CheckpointArgs};
 use selsync_comm::socket::SocketAddrSpec;
 use selsync_scenario::{builtin, Scenario, TransportSpec, BUILTIN_NAMES};
 use selsync_tracelog::{EventLog, TraceGranularity, TraceSink};
@@ -51,10 +51,16 @@ fn usage() -> ! {
         "usage: scenario_cluster <builtin-name | file.toml> [--workers N] [--seed N]\n\
          \x20                       [--iterations N] [--trace FILE] [--check]\n\
          \x20                       [--kill WORKER:ROUND] [--ckpt-every N]\n\
-         \x20                       [--ckpt-dir DIR] [--halt N] [--resume IMAGE]\n\
+         \x20                       [--ckpt-dir DIR] [--ckpt-keep N] [--halt N]\n\
+         \x20                       [--resume IMAGE]\n\
          built-ins: {}",
         BUILTIN_NAMES.join(", ")
     );
+    std::process::exit(2);
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
     std::process::exit(2);
 }
 
@@ -104,8 +110,8 @@ fn run_child(
     };
     let cfg = cluster_config(&scenario);
     let resume_image = resume.map(|path| {
-        Checkpoint::read_file(Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("error: child could not read checkpoint {path}: {e}");
+        read_resume_image(path).unwrap_or_else(|e| {
+            eprintln!("error: child could not read its resume image: {e}");
             std::process::exit(1);
         })
     });
@@ -223,10 +229,7 @@ fn main() {
     let mut trace_out: Option<String> = None;
     let mut check = false;
     let mut kill: Option<(usize, usize)> = None;
-    let mut resume: Option<String> = None;
-    let mut ckpt_every: Option<usize> = None;
-    let mut ckpt_dir: Option<String> = None;
-    let mut halt: Option<usize> = None;
+    let mut ckpt_args = CheckpointArgs::default();
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -258,25 +261,11 @@ fn main() {
                 kill = Some(parse_kill(v).unwrap_or_else(|| usage()));
                 i += 2;
             }
-            "--resume" => {
-                resume = Some(args.get(i + 1).unwrap_or_else(|| usage()).clone());
-                i += 2;
-            }
-            "--ckpt-every" => {
-                let v = args.get(i + 1).unwrap_or_else(|| usage());
-                ckpt_every = Some(v.parse().unwrap_or_else(|_| usage()));
-                i += 2;
-            }
-            "--ckpt-dir" => {
-                ckpt_dir = Some(args.get(i + 1).unwrap_or_else(|| usage()).clone());
-                i += 2;
-            }
-            "--halt" => {
-                let v = args.get(i + 1).unwrap_or_else(|| usage());
-                halt = Some(v.parse().unwrap_or_else(|_| usage()));
-                i += 2;
-            }
-            _ => usage(),
+            flag => match ckpt_args.take(flag, args.get(i + 1)) {
+                Ok(true) => i += 2,
+                Ok(false) => usage(),
+                Err(e) => usage_error(&e),
+            },
         }
     }
     if let Err(e) = scenario.validate() {
@@ -292,38 +281,28 @@ fn main() {
             std::process::exit(2);
         }
     }
-    if resume.is_some() && (ckpt_every.is_some() || ckpt_dir.is_some() || halt.is_some()) {
-        eprintln!("error: --resume replays from an existing image; drop the --ckpt-*/--halt flags");
-        std::process::exit(2);
-    }
+    let resume = ckpt_args.resume.clone();
     if resume.is_some() {
+        let a = &ckpt_args;
+        if a.every.is_some() || a.dir.is_some() || a.keep.is_some() || a.halt.is_some() {
+            usage_error("--resume replays from an existing image; drop the --ckpt-*/--halt flags");
+        }
+        // Fail on an unreadable or foreign image once, here, not once per child.
+        if let Err(e) = ckpt_args.resume_image() {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
         // A resumed verification run replays the remaining rounds against the
         // uninterrupted reference; it does not write further images.
         scenario.checkpoint = None;
     }
-    if ckpt_every.is_some() || ckpt_dir.is_some() || halt.is_some() {
-        let every = match (ckpt_every, halt) {
-            (Some(e), _) => e,
-            // Halt-only runs still need a due boundary at the halt round;
-            // `every > halt` means the halt image is the only one written.
-            (None, Some(h)) => h + 1,
-            (None, None) => {
-                eprintln!("error: --ckpt-dir needs --ckpt-every or --halt");
-                std::process::exit(2);
-            }
-        };
-        let dir = ckpt_dir.unwrap_or_else(|| {
-            eprintln!(
-                "error: --ckpt-every/--halt need --ckpt-dir (images must land somewhere durable)"
-            );
-            std::process::exit(2);
-        });
-        scenario.checkpoint = Some(CheckpointSpec {
-            every,
-            dir,
-            halt_after: halt,
-            keep: scenario.checkpoint.as_ref().and_then(|c| c.keep),
-        });
+    let halt = ckpt_args.halt;
+    // Cluster images have no default directory: they must land somewhere durable.
+    if let Some(mut spec) = ckpt_args.spec(None).unwrap_or_else(|e| usage_error(&e)) {
+        spec.keep = spec
+            .keep
+            .or(scenario.checkpoint.as_ref().and_then(|c| c.keep));
+        scenario.checkpoint = Some(spec);
     }
     // A one-line diagnosis (naming the offending scenario key) beats the panic
     // backtrace every child would otherwise print.

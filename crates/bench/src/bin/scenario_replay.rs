@@ -26,6 +26,7 @@ use selsync::config::{AlgorithmSpec, CheckpointSpec, TrainConfig};
 use selsync::policy::PolicySpec;
 use selsync::threaded::{run_threaded_selsync, run_threaded_selsync_resumed};
 use selsync::Checkpoint;
+use selsync_bench::CheckpointArgs;
 use selsync_scenario::{builtin, library, sweep, Scenario, BUILTIN_NAMES};
 use selsync_tracelog::{diff_report, EventLog, TraceGranularity, TraceSink};
 
@@ -35,8 +36,8 @@ fn usage() -> ! {
          \x20                      [--backend sim|threaded]\n\
          \x20                      [--policy fixed|scheduled|adaptive|variance]\n\
          \x20                      [--delta D] [--seed N] [--quick]\n\
-         \x20                      [--ckpt-every N] [--ckpt-dir DIR] [--halt ROUND]\n\
-         \x20                      [--resume CKPT]\n\
+         \x20                      [--ckpt-every N] [--ckpt-dir DIR] [--ckpt-keep N]\n\
+         \x20                      [--halt ROUND] [--resume CKPT]\n\
          \x20      scenario_replay --check FILE --scenario <...> [same options]\n\
          \x20      scenario_replay --diff LEFT RIGHT\n\
          \x20      scenario_replay --list\n\
@@ -66,8 +67,9 @@ struct RunSpec {
     delta: f32,
     /// CLI checkpoint policy; overrides the scenario's `[checkpoint]` block.
     checkpoint: Option<CheckpointSpec>,
-    /// Path of a checkpoint image to resume from instead of starting at round 0.
-    resume: Option<String>,
+    /// A checkpoint image — of any backend — to resume from instead of starting at
+    /// round 0.
+    resume: Option<Checkpoint>,
 }
 
 /// Same CI-sized rescale the trace-parity suite applies: 30 iterations with the
@@ -129,27 +131,14 @@ impl RunSpec {
         let mut cfg = self.config();
         cfg.trace = TraceSink::capture(TraceGranularity::Full);
         match &self.resume {
-            Some(path) => {
-                let ckpt = Checkpoint::read_file(path).unwrap_or_else(|e| fail(&e));
-                let want = match self.backend {
-                    Backend::Sim => "sim",
-                    Backend::Threaded => "threaded",
-                };
-                if ckpt.backend != want {
-                    fail(&format!(
-                        "checkpoint {path} was written by the {:?} backend; pass --backend {}",
-                        ckpt.backend, ckpt.backend
-                    ));
+            Some(ckpt) => match self.backend {
+                Backend::Sim => {
+                    algorithms::selsync::run_resumed(&cfg, ckpt);
                 }
-                match self.backend {
-                    Backend::Sim => {
-                        algorithms::selsync::run_resumed(&cfg, &ckpt);
-                    }
-                    Backend::Threaded => {
-                        run_threaded_selsync_resumed(&cfg, &ckpt);
-                    }
+                Backend::Threaded => {
+                    run_threaded_selsync_resumed(&cfg, ckpt);
                 }
-            }
+            },
             None => match self.backend {
                 Backend::Sim => {
                     algorithms::run(&cfg);
@@ -220,10 +209,7 @@ fn main() {
     let mut delta: Option<f32> = None;
     let mut seed: Option<u64> = None;
     let mut quick = false;
-    let mut ckpt_every: Option<usize> = None;
-    let mut ckpt_dir: Option<String> = None;
-    let mut halt: Option<usize> = None;
-    let mut resume: Option<String> = None;
+    let mut ckpt_args = CheckpointArgs::default();
     let mut i = 2;
     while i < args.len() {
         match args[i].as_str() {
@@ -259,25 +245,11 @@ fn main() {
                 quick = true;
                 i += 1;
             }
-            "--ckpt-every" => {
-                let v = args.get(i + 1).unwrap_or_else(|| usage());
-                ckpt_every = Some(v.parse().unwrap_or_else(|_| usage()));
-                i += 2;
-            }
-            "--ckpt-dir" => {
-                ckpt_dir = Some(args.get(i + 1).unwrap_or_else(|| usage()).clone());
-                i += 2;
-            }
-            "--halt" => {
-                let v = args.get(i + 1).unwrap_or_else(|| usage());
-                halt = Some(v.parse().unwrap_or_else(|_| usage()));
-                i += 2;
-            }
-            "--resume" => {
-                resume = Some(args.get(i + 1).unwrap_or_else(|| usage()).clone());
-                i += 2;
-            }
-            _ => usage(),
+            flag => match ckpt_args.take(flag, args.get(i + 1)) {
+                Ok(true) => i += 2,
+                Ok(false) => usage(),
+                Err(e) => fail(&e),
+            },
         }
     }
     let mut scenario = load(&scenario_spec.unwrap_or_else(|| usage()));
@@ -288,21 +260,10 @@ fn main() {
         scenario = scaled(scenario);
     }
     let delta = delta.unwrap_or(scenario.delta);
-    let checkpoint = match (ckpt_every, halt) {
-        (None, None) => {
-            if ckpt_dir.is_some() {
-                fail("--ckpt-dir needs --ckpt-every (or --halt)");
-            }
-            None
-        }
-        (every, halt_after) => Some(CheckpointSpec {
-            // `--halt R` alone writes exactly one image: the one at round R.
-            every: every.unwrap_or_else(|| halt_after.expect("halt set") + 1),
-            dir: ckpt_dir.unwrap_or_else(|| format!("target/replay-ckpt/{}", scenario.name)),
-            halt_after,
-            keep: None,
-        }),
-    };
+    let checkpoint = ckpt_args
+        .spec(Some(format!("target/replay-ckpt/{}", scenario.name)))
+        .unwrap_or_else(|e| fail(&e));
+    let resume = ckpt_args.resume_image().unwrap_or_else(|e| fail(&e));
     let spec = RunSpec {
         scenario,
         backend,

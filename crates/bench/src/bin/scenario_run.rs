@@ -22,8 +22,8 @@
 //! the resumed SelSync arm's report only (the other arms are not re-run), and its
 //! trace/report are byte-identical to the uninterrupted run's.
 
-use selsync::config::{AlgorithmSpec, CheckpointSpec};
-use selsync::Checkpoint;
+use selsync::config::AlgorithmSpec;
+use selsync_bench::CheckpointArgs;
 use selsync_scenario::{builtin, library, runner, Scenario, BUILTIN_NAMES};
 use selsync_tracelog::TraceSink;
 
@@ -37,6 +37,11 @@ fn usage() -> ! {
          built-ins: {}",
         BUILTIN_NAMES.join(", ")
     );
+    std::process::exit(2);
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
     std::process::exit(2);
 }
 
@@ -82,11 +87,7 @@ fn main() {
         }
     };
     let mut out_path: Option<String> = None;
-    let mut ckpt_every: Option<usize> = None;
-    let mut ckpt_dir: Option<String> = None;
-    let mut ckpt_keep: Option<usize> = None;
-    let mut halt: Option<usize> = None;
-    let mut resume: Option<String> = None;
+    let mut ckpt_args = CheckpointArgs::default();
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -106,73 +107,30 @@ fn main() {
                 scenario.trace.path = Some(args.get(i + 1).unwrap_or_else(|| usage()).clone());
                 i += 2;
             }
-            "--ckpt-every" => {
-                let v = args.get(i + 1).unwrap_or_else(|| usage());
-                ckpt_every = Some(v.parse().unwrap_or_else(|_| usage()));
-                i += 2;
-            }
-            "--ckpt-dir" => {
-                ckpt_dir = Some(args.get(i + 1).unwrap_or_else(|| usage()).clone());
-                i += 2;
-            }
-            "--ckpt-keep" => {
-                let v = args.get(i + 1).unwrap_or_else(|| usage());
-                ckpt_keep = Some(v.parse().unwrap_or_else(|_| usage()));
-                i += 2;
-            }
-            "--halt" => {
-                let v = args.get(i + 1).unwrap_or_else(|| usage());
-                halt = Some(v.parse().unwrap_or_else(|_| usage()));
-                i += 2;
-            }
-            "--resume" => {
-                resume = Some(args.get(i + 1).unwrap_or_else(|| usage()).clone());
-                i += 2;
-            }
-            _ => usage(),
+            flag => match ckpt_args.take(flag, args.get(i + 1)) {
+                Ok(true) => i += 2,
+                Ok(false) => usage(),
+                Err(e) => usage_error(&e),
+            },
         }
     }
     // Equivalent to a `[checkpoint]` block in the scenario file; only the SelSync
     // arm writes recovery images (the baseline arms have no recovery contract).
-    match (ckpt_every, halt) {
-        (None, None) => {
-            if ckpt_dir.is_some() || ckpt_keep.is_some() {
-                eprintln!("error: --ckpt-dir/--ckpt-keep need --ckpt-every (or --halt)");
-                std::process::exit(2);
-            }
-        }
-        (every, halt_after) => {
-            scenario.checkpoint = Some(CheckpointSpec {
-                // `--halt R` alone writes exactly one image: the one at round R.
-                every: every.unwrap_or_else(|| halt_after.expect("halt set") + 1),
-                dir: ckpt_dir.unwrap_or_else(|| format!("target/checkpoints/{}", scenario.name)),
-                halt_after,
-                keep: ckpt_keep,
-            });
-        }
+    match ckpt_args.spec(Some(format!("target/checkpoints/{}", scenario.name))) {
+        Ok(Some(spec)) => scenario.checkpoint = Some(spec),
+        Ok(None) => {}
+        Err(e) => usage_error(&e),
     }
 
-    if let Some(path) = resume {
-        // Resume the SelSync arm from the checkpoint image and print its report;
-        // the resumed trace and report are byte-identical to an uninterrupted
-        // run's (docs/RECOVERY.md), so diffing them against a full run's output is
-        // the recovery regression test.
-        let ckpt = match Checkpoint::read_file(&path) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        };
-        if ckpt.backend != "sim" && ckpt.backend != "threaded" {
-            eprintln!(
-                "error: checkpoint {path} was written by the unknown {:?} backend; \
-                 scenario_run resumes simulator checkpoints directly and threaded \
-                 ones via cross-backend translation (docs/RECOVERY.md)",
-                ckpt.backend
-            );
-            std::process::exit(1);
-        }
+    let resume = ckpt_args.resume_image().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
+    if let Some(ckpt) = resume {
+        // Resume the SelSync arm from the checkpoint image — written by any
+        // backend — and print its report; the resumed trace and report are
+        // byte-identical to an uninterrupted run's (docs/RECOVERY.md), so diffing
+        // them against a full run's output is the recovery regression test.
         let mut cfg = scenario.train_config(AlgorithmSpec::selsync(scenario.delta));
         if scenario.trace.enabled {
             cfg.trace = TraceSink::capture(scenario.trace.granularity);

@@ -11,7 +11,8 @@
 //! larger configuration (more iterations and the paper's 16 workers).
 
 use selsync::algorithms;
-use selsync::config::{AlgorithmSpec, TrainConfig};
+use selsync::checkpoint::Checkpoint;
+use selsync::config::{AlgorithmSpec, CheckpointSpec, TrainConfig};
 use selsync::report::RunReport;
 use selsync_data::partition::{build_all, PartitionScheme};
 use selsync_metrics::kde::{gaussian_kde, kde_distance};
@@ -19,6 +20,90 @@ use selsync_metrics::table::{fmt_f, Table};
 use selsync_nn::cost::{compute_time_ms, fits_in_memory, memory_bytes, DeviceProfile};
 use selsync_nn::model::{ModelKind, PaperModel};
 use selsync_tensor::Tensor;
+
+/// The checkpoint/resume flags `scenario_run`, `scenario_replay` and
+/// `scenario_cluster` share: `--ckpt-every N`, `--ckpt-dir DIR`, `--ckpt-keep N`,
+/// `--halt ROUND` and `--resume IMAGE` (docs/RECOVERY.md).
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct CheckpointArgs {
+    /// `--ckpt-every`: write an image every N rounds.
+    pub every: Option<usize>,
+    /// `--ckpt-dir`: where images land.
+    pub dir: Option<String>,
+    /// `--ckpt-keep`: retain only the newest N images.
+    pub keep: Option<usize>,
+    /// `--halt`: stop right after writing the image of this round.
+    pub halt: Option<usize>,
+    /// `--resume`: the image to continue from.
+    pub resume: Option<String>,
+}
+
+impl CheckpointArgs {
+    /// Parse `flag` and its operand when it is one of the shared flags. `Ok(true)`:
+    /// consumed (the caller skips both words); `Ok(false)`: not one of these.
+    pub fn take(&mut self, flag: &str, value: Option<&String>) -> Result<bool, String> {
+        let value = || value.ok_or_else(|| format!("{flag} needs a value"));
+        let number = || -> Result<usize, String> {
+            let value = value()?;
+            value
+                .parse()
+                .map_err(|_| format!("{flag} expects a non-negative integer, got {value:?}"))
+        };
+        match flag {
+            "--ckpt-every" => self.every = Some(number()?),
+            "--ckpt-keep" => self.keep = Some(number()?),
+            "--halt" => self.halt = Some(number()?),
+            "--ckpt-dir" => self.dir = Some(value()?.clone()),
+            "--resume" => self.resume = Some(value()?.clone()),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The `[checkpoint]` policy the flags ask for — `None` when neither
+    /// `--ckpt-every` nor `--halt` was given. Images land in `--ckpt-dir`, else in
+    /// `default_dir`; with neither the directory is an error.
+    pub fn spec(&self, default_dir: Option<String>) -> Result<Option<CheckpointSpec>, String> {
+        let every = match (self.every, self.halt) {
+            (None, None) if self.dir.is_some() || self.keep.is_some() => {
+                return Err("--ckpt-dir/--ckpt-keep need --ckpt-every (or --halt)".into())
+            }
+            (None, None) => return Ok(None),
+            (Some(every), _) => every,
+            // `--halt R` alone writes exactly one image: the one at round R.
+            (None, Some(halt)) => halt + 1,
+        };
+        let dir = self.dir.clone().or(default_dir).ok_or_else(|| {
+            "--ckpt-every/--halt need --ckpt-dir (images must land somewhere durable)".to_string()
+        })?;
+        Ok(Some(CheckpointSpec {
+            every,
+            dir,
+            halt_after: self.halt,
+            keep: self.keep,
+        }))
+    }
+
+    /// The `--resume` image, read and checked by [`read_resume_image`].
+    pub fn resume_image(&self) -> Result<Option<Checkpoint>, String> {
+        self.resume.as_deref().map(read_resume_image).transpose()
+    }
+}
+
+/// Read a recovery image for `--resume`. Every SelSync driver resumes an image of
+/// any backend (docs/RECOVERY.md, "Cross-backend resume"), so the only tag
+/// rejected here is one no backend writes.
+pub fn read_resume_image(path: &str) -> Result<Checkpoint, String> {
+    let ckpt = Checkpoint::read_file(path)?;
+    if ckpt.backend != "sim" && !selsync::resume::is_cluster_backend(&ckpt.backend) {
+        return Err(format!(
+            "checkpoint {path} was written by the unknown {:?} backend \
+             (expected sim, threaded or process)",
+            ckpt.backend
+        ));
+    }
+    Ok(ckpt)
+}
 
 /// How large the experiments are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -834,6 +919,61 @@ mod tests {
                 "partitioning should take seconds at most, got {ms} ms"
             );
         }
+    }
+
+    #[test]
+    fn checkpoint_args_parse_the_shared_flags_and_build_the_spec() {
+        let words: Vec<String> = "--ckpt-every 5 --halt 9 --ckpt-keep 2 --resume img"
+            .split(' ')
+            .map(String::from)
+            .collect();
+        let mut args = CheckpointArgs::default();
+        for pair in words.chunks(2) {
+            assert_eq!(args.take(&pair[0], pair.get(1)), Ok(true));
+        }
+        assert_eq!(args.take("--seed", None), Ok(false));
+        assert!(args.take("--halt", Some(&"x".to_string())).is_err());
+        assert!(args.take("--ckpt-dir", None).is_err());
+        assert_eq!(args.resume.as_deref(), Some("img"));
+        let spec = args.spec(Some("d".into())).unwrap().expect("a spec");
+        assert_eq!(
+            (spec.every, spec.halt_after, spec.keep),
+            (5, Some(9), Some(2))
+        );
+        assert_eq!(spec.dir, "d");
+        assert!(args.spec(None).is_err(), "no directory anywhere");
+
+        let halt_only = CheckpointArgs {
+            halt: Some(9),
+            dir: Some("x".into()),
+            ..Default::default()
+        };
+        assert_eq!(halt_only.spec(None).unwrap().expect("a spec").every, 10);
+        assert_eq!(CheckpointArgs::default().spec(None), Ok(None));
+        let stray = CheckpointArgs {
+            keep: Some(1),
+            ..Default::default()
+        };
+        assert!(stray.spec(Some("d".into())).is_err());
+    }
+
+    #[test]
+    fn resume_images_of_every_backend_are_accepted_and_unknown_tags_rejected() {
+        let dir = std::env::temp_dir().join(format!("selsync-bench-resume-{}", std::process::id()));
+        for tag in ["sim", "threaded", "process", "deposit"] {
+            let path = dir.join(tag);
+            Checkpoint::new(tag, 1, 0).write_file(&path).expect("write");
+            let read = read_resume_image(&path.to_string_lossy());
+            if tag == "deposit" {
+                let err = read.expect_err("no backend writes this tag");
+                assert!(err.contains("unknown \"deposit\" backend"), "{err}");
+                assert!(!err.contains('\n'), "one line: {err}");
+            } else {
+                assert_eq!(read.expect("accepted").backend, tag);
+            }
+        }
+        assert!(read_resume_image(&dir.join("missing").to_string_lossy()).is_err());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

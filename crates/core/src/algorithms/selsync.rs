@@ -22,12 +22,11 @@
 use crate::aggregation::{self, AggregationMode};
 use crate::checkpoint::{self, Checkpoint, Section};
 use crate::config::{AlgorithmSpec, CheckpointSpec, TrainConfig};
-use crate::policy::{DeltaPolicy, PolicySpec, PolicyState, RoundSignal, SyncDecision, SyncPolicy};
+use crate::policy::{DeltaPolicy, PolicySpec, RoundSignal, SyncDecision, SyncPolicy};
 use crate::report::RunReport;
 use crate::sim::{Simulator, WorkerStep};
 use selsync_comm::faults::CommFaultSchedule;
 use selsync_comm::wire::frame_len;
-use selsync_tracelog::codec;
 
 /// The algorithm label a SelSync run reports, as a pure function of its config.
 /// Shared by the simulator driver and the threaded driver (and the trace headers of
@@ -81,17 +80,12 @@ pub fn run_resumed(cfg: &TrainConfig, ckpt: &Checkpoint) -> RunReport {
 }
 
 fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
-    // A threaded- or process-backend image is translated into the simulator's
-    // layout up front; everything below sees a native "sim" checkpoint.
+    // A cluster image (threaded or process backend: one layout) is translated into
+    // the simulator's up front; everything below sees a native "sim" checkpoint.
     let translated;
     let resume = match resume {
-        Some(ckpt) if ckpt.backend == "threaded" => {
+        Some(ckpt) if crate::resume::is_cluster_backend(&ckpt.backend) => {
             translated = crate::resume::threaded_to_sim(cfg, ckpt);
-            Some(&translated)
-        }
-        Some(ckpt) if ckpt.backend == "process" => {
-            translated =
-                crate::resume::threaded_to_sim(cfg, &crate::resume::process_to_threaded(ckpt));
             Some(&translated)
         }
         other => other,
@@ -153,11 +147,7 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
                 "checkpoint belongs to a different configuration"
             );
             sim.restore_checkpoint_sections(ckpt);
-            let mut reader = ckpt.read_section("policy");
-            let ints = reader.ints();
-            let floats = reader.f32s();
-            reader.finish();
-            policy.import_state(&PolicyState { ints, floats });
+            policy.import_state(&ckpt.policy_state("policy"));
             let mut reader = ckpt.read_section("global");
             let restored_global = reader.f32s();
             reader.finish();
@@ -169,14 +159,7 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
             global = restored_global;
             // The restored trace prefix already contains the run header, so the
             // resumed run skips `emit_header` and appends from `round + 1`.
-            if cfg.trace.is_enabled() {
-                let events = ckpt
-                    .trace
-                    .iter()
-                    .map(|line| codec::decode_event(line).expect("checkpointed trace line decodes"))
-                    .collect();
-                cfg.trace.preload(events);
-            }
+            ckpt.preload_trace(&cfg.trace);
             ckpt.round + 1
         }
         None => {
@@ -451,25 +434,12 @@ fn write_sim_checkpoint(
 ) {
     let mut image = Checkpoint::new("sim", checkpoint::config_fingerprint(cfg), it);
     sim.export_checkpoint_sections(&mut image);
-    let state = policy.export_state();
-    let mut section = Section::new("policy");
-    section.push_ints(&state.ints);
-    section.push_f32s(&state.floats);
-    image.add_section(section);
+    image.add_policy_state("policy", &policy.export_state());
     let mut section = Section::new("global");
     section.push_f32s(global);
     image.add_section(section);
-    if cfg.trace.is_enabled() {
-        let log = cfg.trace.snapshot_log();
-        image.trace = log.events.iter().map(codec::encode_event).collect();
-    }
-    let path = ck.path_for(it);
-    image
-        .write_file(&path)
-        .unwrap_or_else(|err| panic!("failed to write checkpoint {}: {err}", path.display()));
-    // Retention runs only after the newer image is durably on disk, and never
-    // removes the image a resume started from.
-    ck.prune(it, protect);
+    image.set_trace(&cfg.trace.snapshot_log());
+    ck.write_image(&image, protect);
 }
 
 /// Record the cluster-aggregated round signal (split out to keep the round loop flat).

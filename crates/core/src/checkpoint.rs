@@ -37,8 +37,12 @@ use std::fs;
 use std::path::Path;
 
 use selsync_comm::wire;
+use selsync_nn::OptimizerState;
+use selsync_tracelog::{codec, EventLog, TraceSink};
 
 use crate::config::TrainConfig;
+use crate::policy::PolicyState;
+use crate::tracker::TrackerState;
 
 /// Format tag in the first line of every checkpoint file.
 pub const CHECKPOINT_VERSION: u32 = 1;
@@ -119,6 +123,29 @@ impl Section {
         self.ints.extend_from_slice(vs);
     }
 
+    /// Append a worker's durable core — parameter replica, optimizer state, `Δ(g_i)`
+    /// tracker state — in the one field order every backend's `worker<k>` section
+    /// starts with. Read back by [`SectionReader::worker_core`].
+    pub fn push_worker_core(
+        &mut self,
+        params: &[f32],
+        optimizer: &OptimizerState,
+        tracker: &TrackerState,
+    ) {
+        self.push_f32s(params);
+        self.push_int(optimizer.t);
+        self.push_usize(optimizer.buffers.len());
+        for buffer in &optimizer.buffers {
+            self.push_f32s(buffer);
+        }
+        self.push_f32s(&tracker.ewma_history);
+        self.push_opt_f32(tracker.ewma_smoothed);
+        self.push_opt_f32(tracker.previous_smoothed);
+        self.push_f32(tracker.last_delta);
+        self.push_f32(tracker.max_delta);
+        self.push_int(tracker.steps);
+    }
+
     /// A cursor reading the section back in write order.
     pub fn reader(&self) -> SectionReader<'_> {
         SectionReader {
@@ -127,6 +154,17 @@ impl Section {
             float_pos: 0,
         }
     }
+}
+
+/// A worker's durable core as stored by [`Section::push_worker_core`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct WorkerCore {
+    /// The worker's parameter replica.
+    pub params: Vec<f32>,
+    /// Its optimizer's step counter and moment buffers.
+    pub optimizer: OptimizerState,
+    /// Its `Δ(g_i)` tracker state.
+    pub tracker: TrackerState,
 }
 
 /// Cursor over a [`Section`]'s parallel arrays; reads must mirror the write order.
@@ -208,6 +246,26 @@ impl SectionReader<'_> {
         (0..n).map(|_| self.next_int()).collect()
     }
 
+    /// Read a worker core written by [`Section::push_worker_core`].
+    pub fn worker_core(&mut self) -> WorkerCore {
+        let params = self.f32s();
+        let t = self.int();
+        let buffer_count = self.usize();
+        let buffers = (0..buffer_count).map(|_| self.f32s()).collect();
+        WorkerCore {
+            params,
+            optimizer: OptimizerState { t, buffers },
+            tracker: TrackerState {
+                ewma_history: self.f32s(),
+                ewma_smoothed: self.opt_f32(),
+                previous_smoothed: self.opt_f32(),
+                last_delta: self.f32(),
+                max_delta: self.f32(),
+                steps: self.int(),
+            },
+        }
+    }
+
     /// Assert the section was consumed exactly (catches producer/consumer drift).
     pub fn finish(self) {
         assert!(
@@ -275,6 +333,47 @@ impl Checkpoint {
         self.section(name)
             .unwrap_or_else(|| panic!("checkpoint is missing section '{name}'"))
             .reader()
+    }
+
+    /// Append a δ-policy's durable state as the section `name` (`policy` in
+    /// simulator images, `board` in cluster images).
+    pub fn add_policy_state(&mut self, name: &str, state: &PolicyState) {
+        let mut section = Section::new(name);
+        section.push_ints(&state.ints);
+        section.push_f32s(&state.floats);
+        self.add_section(section);
+    }
+
+    /// Read back a section written by [`Self::add_policy_state`].
+    pub fn policy_state(&self, name: &str) -> PolicyState {
+        let mut reader = self.read_section(name);
+        let ints = reader.ints();
+        let floats = reader.f32s();
+        reader.finish();
+        PolicyState { ints, floats }
+    }
+
+    /// Store `log` (canonically sorted) as the image's trace prefix.
+    pub fn set_trace(&mut self, log: &EventLog) {
+        self.trace = log.events.iter().map(codec::encode_event).collect();
+    }
+
+    /// The stored trace prefix, decoded.
+    pub fn trace_log(&self) -> EventLog {
+        let events = self
+            .trace
+            .iter()
+            .map(|line| codec::decode_event(line).expect("checkpointed trace line decodes"))
+            .collect();
+        EventLog { events }
+    }
+
+    /// Seed a resumed run's sink with the stored trace prefix (which already holds
+    /// the run header, so the resumed run emits none). No-op on a disabled sink.
+    pub fn preload_trace(&self, sink: &TraceSink) {
+        if sink.is_enabled() {
+            sink.preload(self.trace_log().events);
+        }
     }
 
     /// Serialize to the versioned text format (see the module docs).

@@ -147,6 +147,18 @@ impl CheckpointSpec {
         }
     }
 
+    /// Persist `image` at [`Self::path_for`] its round, then apply the retention
+    /// policy. Retention runs only after the newer image is durably on disk, and
+    /// never removes the `protect`ed image a resume started from. A failed write
+    /// panics with the path — a run asked to checkpoint must not continue without.
+    pub fn write_image(&self, image: &crate::checkpoint::Checkpoint, protect: Option<usize>) {
+        let path = self.path_for(image.round);
+        image
+            .write_file(&path)
+            .unwrap_or_else(|err| panic!("failed to write checkpoint {}: {err}", path.display()));
+        self.prune(image.round, protect);
+    }
+
     /// Whether a checkpoint is due after completing `iteration`.
     pub fn due(&self, iteration: usize) -> bool {
         (iteration + 1).is_multiple_of(self.every.max(1))

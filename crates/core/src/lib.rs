@@ -30,8 +30,11 @@
 //! * [`process`] — a process-per-worker SelSync/BSP driver over the socket transport:
 //!   hub and worker entry points the `scenario_cluster` orchestrator spawns, with
 //!   per-process trace shards that merge into the canonical event log.
+//! * `worker` (crate-private) — the SelSync worker round, once: `run_worker` over a
+//!   `ClusterLink`, which [`threaded`] implements in-process and [`process`] over RPC.
 //! * [`resume`] — cross-backend checkpoint translation: resume a simulator
-//!   checkpoint on the threaded driver and vice versa.
+//!   checkpoint on a cluster backend and vice versa (the two cluster backends share
+//!   one image layout).
 //! * [`tracing`] — shared emission helpers for the deterministic run-trace layer
 //!   (`selsync-tracelog`): both SelSync drivers log the same canonical event stream.
 //!
@@ -63,6 +66,7 @@ pub mod sim;
 pub mod threaded;
 pub mod tracing;
 pub mod tracker;
+pub(crate) mod worker;
 
 pub use aggregation::AggregationMode;
 pub use checkpoint::Checkpoint;

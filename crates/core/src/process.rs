@@ -10,18 +10,22 @@
 //! collects each one's trace shard and merges them with
 //! [`selsync_tracelog::EventLog::merge`].
 //!
-//! **Parity contract.** The worker loop mirrors [`crate::threaded`]'s worker
-//! closure operation for operation — the only difference is *where* the shared
-//! state lives. Every shared-state touch becomes either
+//! **Parity contract.** A worker process runs the same function a
+//! [`crate::threaded`] worker thread runs — `crate::worker::run_worker` — and
+//! the hub holds the same `ClusterCore` the threaded driver builds; the only
+//! difference is *where* the shared state lives. Every shared-state touch is
+//! either
 //!
 //! * a control-plane envelope on the [`MessageLayer`] riding the
 //!   [`SocketTransport`](selsync_comm::SocketTransport) (the hub echoes frames
 //!   verbatim, so retry/dedupe/eviction semantics — and the
 //!   [`crate::config::TrainConfig::comm_faults`] weather composed *over* the
 //!   socket — are bit-identical to the in-memory transports), or
-//! * a blocking RPC ([`selsync_comm::HubClient`]) into the hub's
-//!   [`RpcService`], which calls the very same `ParameterServer` /
-//!   `Collective` / `SignalBoard` methods the threaded driver calls in-process.
+//! * a `ClusterLink` call, here a blocking RPC ([`selsync_comm::HubClient`])
+//!   into the hub's [`RpcService`], which calls the very same
+//!   `ParameterServer` / `Collective` / `SignalBoard` methods the threaded
+//!   driver's link calls in-process. The `op` tags below are that trait's wire
+//!   form, one per method.
 //!
 //! Worker-order folds, round-keyed rendezvous and the board's round-ordered
 //! observation stream are all hub-side, so the multi-process cluster's
@@ -41,13 +45,14 @@
 //! **Durable checkpoints.** `[checkpoint]` runs ride a hub-coordinated
 //! quiescent-point protocol: at every due round each live worker ships its
 //! recovery section and trace-shard prefix to the hub as an Rpc deposit
-//! (`op::CKPT_DEPOSIT`) and parks; once every deposit is in, the hub
-//! assembles the threaded driver's exact image layout (PS global + snapshot
-//! ring, per-worker sections, board policy state, merged trace prefix), writes
-//! it under the configured `keep` rotation, and releases the cluster. The
-//! image relabels freely across backends through [`crate::resume`], so a
-//! cluster run can resume a simulator or threaded checkpoint — and vice
-//! versa — reproducing the uninterrupted run byte for byte.
+//! (`op::CKPT_DEPOSIT`) and parks; once every deposit is in, the hub writes
+//! the image through `ClusterCore::write_image` — the function the threaded
+//! driver writes its own with, so the two tags name one layout (PS global +
+//! snapshot ring, per-worker sections, board policy state, merged trace
+//! prefix) — under the configured `keep` rotation, and releases the cluster.
+//! Either cluster backend resumes either tag as it is, and a simulator image
+//! through [`crate::resume`] — reproducing the uninterrupted run byte for
+//! byte.
 //!
 //! **Worker death.** A connection that terminates after identification —
 //! clean EOF or broken pipe alike — is mapped by the hub to a deterministic
@@ -66,26 +71,21 @@
 //! surfacing an opaque child panic: algorithms other than SelSync/BSP, and
 //! data-injection over non-IID shards (the injection draw consumes the
 //! simulator's cluster RNG, which has no cross-process counterpart). Non-IID
-//! label shards themselves run natively via [`sim::worker_traversal`].
+//! label shards themselves run natively via [`crate::sim::worker_traversal`].
 
 use crate::checkpoint::{self, Checkpoint, Section};
-use crate::conditions::{ClusterConditions, FaultEvent};
-use crate::config::{AlgorithmSpec, CheckpointSpec, RejoinPull, TrainConfig};
-use crate::policy::{PolicySpec, PolicyState, RoundSignal, SyncPolicy};
-use crate::sim;
-use crate::threaded::{worker_section, SignalBoard, ThreadedWorkerReport};
-use crate::tracker::{GradStatistic, GradientTracker, TrackerState};
+#[cfg(test)]
+use crate::conditions::FaultEvent;
+use crate::config::{AlgorithmSpec, TrainConfig};
+use crate::policy::{PolicySpec, RoundSignal};
+use crate::threaded::{ClusterCore, ThreadedWorkerReport};
+use crate::worker::{run_worker, with_ps_gate, ClusterLink, WorkerInputs};
 use parking_lot::{Condvar, Mutex};
-use selsync_comm::cluster::{make_handles, ClusterHandles};
 use selsync_comm::faults::CommFaultSchedule;
-use selsync_comm::ps::DEFAULT_SNAPSHOT_DEPTH;
 use selsync_comm::socket::{HubClient, HubServer, RpcService, SocketAddrSpec, SocketConn};
-use selsync_comm::wire::MsgKind;
-use selsync_comm::{MessageLayer, PsExchangeError, ScalarOp};
-use selsync_metrics::lssr::LssrCounter;
+use selsync_comm::{MessageLayer, ScalarOp};
 use selsync_nn::model::PaperModel;
-use selsync_nn::OptimizerState;
-use selsync_tracelog::{codec, Event, EventLog, PullKind};
+use selsync_tracelog::EventLog;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -157,18 +157,10 @@ fn read_f32(bytes: &[u8], at: usize) -> f32 {
 /// get from blocking in-process calls.
 struct HubService {
     cfg: TrainConfig,
-    handles: ClusterHandles,
-    board: SignalBoard,
-    /// The *base* effective membership schedule (scheduled crashes plus
-    /// compiled comm-fault evictions); runtime death evictions layer on top in
-    /// the ledger, never mutating this.
-    conditions: ClusterConditions,
-    /// The first round this (possibly resumed) run executes; death evictions
-    /// are never scheduled before it.
-    first_round: usize,
-    ckpt: Option<CheckpointSpec>,
-    /// The image this run resumed from — protected from retention pruning.
-    protect: Option<usize>,
+    /// The shared cluster state. Its membership schedule is the *base* one;
+    /// runtime death evictions layer on top in the ledger, never mutating it,
+    /// and are never scheduled before its first round.
+    core: ClusterCore,
     ledger: Mutex<Ledger>,
     cv: Condvar,
 }
@@ -189,7 +181,8 @@ struct Ledger {
     released: HashMap<usize, usize>,
     /// The round currently gathering checkpoint deposits, if any.
     ckpt_round: Option<usize>,
-    ckpt_deposits: Vec<Option<Checkpoint>>,
+    /// Per worker: its checked deposit — recovery section and trace shard so far.
+    ckpt_deposits: Vec<Option<(Section, EventLog)>>,
     /// The newest round whose checkpoint gate has released (written or voided).
     ckpt_released: Option<usize>,
 }
@@ -241,6 +234,7 @@ impl HubService {
                 return encode_evictions(&s.evictions[..frozen]);
             }
             let complete = self
+                .core
                 .conditions
                 .present_workers(n, it)
                 .into_iter()
@@ -264,6 +258,17 @@ impl HubService {
         });
         assert_eq!(mini.backend, "deposit", "worker {worker}'s deposit tag");
         assert_eq!(mini.round, it, "worker {worker}'s deposit round");
+        assert_eq!(
+            mini.fingerprint,
+            checkpoint::config_fingerprint(&self.cfg),
+            "worker {worker}'s deposit belongs to a different configuration"
+        );
+        let shard = mini.trace_log();
+        let name = format!("worker{worker}");
+        let section = mini.sections.into_iter().find(|s| s.name == name);
+        let section =
+            section.unwrap_or_else(|| panic!("worker {worker}'s deposit is missing its section"));
+        let deposit = (section, shard);
         let mut s = self.ledger.lock();
         assert!(
             s.ckpt_round.is_none_or(|r| r == it),
@@ -275,7 +280,7 @@ impl HubService {
             s.ckpt_deposits[worker].is_none(),
             "worker {worker} deposited twice for round {it}"
         );
-        s.ckpt_deposits[worker] = Some(mini);
+        s.ckpt_deposits[worker] = Some(deposit);
         let mut s = self.finish_checkpoint_if_complete(s);
         while s.ckpt_released.is_none_or(|r| r < it) {
             self.cv.wait(&mut s);
@@ -284,7 +289,10 @@ impl HubService {
 
     /// If every live worker has deposited for the gathering round, write the
     /// image and release the gate — the process analogue of the threaded
-    /// gate's writer leg, run by whichever connection completed the set. A
+    /// gate's writer leg, run by whichever connection completed the set, at
+    /// the same quiescent point: every worker parked in its deposit RPC, the
+    /// round's signals observed, every shard's events through the round
+    /// shipped (the hub's own shard holds the header and regime switches). A
     /// worker death voids the in-flight image instead (the cluster state is no
     /// longer the uninterrupted run's) but still releases the survivors.
     fn finish_checkpoint_if_complete<'a>(
@@ -298,8 +306,7 @@ impl HubService {
         if !(0..n).all(|w| s.dead[w] || s.ckpt_deposits[w].is_some()) {
             return s;
         }
-        let deposits: Vec<Option<Checkpoint>> =
-            s.ckpt_deposits.iter_mut().map(|d| d.take()).collect();
+        let deposits: Vec<_> = s.ckpt_deposits.iter_mut().map(|d| d.take()).collect();
         s.ckpt_round = None;
         let any_dead = s.dead.iter().any(|&d| d);
         drop(s);
@@ -309,70 +316,17 @@ impl HubService {
                  state no longer matches the uninterrupted run"
             );
         } else {
-            let deposits: Vec<Checkpoint> = deposits
+            let (sections, shards) = deposits
                 .into_iter()
                 .map(|d| d.expect("no worker is dead, so every slot deposited"))
-                .collect();
-            self.write_cluster_checkpoint(it, &deposits);
+                .unzip();
+            self.core
+                .write_image(&self.cfg, "process", it, sections, shards);
         }
         let mut s = self.ledger.lock();
         s.ckpt_released = Some(it);
         self.cv.notify_all();
         s
-    }
-
-    /// Assemble and write the full recovery image after round `it` — the exact
-    /// layout the threaded driver's `write_threaded_checkpoint` produces, so
-    /// the [`crate::resume`] relabel translators move images freely between
-    /// the two drivers. Runs at the gate's quiescent point: every worker
-    /// parked in its deposit RPC, the round's signals observed, every shard's
-    /// events through `it` shipped.
-    fn write_cluster_checkpoint(&self, it: usize, deposits: &[Checkpoint]) {
-        let ck = self
-            .ckpt
-            .as_ref()
-            .expect("a deposit implies a checkpoint spec");
-        let fingerprint = checkpoint::config_fingerprint(&self.cfg);
-        let mut image = Checkpoint::new("process", fingerprint, it);
-        image.add_section(crate::resume::ps_section(&self.handles.ps.export_state()));
-        let policy_state = self.board.export_policy_state();
-        let mut section = Section::new("board");
-        section.push_ints(&policy_state.ints);
-        section.push_f32s(&policy_state.floats);
-        image.add_section(section);
-        for (w, mini) in deposits.iter().enumerate() {
-            assert_eq!(
-                mini.fingerprint, fingerprint,
-                "worker {w}'s deposit belongs to a different configuration"
-            );
-            let section = mini
-                .section(&format!("worker{w}"))
-                .unwrap_or_else(|| panic!("worker {w}'s deposit is missing its section"));
-            image.add_section(section.clone());
-        }
-        if self.cfg.trace.is_enabled() {
-            // The image's trace prefix is the canonical merge of every
-            // process's shard so far: the hub's (header + regime switches)
-            // plus each worker's deposited events.
-            let mut shards = vec![self.cfg.trace.snapshot_log()];
-            for mini in deposits {
-                let events = mini
-                    .trace
-                    .iter()
-                    .map(|line| codec::decode_event(line).expect("deposited trace line decodes"))
-                    .collect();
-                shards.push(EventLog { events });
-            }
-            let merged = EventLog::merge(shards);
-            image.trace = merged.events.iter().map(codec::encode_event).collect();
-        }
-        let path = ck.path_for(it);
-        image
-            .write_file(&path)
-            .unwrap_or_else(|err| panic!("failed to write checkpoint {}: {err}", path.display()));
-        // Retention runs only after the newer image is durably on disk, and
-        // never removes the image a resume started from.
-        ck.prune(it, self.protect);
     }
 }
 
@@ -380,12 +334,12 @@ impl RpcService for HubService {
     fn handle(&self, worker: u32, round: u64, request: &[u8]) -> Vec<u8> {
         let worker = worker as usize;
         let args = &request[1..];
+        let ClusterCore { handles, board, .. } = &self.core;
+        let (ps, collective) = (&handles.ps, &handles.collective);
         match request[0] {
-            op::PULL => f32s_to_bytes(&self.handles.ps.pull()),
-            op::SCHED_GLOBAL_BEFORE => {
-                f32s_to_bytes(&self.handles.ps.scheduled_global_before(round))
-            }
-            op::SCHED_ROUND_BEFORE => match self.handles.ps.scheduled_round_before(round) {
+            op::PULL => f32s_to_bytes(&ps.pull()),
+            op::SCHED_GLOBAL_BEFORE => f32s_to_bytes(&ps.scheduled_global_before(round)),
+            op::SCHED_ROUND_BEFORE => match ps.scheduled_round_before(round) {
                 Some(r) => {
                     let mut out = vec![1u8];
                     out.extend_from_slice(&r.to_le_bytes());
@@ -396,18 +350,12 @@ impl RpcService for HubService {
             op::SYNC_ROUND => {
                 let expected = read_u32(args, 0) as usize;
                 let params = bytes_to_f32s(&args[4..]);
-                f32s_to_bytes(
-                    &self
-                        .handles
-                        .ps
-                        .sync_round_elastic(round, worker, &params, expected),
-                )
+                f32s_to_bytes(&ps.sync_round_elastic(round, worker, &params, expected))
             }
             op::ALLGATHER_FLAGS => {
                 let flag = args[0] != 0;
                 let expected = read_u32(args, 1) as usize;
-                self.handles
-                    .collective
+                collective
                     .allgather_flags_among(round, worker, flag, expected)
                     .into_iter()
                     .map(u8::from)
@@ -417,8 +365,7 @@ impl RpcService for HubService {
                 let op = scalar_op_from_tag(args[0]);
                 let expected = read_u32(args, 1) as usize;
                 let value = read_f32(args, 5);
-                self.handles
-                    .collective
+                collective
                     .allreduce_scalar_among(round, worker, value, expected, op)
                     .to_le_bytes()
                     .to_vec()
@@ -427,19 +374,13 @@ impl RpcService for HubService {
                 let op = scalar_op_from_tag(args[0]);
                 let expected = read_u32(args, 1) as usize;
                 let values = bytes_to_f32s(&args[5..]);
-                f32s_to_bytes(
-                    &self
-                        .handles
-                        .collective
-                        .allreduce_vec_among(round, worker, values, expected, op),
-                )
+                f32s_to_bytes(&collective.allreduce_vec_among(round, worker, values, expected, op))
             }
             op::BOARD_WAIT_CAUGHT_UP => {
-                self.board.wait_caught_up(read_u64(args, 0) as usize);
+                board.wait_caught_up(read_u64(args, 0) as usize);
                 Vec::new()
             }
-            op::BOARD_DELTA_FOR => self
-                .board
+            op::BOARD_DELTA_FOR => board
                 .delta_for(read_u64(args, 0) as usize)
                 .to_le_bytes()
                 .to_vec(),
@@ -453,7 +394,7 @@ impl RpcService for HubService {
                     synced: args[24] != 0,
                 };
                 let next_round = read_u64(args, 25) as usize;
-                self.board.observe(signal, next_round);
+                board.observe(signal, next_round);
                 Vec::new()
             }
             op::ROUND_BEGIN => self.round_begin(worker, read_u64(args, 0) as usize),
@@ -481,9 +422,9 @@ impl RpcService for HubService {
             return;
         }
         s.dead[worker] = true;
-        let from = s.last_begun[worker].map_or(self.first_round, |r| r + 1);
+        let from = s.last_begun[worker].map_or(self.core.start, |r| r + 1);
         if let Some(round) =
-            (from..self.cfg.iterations).find(|&r| self.conditions.is_present(worker, r))
+            (from..self.cfg.iterations).find(|&r| self.core.conditions.is_present(worker, r))
         {
             s.evictions.push((worker, round));
         }
@@ -492,20 +433,23 @@ impl RpcService for HubService {
     }
 }
 
-/// Worker-side view of the hub's shared state: each method is one blocking RPC
-/// whose name and argument shape matches the in-process call it stands in for.
-struct RemoteCluster {
+/// A worker process's [`ClusterLink`]: each method is one blocking RPC whose
+/// name and argument shape matches the in-process call it stands in for.
+struct RemoteCluster<'a> {
     client: HubClient,
+    cfg: &'a TrainConfig,
 }
 
-impl RemoteCluster {
+impl RemoteCluster<'_> {
     fn request(&self, round: u64, op: u8, args: &[u8]) -> Vec<u8> {
         let mut payload = Vec::with_capacity(1 + args.len());
         payload.push(op);
         payload.extend_from_slice(args);
         self.client.rpc(round, payload)
     }
+}
 
+impl ClusterLink for RemoteCluster<'_> {
     fn pull(&self) -> Vec<f32> {
         bytes_to_f32s(&self.request(u64::MAX, op::PULL, &[]))
     }
@@ -579,10 +523,19 @@ impl RemoteCluster {
         )
     }
 
-    /// Announce round `it` at its boundary and block until the hub releases
-    /// the round's barrier. Returns the full frozen eviction prefix as
-    /// `(worker, first-absent round)` pairs; the caller folds the entries it
-    /// has not seen yet.
+    fn observe(&self, signal: RoundSignal, next_round: usize) {
+        let mut args = (signal.iteration as u64).to_le_bytes().to_vec();
+        args.extend(signal.max_delta.to_le_bytes());
+        args.extend(signal.mean_loss.to_le_bytes());
+        args.extend(signal.delta_mean.to_le_bytes());
+        args.extend(signal.delta_sq_mean.to_le_bytes());
+        args.push(signal.synced as u8);
+        args.extend((next_round as u64).to_le_bytes());
+        self.request(signal.iteration as u64, op::BOARD_OBSERVE, &args);
+    }
+
+    /// Blocks until the hub releases the round's barrier; the reply is the
+    /// eviction prefix frozen at that release.
     fn round_begin(&self, it: usize) -> Vec<(usize, usize)> {
         let reply = self.request(it as u64, op::ROUND_BEGIN, &(it as u64).to_le_bytes());
         let count = read_u32(&reply, 0) as usize;
@@ -597,27 +550,21 @@ impl RemoteCluster {
             .collect()
     }
 
-    /// Ship this worker's checkpoint deposit for round `it` and block until
-    /// the hub has written (or voided) the round's image.
-    fn ckpt_deposit(&self, it: usize, image: &str) {
+    /// Ships the section together with this process's trace shard so far, as a
+    /// one-section `deposit` image, and parks inside the RPC until the hub has
+    /// written (or voided) the round's image.
+    fn ckpt_deposit(&self, it: usize, section: Section) {
+        let fingerprint = checkpoint::config_fingerprint(self.cfg);
+        let mut deposit = Checkpoint::new("deposit", fingerprint, it);
+        deposit.add_section(section);
+        deposit.set_trace(&self.cfg.trace.snapshot_log());
         let mut args = (it as u64).to_le_bytes().to_vec();
-        args.extend_from_slice(image.as_bytes());
+        args.extend_from_slice(deposit.encode().as_bytes());
         self.request(it as u64, op::CKPT_DEPOSIT, &args);
-    }
-
-    fn observe(&self, signal: RoundSignal, next_round: usize) {
-        let mut args = (signal.iteration as u64).to_le_bytes().to_vec();
-        args.extend(signal.max_delta.to_le_bytes());
-        args.extend(signal.mean_loss.to_le_bytes());
-        args.extend(signal.delta_mean.to_le_bytes());
-        args.extend(signal.delta_sq_mean.to_le_bytes());
-        args.push(signal.synced as u8);
-        args.extend((next_round as u64).to_le_bytes());
-        self.request(signal.iteration as u64, op::BOARD_OBSERVE, &args);
     }
 }
 
-/// A configuration the process backend cannot run, naming the offending
+/// A configuration the cluster backends cannot run, naming the offending
 /// scenario key so orchestrators can print a one-line diagnosis instead of a
 /// panic backtrace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -640,10 +587,11 @@ impl std::fmt::Display for UnsupportedConfig {
 
 impl std::error::Error for UnsupportedConfig {}
 
-/// The configuration envelope the process backend supports — the threaded
-/// driver's. The only genuinely unsupported shapes left are non-SelSync/BSP
-/// algorithms and data-injection over non-IID shards (whose injection draws
-/// ride the simulator's cluster RNG).
+/// The configuration envelope the cluster backends — this one and the threaded
+/// driver — support, and the δ-policy spec a supported run uses. The only
+/// genuinely unsupported shapes are non-SelSync/BSP algorithms and
+/// data-injection over non-IID shards (whose injection draws ride the
+/// simulator's cluster RNG).
 pub fn ensure_supported(cfg: &TrainConfig) -> Result<(f32, PolicySpec), UnsupportedConfig> {
     let delta = match cfg.algorithm {
         AlgorithmSpec::SelSync { delta, .. } => delta,
@@ -652,7 +600,7 @@ pub fn ensure_supported(cfg: &TrainConfig) -> Result<(f32, PolicySpec), Unsuppor
             return Err(UnsupportedConfig {
                 key: "scenario.algorithm",
                 message: format!(
-                    "the process backend runs SelSync and BSP only, not {}",
+                    "the threaded and process backends run SelSync and BSP only, not {}",
                     cfg.algorithm.name()
                 ),
             })
@@ -671,6 +619,8 @@ pub fn ensure_supported(cfg: &TrainConfig) -> Result<(f32, PolicySpec), Unsuppor
             });
         }
     }
+    // `delta_policy` applies to SelSync only (the simulator's BSP driver ignores it
+    // too); a BSP run always uses the fixed δ = 0.
     let spec = match cfg.algorithm {
         AlgorithmSpec::SelSync { .. } => cfg
             .delta_policy
@@ -678,17 +628,14 @@ pub fn ensure_supported(cfg: &TrainConfig) -> Result<(f32, PolicySpec), Unsuppor
             .unwrap_or(PolicySpec::Fixed { delta }),
         _ => PolicySpec::Fixed { delta },
     };
+    let invalid = |key, message| Err(UnsupportedConfig { key, message });
     if let Err(e) = spec.validate() {
-        return Err(UnsupportedConfig {
-            key: "policy",
-            message: e,
-        });
+        return invalid("policy", e);
+    }
+    if let Some(Err(e)) = cfg.checkpoint.as_ref().map(|ck| ck.validate()) {
+        return invalid("checkpoint", e);
     }
     Ok((delta, spec))
-}
-
-fn check_supported(cfg: &TrainConfig) -> (f32, PolicySpec) {
-    ensure_supported(cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Run the hub process: bind `addr`, serve one connection per worker until all
@@ -699,98 +646,29 @@ pub fn run_process_hub(cfg: &TrainConfig, addr: &SocketAddrSpec) -> String {
 }
 
 /// [`run_process_hub`] with an optional recovery image to resume from.
-/// Accepts images from any backend — `"sim"` and `"threaded"` ones run
-/// through the [`crate::resume`] translators first.
+/// Accepts images from any backend: cluster images (either tag) as they are,
+/// simulator ones through [`crate::resume::sim_to_threaded`].
 pub fn run_process_hub_with(
     cfg: &TrainConfig,
     addr: &SocketAddrSpec,
     resume: Option<&Checkpoint>,
 ) -> String {
-    let (_delta, spec) = check_supported(cfg);
-    let n = cfg.workers;
-    let translated;
-    let resume = match resume {
-        Some(ckpt) if ckpt.backend == "sim" => {
-            translated = crate::resume::sim_to_process(cfg, ckpt);
-            Some(&translated)
-        }
-        Some(ckpt) if ckpt.backend == "threaded" => {
-            translated = crate::resume::threaded_to_process(ckpt);
-            Some(&translated)
-        }
-        other => other,
-    };
-    if let Some(ckpt) = resume {
-        assert_eq!(ckpt.backend, "process", "resume image backend");
-        assert_eq!(
-            ckpt.fingerprint,
-            checkpoint::config_fingerprint(cfg),
-            "resume image belongs to a different configuration"
-        );
-    }
-    let start = resume.map_or(0, |ckpt| ckpt.round + 1);
-    if let Some(ckpt) = resume {
-        // The hub shard carries the image's merged trace prefix; workers
-        // re-emit nothing before `start`, so the merged result is exactly
-        // prefix + fresh suffix.
-        if cfg.trace.is_enabled() {
-            let events = ckpt
-                .trace
-                .iter()
-                .map(|line| codec::decode_event(line).expect("checkpointed trace line decodes"))
-                .collect();
-            cfg.trace.preload(events);
-        }
-    } else {
-        crate::tracing::emit_header(
-            &cfg.trace,
-            cfg,
-            &crate::algorithms::selsync::algorithm_label(cfg),
-            &spec.label(),
-        );
-    }
+    let (_delta, spec) = ensure_supported(cfg).unwrap_or_else(|e| panic!("{e}"));
+    let resume = resume.map(|ckpt| crate::resume::cluster_image(cfg, ckpt));
+    // The hub shard carries a resume image's merged trace prefix; workers
+    // re-emit nothing before the first resumed round, so the merged result is
+    // exactly prefix + fresh suffix.
     let proto = PaperModel::build(cfg.model, cfg.seed);
-    let handles = make_handles(n, proto.params_flat());
-    if cfg.rejoin_pull == RejoinPull::Scheduled {
-        handles
-            .ps
-            .enable_scheduled_snapshots(DEFAULT_SNAPSHOT_DEPTH);
-    }
-    let mut policy = spec.build();
-    if let Some(ckpt) = resume {
-        handles
-            .ps
-            .restore_state(&crate::resume::read_ps_state(ckpt));
-        let mut reader = ckpt.read_section("board");
-        let ints = reader.ints();
-        let floats = reader.f32s();
-        reader.finish();
-        policy.import_state(&PolicyState { ints, floats });
-    }
-    let conditions = cfg.effective_conditions();
-    let board = SignalBoard::new(
-        policy,
-        conditions.next_active_iteration(n, start, cfg.iterations),
-        cfg.trace.clone(),
-    );
-    let ckpt_spec = cfg.checkpoint.clone();
-    if let Some(ck) = &ckpt_spec {
-        ck.validate().expect("invalid checkpoint configuration");
-    }
+    let core = ClusterCore::build(cfg, &spec, &proto, resume.as_deref());
     let server = HubServer::bind(addr).unwrap_or_else(|e| panic!("hub failed to bind {addr}: {e}"));
     let service = HubService {
         cfg: cfg.clone(),
-        handles,
-        board,
-        conditions,
-        first_round: start,
-        ckpt: ckpt_spec,
-        protect: resume.map(|ckpt| ckpt.round),
-        ledger: Mutex::new(Ledger::new(n)),
+        core,
+        ledger: Mutex::new(Ledger::new(cfg.workers)),
         cv: Condvar::new(),
     };
     server
-        .serve(n, Arc::new(service))
+        .serve(cfg.workers, Arc::new(service))
         .unwrap_or_else(|e| panic!("hub serve failed: {e}"));
     cfg.trace.take_log().encode()
 }
@@ -806,8 +684,8 @@ pub struct WorkerOptions<'a> {
 }
 
 /// Run one worker process: connect to the hub at `addr` and execute worker
-/// `worker`'s rounds — the exact operation sequence of the threaded driver's
-/// worker closure, with shared-state touches carried by the socket. Returns
+/// `worker`'s rounds — `crate::worker::run_worker`, the threaded driver's
+/// worker function, with shared-state touches carried by the socket. Returns
 /// the worker's report and its trace shard in encoded form.
 pub fn run_process_worker(
     cfg: &TrainConfig,
@@ -824,42 +702,11 @@ pub fn run_process_worker_with(
     addr: &SocketAddrSpec,
     opts: WorkerOptions<'_>,
 ) -> (ThreadedWorkerReport, String) {
-    let (_delta, spec) = check_supported(cfg);
-    let n = cfg.workers;
-    let exchange_signals = spec.consumes_round_signals();
-
-    let translated;
-    let resume = match opts.resume {
-        Some(ckpt) if ckpt.backend == "sim" => {
-            translated = crate::resume::sim_to_process(cfg, ckpt);
-            Some(&translated)
-        }
-        Some(ckpt) if ckpt.backend == "threaded" => {
-            translated = crate::resume::threaded_to_process(ckpt);
-            Some(&translated)
-        }
-        other => other,
-    };
-    if let Some(ckpt) = resume {
-        assert_eq!(ckpt.backend, "process", "resume image backend");
-        assert_eq!(
-            ckpt.fingerprint,
-            checkpoint::config_fingerprint(cfg),
-            "resume image belongs to a different configuration"
-        );
-    }
-    let start = resume.map_or(0, |ckpt| ckpt.round + 1);
-
-    let (train, _test) = sim::build_datasets(cfg);
-    let proto = PaperModel::build(cfg.model, cfg.seed);
-    let iid_order = sim::iid_sample_order(&train, &proto.task);
-    // Folded membership: starts as the compiled schedule and accrues the
-    // hub-announced death evictions, so every live worker derives the same
-    // round-keyed membership the reference run computes from a scheduled
-    // no-rejoin crash.
-    let mut conditions = cfg.effective_conditions();
-    let mut known_evictions = 0usize;
-    let evictions = cfg.comm_fault_evictions();
+    let (_delta, spec) = ensure_supported(cfg).unwrap_or_else(|e| panic!("{e}"));
+    let resume = opts
+        .resume
+        .map(|ckpt| crate::resume::cluster_image(cfg, ckpt));
+    let inputs = WorkerInputs::build(cfg, &spec, &PaperModel::build(cfg.model, cfg.seed));
 
     let conn = SocketConn::connect(addr, CONNECT_RETRY)
         .unwrap_or_else(|e| panic!("worker {worker} failed to connect to {addr}: {e}"));
@@ -867,414 +714,24 @@ pub fn run_process_worker_with(
     // frame verbatim, so retries, dedupe and evictions behave exactly as over
     // the in-memory transports — including with the fault decorator composed
     // over the socket.
-    let fault_schedule = cfg.comm_faults.map(CommFaultSchedule::new);
-    let layer = match fault_schedule {
+    let layer = match cfg.comm_faults.map(CommFaultSchedule::new) {
         Some(schedule) => MessageLayer::faulty_over(schedule, Box::new(conn.transport())),
         None => MessageLayer::over(Box::new(conn.transport()), 1),
     };
-    let ps_schedule = cfg.ps_fault_schedule();
-    let layer = match ps_schedule.clone() {
-        Some(schedule) => layer.with_ps_outages(schedule),
-        None => layer,
-    };
+    let layer = with_ps_gate(cfg, layer);
     let hub = RemoteCluster {
         client: conn.client(worker as u32),
+        cfg,
     };
-
-    let mut model = PaperModel::build(cfg.model, cfg.seed);
-    // Every worker starts from the global state on the PS (pullFromPS, Alg. 1 line 3).
-    let mut params = hub.pull();
-    model.set_params_flat(&params);
-    let traversal = sim::worker_traversal(cfg, &train, &iid_order, worker);
-    let mut cursor = 0usize;
-    let new_tracker = || {
-        GradientTracker::new(
-            GradStatistic::SqNorm,
-            (n as f32 / 100.0).clamp(0.01, 1.0),
-            cfg.ewma_window,
-        )
-    };
-    let mut tracker = new_tracker();
-    let mut optimizer = cfg.optimizer.build();
-    let mut counter = LssrCounter::new();
-    let mut sync_rounds: Vec<usize> = Vec::new();
-    let mut last_loss = 0.0f32;
-    let mut was_present = true;
-    let mut forwards_before = 0u64;
-    if let Some(ckpt) = resume {
-        // Durable per-worker state comes from the checkpoint; the schedule-pure
-        // cursors (data traversal, forward counter, presence edge) are recomputed
-        // from the same deterministic schedule the uninterrupted run walked.
-        let mut reader = ckpt.read_section(&format!("worker{worker}"));
-        params = reader.f32s();
-        let t = reader.int();
-        let buffer_count = reader.usize();
-        let buffers = (0..buffer_count).map(|_| reader.f32s()).collect();
-        optimizer.load_state(&OptimizerState { t, buffers });
-        let tracker_state = TrackerState {
-            ewma_history: reader.f32s(),
-            ewma_smoothed: reader.opt_f32(),
-            previous_smoothed: reader.opt_f32(),
-            last_delta: reader.f32(),
-            max_delta: reader.f32(),
-            steps: reader.int(),
-        };
-        tracker.restore_state(&tracker_state);
-        counter.sync_steps = reader.int();
-        counter.local_steps = reader.int();
-        sync_rounds = reader.ints().iter().map(|&r| r as usize).collect();
-        last_loss = reader.f32();
-        reader.finish();
-        let done_rounds = (0..start)
-            .filter(|&r| conditions.is_present(worker, r))
-            .count();
-        cursor = (done_rounds * cfg.batch_size) % traversal.len();
-        forwards_before = (0..start)
-            .map(|r| conditions.present_workers(n, r).len() as u64)
-            .sum();
-        was_present = conditions.is_present(worker, start - 1);
-    }
-    let mut indices = Vec::with_capacity(cfg.batch_size);
-    let exchange = |round: usize, kind: MsgKind, payload: &[u8]| -> u32 {
-        layer
-            .exchange(worker, round as u64, kind, payload)
-            .unwrap_or_else(|e| {
-                panic!("present worker {worker} failed a comm op at round {round}: {e}")
-            })
-            .attempts
-    };
-
-    let fingerprint = checkpoint::config_fingerprint(cfg);
-    let ckpt_spec = cfg.checkpoint.clone();
-    if let Some(ck) = &ckpt_spec {
-        ck.validate().expect("invalid checkpoint configuration");
-    }
-    // Checkpoint-gate participation at the end of round `it`: every worker —
-    // present or absent — ships its recovery section (and its trace shard so
-    // far) as a deposit RPC when a checkpoint is due, and parks inside that
-    // RPC until the hub has written the image. Returns whether the run halts
-    // after this round (the simulated kill switch).
-    let end_of_round = |it: usize,
-                        present: &[usize],
-                        params: &[f32],
-                        optimizer: &dyn selsync_nn::Optimizer,
-                        tracker: &GradientTracker,
-                        counter: &LssrCounter,
-                        sync_rounds: &[usize],
-                        last_loss: f32|
-     -> bool {
-        let Some(ck) = &ckpt_spec else {
-            return false;
-        };
-        // The simulator writes nothing at whole-cluster-absent rounds; neither
-        // does this backend (and the kill switch cannot fire there).
-        if present.is_empty() {
-            return false;
-        }
-        if ck.due(it) || ck.halt_after == Some(it) {
-            let mut deposit = Checkpoint::new("deposit", fingerprint, it);
-            deposit.add_section(worker_section(
-                worker,
-                params,
-                optimizer,
-                tracker,
-                counter,
-                sync_rounds,
-                last_loss,
-            ));
-            if cfg.trace.is_enabled() {
-                let log = cfg.trace.snapshot_log();
-                deposit.trace = log.events.iter().map(codec::encode_event).collect();
-            }
-            hub.ckpt_deposit(it, &deposit.encode());
-        }
-        ck.halt_after == Some(it)
-    };
-
-    let mut killed = false;
-    for it in start..cfg.iterations {
-        if opts.kill_at == Some(it) {
-            // Abrupt death: no announce, no farewell — the connection drops at
-            // a frame boundary and the hub maps it to an eviction.
-            killed = true;
-            break;
-        }
-        if conditions.is_present(worker, it) {
-            // Round-boundary barrier: announce the round, learn the frozen
-            // eviction prefix, and fold any entry not seen yet. The recompute
-            // keeps the forward counter a pure function of the (now extended)
-            // fault schedule — evictions can land at rounds this worker sat
-            // out, where it never saw a barrier.
-            let evs = hub.round_begin(it);
-            if evs.len() > known_evictions {
-                for &(w, r) in &evs[known_evictions..] {
-                    conditions = conditions.with_fault(FaultEvent::Crash {
-                        worker: w,
-                        start: r,
-                        rejoin: None,
-                    });
-                }
-                known_evictions = evs.len();
-                forwards_before = (0..it)
-                    .map(|r| conditions.present_workers(n, r).len() as u64)
-                    .sum();
-            }
-        }
-        let present = conditions.present_workers(n, it);
-        let Some(rank) = present.iter().position(|&p| p == worker) else {
-            if evictions.contains(&(worker, it)) {
-                let farewell = layer.exchange(worker, it as u64, MsgKind::Flags, &[0]);
-                assert!(
-                    farewell.is_err(),
-                    "worker {worker} was precomputed as evicted at round {it} but its \
-                     exchange succeeded"
-                );
-                cfg.trace.record(Event::CommEvict { round: it, worker });
-            }
-            was_present = false;
-            forwards_before += present.len() as u64;
-            if end_of_round(
-                it,
-                &present,
-                &params,
-                optimizer.as_ref(),
-                &tracker,
-                &counter,
-                &sync_rounds,
-                last_loss,
-            ) {
-                break;
-            }
-            continue;
-        };
-        let active = present.len();
-        let forward_index = forwards_before + rank as u64;
-        forwards_before += active as u64;
-        if !was_present {
-            if !layer.ps_down(it as u64) {
-                exchange(it, MsgKind::Pull, &(it as u64).to_le_bytes());
-            }
-            params = match cfg.rejoin_pull {
-                RejoinPull::WallClock => hub.pull(),
-                RejoinPull::Scheduled => {
-                    hub.wait_caught_up(it);
-                    hub.scheduled_global_before(it as u64)
-                }
-            };
-            if cfg.trace.is_enabled() {
-                let (pull, from) = match cfg.rejoin_pull {
-                    RejoinPull::Scheduled => (
-                        PullKind::Scheduled,
-                        hub.scheduled_round_before(it as u64).map(|r| r as usize),
-                    ),
-                    RejoinPull::WallClock => (PullKind::WallClock, None),
-                };
-                cfg.trace.record(Event::RejoinPull {
-                    round: it,
-                    worker,
-                    pull,
-                    from,
-                });
-            }
-            tracker = new_tracker();
-            optimizer = cfg.optimizer.build();
-            was_present = true;
-        }
-
-        indices.clear();
-        for _ in 0..cfg.batch_size {
-            indices.push(traversal[cursor % traversal.len()]);
-            cursor += 1;
-        }
-        cursor %= traversal.len();
-        let (x, y) = train.batch(&indices);
-        model.set_params_flat(&params);
-        model.seek_dropout(forward_index);
-        let stats = model.forward_backward(&x, &y);
-        last_loss = stats.loss;
-        let grads = model.grads_flat();
-        let delta_g = tracker.update(&grads);
-
-        let lr = cfg.lr.lr_at(cfg.epoch_of(it), it);
-        optimizer.step(&mut params, &grads, lr);
-
-        if layer.ps_down(it as u64) {
-            let probe =
-                layer.ps_exchange(worker, it as u64, MsgKind::Pull, &(it as u64).to_le_bytes());
-            assert!(
-                matches!(probe, Err(PsExchangeError::Down { .. })),
-                "the PS availability schedule and the layer's gate disagree at round {it}"
-            );
-            let sync_policy = SyncPolicy::new(hub.delta_for(it));
-            hub.allgather_flags_among(it as u64, false, active);
-            counter.record_local();
-            if rank == 0 {
-                if cfg.trace.is_enabled() {
-                    crate::tracing::emit_round_context(&cfg.trace, &conditions, n, it, &present);
-                    if ps_schedule
-                        .as_ref()
-                        .is_some_and(|s| s.outage_starts(it as u64))
-                    {
-                        cfg.trace.record(Event::PsDown { round: it });
-                    }
-                    cfg.trace.record(Event::DegradedRound {
-                        round: it,
-                        delta: sync_policy.delta,
-                        loss: stats.loss,
-                        delta_g,
-                    });
-                }
-                hub.observe(
-                    RoundSignal {
-                        iteration: it,
-                        max_delta: delta_g,
-                        mean_loss: stats.loss,
-                        delta_mean: delta_g,
-                        delta_sq_mean: delta_g * delta_g,
-                        synced: false,
-                    },
-                    conditions.next_active_iteration(n, it + 1, cfg.iterations),
-                );
-            }
-            if end_of_round(
-                it,
-                &present,
-                &params,
-                optimizer.as_ref(),
-                &tracker,
-                &counter,
-                &sync_rounds,
-                last_loss,
-            ) {
-                break;
-            }
-            continue;
-        }
-        let catchup = ps_schedule
-            .as_ref()
-            .is_some_and(|s| s.outage_ends(it as u64));
-
-        let (mean_loss, cluster_delta, moments) = if exchange_signals {
-            let mut scalar_payload = [0u8; 8];
-            scalar_payload[..4].copy_from_slice(&stats.loss.to_le_bytes());
-            scalar_payload[4..].copy_from_slice(&delta_g.to_le_bytes());
-            exchange(it, MsgKind::ScalarReduce, &scalar_payload);
-            let mut vec_payload = [0u8; 8];
-            vec_payload[..4].copy_from_slice(&delta_g.to_le_bytes());
-            vec_payload[4..].copy_from_slice(&(delta_g * delta_g).to_le_bytes());
-            exchange(it, MsgKind::VecReduce, &vec_payload);
-            (
-                hub.allreduce_scalar_among(it as u64, stats.loss, active, ScalarOp::Mean),
-                hub.allreduce_scalar_among(it as u64, delta_g, active, ScalarOp::Max),
-                hub.allreduce_vec_among(
-                    it as u64,
-                    &[delta_g, delta_g * delta_g],
-                    active,
-                    ScalarOp::Mean,
-                ),
-            )
-        } else {
-            (stats.loss, delta_g, vec![delta_g, delta_g * delta_g])
-        };
-
-        let sync_policy = SyncPolicy::new(hub.delta_for(it));
-
-        let wants_sync = catchup || sync_policy.worker_wants_sync(delta_g);
-        let attempts = exchange(it, MsgKind::Flags, &[wants_sync as u8]);
-        if attempts > 1 {
-            cfg.trace.record(Event::CommRetry {
-                round: it,
-                worker,
-                attempts,
-            });
-        }
-        let flags = hub.allgather_flags_among(it as u64, wants_sync, active);
-        let synced = flags.iter().any(|&f| f);
-        if synced {
-            exchange(
-                it,
-                MsgKind::SyncRound,
-                &((params.len() * 4) as u64).to_le_bytes(),
-            );
-            params = hub.sync_round_elastic(it as u64, &params, active);
-            counter.record_sync();
-            sync_rounds.push(it);
-        } else {
-            counter.record_local();
-        }
-        if rank == 0 {
-            if cfg.trace.is_enabled() {
-                crate::tracing::emit_round_context(&cfg.trace, &conditions, n, it, &present);
-                if catchup {
-                    let schedule = ps_schedule.as_ref().expect("catchup implies a schedule");
-                    cfg.trace.record(Event::PsUp { round: it });
-                    cfg.trace.record(Event::CatchupSync {
-                        round: it,
-                        behind: schedule.rounds_behind(it as u64) as usize,
-                    });
-                }
-                if exchange_signals {
-                    cfg.trace.record(Event::Signal {
-                        round: it,
-                        mean_loss,
-                        max_delta: cluster_delta,
-                    });
-                }
-                cfg.trace.record(Event::Round {
-                    round: it,
-                    delta: sync_policy.delta,
-                    flags: present.iter().map(|&w| flags[w]).collect(),
-                    synced,
-                });
-            }
-            hub.observe(
-                RoundSignal {
-                    iteration: it,
-                    max_delta: cluster_delta,
-                    mean_loss,
-                    delta_mean: moments[0],
-                    delta_sq_mean: moments[1],
-                    synced,
-                },
-                conditions.next_active_iteration(n, it + 1, cfg.iterations),
-            );
-        }
-        if end_of_round(
-            it,
-            &present,
-            &params,
-            optimizer.as_ref(),
-            &tracker,
-            &counter,
-            &sync_rounds,
-            last_loss,
-        ) {
-            break;
-        }
-    }
-
-    // A killed worker dies right here — no final pull, no farewell. Its report
-    // never reaches the orchestrator (the process is gone); the in-process
-    // tests that drive the kill through `WorkerOptions` just discard it.
-    let distance: f32 = if killed {
-        f32::NAN
-    } else {
-        let global = hub.pull();
-        params
-            .iter()
-            .zip(global.iter())
-            .map(|(a, b)| (a - b).powi(2))
-            .sum::<f32>()
-            .sqrt()
-    };
-    let report = ThreadedWorkerReport {
+    let report = run_worker(
+        cfg,
+        &inputs,
         worker,
-        sync_steps: counter.sync_steps,
-        local_steps: counter.local_steps,
-        sync_rounds,
-        final_loss: last_loss,
-        distance_to_global: distance,
-    };
+        &hub,
+        &layer,
+        resume.as_deref(),
+        opts.kill_at,
+    );
     (report, cfg.trace.take_log().encode())
 }
 
@@ -1585,6 +1042,63 @@ mod tests {
         for (a, b) in full_reports.iter().zip(resumed_reports.iter()) {
             assert_eq!(format!("{a:?}"), format!("{b:?}"));
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn threaded_and_process_images_are_one_layout_and_resume_on_either_backend() {
+        use crate::config::{CheckpointSpec, RejoinPull};
+        use crate::threaded::run_threaded_selsync_resumed;
+        let dir =
+            std::env::temp_dir().join(format!("selsync-cross-resume-test-{}", std::process::id()));
+        // A crash window straddling the halt round (scheduled rejoin pulls: the
+        // snapshot ring is part of the image) under the stateful adaptive policy.
+        let make = |ckpt_dir: Option<&str>| {
+            let mut c = cfg(0.05, 3);
+            c.rejoin_pull = RejoinPull::Scheduled;
+            c.conditions = c.conditions.clone().with_fault(FaultEvent::Crash {
+                worker: 2,
+                start: 7,
+                rejoin: Some(14),
+            });
+            c.delta_policy = Some(PolicySpec::adaptive_default());
+            c.checkpoint = ckpt_dir.map(|sub| CheckpointSpec {
+                every: 5,
+                dir: dir.join(sub).to_string_lossy().into_owned(),
+                halt_after: Some(10),
+                keep: None,
+            });
+            // The threaded driver's sink; every cluster process gets its own.
+            c.trace = TraceSink::capture(TraceGranularity::Full);
+            c
+        };
+        let (full_reports, full_trace) = run_in_process_cluster(&make(None), "cross-full");
+
+        // (a) Halted at the same round of the same config, the two backends write
+        // the same image: every byte but the `backend` tag.
+        let _ = run_in_process_cluster(&make(Some("process")), "cross-halt");
+        let _ = run_threaded_selsync(&make(Some("threaded")));
+        let read = |sub: &str| Checkpoint::read_file(dir.join(sub).join("ckpt-10")).expect(sub);
+        let (process_image, threaded_image) = (read("process"), read("threaded"));
+        assert_eq!(process_image.backend, "process");
+        assert_eq!(threaded_image.backend, "threaded");
+        let mut relabelled = threaded_image.clone();
+        relabelled.backend = "process".to_string();
+        assert_eq!(relabelled.encode(), process_image.encode());
+
+        // (b) Each backend resumes the other's image as it is.
+        let (reports, trace) =
+            run_in_process_cluster_with(&make(None), "cross-rest", Some(&threaded_image), None);
+        assert_eq!(trace, full_trace, "threaded image on the process cluster");
+        assert_eq!(format!("{reports:?}"), format!("{full_reports:?}"));
+        let c = make(None);
+        let reports = run_threaded_selsync_resumed(&c, &process_image);
+        assert_eq!(
+            c.trace.take_log().encode(),
+            full_trace,
+            "process image on the threaded driver"
+        );
+        assert_eq!(format!("{reports:?}"), format!("{full_reports:?}"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

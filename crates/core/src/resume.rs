@@ -1,7 +1,13 @@
-//! Cross-backend checkpoint translation: resume a simulator checkpoint on the
-//! threaded driver and vice versa.
+//! Cross-backend checkpoint translation: resume a simulator checkpoint on a
+//! cluster backend (the threaded driver or the process cluster) and vice versa.
 //!
-//! Both backends checkpoint at the same place — a round boundary after round
+//! The two cluster backends run one worker loop (`crate::worker`) over one
+//! shared-state setup and write their images through one function
+//! (`crate::threaded::ClusterCore`), so `backend threaded` and `backend process`
+//! name a single layout: either driver resumes either tag as it is, and only the
+//! simulator's layout needs translating.
+//!
+//! Both layouts checkpoint at the same place — a round boundary after round
 //! `ckpt.round` — and agree on every *durable* quantity: per-worker parameter
 //! replicas, optimizer and `Δ(g_i)` tracker state, the synchronized global
 //! vector, the δ-policy state and the trace prefix. What differs is the
@@ -37,6 +43,7 @@ use crate::sim;
 use selsync_comm::ps::{PsState, RingState, DEFAULT_SNAPSHOT_DEPTH};
 use selsync_nn::model::PaperModel;
 use selsync_tensor::rng;
+use std::borrow::Cow;
 
 /// Pack a parameter server's exported state into the checkpoint `ps` section —
 /// the single packing both the threaded driver and the process hub write, and
@@ -93,83 +100,31 @@ pub(crate) fn read_ps_state(ckpt: &Checkpoint) -> PsState {
     }
 }
 
-/// Relabel a checkpoint's backend tag. The threaded driver and the process hub
-/// write the *identical* image layout (same `ps`/`board`/`worker{w}` packing,
-/// same quiescent point — a round boundary with the round's signals observed),
-/// so cross-backend translation between them is a pure relabel.
-fn relabel(ckpt: &Checkpoint, from: &str, to: &str) -> Checkpoint {
+/// Whether `tag` names a cluster backend — the threaded driver or the process
+/// cluster, which read and write one image layout.
+pub fn is_cluster_backend(tag: &str) -> bool {
+    matches!(tag, "threaded" | "process")
+}
+
+/// The image a cluster driver resumes from, whatever backend wrote `ckpt`: a
+/// cluster image as it is, a simulator image translated by [`sim_to_threaded`].
+/// Panics on any other tag and on a configuration mismatch — resuming under a
+/// different config is always a bug, never a recoverable condition.
+pub(crate) fn cluster_image<'a>(cfg: &TrainConfig, ckpt: &'a Checkpoint) -> Cow<'a, Checkpoint> {
     assert_eq!(
-        ckpt.backend, from,
-        "expected a {from:?} checkpoint to relabel as {to:?}, got backend {:?}",
+        ckpt.fingerprint,
+        crate::checkpoint::config_fingerprint(cfg),
+        "checkpoint belongs to a different configuration"
+    );
+    if ckpt.backend == "sim" {
+        return Cow::Owned(sim_to_threaded(cfg, ckpt));
+    }
+    assert!(
+        is_cluster_backend(&ckpt.backend),
+        "checkpoint was written by the unknown {:?} backend",
         ckpt.backend
     );
-    let mut out = ckpt.clone();
-    out.backend = to.to_string();
-    out
-}
-
-/// Translate a threaded-driver checkpoint for the multi-process backend.
-pub fn threaded_to_process(ckpt: &Checkpoint) -> Checkpoint {
-    relabel(ckpt, "threaded", "process")
-}
-
-/// Translate a process-backend checkpoint for the threaded driver.
-pub fn process_to_threaded(ckpt: &Checkpoint) -> Checkpoint {
-    relabel(ckpt, "process", "threaded")
-}
-
-/// Translate a simulator checkpoint for the multi-process backend.
-pub fn sim_to_process(cfg: &TrainConfig, ckpt: &Checkpoint) -> Checkpoint {
-    threaded_to_process(&sim_to_threaded(cfg, ckpt))
-}
-
-/// The per-worker durable core both backends store (identical field order on
-/// the wire): parameters, optimizer state, tracker state.
-struct WorkerCore {
-    params: Vec<f32>,
-    opt_t: u64,
-    opt_buffers: Vec<Vec<f32>>,
-    ewma_history: Vec<f32>,
-    ewma_smoothed: Option<f32>,
-    previous_smoothed: Option<f32>,
-    tracker_last_delta: f32,
-    tracker_max_delta: f32,
-    tracker_steps: u64,
-}
-
-impl WorkerCore {
-    fn read(reader: &mut crate::checkpoint::SectionReader) -> Self {
-        let params = reader.f32s();
-        let opt_t = reader.int();
-        let buffer_count = reader.usize();
-        let opt_buffers = (0..buffer_count).map(|_| reader.f32s()).collect();
-        Self {
-            params,
-            opt_t,
-            opt_buffers,
-            ewma_history: reader.f32s(),
-            ewma_smoothed: reader.opt_f32(),
-            previous_smoothed: reader.opt_f32(),
-            tracker_last_delta: reader.f32(),
-            tracker_max_delta: reader.f32(),
-            tracker_steps: reader.int(),
-        }
-    }
-
-    fn write(&self, section: &mut Section) {
-        section.push_f32s(&self.params);
-        section.push_int(self.opt_t);
-        section.push_usize(self.opt_buffers.len());
-        for buffer in &self.opt_buffers {
-            section.push_f32s(buffer);
-        }
-        section.push_f32s(&self.ewma_history);
-        section.push_opt_f32(self.ewma_smoothed);
-        section.push_opt_f32(self.previous_smoothed);
-        section.push_f32(self.tracker_last_delta);
-        section.push_f32(self.tracker_max_delta);
-        section.push_int(self.tracker_steps);
-    }
+    Cow::Borrowed(ckpt)
 }
 
 /// The length of worker `w`'s circular data traversal (its IID partition or
@@ -215,10 +170,6 @@ pub fn sim_to_threaded(cfg: &TrainConfig, ckpt: &Checkpoint) -> Checkpoint {
     }
     reader.finish();
 
-    let mut reader = ckpt.read_section("policy");
-    let policy_ints = reader.ints();
-    let policy_floats = reader.f32s();
-    reader.finish();
     let mut reader = ckpt.read_section("global");
     let global = reader.f32s();
     reader.finish();
@@ -229,35 +180,27 @@ pub fn sim_to_threaded(cfg: &TrainConfig, ckpt: &Checkpoint) -> Checkpoint {
     // is the last synchronized round. Under scheduled rejoin pulls the snapshot
     // ring is rebuilt with the one snapshot the image actually holds — the
     // global vector at the latest sync round.
-    let last_sync = sync_rounds.last().copied();
-    let mut section = Section::new("ps");
-    section.push_f32s(&global);
-    section.push_opt_int(last_sync.map(|r| r as u64));
-    let scheduled_ring = cfg.rejoin_pull == RejoinPull::Scheduled;
-    section.push_bool(scheduled_ring);
-    if scheduled_ring {
-        section.push_usize(DEFAULT_SNAPSHOT_DEPTH);
-        section.push_f32s(&PaperModel::build(cfg.model, cfg.seed).params_flat());
-        match last_sync {
-            Some(round) => {
-                section.push_usize(1);
-                section.push_int(round as u64);
-                section.push_f32s(&global);
-            }
-            None => section.push_usize(0),
-        }
-        section.push_opt_int(None);
-    }
-    out.add_section(section);
+    let last_sync = sync_rounds.last().map(|&r| r as u64);
+    let ring = (cfg.rejoin_pull == RejoinPull::Scheduled).then(|| RingState {
+        depth: DEFAULT_SNAPSHOT_DEPTH,
+        initial: PaperModel::build(cfg.model, cfg.seed).params_flat(),
+        entries: last_sync
+            .map(|round| (round, global.clone()))
+            .into_iter()
+            .collect(),
+        evicted_min: None,
+    });
+    out.add_section(ps_section(&PsState {
+        global,
+        last_global_round: last_sync,
+        ring,
+    }));
 
-    let mut section = Section::new("board");
-    section.push_ints(&policy_ints);
-    section.push_f32s(&policy_floats);
-    out.add_section(section);
+    out.add_policy_state("board", &ckpt.policy_state("policy"));
 
     for w in 0..cfg.workers {
         let mut reader = ckpt.read_section(&format!("worker{w}"));
-        let core = WorkerCore::read(&mut reader);
+        let core = reader.worker_core();
         let _shard_cursor = reader.usize();
         let _last_delta = reader.f32();
         let _progress = reader.usize();
@@ -273,7 +216,7 @@ pub fn sim_to_threaded(cfg: &TrainConfig, ckpt: &Checkpoint) -> Checkpoint {
         let present: u64 = (0..=h).filter(|&r| conditions.is_present(w, r)).count() as u64;
 
         let mut section = Section::new(format!("worker{w}"));
-        core.write(&mut section);
+        section.push_worker_core(&core.params, &core.optimizer, &core.tracker);
         section.push_int(worker_syncs.len() as u64);
         section.push_int(present - worker_syncs.len() as u64);
         section.push_ints(&worker_syncs);
@@ -287,43 +230,25 @@ pub fn sim_to_threaded(cfg: &TrainConfig, ckpt: &Checkpoint) -> Checkpoint {
     out
 }
 
-/// Translate a threaded-driver checkpoint into the simulator's layout, so
-/// `run` can resume a run the threaded cluster started.
+/// Translate a cluster checkpoint (either tag) into the simulator's layout, so
+/// `run` can resume a run the threaded or process cluster started.
 pub fn threaded_to_sim(cfg: &TrainConfig, ckpt: &Checkpoint) -> Checkpoint {
-    assert_eq!(
-        ckpt.backend, "threaded",
-        "threaded_to_sim expects a threaded checkpoint, got backend {:?}",
+    assert!(
+        is_cluster_backend(&ckpt.backend),
+        "threaded_to_sim expects a cluster checkpoint, got backend {:?}",
         ckpt.backend
     );
     let h = ckpt.round;
     let conditions = cfg.effective_conditions();
 
-    let mut reader = ckpt.read_section("ps");
-    let global = reader.f32s();
-    let _last_global_round = reader.opt_int();
-    if reader.bool() {
-        let _depth = reader.usize();
-        let _initial = reader.f32s();
-        let count = reader.usize();
-        for _ in 0..count {
-            let _round = reader.int();
-            let _mean = reader.f32s();
-        }
-        let _evicted_min = reader.opt_int();
-    }
-    reader.finish();
-
-    let mut reader = ckpt.read_section("board");
-    let policy_ints = reader.ints();
-    let policy_floats = reader.f32s();
-    reader.finish();
+    let global = read_ps_state(ckpt).global;
 
     let mut cores = Vec::with_capacity(cfg.workers);
     let mut worker_syncs: Vec<Vec<usize>> = Vec::with_capacity(cfg.workers);
     let mut worker_losses = Vec::with_capacity(cfg.workers);
     for w in 0..cfg.workers {
         let mut reader = ckpt.read_section(&format!("worker{w}"));
-        let core = WorkerCore::read(&mut reader);
+        let core = reader.worker_core();
         let _sync_steps = reader.int();
         let _local_steps = reader.int();
         let rounds: Vec<usize> = reader.ints().into_iter().map(|r| r as usize).collect();
@@ -364,7 +289,7 @@ pub fn threaded_to_sim(cfg: &TrainConfig, ckpt: &Checkpoint) -> Checkpoint {
     // schedules are exact; see the module docs.)
     let max_delta_seen = cores
         .iter()
-        .map(|c| c.tracker_max_delta)
+        .map(|c| c.tracker.max_delta)
         .fold(0.0f32, f32::max);
     let forwards_issued: u64 = (0..=h)
         .map(|r| conditions.present_workers(cfg.workers, r).len() as u64)
@@ -393,17 +318,14 @@ pub fn threaded_to_sim(cfg: &TrainConfig, ckpt: &Checkpoint) -> Checkpoint {
     for (w, core) in cores.iter().enumerate() {
         let present = (0..=h).filter(|&r| conditions.is_present(w, r)).count();
         let mut section = Section::new(format!("worker{w}"));
-        core.write(&mut section);
+        section.push_worker_core(&core.params, &core.optimizer, &core.tracker);
         section.push_usize((present * cfg.batch_size) % traversal_len(cfg, w));
-        section.push_f32(core.tracker_last_delta);
+        section.push_f32(core.tracker.last_delta);
         section.push_usize(present);
         out.add_section(section);
     }
 
-    let mut section = Section::new("policy");
-    section.push_ints(&policy_ints);
-    section.push_f32s(&policy_floats);
-    out.add_section(section);
+    out.add_policy_state("policy", &ckpt.policy_state("board"));
     let mut section = Section::new("global");
     section.push_f32s(&global);
     out.add_section(section);

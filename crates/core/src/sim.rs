@@ -1058,20 +1058,11 @@ impl Simulator {
 
         for w in &self.workers {
             let mut s = Section::new(format!("worker{}", w.id));
-            s.push_f32s(&w.params);
-            let opt = w.optimizer.export_state();
-            s.push_int(opt.t);
-            s.push_usize(opt.buffers.len());
-            for buf in &opt.buffers {
-                s.push_f32s(buf);
-            }
-            let tracker = w.tracker.export_state();
-            s.push_f32s(&tracker.ewma_history);
-            s.push_opt_f32(tracker.ewma_smoothed);
-            s.push_opt_f32(tracker.previous_smoothed);
-            s.push_f32(tracker.last_delta);
-            s.push_f32(tracker.max_delta);
-            s.push_int(tracker.steps);
+            s.push_worker_core(
+                &w.params,
+                &w.optimizer.export_state(),
+                &w.tracker.export_state(),
+            );
             s.push_usize(w.shard_cursor);
             s.push_f32(w.last_delta);
             s.push_usize(w.progress);
@@ -1110,21 +1101,10 @@ impl Simulator {
 
         for w in &mut self.workers {
             let mut s = ckpt.read_section(&format!("worker{}", w.id));
-            w.params = s.f32s();
-            let t = s.int();
-            let n_buffers = s.usize();
-            let buffers: Vec<Vec<f32>> = (0..n_buffers).map(|_| s.f32s()).collect();
-            w.optimizer
-                .load_state(&selsync_nn::optim::OptimizerState { t, buffers });
-            let tracker = crate::tracker::TrackerState {
-                ewma_history: s.f32s(),
-                ewma_smoothed: s.opt_f32(),
-                previous_smoothed: s.opt_f32(),
-                last_delta: s.f32(),
-                max_delta: s.f32(),
-                steps: s.int(),
-            };
-            w.tracker.restore_state(&tracker);
+            let core = s.worker_core();
+            w.params = core.params;
+            w.optimizer.load_state(&core.optimizer);
+            w.tracker.restore_state(&core.tracker);
             w.shard_cursor = s.usize();
             w.last_delta = s.f32();
             w.progress = s.usize();

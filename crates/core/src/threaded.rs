@@ -61,22 +61,27 @@
 //! (fixed/scheduled) policies the two scalar rendezvous are elided — their
 //! observations are discarded anyway — so the default driver pays nothing for the
 //! machinery.
+//!
+//! **One worker loop.** The round each thread runs is `crate::worker::run_worker`
+//! — the same function the process backend's workers run. This module supplies what
+//! is particular to threads: the shared cluster state (`ClusterCore`, which the
+//! process hub builds and checkpoints through the very same functions), the
+//! in-process `ClusterLink` over it, and the checkpoint gate.
 
 use crate::checkpoint::{self, Checkpoint, Section};
-use crate::config::{AlgorithmSpec, CheckpointSpec, RejoinPull, TrainConfig};
-use crate::policy::{DeltaPolicy, PolicySpec, PolicyState, RoundSignal, SyncPolicy};
-use crate::sim;
-use crate::tracker::{GradStatistic, GradientTracker, TrackerState};
+use crate::conditions::ClusterConditions;
+#[cfg(test)]
+use crate::config::AlgorithmSpec;
+use crate::config::{RejoinPull, TrainConfig};
+use crate::policy::{DeltaPolicy, PolicySpec, RoundSignal};
+use crate::worker::{run_worker, with_ps_gate, ClusterLink, WorkerInputs};
 use parking_lot::{Condvar, Mutex};
 use selsync_comm::cluster::{make_handles, run_cluster_with, ClusterHandles};
 use selsync_comm::faults::CommFaultSchedule;
 use selsync_comm::ps::DEFAULT_SNAPSHOT_DEPTH;
-use selsync_comm::wire::MsgKind;
-use selsync_comm::{MessageLayer, PsExchangeError, ScalarOp};
-use selsync_metrics::lssr::LssrCounter;
+use selsync_comm::{MessageLayer, ScalarOp};
 use selsync_nn::model::PaperModel;
-use selsync_nn::OptimizerState;
-use selsync_tracelog::{codec, Event, PullKind, TraceSink};
+use selsync_tracelog::{Event, EventLog, TraceSink};
 use serde::{Deserialize, Serialize};
 
 /// The cluster-level δ-policy shared by every worker thread — the threaded
@@ -173,12 +178,6 @@ impl SignalBoard {
         s.next_observe = next_round;
         self.cv.notify_all();
     }
-
-    /// The shared policy's durable state, captured at a checkpoint's quiescent
-    /// point (every worker parked, the checkpoint round's signals observed).
-    pub(crate) fn export_policy_state(&self) -> PolicyState {
-        self.state.lock().policy.export_state()
-    }
 }
 
 /// Full-cluster checkpoint barrier: at a checkpoint round every worker thread —
@@ -217,7 +216,6 @@ impl CheckpointGate {
     fn checkpoint_round(
         &self,
         worker: usize,
-        n: usize,
         round: usize,
         section: Section,
         write: impl FnOnce(Vec<Section>),
@@ -230,7 +228,7 @@ impl CheckpointGate {
         s.deposits[worker] = Some(section);
         s.arrived += 1;
         if worker == 0 {
-            while s.arrived < n {
+            while s.arrived < s.deposits.len() {
                 self.cv.wait(&mut s);
             }
             let deposits: Vec<Section> = s
@@ -250,6 +248,187 @@ impl CheckpointGate {
                 self.cv.wait(&mut s);
             }
         }
+    }
+}
+
+/// The cluster's shared state — parameter server, collectives, the δ-policy signal
+/// board — set up (fresh or from a recovery image) and checkpointed the same way by
+/// both cluster backends: the threaded driver's worker threads reach it through
+/// [`ThreadLink`], the process hub serves it to its workers over RPC.
+pub(crate) struct ClusterCore {
+    pub(crate) handles: ClusterHandles,
+    pub(crate) board: SignalBoard,
+    /// The *base* effective membership schedule: scheduled crashes plus compiled
+    /// comm-fault evictions.
+    pub(crate) conditions: ClusterConditions,
+    /// The first round the (possibly resumed) run executes.
+    pub(crate) start: usize,
+    /// The image a resume started from stays on disk whatever the retention says.
+    protect: Option<usize>,
+}
+
+impl ClusterCore {
+    /// Build the shared state for a run of `cfg` under the δ-policy `spec`, restored
+    /// from `resume` (a cluster image, see [`crate::resume::cluster_image`]) when
+    /// given; `proto` is a freshly built replica of the run's model, whose parameters
+    /// seed the PS. Also starts the run's trace: the header on a fresh run, the
+    /// image's trace prefix — which already contains it — on a resumed one.
+    pub(crate) fn build(
+        cfg: &TrainConfig,
+        spec: &PolicySpec,
+        proto: &PaperModel,
+        resume: Option<&Checkpoint>,
+    ) -> Self {
+        let n = cfg.workers;
+        let handles = make_handles(n, proto.params_flat());
+        if cfg.rejoin_pull == RejoinPull::Scheduled {
+            // Deterministic rejoin pulls read the round-keyed snapshot ring instead of
+            // the wall-clock PS state; enable it before any worker starts.
+            handles
+                .ps
+                .enable_scheduled_snapshots(DEFAULT_SNAPSHOT_DEPTH);
+        }
+        // One cluster-level policy instance for the whole run, seeded at the first
+        // active round the run executes — the exact analogue of the simulator
+        // driver's `policy` local.
+        let mut policy = spec.build();
+        match resume {
+            Some(ckpt) => {
+                ckpt.preload_trace(&cfg.trace);
+                // Restore the PS — global vector, newest-global guard and snapshot
+                // ring — before any worker pulls from it, and the policy's durable
+                // state before the board hands out a δ.
+                handles
+                    .ps
+                    .restore_state(&crate::resume::read_ps_state(ckpt));
+                policy.import_state(&ckpt.policy_state("board"));
+            }
+            // Same header every backend writes: the labels are pure functions of
+            // the config.
+            None => crate::tracing::emit_header(
+                &cfg.trace,
+                cfg,
+                &crate::algorithms::selsync::algorithm_label(cfg),
+                &spec.label(),
+            ),
+        }
+        let start = resume.map_or(0, |ckpt| ckpt.round + 1);
+        let conditions = cfg.effective_conditions();
+        let board = SignalBoard::new(
+            policy,
+            conditions.next_active_iteration(n, start, cfg.iterations),
+            cfg.trace.clone(),
+        );
+        ClusterCore {
+            handles,
+            board,
+            conditions,
+            start,
+            protect: resume.map(|ckpt| ckpt.round),
+        }
+    }
+
+    /// Write the cluster's full recovery image after round `it`, tagged `backend`:
+    /// the PS state (global vector, newest-global guard, snapshot ring), the shared
+    /// δ-policy state, every worker's deposited section (worker order) and the trace
+    /// prefix recorded so far — this process's sink merged with the `shards` of
+    /// workers that record elsewhere. Runs at the checkpoint's quiescent point:
+    /// every worker parked, the round's signals observed.
+    pub(crate) fn write_image(
+        &self,
+        cfg: &TrainConfig,
+        backend: &str,
+        it: usize,
+        sections: Vec<Section>,
+        shards: Vec<EventLog>,
+    ) {
+        let ck = cfg
+            .checkpoint
+            .as_ref()
+            .expect("a deposit implies a checkpoint spec");
+        let mut image = Checkpoint::new(backend, checkpoint::config_fingerprint(cfg), it);
+        image.add_section(crate::resume::ps_section(&self.handles.ps.export_state()));
+        image.add_policy_state("board", &self.board.state.lock().policy.export_state());
+        for section in sections {
+            image.add_section(section);
+        }
+        let own = std::iter::once(cfg.trace.snapshot_log());
+        image.set_trace(&EventLog::merge(own.chain(shards)));
+        ck.write_image(&image, self.protect);
+    }
+}
+
+/// A worker thread's [`ClusterLink`]: direct calls on the shared in-process state.
+struct ThreadLink<'a> {
+    cfg: &'a TrainConfig,
+    handles: ClusterHandles,
+    core: &'a ClusterCore,
+    gate: &'a CheckpointGate,
+    worker: usize,
+}
+
+impl ClusterLink for ThreadLink<'_> {
+    fn pull(&self) -> Vec<f32> {
+        self.handles.ps.pull()
+    }
+
+    fn scheduled_global_before(&self, round: u64) -> Vec<f32> {
+        self.handles.ps.scheduled_global_before(round)
+    }
+
+    fn scheduled_round_before(&self, round: u64) -> Option<u64> {
+        self.handles.ps.scheduled_round_before(round)
+    }
+
+    fn sync_round_elastic(&self, round: u64, params: &[f32], expected: usize) -> Vec<f32> {
+        let ps = &self.handles.ps;
+        ps.sync_round_elastic(round, self.worker, params, expected)
+    }
+
+    fn allgather_flags_among(&self, round: u64, flag: bool, expected: usize) -> Vec<bool> {
+        let collective = &self.handles.collective;
+        collective.allgather_flags_among(round, self.worker, flag, expected)
+    }
+
+    fn allreduce_scalar_among(&self, round: u64, value: f32, expected: usize, op: ScalarOp) -> f32 {
+        let collective = &self.handles.collective;
+        collective.allreduce_scalar_among(round, self.worker, value, expected, op)
+    }
+
+    fn allreduce_vec_among(
+        &self,
+        round: u64,
+        values: &[f32],
+        expected: usize,
+        op: ScalarOp,
+    ) -> Vec<f32> {
+        let collective = &self.handles.collective;
+        collective.allreduce_vec_among(round, self.worker, values.to_vec(), expected, op)
+    }
+
+    fn wait_caught_up(&self, iteration: usize) {
+        self.core.board.wait_caught_up(iteration)
+    }
+
+    fn delta_for(&self, iteration: usize) -> f32 {
+        self.core.board.delta_for(iteration)
+    }
+
+    fn observe(&self, signal: RoundSignal, next_round: usize) {
+        self.core.board.observe(signal, next_round)
+    }
+
+    /// Threads do not die independently: membership is the compiled schedule.
+    fn round_begin(&self, _it: usize) -> Vec<(usize, usize)> {
+        Vec::new()
+    }
+
+    fn ckpt_deposit(&self, it: usize, section: Section) {
+        self.gate
+            .checkpoint_round(self.worker, it, section, |deposits| {
+                self.core
+                    .write_image(self.cfg, "threaded", it, deposits, Vec::new());
+            });
     }
 }
 
@@ -297,708 +476,32 @@ pub fn run_threaded_selsync_resumed(
 }
 
 fn run_threaded_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> Vec<ThreadedWorkerReport> {
-    // A simulator image is translated into the threaded layout up front;
-    // everything below sees a native "threaded" checkpoint.
-    let translated;
-    let resume = match resume {
-        Some(ckpt) if ckpt.backend == "sim" => {
-            translated = crate::resume::sim_to_threaded(cfg, ckpt);
-            Some(&translated)
-        }
-        Some(ckpt) if ckpt.backend == "process" => {
-            translated = crate::resume::process_to_threaded(ckpt);
-            Some(&translated)
-        }
-        other => other,
-    };
-    let delta = match cfg.algorithm {
-        AlgorithmSpec::SelSync { delta, .. } => delta,
-        AlgorithmSpec::Bsp => 0.0,
-        _ => panic!("threaded driver supports SelSync and BSP only"),
-    };
-    // Non-IID label shards are schedule-pure traversals and run natively;
-    // data-injection draws cross-worker samples from the simulator's cluster
-    // RNG, which has no counterpart here.
-    if let AlgorithmSpec::SelSync {
-        injection: Some(_), ..
-    } = cfg.algorithm
-    {
-        assert!(
-            cfg.non_iid_labels_per_worker.is_none(),
-            "threaded driver does not support data-injection on non-IID shards"
-        );
-    }
-    let n = cfg.workers;
-    // `delta_policy` applies to SelSync only (the simulator's BSP driver ignores it
-    // too); a BSP run always uses the fixed δ = 0.
-    let spec = match cfg.algorithm {
-        AlgorithmSpec::SelSync { .. } => cfg
-            .delta_policy
-            .clone()
-            .unwrap_or(PolicySpec::Fixed { delta }),
-        _ => PolicySpec::Fixed { delta },
-    };
-    spec.validate().expect("invalid δ-policy configuration");
-    if resume.is_none() {
-        // Same header both backends write: the labels are pure functions of the
-        // config. A resumed run's restored trace prefix already contains it.
-        crate::tracing::emit_header(
-            &cfg.trace,
-            cfg,
-            &crate::algorithms::selsync::algorithm_label(cfg),
-            &spec.label(),
-        );
-    }
-
-    // Shared immutable dataset: the *same* train split the simulator uses, built once
-    // and shared by reference across threads.
-    let (train, _test) = sim::build_datasets(cfg);
+    let (_delta, spec) = crate::process::ensure_supported(cfg)
+        .unwrap_or_else(|e| panic!("threaded driver: {} ({})", e.message, e.key));
+    let resume = resume.map(|ckpt| crate::resume::cluster_image(cfg, ckpt));
+    let resume = resume.as_deref();
     let proto = PaperModel::build(cfg.model, cfg.seed);
-    let iid_order = sim::iid_sample_order(&train, &proto.task);
-    let init_params = proto.params_flat();
-
-    let train = &train;
-    let iid_order = &iid_order;
-    // Membership comes from the *effective* conditions: the scheduled ones plus one
-    // no-rejoin crash per comm-fault eviction. Every thread derives the same
-    // presence from this pure schedule, so fault-driven evictions need no runtime
-    // coordination — exactly like scheduled crashes.
-    let conditions = cfg.effective_conditions();
-    let conditions = &conditions;
+    let core = ClusterCore::build(cfg, &spec, &proto, resume);
+    let inputs = WorkerInputs::build(cfg, &spec, &proto);
     // Every comm op rides the message layer: lossless (single attempt, intact
     // delivery) without `[comm_faults]`, the retry/timeout/eviction path over the
-    // faulty transport with it. Eviction rounds are precomputed from the same
-    // schedule the layer rolls, so a thread driven past its budget finds itself
-    // already absent from the membership above — the layer's `Err(Evicted)` and the
-    // schedule agree by construction (pinned by the transport tests).
-    let fault_schedule = cfg.comm_faults.map(CommFaultSchedule::new);
-    let layer = match fault_schedule {
+    // faulty transport with it.
+    let layer = match cfg.comm_faults.map(CommFaultSchedule::new) {
         Some(schedule) => MessageLayer::faulty(schedule),
         None => MessageLayer::lossless(),
     };
-    // PS availability gate: with a `[ps_faults]` schedule attached, PS-bound
-    // envelopes fail fast at down rounds and the workers degrade to local-only
-    // rounds — the same pure `(spec, round)` schedule the simulator driver reads.
-    let ps_schedule = cfg.ps_fault_schedule();
-    let layer = match ps_schedule.clone() {
-        Some(schedule) => layer.with_ps_outages(schedule),
-        None => layer,
-    };
-    let layer = &layer;
-    let ps_schedule = &ps_schedule;
-    let evictions = cfg.comm_fault_evictions();
-    let evictions = &evictions;
-    // The image a resume started from stays on disk whatever the retention says.
-    let protect = resume.map(|c| c.round);
-    let ckpt_spec = cfg.checkpoint.clone();
-    if let Some(ck) = &ckpt_spec {
-        ck.validate().expect("invalid checkpoint configuration");
-    }
-    let ckpt_spec = &ckpt_spec;
-    let gate = CheckpointGate::new(n);
-    let gate = &gate;
-
-    // The first round the (possibly resumed) run executes.
-    let start = match resume {
-        Some(ckpt) => {
-            assert_eq!(
-                ckpt.backend, "threaded",
-                "checkpoint was written by the {} backend, not the threaded driver",
-                ckpt.backend
-            );
-            assert_eq!(
-                ckpt.fingerprint,
-                checkpoint::config_fingerprint(cfg),
-                "checkpoint belongs to a different configuration"
-            );
-            if cfg.trace.is_enabled() {
-                let events = ckpt
-                    .trace
-                    .iter()
-                    .map(|line| codec::decode_event(line).expect("checkpointed trace line decodes"))
-                    .collect();
-                cfg.trace.preload(events);
-            }
-            ckpt.round + 1
-        }
-        None => 0,
-    };
-
-    // One cluster-level policy instance for the whole run, seeded at the first active
-    // round the run executes — the exact analogue of the simulator driver's `policy`
-    // local. A resumed run restores the policy's durable state first.
-    let mut policy = spec.build();
-    if let Some(ckpt) = resume {
-        let mut reader = ckpt.read_section("board");
-        let ints = reader.ints();
-        let floats = reader.f32s();
-        reader.finish();
-        policy.import_state(&PolicyState { ints, floats });
-    }
-    let board = SignalBoard::new(
-        policy,
-        conditions.next_active_iteration(n, start, cfg.iterations),
-        cfg.trace.clone(),
-    );
-    let board = &board;
-    // Fixed and scheduled policies are pure functions of the iteration and discard
-    // their observations, so the two per-round scalar rendezvous that would feed them
-    // the cluster aggregates are pure overhead — skip them and let the observation
-    // carry the (ignored) per-worker values instead. The board itself always runs:
-    // its round-ordered advancement is also what tells a scheduled rejoin pull that
-    // the snapshot ring is complete up to the rejoin round.
-    let exchange_signals = spec.consumes_round_signals();
-
-    let handles = make_handles(n, init_params);
-    if cfg.rejoin_pull == RejoinPull::Scheduled {
-        // Deterministic rejoin pulls read the round-keyed snapshot ring instead of
-        // the wall-clock PS state; enable it before any worker starts.
-        handles
-            .ps
-            .enable_scheduled_snapshots(DEFAULT_SNAPSHOT_DEPTH);
-    }
-    if let Some(ckpt) = resume {
-        // Restore the PS — global vector, newest-global guard and snapshot ring —
-        // before any worker pulls from it.
-        handles
-            .ps
-            .restore_state(&crate::resume::read_ps_state(ckpt));
-    }
-
-    run_cluster_with(handles, |worker, handles: ClusterHandles| {
-        let mut model = PaperModel::build(cfg.model, cfg.seed);
-        // Every worker starts from the global state on the PS (pullFromPS, Alg. 1 line 3).
-        let mut params = handles.ps.pull();
-        model.set_params_flat(&params);
-        // The simulator's circular traversal over this worker's data: its
-        // shuffled IID partition, or its label shard on non-IID runs.
-        let traversal = sim::worker_traversal(cfg, train, iid_order, worker);
-        let mut cursor = 0usize;
-        let new_tracker = || {
-            GradientTracker::new(
-                GradStatistic::SqNorm,
-                (n as f32 / 100.0).clamp(0.01, 1.0),
-                cfg.ewma_window,
-            )
-        };
-        let mut tracker = new_tracker();
-        let mut optimizer = cfg.optimizer.build();
-        let mut counter = LssrCounter::new();
-        let mut sync_rounds: Vec<usize> = Vec::new();
-        let mut last_loss = 0.0f32;
-        let mut was_present = true;
-        // The canonical global forward counter of the simulator: rounds issue their
-        // forwards in worker order over the present set, so the count *before* any
-        // iteration — and this worker's position within it — is a pure function of
-        // the fault schedule.
-        let mut forwards_before = 0u64;
-        if let Some(ckpt) = resume {
-            // Durable per-worker state comes from the checkpoint; the schedule-pure
-            // cursors (data traversal, forward counter, presence edge) are recomputed
-            // from the same deterministic schedule the uninterrupted run walked.
-            let mut reader = ckpt.read_section(&format!("worker{worker}"));
-            params = reader.f32s();
-            let t = reader.int();
-            let buffer_count = reader.usize();
-            let buffers = (0..buffer_count).map(|_| reader.f32s()).collect();
-            optimizer.load_state(&OptimizerState { t, buffers });
-            let tracker_state = TrackerState {
-                ewma_history: reader.f32s(),
-                ewma_smoothed: reader.opt_f32(),
-                previous_smoothed: reader.opt_f32(),
-                last_delta: reader.f32(),
-                max_delta: reader.f32(),
-                steps: reader.int(),
-            };
-            tracker.restore_state(&tracker_state);
-            counter.sync_steps = reader.int();
-            counter.local_steps = reader.int();
-            sync_rounds = reader.ints().iter().map(|&r| r as usize).collect();
-            last_loss = reader.f32();
-            reader.finish();
-            let done_rounds = (0..start)
-                .filter(|&r| conditions.is_present(worker, r))
-                .count();
-            cursor = (done_rounds * cfg.batch_size) % traversal.len();
-            forwards_before = (0..start)
-                .map(|r| conditions.present_workers(n, r).len() as u64)
-                .sum();
-            was_present = conditions.is_present(worker, start - 1);
-        }
-        let mut indices = Vec::with_capacity(cfg.batch_size);
-        // Control-plane exchange for one comm op: request envelope out, hub ack
-        // back, bounded retry. A worker present at a round always lands within its
-        // budget — exhaustion would have evicted it from this round's membership —
-        // so an `Err` here is a schedule/layer disagreement, not a recoverable
-        // condition. Returns the attempt count (shared by every op this worker
-        // performs this round: link weather is per `(worker, round, attempt, leg)`,
-        // not per message kind).
-        let exchange = |round: usize, kind: MsgKind, payload: &[u8]| -> u32 {
-            layer
-                .exchange(worker, round as u64, kind, payload)
-                .unwrap_or_else(|e| {
-                    panic!("present worker {worker} failed a comm op at round {round}: {e}")
-                })
-                .attempts
-        };
-
-        // Checkpoint-gate participation at the end of round `it`: every worker —
-        // present or absent — deposits its recovery section when a checkpoint is due
-        // and parks until worker 0 has written the image. Returns whether the run
-        // halts after this round (the simulated kill switch).
-        let end_of_round = |it: usize,
-                            present: &[usize],
-                            params: &[f32],
-                            optimizer: &dyn selsync_nn::Optimizer,
-                            tracker: &GradientTracker,
-                            counter: &LssrCounter,
-                            sync_rounds: &[usize],
-                            last_loss: f32|
-         -> bool {
-            let Some(ck) = ckpt_spec else {
-                return false;
-            };
-            // The simulator writes nothing at whole-cluster-absent rounds; neither
-            // does the threaded driver (and the kill switch cannot fire there).
-            if present.is_empty() {
-                return false;
-            }
-            if ck.due(it) || ck.halt_after == Some(it) {
-                let section = worker_section(
-                    worker,
-                    params,
-                    optimizer,
-                    tracker,
-                    counter,
-                    sync_rounds,
-                    last_loss,
-                );
-                gate.checkpoint_round(worker, n, it, section, |deposits| {
-                    write_threaded_checkpoint(cfg, ck, board, &handles.ps, deposits, it, protect);
-                });
-            }
-            ck.halt_after == Some(it)
-        };
-
-        for it in start..cfg.iterations {
-            // Crash windows: an absent worker skips the round entirely — no compute, no
-            // collectives. Every live worker derives the same membership from the
-            // deterministic schedule, so the round-keyed rendezvous stays consistent.
-            let present = conditions.present_workers(n, it);
-            let Some(rank) = present.iter().position(|&p| p == worker) else {
-                if evictions.contains(&(worker, it)) {
-                    // This is the round the fault schedule drives this worker past
-                    // its retry budget. Run the doomed exchange for real — the
-                    // layer must agree with the precomputed membership — then log
-                    // the eviction and fall out of the cluster for good.
-                    let farewell = layer.exchange(worker, it as u64, MsgKind::Flags, &[0]);
-                    assert!(
-                        farewell.is_err(),
-                        "worker {worker} was precomputed as evicted at round {it} but its \
-                         exchange succeeded"
-                    );
-                    cfg.trace.record(Event::CommEvict { round: it, worker });
-                }
-                was_present = false;
-                forwards_before += present.len() as u64;
-                if end_of_round(
-                    it,
-                    &present,
-                    &params,
-                    optimizer.as_ref(),
-                    &tracker,
-                    &counter,
-                    &sync_rounds,
-                    last_loss,
-                ) {
-                    break;
-                }
-                continue;
-            };
-            let active = present.len();
-            let forward_index = forwards_before + rank as u64;
-            forwards_before += active as u64;
-            if !was_present {
-                // Rejoin: tracker and optimizer did not survive the crash (the
-                // simulator restarts per-worker state the same way — its cluster-level
-                // policy, like the shared board here, is untouched). The pull request
-                // is an envelope on the message layer; the parameter pull itself
-                // (the data plane) follows the configured semantics. At a PS-down
-                // round the envelope is skipped — there is no server to ack it —
-                // while the data plane (the schedule-pure snapshot lookup) and the
-                // event stay, exactly like the simulator's rejoin path.
-                if !layer.ps_down(it as u64) {
-                    exchange(it, MsgKind::Pull, &(it as u64).to_le_bytes());
-                }
-                params = match cfg.rejoin_pull {
-                    RejoinPull::WallClock => handles.ps.pull(),
-                    RejoinPull::Scheduled => {
-                        // Wait until every active round before the rejoin has fully
-                        // decided (the board advances only after a round's sync, so
-                        // the ring then holds every scheduled global this lookup can
-                        // need), then pull the last scheduled synchronization's
-                        // global — the simulator's `global` entering this round.
-                        board.wait_caught_up(it);
-                        handles.ps.scheduled_global_before(it as u64)
-                    }
-                };
-                if cfg.trace.is_enabled() {
-                    // Mirror the simulator's pull event: under scheduled pulls the
-                    // source is the ring's answer for this round (all earlier rounds
-                    // have decided, so the `< it` entries are final); wall-clock
-                    // pulls have a timing-dependent source, recorded as `None` on
-                    // both backends so the logs stay byte-comparable.
-                    let (pull, from) = match cfg.rejoin_pull {
-                        RejoinPull::Scheduled => (
-                            PullKind::Scheduled,
-                            handles
-                                .ps
-                                .scheduled_round_before(it as u64)
-                                .map(|r| r as usize),
-                        ),
-                        RejoinPull::WallClock => (PullKind::WallClock, None),
-                    };
-                    cfg.trace.record(Event::RejoinPull {
-                        round: it,
-                        worker,
-                        pull,
-                        from,
-                    });
-                }
-                tracker = new_tracker();
-                optimizer = cfg.optimizer.build();
-                was_present = true;
-            }
-
-            indices.clear();
-            for _ in 0..cfg.batch_size {
-                indices.push(traversal[cursor % traversal.len()]);
-                cursor += 1;
-            }
-            cursor %= traversal.len();
-            let (x, y) = train.batch(&indices);
-            model.set_params_flat(&params);
-            model.seek_dropout(forward_index);
-            let stats = model.forward_backward(&x, &y);
-            last_loss = stats.loss;
-            let grads = model.grads_flat();
-            let delta_g = tracker.update(&grads);
-
-            // Local update through the configured optimizer at the scheduled learning
-            // rate (Alg. 1 line 9) — identical to the simulator's apply path.
-            let lr = cfg.lr.lr_at(cfg.epoch_of(it), it);
-            optimizer.step(&mut params, &grads, lr);
-
-            // PS outage: the round degrades to forced-local. One probe envelope
-            // discovers the outage and fails fast (no retry budget consumed); the
-            // status all-gather, signal exchange and sync round — all PS-bound —
-            // are skipped, and the worker keeps its local update. The δ policy is
-            // still consulted and fed the lowest-ranked present worker's local
-            // signal, so regime state stays coherent — bit-identical to the
-            // simulator's degraded branch.
-            if layer.ps_down(it as u64) {
-                let probe =
-                    layer.ps_exchange(worker, it as u64, MsgKind::Pull, &(it as u64).to_le_bytes());
-                assert!(
-                    matches!(probe, Err(PsExchangeError::Down { .. })),
-                    "the PS availability schedule and the layer's gate disagree at round {it}"
-                );
-                let sync_policy = SyncPolicy::new(board.delta_for(it));
-                // Worker-to-worker rendezvous (the PS plays no part): keeps the
-                // board's round-ordered observe behind every present worker's δ
-                // fetch, exactly like the status all-gather does on reachable rounds.
-                handles
-                    .collective
-                    .allgather_flags_among(it as u64, worker, false, active);
-                counter.record_local();
-                if rank == 0 {
-                    if cfg.trace.is_enabled() {
-                        crate::tracing::emit_round_context(&cfg.trace, conditions, n, it, &present);
-                        if ps_schedule
-                            .as_ref()
-                            .is_some_and(|s| s.outage_starts(it as u64))
-                        {
-                            cfg.trace.record(Event::PsDown { round: it });
-                        }
-                        cfg.trace.record(Event::DegradedRound {
-                            round: it,
-                            delta: sync_policy.delta,
-                            loss: stats.loss,
-                            delta_g,
-                        });
-                    }
-                    board.observe(
-                        RoundSignal {
-                            iteration: it,
-                            max_delta: delta_g,
-                            mean_loss: stats.loss,
-                            delta_mean: delta_g,
-                            delta_sq_mean: delta_g * delta_g,
-                            synced: false,
-                        },
-                        conditions.next_active_iteration(n, it + 1, cfg.iterations),
-                    );
-                }
-                if end_of_round(
-                    it,
-                    &present,
-                    &params,
-                    optimizer.as_ref(),
-                    &tracker,
-                    &counter,
-                    &sync_rounds,
-                    last_loss,
-                ) {
-                    break;
-                }
-                continue;
-            }
-            // The first reachable round after an outage runs the catch-up sync:
-            // every present worker forces its status bit, so the accumulated
-            // local-only deltas reconcile through the ordinary elastic round.
-            let catchup = ps_schedule
-                .as_ref()
-                .is_some_and(|s| s.outage_ends(it as u64));
-
-            // Cluster-signal exchange among the live workers: the round's mean batch
-            // loss and maximum Δ(g_i), combined in worker-id order — bit-identical to
-            // the simulator's `RoundOutput::mean_loss` / `max_delta` folds. Elided
-            // for signal-blind (fixed/scheduled) policies, whose observations are
-            // discarded anyway.
-            let (mean_loss, cluster_delta, moments) = if exchange_signals {
-                // Both scalars ride one envelope (the envelope id is
-                // (kind, round, sender), so a second ScalarReduce from the same
-                // worker in the same round would be dropped as a duplicate), and
-                // the Δ-moment vector rides its own VecReduce envelope.
-                let mut scalar_payload = [0u8; 8];
-                scalar_payload[..4].copy_from_slice(&stats.loss.to_le_bytes());
-                scalar_payload[4..].copy_from_slice(&delta_g.to_le_bytes());
-                exchange(it, MsgKind::ScalarReduce, &scalar_payload);
-                let mut vec_payload = [0u8; 8];
-                vec_payload[..4].copy_from_slice(&delta_g.to_le_bytes());
-                vec_payload[4..].copy_from_slice(&(delta_g * delta_g).to_le_bytes());
-                exchange(it, MsgKind::VecReduce, &vec_payload);
-                (
-                    handles.collective.allreduce_scalar_among(
-                        it as u64,
-                        worker,
-                        stats.loss,
-                        active,
-                        ScalarOp::Mean,
-                    ),
-                    handles.collective.allreduce_scalar_among(
-                        it as u64,
-                        worker,
-                        delta_g,
-                        active,
-                        ScalarOp::Max,
-                    ),
-                    handles.collective.allreduce_vec_among(
-                        it as u64,
-                        worker,
-                        vec![delta_g, delta_g * delta_g],
-                        active,
-                        ScalarOp::Mean,
-                    ),
-                )
-            } else {
-                (stats.loss, delta_g, vec![delta_g, delta_g * delta_g])
-            };
-
-            // This round's δ from the *shared* cluster policy (Phase 0 of the
-            // simulator driver); blocks until all earlier rounds' signals are in.
-            let sync_policy = SyncPolicy::new(board.delta_for(it));
-
-            // 1-bit status all-gather followed by the cluster decision (lines 10–13),
-            // restricted to the live workers of this iteration. A catch-up round
-            // forces every status bit.
-            let wants_sync = catchup || sync_policy.worker_wants_sync(delta_g);
-            let attempts = exchange(it, MsgKind::Flags, &[wants_sync as u8]);
-            if attempts > 1 {
-                // One retry event per (worker, round): every envelope this worker
-                // sent this round shares the same attempt count (link weather is
-                // keyed by (worker, round, attempt, leg), not by message kind).
-                cfg.trace.record(Event::CommRetry {
-                    round: it,
-                    worker,
-                    attempts,
-                });
-            }
-            let flags = handles
-                .collective
-                .allgather_flags_among(it as u64, worker, wants_sync, active);
-            let synced = flags.iter().any(|&f| f);
-            if synced {
-                // Push local parameters, pull the average (lines 14–15). The elastic
-                // round combines contributions in worker-id order, so the pulled
-                // average equals the simulator's to the last bit. The control-plane
-                // announcement (parameter byte count) is an envelope; the parameters
-                // themselves move through the data-plane rendezvous below.
-                exchange(
-                    it,
-                    MsgKind::SyncRound,
-                    &((params.len() * 4) as u64).to_le_bytes(),
-                );
-                params = handles
-                    .ps
-                    .sync_round_elastic(it as u64, worker, &params, active);
-                counter.record_sync();
-                sync_rounds.push(it);
-            } else {
-                counter.record_local();
-            }
-            if rank == 0 {
-                if cfg.trace.is_enabled() {
-                    // One emitter per round: the lowest-ranked present worker logs the
-                    // round's structural and decision events (canonical sorting in the
-                    // sink erases any cross-thread interleaving with other rounds).
-                    crate::tracing::emit_round_context(&cfg.trace, conditions, n, it, &present);
-                    if catchup {
-                        let schedule = ps_schedule.as_ref().expect("catchup implies a schedule");
-                        cfg.trace.record(Event::PsUp { round: it });
-                        cfg.trace.record(Event::CatchupSync {
-                            round: it,
-                            behind: schedule.rounds_behind(it as u64) as usize,
-                        });
-                    }
-                    if exchange_signals {
-                        cfg.trace.record(Event::Signal {
-                            round: it,
-                            mean_loss,
-                            max_delta: cluster_delta,
-                        });
-                    }
-                    cfg.trace.record(Event::Round {
-                        round: it,
-                        delta: sync_policy.delta,
-                        // The collective's gather is full-width (absent slots read
-                        // false); the canonical event keeps present-worker order,
-                        // matching the simulator's per-present-worker flag vector.
-                        flags: present.iter().map(|&w| flags[w]).collect(),
-                        synced,
-                    });
-                }
-                // The lowest-ranked present worker posts the round's cluster signal.
-                // Every present worker has passed the status all-gather by now (it is
-                // a rendezvous), so no one can still be waiting on this round's δ —
-                // and if the round synchronized, its global is already in the
-                // snapshot ring, so a scheduled rejoin pull unblocked by this
-                // observation finds everything it needs.
-                board.observe(
-                    RoundSignal {
-                        iteration: it,
-                        max_delta: cluster_delta,
-                        mean_loss,
-                        delta_mean: moments[0],
-                        delta_sq_mean: moments[1],
-                        synced,
-                    },
-                    conditions.next_active_iteration(n, it + 1, cfg.iterations),
-                );
-            }
-            if end_of_round(
-                it,
-                &present,
-                &params,
-                optimizer.as_ref(),
-                &tracker,
-                &counter,
-                &sync_rounds,
-                last_loss,
-            ) {
-                break;
-            }
-        }
-
-        let global = handles.ps.pull();
-        let distance: f32 = params
-            .iter()
-            .zip(global.iter())
-            .map(|(a, b)| (a - b).powi(2))
-            .sum::<f32>()
-            .sqrt();
-        ThreadedWorkerReport {
+    let layer = with_ps_gate(cfg, layer);
+    let gate = CheckpointGate::new(cfg.workers);
+    run_cluster_with(core.handles.clone(), |worker, handles| {
+        let link = ThreadLink {
+            cfg,
+            handles,
+            core: &core,
+            gate: &gate,
             worker,
-            sync_steps: counter.sync_steps,
-            local_steps: counter.local_steps,
-            sync_rounds,
-            final_loss: last_loss,
-            distance_to_global: distance,
-        }
+        };
+        run_worker(cfg, &inputs, worker, &link, &layer, resume, None)
     })
-}
-
-/// One worker's durable recovery section: everything that cannot be recomputed
-/// from the schedule — its parameter replica, optimizer and `Δ(g_i)` tracker state,
-/// LSSR counters, synchronization history and last observed loss. The packing order
-/// is the contract `run_threaded_inner`'s resume path reads back (and the one the
-/// multi-process workers ship to their hub as checkpoint deposits).
-pub(crate) fn worker_section(
-    worker: usize,
-    params: &[f32],
-    optimizer: &dyn selsync_nn::Optimizer,
-    tracker: &GradientTracker,
-    counter: &LssrCounter,
-    sync_rounds: &[usize],
-    last_loss: f32,
-) -> Section {
-    let mut section = Section::new(format!("worker{worker}"));
-    section.push_f32s(params);
-    let optimizer_state = optimizer.export_state();
-    section.push_int(optimizer_state.t);
-    section.push_usize(optimizer_state.buffers.len());
-    for buffer in &optimizer_state.buffers {
-        section.push_f32s(buffer);
-    }
-    let tracker_state = tracker.export_state();
-    section.push_f32s(&tracker_state.ewma_history);
-    section.push_opt_f32(tracker_state.ewma_smoothed);
-    section.push_opt_f32(tracker_state.previous_smoothed);
-    section.push_f32(tracker_state.last_delta);
-    section.push_f32(tracker_state.max_delta);
-    section.push_int(tracker_state.steps);
-    section.push_int(counter.sync_steps);
-    section.push_int(counter.local_steps);
-    let rounds: Vec<u64> = sync_rounds.iter().map(|&r| r as u64).collect();
-    section.push_ints(&rounds);
-    section.push_f32(last_loss);
-    section
-}
-
-/// Write the threaded backend's full recovery image after round `it`: the PS state
-/// (global vector, newest-global guard, snapshot ring), the shared δ-policy state,
-/// every worker's deposited section (worker order) and the trace prefix recorded so
-/// far. Called by worker 0 at the checkpoint gate's quiescent point.
-fn write_threaded_checkpoint(
-    cfg: &TrainConfig,
-    ck: &CheckpointSpec,
-    board: &SignalBoard,
-    ps: &selsync_comm::ParameterServer,
-    deposits: Vec<Section>,
-    it: usize,
-    protect: Option<usize>,
-) {
-    let mut image = Checkpoint::new("threaded", checkpoint::config_fingerprint(cfg), it);
-    image.add_section(crate::resume::ps_section(&ps.export_state()));
-    let policy_state = board.export_policy_state();
-    let mut section = Section::new("board");
-    section.push_ints(&policy_state.ints);
-    section.push_f32s(&policy_state.floats);
-    image.add_section(section);
-    for deposit in deposits {
-        image.add_section(deposit);
-    }
-    if cfg.trace.is_enabled() {
-        let log = cfg.trace.snapshot_log();
-        image.trace = log.events.iter().map(codec::encode_event).collect();
-    }
-    let path = ck.path_for(it);
-    image
-        .write_file(&path)
-        .unwrap_or_else(|err| panic!("failed to write checkpoint {}: {err}", path.display()));
-    // Retention runs only after the newer image is durably on disk, and never
-    // removes the image a resume started from.
-    ck.prune(it, protect);
 }
 
 #[cfg(test)]

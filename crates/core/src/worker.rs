@@ -1,0 +1,593 @@
+//! The SelSync worker round (Alg. 1 of the paper), written once for both cluster
+//! backends: batch → forward/backward → `Δ(g_i)` → 1-bit status all-gather →
+//! push/pull or local apply.
+//!
+//! [`run_worker`] is one worker's whole run. Everything it shares with the rest of
+//! the cluster — parameter server, collectives, δ-policy signal board, checkpoint
+//! gate — it reaches through a [`ClusterLink`], which [`crate::threaded`] implements
+//! as direct calls on in-process handles and [`crate::process`] as blocking RPCs to
+//! the hub process, which makes the very same calls on the worker's behalf. The
+//! loop is monomorphised per link, so a threaded round still makes direct calls.
+//!
+//! What order a worker performs its round's operations in is decided here and
+//! nowhere else. The simulator ([`crate::algorithms::selsync`]) keeps its own
+//! driver: it runs all workers of a round in one call, with cost-model accounting,
+//! evaluation and gradient aggregation the cluster backends do not have.
+
+use crate::checkpoint::{Checkpoint, Section, SectionReader};
+use crate::conditions::{ClusterConditions, FaultEvent};
+use crate::config::{RejoinPull, TrainConfig};
+use crate::policy::{PolicySpec, RoundSignal, SyncPolicy};
+use crate::sim;
+use crate::threaded::ThreadedWorkerReport;
+use crate::tracker::{GradStatistic, GradientTracker};
+use selsync_comm::faults::PsFaultSchedule;
+use selsync_comm::wire::MsgKind;
+use selsync_comm::{MessageLayer, PsExchangeError, ScalarOp};
+use selsync_data::dataset::Dataset;
+use selsync_metrics::lssr::LssrCounter;
+use selsync_nn::model::PaperModel;
+use selsync_nn::Optimizer;
+use selsync_tracelog::{Event, PullKind};
+
+/// One worker's view of the cluster's shared state. Every method acts for the
+/// worker the link was built for; rendezvous methods block until the round's other
+/// present workers have made the matching call.
+pub(crate) trait ClusterLink {
+    /// The PS's current global vector (the initial pull, wall-clock rejoin pulls
+    /// and the end-of-run distance).
+    fn pull(&self) -> Vec<f32>;
+    /// The global of the last *scheduled* synchronization before `round`.
+    fn scheduled_global_before(&self, round: u64) -> Vec<f32>;
+    /// The round of that synchronization (`None`: the initial global).
+    fn scheduled_round_before(&self, round: u64) -> Option<u64>;
+    /// Push `params`, pull the worker-order average over `expected` contributors.
+    fn sync_round_elastic(&self, round: u64, params: &[f32], expected: usize) -> Vec<f32>;
+    /// The round's full-width status vector (absent slots read `false`).
+    fn allgather_flags_among(&self, round: u64, flag: bool, expected: usize) -> Vec<bool>;
+    /// Worker-order reduction of one scalar over the round's present workers.
+    fn allreduce_scalar_among(&self, round: u64, value: f32, expected: usize, op: ScalarOp) -> f32;
+    /// Worker-order element-wise reduction of a small vector.
+    fn allreduce_vec_among(
+        &self,
+        round: u64,
+        values: &[f32],
+        expected: usize,
+        op: ScalarOp,
+    ) -> Vec<f32>;
+    /// Block until the shared policy has observed every active round before `iteration`.
+    fn wait_caught_up(&self, iteration: usize);
+    /// The shared policy's δ for `iteration` (blocks like [`Self::wait_caught_up`]).
+    fn delta_for(&self, iteration: usize) -> f32;
+    /// Post the completed round's cluster signal; the board advances to `next_round`.
+    fn observe(&self, signal: RoundSignal, next_round: usize);
+    /// Announce round `it` at its boundary. Returns the cluster's full list of
+    /// runtime evictions — `(worker, first-absent round)`, frozen for the round —
+    /// of which the caller folds the entries it has not seen yet. Always empty
+    /// where membership cannot change at run time.
+    fn round_begin(&self, it: usize) -> Vec<(usize, usize)>;
+    /// Hand over this worker's recovery section for the image after round `it` and
+    /// block until that image is written.
+    fn ckpt_deposit(&self, it: usize, section: Section);
+}
+
+/// The schedule-pure inputs of a run every worker derives from the configuration
+/// alone. Built once per process; the threaded driver's worker threads share one.
+pub(crate) struct WorkerInputs {
+    /// Shared immutable dataset: the *same* train split the simulator uses.
+    train: Dataset,
+    iid_order: Vec<usize>,
+    /// Membership comes from the *effective* conditions: the scheduled ones plus one
+    /// no-rejoin crash per comm-fault eviction. Every worker derives the same
+    /// presence from this pure schedule, so fault-driven evictions need no runtime
+    /// coordination — exactly like scheduled crashes.
+    conditions: ClusterConditions,
+    /// Eviction rounds are precomputed from the same schedule the message layer
+    /// rolls, so a worker driven past its budget finds itself already absent from
+    /// the membership above — the layer's `Err(Evicted)` and the schedule agree by
+    /// construction (pinned by the transport tests).
+    evictions: Vec<(usize, usize)>,
+    /// PS availability: the same pure `(spec, round)` schedule the simulator reads.
+    ps_schedule: Option<PsFaultSchedule>,
+    /// Fixed and scheduled policies are pure functions of the iteration and discard
+    /// their observations, so the two per-round scalar rendezvous that would feed
+    /// them the cluster aggregates are pure overhead — skip them and let the
+    /// observation carry the (ignored) per-worker values instead. The board itself
+    /// always runs: its round-ordered advancement is also what tells a scheduled
+    /// rejoin pull that the snapshot ring is complete up to the rejoin round.
+    exchange_signals: bool,
+}
+
+impl WorkerInputs {
+    pub(crate) fn build(cfg: &TrainConfig, spec: &PolicySpec, proto: &PaperModel) -> Self {
+        let (train, _test) = sim::build_datasets(cfg);
+        WorkerInputs {
+            iid_order: sim::iid_sample_order(&train, &proto.task),
+            train,
+            conditions: cfg.effective_conditions(),
+            evictions: cfg.comm_fault_evictions(),
+            ps_schedule: cfg.ps_fault_schedule(),
+            exchange_signals: spec.consumes_round_signals(),
+        }
+    }
+}
+
+/// Attach the run's PS availability gate to a backend's message layer: with a
+/// `[ps_faults]` schedule, PS-bound envelopes fail fast at down rounds and the
+/// workers degrade to local-only rounds.
+pub(crate) fn with_ps_gate(cfg: &TrainConfig, layer: MessageLayer) -> MessageLayer {
+    match cfg.ps_fault_schedule() {
+        Some(schedule) => layer.with_ps_outages(schedule),
+        None => layer,
+    }
+}
+
+/// Everything of a worker that cannot be recomputed from the schedule — its
+/// parameter replica, optimizer and `Δ(g_i)` tracker state, LSSR counters,
+/// synchronization history and last observed loss. [`Self::section`] and
+/// [`Self::restore`] are the `worker<k>` section's one writer and one reader.
+struct WorkerState {
+    params: Vec<f32>,
+    optimizer: Box<dyn Optimizer>,
+    tracker: GradientTracker,
+    counter: LssrCounter,
+    sync_rounds: Vec<usize>,
+    last_loss: f32,
+}
+
+impl WorkerState {
+    fn section(&self, worker: usize) -> Section {
+        let mut section = Section::new(format!("worker{worker}"));
+        section.push_worker_core(
+            &self.params,
+            &self.optimizer.export_state(),
+            &self.tracker.export_state(),
+        );
+        section.push_int(self.counter.sync_steps);
+        section.push_int(self.counter.local_steps);
+        let rounds: Vec<u64> = self.sync_rounds.iter().map(|&r| r as u64).collect();
+        section.push_ints(&rounds);
+        section.push_f32(self.last_loss);
+        section
+    }
+
+    fn restore(&mut self, mut reader: SectionReader<'_>) {
+        let core = reader.worker_core();
+        self.params = core.params;
+        self.optimizer.load_state(&core.optimizer);
+        self.tracker.restore_state(&core.tracker);
+        self.counter.sync_steps = reader.int();
+        self.counter.local_steps = reader.int();
+        self.sync_rounds = reader.ints().iter().map(|&r| r as usize).collect();
+        self.last_loss = reader.f32();
+        reader.finish();
+    }
+}
+
+/// Run worker `worker`'s rounds of `cfg` over `link`, every control-plane message
+/// riding `layer`. `resume` is a cluster image ([`crate::resume::cluster_image`])
+/// to continue from; `kill_at` makes the worker die abruptly at the top of that
+/// round — no announce, no farewell.
+pub(crate) fn run_worker<L: ClusterLink>(
+    cfg: &TrainConfig,
+    inputs: &WorkerInputs,
+    worker: usize,
+    link: &L,
+    layer: &MessageLayer,
+    resume: Option<&Checkpoint>,
+    kill_at: Option<usize>,
+) -> ThreadedWorkerReport {
+    let n = cfg.workers;
+    let ps_schedule = inputs.ps_schedule.as_ref();
+    // Folded membership: starts as the compiled schedule and accrues the evictions
+    // announced at round boundaries, so every live worker derives the same
+    // round-keyed membership a scheduled no-rejoin crash would have produced.
+    let mut conditions = inputs.conditions.clone();
+    let mut known_evictions = 0usize;
+    // The first round the (possibly resumed) run executes.
+    let start = resume.map_or(0, |ckpt| ckpt.round + 1);
+
+    let mut model = PaperModel::build(cfg.model, cfg.seed);
+    let new_tracker = || {
+        GradientTracker::new(
+            GradStatistic::SqNorm,
+            (n as f32 / 100.0).clamp(0.01, 1.0),
+            cfg.ewma_window,
+        )
+    };
+    let mut state = WorkerState {
+        // Every worker starts from the global state on the PS (pullFromPS, Alg. 1 line 3).
+        params: link.pull(),
+        optimizer: cfg.optimizer.build(),
+        tracker: new_tracker(),
+        counter: LssrCounter::new(),
+        sync_rounds: Vec::new(),
+        last_loss: 0.0,
+    };
+    model.set_params_flat(&state.params);
+    // The simulator's circular traversal over this worker's data: its
+    // shuffled IID partition, or its label shard on non-IID runs.
+    let traversal = sim::worker_traversal(cfg, &inputs.train, &inputs.iid_order, worker);
+    let mut cursor = 0usize;
+    let mut was_present = true;
+    // The canonical global forward counter of the simulator: rounds issue their
+    // forwards in worker order over the present set, so the count *before* any
+    // iteration — and this worker's position within it — is a pure function of
+    // the fault schedule.
+    let forwards_before_round = |conditions: &ClusterConditions, round: usize| -> u64 {
+        (0..round)
+            .map(|r| conditions.present_workers(n, r).len() as u64)
+            .sum()
+    };
+    let mut forwards_before = 0u64;
+    if let Some(ckpt) = resume {
+        // Durable per-worker state comes from the checkpoint; the schedule-pure
+        // cursors (data traversal, forward counter, presence edge) are recomputed
+        // from the same deterministic schedule the uninterrupted run walked.
+        state.restore(ckpt.read_section(&format!("worker{worker}")));
+        let done_rounds = (0..start)
+            .filter(|&r| conditions.is_present(worker, r))
+            .count();
+        cursor = (done_rounds * cfg.batch_size) % traversal.len();
+        forwards_before = forwards_before_round(&conditions, start);
+        was_present = conditions.is_present(worker, start - 1);
+    }
+    let mut indices = Vec::with_capacity(cfg.batch_size);
+    // Control-plane exchange for one comm op: request envelope out, hub ack
+    // back, bounded retry. A worker present at a round always lands within its
+    // budget — exhaustion would have evicted it from this round's membership —
+    // so an `Err` here is a schedule/layer disagreement, not a recoverable
+    // condition. Returns the attempt count (shared by every op this worker
+    // performs this round: link weather is per `(worker, round, attempt, leg)`,
+    // not per message kind).
+    let exchange = |round: usize, kind: MsgKind, payload: &[u8]| -> u32 {
+        layer
+            .exchange(worker, round as u64, kind, payload)
+            .unwrap_or_else(|e| {
+                panic!("present worker {worker} failed a comm op at round {round}: {e}")
+            })
+            .attempts
+    };
+
+    // Checkpoint-gate participation at the end of round `it`: every worker —
+    // present or absent — deposits its recovery section when a checkpoint is due
+    // and parks until the image is written. Returns whether the run halts after
+    // this round (the simulated kill switch).
+    let end_of_round = |it: usize, present: &[usize], state: &WorkerState| -> bool {
+        let Some(ck) = &cfg.checkpoint else {
+            return false;
+        };
+        // The simulator writes nothing at whole-cluster-absent rounds; neither
+        // do the cluster backends (and the kill switch cannot fire there).
+        if present.is_empty() {
+            return false;
+        }
+        if ck.due(it) || ck.halt_after == Some(it) {
+            link.ckpt_deposit(it, state.section(worker));
+        }
+        ck.halt_after == Some(it)
+    };
+
+    let mut killed = false;
+    for it in start..cfg.iterations {
+        if kill_at == Some(it) {
+            // Abrupt death: the worker's connection drops at a frame boundary and
+            // the rest of the cluster learns of it at its next round boundary.
+            killed = true;
+            break;
+        }
+        if conditions.is_present(worker, it) {
+            // Round-boundary barrier: announce the round, learn the frozen
+            // eviction prefix, and fold any entry not seen yet. The recompute
+            // keeps the forward counter a pure function of the (now extended)
+            // fault schedule — evictions can land at rounds this worker sat
+            // out, where it never saw a barrier.
+            let evs = link.round_begin(it);
+            if evs.len() > known_evictions {
+                for &(w, r) in &evs[known_evictions..] {
+                    conditions = conditions.with_fault(FaultEvent::Crash {
+                        worker: w,
+                        start: r,
+                        rejoin: None,
+                    });
+                }
+                known_evictions = evs.len();
+                forwards_before = forwards_before_round(&conditions, it);
+            }
+        }
+        // Crash windows: an absent worker skips the round entirely — no compute, no
+        // collectives. Every live worker derives the same membership from the
+        // deterministic schedule, so the round-keyed rendezvous stays consistent.
+        let present = conditions.present_workers(n, it);
+        let Some(rank) = present.iter().position(|&p| p == worker) else {
+            if inputs.evictions.contains(&(worker, it)) {
+                // This is the round the fault schedule drives this worker past
+                // its retry budget. Run the doomed exchange for real — the
+                // layer must agree with the precomputed membership — then log
+                // the eviction and fall out of the cluster for good.
+                let farewell = layer.exchange(worker, it as u64, MsgKind::Flags, &[0]);
+                assert!(
+                    farewell.is_err(),
+                    "worker {worker} was precomputed as evicted at round {it} but its \
+                     exchange succeeded"
+                );
+                cfg.trace.record(Event::CommEvict { round: it, worker });
+            }
+            was_present = false;
+            forwards_before += present.len() as u64;
+            if end_of_round(it, &present, &state) {
+                break;
+            }
+            continue;
+        };
+        let active = present.len();
+        let forward_index = forwards_before + rank as u64;
+        forwards_before += active as u64;
+        if !was_present {
+            // Rejoin: tracker and optimizer did not survive the crash (the
+            // simulator restarts per-worker state the same way — its cluster-level
+            // policy, like the shared board here, is untouched). The pull request
+            // is an envelope on the message layer; the parameter pull itself
+            // (the data plane) follows the configured semantics. At a PS-down
+            // round the envelope is skipped — there is no server to ack it —
+            // while the data plane (the schedule-pure snapshot lookup) and the
+            // event stay, exactly like the simulator's rejoin path.
+            if !layer.ps_down(it as u64) {
+                exchange(it, MsgKind::Pull, &(it as u64).to_le_bytes());
+            }
+            state.params = match cfg.rejoin_pull {
+                RejoinPull::WallClock => link.pull(),
+                RejoinPull::Scheduled => {
+                    // Wait until every active round before the rejoin has fully
+                    // decided (the board advances only after a round's sync, so
+                    // the ring then holds every scheduled global this lookup can
+                    // need), then pull the last scheduled synchronization's
+                    // global — the simulator's `global` entering this round.
+                    link.wait_caught_up(it);
+                    link.scheduled_global_before(it as u64)
+                }
+            };
+            if cfg.trace.is_enabled() {
+                // Mirror the simulator's pull event: under scheduled pulls the
+                // source is the ring's answer for this round (all earlier rounds
+                // have decided, so the `< it` entries are final); wall-clock
+                // pulls have a timing-dependent source, recorded as `None` on
+                // every backend so the logs stay byte-comparable.
+                let (pull, from) = match cfg.rejoin_pull {
+                    RejoinPull::Scheduled => (
+                        PullKind::Scheduled,
+                        link.scheduled_round_before(it as u64).map(|r| r as usize),
+                    ),
+                    RejoinPull::WallClock => (PullKind::WallClock, None),
+                };
+                cfg.trace.record(Event::RejoinPull {
+                    round: it,
+                    worker,
+                    pull,
+                    from,
+                });
+            }
+            state.tracker = new_tracker();
+            state.optimizer = cfg.optimizer.build();
+            was_present = true;
+        }
+
+        indices.clear();
+        for _ in 0..cfg.batch_size {
+            indices.push(traversal[cursor % traversal.len()]);
+            cursor += 1;
+        }
+        cursor %= traversal.len();
+        let (x, y) = inputs.train.batch(&indices);
+        model.set_params_flat(&state.params);
+        model.seek_dropout(forward_index);
+        let stats = model.forward_backward(&x, &y);
+        state.last_loss = stats.loss;
+        let grads = model.grads_flat();
+        let delta_g = state.tracker.update(&grads);
+
+        // Local update through the configured optimizer at the scheduled learning
+        // rate (Alg. 1 line 9) — identical to the simulator's apply path.
+        let lr = cfg.lr.lr_at(cfg.epoch_of(it), it);
+        state.optimizer.step(&mut state.params, &grads, lr);
+
+        // PS outage: the round degrades to forced-local. One probe envelope
+        // discovers the outage and fails fast (no retry budget consumed); the
+        // status all-gather, signal exchange and sync round — all PS-bound —
+        // are skipped, and the worker keeps its local update. The δ policy is
+        // still consulted and fed the lowest-ranked present worker's local
+        // signal, so regime state stays coherent — bit-identical to the
+        // simulator's degraded branch.
+        if layer.ps_down(it as u64) {
+            let probe =
+                layer.ps_exchange(worker, it as u64, MsgKind::Pull, &(it as u64).to_le_bytes());
+            assert!(
+                matches!(probe, Err(PsExchangeError::Down { .. })),
+                "the PS availability schedule and the layer's gate disagree at round {it}"
+            );
+            let sync_policy = SyncPolicy::new(link.delta_for(it));
+            // Worker-to-worker rendezvous (the PS plays no part): keeps the
+            // board's round-ordered observe behind every present worker's δ
+            // fetch, exactly like the status all-gather does on reachable rounds.
+            link.allgather_flags_among(it as u64, false, active);
+            state.counter.record_local();
+            if rank == 0 {
+                if cfg.trace.is_enabled() {
+                    crate::tracing::emit_round_context(&cfg.trace, &conditions, n, it, &present);
+                    if ps_schedule.is_some_and(|s| s.outage_starts(it as u64)) {
+                        cfg.trace.record(Event::PsDown { round: it });
+                    }
+                    cfg.trace.record(Event::DegradedRound {
+                        round: it,
+                        delta: sync_policy.delta,
+                        loss: stats.loss,
+                        delta_g,
+                    });
+                }
+                link.observe(
+                    RoundSignal {
+                        iteration: it,
+                        max_delta: delta_g,
+                        mean_loss: stats.loss,
+                        delta_mean: delta_g,
+                        delta_sq_mean: delta_g * delta_g,
+                        synced: false,
+                    },
+                    conditions.next_active_iteration(n, it + 1, cfg.iterations),
+                );
+            }
+            if end_of_round(it, &present, &state) {
+                break;
+            }
+            continue;
+        }
+        // The first reachable round after an outage runs the catch-up sync:
+        // every present worker forces its status bit, so the accumulated
+        // local-only deltas reconcile through the ordinary elastic round.
+        let catchup = ps_schedule.is_some_and(|s| s.outage_ends(it as u64));
+
+        // Cluster-signal exchange among the live workers: the round's mean batch
+        // loss and maximum Δ(g_i), combined in worker-id order — bit-identical to
+        // the simulator's `RoundOutput::mean_loss` / `max_delta` folds. Elided
+        // for signal-blind (fixed/scheduled) policies, whose observations are
+        // discarded anyway.
+        let moments = [delta_g, delta_g * delta_g];
+        let (mean_loss, cluster_delta, moments) = if inputs.exchange_signals {
+            // Both scalars ride one envelope (the envelope id is
+            // (kind, round, sender), so a second ScalarReduce from the same
+            // worker in the same round would be dropped as a duplicate), and
+            // the Δ-moment vector rides its own VecReduce envelope.
+            let mut scalar_payload = [0u8; 8];
+            scalar_payload[..4].copy_from_slice(&stats.loss.to_le_bytes());
+            scalar_payload[4..].copy_from_slice(&delta_g.to_le_bytes());
+            exchange(it, MsgKind::ScalarReduce, &scalar_payload);
+            let mut vec_payload = [0u8; 8];
+            vec_payload[..4].copy_from_slice(&moments[0].to_le_bytes());
+            vec_payload[4..].copy_from_slice(&moments[1].to_le_bytes());
+            exchange(it, MsgKind::VecReduce, &vec_payload);
+            let round = it as u64;
+            (
+                link.allreduce_scalar_among(round, stats.loss, active, ScalarOp::Mean),
+                link.allreduce_scalar_among(round, delta_g, active, ScalarOp::Max),
+                link.allreduce_vec_among(round, &moments, active, ScalarOp::Mean),
+            )
+        } else {
+            (stats.loss, delta_g, moments.to_vec())
+        };
+
+        // This round's δ from the *shared* cluster policy (Phase 0 of the
+        // simulator driver); blocks until all earlier rounds' signals are in.
+        let sync_policy = SyncPolicy::new(link.delta_for(it));
+
+        // 1-bit status all-gather followed by the cluster decision (lines 10–13),
+        // restricted to the live workers of this iteration. A catch-up round
+        // forces every status bit.
+        let wants_sync = catchup || sync_policy.worker_wants_sync(delta_g);
+        let attempts = exchange(it, MsgKind::Flags, &[wants_sync as u8]);
+        if attempts > 1 {
+            // One retry event per (worker, round): every envelope this worker
+            // sent this round shares the same attempt count (link weather is
+            // keyed by (worker, round, attempt, leg), not by message kind).
+            cfg.trace.record(Event::CommRetry {
+                round: it,
+                worker,
+                attempts,
+            });
+        }
+        let flags = link.allgather_flags_among(it as u64, wants_sync, active);
+        let synced = flags.iter().any(|&f| f);
+        if synced {
+            // Push local parameters, pull the average (lines 14–15). The elastic
+            // round combines contributions in worker-id order, so the pulled
+            // average equals the simulator's to the last bit. The control-plane
+            // announcement (parameter byte count) is an envelope; the parameters
+            // themselves move through the data-plane rendezvous below.
+            exchange(
+                it,
+                MsgKind::SyncRound,
+                &((state.params.len() * 4) as u64).to_le_bytes(),
+            );
+            state.params = link.sync_round_elastic(it as u64, &state.params, active);
+            state.counter.record_sync();
+            state.sync_rounds.push(it);
+        } else {
+            state.counter.record_local();
+        }
+        if rank == 0 {
+            if cfg.trace.is_enabled() {
+                // One emitter per round: the lowest-ranked present worker logs the
+                // round's structural and decision events (canonical sorting in the
+                // sink erases any cross-worker interleaving with other rounds).
+                crate::tracing::emit_round_context(&cfg.trace, &conditions, n, it, &present);
+                if catchup {
+                    let schedule = ps_schedule.expect("catchup implies a schedule");
+                    cfg.trace.record(Event::PsUp { round: it });
+                    cfg.trace.record(Event::CatchupSync {
+                        round: it,
+                        behind: schedule.rounds_behind(it as u64) as usize,
+                    });
+                }
+                if inputs.exchange_signals {
+                    cfg.trace.record(Event::Signal {
+                        round: it,
+                        mean_loss,
+                        max_delta: cluster_delta,
+                    });
+                }
+                cfg.trace.record(Event::Round {
+                    round: it,
+                    delta: sync_policy.delta,
+                    // The collective's gather is full-width (absent slots read
+                    // false); the canonical event keeps present-worker order,
+                    // matching the simulator's per-present-worker flag vector.
+                    flags: present.iter().map(|&w| flags[w]).collect(),
+                    synced,
+                });
+            }
+            // The lowest-ranked present worker posts the round's cluster signal.
+            // Every present worker has passed the status all-gather by now (it is
+            // a rendezvous), so no one can still be waiting on this round's δ —
+            // and if the round synchronized, its global is already in the
+            // snapshot ring, so a scheduled rejoin pull unblocked by this
+            // observation finds everything it needs.
+            link.observe(
+                RoundSignal {
+                    iteration: it,
+                    max_delta: cluster_delta,
+                    mean_loss,
+                    delta_mean: moments[0],
+                    delta_sq_mean: moments[1],
+                    synced,
+                },
+                conditions.next_active_iteration(n, it + 1, cfg.iterations),
+            );
+        }
+        if end_of_round(it, &present, &state) {
+            break;
+        }
+    }
+
+    // A killed worker dies right here — no final pull, no farewell. Its report
+    // never reaches an orchestrator (the process is gone); the in-process tests
+    // that drive the kill through `WorkerOptions` just discard it.
+    let distance_to_global = if killed {
+        f32::NAN
+    } else {
+        let global = link.pull();
+        state
+            .params
+            .iter()
+            .zip(global.iter())
+            .map(|(a, b)| (a - b).powi(2))
+            .sum::<f32>()
+            .sqrt()
+    };
+    ThreadedWorkerReport {
+        worker,
+        sync_steps: state.counter.sync_steps,
+        local_steps: state.counter.local_steps,
+        sync_rounds: state.sync_rounds,
+        final_loss: state.last_loss,
+        distance_to_global,
+    }
+}
