@@ -4,9 +4,12 @@
 //! bandwidth for the optimizer/aggregation sweeps, the kernels at the shapes the
 //! ResNetLike and VggLike workloads actually run (`model_shapes`: pooled time over
 //! serial time, the dispatch gate's acceptance rows), simulator training
-//! throughput (steps/sec), and the 1-thread vs 4-thread speedup on the
-//! 256x256x256 matmul (the backend's acceptance benchmark). Emits one JSON
-//! object on stdout so CI can archive the perf trajectory PR over PR.
+//! throughput (steps/sec), the 1-thread vs 4-thread speedup on the
+//! 256x256x256 matmul (the backend's acceptance benchmark), and the socket
+//! frame codec at the size of a VggLike parameter vector (`wire`: checksum
+//! GB/s, encode/decode time, and the checksum's speed over a byte-serial
+//! reference). Emits one JSON object on stdout so CI can archive the perf
+//! trajectory PR over PR.
 //!
 //! Usage: `bench_kernels [--quick] [--baseline <json>]`
 //!   --quick            smaller shapes / fewer repetitions (CI mode)
@@ -14,7 +17,8 @@
 //!                      committed baseline report and exit non-zero on a >20%
 //!                      regression (per workers x threads cell), or when a
 //!                      `model_shapes` row of at most one `par::GRAIN` of work is more
-//!                      than 1.25x slower with the pool than without it
+//!                      than 1.25x slower with the pool than without it, or when
+//!                      `wire.checksum_over_fnv1a` is below 4
 //!
 //! Thread count comes from `SELSYNC_THREADS` (default `available_parallelism`);
 //! the speedup and `sim_round` sections override it internally via the pool's
@@ -22,9 +26,11 @@
 
 use selsync::algorithms;
 use selsync::config::{AlgorithmSpec, TrainConfig};
+use selsync_comm::wire::{self, EnvelopeRef, FrameBuf, MsgKind};
 use selsync_nn::model::{ModelKind, PaperModel};
 use selsync_nn::optim::{Optimizer, Sgd};
 use selsync_tensor::{ops, par, Tensor};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Run `f` repeatedly until ~`budget_s` seconds elapse (at least once), returning
@@ -203,6 +209,73 @@ fn bench_model_shapes(budget_s: f64) -> (usize, Vec<ModelShapeResult>) {
     (pooled_threads, results)
 }
 
+/// The socket frame codec at the bulk frame size.
+struct WireResult {
+    floats: usize,
+    checksum_gbs: f64,
+    encode_us: f64,
+    decode_us: f64,
+    checksum_over_fnv1a: f64,
+}
+
+/// Smallest `wire.checksum_over_fnv1a` accepted under `--baseline`. A ratio of two
+/// loops over the same buffer on the same machine: the word-parallel checksum reads
+/// 20x to 35x, so anything under 4x means it fell back to a byte at a time.
+const CHECKSUM_MIN_SPEEDUP: f64 = 4.0;
+
+/// Byte-serial FNV-1a-64, what `wire::checksum` was before it went word-parallel.
+/// It lives here only, as the yardstick of `checksum_over_fnv1a`.
+fn fnv1a_reference(bytes: &[u8]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x1000_0000_01B3);
+    }
+    h
+}
+
+/// Checksum bandwidth and the two passes a bulk sync frame pays per process, at the
+/// VggLike parameter count: build (lay the `f32`s down + checksum) and parse
+/// (checksum + convert back).
+fn bench_wire(budget_s: f64) -> WireResult {
+    let floats = PaperModel::build(ModelKind::VggLike, 1).param_count();
+    let params: Vec<f32> = (0..floats).map(|i| (i % 13) as f32 * 0.1 - 0.6).collect();
+    fn build<'a>(frame: &'a mut FrameBuf, params: &[f32]) -> &'a [u8] {
+        frame.begin(MsgKind::Rpc, 7, 1);
+        frame.put_f32s(params);
+        frame.finish()
+    }
+    let mut frame = FrameBuf::new();
+    let encode_secs = time_per_call(budget_s, || {
+        black_box(build(&mut frame, black_box(&params)));
+    });
+    let sealed = build(&mut frame, &params);
+    let decode_secs = time_per_call(budget_s, || {
+        let view = EnvelopeRef::parse(black_box(sealed)).expect("own frame parses");
+        black_box(wire::f32s_from_le_bytes(view.payload));
+    });
+    let bytes = &sealed[..sealed.len() - 8];
+    // Alternate the two loops and keep each one's fastest reading, as
+    // `serial_and_pooled` does.
+    let mut best = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        let fast = time_per_call(budget_s / 5.0, || {
+            black_box(wire::checksum(black_box(bytes)));
+        });
+        let reference = time_per_call(budget_s / 5.0, || {
+            black_box(fnv1a_reference(black_box(bytes)));
+        });
+        best = (best.0.min(fast), best.1.min(reference));
+    }
+    WireResult {
+        floats,
+        checksum_gbs: bytes.len() as f64 / best.0 / 1e9,
+        encode_us: encode_secs * 1e6,
+        decode_us: decode_secs * 1e6,
+        checksum_over_fnv1a: best.1 / best.0,
+    }
+}
+
 struct SimRoundResult {
     workers: usize,
     threads: usize,
@@ -346,6 +419,8 @@ fn main() {
     // Worker-parallel round throughput across cluster widths and thread counts.
     let sim_round = bench_sim_round(quick);
 
+    let wire = bench_wire(budget_s);
+
     // Acceptance benchmark: 256^3 matmul at 1 vs 4 effective threads.
     let (m, k, n) = (256, 256, 256);
     let a = tensor(m, k, 5);
@@ -424,6 +499,10 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
+        "  \"wire\": {{ \"floats\": {}, \"checksum_gbs\": {:.3}, \"encode_us\": {:.1}, \"decode_us\": {:.1}, \"checksum_over_fnv1a\": {:.2} }},\n",
+        wire.floats, wire.checksum_gbs, wire.encode_us, wire.decode_us, wire.checksum_over_fnv1a
+    ));
+    json.push_str(&format!(
         "  \"speedup_256\": {{ \"t1_secs\": {:.6e}, \"t4_secs\": {:.6e}, \"t1_gflops\": {:.3}, \"t4_gflops\": {:.3}, \"speedup\": {:.3} }}\n",
         t1,
         t4,
@@ -452,6 +531,14 @@ fn main() {
                 r.pooled_over_serial()
             ));
         }
+        if wire.checksum_over_fnv1a < CHECKSUM_MIN_SPEEDUP {
+            failures.push(format!(
+                "wire::checksum is only {:.2}x a byte-serial FNV-1a loop on {} bytes \
+                 (floor {CHECKSUM_MIN_SPEEDUP}x): the bulk frame path is checksum-bound again",
+                wire.checksum_over_fnv1a,
+                4 * wire.floats
+            ));
+        }
         if !failures.is_empty() {
             for f in &failures {
                 eprintln!("bench_kernels: {f}");
@@ -460,7 +547,8 @@ fn main() {
         }
         eprintln!(
             "bench_kernels: sim_round within 20% of the committed baseline ({path}); \
-             below-grain kernels within {BELOW_GRAIN_MAX_RATIO}x of their serial time"
+             below-grain kernels within {BELOW_GRAIN_MAX_RATIO}x of their serial time; \
+             wire::checksum at least {CHECKSUM_MIN_SPEEDUP}x a byte-serial loop"
         );
     }
 }

@@ -25,9 +25,18 @@
 //!
 //! Workers are single-threaded and strictly lockstep per connection (write one
 //! frame, read one frame), so no request/response correlation ids are needed.
+//!
+//! **Data plane.** A frame crosses a process in one copy per direction. Going
+//! out it is laid down once in the connection's reused [`FrameBuf`] — header,
+//! op tag, scalars and the `&[f32]` body — checksummed and written with one
+//! `write_all`. Coming in, the stream is read straight into the
+//! [`FrameDecoder`]'s reassembly buffer, validated in place
+//! ([`EnvelopeRef::parse`]) and lent to the consumer ([`RpcService::handle_into`]
+//! on the hub, the `reply` closure of [`HubClient::call`] on a worker), whose
+//! `bytes → Vec<f32>` conversion is the only copy.
 
 use crate::transport::{Delivery, Link, Transport};
-use crate::wire::{Envelope, FrameDecoder, MsgKind, WireError, HUB_SENDER};
+use crate::wire::{EnvelopeRef, FrameBuf, FrameDecoder, MsgKind, WireError, HUB_SENDER};
 use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -75,11 +84,20 @@ pub trait RpcService: Send + Sync {
     /// travel back as the reply payload. May block (rendezvous ops do).
     fn handle(&self, worker: u32, round: u64, request: &[u8]) -> Vec<u8>;
 
+    /// What the hub actually calls: [`handle`](RpcService::handle) with the
+    /// reply payload appended to the outgoing frame (`reply.put*`) instead of
+    /// returned. Services with bulk replies implement this one and write the
+    /// parameter vector straight from its `&[f32]`; the default goes through
+    /// `handle`.
+    fn handle_into(&self, worker: u32, round: u64, request: &[u8], reply: &mut FrameBuf) {
+        reply.put(&self.handle(worker, round, request));
+    }
+
     /// The connection identified as `worker` terminated — cleanly (EOF at a
-    /// frame boundary) or abruptly (broken pipe, EOF mid-frame). Called exactly
-    /// once per identified connection, after its last frame was served; the
-    /// default does nothing. Services that model worker death as an eviction
-    /// hook in here.
+    /// frame boundary) or abruptly (broken pipe, EOF mid-frame, an undecodable
+    /// RPC frame). Called exactly once per identified connection, after its
+    /// last frame was served; the default does nothing. Services that model
+    /// worker death as an eviction hook in here.
     fn connection_closed(&self, worker: u32) {
         let _ = worker;
     }
@@ -89,44 +107,45 @@ fn wire_to_io(e: WireError) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
 }
 
-/// One side of a stream connection plus its reassembly buffer.
+/// One side of a stream connection: the stream, the reassembly buffer its
+/// incoming frames are read into and the buffer its outgoing RPC frames are
+/// built in.
 struct Conn {
     stream: Box<dyn Stream>,
     decoder: FrameDecoder,
+    out: FrameBuf,
 }
 
 /// Object-safe Read + Write.
 trait Stream: Read + Write + Send {}
 impl<T: Read + Write + Send> Stream for T {}
 
-impl Conn {
-    fn write_frame(&mut self, frame: &[u8]) -> std::io::Result<()> {
-        self.stream.write_all(frame)?;
-        self.stream.flush()
-    }
+fn write_frame(stream: &mut dyn Stream, frame: &[u8]) -> std::io::Result<()> {
+    stream.write_all(frame)?;
+    stream.flush()
+}
 
-    /// Block until one complete frame is reassembled. `Ok(None)` on clean EOF
-    /// at a frame boundary; EOF mid-frame is an error.
-    fn read_frame(&mut self) -> std::io::Result<Option<Vec<u8>>> {
-        let mut buf = [0u8; 64 * 1024];
-        loop {
-            if let Some(frame) = self.decoder.next_frame().map_err(wire_to_io)? {
-                return Ok(Some(frame));
-            }
-            let n = self.stream.read(&mut buf)?;
-            if n == 0 {
-                return if self.decoder.pending() == 0 {
-                    Ok(None)
-                } else {
-                    Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        format!("stream ended {} bytes into a frame", self.decoder.pending()),
-                    ))
-                };
-            }
-            self.decoder.push(&buf[..n]);
+/// Block until one complete frame is reassembled and lend it out of the
+/// decoder. `Ok(None)` on clean EOF at a frame boundary; EOF mid-frame is an
+/// error. (A function of the two fields rather than a `Conn` method so the
+/// caller can write to the stream — the hub's verbatim echo — while it still
+/// holds the frame.)
+fn read_frame<'a>(
+    stream: &mut dyn Stream,
+    decoder: &'a mut FrameDecoder,
+) -> std::io::Result<Option<&'a [u8]>> {
+    while !decoder.has_frame().map_err(wire_to_io)? {
+        if decoder.read_from(stream)? == 0 {
+            return match decoder.pending() {
+                0 => Ok(None),
+                pending => Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    format!("stream ended {pending} bytes into a frame"),
+                )),
+            };
         }
     }
+    decoder.next_frame_ref().map_err(wire_to_io)
 }
 
 /// A worker's connection to the hub. Cheap to clone handles off
@@ -152,9 +171,7 @@ impl SocketConn {
                 SocketAddrSpec::Unix(path) => {
                     UnixStream::connect(path).map(|s| Box::new(s) as Box<dyn Stream>)
                 }
-                SocketAddrSpec::Tcp(addr) => {
-                    TcpStream::connect(addr).map(|s| Box::new(s) as Box<dyn Stream>)
-                }
+                SocketAddrSpec::Tcp(addr) => TcpStream::connect(addr).and_then(tcp_stream),
             };
             match attempt {
                 Ok(stream) => {
@@ -162,6 +179,7 @@ impl SocketConn {
                         conn: Arc::new(Mutex::new(Conn {
                             stream,
                             decoder: FrameDecoder::new(),
+                            out: FrameBuf::new(),
                         })),
                     })
                 }
@@ -210,14 +228,16 @@ pub struct SocketTransport {
 impl Transport for SocketTransport {
     fn deliver(&self, link: Link, frame: &[u8]) -> Vec<Delivery> {
         let mut conn = self.conn.lock();
-        conn.write_frame(frame)
+        let Conn {
+            stream, decoder, ..
+        } = &mut *conn;
+        write_frame(&mut **stream, frame)
             .unwrap_or_else(|e| panic!("socket transport write failed on {link:?}: {e}"));
-        let echoed = conn
-            .read_frame()
+        let echoed = read_frame(&mut **stream, decoder)
             .unwrap_or_else(|e| panic!("socket transport read failed on {link:?}: {e}"))
             .unwrap_or_else(|| panic!("hub closed the connection mid-exchange on {link:?}"));
         vec![Delivery {
-            frame: echoed,
+            frame: echoed.to_vec(),
             delayed: false,
         }]
     }
@@ -232,28 +252,48 @@ pub struct HubClient {
 impl HubClient {
     /// Call the hub service and return its reply payload.
     pub fn rpc(&self, round: u64, payload: Vec<u8>) -> Vec<u8> {
-        let request = Envelope {
-            kind: MsgKind::Rpc,
-            round,
-            sender: self.worker,
-            payload,
-        };
+        self.call(round, |request| request.put(&payload), <[u8]>::to_vec)
+    }
+
+    /// Call the hub service without intermediate buffers: `request` appends
+    /// the payload to the outgoing frame (`put` / `put_f32s`), `reply` reads
+    /// the validated reply payload where it was received.
+    pub fn call<R>(
+        &self,
+        round: u64,
+        request: impl FnOnce(&mut FrameBuf),
+        reply: impl FnOnce(&[u8]) -> R,
+    ) -> R {
         let mut conn = self.conn.lock();
-        conn.write_frame(&request.encode())
+        let Conn {
+            stream,
+            decoder,
+            out,
+        } = &mut *conn;
+        out.begin(MsgKind::Rpc, round, self.worker);
+        request(out);
+        write_frame(&mut **stream, out.finish())
             .unwrap_or_else(|e| panic!("rpc write failed (worker {}): {e}", self.worker));
-        let frame = conn
-            .read_frame()
+        let frame = read_frame(&mut **stream, decoder)
             .unwrap_or_else(|e| panic!("rpc read failed (worker {}): {e}", self.worker))
             .unwrap_or_else(|| {
                 panic!("hub closed the connection mid-rpc (worker {})", self.worker)
             });
-        let reply = Envelope::decode(&frame)
+        let answer = EnvelopeRef::parse(frame)
             .unwrap_or_else(|e| panic!("rpc reply failed to decode (worker {}): {e}", self.worker));
-        assert_eq!(reply.kind, MsgKind::Rpc, "rpc reply kind");
-        assert_eq!(reply.round, round, "rpc reply round");
-        assert_eq!(reply.sender, HUB_SENDER, "rpc reply sender");
-        reply.payload
+        assert_eq!(answer.kind, MsgKind::Rpc, "rpc reply kind");
+        assert_eq!(answer.round, round, "rpc reply round");
+        assert_eq!(answer.sender, HUB_SENDER, "rpc reply sender");
+        reply(answer.payload)
     }
+}
+
+/// Box a connected TCP stream with Nagle's algorithm off: the protocol is
+/// strict request/reply, so a small frame must leave at once instead of
+/// waiting for the peer's delayed ACK.
+fn tcp_stream(stream: TcpStream) -> std::io::Result<Box<dyn Stream>> {
+    stream.set_nodelay(true)?;
+    Ok(Box::new(stream))
 }
 
 /// The hub process's listener: accepts exactly one connection per worker and
@@ -292,7 +332,7 @@ impl HubServer {
             for _ in 0..workers {
                 let stream: Box<dyn Stream> = match &self.listener {
                     Listener::Unix(l) => Box::new(l.accept()?.0),
-                    Listener::Tcp(l) => Box::new(l.accept()?.0),
+                    Listener::Tcp(l) => tcp_stream(l.accept()?.0)?,
                 };
                 let service = Arc::clone(&service);
                 handles.push(scope.spawn(move || serve_connection(stream, service)));
@@ -323,62 +363,55 @@ fn frame_sender(frame: &[u8]) -> Option<u32> {
         .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
 }
 
-fn serve_connection(stream: Box<dyn Stream>, service: Arc<dyn RpcService>) -> std::io::Result<()> {
-    let mut conn = Conn {
-        stream,
-        decoder: FrameDecoder::new(),
-    };
+fn serve_connection(
+    mut stream: Box<dyn Stream>,
+    service: Arc<dyn RpcService>,
+) -> std::io::Result<()> {
+    let mut decoder = FrameDecoder::new();
+    let mut out = FrameBuf::new();
     // The worker behind this connection, learned from the first frame's sender
-    // field. Before identification an I/O failure is a hub-fatal error; after
-    // it, any termination — clean EOF, mid-frame EOF, broken pipe — is a worker
-    // death, reported to the service (which models it as a deterministic
-    // eviction) instead of tearing the whole cluster down.
+    // field (of an RPC frame only once it validated). Before identification a
+    // failure is a hub-fatal error; after it, any termination — clean EOF,
+    // mid-frame EOF, broken pipe, an undecodable RPC frame — is a worker death,
+    // reported to the service (which models it as a deterministic eviction)
+    // instead of tearing the whole cluster down or leaving it waiting.
     let mut worker: Option<u32> = None;
-    let closed = |w: u32| {
-        service.connection_closed(w);
-        Ok(())
+    let ended = |worker: Option<u32>, cause: std::io::Result<()>| match worker {
+        Some(w) => {
+            service.connection_closed(w);
+            Ok(())
+        }
+        None => cause,
     };
     loop {
-        let frame = match conn.read_frame() {
+        let frame = match read_frame(&mut *stream, &mut decoder) {
             Ok(Some(frame)) => frame,
-            Ok(None) => break,
-            Err(e) => {
-                return match worker {
-                    Some(w) => closed(w),
-                    None => Err(e),
-                }
-            }
+            Ok(None) => return ended(worker, Ok(())),
+            Err(e) => return ended(worker, Err(e)),
         };
-        if worker.is_none() {
-            worker = frame_sender(&frame);
-        }
         // Only RPC frames are interpreted; everything else — including frames a
         // worker-side fault decorator corrupted — is echoed back untouched. The
         // worker's message layer does the checksum validation, exactly as it
         // does over the in-memory transports.
         let is_rpc = frame.len() > 4 && frame[4] == MsgKind::Rpc.as_u8();
         let reply = if is_rpc {
-            let request = Envelope::decode(&frame).map_err(wire_to_io)?;
-            Envelope {
-                kind: MsgKind::Rpc,
-                round: request.round,
-                sender: HUB_SENDER,
-                payload: service.handle(request.sender, request.round, &request.payload),
-            }
-            .encode()
+            let request = match EnvelopeRef::parse(frame) {
+                Ok(request) => request,
+                Err(e) => return ended(worker, Err(wire_to_io(e))),
+            };
+            worker.get_or_insert(request.sender);
+            out.begin(MsgKind::Rpc, request.round, HUB_SENDER);
+            service.handle_into(request.sender, request.round, request.payload, &mut out);
+            out.finish()
         } else {
+            if worker.is_none() {
+                worker = frame_sender(frame);
+            }
             frame
         };
-        if let Err(e) = conn.write_frame(&reply) {
-            return match worker {
-                Some(w) => closed(w),
-                None => Err(e),
-            };
+        if let Err(e) = write_frame(&mut *stream, reply) {
+            return ended(worker, Err(e));
         }
-    }
-    match worker {
-        Some(w) => closed(w),
-        None => Ok(()),
     }
 }
 
@@ -387,12 +420,26 @@ mod tests {
     use super::*;
     use crate::faults::{CommFaultSchedule, CommFaultSpec, Leg};
     use crate::transport::MessageLayer;
+    use crate::wire::Envelope;
 
     /// A service that answers with the request payload reversed.
     struct Reverser;
     impl RpcService for Reverser {
         fn handle(&self, _worker: u32, _round: u64, request: &[u8]) -> Vec<u8> {
             request.iter().rev().copied().collect()
+        }
+    }
+
+    /// An echo service that records every `connection_closed` call.
+    struct Recorder {
+        closed: Mutex<Vec<u32>>,
+    }
+    impl RpcService for Recorder {
+        fn handle(&self, _worker: u32, _round: u64, request: &[u8]) -> Vec<u8> {
+            request.to_vec()
+        }
+        fn connection_closed(&self, worker: u32) {
+            self.closed.lock().push(worker);
         }
     }
 
@@ -547,17 +594,6 @@ mod tests {
 
     #[test]
     fn worker_hangup_after_identification_fires_connection_closed_once() {
-        struct Recorder {
-            closed: Mutex<Vec<u32>>,
-        }
-        impl RpcService for Recorder {
-            fn handle(&self, _worker: u32, _round: u64, request: &[u8]) -> Vec<u8> {
-                request.to_vec()
-            }
-            fn connection_closed(&self, worker: u32) {
-                self.closed.lock().push(worker);
-            }
-        }
         let addr = temp_sock("hangup");
         let server = HubServer::bind(&addr).expect("bind");
         let service = Arc::new(Recorder {
@@ -600,6 +636,233 @@ mod tests {
         closed.sort_unstable();
         assert_eq!(closed, vec![7, 9, 11]);
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn undecodable_rpc_frame_from_an_identified_worker_is_a_death_not_a_hang() {
+        let addr = temp_sock("bad-rpc");
+        let server = HubServer::bind(&addr).expect("bind");
+        let service = Arc::new(Recorder {
+            closed: Mutex::new(Vec::new()),
+        });
+        let svc: Arc<dyn RpcService> = Arc::clone(&service) as _;
+        let serving = std::thread::spawn(move || server.serve(1, svc));
+        let SocketAddrSpec::Unix(path) = &addr else {
+            unreachable!()
+        };
+        let mut raw = UnixStream::connect(path).expect("raw connect");
+        let rpc = |round: u64| {
+            Envelope {
+                kind: MsgKind::Rpc,
+                round,
+                sender: 5,
+                payload: vec![1, 2, 3],
+            }
+            .encode()
+        };
+        // One good RPC identifies worker 5 ...
+        raw.write_all(&rpc(0)).expect("good frame");
+        let mut reply = vec![0u8; rpc(0).len()];
+        raw.read_exact(&mut reply).expect("reply");
+        assert_eq!(
+            Envelope::decode(&reply).expect("reply decodes").payload,
+            vec![1, 2, 3]
+        );
+        // ... then one whose trailer is wrong. The hub must report the death —
+        // a round barrier would otherwise wait for worker 5 forever — and hang
+        // up, without failing the whole serve.
+        let mut bad = rpc(1);
+        let last = bad.len() - 1;
+        bad[last] ^= 0x40;
+        raw.write_all(&bad).expect("bad frame");
+        assert_eq!(raw.read(&mut [0u8; 1]).expect("hub hangs up"), 0);
+        serving
+            .join()
+            .unwrap()
+            .expect("an identified worker's bad frame is not hub-fatal");
+        assert_eq!(*service.closed.lock(), vec![5]);
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// A stream double that moves 1..=7 bytes per call in either direction —
+    /// the worst chunking a byte stream may legally produce.
+    struct Trickle {
+        incoming: Vec<u8>,
+        read_at: usize,
+        calls: usize,
+        written: Arc<Mutex<Vec<u8>>>,
+    }
+
+    impl Trickle {
+        fn step(&mut self) -> usize {
+            self.calls += 1;
+            1 + self.calls * 5 % 7
+        }
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self
+                .step()
+                .min(buf.len())
+                .min(self.incoming.len() - self.read_at);
+            buf[..n].copy_from_slice(&self.incoming[self.read_at..self.read_at + n]);
+            self.read_at += n;
+            Ok(n)
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = self.step().min(buf.len());
+            self.written.lock().extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frames_survive_seven_byte_reads_short_writes_and_eof_mid_frame_is_an_error() {
+        let reply = |round: u64, payload: Vec<u8>| Envelope {
+            kind: MsgKind::Rpc,
+            round,
+            sender: HUB_SENDER,
+            payload,
+        };
+        // What the "hub" will have sent: two replies back to back, an echo,
+        // then a frame cut off one byte short.
+        let echo = Envelope {
+            kind: MsgKind::Flags,
+            round: 3,
+            sender: 2,
+            payload: vec![1],
+        }
+        .encode();
+        let mut incoming = reply(1, (0u8..200).collect()).encode();
+        incoming.extend(reply(2, vec![]).encode());
+        incoming.extend(&echo);
+        let cut = reply(4, vec![7; 40]).encode();
+        incoming.extend(&cut[..cut.len() - 1]);
+        let written = Arc::new(Mutex::new(Vec::new()));
+        let conn = SocketConn {
+            conn: Arc::new(Mutex::new(Conn {
+                stream: Box::new(Trickle {
+                    incoming,
+                    read_at: 0,
+                    calls: 0,
+                    written: Arc::clone(&written),
+                }),
+                decoder: FrameDecoder::new(),
+                out: FrameBuf::new(),
+            })),
+        };
+        let client = conn.client(2);
+        // Reassembly across many tiny reads; the second reply arrives
+        // coalesced behind the first as far as the decoder is concerned.
+        let sum = client.call(
+            1,
+            |request| request.put_f32s(&[1.0, -2.0]),
+            |payload| payload.iter().map(|&b| u32::from(b)).sum::<u32>(),
+        );
+        assert_eq!(sum, (0..200).sum::<u32>());
+        assert_eq!(client.rpc(2, vec![9]), Vec::<u8>::new());
+        let link = Link {
+            worker: 2,
+            round: 3,
+            attempt: 0,
+            leg: Leg::Request,
+        };
+        assert_eq!(conn.transport().deliver(link, &echo)[0].frame, echo);
+        // Short writes lost nothing: the stream holds exactly the three frames,
+        // and the piecewise-built ones are what `Envelope::encode` produces.
+        let request = |round: u64, payload: Vec<u8>| Envelope {
+            kind: MsgKind::Rpc,
+            round,
+            sender: 2,
+            payload,
+        };
+        let floats = [1.0f32.to_le_bytes(), (-2.0f32).to_le_bytes()].concat();
+        let mut expected = request(1, floats).encode();
+        expected.extend(request(2, vec![9]).encode());
+        expected.extend(&echo);
+        assert_eq!(*written.lock(), expected);
+        // The stream ends inside the fourth frame.
+        let mut guard = conn.conn.lock();
+        let Conn {
+            stream, decoder, ..
+        } = &mut *guard;
+        let err = read_frame(&mut **stream, decoder).expect_err("EOF mid-frame");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(err
+            .to_string()
+            .contains(&format!("{} bytes into a frame", cut.len() - 1)));
+    }
+
+    #[test]
+    fn bulk_rpc_round_trips_every_f32_bit_pattern_exactly() {
+        use crate::wire::f32s_from_le_bytes;
+        /// Answers a parameter vector with the same words in reverse order.
+        struct Mirror;
+        impl RpcService for Mirror {
+            fn handle(&self, _worker: u32, _round: u64, _request: &[u8]) -> Vec<u8> {
+                unreachable!("the hub calls handle_into")
+            }
+            fn handle_into(&self, _worker: u32, _round: u64, request: &[u8], reply: &mut FrameBuf) {
+                let mut values = f32s_from_le_bytes(request);
+                values.reverse();
+                reply.put_f32s(&values);
+            }
+        }
+        // 100 000 words: the special values first, then a bit-pattern sweep that
+        // lands on quiet and signalling NaNs with payloads, infinities and
+        // subnormals of both signs.
+        let mut sent: Vec<f32> = vec![
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE / 2.0,
+            -f32::MIN_POSITIVE / 4.0,
+            f32::from_bits(0x7FC0_0001),
+            f32::from_bits(0xFFA5_5A5A),
+            f32::from_bits(0x7F80_0001),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        sent.extend(
+            (sent.len()..100_000).map(|i| f32::from_bits((i as u32).wrapping_mul(0x9E37_79B9))),
+        );
+        let bits = |vs: &[f32]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let addr = temp_sock("bulk");
+        let server = HubServer::bind(&addr).expect("bind");
+        let serving = std::thread::spawn(move || server.serve(1, Arc::new(Mirror)));
+        let conn = SocketConn::connect(&addr, Duration::from_secs(5)).expect("connect");
+        let client = conn.client(0);
+        for round in 0..3u64 {
+            let got = client.call(round, |request| request.put_f32s(&sent), f32s_from_le_bytes);
+            let mut expected = bits(&sent);
+            expected.reverse();
+            assert_eq!(bits(&got), expected, "round {round}");
+        }
+        drop((client, conn));
+        serving.join().unwrap().expect("hub serves cleanly");
+        if let SocketAddrSpec::Unix(path) = &addr {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+
+    #[test]
+    fn both_ends_of_a_tcp_connection_run_with_nagle_off() {
+        // `connect` and `serve` both box their TCP streams through `tcp_stream`.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let connected = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        for stream in [connected, accepted] {
+            let probe = stream.try_clone().expect("clone shares the socket");
+            assert!(!probe.nodelay().expect("getsockopt"));
+            let _boxed = tcp_stream(stream).expect("setsockopt");
+            assert!(probe.nodelay().expect("getsockopt"));
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! A line-oriented text file, human-diffable like the event log:
 //!
 //! ```text
-//! selsync-ckpt v1
+//! selsync-ckpt v2
 //! backend sim
 //! fingerprint 9f8a7b6c5d4e3f21
 //! round 7
@@ -29,9 +29,12 @@
 //!
 //! Floats are stored as `f32::to_bits` hex words (bit-exact; no decimal rounding),
 //! `f64` accumulators as `to_bits` inside the `i` array. The trailing `checksum`
-//! line is FNV-1a-64 ([`selsync_comm::wire::checksum`]) over every preceding byte
-//! and carries **no trailing newline**, so any single-byte corruption — including
-//! in the checksum line itself — is rejected at decode time.
+//! line is the wire layer's 64-bit word-parallel checksum
+//! ([`selsync_comm::wire::checksum`]) over every preceding byte and carries **no
+//! trailing newline**, so any single-byte corruption — including in the checksum
+//! line itself — is rejected at decode time. Format v1 used FNV-1a-64 for the
+//! trailer and the fingerprint; v1 images are refused by version, before either
+//! is looked at.
 
 use std::fs;
 use std::path::Path;
@@ -44,8 +47,10 @@ use crate::config::TrainConfig;
 use crate::policy::PolicyState;
 use crate::tracker::TrackerState;
 
-/// Format tag in the first line of every checkpoint file.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Format tag in the first line of every checkpoint file. v2: the trailer and
+/// the config fingerprint moved from FNV-1a-64 to the word-parallel
+/// [`wire::checksum`].
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// One named state block: parallel integer/float arrays with a fixed, producer-defined
 /// packing (read back with a [`SectionReader`] in the same order).
@@ -415,6 +420,25 @@ impl Checkpoint {
     /// Parse and verify the text format. Any structural damage or checksum mismatch
     /// is an error — a checkpoint is either bit-perfect or rejected.
     pub fn decode(text: &str) -> Result<Checkpoint, String> {
+        // The version gates everything else: another build's checksum function
+        // would only ever report a mismatch, which reads as corruption.
+        let version = text.lines().next().unwrap_or_default();
+        if let Some(v) = version
+            .strip_prefix("selsync-ckpt v")
+            .and_then(|v| v.parse::<u32>().ok())
+        {
+            if v != CHECKPOINT_VERSION {
+                let age = if v < CHECKPOINT_VERSION {
+                    "an older"
+                } else {
+                    "a newer"
+                };
+                return Err(format!(
+                    "checkpoint: written by {age} build (v{v}), this build reads \
+                     v{CHECKPOINT_VERSION}"
+                ));
+            }
+        }
         let last_nl = text
             .rfind('\n')
             .ok_or_else(|| "checkpoint: missing body".to_string())?;
@@ -570,7 +594,7 @@ impl Checkpoint {
     }
 }
 
-/// FNV-1a-64 fingerprint of the configuration facets a checkpoint depends on.
+/// 64-bit fingerprint ([`wire::checksum`]) of the configuration facets a checkpoint depends on.
 ///
 /// Resume refuses a checkpoint whose fingerprint disagrees with the live config —
 /// continuing a run under a different model / cluster shape / fault schedule would
@@ -633,6 +657,24 @@ mod tests {
         assert_eq!(back, ckpt);
         // Idempotent: re-encoding the decoded value is byte-identical.
         assert_eq!(back.encode(), text);
+    }
+
+    #[test]
+    fn an_image_of_another_format_version_is_refused_by_version_not_by_checksum() {
+        // A v1 image as the previous build wrote it: same layout, FNV-1a trailer.
+        // Its checksum line cannot match this build's function; the diagnosis
+        // must name the version instead.
+        let v2 = sample().encode();
+        let v1 = v2.replacen("selsync-ckpt v2\n", "selsync-ckpt v1\n", 1);
+        assert_eq!(
+            Checkpoint::decode(&v1).unwrap_err(),
+            "checkpoint: written by an older build (v1), this build reads v2"
+        );
+        let v3 = v2.replacen("selsync-ckpt v2\n", "selsync-ckpt v3\n", 1);
+        assert_eq!(
+            Checkpoint::decode(&v3).unwrap_err(),
+            "checkpoint: written by a newer build (v3), this build reads v2"
+        );
     }
 
     #[test]

@@ -83,6 +83,7 @@ use crate::worker::{run_worker, with_ps_gate, ClusterLink, WorkerInputs};
 use parking_lot::{Condvar, Mutex};
 use selsync_comm::faults::CommFaultSchedule;
 use selsync_comm::socket::{HubClient, HubServer, RpcService, SocketAddrSpec, SocketConn};
+use selsync_comm::wire::{f32s_from_le_bytes, FrameBuf, MsgKind, HUB_SENDER};
 use selsync_comm::{MessageLayer, ScalarOp};
 use selsync_nn::model::PaperModel;
 use selsync_tracelog::EventLog;
@@ -107,18 +108,6 @@ mod op {
     pub const BOARD_OBSERVE: u8 = 10;
     pub const ROUND_BEGIN: u8 = 11;
     pub const CKPT_DEPOSIT: u8 = 12;
-}
-
-fn f32s_to_bytes(values: &[f32]) -> Vec<u8> {
-    values.iter().flat_map(|v| v.to_le_bytes()).collect()
-}
-
-fn bytes_to_f32s(bytes: &[u8]) -> Vec<f32> {
-    assert!(bytes.len().is_multiple_of(4), "f32 payload length");
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect()
 }
 
 fn scalar_op_tag(op: ScalarOp) -> u8 {
@@ -202,13 +191,12 @@ impl Ledger {
 }
 
 /// Reply wire shape of `op::ROUND_BEGIN`: count, then `(worker, round)` pairs.
-fn encode_evictions(evictions: &[(usize, usize)]) -> Vec<u8> {
-    let mut out = (evictions.len() as u32).to_le_bytes().to_vec();
+fn put_evictions(reply: &mut FrameBuf, evictions: &[(usize, usize)]) {
+    reply.put(&(evictions.len() as u32).to_le_bytes());
     for &(worker, round) in evictions {
-        out.extend((worker as u32).to_le_bytes());
-        out.extend((round as u64).to_le_bytes());
+        reply.put(&(worker as u32).to_le_bytes());
+        reply.put(&(round as u64).to_le_bytes());
     }
-    out
 }
 
 impl HubService {
@@ -217,7 +205,7 @@ impl HubService {
     /// base-present worker of the round has either announced it or died, then
     /// returns the eviction prefix frozen at the barrier's release — identical
     /// for every present worker of the round.
-    fn round_begin(&self, worker: usize, it: usize) -> Vec<u8> {
+    fn round_begin(&self, worker: usize, it: usize, reply: &mut FrameBuf) {
         let n = self.cfg.workers;
         let mut s = self.ledger.lock();
         assert!(!s.dead[worker], "dead worker {worker} announced round {it}");
@@ -231,7 +219,7 @@ impl HubService {
             // Released rounds stay on file: a parked waiter always finds its
             // round here first, even after faster workers advanced past it.
             if let Some(&frozen) = s.released.get(&it) {
-                return encode_evictions(&s.evictions[..frozen]);
+                return put_evictions(reply, &s.evictions[..frozen]);
             }
             let complete = self
                 .core
@@ -243,7 +231,7 @@ impl HubService {
                 let frozen = s.evictions.len();
                 s.released.insert(it, frozen);
                 self.cv.notify_all();
-                return encode_evictions(&s.evictions[..frozen]);
+                return put_evictions(reply, &s.evictions[..frozen]);
             }
             self.cv.wait(&mut s);
         }
@@ -332,58 +320,57 @@ impl HubService {
 
 impl RpcService for HubService {
     fn handle(&self, worker: u32, round: u64, request: &[u8]) -> Vec<u8> {
+        let mut reply = FrameBuf::new();
+        reply.begin(MsgKind::Rpc, round, HUB_SENDER);
+        self.handle_into(worker, round, request, &mut reply);
+        reply.payload().to_vec()
+    }
+
+    fn handle_into(&self, worker: u32, round: u64, request: &[u8], reply: &mut FrameBuf) {
         let worker = worker as usize;
         let args = &request[1..];
         let ClusterCore { handles, board, .. } = &self.core;
         let (ps, collective) = (&handles.ps, &handles.collective);
         match request[0] {
-            op::PULL => f32s_to_bytes(&ps.pull()),
-            op::SCHED_GLOBAL_BEFORE => f32s_to_bytes(&ps.scheduled_global_before(round)),
+            op::PULL => reply.put_f32s(&ps.pull()),
+            op::SCHED_GLOBAL_BEFORE => reply.put_f32s(&ps.scheduled_global_before(round)),
             op::SCHED_ROUND_BEFORE => match ps.scheduled_round_before(round) {
                 Some(r) => {
-                    let mut out = vec![1u8];
-                    out.extend_from_slice(&r.to_le_bytes());
-                    out
+                    reply.put(&[1]);
+                    reply.put(&r.to_le_bytes());
                 }
-                None => vec![0u8],
+                None => reply.put(&[0]),
             },
             op::SYNC_ROUND => {
                 let expected = read_u32(args, 0) as usize;
-                let params = bytes_to_f32s(&args[4..]);
-                f32s_to_bytes(&ps.sync_round_elastic(round, worker, &params, expected))
+                let params = f32s_from_le_bytes(&args[4..]);
+                reply.put_f32s(&ps.sync_round_elastic(round, worker, &params, expected));
             }
             op::ALLGATHER_FLAGS => {
                 let flag = args[0] != 0;
                 let expected = read_u32(args, 1) as usize;
-                collective
-                    .allgather_flags_among(round, worker, flag, expected)
-                    .into_iter()
-                    .map(u8::from)
-                    .collect()
+                for flag in collective.allgather_flags_among(round, worker, flag, expected) {
+                    reply.put(&[u8::from(flag)]);
+                }
             }
             op::ALLREDUCE_SCALAR => {
                 let op = scalar_op_from_tag(args[0]);
                 let expected = read_u32(args, 1) as usize;
                 let value = read_f32(args, 5);
-                collective
-                    .allreduce_scalar_among(round, worker, value, expected, op)
-                    .to_le_bytes()
-                    .to_vec()
+                let reduced = collective.allreduce_scalar_among(round, worker, value, expected, op);
+                reply.put(&reduced.to_le_bytes());
             }
             op::ALLREDUCE_VEC => {
                 let op = scalar_op_from_tag(args[0]);
                 let expected = read_u32(args, 1) as usize;
-                let values = bytes_to_f32s(&args[5..]);
-                f32s_to_bytes(&collective.allreduce_vec_among(round, worker, values, expected, op))
+                let values = f32s_from_le_bytes(&args[5..]);
+                reply
+                    .put_f32s(&collective.allreduce_vec_among(round, worker, values, expected, op));
             }
-            op::BOARD_WAIT_CAUGHT_UP => {
-                board.wait_caught_up(read_u64(args, 0) as usize);
-                Vec::new()
+            op::BOARD_WAIT_CAUGHT_UP => board.wait_caught_up(read_u64(args, 0) as usize),
+            op::BOARD_DELTA_FOR => {
+                reply.put(&board.delta_for(read_u64(args, 0) as usize).to_le_bytes())
             }
-            op::BOARD_DELTA_FOR => board
-                .delta_for(read_u64(args, 0) as usize)
-                .to_le_bytes()
-                .to_vec(),
             op::BOARD_OBSERVE => {
                 let signal = RoundSignal {
                     iteration: read_u64(args, 0) as usize,
@@ -395,15 +382,13 @@ impl RpcService for HubService {
                 };
                 let next_round = read_u64(args, 25) as usize;
                 board.observe(signal, next_round);
-                Vec::new()
             }
-            op::ROUND_BEGIN => self.round_begin(worker, read_u64(args, 0) as usize),
+            op::ROUND_BEGIN => self.round_begin(worker, read_u64(args, 0) as usize, reply),
             op::CKPT_DEPOSIT => {
                 let it = read_u64(args, 0) as usize;
                 let image =
                     std::str::from_utf8(&args[8..]).expect("checkpoint deposit payload is UTF-8");
                 self.ckpt_deposit(worker, it, image);
-                Vec::new()
             }
             other => panic!("unknown rpc op {other} from worker {worker}"),
         }
@@ -441,41 +426,63 @@ struct RemoteCluster<'a> {
 }
 
 impl RemoteCluster<'_> {
-    fn request(&self, round: u64, op: u8, args: &[u8]) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(1 + args.len());
-        payload.push(op);
-        payload.extend_from_slice(args);
-        self.client.rpc(round, payload)
+    /// One blocking RPC: the op tag, then whatever `args` appends, out; the
+    /// reply payload lent to `reply` where it was received.
+    fn request<R>(
+        &self,
+        round: u64,
+        op: u8,
+        args: impl FnOnce(&mut FrameBuf),
+        reply: impl FnOnce(&[u8]) -> R,
+    ) -> R {
+        let request = |frame: &mut FrameBuf| {
+            frame.put(&[op]);
+            args(frame);
+        };
+        self.client.call(round, request, reply)
     }
+}
+
+/// Head of the collective ops' argument list: reduction tag, expected count.
+fn put_reduce_head(frame: &mut FrameBuf, op: ScalarOp, expected: usize) {
+    frame.put(&[scalar_op_tag(op)]);
+    frame.put(&(expected as u32).to_le_bytes());
 }
 
 impl ClusterLink for RemoteCluster<'_> {
     fn pull(&self) -> Vec<f32> {
-        bytes_to_f32s(&self.request(u64::MAX, op::PULL, &[]))
+        self.request(u64::MAX, op::PULL, |_| {}, f32s_from_le_bytes)
     }
 
     fn scheduled_global_before(&self, round: u64) -> Vec<f32> {
-        bytes_to_f32s(&self.request(round, op::SCHED_GLOBAL_BEFORE, &[]))
+        self.request(round, op::SCHED_GLOBAL_BEFORE, |_| {}, f32s_from_le_bytes)
     }
 
     fn scheduled_round_before(&self, round: u64) -> Option<u64> {
-        let reply = self.request(round, op::SCHED_ROUND_BEFORE, &[]);
-        (reply[0] != 0).then(|| read_u64(&reply, 1))
+        self.request(
+            round,
+            op::SCHED_ROUND_BEFORE,
+            |_| {},
+            |reply| (reply[0] != 0).then(|| read_u64(reply, 1)),
+        )
     }
 
     fn sync_round_elastic(&self, round: u64, params: &[f32], expected: usize) -> Vec<f32> {
-        let mut args = (expected as u32).to_le_bytes().to_vec();
-        args.extend(f32s_to_bytes(params));
-        bytes_to_f32s(&self.request(round, op::SYNC_ROUND, &args))
+        let args = |frame: &mut FrameBuf| {
+            frame.put(&(expected as u32).to_le_bytes());
+            frame.put_f32s(params);
+        };
+        self.request(round, op::SYNC_ROUND, args, f32s_from_le_bytes)
     }
 
     fn allgather_flags_among(&self, round: u64, flag: bool, expected: usize) -> Vec<bool> {
-        let mut args = vec![flag as u8];
-        args.extend((expected as u32).to_le_bytes());
-        self.request(round, op::ALLGATHER_FLAGS, &args)
-            .into_iter()
-            .map(|b| b != 0)
-            .collect()
+        let args = |frame: &mut FrameBuf| {
+            frame.put(&[flag as u8]);
+            frame.put(&(expected as u32).to_le_bytes());
+        };
+        self.request(round, op::ALLGATHER_FLAGS, args, |reply| {
+            reply.iter().map(|&b| b != 0).collect()
+        })
     }
 
     fn allreduce_scalar_among(
@@ -485,10 +492,13 @@ impl ClusterLink for RemoteCluster<'_> {
         expected: usize,
         op_: ScalarOp,
     ) -> f32 {
-        let mut args = vec![scalar_op_tag(op_)];
-        args.extend((expected as u32).to_le_bytes());
-        args.extend(value.to_le_bytes());
-        read_f32(&self.request(round, op::ALLREDUCE_SCALAR, &args), 0)
+        let args = |frame: &mut FrameBuf| {
+            put_reduce_head(frame, op_, expected);
+            frame.put(&value.to_le_bytes());
+        };
+        self.request(round, op::ALLREDUCE_SCALAR, args, |reply| {
+            read_f32(reply, 0)
+        })
     }
 
     fn allreduce_vec_among(
@@ -498,56 +508,54 @@ impl ClusterLink for RemoteCluster<'_> {
         expected: usize,
         op_: ScalarOp,
     ) -> Vec<f32> {
-        let mut args = vec![scalar_op_tag(op_)];
-        args.extend((expected as u32).to_le_bytes());
-        args.extend(f32s_to_bytes(values));
-        bytes_to_f32s(&self.request(round, op::ALLREDUCE_VEC, &args))
+        let args = |frame: &mut FrameBuf| {
+            put_reduce_head(frame, op_, expected);
+            frame.put_f32s(values);
+        };
+        self.request(round, op::ALLREDUCE_VEC, args, f32s_from_le_bytes)
     }
 
     fn wait_caught_up(&self, iteration: usize) {
-        self.request(
-            iteration as u64,
-            op::BOARD_WAIT_CAUGHT_UP,
-            &(iteration as u64).to_le_bytes(),
-        );
+        let it = iteration as u64;
+        let args = |frame: &mut FrameBuf| frame.put(&it.to_le_bytes());
+        self.request(it, op::BOARD_WAIT_CAUGHT_UP, args, |_| {});
     }
 
     fn delta_for(&self, iteration: usize) -> f32 {
-        read_f32(
-            &self.request(
-                iteration as u64,
-                op::BOARD_DELTA_FOR,
-                &(iteration as u64).to_le_bytes(),
-            ),
-            0,
-        )
+        let it = iteration as u64;
+        let args = |frame: &mut FrameBuf| frame.put(&it.to_le_bytes());
+        self.request(it, op::BOARD_DELTA_FOR, args, |reply| read_f32(reply, 0))
     }
 
     fn observe(&self, signal: RoundSignal, next_round: usize) {
-        let mut args = (signal.iteration as u64).to_le_bytes().to_vec();
-        args.extend(signal.max_delta.to_le_bytes());
-        args.extend(signal.mean_loss.to_le_bytes());
-        args.extend(signal.delta_mean.to_le_bytes());
-        args.extend(signal.delta_sq_mean.to_le_bytes());
-        args.push(signal.synced as u8);
-        args.extend((next_round as u64).to_le_bytes());
-        self.request(signal.iteration as u64, op::BOARD_OBSERVE, &args);
+        let args = |frame: &mut FrameBuf| {
+            frame.put(&(signal.iteration as u64).to_le_bytes());
+            frame.put(&signal.max_delta.to_le_bytes());
+            frame.put(&signal.mean_loss.to_le_bytes());
+            frame.put(&signal.delta_mean.to_le_bytes());
+            frame.put(&signal.delta_sq_mean.to_le_bytes());
+            frame.put(&[signal.synced as u8]);
+            frame.put(&(next_round as u64).to_le_bytes());
+        };
+        self.request(signal.iteration as u64, op::BOARD_OBSERVE, args, |_| {});
     }
 
     /// Blocks until the hub releases the round's barrier; the reply is the
     /// eviction prefix frozen at that release.
     fn round_begin(&self, it: usize) -> Vec<(usize, usize)> {
-        let reply = self.request(it as u64, op::ROUND_BEGIN, &(it as u64).to_le_bytes());
-        let count = read_u32(&reply, 0) as usize;
-        (0..count)
-            .map(|i| {
-                let at = 4 + i * 12;
-                (
-                    read_u32(&reply, at) as usize,
-                    read_u64(&reply, at + 4) as usize,
-                )
-            })
-            .collect()
+        let args = |frame: &mut FrameBuf| frame.put(&(it as u64).to_le_bytes());
+        self.request(it as u64, op::ROUND_BEGIN, args, |reply| {
+            let count = read_u32(reply, 0) as usize;
+            (0..count)
+                .map(|i| {
+                    let at = 4 + i * 12;
+                    (
+                        read_u32(reply, at) as usize,
+                        read_u64(reply, at + 4) as usize,
+                    )
+                })
+                .collect()
+        })
     }
 
     /// Ships the section together with this process's trace shard so far, as a
@@ -558,9 +566,12 @@ impl ClusterLink for RemoteCluster<'_> {
         let mut deposit = Checkpoint::new("deposit", fingerprint, it);
         deposit.add_section(section);
         deposit.set_trace(&self.cfg.trace.snapshot_log());
-        let mut args = (it as u64).to_le_bytes().to_vec();
-        args.extend_from_slice(deposit.encode().as_bytes());
-        self.request(it as u64, op::CKPT_DEPOSIT, &args);
+        let image = deposit.encode();
+        let args = |frame: &mut FrameBuf| {
+            frame.put(&(it as u64).to_le_bytes());
+            frame.put(image.as_bytes());
+        };
+        self.request(it as u64, op::CKPT_DEPOSIT, args, |_| {});
     }
 }
 
