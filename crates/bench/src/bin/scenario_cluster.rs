@@ -110,7 +110,7 @@ fn run_child(
     };
     let cfg = cluster_config(&scenario);
     let resume_image = resume.map(|path| {
-        read_resume_image(path).unwrap_or_else(|e| {
+        read_resume_image(path, &cfg).unwrap_or_else(|e| {
             eprintln!("error: child could not read its resume image: {e}");
             std::process::exit(1);
         })
@@ -287,10 +287,10 @@ fn main() {
         if a.every.is_some() || a.dir.is_some() || a.keep.is_some() || a.halt.is_some() {
             usage_error("--resume replays from an existing image; drop the --ckpt-*/--halt flags");
         }
-        // Fail on an unreadable or foreign image once, here, not once per child.
-        if let Err(e) = ckpt_args.resume_image() {
-            eprintln!("error: {e}");
-            std::process::exit(1);
+        // Fail on an unreadable or foreign image — or one of another configuration
+        // — once, here, not once per child.
+        if let Err(e) = ckpt_args.resume_image(&cluster_config(&scenario)) {
+            usage_error(&e);
         }
         // A resumed verification run replays the remaining rounds against the
         // uninterrupted reference; it does not write further images.

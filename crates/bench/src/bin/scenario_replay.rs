@@ -263,15 +263,19 @@ fn main() {
     let checkpoint = ckpt_args
         .spec(Some(format!("target/replay-ckpt/{}", scenario.name)))
         .unwrap_or_else(|e| fail(&e));
-    let resume = ckpt_args.resume_image().unwrap_or_else(|e| fail(&e));
-    let spec = RunSpec {
+    let mut spec = RunSpec {
         scenario,
         backend,
         policy,
         delta,
         checkpoint,
-        resume,
+        resume: None,
     };
+    // Checked against the resolved configuration: an image recorded under another
+    // `--delta`/`--quick`/`--policy` is a one-line diagnosis, not a driver panic.
+    spec.resume = ckpt_args
+        .resume_image(&spec.config())
+        .unwrap_or_else(|e| fail(&e));
 
     match mode.as_str() {
         "--record" => {

@@ -122,16 +122,17 @@ fn main() {
         Err(e) => usage_error(&e),
     }
 
-    let resume = ckpt_args.resume_image().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    // An image that does not read back, or belongs to another configuration, is a
+    // one-line diagnosis here rather than the driver's panic.
+    let mut cfg = scenario.train_config(AlgorithmSpec::selsync(scenario.delta));
+    let resume = ckpt_args
+        .resume_image(&cfg)
+        .unwrap_or_else(|e| usage_error(&e));
     if let Some(ckpt) = resume {
         // Resume the SelSync arm from the checkpoint image — written by any
         // backend — and print its report; the resumed trace and report are
         // byte-identical to an uninterrupted run's (docs/RECOVERY.md), so diffing
         // them against a full run's output is the recovery regression test.
-        let mut cfg = scenario.train_config(AlgorithmSpec::selsync(scenario.delta));
         if scenario.trace.enabled {
             cfg.trace = TraceSink::capture(scenario.trace.granularity);
         }

@@ -84,24 +84,25 @@ impl CheckpointArgs {
         }))
     }
 
-    /// The `--resume` image, read and checked by [`read_resume_image`].
-    pub fn resume_image(&self) -> Result<Option<Checkpoint>, String> {
-        self.resume.as_deref().map(read_resume_image).transpose()
+    /// The `--resume` image, read and checked against the run's `cfg` by
+    /// [`read_resume_image`].
+    pub fn resume_image(&self, cfg: &TrainConfig) -> Result<Option<Checkpoint>, String> {
+        self.resume
+            .as_deref()
+            .map(|path| read_resume_image(path, cfg))
+            .transpose()
     }
 }
 
-/// Read a recovery image for `--resume`. Every SelSync driver resumes an image of
-/// any backend (docs/RECOVERY.md, "Cross-backend resume"), so the only tag
-/// rejected here is one no backend writes.
-pub fn read_resume_image(path: &str) -> Result<Checkpoint, String> {
+/// Read a recovery image for `--resume` into a run of `cfg`. Every SelSync driver
+/// resumes an image of any backend (docs/RECOVERY.md, "Cross-backend resume"), so
+/// what is rejected here — with a one-line diagnosis instead of the driver's panic —
+/// is a tag no backend writes and an image of a different configuration (another
+/// scenario, `--delta`, `--quick`, …).
+pub fn read_resume_image(path: &str, cfg: &TrainConfig) -> Result<Checkpoint, String> {
     let ckpt = Checkpoint::read_file(path)?;
-    if ckpt.backend != "sim" && !selsync::resume::is_cluster_backend(&ckpt.backend) {
-        return Err(format!(
-            "checkpoint {path} was written by the unknown {:?} backend \
-             (expected sim, threaded or process)",
-            ckpt.backend
-        ));
-    }
+    ckpt.check_resumable(cfg)
+        .map_err(|e| format!("{path}: {e}"))?;
     Ok(ckpt)
 }
 
@@ -960,19 +961,31 @@ mod tests {
     #[test]
     fn resume_images_of_every_backend_are_accepted_and_unknown_tags_rejected() {
         let dir = std::env::temp_dir().join(format!("selsync-bench-resume-{}", std::process::id()));
+        let cfg = experiment_config(ModelKind::ResNetLike, Scale::Quick);
+        let fingerprint = selsync::checkpoint::config_fingerprint(&cfg);
         for tag in ["sim", "threaded", "process", "deposit"] {
             let path = dir.join(tag);
-            Checkpoint::new(tag, 1, 0).write_file(&path).expect("write");
-            let read = read_resume_image(&path.to_string_lossy());
+            Checkpoint::new(tag, fingerprint, 0)
+                .write_file(&path)
+                .expect("write");
+            let read = read_resume_image(&path.to_string_lossy(), &cfg);
             if tag == "deposit" {
                 let err = read.expect_err("no backend writes this tag");
                 assert!(err.contains("unknown \"deposit\" backend"), "{err}");
                 assert!(!err.contains('\n'), "one line: {err}");
             } else {
                 assert_eq!(read.expect("accepted").backend, tag);
+                // The same image under any other configuration (`--delta`, `--quick`,
+                // another scenario) is refused, whatever backend wrote it.
+                let mut other = cfg.clone();
+                other.algorithm = AlgorithmSpec::selsync(0.125);
+                let err = read_resume_image(&path.to_string_lossy(), &other)
+                    .expect_err("fingerprint mismatch");
+                assert!(err.contains("different configuration"), "{err}");
+                assert!(!err.contains('\n'), "one line: {err}");
             }
         }
-        assert!(read_resume_image(&dir.join("missing").to_string_lossy()).is_err());
+        assert!(read_resume_image(&dir.join("missing").to_string_lossy(), &cfg).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

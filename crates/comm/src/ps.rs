@@ -11,6 +11,9 @@
 //! * **Asynchronous push/pull** ([`ParameterServer::push_delta`] /
 //!   [`ParameterServer::pull`]): non-blocking updates used by SSP, where workers apply
 //!   scaled deltas to the global state whenever they finish a step.
+//!
+//! Everything the server must carry across a checkpoint is one [`PsState`] value,
+//! which is also what the sequential simulator holds in place of a live server.
 
 use crate::rounds::ElasticRounds;
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -26,42 +29,72 @@ pub const DEFAULT_SNAPSHOT_DEPTH: usize = 8;
 /// what makes a *deterministic* rejoin pull possible: a rejoiner at round `r` asks for
 /// the global of the last **scheduled** synchronization before `r`
 /// ([`ParameterServer::scheduled_global_before`]) instead of reading whatever the PS
-/// holds at that wall-clock moment.
-struct SnapshotRing {
-    /// Retained sync rounds (0 = disabled, nothing is recorded).
-    depth: usize,
+/// holds at that wall-clock moment. Part of [`PsState`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct RingState {
+    /// Retained sync rounds.
+    pub depth: usize,
     /// The global vector before any synchronization (the init broadcast).
-    initial: Vec<f32>,
+    pub initial: Vec<f32>,
     /// `(round, post-sync mean)` entries, sorted by round ascending. Rounds can
     /// *complete* out of order under disjoint live-worker sets, so insertion keeps the
     /// ring sorted rather than assuming append order. Eviction always removes the
     /// smallest round, so the ring invariantly retains the `depth` *largest* recorded
     /// rounds — any lookup answered from a retained entry is therefore exact.
-    entries: Vec<(u64, Vec<f32>)>,
+    pub entries: Vec<(u64, Vec<f32>)>,
     /// Smallest round id ever evicted — lets a lookup that would fall back to the
     /// initial global detect (and refuse to answer) a query whose true answer no
     /// longer exists instead of silently returning a too-old snapshot.
-    evicted_min: Option<u64>,
-}
-
-/// Serializable snapshot of the scheduled-snapshot ring (part of [`PsState`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RingState {
-    /// Retained depth the ring was enabled with.
-    pub depth: usize,
-    /// The permanent pre-training floor entry.
-    pub initial: Vec<f32>,
-    /// `(round, post-sync mean)` entries, sorted by round ascending.
-    pub entries: Vec<(u64, Vec<f32>)>,
-    /// Smallest round id ever evicted from the ring.
     pub evicted_min: Option<u64>,
 }
 
-/// Serializable snapshot of everything a [`ParameterServer`] must carry across a
-/// checkpoint/restore cycle: the global vector, the newest-global guard and the
-/// rejoin snapshot ring. In-flight elastic rounds are deliberately excluded —
-/// checkpoints are only taken at quiescent points (every worker parked between
-/// rounds), where none exist.
+impl RingState {
+    /// An empty ring retaining `depth` rounds above the floor entry `initial`.
+    pub fn new(depth: usize, initial: Vec<f32>) -> Self {
+        assert!(depth > 0, "snapshot ring depth must be positive");
+        RingState {
+            depth,
+            initial,
+            entries: Vec::new(),
+            evicted_min: None,
+        }
+    }
+
+    /// Record `round`'s post-sync `mean`, keeping the entries sorted by round id (so
+    /// out-of-order completions cannot corrupt the "newest before r" lookup) and
+    /// evicting the smallest round beyond `depth`.
+    pub fn record(&mut self, round: u64, mean: &[f32]) {
+        if let Err(pos) = self.entries.binary_search_by_key(&round, |e| e.0) {
+            self.entries.insert(pos, (round, mean.to_vec()));
+        }
+        if self.entries.len() > self.depth {
+            let (evicted, _) = self.entries.remove(0);
+            self.evicted_min = Some(self.evicted_min.map_or(evicted, |e| e.min(evicted)));
+        }
+    }
+
+    /// The newest retained entry with round id `< round`; `None` when the answer is
+    /// the initial global. Panics if that answer was evicted (ring too shallow for how
+    /// far the asker lagged).
+    pub fn before(&self, round: u64) -> Option<&(u64, Vec<f32>)> {
+        // Eviction removes the smallest retained round, so the ring holds the `depth`
+        // largest recorded rounds — every evicted round is older than every retained
+        // one, and a retained match is therefore exact.
+        let hit = self.entries.iter().rev().find(|&&(r, _)| r < round);
+        // No retained sync before `round`: the initial global is the answer only if no
+        // *evicted* round was before it either.
+        assert!(
+            hit.is_some() || self.evicted_min.is_none_or(|e| e >= round),
+            "snapshot ring too shallow: the scheduled global before round {round} was evicted"
+        );
+        hit
+    }
+}
+
+/// Everything a [`ParameterServer`] must carry across a checkpoint/restore cycle: the
+/// global vector, the newest-global guard and the rejoin snapshot ring. In-flight
+/// elastic rounds are deliberately excluded — checkpoints are only taken at quiescent
+/// points (every worker parked between rounds), where none exist.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PsState {
     /// The flat global vector.
@@ -72,23 +105,53 @@ pub struct PsState {
     pub ring: Option<RingState>,
 }
 
+impl PsState {
+    /// The state before any synchronization: `initial` as the global vector and, with
+    /// `snapshot_depth`, an empty scheduled-snapshot ring over the same floor entry.
+    pub fn new(initial: Vec<f32>, snapshot_depth: Option<usize>) -> Self {
+        PsState {
+            ring: snapshot_depth.map(|depth| RingState::new(depth, initial.clone())),
+            global: initial,
+            last_global_round: None,
+        }
+    }
+
+    /// Fold in the mean of the completed synchronization round `round`: it becomes the
+    /// global vector unless a newer round already defined it, and enters the snapshot
+    /// ring (when enabled).
+    pub fn record_sync(&mut self, round: u64, mean: &[f32]) {
+        // Only the newest completed round may define the global vector: an older round
+        // completing late (its last participant was slower) must not clobber a newer
+        // round's mean.
+        if self.last_global_round.is_none_or(|r| round >= r) {
+            self.global.copy_from_slice(mean);
+            self.last_global_round = Some(round);
+        }
+        if let Some(ring) = &mut self.ring {
+            ring.record(round, mean);
+        }
+    }
+
+    fn ring(&self) -> &RingState {
+        self.ring
+            .as_ref()
+            .expect("scheduled snapshots are not enabled on this parameter server")
+    }
+}
+
 /// Shared-memory parameter server over a flat `f32` vector.
 pub struct ParameterServer {
-    global: RwLock<Vec<f32>>,
+    /// The durable state. Rounds complete in *completion* order, which under disjoint
+    /// live-worker sets can differ from round order — a worker that skipped rounds can
+    /// finish round `k` while a slower worker is still closing round `k-1`;
+    /// [`PsState::record_sync`] keeps the older mean from overwriting the newer one.
+    state: RwLock<PsState>,
     round: Mutex<RoundState>,
     round_cv: Condvar,
     /// Round-keyed elastic aggregation rounds (membership may differ round to round
     /// when workers crash and rejoin) — the shared [`ElasticRounds`] skeleton with a
     /// sum-then-average combine.
     elastic: ElasticRounds<Vec<f32>, Vec<f32>>,
-    /// The newest round whose mean has been written to the global vector. Rounds
-    /// complete in *completion* order, which under disjoint live-worker sets can differ
-    /// from round order — a worker that skipped rounds can finish round `k` while a
-    /// slower worker is still closing round `k-1`; this guard keeps the older mean from
-    /// overwriting the newer one.
-    last_global_round: Mutex<Option<u64>>,
-    /// Scheduled-snapshot ring for deterministic rejoin pulls (disabled by default).
-    snapshots: Mutex<SnapshotRing>,
 }
 
 struct RoundState {
@@ -105,7 +168,7 @@ impl ParameterServer {
     pub fn new(initial: Vec<f32>) -> Self {
         let dim = initial.len();
         ParameterServer {
-            global: RwLock::new(initial),
+            state: RwLock::new(PsState::new(initial, None)),
             round: Mutex::new(RoundState {
                 accum: vec![0.0; dim],
                 contributions: 0,
@@ -115,13 +178,6 @@ impl ParameterServer {
             }),
             round_cv: Condvar::new(),
             elastic: ElasticRounds::new(),
-            last_global_round: Mutex::new(None),
-            snapshots: Mutex::new(SnapshotRing {
-                depth: 0,
-                initial: Vec::new(),
-                entries: Vec::new(),
-                evicted_min: None,
-            }),
         }
     }
 
@@ -131,12 +187,8 @@ impl ParameterServer {
     /// rejoin pulls. The current global vector is captured as the permanent
     /// before-any-synchronization floor, so call this before training starts.
     pub fn enable_scheduled_snapshots(&self, depth: usize) {
-        assert!(depth > 0, "snapshot ring depth must be positive");
-        let mut ring = self.snapshots.lock();
-        ring.depth = depth;
-        ring.initial = self.global.read().clone();
-        ring.entries.clear();
-        ring.evicted_min = None;
+        let mut state = self.state.write();
+        state.ring = Some(RingState::new(depth, state.global.clone()));
     }
 
     /// The global produced by the newest **scheduled** synchronization round with id
@@ -145,27 +197,10 @@ impl ParameterServer {
     /// synchronized. Panics if the ring is disabled, or if the answer was evicted
     /// (ring too shallow for how far this rejoiner lagged).
     pub fn scheduled_global_before(&self, round: u64) -> Vec<f32> {
-        let ring = self.snapshots.lock();
-        assert!(
-            ring.depth > 0,
-            "scheduled snapshots are not enabled on this parameter server"
-        );
-        match ring.entries.iter().rev().find(|&&(r, _)| r < round) {
-            // Eviction removes the smallest retained round, so the ring holds the
-            // `depth` largest recorded rounds — every evicted round is older than
-            // every retained one, and a retained match is therefore exact.
-            Some((_, data)) => data.clone(),
-            None => {
-                // No retained sync before `round`: the initial global is the answer
-                // only if no *evicted* round was before it either.
-                assert!(
-                    ring.evicted_min.is_none_or(|e| e >= round),
-                    "snapshot ring too shallow: the scheduled global before round \
-                     {round} was evicted"
-                );
-                ring.initial.clone()
-            }
-        }
+        let state = self.state.read();
+        let ring = state.ring();
+        ring.before(round)
+            .map_or_else(|| ring.initial.clone(), |(_, mean)| mean.clone())
     }
 
     /// The round id of the newest **scheduled** synchronization round with id
@@ -175,37 +210,22 @@ impl ParameterServer {
     /// answer was evicted. The trace layer records this id on deterministic rejoin
     /// pulls so both backends log the same `from` round.
     pub fn scheduled_round_before(&self, round: u64) -> Option<u64> {
-        let ring = self.snapshots.lock();
-        assert!(
-            ring.depth > 0,
-            "scheduled snapshots are not enabled on this parameter server"
-        );
-        match ring.entries.iter().rev().find(|&&(r, _)| r < round) {
-            Some(&(r, _)) => Some(r),
-            None => {
-                assert!(
-                    ring.evicted_min.is_none_or(|e| e >= round),
-                    "snapshot ring too shallow: the scheduled global before round \
-                     {round} was evicted"
-                );
-                None
-            }
-        }
+        self.state.read().ring().before(round).map(|&(r, _)| r)
     }
 
     /// Dimensionality of the stored vector.
     pub fn dim(&self) -> usize {
-        self.global.read().len()
+        self.state.read().global.len()
     }
 
     /// Snapshot of the global vector (the `pullFromPS` of Alg. 1).
     pub fn pull(&self) -> Vec<f32> {
-        self.global.read().clone()
+        self.state.read().global.clone()
     }
 
     /// Overwrite the global vector (used to initialise training or by tests).
     pub fn store(&self, value: Vec<f32>) {
-        let mut g = self.global.write();
+        let g = &mut self.state.write().global;
         assert_eq!(g.len(), value.len(), "parameter server dimension mismatch");
         *g = value;
     }
@@ -213,7 +233,7 @@ impl ParameterServer {
     /// Apply a scaled delta to the global vector without any coordination (SSP-style
     /// asynchronous update): `global += scale * delta`.
     pub fn push_delta(&self, delta: &[f32], scale: f32) {
-        let mut g = self.global.write();
+        let g = &mut self.state.write().global;
         assert_eq!(g.len(), delta.len(), "parameter server dimension mismatch");
         for (gi, &di) in g.iter_mut().zip(delta.iter()) {
             *gi += scale * di;
@@ -262,10 +282,7 @@ impl ParameterServer {
             // Last contributor closes the round: average, publish, wake everyone.
             let n = state.expected as f32;
             let mean: Vec<f32> = state.accum.iter().map(|&x| x / n).collect();
-            {
-                let mut g = self.global.write();
-                g.copy_from_slice(&mean);
-            }
+            self.state.write().global.copy_from_slice(&mean);
             state.finished = Some((my_generation, mean.clone()));
             state.generation += 1;
             state.contributions = 0;
@@ -322,30 +339,7 @@ impl ParameterServer {
                 for o in mean.iter_mut() {
                     *o /= n;
                 }
-                // Only the newest completed round may define the global vector: an
-                // older round completing late (its last participant was slower) must
-                // not clobber a newer round's mean.
-                let mut last = self.last_global_round.lock();
-                if last.is_none_or(|r| round >= r) {
-                    let mut g = self.global.write();
-                    g.copy_from_slice(&mean);
-                    *last = Some(round);
-                }
-                drop(last);
-                // Record the round's mean in the scheduled-snapshot ring (when
-                // enabled), keeping the entries sorted by round id so out-of-order
-                // completions cannot corrupt the "newest before r" lookup.
-                let mut ring = self.snapshots.lock();
-                if ring.depth > 0 {
-                    if let Err(pos) = ring.entries.binary_search_by_key(&round, |e| e.0) {
-                        ring.entries.insert(pos, (round, mean.clone()));
-                    }
-                    if ring.entries.len() > ring.depth {
-                        let (evicted, _) = ring.entries.remove(0);
-                        ring.evicted_min =
-                            Some(ring.evicted_min.map_or(evicted, |e| e.min(evicted)));
-                    }
-                }
+                self.state.write().record_sync(round, &mean);
                 mean
             },
         )
@@ -355,43 +349,19 @@ impl ParameterServer {
     /// a quiescent point (no in-flight elastic round) — the elastic rendezvous
     /// state is not captured.
     pub fn export_state(&self) -> PsState {
-        let ring = self.snapshots.lock();
-        PsState {
-            global: self.global.read().clone(),
-            last_global_round: *self.last_global_round.lock(),
-            ring: (ring.depth > 0).then(|| RingState {
-                depth: ring.depth,
-                initial: ring.initial.clone(),
-                entries: ring.entries.clone(),
-                evicted_min: ring.evicted_min,
-            }),
-        }
+        self.state.read().clone()
     }
 
     /// Restore durable state captured by [`Self::export_state`] onto a freshly
     /// built server (same dimensionality). Call before any worker starts.
     pub fn restore_state(&self, state: &PsState) {
-        {
-            let mut g = self.global.write();
-            assert_eq!(g.len(), state.global.len(), "checkpoint dimension mismatch");
-            g.copy_from_slice(&state.global);
-        }
-        *self.last_global_round.lock() = state.last_global_round;
-        let mut ring = self.snapshots.lock();
-        match &state.ring {
-            Some(r) => {
-                ring.depth = r.depth;
-                ring.initial = r.initial.clone();
-                ring.entries = r.entries.clone();
-                ring.evicted_min = r.evicted_min;
-            }
-            None => {
-                ring.depth = 0;
-                ring.initial = Vec::new();
-                ring.entries.clear();
-                ring.evicted_min = None;
-            }
-        }
+        let mut own = self.state.write();
+        assert_eq!(
+            own.global.len(),
+            state.global.len(),
+            "checkpoint dimension mismatch"
+        );
+        *own = state.clone();
     }
 }
 
@@ -663,6 +633,27 @@ mod tests {
         // The newest-global guard survived: an older round cannot clobber.
         fresh.sync_round_elastic(6, 0, &[600.0, 600.0], 1);
         assert_eq!(fresh.pull(), ps.pull());
+    }
+
+    #[test]
+    fn a_bare_state_folds_rounds_exactly_like_the_server() {
+        // The simulator holds a `PsState` in place of a live server; fed the same
+        // rounds — evictions and a late-completing older round included — it must
+        // end in the server's exported state.
+        let ps = ParameterServer::new(vec![0.5; 2]);
+        ps.enable_scheduled_snapshots(2);
+        let mut bare = PsState::new(vec![0.5; 2], Some(2));
+        for round in [1u64, 4, 9, 6, 12] {
+            let mean = [round as f32, -(round as f32)];
+            ps.sync_round_elastic(round, 0, &mean, 1);
+            bare.record_sync(round, &mean);
+        }
+        assert_eq!(bare, ps.export_state());
+        assert_eq!(bare.global, vec![12.0, -12.0]);
+        assert_eq!(bare.ring.as_ref().unwrap().evicted_min, Some(1));
+        assert_eq!(PsState::new(vec![1.0], None), {
+            ParameterServer::new(vec![1.0]).export_state()
+        });
     }
 
     #[test]

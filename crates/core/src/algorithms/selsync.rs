@@ -20,12 +20,13 @@
 //! round signals, so the byte-identity guarantee across thread counts is preserved.
 
 use crate::aggregation::{self, AggregationMode};
-use crate::checkpoint::{self, Checkpoint, Section};
-use crate::config::{AlgorithmSpec, CheckpointSpec, TrainConfig};
-use crate::policy::{DeltaPolicy, PolicySpec, RoundSignal, SyncDecision, SyncPolicy};
+use crate::checkpoint::Checkpoint;
+use crate::config::{AlgorithmSpec, TrainConfig};
+use crate::policy::{PolicySpec, RoundSignal, SyncDecision, SyncPolicy};
 use crate::report::RunReport;
 use crate::sim::{Simulator, WorkerStep};
 use selsync_comm::faults::CommFaultSchedule;
+use selsync_comm::ps::PsState;
 use selsync_comm::wire::frame_len;
 
 /// The algorithm label a SelSync run reports, as a pure function of its config.
@@ -70,26 +71,17 @@ pub fn run(cfg: &TrainConfig) -> RunReport {
     run_inner(cfg, None)
 }
 
-/// Resume a SelSync run from a durable checkpoint written by an earlier `run` of the
-/// *same* configuration (same [`checkpoint::config_fingerprint`]). The restored run
-/// continues from `ckpt.round + 1` and produces the byte-identical trace and report
-/// of the uninterrupted run. Panics on a backend or fingerprint mismatch — resuming
-/// under a different config is always a bug, never a recoverable condition.
+/// Resume a SelSync run from a durable checkpoint written by an earlier run — on any
+/// backend — of the *same* configuration ([`Checkpoint::check_resumable`]). The
+/// restored run continues from `ckpt.round + 1` and produces the byte-identical trace
+/// of the uninterrupted run, and from a simulator-written image the byte-identical
+/// report too. Panics when the image is not resumable — resuming under a different
+/// config is always a bug, never a recoverable condition.
 pub fn run_resumed(cfg: &TrainConfig, ckpt: &Checkpoint) -> RunReport {
     run_inner(cfg, Some(ckpt))
 }
 
 fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
-    // A cluster image (threaded or process backend: one layout) is translated into
-    // the simulator's up front; everything below sees a native "sim" checkpoint.
-    let translated;
-    let resume = match resume {
-        Some(ckpt) if crate::resume::is_cluster_backend(&ckpt.backend) => {
-            translated = crate::resume::threaded_to_sim(cfg, ckpt);
-            Some(&translated)
-        }
-        other => other,
-    };
     let (delta, aggregation_mode, _injection) = match cfg.algorithm {
         AlgorithmSpec::SelSync {
             delta,
@@ -127,8 +119,11 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
     // The image a resume started from stays on disk whatever the retention says.
     let protect = resume.map(|c| c.round);
     let conditions = cfg.effective_conditions();
-    // Latest synchronized model; rejoining workers pull it from the PS.
-    let mut global = sim.workers[0].params.clone();
+    // The parameter server's durable state, held as a value: the latest synchronized
+    // model (rejoining workers pull it), the newest-sync guard and the rejoin
+    // snapshot ring — folded exactly as a live server folds them, so the image's
+    // `ps` section is the one a cluster backend writes.
+    let mut ps = PsState::new(sim.workers[0].params.clone(), cfg.snapshot_depth());
     // Round-to-round buffers: the averaged vector is written once per round and
     // copied into reused per-replica buffers (no per-replica clone fan-out).
     let mut avg = Vec::new();
@@ -136,27 +131,15 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
 
     let start = match resume {
         Some(ckpt) => {
+            ckpt.check_resumable(cfg).unwrap_or_else(|e| panic!("{e}"));
+            sim.restore_checkpoint(ckpt);
+            policy.import_state(&ckpt.board_state());
+            ps = ckpt.ps_state();
             assert_eq!(
-                ckpt.backend, "sim",
-                "checkpoint was written by the {} backend, not the simulator",
-                ckpt.backend
-            );
-            assert_eq!(
-                ckpt.fingerprint,
-                checkpoint::config_fingerprint(cfg),
-                "checkpoint belongs to a different configuration"
-            );
-            sim.restore_checkpoint_sections(ckpt);
-            policy.import_state(&ckpt.policy_state("policy"));
-            let mut reader = ckpt.read_section("global");
-            let restored_global = reader.f32s();
-            reader.finish();
-            assert_eq!(
-                restored_global.len(),
-                global.len(),
+                ps.global.len(),
+                sim.param_dim(),
                 "checkpointed global model has the wrong parameter count"
             );
-            global = restored_global;
             // The restored trace prefix already contains the run header, so the
             // resumed run skips `emit_header` and appends from `round + 1`.
             ckpt.preload_trace(&cfg.trace);
@@ -170,7 +153,7 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
 
     for it in start..cfg.iterations {
         let lr = sim.lr_at(it);
-        let (present, rejoin_comm, rejoin_bytes) = sim.begin_round(it, &global);
+        let (present, rejoin_comm, rejoin_bytes) = sim.begin_round(it, &ps.global);
         // Evictions fire whether or not the remaining round is runnable, so the
         // event stream matches the threaded driver's (whose evicted thread emits
         // its farewell regardless of what the survivors do this round).
@@ -203,7 +186,7 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
         // its own update, and the δ policy is fed the first present worker's local
         // signal so regime state stays coherent through the outage. `DegradedRound`
         // replaces the `Round` event.
-        if ps_schedule.as_ref().is_some_and(|s| s.down(it as u64)) {
+        let round_signal = if ps_schedule.as_ref().is_some_and(|s| s.down(it as u64)) {
             comm += sim.network_at(it).ps_probe_time();
             bytes += present.len() as u64 * frame_len(8) as u64;
             // Worker-to-worker injection shipping is unaffected by the PS outage.
@@ -241,160 +224,140 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
                     loss: local_loss,
                     delta_g: local_delta,
                 });
-                if let Some(sw) = policy.last_switch() {
-                    cfg.trace.record(selsync_tracelog::Event::RegimeSwitch {
-                        round: it,
-                        exploit: sw.exploit,
-                        loss_ewma: sw.loss_ewma,
-                        delta_ewma: sw.delta_ewma,
-                        mean_loss: round_signal.mean_loss,
-                        max_delta: round_signal.max_delta,
-                    });
-                }
             }
-
-            if sim.should_eval(it) {
-                sim.average_params_of_into(&present, &mut avg);
-                let snapshot = std::mem::take(&mut avg);
-                sim.record_eval(it, &snapshot, cluster_delta);
-                avg = snapshot;
-            }
-            if let Some(ck) = &ckpt_spec {
-                if ck.due(it) || ck.halt_after == Some(it) {
-                    write_sim_checkpoint(cfg, ck, &sim, policy.as_ref(), &global, it, protect);
-                }
-                if ck.halt_after == Some(it) {
-                    break;
-                }
-            }
-            continue;
-        }
-        // The first reachable round after an outage runs the catch-up sync:
-        // synchronization is forced for every present worker so the accumulated
-        // local-only deltas reconcile through the ordinary aggregation path.
-        let catchup = ps_schedule
-            .as_ref()
-            .is_some_and(|s| s.outage_ends(it as u64));
-
-        // Phase 2: 1-bit status all-gather among the present workers and the
-        // cluster-level decision.
-        let flags = if catchup {
-            vec![true; present.len()]
+            round_signal
         } else {
-            sync_policy.flags_from_deltas(&round.deltas)
-        };
-        let decision = if catchup {
-            SyncDecision::Synchronize
-        } else {
-            sync_policy.decide(&flags)
-        };
-        comm += sim.status_allgather_seconds_at(it, present.len());
-        bytes += round.injected_bytes + present.len() as u64; // the flag bits (≈1 B/worker)
-        if round.injected_bytes > 0 {
-            comm += sim.network_at(it).p2p_time(round.injected_bytes);
-        }
-        // Price the δ-signal exchange when a signal-consuming policy runs: two
-        // scalar all-reduces (loss mean, Δ max) plus the 2-element Δ-moment vector
-        // feed — 16 payload bytes per present worker. Mirrors the envelopes the
-        // threaded driver actually exchanges.
-        if exchange_signals {
-            let net = sim.network_at(it);
-            comm += 2.0 * net.scalar_allreduce_time(present.len())
-                + net.vec_allreduce_time(present.len(), 2);
-            bytes += present.len() as u64 * 16;
-        }
-        // Price the fault schedule's retries: each present worker's exchanges at
-        // this round share one link-weather attempt count; failed attempts cost
-        // their deterministic backoff (workers retry concurrently, so the round
-        // pays the worst worker's penalty) and retransmit both legs of the op
-        // frame. Present workers always land within budget — exhaustion would have
-        // evicted them from this round's membership.
-        if let Some(schedule) = &fault_schedule {
-            let mut worst_penalty_s = 0.0f64;
-            for &worker in &present {
-                let attempts = schedule
-                    .attempts_used(worker, it as u64)
-                    .expect("present workers complete within their retry budget");
-                if attempts > 1 {
-                    bytes += (attempts as u64 - 1) * 2 * frame_len(8) as u64;
-                    worst_penalty_s =
-                        worst_penalty_s.max(schedule.retry_penalty_s(worker, it as u64));
-                    cfg.trace.record(selsync_tracelog::Event::CommRetry {
-                        round: it,
-                        worker,
-                        attempts,
-                    });
-                }
-            }
-            comm += worst_penalty_s;
-        }
+            // The first reachable round after an outage runs the catch-up sync:
+            // synchronization is forced for every present worker so the accumulated
+            // local-only deltas reconcile through the ordinary aggregation path.
+            let catchup = ps_schedule
+                .as_ref()
+                .is_some_and(|s| s.outage_ends(it as u64));
 
-        // Phase 3: apply updates according to the decision and aggregation mode.
-        match (decision, aggregation_mode) {
-            (SyncDecision::Local, _) => {
-                sim.apply_round_own(&steps, lr);
+            // Phase 2: 1-bit status all-gather among the present workers and the
+            // cluster-level decision.
+            let flags = if catchup {
+                vec![true; present.len()]
+            } else {
+                sync_policy.flags_from_deltas(&round.deltas)
+            };
+            let decision = if catchup {
+                SyncDecision::Synchronize
+            } else {
+                sync_policy.decide(&flags)
+            };
+            comm += sim.status_allgather_seconds_at(it, present.len());
+            bytes += round.injected_bytes + present.len() as u64; // the flag bits (≈1 B/worker)
+            if round.injected_bytes > 0 {
+                comm += sim.network_at(it).p2p_time(round.injected_bytes);
             }
-            (SyncDecision::Synchronize, AggregationMode::Parameter) => {
-                // Alg. 1: local update first, then push parameters and pull the average.
-                sim.apply_round_own(&steps, lr);
-                sim.average_params_of_into(&present, &mut avg);
-                sim.set_params_of(&present, &avg);
-                global.copy_from_slice(&avg);
-                comm += sim.ps_sync_seconds_at(it, present.len());
-                bytes += 2 * present.len() as u64 * wire;
-            }
-            (SyncDecision::Synchronize, AggregationMode::Gradient) => {
-                // Gradients are averaged on the PS and applied locally by each worker.
-                // GA keeps replicas diverged by design, so the PS global is the present
-                // replicas' average, not any single replica.
-                aggregation::average_into(sim.round_grads(), &mut avg);
-                sim.apply_round_shared(&present, &avg, lr);
-                sim.average_params_of_into(&present, &mut global);
-                comm += sim.ps_sync_seconds_at(it, present.len());
-                bytes += 2 * present.len() as u64 * wire;
-            }
-        }
-
-        let compute = sim.round_compute_seconds(it);
-        let synced = decision == SyncDecision::Synchronize;
-        sim.account_step(compute, comm, bytes, synced);
-
-        // Feed the completed round's (worker-order-merged, thread-count-invariant)
-        // signals back to the δ policy.
-        let round_signal = round.signal(it, synced);
-        policy.observe(&round_signal);
-
-        if cfg.trace.is_enabled() {
-            if catchup {
-                let schedule = ps_schedule.as_ref().expect("catchup implies a schedule");
-                cfg.trace
-                    .record(selsync_tracelog::Event::PsUp { round: it });
-                cfg.trace.record(selsync_tracelog::Event::CatchupSync {
-                    round: it,
-                    behind: schedule.rounds_behind(it as u64) as usize,
-                });
-            }
+            // Price the δ-signal exchange when a signal-consuming policy runs: two
+            // scalar all-reduces (loss mean, Δ max) plus the 2-element Δ-moment vector
+            // feed — 16 payload bytes per present worker. Mirrors the envelopes the
+            // threaded driver actually exchanges.
             if exchange_signals {
-                sim_trace_signal(cfg, &round_signal);
+                let net = sim.network_at(it);
+                comm += 2.0 * net.scalar_allreduce_time(present.len())
+                    + net.vec_allreduce_time(present.len(), 2);
+                bytes += present.len() as u64 * 16;
             }
-            cfg.trace.record(selsync_tracelog::Event::Round {
-                round: it,
-                delta: sync_policy.delta,
-                flags: flags.clone(),
-                synced,
-            });
-            if let Some(sw) = policy.last_switch() {
-                cfg.trace.record(selsync_tracelog::Event::RegimeSwitch {
+            // Price the fault schedule's retries: each present worker's exchanges at
+            // this round share one link-weather attempt count; failed attempts cost
+            // their deterministic backoff (workers retry concurrently, so the round
+            // pays the worst worker's penalty) and retransmit both legs of the op
+            // frame. Present workers always land within budget — exhaustion would have
+            // evicted them from this round's membership.
+            if let Some(schedule) = &fault_schedule {
+                let mut worst_penalty_s = 0.0f64;
+                for &worker in &present {
+                    let attempts = schedule
+                        .attempts_used(worker, it as u64)
+                        .expect("present workers complete within their retry budget");
+                    if attempts > 1 {
+                        bytes += (attempts as u64 - 1) * 2 * frame_len(8) as u64;
+                        worst_penalty_s =
+                            worst_penalty_s.max(schedule.retry_penalty_s(worker, it as u64));
+                        cfg.trace.record(selsync_tracelog::Event::CommRetry {
+                            round: it,
+                            worker,
+                            attempts,
+                        });
+                    }
+                }
+                comm += worst_penalty_s;
+            }
+
+            // Phase 3: apply updates according to the decision and aggregation mode.
+            match (decision, aggregation_mode) {
+                (SyncDecision::Local, _) => {
+                    sim.apply_round_own(&steps, lr);
+                }
+                (SyncDecision::Synchronize, AggregationMode::Parameter) => {
+                    // Alg. 1: local update first, then push parameters and pull the average.
+                    sim.apply_round_own(&steps, lr);
+                    sim.average_params_of_into(&present, &mut avg);
+                    sim.set_params_of(&present, &avg);
+                    ps.record_sync(it as u64, &avg);
+                    comm += sim.ps_sync_seconds_at(it, present.len());
+                    bytes += 2 * present.len() as u64 * wire;
+                }
+                (SyncDecision::Synchronize, AggregationMode::Gradient) => {
+                    // Gradients are averaged on the PS and applied locally by each worker.
+                    // GA keeps replicas diverged by design, so the PS global is the present
+                    // replicas' average, not any single replica.
+                    aggregation::average_into(sim.round_grads(), &mut avg);
+                    sim.apply_round_shared(&present, &avg, lr);
+                    sim.average_params_of_into(&present, &mut avg);
+                    ps.record_sync(it as u64, &avg);
+                    comm += sim.ps_sync_seconds_at(it, present.len());
+                    bytes += 2 * present.len() as u64 * wire;
+                }
+            }
+
+            let compute = sim.round_compute_seconds(it);
+            let synced = decision == SyncDecision::Synchronize;
+            sim.account_step(compute, comm, bytes, synced);
+
+            // Feed the completed round's (worker-order-merged, thread-count-invariant)
+            // signals back to the δ policy.
+            let round_signal = round.signal(it, synced);
+            policy.observe(&round_signal);
+
+            if cfg.trace.is_enabled() {
+                if catchup {
+                    let schedule = ps_schedule.as_ref().expect("catchup implies a schedule");
+                    cfg.trace
+                        .record(selsync_tracelog::Event::PsUp { round: it });
+                    cfg.trace.record(selsync_tracelog::Event::CatchupSync {
+                        round: it,
+                        behind: schedule.rounds_behind(it as u64) as usize,
+                    });
+                }
+                if exchange_signals {
+                    sim_trace_signal(cfg, &round_signal);
+                }
+                cfg.trace.record(selsync_tracelog::Event::Round {
                     round: it,
-                    exploit: sw.exploit,
-                    loss_ewma: sw.loss_ewma,
-                    delta_ewma: sw.delta_ewma,
-                    mean_loss: round_signal.mean_loss,
-                    max_delta: round_signal.max_delta,
+                    delta: sync_policy.delta,
+                    flags: flags.clone(),
+                    synced,
                 });
             }
-        }
+            round_signal
+        };
 
+        // The tail every executed round ends with, reachable PS or not: the regime
+        // switch the observation may have triggered, evaluation, checkpoint / halt.
+        if let Some(sw) = policy.last_switch() {
+            cfg.trace.record(selsync_tracelog::Event::RegimeSwitch {
+                round: it,
+                exploit: sw.exploit,
+                loss_ewma: sw.loss_ewma,
+                delta_ewma: sw.delta_ewma,
+                mean_loss: round_signal.mean_loss,
+                max_delta: round_signal.max_delta,
+            });
+        }
         if sim.should_eval(it) {
             // The evaluated global model is the present replicas' average (identical to
             // any single present replica right after a PA synchronization).
@@ -405,7 +368,17 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
         }
         if let Some(ck) = &ckpt_spec {
             if ck.due(it) || ck.halt_after == Some(it) {
-                write_sim_checkpoint(cfg, ck, &sim, policy.as_ref(), &global, it, protect);
+                // The image every backend writes, plus the simulator's own section.
+                let image = Checkpoint::assemble(
+                    "sim",
+                    cfg,
+                    it,
+                    &ps,
+                    &policy.export_state(),
+                    sim.recovery_sections(),
+                    &cfg.trace.snapshot_log(),
+                );
+                ck.write_image(&image, protect);
             }
             if ck.halt_after == Some(it) {
                 break;
@@ -416,30 +389,6 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
     report.policy_switches = policy.switch_rounds().len() as u32;
     report.switch_rounds = policy.switch_rounds().to_vec();
     report
-}
-
-/// Write the simulator backend's full recovery image after round `it`: the
-/// simulator sections (RNG position, counters, history, per-worker model/optimizer/
-/// tracker state), the δ-policy state, the latest synchronized global model, and the
-/// trace prefix recorded so far. A resumed run restores all four and continues
-/// byte-identically.
-fn write_sim_checkpoint(
-    cfg: &TrainConfig,
-    ck: &CheckpointSpec,
-    sim: &Simulator,
-    policy: &dyn DeltaPolicy,
-    global: &[f32],
-    it: usize,
-    protect: Option<usize>,
-) {
-    let mut image = Checkpoint::new("sim", checkpoint::config_fingerprint(cfg), it);
-    sim.export_checkpoint_sections(&mut image);
-    image.add_policy_state("policy", &policy.export_state());
-    let mut section = Section::new("global");
-    section.push_f32s(global);
-    image.add_section(section);
-    image.set_trace(&cfg.trace.snapshot_log());
-    ck.write_image(&image, protect);
 }
 
 /// Record the cluster-aggregated round signal (split out to keep the round loop flat).

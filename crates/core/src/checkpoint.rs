@@ -1,19 +1,38 @@
 //! Durable, versioned, checksummed training checkpoints.
 //!
-//! Both drivers write a checkpoint every `K` rounds when [`crate::config::CheckpointSpec`]
-//! is set, capturing everything a resumed run needs to be **byte-identical** to an
-//! uninterrupted one: the PS global vector + snapshot ring, per-worker model /
-//! optimizer / tracker state, the δ-policy state, RNG word positions, time/byte
-//! accounting, and the canonically sorted trace prefix. `scenario_run --resume <ckpt>`
+//! Every SelSync driver writes a checkpoint every `K` rounds when
+//! [`crate::config::CheckpointSpec`] is set, capturing everything a resumed run needs
+//! to be **byte-identical** to an uninterrupted one. `scenario_run --resume <ckpt>`
 //! (and the equivalent library entry points) restore it and continue from the next
 //! round.
+//!
+//! ## Layout
+//!
+//! This module is the only place that knows what a recovery image holds. All three
+//! backends — simulator, threaded driver, process cluster — write the image through
+//! [`Checkpoint::assemble`] and read it through the typed accessors, so halted at the
+//! same round of the same configuration they write the same bytes apart from the
+//! `backend` line, and every driver resumes every tag
+//! ([`Checkpoint::check_resumable`]):
+//!
+//! | section | holds | accessor |
+//! |---|---|---|
+//! | `ps` | the synchronized global vector, the newest-sync guard, the rejoin snapshot ring | [`Checkpoint::ps_state`] |
+//! | `board` | the shared δ-policy's durable state | [`Checkpoint::board_state`] |
+//! | `worker<k>` | replica, optimizer and `Δ(g_i)` tracker state, sync rounds, local-step count, last loss | [`Checkpoint::worker_image`] |
+//! | trace | the canonically sorted event-log prefix | [`Checkpoint::preload_trace`] |
+//!
+//! Schedule-pure cursors (data-traversal position, forward counter, presence edges)
+//! are in no section: every driver recomputes them from the configuration. The
+//! simulator appends one `sim` section of its own ([`crate::sim`]) for what only it
+//! measures or draws; cluster drivers never open it.
 //!
 //! ## Format
 //!
 //! A line-oriented text file, human-diffable like the event log:
 //!
 //! ```text
-//! selsync-ckpt v2
+//! selsync-ckpt v3
 //! backend sim
 //! fingerprint 9f8a7b6c5d4e3f21
 //! round 7
@@ -32,13 +51,14 @@
 //! line is the wire layer's 64-bit word-parallel checksum
 //! ([`selsync_comm::wire::checksum`]) over every preceding byte and carries **no
 //! trailing newline**, so any single-byte corruption — including in the checksum
-//! line itself — is rejected at decode time. Format v1 used FNV-1a-64 for the
-//! trailer and the fingerprint; v1 images are refused by version, before either
-//! is looked at.
+//! line itself — is rejected at decode time. Older formats (v1: FNV-1a-64 trailer and
+//! fingerprint; v2: a simulator-only section layout) are refused by version, before
+//! anything else is looked at.
 
 use std::fs;
 use std::path::Path;
 
+use selsync_comm::ps::{PsState, RingState};
 use selsync_comm::wire;
 use selsync_nn::OptimizerState;
 use selsync_tracelog::{codec, EventLog, TraceSink};
@@ -49,8 +69,8 @@ use crate::tracker::TrackerState;
 
 /// Format tag in the first line of every checkpoint file. v2: the trailer and
 /// the config fingerprint moved from FNV-1a-64 to the word-parallel
-/// [`wire::checksum`].
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// [`wire::checksum`]. v3: the simulator writes the cluster's section layout.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// One named state block: parallel integer/float arrays with a fixed, producer-defined
 /// packing (read back with a [`SectionReader`] in the same order).
@@ -129,8 +149,8 @@ impl Section {
     }
 
     /// Append a worker's durable core — parameter replica, optimizer state, `Δ(g_i)`
-    /// tracker state — in the one field order every backend's `worker<k>` section
-    /// starts with. Read back by [`SectionReader::worker_core`].
+    /// tracker state — the head of a `worker<k>` section ([`WorkerImage::section`]).
+    /// Read back by [`SectionReader::worker_core`].
     pub fn push_worker_core(
         &mut self,
         params: &[f32],
@@ -170,6 +190,34 @@ pub struct WorkerCore {
     pub optimizer: OptimizerState,
     /// Its `Δ(g_i)` tracker state.
     pub tracker: TrackerState,
+}
+
+/// One worker's record in a recovery image: everything of it that cannot be
+/// recomputed from the schedule. [`Self::section`] and [`Checkpoint::worker_image`]
+/// are the `worker<k>` section's one writer and one reader.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WorkerImage {
+    /// Replica, optimizer and tracker state.
+    pub core: WorkerCore,
+    /// The rounds at which this worker synchronized.
+    pub sync_rounds: Vec<usize>,
+    /// The rounds it was present at and stayed local.
+    pub local_steps: u64,
+    /// The training loss of its most recent step.
+    pub last_loss: f32,
+}
+
+impl WorkerImage {
+    /// Pack as the section `worker<worker>`.
+    pub fn section(&self, worker: usize) -> Section {
+        let mut section = Section::new(format!("worker{worker}"));
+        section.push_worker_core(&self.core.params, &self.core.optimizer, &self.core.tracker);
+        let rounds: Vec<u64> = self.sync_rounds.iter().map(|&r| r as u64).collect();
+        section.push_ints(&rounds);
+        section.push_int(self.local_steps);
+        section.push_f32(self.last_loss);
+        section
+    }
 }
 
 /// Cursor over a [`Section`]'s parallel arrays; reads must mirror the write order.
@@ -286,8 +334,8 @@ impl SectionReader<'_> {
 /// A complete, decoded checkpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
-    /// Which driver wrote it (`"sim"` / `"threaded"` / `"process"`); resume
-    /// refuses a mismatch.
+    /// Which driver wrote it (`"sim"` / `"threaded"` / `"process"`); every driver
+    /// resumes every one of them ([`Self::check_resumable`]).
     pub backend: String,
     /// [`config_fingerprint`] of the run's configuration; resume refuses a mismatch.
     pub fingerprint: u64,
@@ -340,22 +388,117 @@ impl Checkpoint {
             .reader()
     }
 
-    /// Append a δ-policy's durable state as the section `name` (`policy` in
-    /// simulator images, `board` in cluster images).
-    pub fn add_policy_state(&mut self, name: &str, state: &PolicyState) {
-        let mut section = Section::new(name);
-        section.push_ints(&state.ints);
-        section.push_f32s(&state.floats);
-        self.add_section(section);
+    /// Assemble the recovery image of `cfg`'s run after round `round`, tagged
+    /// `backend`: the PS state, the shared δ-policy state, `sections` — every
+    /// worker's [`WorkerImage::section`] in worker order, then whatever the backend
+    /// keeps for itself alone (the simulator's `sim`) — and the canonically sorted
+    /// trace prefix. The one image every backend writes.
+    pub fn assemble(
+        backend: &str,
+        cfg: &TrainConfig,
+        round: usize,
+        ps: &PsState,
+        board: &PolicyState,
+        sections: impl IntoIterator<Item = Section>,
+        trace: &EventLog,
+    ) -> Checkpoint {
+        let mut image = Checkpoint::new(backend, config_fingerprint(cfg), round);
+
+        let mut section = Section::new("ps");
+        section.push_f32s(&ps.global);
+        section.push_opt_int(ps.last_global_round);
+        section.push_bool(ps.ring.is_some());
+        if let Some(ring) = &ps.ring {
+            section.push_usize(ring.depth);
+            section.push_f32s(&ring.initial);
+            section.push_usize(ring.entries.len());
+            for (round, mean) in &ring.entries {
+                section.push_int(*round);
+                section.push_f32s(mean);
+            }
+            section.push_opt_int(ring.evicted_min);
+        }
+        image.add_section(section);
+
+        let mut section = Section::new("board");
+        section.push_ints(&board.ints);
+        section.push_f32s(&board.floats);
+        image.add_section(section);
+
+        for section in sections {
+            image.add_section(section);
+        }
+        image.set_trace(trace);
+        image
     }
 
-    /// Read back a section written by [`Self::add_policy_state`].
-    pub fn policy_state(&self, name: &str) -> PolicyState {
-        let mut reader = self.read_section(name);
+    /// Whether a run of `cfg` can resume from this image: written by one of the
+    /// three backends, for this very configuration. Continuing under a different
+    /// model / cluster shape / fault schedule would silently break byte-identity.
+    pub fn check_resumable(&self, cfg: &TrainConfig) -> Result<(), String> {
+        if !matches!(self.backend.as_str(), "sim" | "threaded" | "process") {
+            return Err(format!(
+                "checkpoint was written by the unknown {:?} backend \
+                 (expected sim, threaded or process)",
+                self.backend
+            ));
+        }
+        let expected = config_fingerprint(cfg);
+        if self.fingerprint != expected {
+            return Err(format!(
+                "checkpoint belongs to a different configuration \
+                 (fingerprint {:016x}, this run's is {expected:016x})",
+                self.fingerprint
+            ));
+        }
+        Ok(())
+    }
+
+    /// The parameter server's state (`ps` section), ready for
+    /// [`selsync_comm::ParameterServer::restore_state`].
+    pub fn ps_state(&self) -> PsState {
+        let mut reader = self.read_section("ps");
+        let global = reader.f32s();
+        let last_global_round = reader.opt_int();
+        let ring = reader.bool().then(|| {
+            let depth = reader.usize();
+            let initial = reader.f32s();
+            let count = reader.usize();
+            RingState {
+                depth,
+                initial,
+                entries: (0..count).map(|_| (reader.int(), reader.f32s())).collect(),
+                evicted_min: reader.opt_int(),
+            }
+        });
+        reader.finish();
+        PsState {
+            global,
+            last_global_round,
+            ring,
+        }
+    }
+
+    /// The shared δ-policy's durable state (`board` section).
+    pub fn board_state(&self) -> PolicyState {
+        let mut reader = self.read_section("board");
         let ints = reader.ints();
         let floats = reader.f32s();
         reader.finish();
         PolicyState { ints, floats }
+    }
+
+    /// Worker `worker`'s record (`worker<k>` section).
+    pub fn worker_image(&self, worker: usize) -> WorkerImage {
+        let mut reader = self.read_section(&format!("worker{worker}"));
+        let image = WorkerImage {
+            core: reader.worker_core(),
+            sync_rounds: reader.ints().into_iter().map(|r| r as usize).collect(),
+            local_steps: reader.int(),
+            last_loss: reader.f32(),
+        };
+        reader.finish();
+        image
     }
 
     /// Store `log` (canonically sorted) as the image's trace prefix.
@@ -661,20 +804,82 @@ mod tests {
 
     #[test]
     fn an_image_of_another_format_version_is_refused_by_version_not_by_checksum() {
-        // A v1 image as the previous build wrote it: same layout, FNV-1a trailer.
-        // Its checksum line cannot match this build's function; the diagnosis
-        // must name the version instead.
-        let v2 = sample().encode();
-        let v1 = v2.replacen("selsync-ckpt v2\n", "selsync-ckpt v1\n", 1);
+        // An image as an earlier build wrote it: v2 carried another simulator layout
+        // under the same trailer, v1 an FNV-1a trailer that cannot match this build's
+        // function. Either way the diagnosis must name the version.
+        let v3 = sample().encode();
+        for old in [1, 2] {
+            let image = v3.replacen("selsync-ckpt v3\n", &format!("selsync-ckpt v{old}\n"), 1);
+            assert_eq!(
+                Checkpoint::decode(&image).unwrap_err(),
+                format!("checkpoint: written by an older build (v{old}), this build reads v3")
+            );
+        }
+        let v4 = v3.replacen("selsync-ckpt v3\n", "selsync-ckpt v4\n", 1);
         assert_eq!(
-            Checkpoint::decode(&v1).unwrap_err(),
-            "checkpoint: written by an older build (v1), this build reads v2"
+            Checkpoint::decode(&v4).unwrap_err(),
+            "checkpoint: written by a newer build (v4), this build reads v3"
         );
-        let v3 = v2.replacen("selsync-ckpt v2\n", "selsync-ckpt v3\n", 1);
-        assert_eq!(
-            Checkpoint::decode(&v3).unwrap_err(),
-            "checkpoint: written by a newer build (v3), this build reads v2"
+    }
+
+    #[test]
+    fn assembled_images_read_back_through_the_typed_accessors() {
+        let cfg = TrainConfig::small(ModelKind::ResNetLike, 2);
+        let mut ps = PsState::new(vec![0.5, -0.5], Some(2));
+        for round in [3u64, 5, 8] {
+            ps.record_sync(round, &[round as f32, 1.0]);
+        }
+        let board = PolicyState {
+            ints: vec![7, 1],
+            floats: vec![0.25],
+        };
+        let worker = |loss: f32| WorkerImage {
+            core: WorkerCore {
+                params: vec![loss, 2.0],
+                optimizer: OptimizerState {
+                    t: 4,
+                    buffers: vec![vec![0.1, 0.2]],
+                },
+                tracker: TrackerState {
+                    ewma_history: vec![1.0, 2.0],
+                    ewma_smoothed: Some(1.5),
+                    previous_smoothed: None,
+                    last_delta: 0.125,
+                    max_delta: 0.5,
+                    steps: 9,
+                },
+            },
+            sync_rounds: vec![3, 8],
+            local_steps: 6,
+            last_loss: loss,
+        };
+        let workers = [worker(1.25), worker(f32::MIN_POSITIVE)];
+        let sections = workers.iter().enumerate().map(|(k, w)| w.section(k));
+        let image = Checkpoint::assemble(
+            "process",
+            &cfg,
+            8,
+            &ps,
+            &board,
+            sections,
+            &EventLog::default(),
         );
+        let image = Checkpoint::decode(&image.encode()).expect("decode");
+        assert_eq!(image.ps_state(), ps);
+        assert_eq!(image.board_state(), board);
+        assert_eq!(image.worker_image(0), workers[0]);
+        assert_eq!(image.worker_image(1), workers[1]);
+
+        // Resumable by this configuration under any backend's tag — and by nothing else.
+        assert_eq!(image.check_resumable(&cfg), Ok(()));
+        let mut other = cfg.clone();
+        other.seed += 1;
+        let err = image.check_resumable(&other).unwrap_err();
+        assert!(err.starts_with("checkpoint belongs to a different configuration"));
+        let mut deposit = image.clone();
+        deposit.backend = "deposit".to_string();
+        let err = deposit.check_resumable(&cfg).unwrap_err();
+        assert!(err.starts_with("checkpoint was written by the unknown \"deposit\" backend"));
     }
 
     #[test]

@@ -161,6 +161,19 @@ impl ClusterConditions {
         self
     }
 
+    /// Add one no-rejoin crash per `(worker, first-absent round)` eviction: a worker
+    /// dropped from the cluster for good looks exactly like a scheduled crash.
+    pub fn with_evictions(mut self, evictions: &[(usize, usize)]) -> Self {
+        for &(worker, start) in evictions {
+            self.faults.push(FaultEvent::Crash {
+                worker,
+                start,
+                rejoin: None,
+            });
+        }
+        self
+    }
+
     /// Whether this is a homogeneous, fault-free cluster.
     pub fn is_uniform(&self) -> bool {
         self.faults.is_empty() && self.base_speed.iter().all(|&s| s == 1.0)
@@ -210,6 +223,22 @@ impl ClusterConditions {
     /// The alive subset of a `workers`-sized cluster at `iter`, in worker order.
     pub fn present_workers(&self, workers: usize, iter: usize) -> Vec<usize> {
         (0..workers).filter(|&w| self.is_present(w, iter)).collect()
+    }
+
+    /// How many of the rounds `0..round` `worker` is present at — the steps it has
+    /// taken entering `round`, hence its position in its circular data traversal.
+    pub fn rounds_present_before(&self, worker: usize, round: usize) -> usize {
+        (0..round).filter(|&r| self.is_present(worker, r)).count()
+    }
+
+    /// The training forwards a `workers`-sized cluster issues over the rounds
+    /// `0..round`: rounds issue theirs in worker order over the present set, so this
+    /// is the canonical global forward counter (the dropout-stream position) entering
+    /// `round`.
+    pub fn forwards_before(&self, workers: usize, round: usize) -> u64 {
+        (0..workers)
+            .map(|w| self.rounds_present_before(w, round) as u64)
+            .sum()
     }
 
     /// The first iteration in `from..limit` at which *any* worker of a

@@ -6,10 +6,11 @@
 //! used for simulated timing. Every run is deterministic given its `seed`.
 
 use crate::aggregation::AggregationMode;
-use crate::conditions::{ClusterConditions, FaultEvent};
+use crate::conditions::ClusterConditions;
 use crate::policy::PolicySpec;
 use selsync_comm::faults::{CommFaultSchedule, CommFaultSpec, PsFaultSchedule, PsFaultSpec};
 use selsync_comm::netmodel::NetworkModel;
+use selsync_comm::ps::DEFAULT_SNAPSHOT_DEPTH;
 use selsync_data::injection::DataInjection;
 use selsync_data::partition::PartitionScheme;
 use selsync_nn::cost::DeviceProfile;
@@ -452,15 +453,15 @@ impl TrainConfig {
     /// `self.conditions`, so fault-driven evictions look exactly like scheduled
     /// crashes.
     pub fn effective_conditions(&self) -> ClusterConditions {
-        let mut conditions = self.conditions.clone();
-        for (worker, round) in self.comm_fault_evictions() {
-            conditions = conditions.with_fault(FaultEvent::Crash {
-                worker,
-                start: round,
-                rejoin: None,
-            });
-        }
-        conditions
+        self.conditions
+            .clone()
+            .with_evictions(&self.comm_fault_evictions())
+    }
+
+    /// Depth of the parameter server's round-keyed snapshot ring, when the run keeps
+    /// one: deterministic rejoin pulls read it instead of the wall-clock PS state.
+    pub fn snapshot_depth(&self) -> Option<usize> {
+        (self.rejoin_pull == RejoinPull::Scheduled).then_some(DEFAULT_SNAPSHOT_DEPTH)
     }
 
     /// The compiled PS availability schedule, when `[ps_faults]` is configured.

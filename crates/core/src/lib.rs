@@ -32,9 +32,8 @@
 //!   per-process trace shards that merge into the canonical event log.
 //! * `worker` (crate-private) — the SelSync worker round, once: `run_worker` over a
 //!   `ClusterLink`, which [`threaded`] implements in-process and [`process`] over RPC.
-//! * [`resume`] — cross-backend checkpoint translation: resume a simulator
-//!   checkpoint on a cluster backend and vice versa (the two cluster backends share
-//!   one image layout).
+//! * [`checkpoint`] — the durable recovery image: one section layout for all three
+//!   backends, so any driver resumes any backend's image.
 //! * [`tracing`] — shared emission helpers for the deterministic run-trace layer
 //!   (`selsync-tracelog`): both SelSync drivers log the same canonical event stream.
 //!
@@ -61,7 +60,6 @@ pub mod config;
 pub mod policy;
 pub mod process;
 pub mod report;
-pub mod resume;
 pub mod sim;
 pub mod threaded;
 pub mod tracing;

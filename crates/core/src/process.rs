@@ -47,12 +47,10 @@
 //! recovery section and trace-shard prefix to the hub as an Rpc deposit
 //! (`op::CKPT_DEPOSIT`) and parks; once every deposit is in, the hub writes
 //! the image through `ClusterCore::write_image` — the function the threaded
-//! driver writes its own with, so the two tags name one layout (PS global +
-//! snapshot ring, per-worker sections, board policy state, merged trace
-//! prefix) — under the configured `keep` rotation, and releases the cluster.
-//! Either cluster backend resumes either tag as it is, and a simulator image
-//! through [`crate::resume`] — reproducing the uninterrupted run byte for
-//! byte.
+//! driver writes its own with — under the configured `keep` rotation, and
+//! releases the cluster. Every backend writes the one layout of
+//! [`crate::checkpoint`], so the hub and its workers resume an image of any
+//! tag as it is, reproducing the uninterrupted run byte for byte.
 //!
 //! **Worker death.** A connection that terminates after identification —
 //! clean EOF or broken pipe alike — is mapped by the hub to a deterministic
@@ -657,20 +655,18 @@ pub fn run_process_hub(cfg: &TrainConfig, addr: &SocketAddrSpec) -> String {
 }
 
 /// [`run_process_hub`] with an optional recovery image to resume from.
-/// Accepts images from any backend: cluster images (either tag) as they are,
-/// simulator ones through [`crate::resume::sim_to_threaded`].
+/// Accepts images from any backend ([`Checkpoint::check_resumable`]).
 pub fn run_process_hub_with(
     cfg: &TrainConfig,
     addr: &SocketAddrSpec,
     resume: Option<&Checkpoint>,
 ) -> String {
     let (_delta, spec) = ensure_supported(cfg).unwrap_or_else(|e| panic!("{e}"));
-    let resume = resume.map(|ckpt| crate::resume::cluster_image(cfg, ckpt));
     // The hub shard carries a resume image's merged trace prefix; workers
     // re-emit nothing before the first resumed round, so the merged result is
     // exactly prefix + fresh suffix.
     let proto = PaperModel::build(cfg.model, cfg.seed);
-    let core = ClusterCore::build(cfg, &spec, &proto, resume.as_deref());
+    let core = ClusterCore::build(cfg, &spec, &proto, cfg.effective_conditions(), resume);
     let server = HubServer::bind(addr).unwrap_or_else(|e| panic!("hub failed to bind {addr}: {e}"));
     let service = HubService {
         cfg: cfg.clone(),
@@ -687,7 +683,7 @@ pub fn run_process_hub_with(
 /// Per-worker knobs for [`run_process_worker_with`] beyond the shared config.
 #[derive(Default)]
 pub struct WorkerOptions<'a> {
-    /// Recovery image to resume from (any backend; translated like the hub's).
+    /// Recovery image to resume from (any backend's, like the hub's).
     pub resume: Option<&'a Checkpoint>,
     /// Die abruptly at the top of this round — no announce, no farewell — to
     /// exercise the hub's worker-death eviction path deterministically.
@@ -714,9 +710,9 @@ pub fn run_process_worker_with(
     opts: WorkerOptions<'_>,
 ) -> (ThreadedWorkerReport, String) {
     let (_delta, spec) = ensure_supported(cfg).unwrap_or_else(|e| panic!("{e}"));
-    let resume = opts
-        .resume
-        .map(|ckpt| crate::resume::cluster_image(cfg, ckpt));
+    if let Some(ckpt) = opts.resume {
+        ckpt.check_resumable(cfg).unwrap_or_else(|e| panic!("{e}"));
+    }
     let inputs = WorkerInputs::build(cfg, &spec, &PaperModel::build(cfg.model, cfg.seed));
 
     let conn = SocketConn::connect(addr, CONNECT_RETRY)
@@ -740,7 +736,7 @@ pub fn run_process_worker_with(
         worker,
         &hub,
         &layer,
-        resume.as_deref(),
+        opts.resume,
         opts.kill_at,
     );
     (report, cfg.trace.take_log().encode())
@@ -1057,7 +1053,8 @@ mod tests {
     }
 
     #[test]
-    fn threaded_and_process_images_are_one_layout_and_resume_on_either_backend() {
+    fn all_three_backends_write_one_image_layout_and_resume_each_others_images() {
+        use crate::algorithms::selsync::run_resumed;
         use crate::config::{CheckpointSpec, RejoinPull};
         use crate::threaded::run_threaded_selsync_resumed;
         let dir =
@@ -1079,37 +1076,62 @@ mod tests {
                 halt_after: Some(10),
                 keep: None,
             });
-            // The threaded driver's sink; every cluster process gets its own.
+            // The in-process drivers' sink; every cluster process gets its own.
             c.trace = TraceSink::capture(TraceGranularity::Full);
             c
         };
         let (full_reports, full_trace) = run_in_process_cluster(&make(None), "cross-full");
+        let full_sim = format!("{:?}", crate::algorithms::run(&make(None)));
 
-        // (a) Halted at the same round of the same config, the two backends write
-        // the same image: every byte but the `backend` tag.
+        // (a) Halted at the same round of the same config, the three backends write
+        // the same image: every byte but the `backend` tag — and the simulator's
+        // own trailing `sim` section, which no cluster driver opens.
         let _ = run_in_process_cluster(&make(Some("process")), "cross-halt");
         let _ = run_threaded_selsync(&make(Some("threaded")));
-        let read = |sub: &str| Checkpoint::read_file(dir.join(sub).join("ckpt-10")).expect(sub);
-        let (process_image, threaded_image) = (read("process"), read("threaded"));
-        assert_eq!(process_image.backend, "process");
-        assert_eq!(threaded_image.backend, "threaded");
-        let mut relabelled = threaded_image.clone();
-        relabelled.backend = "process".to_string();
-        assert_eq!(relabelled.encode(), process_image.encode());
-
-        // (b) Each backend resumes the other's image as it is.
-        let (reports, trace) =
-            run_in_process_cluster_with(&make(None), "cross-rest", Some(&threaded_image), None);
-        assert_eq!(trace, full_trace, "threaded image on the process cluster");
-        assert_eq!(format!("{reports:?}"), format!("{full_reports:?}"));
-        let c = make(None);
-        let reports = run_threaded_selsync_resumed(&c, &process_image);
-        assert_eq!(
-            c.trace.take_log().encode(),
-            full_trace,
-            "process image on the threaded driver"
+        let _ = crate::algorithms::run(&make(Some("sim")));
+        let images = ["sim", "threaded", "process"].map(|tag| {
+            let image = Checkpoint::read_file(dir.join(tag).join("ckpt-10")).expect(tag);
+            assert_eq!(image.backend, tag);
+            image
+        });
+        let mut shared = images[0].clone();
+        assert_eq!(shared.sections.pop().expect("sections").name, "sim");
+        assert!(
+            shared
+                .ps_state()
+                .ring
+                .is_some_and(|r| !r.entries.is_empty()),
+            "the image must carry a populated snapshot ring for this to mean anything"
         );
-        assert_eq!(format!("{reports:?}"), format!("{full_reports:?}"));
+        for image in &images[1..] {
+            shared.backend = image.backend.clone();
+            assert_eq!(shared.encode(), image.encode(), "{} image", image.backend);
+        }
+
+        // (b) Every driver resumes every image, as it is, to the uninterrupted trace
+        // (and reports: the simulator's own report needs its own `sim` section).
+        for image in &images {
+            let from = &image.backend;
+            let tag = format!("cross-rest-{from}");
+            let (reports, trace) =
+                run_in_process_cluster_with(&make(None), &tag, Some(image), None);
+            assert_eq!(trace, full_trace, "{from} image on the process cluster");
+            assert_eq!(format!("{reports:?}"), format!("{full_reports:?}"));
+
+            let c = make(None);
+            let reports = run_threaded_selsync_resumed(&c, image);
+            let trace = c.trace.take_log().encode();
+            assert_eq!(trace, full_trace, "{from} image on the threaded driver");
+            assert_eq!(format!("{reports:?}"), format!("{full_reports:?}"));
+
+            let c = make(None);
+            let report = run_resumed(&c, image);
+            let trace = c.trace.take_log().encode();
+            assert_eq!(trace, full_trace, "{from} image on the simulator");
+            if from == "sim" {
+                assert_eq!(format!("{report:?}"), full_sim);
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -25,6 +25,7 @@
 //! the real parameter server / collectives for the same algorithm logic.
 
 use crate::aggregation;
+use crate::checkpoint::{Checkpoint, Section, WorkerCore, WorkerImage};
 use crate::config::{AlgorithmSpec, TrainConfig};
 use crate::policy::RoundSignal;
 use crate::report::{EvalPoint, RunReport};
@@ -62,6 +63,8 @@ pub struct WorkerState {
     shard_cursor: usize,
     /// Relative gradient change observed at the most recent step.
     pub last_delta: f32,
+    /// Training loss of this worker's most recent step.
+    pub last_loss: f32,
     /// Number of iterations this worker has completed (used by SSP).
     pub progress: usize,
 }
@@ -293,6 +296,7 @@ impl Simulator {
                     shard,
                     shard_cursor: 0,
                     last_delta: 0.0,
+                    last_loss: 0.0,
                     progress: 0,
                 }
             })
@@ -430,6 +434,7 @@ impl Simulator {
         self.forwards_issued += 1;
         let stats = self.model.forward_backward(&x, &y);
         self.last_train_loss = stats.loss;
+        self.workers[worker].last_loss = stats.loss;
         (stats, self.model.grads_flat())
     }
 
@@ -521,6 +526,7 @@ impl Simulator {
                 let wstate = &mut self.workers[step.worker];
                 let delta = wstate.tracker.update(&self.round_grads[i]);
                 wstate.last_delta = delta;
+                wstate.last_loss = stats.loss;
                 output.stats[i] = stats;
                 output.deltas[i] = delta;
             }
@@ -561,6 +567,7 @@ impl Simulator {
                     engine.model.grads_flat_into(grads);
                     let delta = wstate.tracker.update(grads);
                     wstate.last_delta = delta;
+                    wstate.last_loss = stats.loss;
                     unsafe {
                         *stats_ptr.get().add(i) = stats;
                         *deltas_ptr.get().add(i) = delta;
@@ -1025,25 +1032,53 @@ impl Simulator {
 
     // --- checkpoint / resume -------------------------------------------------------
 
-    /// Write the simulator's mutable state into `ckpt` as a `sim` section plus one
-    /// `worker<k>` section per worker. Must be called at a round boundary (after the
-    /// round's updates, accounting and evaluation) — scratch buffers, engines and the
-    /// round-gradient pool are rebuild-on-demand and deliberately not stored.
-    pub fn export_checkpoint_sections(&self, ckpt: &mut crate::checkpoint::Checkpoint) {
-        use crate::checkpoint::Section;
+    /// The simulator's part of a recovery image ([`Checkpoint::assemble`]): one
+    /// `worker<k>` section per worker, exactly what that worker would deposit on a
+    /// cluster backend, then the `sim` section — what only the simulator measures
+    /// (cost-model seconds, bytes, eval history, the run-wide max `Δ(g_i)`, which
+    /// tracker restarts forget) or draws (the cluster RNG position and, because
+    /// data-injection advances *other* workers' shards, the shard cursors). Must be
+    /// called at a round boundary (after the round's updates, accounting and
+    /// evaluation) — scratch buffers, engines and the round-gradient pool are
+    /// rebuild-on-demand and deliberately not stored.
+    pub fn recovery_sections(&self) -> Vec<Section> {
+        let conditions = &self.cfg.conditions;
+        let rounds = self.lssr.total() as usize;
+        let mut sections: Vec<Section> = self
+            .workers
+            .iter()
+            .map(|w| {
+                // A worker's view of the schedule is the cluster's restricted to the
+                // rounds it was present at.
+                let sync_rounds: Vec<usize> = self
+                    .sync_rounds
+                    .iter()
+                    .copied()
+                    .filter(|&r| conditions.is_present(w.id, r))
+                    .collect();
+                let present = conditions.rounds_present_before(w.id, rounds);
+                WorkerImage {
+                    core: WorkerCore {
+                        params: w.params.clone(),
+                        optimizer: w.optimizer.export_state(),
+                        tracker: w.tracker.export_state(),
+                    },
+                    local_steps: (present - sync_rounds.len()) as u64,
+                    sync_rounds,
+                    last_loss: w.last_loss,
+                }
+                .section(w.id)
+            })
+            .collect();
+
         let mut s = Section::new("sim");
         s.push_int(self.rng.word_pos());
-        s.push_int(self.lssr.local_steps);
-        s.push_int(self.lssr.sync_steps);
-        let sync_rounds: Vec<u64> = self.sync_rounds.iter().map(|&r| r as u64).collect();
-        s.push_ints(&sync_rounds);
+        let cursors: Vec<u64> = self.workers.iter().map(|w| w.shard_cursor as u64).collect();
+        s.push_ints(&cursors);
         s.push_f64(self.compute_time_s);
         s.push_f64(self.comm_time_s);
         s.push_int(self.bytes_communicated);
-        s.push_f32(self.last_train_loss);
         s.push_f32(self.max_delta_seen);
-        s.push_opt_int(self.last_round.map(|r| r as u64));
-        s.push_int(self.forwards_issued);
         s.push_usize(self.history.len());
         for p in &self.history {
             s.push_usize(p.iteration);
@@ -1054,37 +1089,63 @@ impl Simulator {
             s.push_f32(p.delta_g);
             s.push_f32(p.lr);
         }
-        ckpt.add_section(s);
-
-        for w in &self.workers {
-            let mut s = Section::new(format!("worker{}", w.id));
-            s.push_worker_core(
-                &w.params,
-                &w.optimizer.export_state(),
-                &w.tracker.export_state(),
-            );
-            s.push_usize(w.shard_cursor);
-            s.push_f32(w.last_delta);
-            s.push_usize(w.progress);
-            ckpt.add_section(s);
-        }
+        sections.push(s);
+        sections
     }
 
-    /// Restore state written by [`Self::export_checkpoint_sections`] onto a freshly
-    /// built simulator for the same configuration.
-    pub fn restore_checkpoint_sections(&mut self, ckpt: &crate::checkpoint::Checkpoint) {
-        let mut s = ckpt.read_section("sim");
+    /// Restore a recovery image — any backend's — onto a freshly built simulator for
+    /// the same configuration. Durable per-worker state comes from the `worker<k>`
+    /// sections; every schedule-pure cursor (data-traversal position, step and
+    /// forward counters, presence edge, the cluster-level schedule) is recomputed
+    /// from the configuration exactly as a cluster worker recomputes its own. A
+    /// cluster-written image has no `sim` section: the cost-model aggregates and the
+    /// eval history then restart at zero and the run-wide max `Δ(g_i)` is the
+    /// trackers'. (`last_train_loss` is in no image: the first step of the next
+    /// round rewrites it before an evaluation can read it.)
+    pub fn restore_checkpoint(&mut self, ckpt: &Checkpoint) {
+        let rounds = ckpt.round + 1;
+        let mut sync_rounds = Vec::new();
+        self.max_delta_seen = 0.0;
+        for w in &mut self.workers {
+            let image = ckpt.worker_image(w.id);
+            self.max_delta_seen = self.max_delta_seen.max(image.core.tracker.max_delta);
+            w.last_delta = image.core.tracker.last_delta;
+            w.last_loss = image.last_loss;
+            w.params = image.core.params;
+            w.optimizer.load_state(&image.core.optimizer);
+            w.tracker.restore_state(&image.core.tracker);
+            w.progress = self.cfg.conditions.rounds_present_before(w.id, rounds);
+            let traversal = w.iid_traversal.as_ref().or(w.shard.as_ref());
+            let len = traversal.expect("every worker walks a traversal").len();
+            w.shard_cursor = (w.progress * self.cfg.batch_size) % len;
+            sync_rounds.extend(image.sync_rounds);
+        }
+        // A round synchronized iff any worker present at it did (all of them do), so
+        // the union of the per-worker views is the cluster's schedule; every other
+        // round the cluster ran is a local step.
+        sync_rounds.sort_unstable();
+        sync_rounds.dedup();
+        self.lssr.sync_steps = sync_rounds.len() as u64;
+        self.lssr.local_steps = rounds as u64 - self.lssr.sync_steps;
+        self.sync_rounds = sync_rounds;
+        self.forwards_issued = self
+            .cfg
+            .conditions
+            .forwards_before(self.workers.len(), rounds);
+        self.last_round = Some(ckpt.round);
+
+        let Some(section) = ckpt.section("sim") else {
+            return;
+        };
+        let mut s = section.reader();
         self.rng.set_word_pos(s.int());
-        self.lssr.local_steps = s.int();
-        self.lssr.sync_steps = s.int();
-        self.sync_rounds = s.ints().into_iter().map(|r| r as usize).collect();
+        for (w, cursor) in self.workers.iter_mut().zip(s.ints()) {
+            w.shard_cursor = cursor as usize;
+        }
         self.compute_time_s = s.f64();
         self.comm_time_s = s.f64();
         self.bytes_communicated = s.int();
-        self.last_train_loss = s.f32();
         self.max_delta_seen = s.f32();
-        self.last_round = s.opt_int().map(|r| r as usize);
-        self.forwards_issued = s.int();
         let n_history = s.usize();
         self.history = (0..n_history)
             .map(|_| EvalPoint {
@@ -1098,18 +1159,6 @@ impl Simulator {
             })
             .collect();
         s.finish();
-
-        for w in &mut self.workers {
-            let mut s = ckpt.read_section(&format!("worker{}", w.id));
-            let core = s.worker_core();
-            w.params = core.params;
-            w.optimizer.load_state(&core.optimizer);
-            w.tracker.restore_state(&core.tracker);
-            w.shard_cursor = s.usize();
-            w.last_delta = s.f32();
-            w.progress = s.usize();
-            s.finish();
-        }
     }
 
     /// Snapshot of a named layer's weights from the given parameters (used by the
@@ -1397,17 +1446,30 @@ mod tests {
         let params = a.workers[0].params.clone();
         a.record_eval(3, &params, 0.01);
 
-        let mut ckpt = crate::checkpoint::Checkpoint::new("sim", 1, 3);
-        a.export_checkpoint_sections(&mut ckpt);
+        // The driver's share of the image: the synchronized global and the δ-policy
+        // state — neither is the simulator's to restore.
+        let ps = selsync_comm::ps::PsState::new(params, cfg.snapshot_depth());
+        let board = crate::policy::PolicyState::default();
+        let ckpt = Checkpoint::assemble(
+            "sim",
+            &cfg,
+            3,
+            &ps,
+            &board,
+            a.recovery_sections(),
+            &selsync_tracelog::EventLog::default(),
+        );
         // Codec round-trip in the middle, so what continues is what a file stores.
-        let ckpt = crate::checkpoint::Checkpoint::decode(&ckpt.encode()).expect("decode");
+        let ckpt = Checkpoint::decode(&ckpt.encode()).expect("decode");
         let mut b = Simulator::new(&cfg);
-        b.restore_checkpoint_sections(&ckpt);
+        b.restore_checkpoint(&ckpt);
 
         assert_eq!(b.rng.word_pos(), a.rng.word_pos());
         assert_eq!(b.forwards_issued, a.forwards_issued);
         assert_eq!(b.sync_rounds, a.sync_rounds);
-        assert_eq!(b.history.len(), a.history.len());
+        assert_eq!(b.lssr, a.lssr);
+        assert_eq!(b.history, a.history);
+        assert_eq!(b.elapsed_seconds(), a.elapsed_seconds());
         // Continue both for two more rounds: plans, outputs and replicas must agree
         // byte for byte.
         let mut steps_b = Vec::new();

@@ -68,17 +68,16 @@
 //! process hub builds and checkpoints through the very same functions), the
 //! in-process `ClusterLink` over it, and the checkpoint gate.
 
-use crate::checkpoint::{self, Checkpoint, Section};
+use crate::checkpoint::{Checkpoint, Section};
 use crate::conditions::ClusterConditions;
 #[cfg(test)]
 use crate::config::AlgorithmSpec;
-use crate::config::{RejoinPull, TrainConfig};
+use crate::config::TrainConfig;
 use crate::policy::{DeltaPolicy, PolicySpec, RoundSignal};
 use crate::worker::{run_worker, with_ps_gate, ClusterLink, WorkerInputs};
 use parking_lot::{Condvar, Mutex};
 use selsync_comm::cluster::{make_handles, run_cluster_with, ClusterHandles};
 use selsync_comm::faults::CommFaultSchedule;
-use selsync_comm::ps::DEFAULT_SNAPSHOT_DEPTH;
 use selsync_comm::{MessageLayer, ScalarOp};
 use selsync_nn::model::PaperModel;
 use selsync_tracelog::{Event, EventLog, TraceSink};
@@ -268,25 +267,25 @@ pub(crate) struct ClusterCore {
 }
 
 impl ClusterCore {
-    /// Build the shared state for a run of `cfg` under the δ-policy `spec`, restored
-    /// from `resume` (a cluster image, see [`crate::resume::cluster_image`]) when
-    /// given; `proto` is a freshly built replica of the run's model, whose parameters
-    /// seed the PS. Also starts the run's trace: the header on a fresh run, the
-    /// image's trace prefix — which already contains it — on a resumed one.
+    /// Build the shared state for a run of `cfg` under the δ-policy `spec` and the
+    /// compiled membership schedule `conditions`, restored from the recovery image
+    /// `resume` when given (panics unless [`Checkpoint::check_resumable`]: resuming
+    /// under a different config is always a bug); `proto` is a freshly built replica
+    /// of the run's model, whose parameters seed the PS. Also starts the run's trace:
+    /// the header on a fresh run, the image's trace prefix — which already contains
+    /// it — on a resumed one.
     pub(crate) fn build(
         cfg: &TrainConfig,
         spec: &PolicySpec,
         proto: &PaperModel,
+        conditions: ClusterConditions,
         resume: Option<&Checkpoint>,
     ) -> Self {
         let n = cfg.workers;
         let handles = make_handles(n, proto.params_flat());
-        if cfg.rejoin_pull == RejoinPull::Scheduled {
-            // Deterministic rejoin pulls read the round-keyed snapshot ring instead of
-            // the wall-clock PS state; enable it before any worker starts.
-            handles
-                .ps
-                .enable_scheduled_snapshots(DEFAULT_SNAPSHOT_DEPTH);
+        if let Some(depth) = cfg.snapshot_depth() {
+            // Enabled before any worker starts (and replaced by a resume image's).
+            handles.ps.enable_scheduled_snapshots(depth);
         }
         // One cluster-level policy instance for the whole run, seeded at the first
         // active round the run executes — the exact analogue of the simulator
@@ -294,14 +293,13 @@ impl ClusterCore {
         let mut policy = spec.build();
         match resume {
             Some(ckpt) => {
+                ckpt.check_resumable(cfg).unwrap_or_else(|e| panic!("{e}"));
                 ckpt.preload_trace(&cfg.trace);
                 // Restore the PS — global vector, newest-global guard and snapshot
                 // ring — before any worker pulls from it, and the policy's durable
                 // state before the board hands out a δ.
-                handles
-                    .ps
-                    .restore_state(&crate::resume::read_ps_state(ckpt));
-                policy.import_state(&ckpt.policy_state("board"));
+                handles.ps.restore_state(&ckpt.ps_state());
+                policy.import_state(&ckpt.board_state());
             }
             // Same header every backend writes: the labels are pure functions of
             // the config.
@@ -313,7 +311,6 @@ impl ClusterCore {
             ),
         }
         let start = resume.map_or(0, |ckpt| ckpt.round + 1);
-        let conditions = cfg.effective_conditions();
         let board = SignalBoard::new(
             policy,
             conditions.next_active_iteration(n, start, cfg.iterations),
@@ -346,14 +343,16 @@ impl ClusterCore {
             .checkpoint
             .as_ref()
             .expect("a deposit implies a checkpoint spec");
-        let mut image = Checkpoint::new(backend, checkpoint::config_fingerprint(cfg), it);
-        image.add_section(crate::resume::ps_section(&self.handles.ps.export_state()));
-        image.add_policy_state("board", &self.board.state.lock().policy.export_state());
-        for section in sections {
-            image.add_section(section);
-        }
         let own = std::iter::once(cfg.trace.snapshot_log());
-        image.set_trace(&EventLog::merge(own.chain(shards)));
+        let image = Checkpoint::assemble(
+            backend,
+            cfg,
+            it,
+            &self.handles.ps.export_state(),
+            &self.board.state.lock().policy.export_state(),
+            sections,
+            &EventLog::merge(own.chain(shards)),
+        );
         ck.write_image(&image, self.protect);
     }
 }
@@ -478,11 +477,9 @@ pub fn run_threaded_selsync_resumed(
 fn run_threaded_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> Vec<ThreadedWorkerReport> {
     let (_delta, spec) = crate::process::ensure_supported(cfg)
         .unwrap_or_else(|e| panic!("threaded driver: {} ({})", e.message, e.key));
-    let resume = resume.map(|ckpt| crate::resume::cluster_image(cfg, ckpt));
-    let resume = resume.as_deref();
     let proto = PaperModel::build(cfg.model, cfg.seed);
-    let core = ClusterCore::build(cfg, &spec, &proto, resume);
     let inputs = WorkerInputs::build(cfg, &spec, &proto);
+    let core = ClusterCore::build(cfg, &spec, &proto, inputs.conditions.clone(), resume);
     // Every comm op rides the message layer: lossless (single attempt, intact
     // delivery) without `[comm_faults]`, the retry/timeout/eviction path over the
     // faulty transport with it.

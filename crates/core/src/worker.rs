@@ -14,8 +14,8 @@
 //! driver: it runs all workers of a round in one call, with cost-model accounting,
 //! evaluation and gradient aggregation the cluster backends do not have.
 
-use crate::checkpoint::{Checkpoint, Section, SectionReader};
-use crate::conditions::{ClusterConditions, FaultEvent};
+use crate::checkpoint::{Checkpoint, Section, WorkerCore, WorkerImage};
+use crate::conditions::ClusterConditions;
 use crate::config::{RejoinPull, TrainConfig};
 use crate::policy::{PolicySpec, RoundSignal, SyncPolicy};
 use crate::sim;
@@ -25,7 +25,6 @@ use selsync_comm::faults::PsFaultSchedule;
 use selsync_comm::wire::MsgKind;
 use selsync_comm::{MessageLayer, PsExchangeError, ScalarOp};
 use selsync_data::dataset::Dataset;
-use selsync_metrics::lssr::LssrCounter;
 use selsync_nn::model::PaperModel;
 use selsync_nn::Optimizer;
 use selsync_tracelog::{Event, PullKind};
@@ -81,7 +80,7 @@ pub(crate) struct WorkerInputs {
     /// no-rejoin crash per comm-fault eviction. Every worker derives the same
     /// presence from this pure schedule, so fault-driven evictions need no runtime
     /// coordination — exactly like scheduled crashes.
-    conditions: ClusterConditions,
+    pub(crate) conditions: ClusterConditions,
     /// Eviction rounds are precomputed from the same schedule the message layer
     /// rolls, so a worker driven past its budget finds itself already absent from
     /// the membership above — the layer's `Err(Evicted)` and the schedule agree by
@@ -101,11 +100,14 @@ pub(crate) struct WorkerInputs {
 impl WorkerInputs {
     pub(crate) fn build(cfg: &TrainConfig, spec: &PolicySpec, proto: &PaperModel) -> Self {
         let (train, _test) = sim::build_datasets(cfg);
+        // The one compilation of the fault schedule into membership; the threaded
+        // driver hands the result on to its `ClusterCore`.
+        let evictions = cfg.comm_fault_evictions();
         WorkerInputs {
             iid_order: sim::iid_sample_order(&train, &proto.task),
             train,
-            conditions: cfg.effective_conditions(),
-            evictions: cfg.comm_fault_evictions(),
+            conditions: cfg.conditions.clone().with_evictions(&evictions),
+            evictions,
             ps_schedule: cfg.ps_fault_schedule(),
             exchange_signals: spec.consumes_round_signals(),
         }
@@ -123,51 +125,46 @@ pub(crate) fn with_ps_gate(cfg: &TrainConfig, layer: MessageLayer) -> MessageLay
 }
 
 /// Everything of a worker that cannot be recomputed from the schedule — its
-/// parameter replica, optimizer and `Δ(g_i)` tracker state, LSSR counters,
-/// synchronization history and last observed loss. [`Self::section`] and
-/// [`Self::restore`] are the `worker<k>` section's one writer and one reader.
+/// parameter replica, optimizer and `Δ(g_i)` tracker state, synchronization history,
+/// local-step count and last observed loss: what a [`WorkerImage`] stores.
 struct WorkerState {
     params: Vec<f32>,
     optimizer: Box<dyn Optimizer>,
     tracker: GradientTracker,
-    counter: LssrCounter,
     sync_rounds: Vec<usize>,
+    local_steps: u64,
     last_loss: f32,
 }
 
 impl WorkerState {
     fn section(&self, worker: usize) -> Section {
-        let mut section = Section::new(format!("worker{worker}"));
-        section.push_worker_core(
-            &self.params,
-            &self.optimizer.export_state(),
-            &self.tracker.export_state(),
-        );
-        section.push_int(self.counter.sync_steps);
-        section.push_int(self.counter.local_steps);
-        let rounds: Vec<u64> = self.sync_rounds.iter().map(|&r| r as u64).collect();
-        section.push_ints(&rounds);
-        section.push_f32(self.last_loss);
-        section
+        WorkerImage {
+            core: WorkerCore {
+                params: self.params.clone(),
+                optimizer: self.optimizer.export_state(),
+                tracker: self.tracker.export_state(),
+            },
+            sync_rounds: self.sync_rounds.clone(),
+            local_steps: self.local_steps,
+            last_loss: self.last_loss,
+        }
+        .section(worker)
     }
 
-    fn restore(&mut self, mut reader: SectionReader<'_>) {
-        let core = reader.worker_core();
-        self.params = core.params;
-        self.optimizer.load_state(&core.optimizer);
-        self.tracker.restore_state(&core.tracker);
-        self.counter.sync_steps = reader.int();
-        self.counter.local_steps = reader.int();
-        self.sync_rounds = reader.ints().iter().map(|&r| r as usize).collect();
-        self.last_loss = reader.f32();
-        reader.finish();
+    fn restore(&mut self, image: WorkerImage) {
+        self.params = image.core.params;
+        self.optimizer.load_state(&image.core.optimizer);
+        self.tracker.restore_state(&image.core.tracker);
+        self.sync_rounds = image.sync_rounds;
+        self.local_steps = image.local_steps;
+        self.last_loss = image.last_loss;
     }
 }
 
 /// Run worker `worker`'s rounds of `cfg` over `link`, every control-plane message
-/// riding `layer`. `resume` is a cluster image ([`crate::resume::cluster_image`])
-/// to continue from; `kill_at` makes the worker die abruptly at the top of that
-/// round — no announce, no farewell.
+/// riding `layer`. `resume` is the recovery image to continue from (any backend's:
+/// [`Checkpoint::check_resumable`]); `kill_at` makes the worker die abruptly at the
+/// top of that round — no announce, no farewell.
 pub(crate) fn run_worker<L: ClusterLink>(
     cfg: &TrainConfig,
     inputs: &WorkerInputs,
@@ -200,8 +197,8 @@ pub(crate) fn run_worker<L: ClusterLink>(
         params: link.pull(),
         optimizer: cfg.optimizer.build(),
         tracker: new_tracker(),
-        counter: LssrCounter::new(),
         sync_rounds: Vec::new(),
+        local_steps: 0,
         last_loss: 0.0,
     };
     model.set_params_flat(&state.params);
@@ -210,26 +207,19 @@ pub(crate) fn run_worker<L: ClusterLink>(
     let traversal = sim::worker_traversal(cfg, &inputs.train, &inputs.iid_order, worker);
     let mut cursor = 0usize;
     let mut was_present = true;
-    // The canonical global forward counter of the simulator: rounds issue their
-    // forwards in worker order over the present set, so the count *before* any
-    // iteration — and this worker's position within it — is a pure function of
-    // the fault schedule.
-    let forwards_before_round = |conditions: &ClusterConditions, round: usize| -> u64 {
-        (0..round)
-            .map(|r| conditions.present_workers(n, r).len() as u64)
-            .sum()
-    };
+    // The canonical global forward counter of the simulator
+    // ([`ClusterConditions::forwards_before`]): the count *before* any iteration —
+    // and this worker's position within it — is a pure function of the fault
+    // schedule.
     let mut forwards_before = 0u64;
     if let Some(ckpt) = resume {
         // Durable per-worker state comes from the checkpoint; the schedule-pure
         // cursors (data traversal, forward counter, presence edge) are recomputed
         // from the same deterministic schedule the uninterrupted run walked.
-        state.restore(ckpt.read_section(&format!("worker{worker}")));
-        let done_rounds = (0..start)
-            .filter(|&r| conditions.is_present(worker, r))
-            .count();
+        state.restore(ckpt.worker_image(worker));
+        let done_rounds = conditions.rounds_present_before(worker, start);
         cursor = (done_rounds * cfg.batch_size) % traversal.len();
-        forwards_before = forwards_before_round(&conditions, start);
+        forwards_before = conditions.forwards_before(n, start);
         was_present = conditions.is_present(worker, start - 1);
     }
     let mut indices = Vec::with_capacity(cfg.batch_size);
@@ -284,15 +274,9 @@ pub(crate) fn run_worker<L: ClusterLink>(
             // out, where it never saw a barrier.
             let evs = link.round_begin(it);
             if evs.len() > known_evictions {
-                for &(w, r) in &evs[known_evictions..] {
-                    conditions = conditions.with_fault(FaultEvent::Crash {
-                        worker: w,
-                        start: r,
-                        rejoin: None,
-                    });
-                }
+                conditions = conditions.with_evictions(&evs[known_evictions..]);
                 known_evictions = evs.len();
-                forwards_before = forwards_before_round(&conditions, it);
+                forwards_before = conditions.forwards_before(n, it);
             }
         }
         // Crash windows: an absent worker skips the round entirely — no compute, no
@@ -410,7 +394,7 @@ pub(crate) fn run_worker<L: ClusterLink>(
             // board's round-ordered observe behind every present worker's δ
             // fetch, exactly like the status all-gather does on reachable rounds.
             link.allgather_flags_among(it as u64, false, active);
-            state.counter.record_local();
+            state.local_steps += 1;
             if rank == 0 {
                 if cfg.trace.is_enabled() {
                     crate::tracing::emit_round_context(&cfg.trace, &conditions, n, it, &present);
@@ -508,10 +492,9 @@ pub(crate) fn run_worker<L: ClusterLink>(
                 &((state.params.len() * 4) as u64).to_le_bytes(),
             );
             state.params = link.sync_round_elastic(it as u64, &state.params, active);
-            state.counter.record_sync();
             state.sync_rounds.push(it);
         } else {
-            state.counter.record_local();
+            state.local_steps += 1;
         }
         if rank == 0 {
             if cfg.trace.is_enabled() {
@@ -584,8 +567,8 @@ pub(crate) fn run_worker<L: ClusterLink>(
     };
     ThreadedWorkerReport {
         worker,
-        sync_steps: state.counter.sync_steps,
-        local_steps: state.counter.local_steps,
+        sync_steps: state.sync_rounds.len() as u64,
+        local_steps: state.local_steps,
         sync_rounds: state.sync_rounds,
         final_loss: state.last_loss,
         distance_to_global,

@@ -1,6 +1,7 @@
-//! Slower integration tests asserting the qualitative *shapes* the paper reports.
-//! Every test here is `#[ignore]`d (slow suite): run with `cargo test -- --ignored`,
-//! as CI's `slow-tests` job does.
+//! Integration tests asserting the qualitative *shapes* the paper reports. All but
+//! the first are `#[ignore]`d (slow suite): run with `cargo test -- --ignored`, as
+//! CI's `slow-tests` job does. The first is a seconds-long guard that runs in tier-1,
+//! so a refactor of the simulator's state handling cannot bend the shapes unnoticed.
 //!
 //! Shapes asserted:
 //! SelDP beats DefDP under semi-synchronous training (Fig. 9), parameter aggregation
@@ -8,7 +9,9 @@
 //! non-IID data hurts FedAvg while data-injection recovers accuracy (Fig. 1b / 12).
 
 use selsync_repro::core::algorithms;
-use selsync_repro::core::config::{AlgorithmSpec, TrainConfig};
+use selsync_repro::core::checkpoint::Checkpoint;
+use selsync_repro::core::conditions::{ClusterConditions, FaultEvent};
+use selsync_repro::core::config::{AlgorithmSpec, CheckpointSpec, TrainConfig};
 use selsync_repro::data::partition::PartitionScheme;
 use selsync_repro::nn::model::ModelKind;
 
@@ -21,6 +24,72 @@ fn shape_cfg(model: ModelKind, workers: usize) -> TrainConfig {
     cfg.eval_samples = 384;
     cfg.batch_size = 16;
     cfg
+}
+
+#[test]
+fn quick_paper_shapes_hold_and_survive_a_kill_and_resume() {
+    let mut cfg = TrainConfig::small(ModelKind::ResNetLike, 4);
+    cfg.iterations = 60;
+    cfg.eval_every = 10;
+    cfg.train_samples = 512;
+    cfg.test_samples = 128;
+    cfg.eval_samples = 128;
+    cfg.batch_size = 8;
+    let run = |cfg: &TrainConfig, algorithm| {
+        let mut cfg = cfg.clone();
+        cfg.algorithm = algorithm;
+        algorithms::run(&cfg)
+    };
+
+    // Raising δ trades synchronization for local steps (Fig. 6): LSSR never falls,
+    // from BSP's 0 at δ = 0 to pure local SGD's 1 at a δ no `Δ(g_i)` reaches.
+    let lssr: Vec<f64> = [0.0, 0.05, 0.3, f32::MAX]
+        .iter()
+        .map(|&delta| run(&cfg, AlgorithmSpec::selsync(delta)).lssr)
+        .collect();
+    assert!(
+        lssr.windows(2).all(|w| w[0] <= w[1]),
+        "LSSR over δ: {lssr:?}"
+    );
+    assert_eq!((lssr[0], lssr[3]), (0.0, 1.0));
+
+    // One 3× straggler: both schemes step at its pace, and SelSync still finishes
+    // the same iterations sooner because it skips most parameter exchanges.
+    cfg.conditions = ClusterConditions::uniform().with_fault(FaultEvent::Slowdown {
+        worker: 1,
+        start: 0,
+        duration: cfg.iterations,
+        factor: 3.0,
+    });
+    let selsync = run(&cfg, AlgorithmSpec::selsync(0.3));
+    let bsp = run(&cfg, AlgorithmSpec::Bsp);
+    assert!(
+        selsync.sim_time_s < bsp.sim_time_s,
+        "SelSync {} s vs BSP {} s",
+        selsync.sim_time_s,
+        bsp.sim_time_s
+    );
+
+    // What only the simulator measures — cost-model time, bytes, the eval history —
+    // round-trips through the recovery image: halted mid-way and resumed, the run
+    // reports exactly what the uninterrupted one does.
+    let dir = std::env::temp_dir().join(format!("selsync-shape-guard-{}", std::process::id()));
+    cfg.algorithm = AlgorithmSpec::selsync(0.3);
+    let mut halted = cfg.clone();
+    halted.checkpoint = Some(CheckpointSpec {
+        every: 25,
+        dir: dir.to_string_lossy().into_owned(),
+        halt_after: Some(24),
+        keep: None,
+    });
+    let partial = algorithms::run(&halted);
+    assert!(partial.sim_time_s < selsync.sim_time_s);
+    let image = Checkpoint::read_file(dir.join("ckpt-24")).expect("halt image reads back");
+    let resumed = algorithms::selsync::run_resumed(&cfg, &image);
+    assert_eq!(resumed.sim_time_s, selsync.sim_time_s);
+    assert_eq!(resumed.bytes_communicated, selsync.bytes_communicated);
+    assert_eq!(resumed.history, selsync.history);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -3,8 +3,9 @@
 //! concurrency.
 
 use selsync_repro::comm::{Collective, ParameterServer};
-use selsync_repro::core::config::{AlgorithmSpec, TrainConfig};
-use selsync_repro::core::threaded::run_threaded_selsync;
+use selsync_repro::core::checkpoint::Checkpoint;
+use selsync_repro::core::config::{AlgorithmSpec, CheckpointSpec, TrainConfig};
+use selsync_repro::core::threaded::{run_threaded_selsync, run_threaded_selsync_resumed};
 use selsync_repro::nn::model::ModelKind;
 use std::sync::Arc;
 
@@ -101,4 +102,59 @@ fn ssp_style_async_pushes_do_not_lose_updates() {
     let global = ps.pull();
     // 6 workers x 100 pushes of +1 must all be applied (the RwLock serialises them).
     assert!(global.iter().all(|&x| (x - 600.0).abs() < 1e-3));
+}
+
+#[test]
+fn a_simulator_image_resumes_on_the_cluster_with_each_workers_own_loss_and_the_full_ring() {
+    // Unscaled `crash-rejoin`: worker 4 leaves for good at round 200, so after a halt
+    // past it its report's `final_loss` can only come from the image. A simulator
+    // image must carry every worker's *own* last loss (not the cluster's latest) and
+    // the snapshot ring the cluster itself would hold at that round.
+    // δ = 0.1 rather than the scenario's 0.3, under which the run synchronizes once:
+    // by the halt round the ring has then filled and evicted.
+    let scenario = selsync_repro::scenario::builtin("crash-rejoin").expect("built-in scenario");
+    let cfg = scenario.train_config(AlgorithmSpec::selsync(0.1));
+    let full = run_threaded_selsync(&cfg);
+    assert!(full[4].final_loss != full[5].final_loss);
+
+    let dir = std::env::temp_dir().join(format!("selsync-sim-on-cluster-{}", std::process::id()));
+    let halt = 204;
+    let halted_image = |backend: &str| {
+        let mut halted = cfg.clone();
+        halted.checkpoint = Some(CheckpointSpec {
+            every: 5,
+            dir: dir.join(backend).to_string_lossy().into_owned(),
+            halt_after: Some(halt),
+            keep: Some(1),
+        });
+        match backend {
+            "sim" => drop(selsync_repro::core::algorithms::run(&halted)),
+            _ => drop(run_threaded_selsync(&halted)),
+        }
+        let path = dir.join(backend).join(format!("ckpt-{halt}"));
+        Checkpoint::read_file(path).expect("halt image reads back")
+    };
+    let (sim_image, threaded_image) = (halted_image("sim"), halted_image("threaded"));
+    assert_eq!(sim_image.backend, "sim");
+
+    let ring = |image: &Checkpoint| image.ps_state().ring.expect("scheduled rejoin pulls");
+    let (sim_ring, threaded_ring) = (ring(&sim_image), ring(&threaded_image));
+    assert!(
+        threaded_ring.evicted_min.is_some(),
+        "a ring that has wrapped"
+    );
+    assert_eq!(sim_ring.entries.len(), threaded_ring.entries.len());
+    assert_eq!(sim_ring.evicted_min, threaded_ring.evicted_min);
+
+    let resumed = run_threaded_selsync_resumed(&cfg, &sim_image);
+    for (resumed, full) in resumed.iter().zip(full.iter()) {
+        assert_eq!(
+            resumed.final_loss.to_bits(),
+            full.final_loss.to_bits(),
+            "worker {} final loss",
+            full.worker
+        );
+        assert_eq!(format!("{resumed:?}"), format!("{full:?}"));
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
