@@ -1,6 +1,8 @@
 //! `bench_kernels` — machine-readable perf report for the compute backend.
 //!
-//! Measures GFLOP/s for the three matmul kernels at several shapes, elementwise
+//! Reports which instantiation of the matmul micro-kernel this host runs (`kernel_isa`:
+//! `"avx2"` or `"baseline"`, so an archived report is attributable), measures GFLOP/s for
+//! the three matmul kernels at several shapes, elementwise
 //! bandwidth for the optimizer/aggregation sweeps, the kernels at the shapes the
 //! ResNetLike and VggLike workloads actually run (`model_shapes`: pooled time over
 //! serial time, the dispatch gate's acceptance rows), simulator training
@@ -137,6 +139,14 @@ impl ModelShapeResult {
 
     fn pooled_over_serial(&self) -> f64 {
         self.pooled_secs / self.serial_secs
+    }
+
+    /// Serial GFLOP/s of a matmul row (`work` multiply-adds, two flops each); the sweeps'
+    /// work unit is an element, not a flop count.
+    fn serial_gflops(&self) -> Option<f64> {
+        self.kernel
+            .starts_with("matmul")
+            .then(|| 2.0 * self.work as f64 / self.serial_secs / 1e9)
     }
 }
 
@@ -448,6 +458,7 @@ fn main() {
             .map(|v| v.get())
             .unwrap_or(1)
     ));
+    json.push_str(&format!("  \"kernel_isa\": \"{}\",\n", ops::kernel_isa()));
     json.push_str("  \"kernels\": [\n");
     for (i, r) in kernels.iter().enumerate() {
         json.push_str(&format!(
@@ -471,7 +482,7 @@ fn main() {
     ));
     for (i, r) in model_shapes.iter().enumerate() {
         json.push_str(&format!(
-            "    {{ \"kernel\": \"{}\", \"shape\": \"{}\", \"work\": {}, \"below_grain\": {}, \"serial_secs\": {:.6e}, \"pooled_secs\": {:.6e}, \"pooled_over_serial\": {:.3} }}{}\n",
+            "    {{ \"kernel\": \"{}\", \"shape\": \"{}\", \"work\": {}, \"below_grain\": {}, \"serial_secs\": {:.6e}, \"pooled_secs\": {:.6e}, \"pooled_over_serial\": {:.3}{} }}{}\n",
             r.kernel,
             r.shape,
             r.work,
@@ -479,6 +490,8 @@ fn main() {
             r.serial_secs,
             r.pooled_secs,
             r.pooled_over_serial(),
+            r.serial_gflops()
+                .map_or(String::new(), |g| format!(", \"serial_gflops\": {g:.3}")),
             if i + 1 == model_shapes.len() { "" } else { "," }
         ));
     }

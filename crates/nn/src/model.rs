@@ -612,6 +612,27 @@ mod tests {
     }
 
     #[test]
+    fn a_warm_training_step_takes_nothing_from_the_allocator() {
+        // "Steady-state forward allocates nothing", counted: after one warm-up step every
+        // activation, gradient and matmul pack buffer of the next comes out of the
+        // thread-local arena. Batch 16 puts VggLike's matmuls past the dispatch gate;
+        // buffers are taken by the calling thread on either side of it.
+        for kind in [ModelKind::ResNetLike, ModelKind::VggLike] {
+            let mut m = PaperModel::build(kind, 42);
+            let x = Tensor::from_fn(16, m.input_dim(), |r, c| ((r * 7 + c) % 5) as f32 * 0.1);
+            let targets: Vec<usize> = (0..16).map(|i| i % m.output_dim()).collect();
+            m.forward_backward(&x, &targets);
+            let before = selsync_tensor::scratch::misses();
+            m.forward_backward(&x, &targets);
+            assert_eq!(
+                selsync_tensor::scratch::misses(),
+                before,
+                "{kind:?}: a warm step allocated scratch buffers"
+            );
+        }
+    }
+
+    #[test]
     fn all_paper_models_build_and_run() {
         for kind in ModelKind::all() {
             let mut m = PaperModel::build(kind, 42);

@@ -1,40 +1,204 @@
 //! Linear-algebra and elementwise operations on [`Tensor`].
 //!
 //! Matrix products are the compute hot path of the neural-network substrate. All three
-//! matmul variants are cache-blocked (row blocks × k/n tiles) and go through the dispatch
-//! gate ([`crate::par::for_each_range`]) with their multiply-add count, so they reach the
-//! shared worker pool only when the arithmetic can amortise the dispatch. Two invariants
-//! hold for every kernel here:
+//! matmul variants run one register-tiled micro-kernel ([`tile`]) and go through the
+//! dispatch gate ([`crate::par::for_each_range`]) with their multiply-add count, so they
+//! reach the shared worker pool only when the arithmetic can amortise the dispatch. Two
+//! invariants hold for every kernel here:
 //!
 //! 1. **Order preservation**: each output element accumulates its `k` products in
-//!    ascending-`p` order, exactly like the straightforward triple loop, regardless of
-//!    tiling or thread count — results are bit-identical to the serial kernels.
-//! 2. **Disjoint writes**: parallel tasks own disjoint row blocks (or column stripes for
-//!    [`matmul_at_acc`]); no reduction races, so thread count never changes the bytes.
+//!    ascending-`p` order, one multiply and one add per product (never fused), exactly
+//!    like the straightforward triple loop, regardless of tiling, vector width or thread
+//!    count — results are bit-identical to that loop.
+//! 2. **Disjoint writes**: parallel tasks own disjoint row blocks of the output; no
+//!    reduction races, so thread count never changes the bytes.
 //!
 //! The `_into`/`_acc` variants write into caller-owned buffers so steady-state training
 //! allocates nothing per step (see [`crate::scratch`]). Full-precision reductions
 //! (`sum`, `dot`, …) stay serial on purpose: parallel partial sums would change the
 //! floating-point reduction order.
 
-use crate::{par, Result, Tensor, TensorError};
+use crate::{par, scratch, Result, Tensor, TensorError};
 
-/// Output rows per task (and per cache block) in `matmul`/`matmul_bt`.
-const ROW_BLOCK: usize = 4;
+/// Rows of the micro-kernel's register tile, and of `out` per pool task.
+const MR: usize = 4;
 
-/// Columns of `B`/`out` processed per tile (keeps a row block of `out` in L1).
-const N_TILE: usize = 256;
+/// One product `out (m x n) += a (m x k) * b (k x n)`, with `b` and `out` row-major and
+/// the left operand a view with leading dimension `lda`: `a(r, p) = a[r * lda + p]`, or,
+/// when `T`, a matrix read as its own transpose, `a(r, p) = a[p * lda + r]` — a tile's
+/// rows are then contiguous, so [`matmul_at_acc`] needs no packing.
+#[derive(Clone, Copy)]
+struct Gemm<'a, const T: bool> {
+    a: &'a [f32],
+    lda: usize,
+    b: &'a [f32],
+    k: usize,
+    n: usize,
+}
 
-/// Rows of `B` (the `k` dimension) streamed per tile.
-const K_TILE: usize = 256;
+/// The micro-kernel, the only accumulation loop nest behind the three matmuls:
+/// `out[r][c] += sum_p a(r, p) * b(p, c)` over the `H x W` tile at row `r`, column `c`.
+///
+/// The tile is loaded from `out` once, sweeps `p` upwards with a separate multiply and add
+/// per element, and is stored once, so every element sees the operations of
+/// `for p { out[r][c] += a(r, p) * b(p, c) }` in that order. The lanes of a tile are
+/// independent output elements: how many of them one instruction covers (the `W` the
+/// caller picks, and whatever vector width the compiler maps it to) cannot change a bit.
+/// There is no data-dependent branch, so non-finite operands propagate as in that loop.
+///
+/// Bytes differ from the three loop nests this kernel replaced on two inputs only, which
+/// no finite training run contains: those loops skipped a left operand of exactly `0.0`
+/// in `matmul` and `matmul_at`, which dropped `0 x inf` and `0 x NaN` (now `NaN`, as in
+/// `matmul_bt` all along), and left an accumulator holding `-0.0` untouched where
+/// `-0.0 + 0.0` is `+0.0` — a state a sum started from `+0.0` never reaches.
+#[inline(always)]
+fn tile<const H: usize, const W: usize, const T: bool>(
+    g: &Gemm<T>,
+    out: &mut [f32],
+    r: usize,
+    c: usize,
+) {
+    let (k, n) = (g.k, g.n);
+    let mut acc = [[0.0f32; W]; H];
+    for (i, row) in acc.iter_mut().enumerate() {
+        *row = *out[(r + i) * n + c..]
+            .first_chunk()
+            .expect("tile lies inside out");
+    }
+    // Sliced once per tile so the sweep below checks one length per operand row, and
+    // indexed rather than iterated: the accumulators stay in registers that way.
+    let b_cols = &g.b[c..];
+    let a_cols = if T { &g.a[r..] } else { &[][..] };
+    let a_rows: [&[f32]; H] = std::array::from_fn(|i| {
+        if T {
+            &[][..]
+        } else {
+            &g.a[(r + i) * g.lda..][..k]
+        }
+    });
+    for p in 0..k {
+        let b_row: &[f32; W] = b_cols[p * n..].first_chunk().expect("tile lies inside b");
+        let a_col: [f32; H] = if T {
+            *a_cols[p * g.lda..]
+                .first_chunk()
+                .expect("tile lies inside a")
+        } else {
+            std::array::from_fn(|i| a_rows[i][p])
+        };
+        for (i, row) in acc.iter_mut().enumerate() {
+            let a_val = a_col[i];
+            for (o, &b_val) in row.iter_mut().zip(b_row) {
+                *o += a_val * b_val;
+            }
+        }
+    }
+    for (i, row) in acc.iter().enumerate() {
+        out[(r + i) * n + c..][..W].copy_from_slice(row);
+    }
+}
 
-/// Output columns per task (stripe) in `matmul_at_acc`.
-const COL_BLOCK: usize = 64;
+/// All row tiles of one `W`-wide column panel of `out` (`rows` rows): the panel of `b`
+/// stays hot while the rows of `a` stream past it. Row remainder at halving heights.
+#[inline(always)]
+fn panel<const W: usize, const T: bool>(g: &Gemm<T>, out: &mut [f32], rows: usize, c: usize) {
+    let mut r = 0;
+    while r + MR <= rows {
+        tile::<MR, W, T>(g, out, r, c);
+        r += MR;
+    }
+    if rows - r >= 2 {
+        tile::<2, W, T>(g, out, r, c);
+        r += 2;
+    }
+    if rows - r >= 1 {
+        tile::<1, W, T>(g, out, r, c);
+    }
+}
 
-/// Independent accumulator lanes (output columns held in registers) per `matmul_bt`
-/// inner pass. Each lane is a separate dependency chain summing in ascending-p order,
-/// so the blocking changes throughput, never bytes.
-const BT_LANES: usize = 4;
+/// The product into `out` (as many rows as `out` holds), tile by tile: `NR`-wide column
+/// panels, then the column remainder at halving widths. `NR` is what an instantiation
+/// chooses.
+#[inline(always)]
+fn row_block<const NR: usize, const T: bool>(g: &Gemm<T>, out: &mut [f32]) {
+    let n = g.n;
+    let rows = out.len() / n;
+    let mut c = 0;
+    while c + NR <= n {
+        panel::<NR, T>(g, out, rows, c);
+        c += NR;
+    }
+    if NR > 8 && n - c >= 8 {
+        panel::<8, T>(g, out, rows, c);
+        c += 8;
+    }
+    if n - c >= 4 {
+        panel::<4, T>(g, out, rows, c);
+        c += 4;
+    }
+    if n - c >= 2 {
+        panel::<2, T>(g, out, rows, c);
+        c += 2;
+    }
+    if n - c >= 1 {
+        panel::<1, T>(g, out, rows, c);
+    }
+}
+
+/// Tile width of the baseline instantiation: two 128-bit vectors per accumulator row,
+/// the only instantiation off x86 and on x86 without AVX2.
+const NR_BASELINE: usize = 8;
+
+/// The same [`row_block`] body at twice the baseline width, compiled for 256-bit lanes.
+/// It enables `avx2` and nothing else: a product is one multiply and one add, never fused.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn row_block_avx2<const T: bool>(g: &Gemm<T>, out: &mut [f32]) {
+    row_block::<16, T>(g, out)
+}
+
+/// Whether [`row_block_avx2`] may run on this host (the standard library caches the
+/// answer; this is one relaxed load).
+fn has_avx2() -> bool {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+    false
+}
+
+/// Which instantiation of the micro-kernel the matmuls run on this host: `"avx2"` or
+/// `"baseline"`. Speed only — the bytes are the same.
+pub fn kernel_isa() -> &'static str {
+    if has_avx2() {
+        "avx2"
+    } else {
+        "baseline"
+    }
+}
+
+impl<const T: bool> Gemm<'_, T> {
+    /// The same product from output row `r0` on.
+    fn rows_from(self, r0: usize) -> Self {
+        let first = if T { r0 } else { r0 * self.lda };
+        Gemm {
+            a: &self.a[first..],
+            ..self
+        }
+    }
+}
+
+/// `out += a * b` through the dispatch gate: tasks own disjoint `MR`-row blocks of `out`.
+fn gemm_acc<const T: bool>(g: Gemm<T>, out: &mut [f32]) {
+    let n = g.n;
+    par::for_each_chunk_mut(out.len() * g.k, out, MR * n, |start, rows| {
+        let g = g.rows_from(start / n);
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if has_avx2() {
+            // SAFETY: AVX2 was just detected on this host.
+            return unsafe { row_block_avx2(&g, rows) };
+        }
+        row_block::<NR_BASELINE, T>(&g, rows)
+    });
+}
 
 #[inline]
 fn shape_err(op: &'static str, a: &Tensor, b: &Tensor) -> TensorError {
@@ -84,41 +248,17 @@ pub fn matmul_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     if out.shape() != (m, n) {
         return Err(out_shape_err("matmul_into", out, (m, n)));
     }
-    if m == 0 || n == 0 {
+    if m == 0 || k == 0 || n == 0 {
         return Ok(());
     }
-    let a_data = a.data();
-    let b_data = b.data();
-    // One task per row block of `out` (disjoint chunks); within a block the classic
-    // k-outer/axpy-inner loop streams B row-by-row, tiled so a ROW_BLOCK x N_TILE
-    // panel of `out` stays cache-resident while a K_TILE x N_TILE panel of B is swept.
-    par::for_each_chunk_mut(m * k * n, out.data_mut(), ROW_BLOCK * n, |start, oc| {
-        let r0 = start / n;
-        let rows = oc.len() / n;
-        let mut jc = 0;
-        while jc < n {
-            let je = (jc + N_TILE).min(n);
-            let mut pc = 0;
-            while pc < k {
-                let pe = (pc + K_TILE).min(k);
-                for p in pc..pe {
-                    let b_row = &b_data[p * n + jc..p * n + je];
-                    for r in 0..rows {
-                        let a_val = a_data[(r0 + r) * k + p];
-                        if a_val == 0.0 {
-                            continue;
-                        }
-                        let o = &mut oc[r * n + jc..r * n + je];
-                        for (oo, &bb) in o.iter_mut().zip(b_row.iter()) {
-                            *oo += a_val * bb;
-                        }
-                    }
-                }
-                pc = pe;
-            }
-            jc = je;
-        }
-    });
+    let g = Gemm::<false> {
+        a: a.data(),
+        lda: k,
+        b: b.data(),
+        k,
+        n,
+    };
+    gemm_acc(g, out.data_mut());
     Ok(())
 }
 
@@ -151,58 +291,35 @@ pub fn matmul_bt_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     if out.shape() != (m, n) {
         return Err(out_shape_err("matmul_bt_into", out, (m, n)));
     }
-    if m == 0 || n == 0 {
+    if m == 0 || k == 0 || n == 0 {
         return Ok(());
     }
-    // One task per row block; within a block, columns are walked in register-blocked
-    // groups of BT_LANES with the rows inner, so a group of B rows is reused across the
-    // whole block while hot. The lanes are *independent output accumulators* (one per
-    // column), each summing its k products in ascending-p order — exactly the scalar
-    // dot's operation order per element, so results are bit-identical to the scalar
-    // kernel while the BT_LANES separate dependency chains hide FMA latency.
-    par::for_each_chunk_mut(m * k * n, out.data_mut(), ROW_BLOCK * n, |start, oc| {
-        let r0 = start / n;
-        let rows = oc.len() / n;
-        let mut c0 = 0;
-        while c0 < n {
-            let ce = (c0 + BT_LANES).min(n);
-            if ce - c0 == BT_LANES {
-                let b0 = &b.row(c0)[..k];
-                let b1 = &b.row(c0 + 1)[..k];
-                let b2 = &b.row(c0 + 2)[..k];
-                let b3 = &b.row(c0 + 3)[..k];
-                for r in 0..rows {
-                    let a_row = &a.row(r0 + r)[..k];
-                    let mut acc = [0.0f32; BT_LANES];
-                    for p in 0..k {
-                        let av = a_row[p];
-                        acc[0] += av * b0[p];
-                        acc[1] += av * b1[p];
-                        acc[2] += av * b2[p];
-                        acc[3] += av * b3[p];
-                    }
-                    let o = &mut oc[r * n + c0..r * n + ce];
-                    for (oo, &l) in o.iter_mut().zip(acc.iter()) {
-                        *oo += l;
-                    }
-                }
-            } else {
-                // Ragged tail: plain scalar dots (same per-element order).
-                for r in 0..rows {
-                    let a_row = &a.row(r0 + r)[..k];
-                    for c in c0..ce {
-                        let b_row = &b.row(c)[..k];
-                        let mut acc = 0.0f32;
-                        for p in 0..k {
-                            acc += a_row[p] * b_row[p];
-                        }
-                        oc[r * n + c] += acc;
-                    }
-                }
-            }
-            c0 = ce;
+    // As `out^T = B * A^T`: the kernel wants its right operand row-major, and `A^T` is the
+    // smaller pack (`m * k` elements against `B^T`'s `n * k`). Accumulated from zero into
+    // `out_t` and added to `out` afterwards, so each element is `out + (sum from 0.0)`:
+    // what this kernel has always computed. Both buffers are arena-recycled.
+    let mut a_t = scratch::take_zeroed(m * k);
+    for (r, a_row) in a.data().chunks_exact(k).enumerate() {
+        for (p, &v) in a_row.iter().enumerate() {
+            a_t[p * m + r] = v;
         }
-    });
+    }
+    let mut out_t = scratch::take_zeroed(n * m);
+    let g = Gemm::<false> {
+        a: b.data(),
+        lda: k,
+        b: &a_t,
+        k,
+        n: m,
+    };
+    gemm_acc(g, &mut out_t);
+    for (r, out_row) in out.data_mut().chunks_exact_mut(n).enumerate() {
+        for (c, o) in out_row.iter_mut().enumerate() {
+            *o += out_t[c * m + r];
+        }
+    }
+    scratch::recycle(a_t);
+    scratch::recycle(out_t);
     Ok(())
 }
 
@@ -235,34 +352,18 @@ pub fn matmul_at_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     if out.shape() != (m, n) {
         return Err(out_shape_err("matmul_at_into", out, (m, n)));
     }
-    if m == 0 || n == 0 {
+    if m == 0 || k == 0 || n == 0 {
         return Ok(());
     }
-    // The k dimension is the outer loop (each step scatters a rank-1 update into the
-    // whole output), so tasks own disjoint *column stripes* of `out` instead of row
-    // blocks — equal-width stripes of at most COL_BLOCK columns; each stripe sweeps p
-    // in ascending order.
-    let width = n.div_ceil(n.div_ceil(COL_BLOCK));
-    let out_ptr = par::SendPtr(out.data_mut().as_mut_ptr());
-    par::for_each_range(m * k * n, n, width, |jc, je| {
-        for p in 0..k {
-            let a_row = a.row(p);
-            let b_row = &b.row(p)[jc..je];
-            for (i, &a_val) in a_row.iter().enumerate() {
-                if a_val == 0.0 {
-                    continue;
-                }
-                // SAFETY: stripes own disjoint column ranges of every output row, and
-                // `for_each_range` returns only after all stripes complete.
-                let o = unsafe {
-                    std::slice::from_raw_parts_mut(out_ptr.get().add(i * n + jc), je - jc)
-                };
-                for (oo, &bb) in o.iter_mut().zip(b_row.iter()) {
-                    *oo += a_val * bb;
-                }
-            }
-        }
-    });
+    // `a(r, p) = A[p][r]`: the tile's rows are contiguous in `A`'s row `p`.
+    let g = Gemm::<true> {
+        a: a.data(),
+        lda: m,
+        b: b.data(),
+        k,
+        n,
+    };
+    gemm_acc(g, out.data_mut());
     Ok(())
 }
 
@@ -663,6 +764,352 @@ mod tests {
                 }
             }
             assert_eq!(fast.data(), reference.data(), "matmul_bt {m}x{k}x{n}");
+        }
+    }
+
+    /// Integer-derived operand whose products and partial sums all round, so a changed
+    /// summation order or a fused multiply-add changes bytes; about 30 % exact zeros
+    /// when `zeros`.
+    fn lattice(rows: usize, cols: usize, salt: usize, zeros: bool) -> Tensor {
+        Tensor::from_fn(rows, cols, |r, c| {
+            let h = (r * 131 + c * 71 + salt * 29) % 97;
+            if zeros && h % 10 < 3 {
+                0.0
+            } else {
+                (h % 65) as f32 * 0.173 - 5.3
+            }
+        })
+    }
+
+    /// FNV-1a over the little-endian bit patterns: a digest of bytes, not of values.
+    fn digest(h: u64, data: &[f32]) -> u64 {
+        data.iter()
+            .flat_map(|x| x.to_bits().to_le_bytes())
+            .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01B3))
+    }
+
+    /// Digest of one kernel's `_into` output followed by its `_acc` output onto a
+    /// non-zero `out`.
+    fn into_then_acc_digest(
+        into: impl Fn(&mut Tensor),
+        acc: impl Fn(&mut Tensor),
+        rows: usize,
+        cols: usize,
+    ) -> u64 {
+        let mut out = Tensor::full(rows, cols, f32::NAN);
+        into(&mut out);
+        let h = digest(0xCBF2_9CE4_8422_2325, out.data());
+        let mut out = lattice(rows, cols, 9, false);
+        acc(&mut out);
+        digest(h, out.data())
+    }
+
+    /// The reference loops the module doc names: `out[r][c] += a(r, p) * b(p, c)` in
+    /// ascending `p`, onto `out` itself — or, `from_zero`, onto `0.0` with the sum added to
+    /// `out` afterwards, which is `matmul_bt`'s form.
+    fn reference_acc(
+        out: &mut Tensor,
+        k: usize,
+        from_zero: bool,
+        a: impl Fn(usize, usize) -> f32,
+        b: impl Fn(usize, usize) -> f32,
+    ) {
+        for r in 0..out.rows() {
+            for c in 0..out.cols() {
+                let mut acc = if from_zero { 0.0 } else { out.get(r, c) };
+                for p in 0..k {
+                    acc += a(r, p) * b(p, c);
+                }
+                let sum = if from_zero { out.get(r, c) + acc } else { acc };
+                out.set(r, c, sum);
+            }
+        }
+    }
+
+    /// All three `_acc` kernels onto a non-zero `out` for a linear layer of shape
+    /// `(batch m, in k, out n)`, each next to its reference loop:
+    /// `[(kernel, reference); 3]` for `X·W`, `dY·Wᵀ`, `Xᵀ·dY`.
+    fn kernels_and_references(x: &Tensor, w: &Tensor, dy: &Tensor) -> [(Tensor, Tensor); 3] {
+        let (m, k) = x.shape();
+        let n = w.cols();
+        let start = |rows, cols| lattice(rows, cols, 9, false);
+
+        let (mut y, mut y_ref) = (start(m, n), start(m, n));
+        matmul_acc(x, w, &mut y).unwrap();
+        reference_acc(&mut y_ref, k, false, |r, p| x.get(r, p), |p, c| w.get(p, c));
+
+        let (mut dx, mut dx_ref) = (start(m, k), start(m, k));
+        matmul_bt_acc(dy, w, &mut dx).unwrap();
+        reference_acc(
+            &mut dx_ref,
+            n,
+            true,
+            |r, p| dy.get(r, p),
+            |p, c| w.get(c, p),
+        );
+
+        let (mut dw, mut dw_ref) = (start(k, n), start(k, n));
+        matmul_at_acc(x, dy, &mut dw).unwrap();
+        reference_acc(
+            &mut dw_ref,
+            m,
+            false,
+            |r, p| x.get(p, r),
+            |p, c| dy.get(p, c),
+        );
+
+        [(y, y_ref), (dx, dx_ref), (dw, dw_ref)]
+    }
+
+    #[test]
+    fn every_tile_edge_of_both_instantiations_matches_the_reference_loops() {
+        if !has_avx2() {
+            println!("AVX2 not detected: only the baseline instantiation is compared");
+        }
+        // Every row and column remainder of both tile shapes (4 x 8 and 4 x 16).
+        for m in 1..=2 * MR + 1 {
+            for k in [1, 2, 7, 33] {
+                for n in 1..=2 * 16 + 1 {
+                    let x = lattice(m, k, 1, true);
+                    let w = lattice(k, n, 2, false);
+                    let dy = lattice(m, n, 3, true);
+                    let run = || kernels_and_references(&x, &w, &dy);
+                    let serial = par::with_threads(1, run);
+                    let pooled = par::with_threads(4, run);
+                    for (kernel, ((one, want), (four, _))) in ["matmul", "matmul_bt", "matmul_at"]
+                        .iter()
+                        .zip(serial.iter().zip(&pooled))
+                    {
+                        assert!(one.data() == want.data(), "{kernel} {m}x{k}x{n}, 1 thread");
+                        assert!(
+                            four.data() == want.data(),
+                            "{kernel} {m}x{k}x{n}, 4 threads"
+                        );
+                    }
+                    // The two instantiations called directly, in both operand layouts
+                    // (`X·W` reads its left operand row-major, `Xᵀ·dY` transposed).
+                    let [(_, y_ref), _, (_, dw_ref)] = serial;
+                    let row_major = Gemm::<false> {
+                        a: x.data(),
+                        lda: k,
+                        b: w.data(),
+                        k,
+                        n,
+                    };
+                    let transposed = Gemm::<true> {
+                        a: x.data(),
+                        lda: k,
+                        b: dy.data(),
+                        k: m,
+                        n,
+                    };
+                    let mut y = lattice(m, n, 9, false);
+                    row_block::<NR_BASELINE, false>(&row_major, y.data_mut());
+                    assert!(y.data() == y_ref.data(), "baseline {m}x{k}x{n}");
+                    let mut dw = lattice(k, n, 9, false);
+                    row_block::<NR_BASELINE, true>(&transposed, dw.data_mut());
+                    assert!(
+                        dw.data() == dw_ref.data(),
+                        "baseline, transposed {m}x{k}x{n}"
+                    );
+                    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                    if has_avx2() {
+                        let mut y = lattice(m, n, 9, false);
+                        // SAFETY: AVX2 was just detected on this host.
+                        unsafe { row_block_avx2(&row_major, y.data_mut()) };
+                        assert!(y.data() == y_ref.data(), "avx2 {m}x{k}x{n}");
+                        let mut dw = lattice(k, n, 9, false);
+                        // SAFETY: as above.
+                        unsafe { row_block_avx2(&transposed, dw.data_mut()) };
+                        assert!(dw.data() == dw_ref.data(), "avx2, transposed {m}x{k}x{n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_activation_does_not_hide_a_non_finite_weight() {
+        // Half the left operand is exactly 0.0 (a post-ReLU input); the right operand
+        // holds +inf, -inf and NaN. `0 x inf` is NaN in the reference loop, so it must be
+        // NaN in all three kernels: a diverged replica may not report finite numbers.
+        let poison = |t: &mut Tensor, salt: usize| {
+            let cols = t.cols();
+            for (i, v) in t.data_mut().iter_mut().enumerate() {
+                match (i / cols * 7 + i % cols * 3 + salt) % 11 {
+                    0 => *v = f32::INFINITY,
+                    1 => *v = f32::NEG_INFINITY,
+                    2 => *v = f32::NAN,
+                    _ => {}
+                }
+            }
+        };
+        let relu = |t: &Tensor| t.map(|v| v.max(0.0));
+        for (m, k, n) in [(16, 64, 64), (5, 17, 6), (9, 33, 33)] {
+            let x = relu(&lattice(m, k, 1, false));
+            let mut w = lattice(k, n, 2, false);
+            poison(&mut w, 0);
+            let mut dy = lattice(m, n, 3, false);
+            poison(&mut dy, 5);
+            // `dX = dY·Wᵀ` takes the zeros on its left too.
+            let dy_left = relu(&lattice(m, n, 4, false));
+            let [y, _, dw] = kernels_and_references(&x, &w, &dy);
+            let [_, dx, _] = kernels_and_references(&x, &w, &dy_left);
+            for (kernel, (got, want)) in
+                ["matmul", "matmul_bt", "matmul_at"].iter().zip([y, dx, dw])
+            {
+                assert!(
+                    want.data().iter().any(|v| v.is_nan()),
+                    "{kernel} {m}x{k}x{n}: the reference saw no NaN"
+                );
+                // Which NaN comes out of `NaN + NaN` is the one thing IEEE 754 leaves
+                // open, so NaNs compare as a class and everything else by its bits.
+                let same =
+                    |(g, w): (&f32, &f32)| (g.is_nan() && w.is_nan()) || g.to_bits() == w.to_bits();
+                assert!(
+                    got.data().iter().zip(want.data()).all(same),
+                    "{kernel} {m}x{k}x{n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_bytes_are_pinned_across_commits() {
+        // (batch, in, out) of a linear layer: forward `X·W`, `dX = dY·Wᵀ`, `dW = Xᵀ·dY`.
+        // Pure IEEE multiply and add, so the digests hold on every platform; they were
+        // recorded at the commit before the register-tiled micro-kernel replaced the
+        // three hand-written loop nests.
+        const GOLDEN: [(usize, usize, usize, [u64; 3]); 10] = [
+            (
+                16,
+                32,
+                64,
+                [
+                    0x97BF_2718_BBC4_DF6A,
+                    0xD324_D69E_B136_7603,
+                    0xC70B_93C3_BD8B_A4FF,
+                ],
+            ),
+            (
+                16,
+                64,
+                64,
+                [
+                    0xE101_B66C_B349_2237,
+                    0x37F4_BE15_F781_844C,
+                    0x4CF1_1122_4E0D_9154,
+                ],
+            ),
+            (
+                16,
+                64,
+                10,
+                [
+                    0xCDB3_E08F_D236_20C3,
+                    0x41EA_F3A7_21B9_151E,
+                    0x7619_78FB_EEA4_3659,
+                ],
+            ),
+            (
+                16,
+                128,
+                128,
+                [
+                    0xFC61_D614_D8BB_9BD5,
+                    0xABFA_45EA_24EE_8566,
+                    0x3008_677B_C8BC_FCC1,
+                ],
+            ),
+            (
+                16,
+                128,
+                100,
+                [
+                    0xD37C_4305_4E31_0AF3,
+                    0x68CA_5765_FD2E_615C,
+                    0xAE40_E9EE_F80E_B027,
+                ],
+            ),
+            (
+                256,
+                64,
+                64,
+                [
+                    0x8795_FFE1_41B9_AA33,
+                    0x7C86_8C4C_5F75_AD96,
+                    0xDED1_610B_2160_E141,
+                ],
+            ),
+            (
+                5,
+                17,
+                6,
+                [
+                    0xEA6F_EE4C_4049_0A23,
+                    0xAE79_5A7C_C7D2_D042,
+                    0xFFBD_ED48_A858_733B,
+                ],
+            ),
+            (
+                8,
+                33,
+                7,
+                [
+                    0x6CAC_2324_5C36_05D3,
+                    0xB328_BA4D_5104_85B4,
+                    0x775A_7DDC_C607_249C,
+                ],
+            ),
+            (
+                130,
+                70,
+                33,
+                [
+                    0x05B2_0E5F_45BA_9449,
+                    0x947F_A0E4_BC5E_F3F3,
+                    0xBC2F_8809_3786_1A07,
+                ],
+            ),
+            (
+                1,
+                3,
+                1,
+                [
+                    0xF1A0_C8D1_D6F3_F746,
+                    0x5F90_7B1D_3813_35A3,
+                    0xD7B3_CAB2_CDA7_9557,
+                ],
+            ),
+        ];
+        for (m, k, n, want) in GOLDEN {
+            let x = lattice(m, k, 1, true);
+            let w = lattice(k, n, 2, false);
+            let dy = lattice(m, n, 3, true);
+            let got = [
+                into_then_acc_digest(
+                    |o| matmul_into(&x, &w, o).unwrap(),
+                    |o| matmul_acc(&x, &w, o).unwrap(),
+                    m,
+                    n,
+                ),
+                into_then_acc_digest(
+                    |o| matmul_bt_into(&dy, &w, o).unwrap(),
+                    |o| matmul_bt_acc(&dy, &w, o).unwrap(),
+                    m,
+                    k,
+                ),
+                into_then_acc_digest(
+                    |o| matmul_at_into(&x, &dy, o).unwrap(),
+                    |o| matmul_at_acc(&x, &dy, o).unwrap(),
+                    k,
+                    n,
+                ),
+            ];
+            assert_eq!(
+                got, want,
+                "{m}x{k}x{n} [matmul, matmul_bt, matmul_at]: {got:#018x?}"
+            );
         }
     }
 

@@ -29,9 +29,9 @@ pub const ELEM_CHUNK: usize = 16 * 1024;
 ///
 /// A pool dispatch costs a queue lock, a channel send, a latch allocation, a
 /// futex wake and a condvar wait — 5 to 30 µs, and threads that submit at the same
-/// time queue for the same helpers. 2¹⁶ multiply-adds are 7 to 17 µs of
+/// time queue for the same helpers. 2¹⁶ multiply-adds are 2 to 3 µs of
 /// arithmetic and a sweep over the 27 722-element ResNetLike vector 4 to 7 µs, so
-/// a dispatch at this size makes a kernel 1.6 to 3.6 times slower. The measurements
+/// a dispatch at this size makes a kernel several times slower. The measurements
 /// (`bench_kernels`' `model_shapes` rows), and the end-to-end reason the grain is
 /// not larger, are in `docs/PERFORMANCE.md`, "The dispatch gate".
 pub const GRAIN: usize = 1 << 16;

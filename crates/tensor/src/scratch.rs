@@ -10,7 +10,7 @@
 //! Steady-state training allocates nothing per step once every shape has been
 //! seen once per thread.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 /// Maximum number of buffers retained per thread.
 const MAX_POOLED: usize = 64;
@@ -20,6 +20,8 @@ const MAX_POOLED_LEN: usize = 1 << 24;
 
 thread_local! {
     static ARENA: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
+    /// Times [`take_zeroed`] had to go to the allocator on this thread.
+    static MISSES: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Take a zero-filled buffer of exactly `len` elements from the arena
@@ -33,6 +35,9 @@ pub fn take_zeroed(len: usize) -> Vec<f32> {
         })
         .unwrap_or_default();
     buf.clear();
+    if buf.capacity() < len {
+        MISSES.with(|m| m.set(m.get() + 1));
+    }
     buf.resize(len, 0.0);
     buf
 }
@@ -49,6 +54,13 @@ pub fn recycle(mut buf: Vec<f32>) {
             arena.push(buf);
         }
     });
+}
+
+/// How many [`take_zeroed`] calls on this thread found no pooled buffer large enough
+/// and allocated (or grew one). Constant in steady state: tests difference it around a
+/// step to pin "allocates nothing".
+pub fn misses() -> usize {
+    MISSES.with(|m| m.get())
 }
 
 /// Number of buffers currently pooled on this thread (diagnostics/tests).
@@ -71,6 +83,19 @@ mod tests {
         assert!(b.iter().all(|&x| x == 0.0), "and it is zeroed");
         assert_eq!(b.len(), 50);
         recycle(b);
+    }
+
+    #[test]
+    fn only_a_take_that_allocates_counts_as_a_miss() {
+        let before = misses();
+        let big = take_zeroed(1 << 12);
+        assert_eq!(misses(), before + 1, "nothing this large was pooled");
+        recycle(big);
+        recycle(take_zeroed(1 << 12));
+        recycle(take_zeroed(7));
+        assert_eq!(misses(), before + 1, "both fit the recycled buffer");
+        recycle(take_zeroed(1 << 13));
+        assert_eq!(misses(), before + 2, "growing a pooled buffer allocates");
     }
 
     #[test]

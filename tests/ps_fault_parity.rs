@@ -220,7 +220,7 @@ fn kill_and_resume_reproduces_the_uninterrupted_run_in_both_backends() {
 }
 
 /// Cross-backend recovery: an image written by one backend resumes on the
-/// *other* backend (via `core::resume`'s translators) and reproduces the
+/// *other* backend (both write `core::checkpoint`'s one layout) and reproduces the
 /// uninterrupted run's event log byte for byte. Report-level pins are
 /// schedule-scoped where the backends measure different things: a
 /// threaded→sim resume restarts the simulator's cost-model aggregates
