@@ -22,7 +22,7 @@
 use crate::aggregation::{self, AggregationMode};
 use crate::checkpoint::Checkpoint;
 use crate::config::{AlgorithmSpec, TrainConfig};
-use crate::policy::{PolicySpec, RoundSignal, SyncDecision, SyncPolicy};
+use crate::policy::{PolicySpec, SyncDecision, SyncPolicy};
 use crate::report::RunReport;
 use crate::sim::{Simulator, WorkerStep};
 use selsync_comm::faults::CommFaultSchedule;
@@ -82,12 +82,10 @@ pub fn run_resumed(cfg: &TrainConfig, ckpt: &Checkpoint) -> RunReport {
 }
 
 fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
-    let (delta, aggregation_mode, _injection) = match cfg.algorithm {
+    let (delta, aggregation_mode) = match cfg.algorithm {
         AlgorithmSpec::SelSync {
-            delta,
-            aggregation,
-            injection,
-        } => (delta, aggregation, injection),
+            delta, aggregation, ..
+        } => (delta, aggregation),
         _ => panic!("selsync::run called with a non-SelSync configuration"),
     };
     let spec = cfg
@@ -102,7 +100,6 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
     let exchange_signals = spec.consumes_round_signals();
 
     let mut sim = Simulator::new(cfg);
-    let wire = sim.nominal().wire_bytes;
     // Comm-fault machinery: the schedule prices retries, the compiled evictions
     // (already folded into the simulator's membership) drive the evict events, and
     // every presence-derived trace fact must come from the *effective* conditions so
@@ -111,8 +108,7 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
     // PS availability: a pure function of `(spec, round)`, so both backends see the
     // exact same outage windows. `None` keeps the server perfectly reliable.
     let ps_schedule = cfg.ps_fault_schedule();
-    let ckpt_spec = cfg.checkpoint.clone();
-    if let Some(ck) = &ckpt_spec {
+    if let Some(ck) = &cfg.checkpoint {
         ck.validate().expect("invalid checkpoint configuration");
     }
     let evictions = cfg.comm_fault_evictions();
@@ -178,7 +174,6 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
         // mini-batch — in parallel on the engine pool.
         sim.plan_round(&present, &mut steps);
         let round = sim.run_round(&steps);
-        let cluster_delta = round.max_delta;
 
         // PS outage: the round degrades to forced-local. Every present worker pays
         // one probe round-trip to discover the outage, skips the status all-gather,
@@ -195,37 +190,14 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
                 comm += sim.network_at(it).p2p_time(round.injected_bytes);
             }
             sim.apply_round_own(&steps, lr);
-            let compute = sim.round_compute_seconds(it);
-            sim.account_step(compute, comm, bytes, false);
-
-            let local_delta = round.deltas[0];
-            let local_loss = round.stats[0].loss;
-            let round_signal = RoundSignal {
-                iteration: it,
-                max_delta: local_delta,
-                mean_loss: local_loss,
-                delta_mean: local_delta,
-                delta_sq_mean: local_delta * local_delta,
-                synced: false,
-            };
-            policy.observe(&round_signal);
-
-            if cfg.trace.is_enabled() {
-                if ps_schedule
-                    .as_ref()
-                    .is_some_and(|s| s.outage_starts(it as u64))
-                {
-                    cfg.trace
-                        .record(selsync_tracelog::Event::PsDown { round: it });
-                }
-                cfg.trace.record(selsync_tracelog::Event::DegradedRound {
-                    round: it,
-                    delta: sync_policy.delta,
-                    loss: local_loss,
-                    delta_g: local_delta,
-                });
-            }
-            round_signal
+            crate::tracing::degraded_round(
+                &cfg.trace,
+                ps_schedule.as_ref(),
+                it,
+                sync_policy.delta,
+                round.stats[0].loss,
+                round.deltas[0],
+            )
         } else {
             // The first reachable round after an outage runs the catch-up sync:
             // synchronization is forced for every present worker so the accumulated
@@ -241,11 +213,7 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
             } else {
                 sync_policy.flags_from_deltas(&round.deltas)
             };
-            let decision = if catchup {
-                SyncDecision::Synchronize
-            } else {
-                sync_policy.decide(&flags)
-            };
+            let decision = sync_policy.decide(&flags);
             comm += sim.status_allgather_seconds_at(it, present.len());
             bytes += round.injected_bytes + present.len() as u64; // the flag bits (≈1 B/worker)
             if round.injected_bytes > 0 {
@@ -297,9 +265,6 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
                     sim.apply_round_own(&steps, lr);
                     sim.average_params_of_into(&present, &mut avg);
                     sim.set_params_of(&present, &avg);
-                    ps.record_sync(it as u64, &avg);
-                    comm += sim.ps_sync_seconds_at(it, present.len());
-                    bytes += 2 * present.len() as u64 * wire;
                 }
                 (SyncDecision::Synchronize, AggregationMode::Gradient) => {
                     // Gradients are averaged on the PS and applied locally by each worker.
@@ -308,46 +273,39 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
                     aggregation::average_into(sim.round_grads(), &mut avg);
                     sim.apply_round_shared(&present, &avg, lr);
                     sim.average_params_of_into(&present, &mut avg);
-                    ps.record_sync(it as u64, &avg);
-                    comm += sim.ps_sync_seconds_at(it, present.len());
-                    bytes += 2 * present.len() as u64 * wire;
                 }
             }
-
-            let compute = sim.round_compute_seconds(it);
             let synced = decision == SyncDecision::Synchronize;
-            sim.account_step(compute, comm, bytes, synced);
-
-            // Feed the completed round's (worker-order-merged, thread-count-invariant)
-            // signals back to the δ policy.
-            let round_signal = round.signal(it, synced);
-            policy.observe(&round_signal);
-
-            if cfg.trace.is_enabled() {
-                if catchup {
-                    let schedule = ps_schedule.as_ref().expect("catchup implies a schedule");
-                    cfg.trace
-                        .record(selsync_tracelog::Event::PsUp { round: it });
-                    cfg.trace.record(selsync_tracelog::Event::CatchupSync {
-                        round: it,
-                        behind: schedule.rounds_behind(it as u64) as usize,
-                    });
-                }
-                if exchange_signals {
-                    sim_trace_signal(cfg, &round_signal);
-                }
-                cfg.trace.record(selsync_tracelog::Event::Round {
-                    round: it,
-                    delta: sync_policy.delta,
-                    flags: flags.clone(),
-                    synced,
-                });
+            if synced {
+                // Either way `avg` is now the present replicas' average: the new global.
+                ps.record_sync(it as u64, &avg);
+                comm += sim.ps_sync_seconds_at(it, present.len());
+                bytes += 2 * present.len() as u64 * sim.nominal().wire_bytes;
             }
+
+            let round_signal = round.signal(it, synced);
+            crate::tracing::emit_round(
+                &cfg.trace,
+                ps_schedule.as_ref(),
+                &round_signal,
+                exchange_signals,
+                sync_policy.delta,
+                flags.into_iter(),
+            );
             round_signal
         };
 
-        // The tail every executed round ends with, reachable PS or not: the regime
-        // switch the observation may have triggered, evaluation, checkpoint / halt.
+        // The tail every executed round ends with, reachable PS or not: accounting,
+        // the completed round's (worker-order-merged, thread-count-invariant) signal
+        // fed back to the δ policy, the regime switch that observation may have
+        // triggered, evaluation, checkpoint / halt.
+        sim.account_step(
+            sim.round_compute_seconds(it),
+            comm,
+            bytes,
+            round_signal.synced,
+        );
+        policy.observe(&round_signal);
         if let Some(sw) = policy.last_switch() {
             cfg.trace.record(selsync_tracelog::Event::RegimeSwitch {
                 round: it,
@@ -362,11 +320,9 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
             // The evaluated global model is the present replicas' average (identical to
             // any single present replica right after a PA synchronization).
             sim.average_params_of_into(&present, &mut avg);
-            let snapshot = std::mem::take(&mut avg);
-            sim.record_eval(it, &snapshot, cluster_delta);
-            avg = snapshot;
+            sim.record_eval(it, &avg, round.max_delta);
         }
-        if let Some(ck) = &ckpt_spec {
+        if let Some(ck) = &cfg.checkpoint {
             if ck.due(it) || ck.halt_after == Some(it) {
                 // The image every backend writes, plus the simulator's own section.
                 let image = Checkpoint::assemble(
@@ -389,15 +345,6 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
     report.policy_switches = policy.switch_rounds().len() as u32;
     report.switch_rounds = policy.switch_rounds().to_vec();
     report
-}
-
-/// Record the cluster-aggregated round signal (split out to keep the round loop flat).
-fn sim_trace_signal(cfg: &TrainConfig, signal: &crate::policy::RoundSignal) {
-    cfg.trace.record(selsync_tracelog::Event::Signal {
-        round: signal.iteration,
-        mean_loss: signal.mean_loss,
-        max_delta: signal.max_delta,
-    });
 }
 
 #[cfg(test)]

@@ -95,7 +95,7 @@ pub fn run(cfg: &TrainConfig) -> RunReport {
                 // Rejoin: pull the current global model (an extra one-way transfer,
                 // charged both to this worker's clock and to the round's accounting).
                 let w = present[seg_start];
-                sim.rejoin_worker(w, &global);
+                sim.workers[w].rejoin(&global);
                 steps_since_refresh[w] = 0;
                 worker_time[w] += push_time;
                 rejoin_comm += push_time;
@@ -128,7 +128,7 @@ pub fn run(cfg: &TrainConfig) -> RunReport {
                     *p -= lr * gi;
                 }
                 // The worker also advances its own cached copy with its local gradient.
-                sim.apply_update(w, &grads[j], lr);
+                sim.workers[w].apply_local(&grads[j], lr);
                 steps_since_refresh[w] += 1;
                 let mut comm = push_time;
                 if steps_since_refresh[w] >= refresh_every {

@@ -23,7 +23,8 @@
 //! | trace | the canonically sorted event-log prefix | [`Checkpoint::preload_trace`] |
 //!
 //! Schedule-pure cursors (data-traversal position, forward counter, presence edges)
-//! are in no section: every driver recomputes them from the configuration. The
+//! are in no section: they are recomputed from the configuration and, for the
+//! traversal, the worker's own step count ([`crate::replica::Replica::restore`]). The
 //! simulator appends one `sim` section of its own ([`crate::sim`]) for what only it
 //! measures or draws; cluster drivers never open it.
 //!
@@ -194,7 +195,8 @@ pub struct WorkerCore {
 
 /// One worker's record in a recovery image: everything of it that cannot be
 /// recomputed from the schedule. [`Self::section`] and [`Checkpoint::worker_image`]
-/// are the `worker<k>` section's one writer and one reader.
+/// are the `worker<k>` section's one packer and one parser; a live worker goes through
+/// them in [`crate::replica::Replica::section`] / [`crate::replica::Replica::restore`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerImage {
     /// Replica, optimizer and tracker state.

@@ -22,20 +22,26 @@
 //! * [`aggregation`] — parameter vs gradient aggregation (§III-C).
 //! * [`config`] — experiment configuration: model, cluster, algorithm, schedules.
 //! * [`report`] — per-run results (LSSR, accuracy/perplexity, simulated time, history).
+//! * [`replica`] — one worker's training state and the four link-free phases of its
+//!   round (rejoin reset, compute, apply-local, apply-sync), written once: what the
+//!   simulator holds W of and what each cluster worker owns one of.
 //! * [`sim`] — the deterministic single-process cluster simulator that all algorithm
-//!   drivers share (compute is real, communication time comes from the cost model).
+//!   drivers share (compute is real, communication time comes from the cost model):
+//!   it runs the replica phases for W workers, with accounting and evaluation around.
 //! * [`algorithms`] — training drivers: BSP, local SGD, FedAvg, SSP and SelSync.
 //! * [`threaded`] — a thread-per-worker SelSync/BSP driver over the real parameter
 //!   server and collectives of `selsync-comm` (used by integration tests).
 //! * [`process`] — a process-per-worker SelSync/BSP driver over the socket transport:
 //!   hub and worker entry points the `scenario_cluster` orchestrator spawns, with
 //!   per-process trace shards that merge into the canonical event log.
-//! * `worker` (crate-private) — the SelSync worker round, once: `run_worker` over a
-//!   `ClusterLink`, which [`threaded`] implements in-process and [`process`] over RPC.
+//! * `worker` (crate-private) — the cluster worker's round, once: `run_worker` calls
+//!   the replica phases with a blocking `ClusterLink` between them, which [`threaded`]
+//!   implements in-process and [`process`] over RPC.
 //! * [`checkpoint`] — the durable recovery image: one section layout for all three
 //!   backends, so any driver resumes any backend's image.
 //! * [`tracing`] — shared emission helpers for the deterministic run-trace layer
-//!   (`selsync-tracelog`): both SelSync drivers log the same canonical event stream.
+//!   (`selsync-tracelog`): both SelSync drivers log the same canonical event stream —
+//!   structural and round-decision events alike are constructed here only.
 //!
 //! # Quickstart
 //!
@@ -59,6 +65,7 @@ pub mod conditions;
 pub mod config;
 pub mod policy;
 pub mod process;
+pub mod replica;
 pub mod report;
 pub mod sim;
 pub mod threaded;

@@ -3,33 +3,35 @@
 //! All algorithm drivers ([`crate::algorithms`]) share this harness. It owns:
 //!
 //! * the synthetic train/test datasets for the configured workload,
-//! * one model replica's worth of parameters **per worker**, plus a pool of compute
-//!   engines: one `PaperModel` per round slot for the worker-parallel gradient phase
-//!   (parameters are loaded before each worker's forward/backward pass) and one shared
-//!   engine for evaluation and the sequential reference path,
-//! * per-worker optimizers and `Δ(g_i)` trackers,
+//! * one [`Replica`] **per worker** — the very type, and the very round phases, a
+//!   cluster worker (`crate::worker::run_worker`) trains through — plus a pool of
+//!   compute engines: one per round slot for the worker-parallel compute phase and one
+//!   shared engine for evaluation and the sequential reference path,
 //! * the simulated clock: compute time comes from the device cost model, communication
 //!   time from the network cost model, with identical accounting for every algorithm,
 //! * LSSR bookkeeping and the evaluation history that becomes the [`RunReport`].
 //!
-//! Since the worker-parallel rounds PR, the per-worker gradient phase of every round
-//! runs concurrently on the shared worker pool ([`selsync_tensor::par`]) through
-//! [`Simulator::plan_round`] / [`Simulator::run_round`]: batch indices are drawn up
-//! front from each worker's own cursor/RNG stream (so batch content is independent of
-//! thread count), every worker's forward/backward runs on its own engine slot with the
-//! dropout stream seeked to the canonical sequential position, and all shared state
-//! (`BatchStats`, `Δ(g_i)` trackers, `max_delta_seen`) is merged in worker-index order
-//! after the barrier. Reports are therefore bit-for-bit identical across
-//! `SELSYNC_THREADS` values *and* to the sequential baseline path
-//! ([`with_sequential_rounds`]); the *threaded* driver in [`crate::threaded`] exercises
-//! the real parameter server / collectives for the same algorithm logic.
+//! The simulator is what surrounds a round's phases, never what is inside them:
+//! [`Simulator::begin_round`] runs the rejoin reset, [`Simulator::plan_round`] /
+//! [`Simulator::run_round`] the compute phase, [`Simulator::apply_round_own`] the local
+//! apply and [`Simulator::set_params_of`] the sync apply for the round's replicas, with
+//! accounting, evaluation, gradient aggregation and data-injection in between.
+//!
+//! The compute phase runs concurrently on the shared worker pool
+//! ([`selsync_tensor::par`]): batch indices are drawn up front from each worker's own
+//! cursor/RNG stream (so batch content is independent of thread count), every worker's
+//! forward/backward runs on its own engine slot with the dropout stream seeked to the
+//! canonical sequential position, and all shared state (`BatchStats`,
+//! `max_delta_seen`) is merged in worker-index order after the barrier. Reports are
+//! therefore bit-for-bit identical across `SELSYNC_THREADS` values *and* to the
+//! sequential baseline path ([`with_sequential_rounds`]).
 
 use crate::aggregation;
-use crate::checkpoint::{Checkpoint, Section, WorkerCore, WorkerImage};
+use crate::checkpoint::{Checkpoint, Section};
 use crate::config::{AlgorithmSpec, TrainConfig};
 use crate::policy::RoundSignal;
+use crate::replica::{Engine, Replica};
 use crate::report::{EvalPoint, RunReport};
-use crate::tracker::GradientTracker;
 use selsync_data::dataset::Dataset;
 use selsync_data::injection::DataInjection;
 use selsync_data::noniid;
@@ -38,36 +40,8 @@ use selsync_data::synthetic::{self, MixtureSpec, TokenSpec};
 use selsync_metrics::lssr::LssrCounter;
 use selsync_nn::cost;
 use selsync_nn::model::{BatchStats, ModelKind, NominalFootprint, PaperModel, TaskKind};
-use selsync_nn::optim::Optimizer;
 use selsync_tensor::par::{self, SendPtr};
 use selsync_tensor::rng::{self, SelRng};
-use selsync_tensor::Tensor;
-
-/// Per-worker replica state.
-pub struct WorkerState {
-    /// Worker id (rank).
-    pub id: usize,
-    /// Flat model parameters of this worker's replica.
-    pub params: Vec<f32>,
-    /// This worker's optimizer (momentum / Adam state is per worker, as on a real cluster).
-    pub optimizer: Box<dyn Optimizer>,
-    /// This worker's `Δ(g_i)` tracker.
-    pub tracker: GradientTracker,
-    /// IID traversal order: the dataset indices this worker walks circularly, derived
-    /// from its DefDP/SelDP partition over the on-disk order and then shuffled per
-    /// worker (mini-batches are mixed, exactly like a shuffling data loader over the
-    /// worker's partition). `None` when training non-IID.
-    pub iid_traversal: Option<Vec<usize>>,
-    /// Non-IID shard indices (None when training IID).
-    pub shard: Option<Vec<usize>>,
-    shard_cursor: usize,
-    /// Relative gradient change observed at the most recent step.
-    pub last_delta: f32,
-    /// Training loss of this worker's most recent step.
-    pub last_loss: f32,
-    /// Number of iterations this worker has completed (used by SSP).
-    pub progress: usize,
-}
 
 /// One worker's slot in a training round, planned up front by
 /// [`Simulator::plan_round`] and executed by [`Simulator::run_round`].
@@ -119,48 +93,20 @@ impl RoundOutput {
     /// all-reduce — so the signal, and therefore every policy decision, is
     /// bit-identical across backends and thread counts.
     pub fn signal(&self, iteration: usize, synced: bool) -> RoundSignal {
-        let (delta_mean, delta_sq_mean) = if self.deltas.is_empty() {
-            (0.0, 0.0)
-        } else {
-            let mut sum = 0.0f32;
-            let mut sq_sum = 0.0f32;
-            for &d in &self.deltas {
-                sum += d;
-                sq_sum += d * d;
-            }
-            let n = self.deltas.len() as f32;
-            (sum / n, sq_sum / n)
-        };
+        let (mut sum, mut sq_sum) = (0.0f32, 0.0f32);
+        for &d in &self.deltas {
+            sum += d;
+            sq_sum += d * d;
+        }
+        // An empty round reads 0 for both moments.
+        let n = self.deltas.len().max(1) as f32;
         RoundSignal {
             iteration,
             max_delta: self.max_delta,
             mean_loss: self.mean_loss(),
-            delta_mean,
-            delta_sq_mean,
+            delta_mean: sum / n,
+            delta_sq_mean: sq_sum / n,
             synced,
-        }
-    }
-}
-
-/// A compute engine of the round pool: one model replica plus reusable batch buffers.
-/// [`Simulator::run_round`] partitions a round's slots into fixed contiguous chunks
-/// (one engine per chunk, at most one engine per pool thread). Which engine runs a
-/// slot therefore depends on the thread count — but never on scheduling — and engine
-/// identity cannot affect values: parameters are loaded fresh per step, the dropout
-/// stream is seeked to the step's global position, and a forward pass overwrites
-/// every layer cache its backward reads.
-struct RoundEngine {
-    model: PaperModel,
-    x: Tensor,
-    y: Vec<usize>,
-}
-
-impl RoundEngine {
-    fn new(kind: ModelKind, seed: u64) -> Self {
-        RoundEngine {
-            model: PaperModel::build(kind, seed),
-            x: Tensor::zeros(0, 0),
-            y: Vec::new(),
         }
     }
 }
@@ -190,6 +136,12 @@ pub fn with_sequential_rounds<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Placeholder of a stats slot a round or evaluation task has yet to write.
+const NO_STATS: BatchStats = BatchStats {
+    loss: 0.0,
+    metric: 0.0,
+};
+
 /// Assert the worker list of a round is strictly increasing and within the cluster —
 /// the properties that make per-worker pointer writes disjoint *and in bounds* across
 /// parallel round tasks.
@@ -208,17 +160,43 @@ fn assert_valid_round_workers(workers: impl Iterator<Item = usize>, num_workers:
     }
 }
 
+/// Run `apply(i, replica of worker id(i))` for `i` in `0..n`, across the pool. The ids
+/// must be strictly increasing and in bounds ([`assert_valid_round_workers`]).
+fn apply_each(
+    workers: &mut [Replica],
+    n: usize,
+    id: impl Fn(usize) -> usize + Sync,
+    apply: impl Fn(usize, &mut Replica) + Sync,
+) {
+    // When the cluster is narrower than the pool, worker-level tasks would waste
+    // threads (an outer parallel_for marks its tasks in-pool, serialising the
+    // optimizers' elementwise sweeps); a sequential worker loop then keeps the
+    // PR 2 element-level parallelism. Either arrangement produces the same bytes.
+    if n < par::current_num_threads() {
+        for i in 0..n {
+            apply(i, &mut workers[id(i)]);
+        }
+        return;
+    }
+    let workers_ptr = SendPtr(workers.as_mut_ptr());
+    par::parallel_for(n, |i| {
+        // SAFETY: worker ids are strictly increasing and in bounds — disjoint per task.
+        apply(i, unsafe { &mut *workers_ptr.get().add(id(i)) });
+    });
+}
+
 /// The shared simulator.
 pub struct Simulator {
     /// The run configuration.
     pub cfg: TrainConfig,
-    model: PaperModel,
+    /// The shared engine: evaluation, the sequential reference path, model facts.
+    engine: Engine,
     /// Synthetic training set.
     pub train: Dataset,
     /// Synthetic held-out set.
     pub test: Dataset,
     /// Per-worker replica state.
-    pub workers: Vec<WorkerState>,
+    pub workers: Vec<Replica>,
     injection: Option<DataInjection>,
     lssr: LssrCounter,
     /// Step indices at which [`Self::account_step`] recorded a synchronization — the
@@ -231,74 +209,44 @@ pub struct Simulator {
     /// RNG for cluster-level stochastic decisions (FedAvg participant selection,
     /// data-injection donor choice, SSP scheduling jitter).
     pub rng: SelRng,
-    last_train_loss: f32,
     max_delta_seen: f32,
     /// The last iteration [`Self::begin_round`] processed (rejoin detection).
     last_round: Option<usize>,
     /// Per-slot compute engines for worker-parallel rounds (grown lazily to the
     /// largest round width seen).
-    engines: Vec<RoundEngine>,
+    engines: Vec<Engine>,
     /// Per-step flat gradients of the most recent [`Self::run_round`] (buffers reused
     /// round to round).
     round_grads: Vec<Vec<f32>>,
-    /// Number of valid entries in [`Self::round_grads`] after the last round.
-    last_round_len: usize,
-    /// Worker id behind each slot of [`Self::round_grads`] (alignment checks for
-    /// [`Self::apply_round_own`]).
+    /// Worker id behind each valid slot of [`Self::round_grads`] after the last round
+    /// (alignment checks for [`Self::apply_round_own`]).
     last_round_workers: Vec<usize>,
     /// Global training-forward counter: the canonical sequential position of the next
     /// forward pass, used to seek per-engine dropout streams.
     forwards_issued: u64,
-    /// Reusable evaluation / sequential-path batch buffers.
-    eval_indices: Vec<usize>,
-    eval_x: Tensor,
-    eval_y: Vec<usize>,
 }
 
 impl Simulator {
     /// Build a simulator (datasets, model, worker replicas) from a configuration.
     pub fn new(cfg: &TrainConfig) -> Self {
         let (train, test) = build_datasets(cfg);
-        let model = PaperModel::build(cfg.model, cfg.seed);
-        let init_params = model.params_flat();
+        let engine = Engine::new(cfg.model, cfg.seed);
+        let init_params = engine.model.params_flat();
 
+        // Injection tops a worker's batch up from *other* workers' label shards, so it
+        // only exists on non-IID runs.
         let injection = match cfg.algorithm {
-            AlgorithmSpec::SelSync { injection, .. } => injection,
+            AlgorithmSpec::SelSync { injection, .. } => {
+                injection.filter(|_| cfg.non_iid_labels_per_worker.is_some())
+            }
             _ => None,
         };
 
-        // Non-IID shards (if configured) are built once over the training set.
-        let shards: Option<Vec<Vec<usize>>> = cfg
-            .non_iid_labels_per_worker
-            .map(|labels| noniid::label_sharded(&train, cfg.workers, labels).per_worker);
-
-        // IID partitions enumerate positions over the label-grouped ("on-disk") sample
-        // order for classification tasks, and the natural order for the LM task.
-        let iid_order = iid_sample_order(&train, &model.task);
-
+        let iid_order = iid_sample_order(&train, &engine.model.task);
         let workers = (0..cfg.workers)
             .map(|w| {
-                let (iid_traversal, shard) = match &shards {
-                    Some(s) => (None, Some(s[w].clone())),
-                    None => (Some(worker_iid_traversal(cfg, &iid_order, w)), None),
-                };
-                let ewma_factor = (cfg.workers as f32 / 100.0).clamp(0.01, 1.0);
-                WorkerState {
-                    id: w,
-                    params: init_params.clone(),
-                    optimizer: cfg.optimizer.build(),
-                    tracker: GradientTracker::new(
-                        crate::tracker::GradStatistic::SqNorm,
-                        ewma_factor,
-                        cfg.ewma_window,
-                    ),
-                    iid_traversal,
-                    shard,
-                    shard_cursor: 0,
-                    last_delta: 0.0,
-                    last_loss: 0.0,
-                    progress: 0,
-                }
+                let traversal = worker_traversal(cfg, &train, &iid_order, w);
+                Replica::new(cfg, init_params.clone(), traversal)
             })
             .collect();
 
@@ -313,7 +261,7 @@ impl Simulator {
 
         Simulator {
             cfg,
-            model,
+            engine,
             train,
             test,
             workers,
@@ -325,17 +273,12 @@ impl Simulator {
             comm_time_s: 0.0,
             bytes_communicated: 0,
             rng,
-            last_train_loss: 0.0,
             max_delta_seen: 0.0,
             last_round: None,
             engines: Vec::new(),
             round_grads: Vec::new(),
-            last_round_len: 0,
             last_round_workers: Vec::new(),
             forwards_issued: 0,
-            eval_indices: Vec::new(),
-            eval_x: Tensor::zeros(0, 0),
-            eval_y: Vec::new(),
         }
     }
 
@@ -346,111 +289,42 @@ impl Simulator {
 
     /// Number of scalar model parameters.
     pub fn param_dim(&self) -> usize {
-        self.model.param_count()
+        self.engine.model.param_count()
     }
 
     /// Nominal paper-scale footprint of the configured model.
     pub fn nominal(&self) -> NominalFootprint {
-        self.model.nominal
+        self.engine.model.nominal
     }
 
-    /// Whether larger test metrics are better for this workload.
-    pub fn higher_is_better(&self) -> bool {
-        self.model.task.higher_is_better()
-    }
-
-    /// Draw the next mini-batch of sample indices for `worker`, returning the indices
-    /// and the number of bytes transferred for data-injection (0 without injection).
-    pub fn next_batch(&mut self, worker: usize) -> (Vec<usize>, u64) {
-        let mut indices = Vec::new();
-        let bytes = self.fill_batch_indices(worker, &mut indices);
-        (indices, bytes)
-    }
-
-    /// [`Self::next_batch`] into a caller-owned buffer (cleared first) — the zero-alloc
-    /// planning path. Cursor and RNG advancement is identical to `next_batch`.
+    /// Draw the next mini-batch of sample indices for `worker` into `out` (cleared
+    /// first), returning the number of bytes transferred for data-injection (0
+    /// without it). Injection is the one draw that is not the replica's own
+    /// ([`Replica::next_batch`]): it advances *other* workers' shard cursors and the
+    /// cluster RNG, so it lives here, around the compute phase.
     pub fn fill_batch_indices(&mut self, worker: usize, out: &mut Vec<usize>) -> u64 {
         let batch = self.cfg.batch_size;
-        out.clear();
-        // Non-IID path (with or without injection).
-        if self.workers[worker].shard.is_some() {
-            if let Some(inj) = self.injection {
-                let mut cursors: Vec<usize> = self.workers.iter().map(|w| w.shard_cursor).collect();
-                let shards: Vec<&[usize]> = self
-                    .workers
-                    .iter()
-                    .map(|w| w.shard.as_deref().unwrap_or(&[]))
-                    .collect();
-                let assembled = inj.assemble_batch(
-                    worker,
-                    &shards,
-                    &mut cursors,
-                    batch,
-                    self.train.sample_bytes,
-                    &mut self.rng,
-                );
-                for (w, c) in cursors.into_iter().enumerate() {
-                    self.workers[w].shard_cursor = c;
-                }
-                out.extend_from_slice(&assembled.local_indices);
-                out.extend(assembled.injected.iter().map(|&(_, i)| i));
-                return assembled.bytes_received as u64;
-            }
-            // Plain non-IID: walk the worker's own shard circularly (borrowed in
-            // place — no per-call shard clone).
-            let w = &mut self.workers[worker];
-            let shard = w.shard.as_ref().expect("non-IID worker must have a shard");
-            let mut cursor = w.shard_cursor;
-            for _ in 0..batch {
-                out.push(shard[cursor % shard.len()]);
-                cursor += 1;
-            }
-            w.shard_cursor = cursor % shard.len();
+        let Some(inj) = self.injection else {
+            self.workers[worker].next_batch(batch, out);
             return 0;
+        };
+        let mut cursors: Vec<usize> = self.workers.iter().map(|w| w.cursor).collect();
+        let shards: Vec<&[usize]> = self.workers.iter().map(|w| &w.traversal[..]).collect();
+        let assembled = inj.assemble_batch(
+            worker,
+            &shards,
+            &mut cursors,
+            batch,
+            self.train.sample_bytes,
+            &mut self.rng,
+        );
+        for (w, c) in self.workers.iter_mut().zip(cursors) {
+            w.cursor = c;
         }
-        // IID path: walk the worker's (shuffled) DefDP/SelDP traversal circularly.
-        let w = &mut self.workers[worker];
-        let traversal = w
-            .iid_traversal
-            .as_ref()
-            .expect("IID worker must have a traversal order");
-        let mut cursor = w.shard_cursor;
-        for _ in 0..batch {
-            out.push(traversal[cursor % traversal.len()]);
-            cursor += 1;
-        }
-        w.shard_cursor = cursor % traversal.len();
-        0
-    }
-
-    /// Run a forward/backward pass for `worker` on the given samples, returning the
-    /// batch statistics and the flat gradient. The worker's replica parameters are
-    /// loaded into the shared compute engine first, and the dropout stream is seeked
-    /// to the global forward counter (identical to letting the stateful stream run).
-    pub fn compute_gradient(&mut self, worker: usize, indices: &[usize]) -> (BatchStats, Vec<f32>) {
-        let (x, y) = self.train.batch(indices);
-        self.model.set_params_flat(&self.workers[worker].params);
-        self.model.seek_dropout(self.forwards_issued);
-        self.forwards_issued += 1;
-        let stats = self.model.forward_backward(&x, &y);
-        self.last_train_loss = stats.loss;
-        self.workers[worker].last_loss = stats.loss;
-        (stats, self.model.grads_flat())
-    }
-
-    /// Update `worker`'s `Δ(g_i)` tracker with this step's gradient and return the delta.
-    pub fn track_delta(&mut self, worker: usize, grads: &[f32]) -> f32 {
-        let delta = self.workers[worker].tracker.update(grads);
-        self.workers[worker].last_delta = delta;
-        self.max_delta_seen = self.max_delta_seen.max(delta);
-        delta
-    }
-
-    /// Apply a gradient to `worker`'s replica through its optimizer at learning rate `lr`.
-    pub fn apply_update(&mut self, worker: usize, grads: &[f32], lr: f32) {
-        let w = &mut self.workers[worker];
-        w.optimizer.step(&mut w.params, grads, lr);
-        w.progress += 1;
+        out.clear();
+        out.extend_from_slice(&assembled.local_indices);
+        out.extend(assembled.injected.iter().map(|&(_, i)| i));
+        assembled.bytes_received as u64
     }
 
     // --- worker-parallel rounds ----------------------------------------------------
@@ -462,10 +336,7 @@ impl Simulator {
     /// refilled, index buffers kept).
     pub fn plan_round(&mut self, present: &[usize], steps: &mut Vec<WorkerStep>) {
         assert_valid_round_workers(present.iter().copied(), self.workers.len());
-        steps.truncate(present.len());
-        while steps.len() < present.len() {
-            steps.push(WorkerStep::default());
-        }
+        steps.resize_with(present.len(), WorkerStep::default);
         for (step, &w) in steps.iter_mut().zip(present.iter()) {
             step.worker = w;
             step.injected_bytes = self.fill_batch_indices(w, &mut step.indices);
@@ -474,18 +345,17 @@ impl Simulator {
         }
     }
 
-    /// Execute the gradient phase of a planned round: every step's forward/backward
-    /// pass and `Δ(g_i)` tracker update, spread across the worker pool (a fixed-chunk
-    /// partition of the steps, one engine per chunk), then merge the shared-state
-    /// updates in worker-index order.
+    /// Execute the compute phase of a planned round: every step's
+    /// `Replica::compute`, spread across the worker pool (a fixed-chunk partition of
+    /// the steps, one engine per chunk), then merge the shared-state updates in
+    /// worker-index order.
     ///
     /// Per-step flat gradients land in [`Self::round_grads`]. Results are bit-identical
     /// for every thread count and to the sequential baseline ([`with_sequential_rounds`]):
     /// batches were drawn at planning time, engines seek the canonical dropout-stream
     /// position before each forward, kernels are order-preserving, every worker's
     /// tracker/optimizer state is its own, and a step's outcome is independent of
-    /// *which* engine runs it (parameters are loaded fresh and the forward pass
-    /// overwrites every layer cache its backward reads).
+    /// *which* engine runs it (see `Engine`).
     pub fn run_round(&mut self, steps: &[WorkerStep]) -> RoundOutput {
         let n = steps.len();
         assert_valid_round_workers(steps.iter().map(|s| s.worker), self.workers.len());
@@ -493,18 +363,11 @@ impl Simulator {
         self.last_round_workers
             .extend(steps.iter().map(|s| s.worker));
         let mut output = RoundOutput {
-            stats: vec![
-                BatchStats {
-                    loss: 0.0,
-                    metric: 0.0
-                };
-                n
-            ],
+            stats: vec![NO_STATS; n],
             deltas: vec![0.0f32; n],
             max_delta: 0.0,
             injected_bytes: 0,
         };
-        self.last_round_len = n;
         if n == 0 {
             return output;
         }
@@ -513,20 +376,15 @@ impl Simulator {
         }
 
         if SEQUENTIAL_ROUNDS.with(|c| c.get()) {
-            // Reference path: the pre-parallel sequential baseline — one shared
-            // engine, workers processed in order, stateful-equivalent dropout seeks.
+            // Reference path: the same phase on the one shared engine, workers in order.
             for (i, step) in steps.iter().enumerate() {
-                self.train
-                    .batch_into(&step.indices, &mut self.eval_x, &mut self.eval_y);
-                self.model
-                    .set_params_flat(&self.workers[step.worker].params);
-                self.model.seek_dropout(step.forward_index);
-                let stats = self.model.forward_backward(&self.eval_x, &self.eval_y);
-                self.model.grads_flat_into(&mut self.round_grads[i]);
-                let wstate = &mut self.workers[step.worker];
-                let delta = wstate.tracker.update(&self.round_grads[i]);
-                wstate.last_delta = delta;
-                wstate.last_loss = stats.loss;
+                let (stats, delta) = self.workers[step.worker].compute(
+                    &mut self.engine,
+                    &self.train,
+                    &step.indices,
+                    step.forward_index,
+                    &mut self.round_grads[i],
+                );
                 output.stats[i] = stats;
                 output.deltas[i] = delta;
             }
@@ -535,13 +393,13 @@ impl Simulator {
             // `[t*chunk, (t+1)*chunk)` and walks them in order on engine `t`, so at
             // most `threads` engines ever exist and the slot→engine map is a pure
             // function of the partition — never of scheduling. Engine identity cannot
-            // affect values (see the method docs), so neither can the thread count.
+            // affect values (see `Engine`), so neither can the thread count.
             let threads = par::current_num_threads().clamp(1, n);
             let chunk = n.div_ceil(threads);
             let tasks = n.div_ceil(chunk);
             while self.engines.len() < tasks {
                 self.engines
-                    .push(RoundEngine::new(self.cfg.model, self.cfg.seed));
+                    .push(Engine::new(self.cfg.model, self.cfg.seed));
             }
             let engines_ptr = SendPtr(self.engines.as_mut_ptr());
             let workers_ptr = SendPtr(self.workers.as_mut_ptr());
@@ -560,14 +418,8 @@ impl Simulator {
                 for (i, step) in steps.iter().enumerate().take(hi).skip(t * chunk) {
                     let wstate = unsafe { &mut *workers_ptr.get().add(step.worker) };
                     let grads = unsafe { &mut *grads_ptr.get().add(i) };
-                    train.batch_into(&step.indices, &mut engine.x, &mut engine.y);
-                    engine.model.set_params_flat(&wstate.params);
-                    engine.model.seek_dropout(step.forward_index);
-                    let stats = engine.model.forward_backward(&engine.x, &engine.y);
-                    engine.model.grads_flat_into(grads);
-                    let delta = wstate.tracker.update(grads);
-                    wstate.last_delta = delta;
-                    wstate.last_loss = stats.loss;
+                    let (stats, delta) =
+                        wstate.compute(engine, train, &step.indices, step.forward_index, grads);
                     unsafe {
                         *stats_ptr.get().add(i) = stats;
                         *deltas_ptr.get().add(i) = delta;
@@ -582,15 +434,12 @@ impl Simulator {
             output.max_delta = output.max_delta.max(output.deltas[i]);
             self.max_delta_seen = self.max_delta_seen.max(output.deltas[i]);
         }
-        if let Some(last) = output.stats.last() {
-            self.last_train_loss = last.loss;
-        }
         output
     }
 
     /// Per-step flat gradients of the most recent [`Self::run_round`], in step order.
     pub fn round_grads(&self) -> &[Vec<f32>] {
-        &self.round_grads[..self.last_round_len]
+        &self.round_grads[..self.last_round_workers.len()]
     }
 
     /// Move the round-gradient buffers out of the simulator (for drivers that need to
@@ -605,95 +454,69 @@ impl Simulator {
         self.round_grads = grads;
     }
 
-    /// Apply each step's own gradient ([`Self::round_grads`]) to its worker's replica,
-    /// in parallel across workers. Optimizer state is per worker and the per-element
-    /// update order is unchanged, so the result is bit-identical to the sequential
-    /// apply loop.
+    /// The local apply ([`Replica::apply_local`]) of each step's own gradient
+    /// ([`Self::round_grads`]), in parallel across workers. Optimizer state is per
+    /// worker and the per-element update order is unchanged, so the result is
+    /// bit-identical to the sequential apply loop.
     pub fn apply_round_own(&mut self, steps: &[WorkerStep], lr: f32) {
-        let n = steps.len();
-        assert!(
-            n <= self.last_round_len,
-            "apply_round_own without run_round"
-        );
         // Slot i of round_grads belongs to the i-th worker of the last run_round;
         // applying a different or shifted step list would silently train the wrong
         // workers, so require exact alignment.
-        for (i, step) in steps.iter().enumerate() {
+        assert!(
+            steps.len() <= self.last_round_workers.len(),
+            "apply_round_own without run_round"
+        );
+        for (step, &w) in steps.iter().zip(&self.last_round_workers) {
             assert_eq!(
-                step.worker, self.last_round_workers[i],
+                step.worker, w,
                 "apply_round_own steps must align with the last run_round"
             );
         }
-        let Simulator {
-            workers,
-            round_grads,
-            ..
-        } = self;
-        // When the cluster is narrower than the pool, worker-level tasks would waste
-        // threads (an outer parallel_for marks its tasks in-pool, serialising the
-        // optimizers' elementwise sweeps); a sequential worker loop then keeps the
-        // PR 2 element-level parallelism. Either arrangement produces the same bytes.
-        if n < par::current_num_threads() {
-            for (step, grads) in steps.iter().zip(round_grads.iter()) {
-                let w = &mut workers[step.worker];
-                w.optimizer.step(&mut w.params, grads, lr);
-                w.progress += 1;
-            }
-            return;
-        }
-        let workers_ptr = SendPtr(workers.as_mut_ptr());
-        let grads: &[Vec<f32>] = round_grads;
-        par::parallel_for(n, |i| {
-            // SAFETY: worker ids are strictly increasing and in bounds — disjoint
-            // per task.
-            let w = unsafe { &mut *workers_ptr.get().add(steps[i].worker) };
-            w.optimizer.step(&mut w.params, &grads[i], lr);
-            w.progress += 1;
-        });
+        let grads = &self.round_grads;
+        apply_each(
+            &mut self.workers,
+            steps.len(),
+            |i| steps[i].worker,
+            |i, w| w.apply_local(&grads[i], lr),
+        );
     }
 
-    /// Apply one shared gradient (e.g. the round average) to every listed worker's
-    /// replica, in parallel across workers.
+    /// Apply one shared gradient (the round average: a gradient-aggregation
+    /// synchronization, recorded as such) to every listed worker's replica, in
+    /// parallel across workers.
     pub fn apply_round_shared(&mut self, worker_ids: &[usize], grads: &[f32], lr: f32) {
         assert_valid_round_workers(worker_ids.iter().copied(), self.workers.len());
-        // Same narrow-cluster fallback as apply_round_own: keep element-level
-        // parallelism when there are fewer workers than pool threads.
-        if worker_ids.len() < par::current_num_threads() {
-            for &id in worker_ids {
-                let w = &mut self.workers[id];
-                w.optimizer.step(&mut w.params, grads, lr);
-                w.progress += 1;
-            }
-            return;
-        }
-        let workers_ptr = SendPtr(self.workers.as_mut_ptr());
-        par::parallel_for(worker_ids.len(), |i| {
-            // SAFETY: worker ids are strictly increasing and in bounds — disjoint
-            // per task.
-            let w = unsafe { &mut *workers_ptr.get().add(worker_ids[i]) };
-            w.optimizer.step(&mut w.params, grads, lr);
-            w.progress += 1;
-        });
+        let round = self.step_index();
+        apply_each(
+            &mut self.workers,
+            worker_ids.len(),
+            |i| worker_ids[i],
+            |_, w| {
+                w.apply_local(grads, lr);
+                w.sync_rounds.push(round);
+            },
+        );
     }
 
-    /// Average of all worker replicas' parameters (borrows the replicas — no per-replica
-    /// clone fan-out).
+    /// Every worker's parameters, borrowed (no per-replica clone fan-out).
+    fn replicas(&self) -> Vec<&[f32]> {
+        self.workers.iter().map(|w| w.params.as_slice()).collect()
+    }
+
+    /// Average of all worker replicas' parameters.
     pub fn average_params(&self) -> Vec<f32> {
-        let replicas: Vec<&[f32]> = self.workers.iter().map(|w| w.params.as_slice()).collect();
-        aggregation::average(&replicas)
+        aggregation::average(&self.replicas())
     }
 
     /// Average of a subset of workers' parameters (FedAvg participation).
     pub fn average_params_of(&self, worker_ids: &[usize]) -> Vec<f32> {
-        let replicas: Vec<&[f32]> = self.workers.iter().map(|w| w.params.as_slice()).collect();
-        aggregation::average_present(&replicas, worker_ids)
+        aggregation::average_present(&self.replicas(), worker_ids)
     }
 
     /// Average of a subset of workers' parameters into a caller-owned buffer, so
     /// per-round aggregation reuses one allocation across the whole run.
     pub fn average_params_of_into(&self, worker_ids: &[usize], out: &mut Vec<f32>) {
-        let replicas: Vec<&[f32]> = self.workers.iter().map(|w| w.params.as_slice()).collect();
-        aggregation::average_present_into(&replicas, worker_ids, out);
+        aggregation::average_present_into(&self.replicas(), worker_ids, out);
     }
 
     /// Overwrite every worker replica with `params` (the post-aggregation broadcast).
@@ -701,12 +524,6 @@ impl Simulator {
         for w in &mut self.workers {
             w.params.copy_from_slice(params);
         }
-    }
-
-    /// Current replica divergence across workers (diagnostic for the PA-vs-GA analysis).
-    pub fn replica_divergence(&self) -> f32 {
-        let replicas: Vec<&[f32]> = self.workers.iter().map(|w| w.params.as_slice()).collect();
-        aggregation::replica_divergence(&replicas)
     }
 
     /// Learning rate in effect at `iteration`.
@@ -728,20 +545,18 @@ impl Simulator {
         let chunk = 128usize;
         let n_chunks = n.div_ceil(chunk);
         let threads = par::current_num_threads();
-        let chunk_stats = if SEQUENTIAL_ROUNDS.with(|c| c.get()) || threads <= 1 || n_chunks <= 1 {
+        let mut chunk_stats = vec![NO_STATS; n_chunks];
+        if SEQUENTIAL_ROUNDS.with(|c| c.get()) || threads <= 1 || n_chunks <= 1 {
             // Sequential reference path: one shared engine, chunks in order.
-            self.model.set_params_flat(params);
-            let mut partials = Vec::with_capacity(n_chunks);
-            for c in 0..n_chunks {
-                let start = c * chunk;
-                let end = (start + chunk).min(n);
-                self.eval_indices.clear();
-                self.eval_indices.extend(start..end);
-                self.test
-                    .batch_into(&self.eval_indices, &mut self.eval_x, &mut self.eval_y);
-                partials.push(self.model.evaluate(&self.eval_x, &self.eval_y));
+            let Engine { model, x, y } = &mut self.engine;
+            model.set_params_flat(params);
+            let mut indices = Vec::with_capacity(chunk);
+            for (c, stats) in chunk_stats.iter_mut().enumerate() {
+                indices.clear();
+                indices.extend(c * chunk..((c + 1) * chunk).min(n));
+                self.test.batch_into(&indices, x, y);
+                *stats = model.evaluate(x, y);
             }
-            partials
         } else {
             // Fixed chunk-range partition: task `t` owns chunks
             // `[t*span, (t+1)*span)` and walks them in order on engine `t`.
@@ -750,17 +565,10 @@ impl Simulator {
             let tasks = n_chunks.div_ceil(span);
             while self.engines.len() < tasks {
                 self.engines
-                    .push(RoundEngine::new(self.cfg.model, self.cfg.seed));
+                    .push(Engine::new(self.cfg.model, self.cfg.seed));
             }
-            let mut partials = vec![
-                BatchStats {
-                    loss: 0.0,
-                    metric: 0.0
-                };
-                n_chunks
-            ];
             let engines_ptr = SendPtr(self.engines.as_mut_ptr());
-            let partials_ptr = SendPtr(partials.as_mut_ptr());
+            let stats_ptr = SendPtr(chunk_stats.as_mut_ptr());
             let test = &self.test;
             par::parallel_for(tasks, |t| {
                 // SAFETY: each task owns engine `t` and a disjoint chunk range, so
@@ -770,71 +578,40 @@ impl Simulator {
                 engine.model.set_params_flat(params);
                 let mut indices = Vec::with_capacity(chunk);
                 for c in (t * span)..((t + 1) * span).min(n_chunks) {
-                    let start = c * chunk;
-                    let end = (start + chunk).min(n);
                     indices.clear();
-                    indices.extend(start..end);
+                    indices.extend(c * chunk..((c + 1) * chunk).min(n));
                     test.batch_into(&indices, &mut engine.x, &mut engine.y);
                     let stats = engine.model.evaluate(&engine.x, &engine.y);
                     unsafe {
-                        *partials_ptr.get().add(c) = stats;
+                        *stats_ptr.get().add(c) = stats;
                     }
                 }
             });
-            partials
-        };
+        }
         let mut loss_acc = 0.0f64;
         let mut metric_acc = 0.0f64;
-        let mut seen = 0usize;
         for (c, stats) in chunk_stats.iter().enumerate() {
             let count = ((c * chunk + chunk).min(n)) - c * chunk;
             loss_acc += stats.loss as f64 * count as f64;
             metric_acc += stats.metric as f64 * count as f64;
-            seen += count;
         }
         BatchStats {
-            loss: (loss_acc / seen as f64) as f32,
-            metric: (metric_acc / seen as f64) as f32,
+            loss: (loss_acc / n as f64) as f32,
+            metric: (metric_acc / n as f64) as f32,
         }
     }
 
     /// Per-iteration compute time (seconds) for one worker's batch on the configured
     /// device, using the nominal (paper-scale) per-sample FLOPs.
     pub fn step_compute_seconds(&self) -> f64 {
-        cost::compute_time_ms(&self.model.nominal, self.cfg.batch_size, &self.cfg.device) / 1e3
-    }
-
-    /// Seconds for a full PS synchronization of the nominal model across `participants`.
-    pub fn ps_sync_seconds(&self, participants: usize) -> f64 {
-        self.cfg
-            .network
-            .ps_sync_time(self.model.nominal.wire_bytes, participants)
-    }
-
-    /// Seconds for the 1-bit status all-gather.
-    pub fn status_allgather_seconds(&self) -> f64 {
-        self.cfg.network.status_allgather_time(self.cfg.workers)
-    }
-
-    /// Seconds for a one-way PS push or pull by a single worker (SSP).
-    pub fn ps_one_way_seconds(&self) -> f64 {
-        self.cfg
-            .network
-            .ps_one_way_time(self.model.nominal.wire_bytes)
+        cost::compute_time_ms(
+            &self.engine.model.nominal,
+            self.cfg.batch_size,
+            &self.cfg.device,
+        ) / 1e3
     }
 
     // --- cluster-condition hooks (heterogeneity and fault injection) ---------------
-
-    /// Compute-time multiplier of `worker` at `iteration` under the configured cluster
-    /// conditions (1.0 on a homogeneous, fault-free cluster).
-    pub fn compute_multiplier(&self, worker: usize, iteration: usize) -> f64 {
-        self.cfg.conditions.compute_multiplier(worker, iteration)
-    }
-
-    /// Whether `worker` is alive at `iteration`.
-    pub fn is_present(&self, worker: usize, iteration: usize) -> bool {
-        self.cfg.conditions.is_present(worker, iteration)
-    }
 
     /// The alive workers at `iteration`, in worker order.
     pub fn present_workers(&self, iteration: usize) -> Vec<usize> {
@@ -862,7 +639,7 @@ impl Simulator {
     /// conditions at `iteration`.
     pub fn ps_sync_seconds_at(&self, iteration: usize, participants: usize) -> f64 {
         self.network_at(iteration)
-            .ps_sync_time(self.model.nominal.wire_bytes, participants)
+            .ps_sync_time(self.engine.model.nominal.wire_bytes, participants)
     }
 
     /// Seconds for the 1-bit status all-gather among `participants` under the network
@@ -875,31 +652,23 @@ impl Simulator {
     /// Seconds for a one-way PS push or pull under the network conditions at `iteration`.
     pub fn ps_one_way_seconds_at(&self, iteration: usize) -> f64 {
         self.network_at(iteration)
-            .ps_one_way_time(self.model.nominal.wire_bytes)
+            .ps_one_way_time(self.engine.model.nominal.wire_bytes)
     }
 
-    /// Overwrite the replicas of `worker_ids` with `params` (a broadcast restricted to
-    /// the present workers; crashed workers keep their stale state).
+    /// The sync apply ([`Replica::apply_sync`]) for `worker_ids`: each adopts the
+    /// synchronized `params` (a broadcast restricted to the present workers; crashed
+    /// workers keep their stale state) and records the round.
     pub fn set_params_of(&mut self, worker_ids: &[usize], params: &[f32]) {
+        let round = self.step_index();
         for &w in worker_ids {
-            self.workers[w].params.copy_from_slice(params);
+            self.workers[w].apply_sync(round, params);
         }
-    }
-
-    /// Bring a rejoining worker back: overwrite its replica with `params` (the PS pull
-    /// on rejoin) and reset its optimizer and `Δ(g_i)` tracker state, neither of which
-    /// survived the crash (the threaded driver restarts its tracker the same way).
-    pub fn rejoin_worker(&mut self, worker: usize, params: &[f32]) {
-        self.workers[worker].params.copy_from_slice(params);
-        self.workers[worker].optimizer.reset();
-        self.workers[worker].tracker.reset();
-        self.workers[worker].last_delta = 0.0;
     }
 
     /// Begin a synchronous round at `iteration` for drivers with a PS rejoin path:
     /// returns the present workers, and for every worker that was absent at the
     /// previously processed round and is back now, performs the rejoin pull from
-    /// `global` ([`Self::rejoin_worker`]) and accounts the one-way transfer. Returns
+    /// `global` ([`Replica::rejoin`]) and accounts the one-way transfer. Returns
     /// `(present, rejoin_comm_seconds, rejoin_bytes)` for the caller to fold into the
     /// round's accounting.
     pub fn begin_round(&mut self, iteration: usize, global: &[f32]) -> (Vec<usize>, f64, u64) {
@@ -908,32 +677,13 @@ impl Simulator {
         let mut bytes = 0u64;
         if let Some(prev) = self.last_round {
             for &w in &present {
-                if !self.is_present(w, prev) {
-                    self.rejoin_worker(w, global);
+                if !self.cfg.conditions.is_present(w, prev) {
+                    self.workers[w].rejoin(global);
                     comm_s += self.ps_one_way_seconds_at(iteration);
                     bytes += self.nominal().wire_bytes;
-                    if self.cfg.trace.is_enabled() {
-                        // Mirror the threaded driver's pull event: under scheduled
-                        // pulls the source is the last sync round (what the PS
-                        // snapshot ring would return); wall-clock pulls have an
-                        // inherently timing-dependent source, recorded as `None` so
-                        // both backends' logs stay byte-comparable.
-                        let (pull, from) = match self.cfg.rejoin_pull {
-                            crate::config::RejoinPull::Scheduled => (
-                                selsync_tracelog::PullKind::Scheduled,
-                                self.sync_rounds.last().copied(),
-                            ),
-                            crate::config::RejoinPull::WallClock => {
-                                (selsync_tracelog::PullKind::WallClock, None)
-                            }
-                        };
-                        self.cfg.trace.record(selsync_tracelog::Event::RejoinPull {
-                            round: iteration,
-                            worker: w,
-                            pull,
-                            from,
-                        });
-                    }
+                    crate::tracing::emit_rejoin_pull(&self.cfg, iteration, w, || {
+                        self.sync_rounds.last().copied()
+                    });
                 }
             }
         }
@@ -941,28 +691,26 @@ impl Simulator {
         (present, comm_s, bytes)
     }
 
+    /// The index of the step being run: the count of previously accounted steps — for
+    /// drivers that account exactly one step per iteration (all of them today), the
+    /// training iteration. A step's sync applies read it, so they come before its
+    /// [`Self::account_step`].
+    fn step_index(&self) -> usize {
+        self.lssr.total() as usize
+    }
+
     /// Account one step's simulated time and bytes. `sync_bytes` should include every
-    /// parameter/gradient transfer of the step (data-injection bytes are added through
-    /// [`Self::account_injection`]).
+    /// parameter/gradient transfer and the data-injection bytes of the step.
     pub fn account_step(&mut self, compute_s: f64, comm_s: f64, sync_bytes: u64, synced: bool) {
         self.compute_time_s += compute_s;
         self.comm_time_s += comm_s;
         self.bytes_communicated += sync_bytes;
         if synced {
-            // The step index is the count of previously accounted steps — for drivers
-            // that account exactly one step per iteration (all of them today), this is
-            // the training iteration.
-            self.sync_rounds.push(self.lssr.total() as usize);
+            self.sync_rounds.push(self.step_index());
             self.lssr.record_sync();
         } else {
             self.lssr.record_local();
         }
-    }
-
-    /// Account bytes moved by data-injection (already included in step time by callers
-    /// that add `p2p` time; kept separate so reports can distinguish it).
-    pub fn account_injection(&mut self, bytes: u64) {
-        self.bytes_communicated += bytes;
     }
 
     /// Record an evaluation point for `iteration` using the supplied parameters.
@@ -971,7 +719,9 @@ impl Simulator {
         let point = EvalPoint {
             iteration,
             sim_time_s: self.compute_time_s + self.comm_time_s,
-            train_loss: self.last_train_loss,
+            // The most recent training step: the last worker of the last round.
+            train_loss: (self.last_round_workers.last())
+                .map_or(0.0, |&w| self.workers[w].last_loss),
             test_loss: stats.loss,
             test_metric: stats.metric,
             delta_g: cluster_delta,
@@ -985,25 +735,15 @@ impl Simulator {
         iteration.is_multiple_of(self.cfg.eval_every.max(1)) || iteration + 1 == self.cfg.iterations
     }
 
-    /// Simulated time elapsed so far.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.compute_time_s + self.comm_time_s
-    }
-
     /// Consume the simulator and produce the run report.
     pub fn finalize(self, algorithm: String) -> RunReport {
-        let higher = self.higher_is_better();
+        let higher = self.engine.model.task.higher_is_better();
         let last = self.history.last().copied();
+        let metrics = self.history.iter().map(|p| p.test_metric);
         let best = if higher {
-            self.history
-                .iter()
-                .map(|p| p.test_metric)
-                .fold(f32::NEG_INFINITY, f32::max)
+            metrics.fold(f32::NEG_INFINITY, f32::max)
         } else {
-            self.history
-                .iter()
-                .map(|p| p.test_metric)
-                .fold(f32::INFINITY, f32::min)
+            metrics.fold(f32::INFINITY, f32::min)
         };
         RunReport {
             algorithm,
@@ -1033,8 +773,8 @@ impl Simulator {
     // --- checkpoint / resume -------------------------------------------------------
 
     /// The simulator's part of a recovery image ([`Checkpoint::assemble`]): one
-    /// `worker<k>` section per worker, exactly what that worker would deposit on a
-    /// cluster backend, then the `sim` section — what only the simulator measures
+    /// `worker<k>` section per worker ([`Replica::section`], exactly what that worker
+    /// deposits on a cluster backend), then the `sim` section — what only the simulator measures
     /// (cost-model seconds, bytes, eval history, the run-wide max `Δ(g_i)`, which
     /// tracker restarts forget) or draws (the cluster RNG position and, because
     /// data-injection advances *other* workers' shards, the shard cursors). Must be
@@ -1042,38 +782,16 @@ impl Simulator {
     /// evaluation) — scratch buffers, engines and the round-gradient pool are
     /// rebuild-on-demand and deliberately not stored.
     pub fn recovery_sections(&self) -> Vec<Section> {
-        let conditions = &self.cfg.conditions;
-        let rounds = self.lssr.total() as usize;
         let mut sections: Vec<Section> = self
             .workers
             .iter()
-            .map(|w| {
-                // A worker's view of the schedule is the cluster's restricted to the
-                // rounds it was present at.
-                let sync_rounds: Vec<usize> = self
-                    .sync_rounds
-                    .iter()
-                    .copied()
-                    .filter(|&r| conditions.is_present(w.id, r))
-                    .collect();
-                let present = conditions.rounds_present_before(w.id, rounds);
-                WorkerImage {
-                    core: WorkerCore {
-                        params: w.params.clone(),
-                        optimizer: w.optimizer.export_state(),
-                        tracker: w.tracker.export_state(),
-                    },
-                    local_steps: (present - sync_rounds.len()) as u64,
-                    sync_rounds,
-                    last_loss: w.last_loss,
-                }
-                .section(w.id)
-            })
+            .enumerate()
+            .map(|(k, w)| w.section(k))
             .collect();
 
         let mut s = Section::new("sim");
         s.push_int(self.rng.word_pos());
-        let cursors: Vec<u64> = self.workers.iter().map(|w| w.shard_cursor as u64).collect();
+        let cursors: Vec<u64> = self.workers.iter().map(|w| w.cursor as u64).collect();
         s.push_ints(&cursors);
         s.push_f64(self.compute_time_s);
         s.push_f64(self.comm_time_s);
@@ -1094,31 +812,21 @@ impl Simulator {
     }
 
     /// Restore a recovery image — any backend's — onto a freshly built simulator for
-    /// the same configuration. Durable per-worker state comes from the `worker<k>`
-    /// sections; every schedule-pure cursor (data-traversal position, step and
-    /// forward counters, presence edge, the cluster-level schedule) is recomputed
-    /// from the configuration exactly as a cluster worker recomputes its own. A
-    /// cluster-written image has no `sim` section: the cost-model aggregates and the
-    /// eval history then restart at zero and the run-wide max `Δ(g_i)` is the
-    /// trackers'. (`last_train_loss` is in no image: the first step of the next
-    /// round rewrites it before an evaluation can read it.)
+    /// the same configuration. Per-worker state comes from the `worker<k>` sections
+    /// ([`Replica::restore`], which also recomputes the data-traversal position); the
+    /// cluster-level cursors (forward counter, presence edge, schedule) are
+    /// recomputed from the configuration exactly as a cluster worker recomputes its
+    /// own. A cluster-written image has no `sim` section: the cost-model aggregates
+    /// and the eval history then restart at zero and the run-wide max `Δ(g_i)` is
+    /// the trackers'.
     pub fn restore_checkpoint(&mut self, ckpt: &Checkpoint) {
         let rounds = ckpt.round + 1;
         let mut sync_rounds = Vec::new();
         self.max_delta_seen = 0.0;
-        for w in &mut self.workers {
-            let image = ckpt.worker_image(w.id);
-            self.max_delta_seen = self.max_delta_seen.max(image.core.tracker.max_delta);
-            w.last_delta = image.core.tracker.last_delta;
-            w.last_loss = image.last_loss;
-            w.params = image.core.params;
-            w.optimizer.load_state(&image.core.optimizer);
-            w.tracker.restore_state(&image.core.tracker);
-            w.progress = self.cfg.conditions.rounds_present_before(w.id, rounds);
-            let traversal = w.iid_traversal.as_ref().or(w.shard.as_ref());
-            let len = traversal.expect("every worker walks a traversal").len();
-            w.shard_cursor = (w.progress * self.cfg.batch_size) % len;
-            sync_rounds.extend(image.sync_rounds);
+        for (k, w) in self.workers.iter_mut().enumerate() {
+            w.restore(ckpt.worker_image(k), self.cfg.batch_size);
+            self.max_delta_seen = self.max_delta_seen.max(w.tracker.max_delta());
+            sync_rounds.extend_from_slice(&w.sync_rounds);
         }
         // A round synchronized iff any worker present at it did (all of them do), so
         // the union of the per-worker views is the cluster's schedule; every other
@@ -1140,7 +848,7 @@ impl Simulator {
         let mut s = section.reader();
         self.rng.set_word_pos(s.int());
         for (w, cursor) in self.workers.iter_mut().zip(s.ints()) {
-            w.shard_cursor = cursor as usize;
+            w.cursor = cursor as usize;
         }
         self.compute_time_s = s.f64();
         self.comm_time_s = s.f64();
@@ -1166,8 +874,8 @@ impl Simulator {
     /// parameterised layer.
     pub fn layer_weights(&mut self, params: &[f32], idx: usize) -> Vec<f32> {
         use selsync_nn::layer::Layer;
-        self.model.set_params_flat(params);
-        let tensors = self.model.network().params();
+        self.engine.model.set_params_flat(params);
+        let tensors = self.engine.model.network().params();
         tensors
             .get(idx)
             .map(|t| t.data().to_vec())
@@ -1189,12 +897,25 @@ pub fn iid_sample_order(train: &Dataset, task: &TaskKind) -> Vec<usize> {
     }
 }
 
-/// The circular mini-batch traversal worker `w` walks when training IID: positions from
-/// its DefDP/SelDP partition, mapped through the on-disk order ([`iid_sample_order`])
-/// and shuffled per worker (a shuffling data loader over the worker's partition). A
-/// pure function of the run configuration — the simulator and the threaded driver both
-/// derive it, so their per-worker batch streams are identical.
-pub fn worker_iid_traversal(cfg: &TrainConfig, iid_order: &[usize], w: usize) -> Vec<usize> {
+/// The circular mini-batch traversal worker `w` walks under the configured data
+/// regime ([`Replica::traversal`]): its label shard ([`noniid::label_sharded`], in
+/// shard order) when `non_iid_labels_per_worker` is set; otherwise the positions of
+/// its DefDP/SelDP partition, mapped through the on-disk order
+/// ([`iid_sample_order`]) and shuffled per worker (a shuffling data loader over the
+/// worker's partition). A pure function of the run configuration: all three
+/// backends build their replicas from this, so they walk identical samples on IID
+/// *and* non-IID runs. (Data-injection draws from the simulator's cluster RNG and
+/// stays simulator-only.)
+pub fn worker_traversal(
+    cfg: &TrainConfig,
+    train: &Dataset,
+    iid_order: &[usize],
+    w: usize,
+) -> Vec<usize> {
+    if let Some(labels) = cfg.non_iid_labels_per_worker {
+        let mut split = noniid::label_sharded(train, cfg.workers, labels);
+        return split.per_worker.swap_remove(w);
+    }
     let part = WorkerPartition::build(cfg.partition, iid_order.len(), cfg.workers, w);
     let order: Vec<usize> = part.order().iter().map(|&p| iid_order[p]).collect();
     let mut worker_rng = rng::derived(cfg.seed, 0x0D_A7A0 + w as u64);
@@ -1202,56 +923,25 @@ pub fn worker_iid_traversal(cfg: &TrainConfig, iid_order: &[usize], w: usize) ->
     perm.into_iter().map(|p| order[p]).collect()
 }
 
-/// The circular mini-batch traversal worker `w` walks under the configured data
-/// regime: its label shard when `non_iid_labels_per_worker` is set (the exact
-/// per-worker index list [`Simulator::new`] builds through
-/// [`noniid::label_sharded`], walked in shard order like the simulator's
-/// non-IID cursor), its shuffled IID partition otherwise. The threaded and
-/// multi-process drivers derive their batch streams from this, so all three
-/// backends walk identical samples on IID *and* non-IID runs. (Data-injection
-/// draws from the simulator's cluster RNG and stays simulator-only.)
-pub fn worker_traversal(
-    cfg: &TrainConfig,
-    train: &Dataset,
-    iid_order: &[usize],
-    w: usize,
-) -> Vec<usize> {
-    match cfg.non_iid_labels_per_worker {
-        Some(labels) => {
-            let mut split = noniid::label_sharded(train, cfg.workers, labels);
-            split.per_worker.swap_remove(w)
-        }
-        None => worker_iid_traversal(cfg, iid_order, w),
-    }
-}
-
 /// Build the synthetic train/test datasets for the configured workload — the single
 /// source of truth for what every backend trains on (the simulator, the threaded
 /// driver, and the bench harness all share it).
 pub fn build_datasets(cfg: &TrainConfig) -> (Dataset, Dataset) {
-    let model = PaperModel::build(cfg.model, cfg.seed);
-    match model.task {
-        TaskKind::Classification { .. } => {
-            let spec = match cfg.model {
-                ModelKind::ResNetLike => {
-                    MixtureSpec::cifar10_like(cfg.train_samples + cfg.test_samples)
-                }
-                ModelKind::VggLike => {
-                    MixtureSpec::cifar100_like(cfg.train_samples + cfg.test_samples)
-                }
-                _ => MixtureSpec::imagenet_like(cfg.train_samples + cfg.test_samples),
-            };
-            let all = synthetic::gaussian_mixture(&spec, cfg.seed ^ 0xDA7A);
-            let frac = cfg.train_samples as f32 / (cfg.train_samples + cfg.test_samples) as f32;
-            all.split(frac)
+    let total = cfg.train_samples + cfg.test_samples;
+    let seed = cfg.seed ^ 0xDA7A;
+    let all = match (PaperModel::build(cfg.model, cfg.seed).task, cfg.model) {
+        (TaskKind::LanguageModel { .. }, _) => {
+            synthetic::markov_tokens(&TokenSpec::wikitext_like(total), seed)
         }
-        TaskKind::LanguageModel { .. } => {
-            let spec = TokenSpec::wikitext_like(cfg.train_samples + cfg.test_samples);
-            let all = synthetic::markov_tokens(&spec, cfg.seed ^ 0xDA7A);
-            let frac = cfg.train_samples as f32 / (cfg.train_samples + cfg.test_samples) as f32;
-            all.split(frac)
+        (_, ModelKind::ResNetLike) => {
+            synthetic::gaussian_mixture(&MixtureSpec::cifar10_like(total), seed)
         }
-    }
+        (_, ModelKind::VggLike) => {
+            synthetic::gaussian_mixture(&MixtureSpec::cifar100_like(total), seed)
+        }
+        _ => synthetic::gaussian_mixture(&MixtureSpec::imagenet_like(total), seed),
+    };
+    all.split(cfg.train_samples as f32 / total as f32)
 }
 
 #[cfg(test)]
@@ -1276,7 +966,7 @@ mod tests {
         assert_eq!(sim.train.len(), 512);
         assert_eq!(sim.test.len(), 128);
         // All replicas start identical.
-        assert_eq!(sim.replica_divergence(), 0.0);
+        assert_eq!(aggregation::replica_divergence(&sim.replicas()), 0.0);
     }
 
     #[test]
@@ -1284,7 +974,8 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.partition = PartitionScheme::DefDp;
         let mut sim = Simulator::new(&cfg);
-        let (idx, bytes) = sim.next_batch(1);
+        let mut idx = Vec::new();
+        let bytes = sim.fill_batch_indices(1, &mut idx);
         assert_eq!(idx.len(), cfg.batch_size);
         assert_eq!(bytes, 0);
         // DefDP enumerates a contiguous chunk of the label-grouped order, so a worker's
@@ -1304,12 +995,11 @@ mod tests {
         cfg.partition = PartitionScheme::SelDp;
         let mut sim = Simulator::new(&cfg);
         let mut seen = std::collections::HashSet::new();
+        let mut idx = Vec::new();
         // One full pass over the SelDP queue touches every label.
         for _ in 0..(sim.train.len() / cfg.batch_size) {
-            let (idx, _) = sim.next_batch(0);
-            for i in idx {
-                seen.insert(sim.train.targets()[i]);
-            }
+            sim.fill_batch_indices(0, &mut idx);
+            seen.extend(idx.iter().map(|&i| sim.train.targets()[i]));
         }
         assert_eq!(seen.len(), sim.train.num_classes);
     }
@@ -1318,15 +1008,16 @@ mod tests {
     fn compute_and_apply_update_changes_only_that_worker() {
         let cfg = small_cfg();
         let mut sim = Simulator::new(&cfg);
-        let (idx, _) = sim.next_batch(0);
-        let (_, grads) = sim.compute_gradient(0, &idx);
-        assert!(grads.iter().any(|&g| g != 0.0));
-        sim.apply_update(0, &grads, 0.05);
-        assert!(sim.replica_divergence() > 0.0);
+        let mut steps = Vec::new();
+        sim.plan_round(&[0], &mut steps);
+        let _ = sim.run_round(&steps);
+        assert!(sim.round_grads()[0].iter().any(|&g| g != 0.0));
+        sim.apply_round_own(&steps, 0.05);
+        assert!(aggregation::replica_divergence(&sim.replicas()) > 0.0);
         // Averaging and broadcasting collapses divergence again.
         let avg = sim.average_params();
         sim.set_all_params(&avg);
-        assert_eq!(sim.replica_divergence(), 0.0);
+        assert_eq!(aggregation::replica_divergence(&sim.replicas()), 0.0);
     }
 
     #[test]
@@ -1358,35 +1049,40 @@ mod tests {
         let cfg = small_cfg();
         let sim = Simulator::new(&cfg);
         assert!(sim.step_compute_seconds() > 0.0);
-        assert!(sim.ps_sync_seconds(16) > sim.ps_sync_seconds(4));
-        assert!(sim.status_allgather_seconds() < sim.ps_sync_seconds(4));
+        assert!(sim.ps_sync_seconds_at(0, 16) > sim.ps_sync_seconds_at(0, 4));
+        assert!(sim.status_allgather_seconds_at(0, 4) < sim.ps_sync_seconds_at(0, 4));
+        assert!(sim.ps_one_way_seconds_at(0) < sim.ps_sync_seconds_at(0, 4));
     }
 
     #[test]
     fn run_round_matches_the_legacy_per_worker_calls() {
-        // plan_round + run_round + apply_round_own on one simulator must equal the
-        // legacy next_batch / compute_gradient / track_delta / apply_update loop on a
-        // twin, byte for byte — including cursor/RNG streams across several rounds.
+        // plan_round + run_round + apply_round_own on one simulator must equal a
+        // hand-written per-worker loop over the replica's phase methods (draw, compute,
+        // apply-local, one worker after the other on the shared engine) on a twin,
+        // byte for byte — including cursor/RNG streams across several rounds.
         let cfg = small_cfg();
         let mut a = Simulator::new(&cfg);
         let mut b = Simulator::new(&cfg);
         let present: Vec<usize> = (0..cfg.workers).collect();
         let mut steps = Vec::new();
+        let (mut idx, mut g) = (Vec::new(), Vec::new());
         for _ in 0..3 {
             a.plan_round(&present, &mut steps);
             let round = a.run_round(&steps);
             a.apply_round_own(&steps, 0.05);
 
             for (i, &w) in present.iter().enumerate() {
-                let (idx, inj) = b.next_batch(w);
+                let inj = b.fill_batch_indices(w, &mut idx);
                 assert_eq!(idx, steps[i].indices, "worker {w} batch");
                 assert_eq!(inj, steps[i].injected_bytes);
-                let (stats, g) = b.compute_gradient(w, &idx);
+                let (stats, d) =
+                    b.workers[w].compute(&mut b.engine, &b.train, &idx, b.forwards_issued, &mut g);
+                b.forwards_issued += 1;
                 assert_eq!(stats, round.stats[i], "worker {w} stats");
                 assert_eq!(g, a.round_grads()[i], "worker {w} grads");
-                let d = b.track_delta(w, &g);
                 assert_eq!(d, round.deltas[i], "worker {w} delta");
-                b.apply_update(w, &g, 0.05);
+                assert_eq!(d, b.workers[w].tracker.last_delta());
+                b.workers[w].apply_local(&g, 0.05);
             }
             for &w in &present {
                 assert_eq!(
@@ -1441,6 +1137,10 @@ mod tests {
             a.plan_round(&present, &mut steps);
             let _ = a.run_round(&steps);
             a.apply_round_own(&steps, 0.05);
+            if it % 2 == 0 {
+                let avg = a.average_params();
+                a.set_params_of(&present, &avg);
+            }
             a.account_step(0.1, 0.2, 64, it % 2 == 0);
         }
         let params = a.workers[0].params.clone();
@@ -1469,7 +1169,10 @@ mod tests {
         assert_eq!(b.sync_rounds, a.sync_rounds);
         assert_eq!(b.lssr, a.lssr);
         assert_eq!(b.history, a.history);
-        assert_eq!(b.elapsed_seconds(), a.elapsed_seconds());
+        assert_eq!(
+            b.compute_time_s + b.comm_time_s,
+            a.compute_time_s + a.comm_time_s
+        );
         // Continue both for two more rounds: plans, outputs and replicas must agree
         // byte for byte.
         let mut steps_b = Vec::new();
@@ -1492,6 +1195,78 @@ mod tests {
         let ea = a.evaluate_params(&a.workers[0].params.clone());
         let eb = b.evaluate_params(&b.workers[0].params.clone());
         assert_eq!(ea.loss.to_bits(), eb.loss.to_bits());
+
+        // Second input: traversals of unequal length (label shards) and unequal step
+        // counts (a crash window), through the SelSync driver, halted mid-run. Resumed
+        // from the full image the shard cursors are the stored ints; with the
+        // trailing `sim` section removed — what a cluster-written image looks like —
+        // they come from `Replica::restore`'s recompute. Both must continue to the
+        // uninterrupted trace and synchronization schedule.
+        use crate::algorithms::selsync::{run, run_resumed};
+        use selsync_tracelog::{TraceGranularity, TraceSink};
+        let dir =
+            std::env::temp_dir().join(format!("selsync-sim-cursor-test-{}", std::process::id()));
+        let make = || {
+            let mut c = small_cfg();
+            c.algorithm = AlgorithmSpec::selsync(0.05);
+            c.non_iid_labels_per_worker = Some(3);
+            c.conditions = crate::conditions::ClusterConditions::uniform().with_fault(
+                crate::conditions::FaultEvent::Crash {
+                    worker: 3,
+                    start: 4,
+                    rejoin: Some(9),
+                },
+            );
+            // A signal-consuming policy logs every round's mean loss and max Δ(g_i),
+            // so the trace is sensitive to which samples each worker drew.
+            c.delta_policy = Some(crate::policy::PolicySpec::Adaptive {
+                delta_explore: 0.05,
+                delta_exploit: 0.5,
+                factor: 0.15,
+                warmup: 8,
+                settle: 0.05,
+                patience: 4,
+                spike: 2.5,
+            });
+            c.trace = TraceSink::capture(TraceGranularity::Full);
+            c
+        };
+        let full_cfg = make();
+        let full = run(&full_cfg);
+        let full_trace = full_cfg.trace.take_log().encode();
+        assert!(!full.sync_rounds.is_empty() && full.local_steps > 0);
+
+        let mut halted_cfg = make();
+        halted_cfg.checkpoint = Some(crate::config::CheckpointSpec {
+            every: 100,
+            dir: dir.to_string_lossy().into_owned(),
+            halt_after: Some(11),
+            keep: None,
+        });
+        let _ = run(&halted_cfg);
+        let image = Checkpoint::read_file(dir.join("ckpt-11")).expect("checkpoint reads back");
+        std::fs::remove_dir_all(&dir).ok();
+        let lens: Vec<usize> = Simulator::new(&make())
+            .workers
+            .iter()
+            .map(|w| w.traversal.len())
+            .collect();
+        assert!(lens.iter().any(|&l| l != lens[0]), "shards {lens:?}");
+
+        let mut stripped = image.clone();
+        assert_eq!(
+            stripped.sections.pop().map(|s| s.name).as_deref(),
+            Some("sim")
+        );
+        for (ckpt, whole) in [(&image, true), (&stripped, false)] {
+            let resumed_cfg = make();
+            let resumed = run_resumed(&resumed_cfg, ckpt);
+            assert_eq!(resumed_cfg.trace.take_log().encode(), full_trace);
+            assert_eq!(resumed.sync_rounds, full.sync_rounds);
+            if whole {
+                assert_eq!(format!("{resumed:?}"), format!("{full:?}"));
+            }
+        }
     }
 
     #[test]
@@ -1509,7 +1284,8 @@ mod tests {
         cfg.workers = 10;
         cfg.non_iid_labels_per_worker = Some(1);
         let mut sim = Simulator::new(&cfg);
-        let (idx, _) = sim.next_batch(3);
+        let mut idx = Vec::new();
+        sim.fill_batch_indices(3, &mut idx);
         let labels: Vec<usize> = idx.iter().map(|&i| sim.train.targets()[i]).collect();
         let mut unique = labels.clone();
         unique.sort_unstable();

@@ -11,7 +11,7 @@
 //!
 //! **Parity with the simulator.** The driver deliberately mirrors the simulator's
 //! training semantics exactly: the same synthetic datasets ([`crate::sim::build_datasets`]),
-//! the same per-worker shuffled IID traversals ([`crate::sim::worker_iid_traversal`]),
+//! the same per-worker data traversals ([`crate::sim::worker_traversal`]),
 //! the same optimizer and learning-rate schedule, the same `Δ(g_i)` tracker
 //! configuration, and the same dropout-stream positions (each worker seeks its model's
 //! stochastic layers to the canonical global forward index, a pure function of the

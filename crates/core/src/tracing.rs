@@ -1,14 +1,17 @@
 //! Shared trace-emission helpers for the SelSync drivers.
 //!
-//! Both backends — the simulator's round loop and the threaded cluster's rank-0
-//! worker — feed the same per-round facts through these helpers, so the structural
-//! events (run header, membership changes, fault-window edges) are identical *by
-//! construction*: everything here is a pure function of the config's deterministic
-//! [`ClusterConditions`] schedule, never of backend state.
+//! Both drivers — the simulator's round loop and a cluster round's rank-0 worker —
+//! feed the same per-round facts through these helpers, so the structural events (run
+//! header, membership changes, fault-window edges) and the round's decision events
+//! are identical *by construction*: everything here is a pure function of the
+//! config's deterministic schedules and the round's merged signal, never of backend
+//! state.
 
 use crate::conditions::{ClusterConditions, FaultEvent};
-use crate::config::TrainConfig;
-use selsync_tracelog::{Event, FaultKind, TraceSink, WindowEdge, TRACE_VERSION};
+use crate::config::{RejoinPull, TrainConfig};
+use crate::policy::RoundSignal;
+use selsync_comm::faults::PsFaultSchedule;
+use selsync_tracelog::{Event, FaultKind, PullKind, TraceSink, WindowEdge, TRACE_VERSION};
 
 /// Emit the run header. `algorithm` and `policy` are the same labels both drivers
 /// derive from the config (see [`crate::algorithms::selsync::algorithm_label`] and
@@ -108,6 +111,103 @@ pub fn emit_round_context(
             worker,
         });
     }
+}
+
+/// `worker`'s rejoin pull at `round`. Under scheduled pulls the source is the last
+/// synchronization before the round (`scheduled_from`: what the PS snapshot ring
+/// returns); wall-clock pulls have an inherently timing-dependent source, recorded as
+/// `None` on every backend so the logs stay byte-comparable.
+pub fn emit_rejoin_pull(
+    cfg: &TrainConfig,
+    round: usize,
+    worker: usize,
+    scheduled_from: impl FnOnce() -> Option<usize>,
+) {
+    if !cfg.trace.is_enabled() {
+        return;
+    }
+    let (pull, from) = match cfg.rejoin_pull {
+        RejoinPull::Scheduled => (PullKind::Scheduled, scheduled_from()),
+        RejoinPull::WallClock => (PullKind::WallClock, None),
+    };
+    cfg.trace.record(Event::RejoinPull {
+        round,
+        worker,
+        pull,
+        from,
+    });
+}
+
+/// A degraded (PS-down) round: log the `ps_down` edge when the outage starts here and
+/// `DegradedRound` in place of `Round`, and return the signal the δ policy observes
+/// for it — no cluster exchange ran, so it is the lowest-ranked present worker's own
+/// `loss` and `Δ(g_i)`, never synced — which keeps regime state coherent through the
+/// outage.
+pub fn degraded_round(
+    sink: &TraceSink,
+    ps_schedule: Option<&PsFaultSchedule>,
+    round: usize,
+    delta: f32,
+    loss: f32,
+    delta_g: f32,
+) -> RoundSignal {
+    if sink.is_enabled() {
+        if ps_schedule.is_some_and(|s| s.outage_starts(round as u64)) {
+            sink.record(Event::PsDown { round });
+        }
+        sink.record(Event::DegradedRound {
+            round,
+            delta,
+            loss,
+            delta_g,
+        });
+    }
+    RoundSignal {
+        iteration: round,
+        max_delta: delta_g,
+        mean_loss: loss,
+        delta_mean: delta_g,
+        delta_sq_mean: delta_g * delta_g,
+        synced: false,
+    }
+}
+
+/// The decision events of a reachable round: the `ps_up` edge and its catch-up sync
+/// when an outage ended here, the cluster `signal` when a signal-consuming policy
+/// `exchanged` one, then the round's `delta`, the present workers' status `flags` (in
+/// worker order) and the outcome.
+pub fn emit_round(
+    sink: &TraceSink,
+    ps_schedule: Option<&PsFaultSchedule>,
+    signal: &RoundSignal,
+    exchanged: bool,
+    delta: f32,
+    flags: impl Iterator<Item = bool>,
+) {
+    if !sink.is_enabled() {
+        return;
+    }
+    let round = signal.iteration;
+    if let Some(schedule) = ps_schedule.filter(|s| s.outage_ends(round as u64)) {
+        sink.record(Event::PsUp { round });
+        sink.record(Event::CatchupSync {
+            round,
+            behind: schedule.rounds_behind(round as u64) as usize,
+        });
+    }
+    if exchanged {
+        sink.record(Event::Signal {
+            round,
+            mean_loss: signal.mean_loss,
+            max_delta: signal.max_delta,
+        });
+    }
+    sink.record(Event::Round {
+        round,
+        delta,
+        flags: flags.collect(),
+        synced: signal.synced,
+    });
 }
 
 #[cfg(test)]

@@ -9,25 +9,25 @@
 //! the hub process, which makes the very same calls on the worker's behalf. The
 //! loop is monomorphised per link, so a threaded round still makes direct calls.
 //!
-//! What order a worker performs its round's operations in is decided here and
-//! nowhere else. The simulator ([`crate::algorithms::selsync`]) keeps its own
-//! driver: it runs all workers of a round in one call, with cost-model accounting,
-//! evaluation and gradient aggregation the cluster backends do not have.
+//! What a worker does *to its own state* in a round — rejoin reset, compute, local
+//! apply, sync apply — are the phases of [`crate::replica::Replica`], the same ones
+//! the simulator ([`crate::algorithms::selsync`]) runs for all W workers of a round
+//! in one call. What is decided here and nowhere else is the order of a cluster
+//! worker's link operations between them.
 
-use crate::checkpoint::{Checkpoint, Section, WorkerCore, WorkerImage};
+use crate::checkpoint::{Checkpoint, Section};
 use crate::conditions::ClusterConditions;
 use crate::config::{RejoinPull, TrainConfig};
 use crate::policy::{PolicySpec, RoundSignal, SyncPolicy};
+use crate::replica::{Engine, Replica};
 use crate::sim;
 use crate::threaded::ThreadedWorkerReport;
-use crate::tracker::{GradStatistic, GradientTracker};
 use selsync_comm::faults::PsFaultSchedule;
 use selsync_comm::wire::MsgKind;
 use selsync_comm::{MessageLayer, PsExchangeError, ScalarOp};
 use selsync_data::dataset::Dataset;
 use selsync_nn::model::PaperModel;
-use selsync_nn::Optimizer;
-use selsync_tracelog::{Event, PullKind};
+use selsync_tracelog::Event;
 
 /// One worker's view of the cluster's shared state. Every method acts for the
 /// worker the link was built for; rendezvous methods block until the round's other
@@ -124,43 +124,6 @@ pub(crate) fn with_ps_gate(cfg: &TrainConfig, layer: MessageLayer) -> MessageLay
     }
 }
 
-/// Everything of a worker that cannot be recomputed from the schedule — its
-/// parameter replica, optimizer and `Δ(g_i)` tracker state, synchronization history,
-/// local-step count and last observed loss: what a [`WorkerImage`] stores.
-struct WorkerState {
-    params: Vec<f32>,
-    optimizer: Box<dyn Optimizer>,
-    tracker: GradientTracker,
-    sync_rounds: Vec<usize>,
-    local_steps: u64,
-    last_loss: f32,
-}
-
-impl WorkerState {
-    fn section(&self, worker: usize) -> Section {
-        WorkerImage {
-            core: WorkerCore {
-                params: self.params.clone(),
-                optimizer: self.optimizer.export_state(),
-                tracker: self.tracker.export_state(),
-            },
-            sync_rounds: self.sync_rounds.clone(),
-            local_steps: self.local_steps,
-            last_loss: self.last_loss,
-        }
-        .section(worker)
-    }
-
-    fn restore(&mut self, image: WorkerImage) {
-        self.params = image.core.params;
-        self.optimizer.load_state(&image.core.optimizer);
-        self.tracker.restore_state(&image.core.tracker);
-        self.sync_rounds = image.sync_rounds;
-        self.local_steps = image.local_steps;
-        self.last_loss = image.last_loss;
-    }
-}
-
 /// Run worker `worker`'s rounds of `cfg` over `link`, every control-plane message
 /// riding `layer`. `resume` is the recovery image to continue from (any backend's:
 /// [`Checkpoint::check_resumable`]); `kill_at` makes the worker die abruptly at the
@@ -184,28 +147,12 @@ pub(crate) fn run_worker<L: ClusterLink>(
     // The first round the (possibly resumed) run executes.
     let start = resume.map_or(0, |ckpt| ckpt.round + 1);
 
-    let mut model = PaperModel::build(cfg.model, cfg.seed);
-    let new_tracker = || {
-        GradientTracker::new(
-            GradStatistic::SqNorm,
-            (n as f32 / 100.0).clamp(0.01, 1.0),
-            cfg.ewma_window,
-        )
-    };
-    let mut state = WorkerState {
-        // Every worker starts from the global state on the PS (pullFromPS, Alg. 1 line 3).
-        params: link.pull(),
-        optimizer: cfg.optimizer.build(),
-        tracker: new_tracker(),
-        sync_rounds: Vec::new(),
-        local_steps: 0,
-        last_loss: 0.0,
-    };
-    model.set_params_flat(&state.params);
-    // The simulator's circular traversal over this worker's data: its
-    // shuffled IID partition, or its label shard on non-IID runs.
+    let mut engine = Engine::new(cfg.model, cfg.seed);
+    // Every worker starts from the global state on the PS (pullFromPS, Alg. 1 line 3)
+    // and walks the simulator's circular traversal over its data: its shuffled IID
+    // partition, or its label shard on non-IID runs.
     let traversal = sim::worker_traversal(cfg, &inputs.train, &inputs.iid_order, worker);
-    let mut cursor = 0usize;
+    let mut state = Replica::new(cfg, link.pull(), traversal);
     let mut was_present = true;
     // The canonical global forward counter of the simulator
     // ([`ClusterConditions::forwards_before`]): the count *before* any iteration —
@@ -214,15 +161,14 @@ pub(crate) fn run_worker<L: ClusterLink>(
     let mut forwards_before = 0u64;
     if let Some(ckpt) = resume {
         // Durable per-worker state comes from the checkpoint; the schedule-pure
-        // cursors (data traversal, forward counter, presence edge) are recomputed
-        // from the same deterministic schedule the uninterrupted run walked.
-        state.restore(ckpt.worker_image(worker));
-        let done_rounds = conditions.rounds_present_before(worker, start);
-        cursor = (done_rounds * cfg.batch_size) % traversal.len();
+        // cursors (forward counter, presence edge) are recomputed from the same
+        // deterministic schedule the uninterrupted run walked.
+        state.restore(ckpt.worker_image(worker), cfg.batch_size);
         forwards_before = conditions.forwards_before(n, start);
         was_present = conditions.is_present(worker, start - 1);
     }
     let mut indices = Vec::with_capacity(cfg.batch_size);
+    let mut grads = Vec::new();
     // Control-plane exchange for one comm op: request envelope out, hub ack
     // back, bounded retry. A worker present at a round always lands within its
     // budget — exhaustion would have evicted it from this round's membership —
@@ -243,7 +189,7 @@ pub(crate) fn run_worker<L: ClusterLink>(
     // present or absent — deposits its recovery section when a checkpoint is due
     // and parks until the image is written. Returns whether the run halts after
     // this round (the simulated kill switch).
-    let end_of_round = |it: usize, present: &[usize], state: &WorkerState| -> bool {
+    let end_of_round = |it: usize, present: &[usize], state: &Replica| -> bool {
         let Some(ck) = &cfg.checkpoint else {
             return false;
         };
@@ -256,6 +202,18 @@ pub(crate) fn run_worker<L: ClusterLink>(
             link.ckpt_deposit(it, state.section(worker));
         }
         ck.halt_after == Some(it)
+    };
+
+    // One emitter per round: the lowest-ranked present worker logs the round's
+    // structural events (canonical sorting in the sink erases any cross-worker
+    // interleaving with other rounds) and posts its cluster signal.
+    let post = |conditions: &ClusterConditions, present: &[usize], signal: RoundSignal| {
+        let it = signal.iteration;
+        crate::tracing::emit_round_context(&cfg.trace, conditions, n, it, present);
+        link.observe(
+            signal,
+            conditions.next_active_iteration(n, it + 1, cfg.iterations),
+        );
     };
 
     let mut killed = false;
@@ -308,9 +266,9 @@ pub(crate) fn run_worker<L: ClusterLink>(
         let forward_index = forwards_before + rank as u64;
         forwards_before += active as u64;
         if !was_present {
-            // Rejoin: tracker and optimizer did not survive the crash (the
-            // simulator restarts per-worker state the same way — its cluster-level
-            // policy, like the shared board here, is untouched). The pull request
+            // Rejoin: tracker and optimizer did not survive the crash
+            // ([`Replica::rejoin`]; the shared board, like the simulator's
+            // cluster-level policy, is untouched). The pull request
             // is an envelope on the message layer; the parameter pull itself
             // (the data plane) follows the configured semantics. At a PS-down
             // round the envelope is skipped — there is no server to ack it —
@@ -319,7 +277,7 @@ pub(crate) fn run_worker<L: ClusterLink>(
             if !layer.ps_down(it as u64) {
                 exchange(it, MsgKind::Pull, &(it as u64).to_le_bytes());
             }
-            state.params = match cfg.rejoin_pull {
+            let pulled = match cfg.rejoin_pull {
                 RejoinPull::WallClock => link.pull(),
                 RejoinPull::Scheduled => {
                     // Wait until every active round before the rejoin has fully
@@ -331,49 +289,28 @@ pub(crate) fn run_worker<L: ClusterLink>(
                     link.scheduled_global_before(it as u64)
                 }
             };
-            if cfg.trace.is_enabled() {
-                // Mirror the simulator's pull event: under scheduled pulls the
-                // source is the ring's answer for this round (all earlier rounds
-                // have decided, so the `< it` entries are final); wall-clock
-                // pulls have a timing-dependent source, recorded as `None` on
-                // every backend so the logs stay byte-comparable.
-                let (pull, from) = match cfg.rejoin_pull {
-                    RejoinPull::Scheduled => (
-                        PullKind::Scheduled,
-                        link.scheduled_round_before(it as u64).map(|r| r as usize),
-                    ),
-                    RejoinPull::WallClock => (PullKind::WallClock, None),
-                };
-                cfg.trace.record(Event::RejoinPull {
-                    round: it,
-                    worker,
-                    pull,
-                    from,
-                });
-            }
-            state.tracker = new_tracker();
-            state.optimizer = cfg.optimizer.build();
+            // The ring's answer for this round: all earlier rounds have decided, so
+            // its `< it` entries are final.
+            crate::tracing::emit_rejoin_pull(cfg, it, worker, || {
+                link.scheduled_round_before(it as u64).map(|r| r as usize)
+            });
+            state.rejoin(&pulled);
             was_present = true;
         }
 
-        indices.clear();
-        for _ in 0..cfg.batch_size {
-            indices.push(traversal[cursor % traversal.len()]);
-            cursor += 1;
-        }
-        cursor %= traversal.len();
-        let (x, y) = inputs.train.batch(&indices);
-        model.set_params_flat(&state.params);
-        model.seek_dropout(forward_index);
-        let stats = model.forward_backward(&x, &y);
-        state.last_loss = stats.loss;
-        let grads = model.grads_flat();
-        let delta_g = state.tracker.update(&grads);
+        state.next_batch(cfg.batch_size, &mut indices);
+        let (stats, delta_g) = state.compute(
+            &mut engine,
+            &inputs.train,
+            &indices,
+            forward_index,
+            &mut grads,
+        );
 
         // Local update through the configured optimizer at the scheduled learning
-        // rate (Alg. 1 line 9) — identical to the simulator's apply path.
+        // rate (Alg. 1 line 9).
         let lr = cfg.lr.lr_at(cfg.epoch_of(it), it);
-        state.optimizer.step(&mut state.params, &grads, lr);
+        state.apply_local(&grads, lr);
 
         // PS outage: the round degrades to forced-local. One probe envelope
         // discovers the outage and fails fast (no retry budget consumed); the
@@ -394,31 +331,16 @@ pub(crate) fn run_worker<L: ClusterLink>(
             // board's round-ordered observe behind every present worker's δ
             // fetch, exactly like the status all-gather does on reachable rounds.
             link.allgather_flags_among(it as u64, false, active);
-            state.local_steps += 1;
             if rank == 0 {
-                if cfg.trace.is_enabled() {
-                    crate::tracing::emit_round_context(&cfg.trace, &conditions, n, it, &present);
-                    if ps_schedule.is_some_and(|s| s.outage_starts(it as u64)) {
-                        cfg.trace.record(Event::PsDown { round: it });
-                    }
-                    cfg.trace.record(Event::DegradedRound {
-                        round: it,
-                        delta: sync_policy.delta,
-                        loss: stats.loss,
-                        delta_g,
-                    });
-                }
-                link.observe(
-                    RoundSignal {
-                        iteration: it,
-                        max_delta: delta_g,
-                        mean_loss: stats.loss,
-                        delta_mean: delta_g,
-                        delta_sq_mean: delta_g * delta_g,
-                        synced: false,
-                    },
-                    conditions.next_active_iteration(n, it + 1, cfg.iterations),
+                let signal = crate::tracing::degraded_round(
+                    &cfg.trace,
+                    ps_schedule,
+                    it,
+                    sync_policy.delta,
+                    stats.loss,
+                    delta_g,
                 );
+                post(&conditions, &present, signal);
             }
             if end_of_round(it, &present, &state) {
                 break;
@@ -441,14 +363,14 @@ pub(crate) fn run_worker<L: ClusterLink>(
             // (kind, round, sender), so a second ScalarReduce from the same
             // worker in the same round would be dropped as a duplicate), and
             // the Δ-moment vector rides its own VecReduce envelope.
-            let mut scalar_payload = [0u8; 8];
-            scalar_payload[..4].copy_from_slice(&stats.loss.to_le_bytes());
-            scalar_payload[4..].copy_from_slice(&delta_g.to_le_bytes());
-            exchange(it, MsgKind::ScalarReduce, &scalar_payload);
-            let mut vec_payload = [0u8; 8];
-            vec_payload[..4].copy_from_slice(&moments[0].to_le_bytes());
-            vec_payload[4..].copy_from_slice(&moments[1].to_le_bytes());
-            exchange(it, MsgKind::VecReduce, &vec_payload);
+            let pair = |a: f32, b: f32| {
+                let mut payload = [0u8; 8];
+                payload[..4].copy_from_slice(&a.to_le_bytes());
+                payload[4..].copy_from_slice(&b.to_le_bytes());
+                payload
+            };
+            exchange(it, MsgKind::ScalarReduce, &pair(stats.loss, delta_g));
+            exchange(it, MsgKind::VecReduce, &pair(moments[0], moments[1]));
             let round = it as u64;
             (
                 link.allreduce_scalar_among(round, stats.loss, active, ScalarOp::Mean),
@@ -491,59 +413,35 @@ pub(crate) fn run_worker<L: ClusterLink>(
                 MsgKind::SyncRound,
                 &((state.params.len() * 4) as u64).to_le_bytes(),
             );
-            state.params = link.sync_round_elastic(it as u64, &state.params, active);
-            state.sync_rounds.push(it);
-        } else {
-            state.local_steps += 1;
+            let mean = link.sync_round_elastic(it as u64, &state.params, active);
+            state.apply_sync(it, &mean);
         }
         if rank == 0 {
-            if cfg.trace.is_enabled() {
-                // One emitter per round: the lowest-ranked present worker logs the
-                // round's structural and decision events (canonical sorting in the
-                // sink erases any cross-worker interleaving with other rounds).
-                crate::tracing::emit_round_context(&cfg.trace, &conditions, n, it, &present);
-                if catchup {
-                    let schedule = ps_schedule.expect("catchup implies a schedule");
-                    cfg.trace.record(Event::PsUp { round: it });
-                    cfg.trace.record(Event::CatchupSync {
-                        round: it,
-                        behind: schedule.rounds_behind(it as u64) as usize,
-                    });
-                }
-                if inputs.exchange_signals {
-                    cfg.trace.record(Event::Signal {
-                        round: it,
-                        mean_loss,
-                        max_delta: cluster_delta,
-                    });
-                }
-                cfg.trace.record(Event::Round {
-                    round: it,
-                    delta: sync_policy.delta,
-                    // The collective's gather is full-width (absent slots read
-                    // false); the canonical event keeps present-worker order,
-                    // matching the simulator's per-present-worker flag vector.
-                    flags: present.iter().map(|&w| flags[w]).collect(),
-                    synced,
-                });
-            }
-            // The lowest-ranked present worker posts the round's cluster signal.
+            let signal = RoundSignal {
+                iteration: it,
+                max_delta: cluster_delta,
+                mean_loss,
+                delta_mean: moments[0],
+                delta_sq_mean: moments[1],
+                synced,
+            };
+            crate::tracing::emit_round(
+                &cfg.trace,
+                ps_schedule,
+                &signal,
+                inputs.exchange_signals,
+                sync_policy.delta,
+                // The collective's gather is full-width (absent slots read false);
+                // the canonical event keeps present-worker order, matching the
+                // simulator's per-present-worker flag vector.
+                present.iter().map(|&w| flags[w]),
+            );
             // Every present worker has passed the status all-gather by now (it is
             // a rendezvous), so no one can still be waiting on this round's δ —
             // and if the round synchronized, its global is already in the
             // snapshot ring, so a scheduled rejoin pull unblocked by this
             // observation finds everything it needs.
-            link.observe(
-                RoundSignal {
-                    iteration: it,
-                    max_delta: cluster_delta,
-                    mean_loss,
-                    delta_mean: moments[0],
-                    delta_sq_mean: moments[1],
-                    synced,
-                },
-                conditions.next_active_iteration(n, it + 1, cfg.iterations),
-            );
+            post(&conditions, &present, signal);
         }
         if end_of_round(it, &present, &state) {
             break;
@@ -568,7 +466,7 @@ pub(crate) fn run_worker<L: ClusterLink>(
     ThreadedWorkerReport {
         worker,
         sync_steps: state.sync_rounds.len() as u64,
-        local_steps: state.local_steps,
+        local_steps: state.local_steps(),
         sync_rounds: state.sync_rounds,
         final_loss: state.last_loss,
         distance_to_global,

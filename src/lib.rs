@@ -11,8 +11,11 @@
 //! * [`compress`], [`hessian`], [`metrics`] — gradient-compression baselines,
 //!   second-order diagnostics, and metrics/reporting.
 //!
-//! See `README.md` for a guided tour, `DESIGN.md` for the system inventory and
-//! substitutions, and `EXPERIMENTS.md` for the paper-vs-measured record.
+//! See `ROADMAP.md` for the north star and open directions, and `docs/` for the
+//! subsystem guides: `SCENARIOS.md` (scenario files and fault injection),
+//! `EVENT_LOG.md` (the deterministic trace), `TRANSPORT.md` (message layer and socket
+//! cluster), `RECOVERY.md` (checkpoint images and resume) and `PERFORMANCE.md` (the
+//! worker pool, kernels and measurements).
 
 /// The paper's contribution: selective synchronization (re-export of the `selsync` crate).
 pub use selsync as core;
