@@ -115,7 +115,8 @@ fn main() {
         }
     }
     // Equivalent to a `[checkpoint]` block in the scenario file; only the SelSync
-    // arm writes recovery images (the baseline arms have no recovery contract).
+    // arm writes recovery images (the runner withholds the block from the baseline
+    // arms, which would write into the same directory).
     match ckpt_args.spec(Some(format!("target/checkpoints/{}", scenario.name))) {
         Ok(Some(spec)) => scenario.checkpoint = Some(spec),
         Ok(None) => {}

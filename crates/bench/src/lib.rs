@@ -6,7 +6,7 @@
 //! `bench_results/`.
 //!
 //! Scaling: the paper's runs train to full convergence on 16 V100s. The harness defaults
-//! to a *scaled* setup (documented per experiment in `EXPERIMENTS.md`) so the whole
+//! to a *scaled* setup ([`Scale`], plus each experiment's own doc comment) so the whole
 //! suite finishes on a laptop; set the environment variable `SELSYNC_SCALE=full` for the
 //! larger configuration (more iterations and the paper's 16 workers).
 

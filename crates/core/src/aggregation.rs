@@ -32,6 +32,14 @@ impl AggregationMode {
             AggregationMode::Gradient => "gradient_aggregation",
         }
     }
+
+    /// The short form run labels carry (`SelSync(…,PA)`).
+    pub(crate) fn short_name(&self) -> &'static str {
+        match self {
+            AggregationMode::Parameter => "PA",
+            AggregationMode::Gradient => "GA",
+        }
+    }
 }
 
 /// Element-wise mean of several equal-length vectors (the PS-side reduce).

@@ -1,4 +1,5 @@
-//! SelSync (§III, Alg. 1): δ-based selective synchronization.
+//! SelSync (§III, Alg. 1): δ-based selective synchronization, in the round loop that
+//! BSP, FedAvg and local SGD run too, as other sync rules (`policy::SyncRule`).
 //!
 //! Per iteration, every worker computes its gradient and its relative gradient change
 //! `Δ(g_i)`; the cluster exchanges one status bit per worker (all-gather) and
@@ -22,14 +23,14 @@
 use crate::aggregation::{self, AggregationMode};
 use crate::checkpoint::Checkpoint;
 use crate::config::{AlgorithmSpec, TrainConfig};
-use crate::policy::{PolicySpec, SyncDecision, SyncPolicy};
+use crate::policy::{run_policy_spec, PolicySpec, SyncDecision, SyncPolicy, SyncRule};
 use crate::report::RunReport;
 use crate::sim::{Simulator, WorkerStep};
 use selsync_comm::faults::CommFaultSchedule;
 use selsync_comm::ps::PsState;
 use selsync_comm::wire::frame_len;
 
-/// The algorithm label a SelSync run reports, as a pure function of its config.
+/// The algorithm label a run reports, as a pure function of its config.
 /// Shared by the simulator driver and the threaded driver (and the trace headers of
 /// both), so every surface names the same run identically.
 ///
@@ -49,10 +50,7 @@ pub fn algorithm_label(cfg: &TrainConfig) -> String {
     let Some(spec) = &cfg.delta_policy else {
         return cfg.algorithm.name();
     };
-    let agg = match aggregation_mode {
-        AggregationMode::Parameter => "PA",
-        AggregationMode::Gradient => "GA",
-    };
+    let agg = aggregation_mode.short_name();
     // An injected Fixed arm reproduces AlgorithmSpec::name()'s exact shape
     // (`SelSync(α,β,δ,agg)`, no `d=` prefix) so label-keyed comparisons treat
     // semantically identical arms identically.
@@ -66,12 +64,13 @@ pub fn algorithm_label(cfg: &TrainConfig) -> String {
     }
 }
 
-/// Run SelSync for `cfg.iterations` iterations. Panics if `cfg.algorithm` is not SelSync.
+/// Run `cfg.algorithm` — SelSync or any other rule-driven algorithm — for
+/// `cfg.iterations` iterations. Panics for SSP, which has no sync rule.
 pub fn run(cfg: &TrainConfig) -> RunReport {
     run_inner(cfg, None)
 }
 
-/// Resume a SelSync run from a durable checkpoint written by an earlier run — on any
+/// Resume a rule-driven run from a durable checkpoint written by an earlier run — on any
 /// backend — of the *same* configuration ([`Checkpoint::check_resumable`]). The
 /// restored run continues from `ckpt.round + 1` and produces the byte-identical trace
 /// of the uninterrupted run, and from a simulator-written image the byte-identical
@@ -82,17 +81,8 @@ pub fn run_resumed(cfg: &TrainConfig, ckpt: &Checkpoint) -> RunReport {
 }
 
 fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
-    let (delta, aggregation_mode) = match cfg.algorithm {
-        AlgorithmSpec::SelSync {
-            delta, aggregation, ..
-        } => (delta, aggregation),
-        _ => panic!("selsync::run called with a non-SelSync configuration"),
-    };
-    let spec = cfg
-        .delta_policy
-        .clone()
-        .unwrap_or(PolicySpec::Fixed { delta });
-    spec.validate().expect("invalid δ-policy configuration");
+    let rule = SyncRule::of(cfg);
+    let spec = run_policy_spec(cfg);
     let mut policy = spec.build();
     let algo_name = algorithm_label(cfg);
     // Only signal-consuming policies receive cluster round signals in the threaded
@@ -107,13 +97,11 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
     let fault_schedule = cfg.comm_faults.map(CommFaultSchedule::new);
     // PS availability: a pure function of `(spec, round)`, so both backends see the
     // exact same outage windows. `None` keeps the server perfectly reliable.
-    let ps_schedule = cfg.ps_fault_schedule();
+    let ps_schedule = cfg.ps_fault_schedule().filter(|_| rule.exchanges_status());
     if let Some(ck) = &cfg.checkpoint {
         ck.validate().expect("invalid checkpoint configuration");
     }
     let evictions = cfg.comm_fault_evictions();
-    // The image a resume started from stays on disk whatever the retention says.
-    let protect = resume.map(|c| c.round);
     let conditions = cfg.effective_conditions();
     // The parameter server's durable state, held as a value: the latest synchronized
     // model (rejoining workers pull it), the newest-sync guard and the rejoin
@@ -149,15 +137,17 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
 
     for it in start..cfg.iterations {
         let lr = sim.lr_at(it);
-        let (present, rejoin_comm, rejoin_bytes) = sim.begin_round(it, &ps.global);
+        let (present, rejoin_comm, rejoin_bytes) = if rule.has_ps() {
+            sim.begin_round(it, &ps.global)
+        } else {
+            (sim.present_workers(it), 0.0, 0)
+        };
         // Evictions fire whether or not the remaining round is runnable, so the
         // event stream matches the threaded driver's (whose evicted thread emits
         // its farewell regardless of what the survivors do this round).
-        for &(worker, round) in &evictions {
-            if round == it {
-                cfg.trace
-                    .record(selsync_tracelog::Event::CommEvict { round: it, worker });
-            }
+        for &(worker, _) in evictions.iter().filter(|e| e.1 == it) {
+            cfg.trace
+                .record(selsync_tracelog::Event::CommEvict { round: it, worker });
         }
         if present.is_empty() {
             sim.account_step(0.0, 0.0, 0, false);
@@ -181,14 +171,21 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
         // its own update, and the δ policy is fed the first present worker's local
         // signal so regime state stays coherent through the outage. `DegradedRound`
         // replaces the `Round` event.
-        let round_signal = if ps_schedule.as_ref().is_some_and(|s| s.down(it as u64)) {
+        let ps_down = ps_schedule.as_ref().is_some_and(|s| s.down(it as u64));
+        if ps_down {
             comm += sim.network_at(it).ps_probe_time();
             bytes += present.len() as u64 * frame_len(8) as u64;
-            // Worker-to-worker injection shipping is unaffected by the PS outage.
-            bytes += round.injected_bytes;
-            if round.injected_bytes > 0 {
-                comm += sim.network_at(it).p2p_time(round.injected_bytes);
-            }
+        } else if rule.exchanges_status() {
+            // Phase 2: the 1-bit status all-gather among the present workers.
+            comm += sim.status_allgather_seconds_at(it, present.len());
+            bytes += present.len() as u64; // the flag bits (≈1 B/worker)
+        }
+        // Worker-to-worker injection shipping is unaffected by the PS outage.
+        bytes += round.injected_bytes;
+        if round.injected_bytes > 0 {
+            comm += sim.network_at(it).p2p_time(round.injected_bytes);
+        }
+        let round_signal = if ps_down {
             sim.apply_round_own(&steps, lr);
             crate::tracing::degraded_round(
                 &cfg.trace,
@@ -199,26 +196,18 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
                 round.deltas[0],
             )
         } else {
-            // The first reachable round after an outage runs the catch-up sync:
-            // synchronization is forced for every present worker so the accumulated
-            // local-only deltas reconcile through the ordinary aggregation path.
-            let catchup = ps_schedule
+            // The cluster-level decision from the present workers' bits. The first
+            // reachable round after an outage runs the catch-up sync: synchronization
+            // is forced for every present worker so the accumulated local-only deltas
+            // reconcile through the ordinary aggregation path.
+            let mut flags = rule.flags(it, sync_policy, &round.deltas);
+            if ps_schedule
                 .as_ref()
-                .is_some_and(|s| s.outage_ends(it as u64));
-
-            // Phase 2: 1-bit status all-gather among the present workers and the
-            // cluster-level decision.
-            let flags = if catchup {
-                vec![true; present.len()]
-            } else {
-                sync_policy.flags_from_deltas(&round.deltas)
-            };
-            let decision = sync_policy.decide(&flags);
-            comm += sim.status_allgather_seconds_at(it, present.len());
-            bytes += round.injected_bytes + present.len() as u64; // the flag bits (≈1 B/worker)
-            if round.injected_bytes > 0 {
-                comm += sim.network_at(it).p2p_time(round.injected_bytes);
+                .is_some_and(|s| s.outage_ends(it as u64))
+            {
+                flags.fill(true);
             }
+            let synced = sync_policy.decide(&flags) == SyncDecision::Synchronize;
             // Price the δ-signal exchange when a signal-consuming policy runs: two
             // scalar all-reduces (loss mean, Δ max) plus the 2-element Δ-moment vector
             // feed — 16 payload bytes per present worker. Mirrors the envelopes the
@@ -235,7 +224,7 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
             // pays the worst worker's penalty) and retransmit both legs of the op
             // frame. Present workers always land within budget — exhaustion would have
             // evicted them from this round's membership.
-            if let Some(schedule) = &fault_schedule {
+            if let Some(schedule) = fault_schedule.as_ref().filter(|_| rule.exchanges_status()) {
                 let mut worst_penalty_s = 0.0f64;
                 for &worker in &present {
                     let attempts = schedule
@@ -256,17 +245,21 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
             }
 
             // Phase 3: apply updates according to the decision and aggregation mode.
-            match (decision, aggregation_mode) {
-                (SyncDecision::Local, _) => {
-                    sim.apply_round_own(&steps, lr);
-                }
-                (SyncDecision::Synchronize, AggregationMode::Parameter) => {
+            // Who contributes is drawn after the compute phase, on sync rounds only.
+            let contributors = if synced {
+                rule.contributors(&present, &mut sim.rng)
+            } else {
+                Vec::new()
+            };
+            match (synced, rule.aggregation()) {
+                (false, _) => sim.apply_round_own(&steps, lr),
+                (true, AggregationMode::Parameter) => {
                     // Alg. 1: local update first, then push parameters and pull the average.
                     sim.apply_round_own(&steps, lr);
-                    sim.average_params_of_into(&present, &mut avg);
+                    sim.average_params_of_into(&contributors, &mut avg);
                     sim.set_params_of(&present, &avg);
                 }
-                (SyncDecision::Synchronize, AggregationMode::Gradient) => {
+                (true, AggregationMode::Gradient) => {
                     // Gradients are averaged on the PS and applied locally by each worker.
                     // GA keeps replicas diverged by design, so the PS global is the present
                     // replicas' average, not any single replica.
@@ -275,12 +268,11 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
                     sim.average_params_of_into(&present, &mut avg);
                 }
             }
-            let synced = decision == SyncDecision::Synchronize;
             if synced {
-                // Either way `avg` is now the present replicas' average: the new global.
+                // Either way `avg` is now the contributors' average: the new global.
                 ps.record_sync(it as u64, &avg);
-                comm += sim.ps_sync_seconds_at(it, present.len());
-                bytes += 2 * present.len() as u64 * sim.nominal().wire_bytes;
+                comm += sim.ps_sync_seconds_at(it, contributors.len());
+                bytes += 2 * contributors.len() as u64 * sim.nominal().wire_bytes;
             }
 
             let round_signal = round.signal(it, synced);
@@ -299,12 +291,8 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
         // the completed round's (worker-order-merged, thread-count-invariant) signal
         // fed back to the δ policy, the regime switch that observation may have
         // triggered, evaluation, checkpoint / halt.
-        sim.account_step(
-            sim.round_compute_seconds(it),
-            comm,
-            bytes,
-            round_signal.synced,
-        );
+        let compute = sim.round_compute_seconds(it);
+        sim.account_step(compute, comm, bytes, round_signal.synced);
         policy.observe(&round_signal);
         if let Some(sw) = policy.last_switch() {
             cfg.trace.record(selsync_tracelog::Event::RegimeSwitch {
@@ -334,7 +322,8 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
                     sim.recovery_sections(),
                     &cfg.trace.snapshot_log(),
                 );
-                ck.write_image(&image, protect);
+                // The image a resume started from stays on disk whatever the retention says.
+                ck.write_image(&image, resume.map(|c| c.round));
             }
             if ck.halt_after == Some(it) {
                 break;
@@ -417,7 +406,7 @@ mod tests {
         let sel = run(&cfg(AlgorithmSpec::selsync(0.1)));
         let mut bsp_cfg = cfg(AlgorithmSpec::selsync(0.1));
         bsp_cfg.algorithm = AlgorithmSpec::Bsp;
-        let bsp = crate::algorithms::bsp::run(&bsp_cfg);
+        let bsp = run(&bsp_cfg);
         assert!(sel.sim_time_s < bsp.sim_time_s);
         assert!(sel.raw_time_speedup(&bsp) > 1.0);
     }
@@ -563,44 +552,55 @@ mod tests {
         use crate::config::CheckpointSpec;
         use selsync_comm::faults::PsFaultSpec;
         use selsync_tracelog::{TraceGranularity, TraceSink};
-        let dir =
+        let base =
             std::env::temp_dir().join(format!("selsync-sim-resume-test-{}", std::process::id()));
-        let make = || {
-            let mut c = cfg(AlgorithmSpec::selsync(0.05));
-            // An outage window straddling the kill round exercises degraded-state
-            // recovery, not just the happy path.
-            c.ps_faults = Some(PsFaultSpec {
-                seed: 3,
-                windows: vec![(12, 4)],
-                flaky: 0.0,
+        // The FedAvg case (C = 0.5, a sync every 4th round) halts between two sync
+        // rounds; its participant draws come from the cluster RNG, which the image's
+        // `sim` section restores.
+        let cases = [
+            AlgorithmSpec::selsync(0.05),
+            AlgorithmSpec::FedAvg { c: 0.5, e: 0.25 },
+        ];
+        for (case, algo) in cases.into_iter().enumerate() {
+            let dir = base.join(case.to_string());
+            let make = || {
+                let mut c = cfg(algo);
+                // An outage window straddling the kill round exercises degraded-state
+                // recovery, not just the happy path (only SelSync meets outages).
+                c.ps_faults = Some(PsFaultSpec {
+                    seed: 3,
+                    windows: vec![(12, 4)],
+                    flaky: 0.0,
+                });
+                c.delta_policy = Some(crate::policy::PolicySpec::adaptive_default());
+                c.trace = TraceSink::capture(TraceGranularity::Full);
+                c
+            };
+
+            let full_cfg = make();
+            let full = run(&full_cfg);
+            let full_trace = full_cfg.trace.take_log().encode();
+            assert!(!full.sync_rounds.contains(&13) && full.sync_rounds.iter().any(|&r| r > 13));
+
+            let mut killed_cfg = make();
+            killed_cfg.checkpoint = Some(CheckpointSpec {
+                every: 7,
+                dir: dir.to_string_lossy().into_owned(),
+                halt_after: Some(13),
+                keep: None,
             });
-            c.delta_policy = Some(crate::policy::PolicySpec::adaptive_default());
-            c.trace = TraceSink::capture(TraceGranularity::Full);
-            c
-        };
+            let _halted = run(&killed_cfg);
+            let ckpt = Checkpoint::read_file(dir.join("ckpt-13")).expect("checkpoint reads back");
+            assert_eq!(ckpt.round, 13);
+            // The cadence checkpoint at round 6 was written too.
+            assert!(dir.join("ckpt-6").exists());
 
-        let full_cfg = make();
-        let full = run(&full_cfg);
-        let full_trace = full_cfg.trace.take_log().encode();
-
-        let mut killed_cfg = make();
-        killed_cfg.checkpoint = Some(CheckpointSpec {
-            every: 7,
-            dir: dir.to_string_lossy().into_owned(),
-            halt_after: Some(13),
-            keep: None,
-        });
-        let _halted = run(&killed_cfg);
-        let ckpt = Checkpoint::read_file(dir.join("ckpt-13")).expect("checkpoint reads back");
-        assert_eq!(ckpt.round, 13);
-        // The cadence checkpoint at round 6 was written too.
-        assert!(dir.join("ckpt-6").exists());
-
-        let resumed_cfg = make();
-        let resumed = run_resumed(&resumed_cfg, &ckpt);
-        assert_eq!(resumed_cfg.trace.take_log().encode(), full_trace);
-        assert_eq!(format!("{resumed:?}"), format!("{full:?}"));
-        std::fs::remove_dir_all(&dir).ok();
+            let resumed_cfg = make();
+            let resumed = run_resumed(&resumed_cfg, &ckpt);
+            assert_eq!(resumed_cfg.trace.take_log().encode(), full_trace);
+            assert_eq!(format!("{resumed:?}"), format!("{full:?}"));
+        }
+        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]

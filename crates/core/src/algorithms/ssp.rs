@@ -6,7 +6,7 @@
 //! bounds how far the fastest worker may run ahead of the slowest: when exceeded, the
 //! fast worker blocks (its simulated clock advances to the slowest worker's).
 //!
-//! Modelling notes (documented in DESIGN.md): the simulator is sequential, so "fast" and
+//! Modelling notes: the simulator is sequential, so "fast" and
 //! "slow" workers are expressed through per-worker compute-time multipliers supplied by
 //! the [`crate::conditions::ClusterConditions`] heterogeneity profile — when the run
 //! configures no profile at all (`base_speed` empty), the paper's default applies
@@ -29,7 +29,6 @@ pub fn run(cfg: &TrainConfig) -> RunReport {
         AlgorithmSpec::Ssp { staleness } => staleness.max(1),
         _ => panic!("ssp::run called with a non-SSP configuration"),
     };
-    let algo_name = cfg.algorithm.name();
 
     let mut sim = Simulator::new(cfg);
     let n = sim.num_workers();
@@ -40,19 +39,16 @@ pub fn run(cfg: &TrainConfig) -> RunReport {
     // configured at all does the paper's default apply (last worker a 1.4× straggler,
     // others mildly mixed). An explicit all-1.0 profile stays homogeneous. Scheduled
     // faults from the configuration are honoured either way.
-    let conditions = {
-        let mut c = cfg.conditions.clone();
-        if c.base_speed.is_empty() {
-            c.base_speed = ClusterConditions::paper_straggler(n).base_speed;
-        }
-        c
-    };
+    let mut conditions = cfg.conditions.clone();
+    if conditions.base_speed.is_empty() {
+        conditions.base_speed = ClusterConditions::paper_straggler(n).base_speed;
+    }
     let refresh_every = (staleness / 4).max(1);
 
     let mut worker_time = vec![0.0f64; n];
     let mut steps_since_refresh = vec![0usize; n];
     // Rejoin detection compares against the last *processed* round, exactly like
-    // `Simulator::begin_round` in the other drivers — a per-worker previous-presence
+    // `Simulator::begin_round` in the rule-driven loop — a per-worker previous-presence
     // vector would miss crashes spanning an all-absent round.
     let mut last_processed: Option<usize> = None;
     let base_compute = sim.step_compute_seconds();
@@ -159,15 +155,11 @@ pub fn run(cfg: &TrainConfig) -> RunReport {
 
         last_processed = Some(it);
         if sim.should_eval(it) {
-            // `record_eval` only reads the snapshot; move `global` through a
-            // temporary instead of cloning the full parameter vector per eval.
-            let snapshot = std::mem::take(&mut global);
-            sim.record_eval(it, &snapshot, max_delta);
-            global = snapshot;
+            sim.record_eval(it, &global, max_delta);
             max_delta = 0.0;
         }
     }
-    sim.finalize(algo_name)
+    sim.finalize(cfg.algorithm.name())
 }
 
 #[cfg(test)]
@@ -201,7 +193,7 @@ mod tests {
         let ssp = run(&cfg(16));
         let mut bsp_cfg = cfg(16);
         bsp_cfg.algorithm = AlgorithmSpec::Bsp;
-        let bsp = crate::algorithms::bsp::run(&bsp_cfg);
+        let bsp = crate::algorithms::run(&bsp_cfg);
         assert!(ssp.comm_time_s < bsp.comm_time_s);
     }
 

@@ -244,10 +244,7 @@ impl AlgorithmSpec {
                 aggregation,
                 injection,
             } => {
-                let agg = match aggregation {
-                    AggregationMode::Parameter => "PA",
-                    AggregationMode::Gradient => "GA",
-                };
+                let agg = aggregation.short_name();
                 match injection {
                     Some(inj) => format!("SelSync({},{},{delta},{agg})", inj.alpha, inj.beta),
                     None => format!("SelSync(d={delta},{agg})"),

@@ -16,7 +16,8 @@
 //! * [`tracker`] — the per-worker `Δ(g_i)` tracker (EWMA-smoothed gradient statistic).
 //! * [`policy`] — the `δ` decision rule (Fig. 6): `Δ(g_i) ≥ δ` ⇒ synchronize — plus
 //!   the [`policy::DeltaPolicy`] trait choosing δ itself (fixed, scheduled, or a
-//!   Sync-Switch-style adaptive policy that relaxes δ once gradients settle).
+//!   Sync-Switch-style adaptive policy that relaxes δ once gradients settle), and the
+//!   crate-private sync rules that make BSP, FedAvg and local SGD variants of it.
 //! * [`conditions`] — cluster imperfections: device heterogeneity profiles and timed
 //!   fault schedules (stragglers, crashes, network degradation) shared by every driver.
 //! * [`aggregation`] — parameter vs gradient aggregation (§III-C).
@@ -25,10 +26,11 @@
 //! * [`replica`] — one worker's training state and the four link-free phases of its
 //!   round (rejoin reset, compute, apply-local, apply-sync), written once: what the
 //!   simulator holds W of and what each cluster worker owns one of.
-//! * [`sim`] — the deterministic single-process cluster simulator that all algorithm
+//! * [`sim`] — the deterministic single-process cluster simulator that both algorithm
 //!   drivers share (compute is real, communication time comes from the cost model):
 //!   it runs the replica phases for W workers, with accounting and evaluation around.
-//! * [`algorithms`] — training drivers: BSP, local SGD, FedAvg, SSP and SelSync.
+//! * [`algorithms`] — two training drivers: one round loop that runs BSP, local SGD,
+//!   FedAvg and SelSync as sync rules, and SSP's own.
 //! * [`threaded`] — a thread-per-worker SelSync/BSP driver over the real parameter
 //!   server and collectives of `selsync-comm` (used by integration tests).
 //! * [`process`] — a process-per-worker SelSync/BSP driver over the socket transport:

@@ -13,7 +13,10 @@
 //! Every policy is a pure function of the (deterministic) observed signals, so runs
 //! stay bit-for-bit reproducible.
 
+use crate::aggregation::AggregationMode;
+use crate::config::{AlgorithmSpec, TrainConfig};
 use selsync_metrics::Ewma;
+use selsync_tensor::rng::{self, SelRng};
 use serde::{Deserialize, Serialize};
 
 /// Outcome of the per-step decision.
@@ -71,6 +74,97 @@ impl SyncPolicy {
     /// One-shot cluster decision straight from the per-worker deltas.
     pub fn decide_from_deltas(&self, deltas: &[f32]) -> SyncDecision {
         self.decide(&self.flags_from_deltas(deltas))
+    }
+}
+
+/// When an algorithm synchronizes, who contributes and what is averaged: all that BSP,
+/// FedAvg, local SGD and SelSync differ in, as data for their one round loop.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum SyncRule {
+    /// SelSync (§III): a worker's bit is `Δ(g_i) ≥ δ`.
+    Selective(AggregationMode),
+    /// BSP (§II-A): every bit set, gradients averaged.
+    Every,
+    /// FedAvg (§II-B): every bit set each `interval`-th round; `participants` contribute.
+    Periodic {
+        interval: usize,
+        participants: usize,
+    },
+    /// Local SGD (§III-B, the δ ≥ M limit): no bit is ever set.
+    Never,
+}
+
+impl SyncRule {
+    /// The rule of `cfg.algorithm`. Panics for SSP, whose per-worker pushes inside a
+    /// round do not reduce to one cluster decision.
+    pub(crate) fn of(cfg: &TrainConfig) -> Self {
+        match cfg.algorithm {
+            AlgorithmSpec::SelSync { aggregation, .. } => SyncRule::Selective(aggregation),
+            AlgorithmSpec::Bsp => SyncRule::Every,
+            AlgorithmSpec::LocalSgd => SyncRule::Never,
+            AlgorithmSpec::FedAvg { c, e } => {
+                assert!(c > 0.0 && c <= 1.0, "FedAvg's C must be in (0, 1]");
+                assert!(e > 0.0, "FedAvg's E must be positive");
+                SyncRule::Periodic {
+                    // E = 0.25 aggregates 4× per epoch.
+                    interval: ((cfg.steps_per_epoch() as f32 * e).round() as usize).max(1),
+                    participants: ((c * cfg.workers as f32).ceil() as usize).clamp(1, cfg.workers),
+                }
+            }
+            AlgorithmSpec::Ssp { .. } => panic!("SSP has no sync rule; it runs its own driver"),
+        }
+    }
+
+    /// The present workers' sync bits at round `it`, in worker order.
+    pub(crate) fn flags(self, it: usize, policy: SyncPolicy, deltas: &[f32]) -> Vec<bool> {
+        let all = |bit| vec![bit; deltas.len()];
+        match self {
+            SyncRule::Selective(_) => policy.flags_from_deltas(deltas),
+            SyncRule::Every => all(true),
+            SyncRule::Periodic { interval, .. } => all((it + 1).is_multiple_of(interval)),
+            SyncRule::Never => all(false),
+        }
+    }
+
+    /// What a synchronization averages.
+    pub(crate) fn aggregation(self) -> AggregationMode {
+        match self {
+            SyncRule::Selective(mode) => mode,
+            SyncRule::Every => AggregationMode::Gradient,
+            SyncRule::Periodic { .. } | SyncRule::Never => AggregationMode::Parameter,
+        }
+    }
+
+    /// Whether the bits are all-gathered. Only SelSync's are, so only SelSync pays for the
+    /// exchange and meets what rides it: retries, PS outages and the catch-up sync.
+    pub(crate) fn exchanges_status(self) -> bool {
+        matches!(self, SyncRule::Selective(_))
+    }
+
+    /// Whether there is a PS. Without one a returning worker keeps its stale replica.
+    pub(crate) fn has_ps(self) -> bool {
+        self != SyncRule::Never
+    }
+
+    /// The workers whose replicas a synchronization averages: the present ones, or
+    /// FedAvg's sample of them (the paper's client sampling).
+    pub(crate) fn contributors(self, present: &[usize], rng: &mut SelRng) -> Vec<usize> {
+        let SyncRule::Periodic { participants, .. } = self else {
+            return present.to_vec();
+        };
+        let k = participants.min(present.len());
+        let drawn = rng::sample_without_replacement(rng, present.len(), k);
+        drawn.into_iter().map(|i| present[i]).collect()
+    }
+}
+
+/// The δ-policy a run of `cfg` uses on every backend: SelSync's configured one (its
+/// fixed δ by default); every other algorithm ignores `delta_policy` and runs δ = 0.
+pub(crate) fn run_policy_spec(cfg: &TrainConfig) -> PolicySpec {
+    match (cfg.algorithm, &cfg.delta_policy) {
+        (AlgorithmSpec::SelSync { .. }, Some(spec)) => spec.clone(),
+        (AlgorithmSpec::SelSync { delta, .. }, None) => PolicySpec::Fixed { delta },
+        _ => PolicySpec::Fixed { delta: 0.0 },
     }
 }
 

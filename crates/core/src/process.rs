@@ -66,16 +66,15 @@
 //!
 //! Still unsupported — reported as a structured [`UnsupportedConfig`] from
 //! [`ensure_supported`] so orchestrators print a one-line diagnosis instead of
-//! surfacing an opaque child panic: algorithms other than SelSync/BSP, and
-//! data-injection over non-IID shards (the injection draw consumes the
+//! surfacing an opaque child panic: algorithms other than SelSync/BSP, gradient
+//! aggregation, and data-injection over non-IID shards (the injection draw consumes the
 //! simulator's cluster RNG, which has no cross-process counterpart). Non-IID
 //! label shards themselves run natively via [`crate::sim::worker_traversal`].
 
+use crate::aggregation::AggregationMode;
 use crate::checkpoint::{self, Checkpoint, Section};
-#[cfg(test)]
-use crate::conditions::FaultEvent;
 use crate::config::{AlgorithmSpec, TrainConfig};
-use crate::policy::{PolicySpec, RoundSignal};
+use crate::policy::{run_policy_spec, PolicySpec, RoundSignal};
 use crate::threaded::{ClusterCore, ThreadedWorkerReport};
 use crate::worker::{run_worker, with_ps_gate, ClusterLink, WorkerInputs};
 use parking_lot::{Condvar, Mutex};
@@ -598,7 +597,8 @@ impl std::error::Error for UnsupportedConfig {}
 
 /// The configuration envelope the cluster backends — this one and the threaded
 /// driver — support, and the δ-policy spec a supported run uses. The only
-/// genuinely unsupported shapes are non-SelSync/BSP algorithms and
+/// genuinely unsupported shapes are non-SelSync/BSP algorithms, gradient
+/// aggregation (a cluster worker pushes parameters and pulls their mean) and
 /// data-injection over non-IID shards (whose injection draws ride the
 /// simulator's cluster RNG).
 pub fn ensure_supported(cfg: &TrainConfig) -> Result<(f32, PolicySpec), UnsupportedConfig> {
@@ -616,10 +616,20 @@ pub fn ensure_supported(cfg: &TrainConfig) -> Result<(f32, PolicySpec), Unsuppor
         }
     };
     if let AlgorithmSpec::SelSync {
-        injection: Some(_), ..
+        aggregation,
+        injection,
+        ..
     } = cfg.algorithm
     {
-        if cfg.non_iid_labels_per_worker.is_some() {
+        if aggregation == AggregationMode::Gradient {
+            return Err(UnsupportedConfig {
+                key: "algorithm.aggregation",
+                message: "cluster workers push parameters and pull their mean; \
+                          gradient aggregation stays simulator-only"
+                    .to_string(),
+            });
+        }
+        if injection.is_some() && cfg.non_iid_labels_per_worker.is_some() {
             return Err(UnsupportedConfig {
                 key: "scenario.non_iid_labels_per_worker",
                 message: "data-injection over non-IID shards draws from the simulator's \
@@ -628,15 +638,7 @@ pub fn ensure_supported(cfg: &TrainConfig) -> Result<(f32, PolicySpec), Unsuppor
             });
         }
     }
-    // `delta_policy` applies to SelSync only (the simulator's BSP driver ignores it
-    // too); a BSP run always uses the fixed δ = 0.
-    let spec = match cfg.algorithm {
-        AlgorithmSpec::SelSync { .. } => cfg
-            .delta_policy
-            .clone()
-            .unwrap_or(PolicySpec::Fixed { delta }),
-        _ => PolicySpec::Fixed { delta },
-    };
+    let spec = run_policy_spec(cfg);
     let invalid = |key, message| Err(UnsupportedConfig { key, message });
     if let Err(e) = spec.validate() {
         return invalid("policy", e);
@@ -815,6 +817,7 @@ pub fn decode_worker_report(line: &str) -> Result<ThreadedWorkerReport, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conditions::FaultEvent;
     use crate::threaded::run_threaded_selsync;
     use selsync_nn::model::ModelKind;
     use selsync_tracelog::{EventLog, TraceGranularity, TraceSink};
@@ -1145,6 +1148,13 @@ mod tests {
         assert!(err
             .to_string()
             .starts_with("unsupported by the process backend"));
+
+        // A cluster worker only knows parameter aggregation: push parameters, pull
+        // the mean. Admitting GA would train PA under a `…,GA)` label.
+        let mut c = cfg(0.05, 3);
+        c.algorithm = AlgorithmSpec::selsync_ga(0.05);
+        let err = ensure_supported(&c).expect_err("gradient aggregation is simulator-only");
+        assert_eq!(err.key, "algorithm.aggregation");
 
         // Plain non-IID, checkpoints and BSP all run natively now.
         let mut c = cfg(0.05, 3);

@@ -1,6 +1,7 @@
 //! The deterministic single-process cluster simulator.
 //!
-//! All algorithm drivers ([`crate::algorithms`]) share this harness. It owns:
+//! Both algorithm drivers ([`crate::algorithms`]) share this harness: the round loop
+//! that BSP, FedAvg, local SGD and SelSync run as sync rules, and SSP's. It owns:
 //!
 //! * the synthetic train/test datasets for the configured workload,
 //! * one [`Replica`] **per worker** — the very type, and the very round phases, a
@@ -251,7 +252,7 @@ impl Simulator {
             .collect();
 
         // Compile comm-fault evictions into the membership schedule up front: every
-        // presence query below (all algorithm drivers, round planning, trace
+        // presence query below (both algorithm drivers, round planning, trace
         // context) then sees fault-driven evictions exactly like scheduled crashes.
         // Idempotent — an evicted worker is absent from its eviction round on, so
         // recompiling cannot add further crashes.
@@ -508,11 +509,6 @@ impl Simulator {
         aggregation::average(&self.replicas())
     }
 
-    /// Average of a subset of workers' parameters (FedAvg participation).
-    pub fn average_params_of(&self, worker_ids: &[usize]) -> Vec<f32> {
-        aggregation::average_present(&self.replicas(), worker_ids)
-    }
-
     /// Average of a subset of workers' parameters into a caller-owned buffer, so
     /// per-round aggregation reuses one allocation across the whole run.
     pub fn average_params_of_into(&self, worker_ids: &[usize], out: &mut Vec<f32>) {
@@ -762,8 +758,8 @@ impl Simulator {
             comm_time_s: self.comm_time_s,
             compute_time_s: self.compute_time_s,
             bytes_communicated: self.bytes_communicated,
-            // Stateless drivers never switch regimes; the SelSync driver overwrites
-            // these from its policy after finalization.
+            // SSP never switches regimes; the rule-driven loop overwrites these from
+            // its policy after finalization.
             policy_switches: 0,
             switch_rounds: Vec::new(),
             history: self.history,

@@ -70,8 +70,6 @@
 
 use crate::checkpoint::{Checkpoint, Section};
 use crate::conditions::ClusterConditions;
-#[cfg(test)]
-use crate::config::AlgorithmSpec;
 use crate::config::TrainConfig;
 use crate::policy::{DeltaPolicy, PolicySpec, RoundSignal};
 use crate::worker::{run_worker, with_ps_gate, ClusterLink, WorkerInputs};
@@ -504,6 +502,7 @@ fn run_threaded_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> Vec<Thr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AlgorithmSpec;
     use selsync_nn::model::ModelKind;
 
     fn cfg(delta: f32, workers: usize) -> TrainConfig {
@@ -668,6 +667,39 @@ mod tests {
                 r.distance_to_global
             );
         }
+    }
+
+    #[test]
+    fn simulator_bsp_trace_equals_the_threaded_bsp_trace() {
+        use crate::conditions::{ClusterConditions, FaultEvent};
+        use crate::config::RejoinPull;
+        use selsync_tracelog::TraceGranularity;
+        // Both backends run BSP as δ = 0 with every bit set, so their event logs
+        // agree: the header (`BSP` and the fixed δ = 0 policy label), membership,
+        // rejoin pulls and rounds.
+        let mut c = cfg(0.0, 3);
+        c.algorithm = AlgorithmSpec::Bsp;
+        c.rejoin_pull = RejoinPull::Scheduled;
+        c.conditions = ClusterConditions::uniform().with_fault(FaultEvent::Crash {
+            worker: 2,
+            start: 5,
+            rejoin: Some(15),
+        });
+        c.trace = TraceSink::capture(TraceGranularity::Full);
+        crate::algorithms::run(&c);
+        let sim_trace = c.trace.take_log();
+        c.trace = TraceSink::capture(TraceGranularity::Full);
+        run_threaded_selsync(&c);
+        let threaded_trace = c.trace.take_log();
+        assert!(sim_trace
+            .events
+            .iter()
+            .any(|e| matches!(e, Event::RejoinPull { .. })));
+        assert!(sim_trace
+            .events
+            .iter()
+            .any(|e| matches!(e, Event::Round { round: 24, .. })));
+        assert_eq!(sim_trace.encode(), threaded_trace.encode());
     }
 
     #[test]

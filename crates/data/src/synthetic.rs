@@ -1,7 +1,7 @@
 //! Deterministic synthetic dataset generators.
 //!
-//! These stand in for the paper's datasets (the substitution is documented in
-//! `DESIGN.md`):
+//! These stand in for the paper's datasets (each spec's constructor names the dataset
+//! it replaces, e.g. [`MixtureSpec::cifar10_like`]):
 //!
 //! * [`gaussian_mixture`] — a learnable classification task: each class has a random
 //!   centroid on a hypersphere and samples are the centroid plus isotropic noise. Used

@@ -38,8 +38,8 @@ pub struct ScenarioReport {
     /// One report per arm, in [`algorithm_arms`] order.
     pub runs: Vec<RunReport>,
     /// The encoded event log of the SelSync arm, when the scenario's `[trace]` block
-    /// enables capture (`None` otherwise). The other arms are never traced — the
-    /// event taxonomy describes selective synchronization.
+    /// enables capture (`None` otherwise). The other arms are never traced: the
+    /// scenario names one trace path, and it records the SelSync arm.
     pub trace: Option<String>,
 }
 
@@ -50,10 +50,15 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, String> {
     let mut trace = None;
     for algo in algorithm_arms(scenario.delta) {
         let mut cfg = scenario.train_config(algo);
-        let traced =
-            scenario.trace.enabled && matches!(cfg.algorithm, AlgorithmSpec::SelSync { .. });
+        // Only the SelSync arm is traced and checkpointed: the baselines would
+        // write their images into the same directory and obey `halt_after` too.
+        let is_selsync = matches!(cfg.algorithm, AlgorithmSpec::SelSync { .. });
+        let traced = scenario.trace.enabled && is_selsync;
         if traced {
             cfg.trace = TraceSink::capture(scenario.trace.granularity);
+        }
+        if !is_selsync {
+            cfg.checkpoint = None;
         }
         runs.push(algorithms::run(&cfg));
         if traced {
