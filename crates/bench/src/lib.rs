@@ -97,8 +97,8 @@ impl CheckpointArgs {
 /// Read a recovery image for `--resume` into a run of `cfg`. Every SelSync driver
 /// resumes an image of any backend (docs/RECOVERY.md, "Cross-backend resume"), so
 /// what is rejected here — with a one-line diagnosis instead of the driver's panic —
-/// is a tag no backend writes and an image of a different configuration (another
-/// scenario, `--delta`, `--quick`, …).
+/// is a tag no backend writes, an image of a different configuration (another
+/// scenario, `--delta`, `--quick`, …) and a trace prefix the event codec rejects.
 pub fn read_resume_image(path: &str, cfg: &TrainConfig) -> Result<Checkpoint, String> {
     let ckpt = Checkpoint::read_file(path)?;
     ckpt.check_resumable(cfg)
@@ -987,6 +987,22 @@ mod tests {
         }
         assert!(read_resume_image(&dir.join("missing").to_string_lossy(), &cfg).is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_resume_image_whose_trace_does_not_decode_is_a_one_line_diagnosis() {
+        let path = std::env::temp_dir().join(format!("selsync-bench-trace-{}", std::process::id()));
+        let cfg = experiment_config(ModelKind::ResNetLike, Scale::Quick);
+        let mut image = Checkpoint::new("sim", selsync::checkpoint::config_fingerprint(&cfg), 0);
+        image.trace = vec!["{\"k\":\"ps_down\",\"round\":0}".into(), "{\"k\":".into()];
+        image.write_file(&path).expect("write");
+        let err = read_resume_image(&path.to_string_lossy(), &cfg).expect_err("bad trace");
+        assert!(
+            err.contains("checkpoint trace line 1 does not decode"),
+            "{err}"
+        );
+        assert!(!err.contains('\n'), "one line: {err}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

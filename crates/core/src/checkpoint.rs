@@ -60,7 +60,7 @@ use std::fs;
 use std::path::Path;
 
 use selsync_comm::ps::{PsState, RingState};
-use selsync_comm::wire;
+use selsync_comm::wire::{self, FrameBuf};
 use selsync_nn::OptimizerState;
 use selsync_tracelog::{codec, EventLog, TraceSink};
 
@@ -220,6 +220,89 @@ impl WorkerImage {
         section.push_f32(self.last_loss);
         section
     }
+}
+
+/// A process-cluster worker's `worker<k>` section and trace shard, as
+/// `op::CKPT_DEPOSIT` ships them to the hub: little-endian `round: u64` and
+/// `fingerprint: u64`, then the name, ints, floats and encoded event lines, each
+/// array a `u32` count and its items.
+#[derive(Debug)]
+pub(crate) struct Deposit {
+    pub(crate) round: usize,
+    pub(crate) fingerprint: u64,
+    pub(crate) section: Section,
+    pub(crate) shard: EventLog,
+}
+
+impl Deposit {
+    /// Append the binary form to `frame`'s payload.
+    pub(crate) fn put(&self, frame: &mut FrameBuf) {
+        // Every count fits: a frame body is at most `MAX_FRAME_BODY_BYTES`.
+        let count = |frame: &mut FrameBuf, n: usize| frame.put(&(n as u32).to_le_bytes());
+        let Section { name, ints, floats } = &self.section;
+        frame.put(&(self.round as u64).to_le_bytes());
+        frame.put(&self.fingerprint.to_le_bytes());
+        count(frame, name.len());
+        frame.put(name.as_bytes());
+        count(frame, ints.len());
+        ints.iter().for_each(|v| frame.put(&v.to_le_bytes()));
+        count(frame, floats.len());
+        frame.put_f32s(floats);
+        count(frame, self.shard.events.len());
+        for line in self.shard.events.iter().map(codec::encode_event) {
+            count(frame, line.len());
+            frame.put(line.as_bytes());
+        }
+    }
+
+    /// Parse [`Self::put`]'s bytes. Running short, trailing bytes and a line the
+    /// event codec rejects are errors, never panics.
+    pub(crate) fn parse(mut bytes: &[u8]) -> Result<Deposit, String> {
+        let b = &mut bytes;
+        let round = u64::from_le_bytes(word(b)?) as usize;
+        let fingerprint = u64::from_le_bytes(word(b)?);
+        let name = String::from_utf8(counted(b, 1)?.to_vec()).map_err(|e| e.to_string())?;
+        let n = u32::from_le_bytes(word(b)?);
+        let ints = (0..n)
+            .map(|_| word(b).map(u64::from_le_bytes))
+            .collect::<Result<_, _>>()?;
+        let floats = wire::f32s_from_le_bytes(counted(b, 4)?);
+        let section = Section { name, ints, floats };
+        let mut events = Vec::new();
+        for i in 0..u32::from_le_bytes(word(b)?) {
+            let line = std::str::from_utf8(counted(b, 1)?).map_err(|e| e.to_string());
+            let event = line.and_then(codec::decode_event);
+            events.push(event.map_err(|e| format!("shard line {i}: {e}"))?);
+        }
+        if !b.is_empty() {
+            return Err(format!("{} bytes after the shard", b.len()));
+        }
+        Ok(Deposit {
+            round,
+            fingerprint,
+            section,
+            shard: EventLog { events },
+        })
+    }
+}
+
+/// Split `len` bytes off the front of `bytes`; running short is an error.
+fn take<'a>(bytes: &mut &'a [u8], len: usize) -> Result<&'a [u8], String> {
+    let (head, rest) = (bytes.split_at_checked(len))
+        .ok_or_else(|| format!("truncated: {len} bytes wanted, {} left", bytes.len()))?;
+    *bytes = rest;
+    Ok(head)
+}
+
+/// One `N`-byte word off the front of `bytes`.
+fn word<const N: usize>(bytes: &mut &[u8]) -> Result<[u8; N], String> {
+    Ok(take(bytes, N)?.try_into().expect("N bytes"))
+}
+
+/// A `u32` count of `width`-byte items off the front of `bytes`, then the items.
+fn counted<'a>(bytes: &mut &'a [u8], width: usize) -> Result<&'a [u8], String> {
+    let n = u32::from_le_bytes(word(bytes)?) as usize;
+    take(bytes, n.saturating_mul(width))
 }
 
 /// Cursor over a [`Section`]'s parallel arrays; reads must mirror the write order.
@@ -435,8 +518,9 @@ impl Checkpoint {
     }
 
     /// Whether a run of `cfg` can resume from this image: written by one of the
-    /// three backends, for this very configuration. Continuing under a different
-    /// model / cluster shape / fault schedule would silently break byte-identity.
+    /// three backends, for this very configuration, with a trace prefix that
+    /// decodes. Continuing under a different model / cluster shape / fault
+    /// schedule would silently break byte-identity.
     pub fn check_resumable(&self, cfg: &TrainConfig) -> Result<(), String> {
         if !matches!(self.backend.as_str(), "sim" | "threaded" | "process") {
             return Err(format!(
@@ -453,7 +537,7 @@ impl Checkpoint {
                 self.fingerprint
             ));
         }
-        Ok(())
+        self.trace_log().map(drop)
     }
 
     /// The parameter server's state (`ps` section), ready for
@@ -508,58 +592,80 @@ impl Checkpoint {
         self.trace = log.events.iter().map(codec::encode_event).collect();
     }
 
-    /// The stored trace prefix, decoded.
-    pub fn trace_log(&self) -> EventLog {
-        let events = self
-            .trace
-            .iter()
-            .map(|line| codec::decode_event(line).expect("checkpointed trace line decodes"))
-            .collect();
-        EventLog { events }
+    /// The stored trace prefix, decoded; the error names the first line the event
+    /// codec rejects.
+    pub fn trace_log(&self) -> Result<EventLog, String> {
+        let mut events = Vec::with_capacity(self.trace.len());
+        for (i, line) in self.trace.iter().enumerate() {
+            let event = codec::decode_event(line);
+            events.push(
+                event.map_err(|e| format!("checkpoint trace line {i} does not decode: {e}"))?,
+            );
+        }
+        Ok(EventLog { events })
     }
 
     /// Seed a resumed run's sink with the stored trace prefix (which already holds
     /// the run header, so the resumed run emits none). No-op on a disabled sink.
+    /// Panics on a trace line [`Self::check_resumable`] would have refused.
     pub fn preload_trace(&self, sink: &TraceSink) {
         if sink.is_enabled() {
-            sink.preload(self.trace_log().events);
+            sink.preload(self.trace_log().unwrap_or_else(|e| panic!("{e}")).events);
         }
     }
 
-    /// Serialize to the versioned text format (see the module docs).
+    /// Serialize to the versioned text format (see the module docs), streamed into
+    /// one buffer sized up front: no per-value allocation.
     pub fn encode(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("selsync-ckpt v{CHECKPOINT_VERSION}\n"));
-        out.push_str(&format!("backend {}\n", self.backend));
-        out.push_str(&format!("fingerprint {:016x}\n", self.fingerprint));
-        out.push_str(&format!("round {}\n", self.round));
-        out.push_str(&format!("sections {}\n", self.sections.len()));
+        // Upper bounds: 21 bytes per decimal word and its separator, 9 per float.
+        let sections: usize = (self.sections.iter())
+            .map(|s| 64 + s.name.len() + 21 * s.ints.len() + 9 * s.floats.len())
+            .sum();
+        let trace: usize = self.trace.iter().map(|line| line.len() + 1).sum();
+        let mut out = Vec::with_capacity(192 + self.backend.len() + sections + trace);
+        let (backend, fingerprint, round) = (&self.backend, self.fingerprint, self.round);
+        let header = format!(
+            "selsync-ckpt v{CHECKPOINT_VERSION}\nbackend {backend}\nfingerprint \
+             {fingerprint:016x}\nround {round}\nsections {}",
+            self.sections.len()
+        );
+        out.extend_from_slice(header.as_bytes());
         for s in &self.sections {
-            out.push_str(&format!(
-                "section {} {} {}\n",
-                s.name,
-                s.ints.len(),
-                s.floats.len()
-            ));
-            let ints: Vec<String> = s.ints.iter().map(|v| v.to_string()).collect();
-            out.push_str(&format!("i {}\n", ints.join(" ")));
-            let floats: Vec<String> = s
-                .floats
-                .iter()
-                .map(|v| format!("{:08x}", v.to_bits()))
-                .collect();
-            out.push_str(&format!("f {}\n", floats.join(" ")));
+            out.extend_from_slice(b"\nsection ");
+            out.extend_from_slice(s.name.as_bytes());
+            out.push(b' ');
+            put_decimal(&mut out, s.ints.len() as u64);
+            out.push(b' ');
+            put_decimal(&mut out, s.floats.len() as u64);
+            // Each word follows a space; an empty array still gets the one space
+            // after its tag ("i \n").
+            out.extend_from_slice(b"\ni");
+            for &v in &s.ints {
+                out.push(b' ');
+                put_decimal(&mut out, v);
+            }
+            if s.ints.is_empty() {
+                out.push(b' ');
+            }
+            out.extend_from_slice(b"\nf");
+            for v in &s.floats {
+                out.push(b' ');
+                put_hex(&mut out, v.to_bits());
+            }
+            if s.floats.is_empty() {
+                out.push(b' ');
+            }
         }
-        out.push_str(&format!("trace {}\n", self.trace.len()));
+        out.extend_from_slice(format!("\ntrace {}\n", self.trace.len()).as_bytes());
         for line in &self.trace {
             debug_assert!(!line.contains('\n'), "trace lines must be single lines");
-            out.push_str(line);
-            out.push('\n');
+            out.extend_from_slice(line.as_bytes());
+            out.push(b'\n');
         }
-        let sum = wire::checksum(out.as_bytes());
+        let sum = wire::checksum(&out);
         // Deliberately no trailing newline: the checksum line protects itself.
-        out.push_str(&format!("checksum {sum:016x}"));
-        out
+        out.extend_from_slice(format!("checksum {sum:016x}").as_bytes());
+        String::from_utf8(out).expect("an image is built from UTF-8 pieces")
     }
 
     /// Parse and verify the text format. Any structural damage or checksum mismatch
@@ -739,6 +845,30 @@ impl Checkpoint {
     }
 }
 
+/// Append `word` as eight lowercase hex digits (`{word:08x}`).
+fn put_hex(out: &mut Vec<u8>, word: u32) {
+    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
+    out.extend(
+        (0..8)
+            .rev()
+            .map(|k| NIBBLES[(word >> (4 * k)) as usize & 0xf]),
+    );
+}
+
+/// Append `v` in decimal, the digits laid down back to front in a stack buffer.
+fn put_decimal(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break out.extend_from_slice(&digits[at..]);
+        }
+    }
+}
+
 /// 64-bit fingerprint ([`wire::checksum`]) of the configuration facets a checkpoint depends on.
 ///
 /// Resume refuses a checkpoint whose fingerprint disagrees with the live config —
@@ -773,6 +903,7 @@ pub fn config_fingerprint(cfg: &TrainConfig) -> u64 {
 mod tests {
     use super::*;
     use selsync_nn::model::ModelKind;
+    use selsync_tracelog::Event;
 
     fn sample() -> Checkpoint {
         let mut ckpt = Checkpoint::new("sim", 0xDEAD_BEEF_0123_4567, 7);
@@ -882,6 +1013,158 @@ mod tests {
         deposit.backend = "deposit".to_string();
         let err = deposit.check_resumable(&cfg).unwrap_err();
         assert!(err.starts_with("checkpoint was written by the unknown \"deposit\" backend"));
+    }
+
+    /// Images touching every token the encoder writes: NaN payloads of both signs,
+    /// ±0, ±inf, a subnormal, `u64::MAX`, sections with empty ints, empty floats and
+    /// both, zero-padded hex, a multi-line trace with a non-ASCII byte — then the
+    /// same without a trace, and one with no sections at all.
+    fn every_token() -> [Checkpoint; 3] {
+        let mut full = Checkpoint::new("process", 0x0000_00AB_CDEF_0123, 1_234_567);
+        let mut specials = Section::new("specials");
+        for v in [0, 1, 9, 10, 99, 100, 9_999_999_999, u64::MAX - 1, u64::MAX] {
+            specials.push_int(v);
+        }
+        for bits in [
+            0x7FC0_0000u32, // NaN
+            0x7FC0_1234,    // NaN with a payload
+            0xFFC0_0001,    // negative NaN
+            0x7F80_0001,    // signalling NaN
+            0x0000_0000,    // +0
+            0x8000_0000,    // -0
+            0x7F80_0000,    // +inf
+            0xFF80_0000,    // -inf
+            0x0000_0001,    // smallest subnormal
+            0x0080_0000,    // MIN_POSITIVE
+            0x3F80_0000,    // 1.0
+            0x0000_ABCD,    // leading zero nibbles
+        ] {
+            specials.push_f32(f32::from_bits(bits));
+        }
+        full.add_section(specials);
+        full.add_section(Section::new("empty"));
+        let mut ints_only = Section::new("ints_only");
+        ints_only.push_ints(&[7, 0, u64::MAX]);
+        full.add_section(ints_only);
+        let mut floats_only = Section::new("floats_only");
+        floats_only.push_f32(-1.5);
+        full.add_section(floats_only);
+        full.trace = vec![
+            "{\"k\":\"header\",\"v\":1}".to_string(),
+            "round\tround=0 delta=0.1".to_string(),
+            String::new(),
+            "{\"k\":\"label\",\"s\":\"δ≥0\"}".to_string(),
+        ];
+        let mut untraced = full.clone();
+        untraced.trace.clear();
+        [full, untraced, Checkpoint::new("sim", 0, 0)]
+    }
+
+    #[test]
+    fn image_bytes_are_pinned_across_commits() {
+        // Digests of the encoded images, recorded at the commit before the
+        // streaming encoder replaced the per-value `format!` one: a recovery image
+        // that moves one byte fails here, and so would every resume of an old image.
+        const GOLDEN: [u64; 3] = [
+            0xB8D3_AA8D_4AA4_EC94,
+            0x4569_61A1_1AD4_0866,
+            0x61DD_CADE_4DD8_56ED,
+        ];
+        let texts = every_token().map(|image| image.encode());
+        let digests = texts.each_ref().map(|text| wire::checksum(text.as_bytes()));
+        assert_eq!(digests, GOLDEN, "digests {digests:#018X?}");
+        for text in &texts {
+            // NaN != NaN, so the round trip is checked on the bytes.
+            assert_eq!(&Checkpoint::decode(text).expect("decodes").encode(), text);
+        }
+    }
+
+    #[test]
+    fn deposits_round_trip_and_reject_truncation_and_junk() {
+        use selsync_comm::wire::MsgKind;
+        let payload = |deposit: &Deposit| {
+            let mut frame = FrameBuf::new();
+            frame.begin(MsgKind::Rpc, 0, 0);
+            deposit.put(&mut frame);
+            frame.payload().to_vec()
+        };
+        let rounds = |n: usize| EventLog {
+            events: (0..n)
+                .map(|round| Event::Round {
+                    round,
+                    delta: round as f32 / 7.0,
+                    flags: vec![round % 2 == 0, true],
+                    synced: round % 3 == 0,
+                })
+                .collect(),
+        };
+        let mut odd = Section::new("worker1");
+        odd.push_f32s(&[f32::NAN, f32::from_bits(0xFFC0_0001), -0.0, f32::INFINITY]);
+        odd.push_f32(f32::NEG_INFINITY);
+        odd.push_int(u64::MAX);
+        let deposits = [
+            (Section::new("worker0"), EventLog::default()),
+            (odd.clone(), EventLog::default()),
+            (Section::new("worker2"), rounds(3)),
+            (odd, rounds(5000)),
+        ]
+        .map(|(section, shard)| Deposit {
+            round: 249,
+            fingerprint: u64::MAX - 5,
+            section,
+            shard,
+        });
+        let bits = |s: &Section| s.floats.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for deposit in &deposits {
+            let bytes = payload(deposit);
+            let back = Deposit::parse(&bytes).expect("parses");
+            // Floats compared as bits: NaN != NaN.
+            assert_eq!(bits(&back.section), bits(&deposit.section));
+            assert_eq!((back.round, back.fingerprint), (249, u64::MAX - 5));
+            assert_eq!(back.section.name, deposit.section.name);
+            assert_eq!(back.section.ints, deposit.section.ints);
+            assert_eq!(back.shard, deposit.shard);
+
+            // Every strict prefix is an `Err` (a few cuts for the long shard), and
+            // so is a trailing byte.
+            let step = (bytes.len() / 200).max(1);
+            for cut in (0..bytes.len()).step_by(step).chain([bytes.len() - 1]) {
+                assert!(Deposit::parse(&bytes[..cut]).is_err(), "cut at {cut}");
+            }
+            let mut long = bytes.clone();
+            long.push(0);
+            assert!(Deposit::parse(&long).is_err());
+        }
+        // A count that promises more than the payload holds is an `Err` too.
+        let mut lying = payload(&deposits[0]);
+        lying[16..20].copy_from_slice(&u32::MAX.to_le_bytes()); // the name's length
+
+        assert!(Deposit::parse(&lying).unwrap_err().starts_with("truncated"));
+        // A shard line the event codec rejects is named by its index.
+        let mut bad = payload(&deposits[2]);
+        let at = bad.len() - 1;
+        bad[at] = b'!';
+        let err = Deposit::parse(&bad).unwrap_err();
+        assert!(err.starts_with("shard line 2: "), "{err}");
+    }
+
+    #[test]
+    fn an_image_whose_trace_does_not_decode_is_not_resumable() {
+        let cfg = TrainConfig::small(ModelKind::ResNetLike, 2);
+        let mut image = Checkpoint::new("sim", config_fingerprint(&cfg), 3);
+        image.set_trace(&EventLog {
+            events: vec![Event::PsDown { round: 0 }, Event::PsUp { round: 1 }],
+        });
+        assert_eq!(image.check_resumable(&cfg), Ok(()));
+        image.trace.push("{\"k\":\"no_such_event\"}".to_string());
+        image.trace.push("not json".to_string());
+        // The checksum still holds: only the event codec can tell.
+        let image = Checkpoint::decode(&image.encode()).expect("checksum holds");
+        let err = image.check_resumable(&cfg).unwrap_err();
+        assert!(
+            err.starts_with("checkpoint trace line 2 does not decode: "),
+            "{err}"
+        );
     }
 
     #[test]

@@ -44,8 +44,9 @@
 //!
 //! **Durable checkpoints.** `[checkpoint]` runs ride a hub-coordinated
 //! quiescent-point protocol: at every due round each live worker ships its
-//! recovery section and trace-shard prefix to the hub as an Rpc deposit
-//! (`op::CKPT_DEPOSIT`) and parks; once every deposit is in, the hub writes
+//! recovery section and trace-shard prefix to the hub as a binary Rpc deposit
+//! (`op::CKPT_DEPOSIT`, [`crate::checkpoint`]'s `Deposit` codec: no text image on
+//! either side) and parks; once every deposit is in, the hub writes
 //! the image through `ClusterCore::write_image` — the function the threaded
 //! driver writes its own with — under the configured `keep` rotation, and
 //! releases the cluster. Every backend writes the one layout of
@@ -72,7 +73,7 @@
 //! label shards themselves run natively via [`crate::sim::worker_traversal`].
 
 use crate::aggregation::AggregationMode;
-use crate::checkpoint::{self, Checkpoint, Section};
+use crate::checkpoint::{self, Checkpoint, Deposit, Section};
 use crate::config::{AlgorithmSpec, TrainConfig};
 use crate::policy::{run_policy_spec, PolicySpec, RoundSignal};
 use crate::threaded::{ClusterCore, ThreadedWorkerReport};
@@ -83,7 +84,6 @@ use selsync_comm::socket::{HubClient, HubServer, RpcService, SocketAddrSpec, Soc
 use selsync_comm::wire::{f32s_from_le_bytes, FrameBuf, MsgKind, HUB_SENDER};
 use selsync_comm::{MessageLayer, ScalarOp};
 use selsync_nn::model::PaperModel;
-use selsync_tracelog::EventLog;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -168,7 +168,7 @@ struct Ledger {
     /// The round currently gathering checkpoint deposits, if any.
     ckpt_round: Option<usize>,
     /// Per worker: its checked deposit — recovery section and trace shard so far.
-    ckpt_deposits: Vec<Option<(Section, EventLog)>>,
+    ckpt_deposits: Vec<Option<Deposit>>,
     /// The newest round whose checkpoint gate has released (written or voided).
     ckpt_released: Option<usize>,
 }
@@ -234,26 +234,25 @@ impl HubService {
         }
     }
 
-    /// Gather one worker's checkpoint deposit for round `it` and park the
-    /// calling connection until the round's image is written (or voided by a
-    /// death) — the worker resumes only past the quiescent point.
-    fn ckpt_deposit(&self, worker: usize, it: usize, image: &str) {
-        let mini = Checkpoint::decode(image).unwrap_or_else(|e| {
+    /// Gather one worker's checkpoint [`Deposit`], sent in round `round`'s frame,
+    /// and park the calling connection until the round's image is written (or
+    /// voided by a death) — the worker resumes only past the quiescent point.
+    fn ckpt_deposit(&self, worker: usize, round: u64, payload: &[u8]) {
+        let deposit = Deposit::parse(payload).unwrap_or_else(|e| {
             panic!("worker {worker}'s checkpoint deposit fails to decode: {e}")
         });
-        assert_eq!(mini.backend, "deposit", "worker {worker}'s deposit tag");
-        assert_eq!(mini.round, it, "worker {worker}'s deposit round");
+        let it = deposit.round;
+        assert_eq!(it as u64, round, "worker {worker}'s deposit round");
         assert_eq!(
-            mini.fingerprint,
+            deposit.fingerprint,
             checkpoint::config_fingerprint(&self.cfg),
             "worker {worker}'s deposit belongs to a different configuration"
         );
-        let shard = mini.trace_log();
-        let name = format!("worker{worker}");
-        let section = mini.sections.into_iter().find(|s| s.name == name);
-        let section =
-            section.unwrap_or_else(|| panic!("worker {worker}'s deposit is missing its section"));
-        let deposit = (section, shard);
+        assert_eq!(
+            deposit.section.name,
+            format!("worker{worker}"),
+            "worker {worker}'s deposit section"
+        );
         let mut s = self.ledger.lock();
         assert!(
             s.ckpt_round.is_none_or(|r| r == it),
@@ -304,6 +303,7 @@ impl HubService {
             let (sections, shards) = deposits
                 .into_iter()
                 .map(|d| d.expect("no worker is dead, so every slot deposited"))
+                .map(|d| (d.section, d.shard))
                 .unzip();
             self.core
                 .write_image(&self.cfg, "process", it, sections, shards);
@@ -381,12 +381,7 @@ impl RpcService for HubService {
                 board.observe(signal, next_round);
             }
             op::ROUND_BEGIN => self.round_begin(worker, read_u64(args, 0) as usize, reply),
-            op::CKPT_DEPOSIT => {
-                let it = read_u64(args, 0) as usize;
-                let image =
-                    std::str::from_utf8(&args[8..]).expect("checkpoint deposit payload is UTF-8");
-                self.ckpt_deposit(worker, it, image);
-            }
+            op::CKPT_DEPOSIT => self.ckpt_deposit(worker, round, args),
             other => panic!("unknown rpc op {other} from worker {worker}"),
         }
     }
@@ -556,19 +551,16 @@ impl ClusterLink for RemoteCluster<'_> {
     }
 
     /// Ships the section together with this process's trace shard so far, as a
-    /// one-section `deposit` image, and parks inside the RPC until the hub has
-    /// written (or voided) the round's image.
+    /// binary [`Deposit`] written straight into the frame, and parks inside the
+    /// RPC until the hub has written (or voided) the round's image.
     fn ckpt_deposit(&self, it: usize, section: Section) {
-        let fingerprint = checkpoint::config_fingerprint(self.cfg);
-        let mut deposit = Checkpoint::new("deposit", fingerprint, it);
-        deposit.add_section(section);
-        deposit.set_trace(&self.cfg.trace.snapshot_log());
-        let image = deposit.encode();
-        let args = |frame: &mut FrameBuf| {
-            frame.put(&(it as u64).to_le_bytes());
-            frame.put(image.as_bytes());
+        let deposit = Deposit {
+            round: it,
+            fingerprint: checkpoint::config_fingerprint(self.cfg),
+            section,
+            shard: self.cfg.trace.snapshot_log(),
         };
-        self.request(it as u64, op::CKPT_DEPOSIT, args, |_| {});
+        self.request(it as u64, op::CKPT_DEPOSIT, |f| deposit.put(f), |_| {});
     }
 }
 

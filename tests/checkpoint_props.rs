@@ -1,10 +1,49 @@
 //! Property tests for the durable checkpoint codec (`selsync::checkpoint`):
 //! `decode(encode(c)) == c` for randomly shaped checkpoints, canonical encoding is a
-//! fixed point, floats survive bit-exactly (including non-finite values), and any
+//! fixed point, floats survive bit-exactly (including non-finite values), the
+//! streaming encoder writes the bytes of the `format!`-based one it replaced, and any
 //! single-byte corruption of the encoded text is rejected by the checksum.
 
 use proptest::prelude::*;
-use selsync_repro::core::checkpoint::{Checkpoint, Section};
+use selsync_repro::comm::wire;
+use selsync_repro::core::checkpoint::{Checkpoint, Section, CHECKPOINT_VERSION};
+
+/// The `format!`-and-`join` encoder `Checkpoint::encode` replaced, kept verbatim as
+/// the oracle of its bytes.
+fn reference_encode(ckpt: &Checkpoint) -> String {
+    let mut out = String::new();
+    out.push_str(&format!("selsync-ckpt v{CHECKPOINT_VERSION}\n"));
+    out.push_str(&format!("backend {}\n", ckpt.backend));
+    out.push_str(&format!("fingerprint {:016x}\n", ckpt.fingerprint));
+    out.push_str(&format!("round {}\n", ckpt.round));
+    out.push_str(&format!("sections {}\n", ckpt.sections.len()));
+    for s in &ckpt.sections {
+        out.push_str(&format!(
+            "section {} {} {}\n",
+            s.name,
+            s.ints.len(),
+            s.floats.len()
+        ));
+        let ints: Vec<String> = s.ints.iter().map(|v| v.to_string()).collect();
+        out.push_str(&format!("i {}\n", ints.join(" ")));
+        let floats: Vec<String> = s
+            .floats
+            .iter()
+            .map(|v| format!("{:08x}", v.to_bits()))
+            .collect();
+        out.push_str(&format!("f {}\n", floats.join(" ")));
+    }
+    out.push_str(&format!("trace {}\n", ckpt.trace.len()));
+    for line in &ckpt.trace {
+        debug_assert!(!line.contains('\n'), "trace lines must be single lines");
+        out.push_str(line);
+        out.push('\n');
+    }
+    let sum = wire::checksum(out.as_bytes());
+    // Deliberately no trailing newline: the checksum line protects itself.
+    out.push_str(&format!("checksum {sum:016x}"));
+    out
+}
 
 /// Build a checkpoint from primitive draws (the offline proptest shim has no
 /// combinators, so composition happens here, deterministically).
@@ -65,6 +104,29 @@ proptest! {
         prop_assert_eq!(&ckpt, &parsed);
         // Canonical encoding is a fixed point.
         prop_assert_eq!(text, parsed.encode());
+    }
+
+    #[test]
+    fn encode_writes_the_reference_encoders_bytes(
+        backend in 0u8..2,
+        fingerprint in 0u64..u64::MAX,
+        round in 0usize..usize::MAX,
+        section_count in 0usize..6,
+        ints in proptest::collection::vec(0u64..u64::MAX, 0..24),
+        float_bits in proptest::collection::vec(0u32..u32::MAX, 0..24),
+        trace_lines in 0usize..12,
+    ) {
+        // Arbitrary bit patterns: every NaN payload, subnormals, ±0 and ±inf.
+        let floats: Vec<f32> = float_bits.iter().map(|&b| f32::from_bits(b)).collect();
+        let mut ckpt = build_checkpoint(
+            backend == 0, fingerprint, round, section_count, &ints, &floats, trace_lines,
+        );
+        // And sections with an empty array, or both.
+        ckpt.add_section(Section::new("empty"));
+        let mut bare = Section::new("no_floats");
+        bare.push_int(u64::MAX);
+        ckpt.add_section(bare);
+        prop_assert_eq!(ckpt.encode(), reference_encode(&ckpt));
     }
 
     #[test]
