@@ -1750,6 +1750,59 @@ mod tests {
     }
 
     #[test]
+    fn canonical_dumps_are_pinned_across_commits() {
+        // The dump of every built-in, and of every benchmark workload file put through
+        // parse -> dump. The digests were recorded at the commit before parse and dump
+        // became one key table per block: a codec that moves one byte of a canonical
+        // dump fails here.
+        let digest = |s: &Scenario| selsync_comm::wire::checksum(s.to_toml_string().as_bytes());
+        let builtins = [
+            ("steady", 0x5554_A1DE_5F76_F830),
+            ("transient-straggler", 0xFA36_8A2C_F7FB_1903),
+            ("degraded-network", 0x2220_12B4_7FD1_6F46),
+            ("crash-rejoin", 0x60F9_E4EC_1020_A4A3),
+            ("heterogeneous-fleet", 0x7E9C_F9A6_5EAA_98F9),
+            ("elastic-churn", 0xB2E5_BC70_F735_4C65),
+            ("flaky-links", 0xAB7B_B1F6_5495_88A2),
+            ("ps-brownout", 0x2D14_D29E_64AF_0E3B),
+        ];
+        for (name, want) in builtins {
+            let got = digest(&crate::library::builtin(name).unwrap());
+            assert_eq!(got, want, "{name} digest {got:#018X}");
+        }
+        let workloads = [
+            ("proc-bsp-vgg", 0x22F9_71FD_796D_DC1F),
+            ("proc-faulty-resnet", 0x3C4B_04D0_B453_B902),
+            ("proc-local-resnet", 0xB4E4_78A7_72BD_4F99),
+            ("sim-w8-resnet", 0x37BB_C7CA_51BD_BB27),
+            ("single-resnet", 0x75B3_E2C5_5D54_DE47),
+            ("thr-mixed-resnet", 0x49CF_DB1C_7E0D_44CA),
+        ];
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmark/workloads");
+        let mut on_disk: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .filter_map(|e| {
+                e.ok()?
+                    .file_name()
+                    .to_str()?
+                    .strip_suffix(".toml")
+                    .map(String::from)
+            })
+            .collect();
+        on_disk.sort();
+        assert_eq!(
+            on_disk,
+            workloads.map(|(name, _)| name),
+            "pin every workload file"
+        );
+        for (name, want) in workloads {
+            let text = std::fs::read_to_string(format!("{dir}/{name}.toml")).unwrap();
+            let got = digest(&Scenario::from_toml_str(&text).unwrap());
+            assert_eq!(got, want, "{name} digest {got:#018X}");
+        }
+    }
+
+    #[test]
     fn missing_sections_are_reported() {
         assert!(Scenario::from_toml_str("x = 1")
             .unwrap_err()
