@@ -41,7 +41,7 @@ use selsync::process::{
 };
 use selsync_bench::{read_resume_image, CheckpointArgs};
 use selsync_comm::socket::SocketAddrSpec;
-use selsync_scenario::{builtin, Scenario, TransportSpec, BUILTIN_NAMES};
+use selsync_scenario::{load, Scenario, TransportSpec, BUILTIN_NAMES};
 use selsync_tracelog::{EventLog, TraceGranularity, TraceSink};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -62,17 +62,6 @@ fn usage() -> ! {
 fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
-}
-
-fn load(spec: &str) -> Result<Scenario, String> {
-    if spec.ends_with(".toml") {
-        let text = std::fs::read_to_string(spec).map_err(|e| format!("{spec}: {e}"))?;
-        Scenario::from_toml_str(&text)
-    } else {
-        builtin(spec).ok_or_else(|| {
-            format!("unknown built-in scenario {spec:?} (pass a .toml file for custom runs)")
-        })
-    }
 }
 
 /// The training configuration every process (and the reference simulator)

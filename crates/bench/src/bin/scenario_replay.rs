@@ -27,7 +27,7 @@ use selsync::policy::PolicySpec;
 use selsync::threaded::{run_threaded_selsync, run_threaded_selsync_resumed};
 use selsync::Checkpoint;
 use selsync_bench::CheckpointArgs;
-use selsync_scenario::{builtin, library, sweep, Scenario, BUILTIN_NAMES};
+use selsync_scenario::{library, load, sweep, Scenario, BUILTIN_NAMES};
 use selsync_tracelog::{diff_report, EventLog, TraceGranularity, TraceSink};
 
 fn usage() -> ! {
@@ -84,19 +84,6 @@ fn scaled(mut s: Scenario) -> Scenario {
     s.batch_size = 8;
     s.sweep = None;
     s
-}
-
-fn load(spec: &str) -> Scenario {
-    let loaded = if spec.ends_with(".toml") {
-        std::fs::read_to_string(spec)
-            .map_err(|e| format!("{spec}: {e}"))
-            .and_then(|text| Scenario::from_toml_str(&text))
-    } else {
-        builtin(spec).ok_or_else(|| {
-            format!("unknown built-in scenario {spec:?} (try --list, or pass a .toml file)")
-        })
-    };
-    loaded.unwrap_or_else(|e| fail(&e))
 }
 
 impl RunSpec {
@@ -252,7 +239,7 @@ fn main() {
             },
         }
     }
-    let mut scenario = load(&scenario_spec.unwrap_or_else(|| usage()));
+    let mut scenario = load(&scenario_spec.unwrap_or_else(|| usage())).unwrap_or_else(|e| fail(&e));
     if let Some(seed) = seed {
         scenario.seed = seed;
     }

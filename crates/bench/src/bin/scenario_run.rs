@@ -24,7 +24,7 @@
 
 use selsync::config::AlgorithmSpec;
 use selsync_bench::CheckpointArgs;
-use selsync_scenario::{builtin, library, runner, Scenario, BUILTIN_NAMES};
+use selsync_scenario::{builtin, library, load, runner, BUILTIN_NAMES};
 use selsync_tracelog::TraceSink;
 
 fn usage() -> ! {
@@ -43,17 +43,6 @@ fn usage() -> ! {
 fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
-}
-
-fn load(spec: &str) -> Result<Scenario, String> {
-    if spec.ends_with(".toml") {
-        let text = std::fs::read_to_string(spec).map_err(|e| format!("{spec}: {e}"))?;
-        Scenario::from_toml_str(&text)
-    } else {
-        builtin(spec).ok_or_else(|| {
-            format!("unknown built-in scenario {spec:?} (try --list, or pass a .toml file)")
-        })
-    }
 }
 
 fn main() {

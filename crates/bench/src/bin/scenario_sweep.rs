@@ -27,7 +27,7 @@ use selsync::algorithms;
 use selsync::config::AlgorithmSpec;
 use selsync::policy::PolicySpec;
 use selsync::threaded::run_threaded_selsync;
-use selsync_scenario::{builtin, library, sweep, Scenario, BUILTIN_NAMES};
+use selsync_scenario::{library, load, sweep, Scenario, BUILTIN_NAMES};
 use selsync_tracelog::{diff_report, TraceGranularity, TraceSink};
 
 fn usage() -> ! {
@@ -137,17 +137,6 @@ fn trace_file_name(label: &str) -> String {
         }
     }
     format!("{}.trace.jsonl", name.trim_matches('_'))
-}
-
-fn load(spec: &str) -> Result<Scenario, String> {
-    if spec.ends_with(".toml") {
-        let text = std::fs::read_to_string(spec).map_err(|e| format!("{spec}: {e}"))?;
-        Scenario::from_toml_str(&text)
-    } else {
-        builtin(spec).ok_or_else(|| {
-            format!("unknown built-in scenario {spec:?} (try --list, or pass a .toml file)")
-        })
-    }
 }
 
 fn main() {

@@ -840,19 +840,10 @@ pub fn scenario_sweep_summary(scale: Scale) -> Table {
 /// Build the training dataset used by a config (shared by the single-replica figure
 /// drivers that bypass the simulator).
 pub fn build_training_data(kind: ModelKind, cfg: &TrainConfig) -> selsync_data::Dataset {
-    use selsync_data::synthetic::{gaussian_mixture, markov_tokens, MixtureSpec, TokenSpec};
-    use selsync_nn::model::TaskKind;
-    let model = PaperModel::build(kind, cfg.seed);
-    match model.task {
-        TaskKind::Classification { .. } => {
-            let spec = match kind {
-                ModelKind::ResNetLike => MixtureSpec::cifar10_like(cfg.train_samples),
-                ModelKind::VggLike => MixtureSpec::cifar100_like(cfg.train_samples),
-                _ => MixtureSpec::imagenet_like(cfg.train_samples),
-            };
-            gaussian_mixture(&spec, cfg.seed ^ 0xDA7A)
-        }
-        TaskKind::LanguageModel { .. } => markov_tokens(
+    use selsync_data::synthetic::{gaussian_mixture, markov_tokens, TokenSpec};
+    match selsync::sim::mixture_spec(kind, cfg.train_samples) {
+        Some(spec) => gaussian_mixture(&spec, cfg.seed ^ 0xDA7A),
+        None => markov_tokens(
             &TokenSpec::wikitext_like(cfg.train_samples),
             cfg.seed ^ 0xDA7A,
         ),

@@ -40,7 +40,7 @@ use selsync_data::partition::WorkerPartition;
 use selsync_data::synthetic::{self, MixtureSpec, TokenSpec};
 use selsync_metrics::lssr::LssrCounter;
 use selsync_nn::cost;
-use selsync_nn::model::{BatchStats, ModelKind, NominalFootprint, PaperModel, TaskKind};
+use selsync_nn::model::{BatchStats, ModelKind, NominalFootprint, TaskKind};
 use selsync_tensor::par::{self, SendPtr};
 use selsync_tensor::rng::{self, SelRng};
 
@@ -919,23 +919,27 @@ pub fn worker_traversal(
     perm.into_iter().map(|p| order[p]).collect()
 }
 
+/// The synthetic classification task a workload trains on, `samples` long — `None`
+/// for the language model, which trains on token streams. The one place a model is
+/// paired with its dataset, and so with its class count.
+pub fn mixture_spec(model: ModelKind, samples: usize) -> Option<MixtureSpec> {
+    match model {
+        ModelKind::ResNetLike => Some(MixtureSpec::cifar10_like(samples)),
+        ModelKind::VggLike => Some(MixtureSpec::cifar100_like(samples)),
+        ModelKind::AlexLike => Some(MixtureSpec::imagenet_like(samples)),
+        ModelKind::TransformerLike => None,
+    }
+}
+
 /// Build the synthetic train/test datasets for the configured workload — the single
 /// source of truth for what every backend trains on (the simulator, the threaded
 /// driver, and the bench harness all share it).
 pub fn build_datasets(cfg: &TrainConfig) -> (Dataset, Dataset) {
     let total = cfg.train_samples + cfg.test_samples;
     let seed = cfg.seed ^ 0xDA7A;
-    let all = match (PaperModel::build(cfg.model, cfg.seed).task, cfg.model) {
-        (TaskKind::LanguageModel { .. }, _) => {
-            synthetic::markov_tokens(&TokenSpec::wikitext_like(total), seed)
-        }
-        (_, ModelKind::ResNetLike) => {
-            synthetic::gaussian_mixture(&MixtureSpec::cifar10_like(total), seed)
-        }
-        (_, ModelKind::VggLike) => {
-            synthetic::gaussian_mixture(&MixtureSpec::cifar100_like(total), seed)
-        }
-        _ => synthetic::gaussian_mixture(&MixtureSpec::imagenet_like(total), seed),
+    let all = match mixture_spec(cfg.model, total) {
+        Some(spec) => synthetic::gaussian_mixture(&spec, seed),
+        None => synthetic::markov_tokens(&TokenSpec::wikitext_like(total), seed),
     };
     all.split(cfg.train_samples as f32 / total as f32)
 }

@@ -13,11 +13,13 @@
 //!   stragglers, crash + rejoin, bandwidth degradation, latency spikes). Parses from
 //!   and serializes to canonical TOML.
 //! * [`toml`] — the offline mini-TOML codec behind the schema (round-trip stable).
+//! * `codec` — the walker that runs the schema's key tables to parse, dump and list
+//!   every key, rejecting keys, sections and tables no table declares.
 //! * [`injector`] — [`FaultInjector`]: the compiled, validated schedule, driven by the
 //!   simulated clock; it plugs into the sequential simulator and the threaded driver
 //!   through `TrainConfig::conditions`.
-//! * [`library`] — five built-in scenarios: `steady`, `transient-straggler`,
-//!   `degraded-network`, `crash-rejoin`, `heterogeneous-fleet`.
+//! * [`library`] — the eight built-in scenarios, and [`load`]: a scenario by built-in
+//!   name or `.toml` path, as every scenario binary reads its operand.
 //! * [`runner`] — runs BSP / SSP / FedAvg / local SGD / SelSync over one scenario with
 //!   identical accounting and renders a deterministic comparison report; same scenario
 //!   + same seed ⇒ byte-identical text, so recorded seeds become regression tests.
@@ -41,6 +43,7 @@
 //! assert_eq!(report.runs.len(), 5);
 //! ```
 
+mod codec;
 pub mod injector;
 pub mod library;
 pub mod runner;
@@ -49,7 +52,7 @@ pub mod sweep;
 pub mod toml;
 
 pub use injector::FaultInjector;
-pub use library::{all_builtin, builtin, BUILTIN_NAMES};
+pub use library::{all_builtin, builtin, load, BUILTIN_NAMES};
 pub use runner::{run_scenario, ScenarioReport};
 pub use schema::{FaultSpec, NetworkSpec, Scenario, SweepSpec, TraceSpec, TransportSpec};
 pub use sweep::{run_sweep, ArmKind, ArmSummary, SweepReport};

@@ -38,6 +38,21 @@ pub fn builtin(name: &str) -> Option<Scenario> {
     }
 }
 
+/// A scenario by built-in name, or from a file when `spec` ends in `.toml`.
+pub fn load(spec: &str) -> Result<Scenario, String> {
+    if spec.ends_with(".toml") {
+        let text = std::fs::read_to_string(spec).map_err(|e| format!("{spec}: {e}"))?;
+        Scenario::from_toml_str(&text).map_err(|e| format!("{spec}: {e}"))
+    } else {
+        builtin(spec).ok_or_else(|| {
+            format!(
+                "unknown built-in scenario {spec:?} (expected one of {}, or a .toml file)",
+                BUILTIN_NAMES.join(", ")
+            )
+        })
+    }
+}
+
 /// All built-in scenarios, in canonical order.
 pub fn all_builtin() -> Vec<Scenario> {
     BUILTIN_NAMES
@@ -250,6 +265,26 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
             assert_eq!(scenario, parsed, "{}", scenario.name);
         }
+    }
+
+    #[test]
+    fn load_takes_a_builtin_name_or_a_toml_file() {
+        assert_eq!(load("crash-rejoin"), Ok(crash_rejoin()));
+        let err = load("crash-rejion").unwrap_err();
+        assert!(
+            err.contains("\"crash-rejion\"") && err.contains("crash-rejoin"),
+            "{err}"
+        );
+
+        let path = std::env::temp_dir().join(format!("selsync-load-{}.toml", std::process::id()));
+        let spec = path.to_str().unwrap();
+        std::fs::write(&path, flaky_links().to_toml_string()).unwrap();
+        assert_eq!(load(spec), Ok(flaky_links()));
+        // Errors in a file, or reading it, name the file.
+        std::fs::write(&path, "[scenario]\nname = \"half\"\n").unwrap();
+        assert!(load(spec).unwrap_err().starts_with(spec));
+        std::fs::remove_file(&path).unwrap();
+        assert!(load(spec).unwrap_err().starts_with(spec));
     }
 
     #[test]

@@ -5,8 +5,13 @@
 //! topology and per-worker device heterogeneity, the base network, the SelSync δ, and a
 //! timed fault schedule. `scenario + seed` determines every bit of the resulting run
 //! reports, so a scenario file doubles as a regression-test fixture.
+//!
+//! Each block of a scenario file has one key table (`Scenario::walk` and the
+//! `Tagged` impls below): every key once, in dump order, with its default. The
+//! `codec` walker runs those tables to parse, to dump and to list the keys.
 
-use crate::toml::{self, Document, Table, Value};
+use crate::codec::{named, Codec, Mode, Tagged};
+use crate::toml;
 use selsync::conditions::{ClusterConditions, FaultEvent};
 use selsync::config::{CheckpointSpec, RejoinPull, TrainConfig};
 use selsync::policy::PolicySpec;
@@ -14,12 +19,6 @@ use selsync_comm::faults::{CommFaultSpec, PsFaultSpec};
 use selsync_comm::NetworkModel;
 use selsync_nn::model::ModelKind;
 use selsync_tracelog::TraceGranularity;
-
-/// Serialize the shortest f32 representation (a raw f32→f64 cast would print 0.3 as
-/// 0.30000001192092896); parsing back through f64 reproduces the f32 exactly.
-fn f32_shortest(x: f32) -> f64 {
-    format!("{x}").parse().unwrap_or(x as f64)
-}
 
 /// Declarative description of a fault, mirroring
 /// [`selsync::conditions::FaultEvent`] with file-friendly field names and units.
@@ -143,18 +142,14 @@ impl SweepSpec {
         self.deltas.len() + self.policies.len()
     }
 
-    /// Check internal consistency.
+    /// Check internal consistency. (Whether the seeds fit a scenario file is
+    /// [`Scenario::validate`]'s integer rule.)
     pub fn validate(&self) -> Result<(), String> {
         if self.arm_count() == 0 {
             return Err("sweep needs at least one arm (a delta or a policy)".into());
         }
         if self.seeds.is_empty() {
             return Err("sweep needs at least one seed".into());
-        }
-        // Seeds are serialized as TOML integers (i64); larger values could not
-        // round-trip through the codec.
-        if self.seeds.iter().any(|&s| s > i64::MAX as u64) {
-            return Err("sweep seeds must fit a TOML integer (i64)".into());
         }
         for &d in &self.deltas {
             if !(d >= 0.0 && d.is_finite()) {
@@ -172,7 +167,7 @@ impl SweepSpec {
 /// SelSync arm (see `docs/EVENT_LOG.md`). Disabled by default — the block is only
 /// serialized when any setting differs from the default, so pre-existing scenario
 /// dumps stay byte-identical.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSpec {
     /// Capture the event log (`enabled = true`).
     pub enabled: bool,
@@ -182,16 +177,6 @@ pub struct TraceSpec {
     /// Event granularity: `"full"` (default; every event kind) or `"rounds"`
     /// (header, membership and round decisions only).
     pub granularity: TraceGranularity,
-}
-
-impl Default for TraceSpec {
-    fn default() -> Self {
-        TraceSpec {
-            enabled: false,
-            path: None,
-            granularity: TraceGranularity::Full,
-        }
-    }
 }
 
 impl TraceSpec {
@@ -325,180 +310,142 @@ pub struct Scenario {
     pub non_iid_labels_per_worker: Option<usize>,
 }
 
-fn model_name(kind: ModelKind) -> &'static str {
-    match kind {
-        ModelKind::ResNetLike => "resnet",
-        ModelKind::VggLike => "vgg",
-        ModelKind::AlexLike => "alexnet",
-        ModelKind::TransformerLike => "transformer",
+named!(ModelKind:
+    ModelKind::ResNetLike => "resnet",
+    ModelKind::VggLike => "vgg",
+    ModelKind::AlexLike => "alexnet",
+    ModelKind::TransformerLike => "transformer");
+named!(RejoinPull: RejoinPull::WallClock => "wall-clock", RejoinPull::Scheduled => "scheduled");
+named!(TraceGranularity:
+    TraceGranularity::Full => TraceGranularity::Full.as_str(),
+    TraceGranularity::Rounds => TraceGranularity::Rounds.as_str());
+
+/// The `transport` key; the socket address is the separate `transport_addr` key.
+#[derive(Clone, Copy, PartialEq)]
+enum Transport {
+    Memory,
+    Socket,
+}
+
+named!(Transport: Transport::Memory => "memory", Transport::Socket => "socket");
+
+impl Tagged for FaultSpec {
+    fn variants() -> Vec<(&'static str, Self)> {
+        let (worker, start, duration, factor) = (0, 0, 0, 0.0);
+        vec![
+            (
+                "slowdown",
+                FaultSpec::Slowdown {
+                    worker,
+                    start,
+                    duration,
+                    factor,
+                },
+            ),
+            (
+                "crash",
+                FaultSpec::Crash {
+                    worker,
+                    start,
+                    rejoin: None,
+                },
+            ),
+            (
+                "bandwidth",
+                FaultSpec::Bandwidth {
+                    start,
+                    duration,
+                    factor,
+                },
+            ),
+            (
+                "latency",
+                FaultSpec::Latency {
+                    start,
+                    duration,
+                    extra_ms: factor,
+                },
+            ),
+        ]
+    }
+
+    // Each key once, for every kind that has it.
+    fn keys(&mut self, c: &mut Codec<'_>) {
+        use FaultSpec::*;
+        if let Slowdown { worker, .. } | Crash { worker, .. } = self {
+            c.req("worker", worker);
+        }
+        let (Slowdown { start, .. }
+        | Crash { start, .. }
+        | Bandwidth { start, .. }
+        | Latency { start, .. }) = self;
+        c.req("start", start);
+        if let Slowdown { duration, .. } | Bandwidth { duration, .. } | Latency { duration, .. } =
+            self
+        {
+            c.req("duration", duration);
+        }
+        match self {
+            Slowdown { factor, .. } | Bandwidth { factor, .. } => c.req("factor", factor),
+            Crash { rejoin, .. } => c.elide("rejoin", rejoin, &None),
+            Latency { extra_ms, .. } => c.req("extra_ms", extra_ms),
+        }
     }
 }
 
-fn model_from_name(name: &str) -> Result<ModelKind, String> {
-    match name {
-        "resnet" => Ok(ModelKind::ResNetLike),
-        "vgg" => Ok(ModelKind::VggLike),
-        "alexnet" => Ok(ModelKind::AlexLike),
-        "transformer" => Ok(ModelKind::TransformerLike),
-        other => Err(format!(
-            "unknown model {other:?} (expected resnet | vgg | alexnet | transformer)"
-        )),
+impl Tagged for PolicySpec {
+    fn variants() -> Vec<(&'static str, Self)> {
+        let (starts, deltas) = (Vec::new(), Vec::new());
+        vec![
+            ("fixed", PolicySpec::Fixed { delta: 0.0 }),
+            ("schedule", PolicySpec::Schedule { starts, deltas }),
+            ("adaptive", PolicySpec::adaptive_default()),
+            ("variance", PolicySpec::variance_default()),
+        ]
     }
-}
 
-fn get_usize(t: &Table, key: &str, ctx: &str) -> Result<usize, String> {
-    let v = t
-        .get(key)
-        .ok_or_else(|| format!("{ctx}: missing key {key:?}"))?;
-    let i = v
-        .as_int()
-        .ok_or_else(|| format!("{ctx}: {key} must be an integer"))?;
-    usize::try_from(i).map_err(|_| format!("{ctx}: {key} must be non-negative"))
-}
-
-fn get_f64(t: &Table, key: &str, ctx: &str) -> Result<f64, String> {
-    t.get(key)
-        .ok_or_else(|| format!("{ctx}: missing key {key:?}"))?
-        .as_float()
-        .ok_or_else(|| format!("{ctx}: {key} must be a number"))
-}
-
-fn get_str<'a>(t: &'a Table, key: &str, ctx: &str) -> Result<&'a str, String> {
-    t.get(key)
-        .ok_or_else(|| format!("{ctx}: missing key {key:?}"))?
-        .as_str()
-        .ok_or_else(|| format!("{ctx}: {key} must be a string"))
-}
-
-fn get_f32_array(t: &Table, key: &str, ctx: &str) -> Result<Vec<f32>, String> {
-    t.get(key)
-        .ok_or_else(|| format!("{ctx}: missing key {key:?}"))?
-        .as_array()
-        .ok_or_else(|| format!("{ctx}: {key} must be an array"))?
-        .iter()
-        .map(|v| {
-            v.as_float()
-                .map(|f| f as f32)
-                .ok_or_else(|| format!("{ctx}: {key} entries must be numbers"))
-        })
-        .collect()
-}
-
-fn get_usize_array(t: &Table, key: &str, ctx: &str) -> Result<Vec<usize>, String> {
-    t.get(key)
-        .ok_or_else(|| format!("{ctx}: missing key {key:?}"))?
-        .as_array()
-        .ok_or_else(|| format!("{ctx}: {key} must be an array"))?
-        .iter()
-        .map(|v| {
-            v.as_int()
-                .and_then(|i| usize::try_from(i).ok())
-                .ok_or_else(|| format!("{ctx}: {key} entries must be non-negative integers"))
-        })
-        .collect()
-}
-
-/// Serialize one policy arm as a `[[policy]]` table.
-fn policy_to_table(policy: &PolicySpec) -> Table {
-    let mut t = Table::new();
-    match policy {
-        PolicySpec::Fixed { delta } => {
-            t.set("kind", Value::Str("fixed".into()));
-            t.set("delta", Value::Float(f32_shortest(*delta)));
-        }
-        PolicySpec::Schedule { starts, deltas } => {
-            t.set("kind", Value::Str("schedule".into()));
-            t.set(
-                "starts",
-                Value::Array(starts.iter().map(|&s| Value::Int(s as i64)).collect()),
-            );
-            t.set(
-                "deltas",
-                Value::Array(
-                    deltas
-                        .iter()
-                        .map(|&d| Value::Float(f32_shortest(d)))
-                        .collect(),
-                ),
-            );
-        }
-        PolicySpec::Adaptive {
-            delta_explore,
-            delta_exploit,
-            factor,
-            warmup,
-            settle,
-            patience,
-            spike,
-        } => {
-            t.set("kind", Value::Str("adaptive".into()));
-            t.set("delta_explore", Value::Float(f32_shortest(*delta_explore)));
-            t.set("delta_exploit", Value::Float(f32_shortest(*delta_exploit)));
-            t.set("factor", Value::Float(f32_shortest(*factor)));
-            t.set("warmup", Value::Int(*warmup as i64));
-            t.set("settle", Value::Float(f32_shortest(*settle)));
-            t.set("patience", Value::Int(*patience as i64));
-            t.set("spike", Value::Float(f32_shortest(*spike)));
-        }
-        PolicySpec::Variance {
-            delta_explore,
-            delta_exploit,
-            factor,
-            warmup,
-            settle,
-            patience,
-            var_ratio,
-        } => {
-            t.set("kind", Value::Str("variance".into()));
-            t.set("delta_explore", Value::Float(f32_shortest(*delta_explore)));
-            t.set("delta_exploit", Value::Float(f32_shortest(*delta_exploit)));
-            t.set("factor", Value::Float(f32_shortest(*factor)));
-            t.set("warmup", Value::Int(*warmup as i64));
-            t.set("settle", Value::Float(f32_shortest(*settle)));
-            t.set("patience", Value::Int(*patience as i64));
-            t.set("var_ratio", Value::Float(f32_shortest(*var_ratio)));
+    // The two adaptive policies share every key but their re-entry trigger.
+    fn keys(&mut self, c: &mut Codec<'_>) {
+        use PolicySpec::*;
+        let trigger = if let Adaptive { .. } = self {
+            "spike"
+        } else {
+            "var_ratio"
+        };
+        match self {
+            Fixed { delta } => c.req("delta", delta),
+            Schedule { starts, deltas } => {
+                c.req("starts", starts);
+                c.req("deltas", deltas);
+            }
+            Adaptive {
+                delta_explore,
+                delta_exploit,
+                factor,
+                warmup,
+                settle,
+                patience,
+                spike: ratio,
+            }
+            | Variance {
+                delta_explore,
+                delta_exploit,
+                factor,
+                warmup,
+                settle,
+                patience,
+                var_ratio: ratio,
+            } => {
+                c.req("delta_explore", delta_explore);
+                c.req("delta_exploit", delta_exploit);
+                c.req("factor", factor);
+                c.req("warmup", warmup);
+                c.req("settle", settle);
+                c.req("patience", patience);
+                c.req(trigger, ratio);
+            }
         }
     }
-    t
-}
-
-/// Parse one `[[policy]]` table.
-fn policy_from_table(t: &Table, ctx: &str) -> Result<PolicySpec, String> {
-    let policy = match get_str(t, "kind", ctx)? {
-        "fixed" => PolicySpec::Fixed {
-            delta: get_f64(t, "delta", ctx)? as f32,
-        },
-        "schedule" => PolicySpec::Schedule {
-            starts: get_usize_array(t, "starts", ctx)?,
-            deltas: get_f32_array(t, "deltas", ctx)?,
-        },
-        "adaptive" => PolicySpec::Adaptive {
-            delta_explore: get_f64(t, "delta_explore", ctx)? as f32,
-            delta_exploit: get_f64(t, "delta_exploit", ctx)? as f32,
-            factor: get_f64(t, "factor", ctx)? as f32,
-            warmup: get_usize(t, "warmup", ctx)?,
-            settle: get_f64(t, "settle", ctx)? as f32,
-            patience: get_usize(t, "patience", ctx)?,
-            spike: get_f64(t, "spike", ctx)? as f32,
-        },
-        "variance" => PolicySpec::Variance {
-            delta_explore: get_f64(t, "delta_explore", ctx)? as f32,
-            delta_exploit: get_f64(t, "delta_exploit", ctx)? as f32,
-            factor: get_f64(t, "factor", ctx)? as f32,
-            warmup: get_usize(t, "warmup", ctx)?,
-            settle: get_f64(t, "settle", ctx)? as f32,
-            patience: get_usize(t, "patience", ctx)?,
-            var_ratio: get_f64(t, "var_ratio", ctx)? as f32,
-        },
-        other => {
-            return Err(format!(
-                "{ctx}: unknown policy kind {other:?} \
-                 (expected fixed | schedule | adaptive | variance)"
-            ))
-        }
-    };
-    policy.validate().map_err(|e| format!("{ctx}: {e}"))?;
-    Ok(policy)
 }
 
 impl Scenario {
@@ -590,9 +537,9 @@ impl Scenario {
         if !(self.delta >= 0.0 && self.delta.is_finite()) {
             return Err("delta must be a finite non-negative number".into());
         }
-        if self.seed > i64::MAX as u64 {
-            return Err("seed must fit a TOML integer (i64)".into());
-        }
+        // Every integer key must fit a TOML integer (i64), or the dump would not
+        // parse back: the write walk names the first one that does not.
+        self.encode().finish()?;
         // Written so NaN fails the checks (`NaN > 0.0` and `NaN >= 0.0` are false).
         let network_ok = self.network.bandwidth_gbps > 0.0
             && self.network.bandwidth_gbps.is_finite()
@@ -629,583 +576,183 @@ impl Scenario {
             ck.validate().map_err(|e| format!("[checkpoint]: {e}"))?;
         }
         if let Some(labels) = self.non_iid_labels_per_worker {
-            if labels == 0 {
-                return Err("non_iid_labels_per_worker must be at least 1".into());
-            }
-            if self.model == ModelKind::TransformerLike {
-                return Err(
-                    "non_iid_labels_per_worker needs a classification workload; the LM task \
-                     has no label shards"
-                        .into(),
-                );
+            // Shards deal the labels round-robin, so together they must hold every
+            // class of the model's dataset.
+            let Some(task) = selsync::sim::mixture_spec(self.model, 0) else {
+                let why = "the LM task has no label shards";
+                return Err(format!(
+                    "non_iid_labels_per_worker needs a classifier; {why}"
+                ));
+            };
+            if labels.saturating_mul(self.workers) < task.classes {
+                return Err(format!(
+                    "non_iid_labels_per_worker: {labels} labels x {} workers cannot cover \
+                     the model's {} classes",
+                    self.workers, task.classes
+                ));
             }
         }
         Ok(())
     }
 
-    /// Serialize to canonical TOML.
-    pub fn to_toml_string(&self) -> String {
-        let mut doc = Document::new();
-        let mut s = Table::new();
-        s.set("name", Value::Str(self.name.clone()));
-        s.set("description", Value::Str(self.description.clone()));
-        s.set("seed", Value::Int(self.seed as i64));
-        s.set("workers", Value::Int(self.workers as i64));
-        s.set("model", Value::Str(model_name(self.model).to_string()));
-        s.set("batch_size", Value::Int(self.batch_size as i64));
-        s.set("iterations", Value::Int(self.iterations as i64));
-        s.set("train_samples", Value::Int(self.train_samples as i64));
-        s.set("test_samples", Value::Int(self.test_samples as i64));
-        s.set("eval_every", Value::Int(self.eval_every as i64));
-        s.set("eval_samples", Value::Int(self.eval_samples as i64));
-        s.set("delta", Value::Float(f32_shortest(self.delta)));
-        // Only serialized when set so pre-existing scenario dumps stay
-        // byte-identical.
-        if let Some(labels) = self.non_iid_labels_per_worker {
-            s.set("non_iid_labels_per_worker", Value::Int(labels as i64));
-        }
-        // Only serialized when non-default so pre-existing scenario dumps stay
-        // byte-identical.
-        if self.rejoin_pull == RejoinPull::Scheduled {
-            s.set("rejoin_pull", Value::Str("scheduled".into()));
-        }
-        // Only serialized when non-default so pre-existing scenario dumps stay
-        // byte-identical.
-        if let TransportSpec::Socket { addr } = &self.transport {
-            s.set("transport", Value::Str("socket".into()));
-            if let Some(addr) = addr {
-                s.set("transport_addr", Value::Str(addr.clone()));
+    /// The key table of a scenario file, in dump order: each section's keys, then
+    /// the `[[fault]]` and `[[policy]]` tables. Defaults come from
+    /// [`Scenario::base`] and the blocks' own constructors.
+    fn walk(&mut self, c: &mut Codec<'_>) {
+        let d = Scenario::base("", 0, 0);
+        c.section("scenario", true, self, &d, |c, s, d| {
+            c.req("name", &mut s.name);
+            c.opt("description", &mut s.description, &d.description);
+            c.req("seed", &mut s.seed);
+            c.req("workers", &mut s.workers);
+            c.req("model", &mut s.model);
+            c.req("batch_size", &mut s.batch_size);
+            c.req("iterations", &mut s.iterations);
+            c.req("train_samples", &mut s.train_samples);
+            c.req("test_samples", &mut s.test_samples);
+            c.req("eval_every", &mut s.eval_every);
+            c.req("eval_samples", &mut s.eval_samples);
+            c.req("delta", &mut s.delta);
+            let labels = &mut s.non_iid_labels_per_worker;
+            c.elide("non_iid_labels_per_worker", labels, &None);
+            c.elide("rejoin_pull", &mut s.rejoin_pull, &d.rejoin_pull);
+            // One enum in memory; a kind and an optional address on disk.
+            let (mut kind, mut addr) = match &s.transport {
+                TransportSpec::Memory => (Transport::Memory, None),
+                TransportSpec::Socket { addr } => (Transport::Socket, addr.clone()),
+            };
+            c.elide("transport", &mut kind, &Transport::Memory);
+            c.elide("transport_addr", &mut addr, &None);
+            if kind == Transport::Memory && addr.is_some() {
+                c.fail("transport_addr requires transport = \"socket\"");
             }
-        }
-        doc.sections.push(("scenario".to_string(), s));
-
-        let mut net = Table::new();
-        net.set("bandwidth_gbps", Value::Float(self.network.bandwidth_gbps));
-        net.set("latency_ms", Value::Float(self.network.latency_ms));
-        doc.sections.push(("network".to_string(), net));
-
-        // Only serialized when non-default (and each key only when non-default), so
-        // pre-existing scenario dumps stay byte-identical.
-        if self.trace != TraceSpec::default() {
-            let mut t = Table::new();
-            if self.trace.enabled {
-                t.set("enabled", Value::Bool(true));
+            s.transport = match kind {
+                Transport::Memory => TransportSpec::Memory,
+                Transport::Socket => TransportSpec::Socket { addr },
+            };
+        });
+        c.section("network", true, &mut self.network, &d.network, |c, n, _| {
+            c.req("bandwidth_gbps", &mut n.bandwidth_gbps);
+            c.req("latency_ms", &mut n.latency_ms);
+        });
+        let emit = self.trace != d.trace;
+        c.section("trace", emit, &mut self.trace, &d.trace, |c, t, d| {
+            c.elide("enabled", &mut t.enabled, &d.enabled);
+            c.elide("path", &mut t.path, &d.path);
+            c.elide("granularity", &mut t.granularity, &d.granularity);
+        });
+        // Unset weather and outage seeds replay the scenario seed.
+        let weather = CommFaultSpec {
+            retry_budget: 3,
+            ..CommFaultSpec::lossless(self.seed)
+        };
+        c.optional("comm_faults", &mut self.comm_faults, weather, |c, f, d| {
+            c.opt("seed", &mut f.seed, &d.seed);
+            c.opt("drop", &mut f.drop, &d.drop);
+            c.opt("duplicate", &mut f.duplicate, &d.duplicate);
+            c.opt("corrupt", &mut f.corrupt, &d.corrupt);
+            c.opt("delay", &mut f.delay, &d.delay);
+            c.elide("delay_rounds", &mut f.delay_rounds, &d.delay_rounds);
+            c.opt("retry_budget", &mut f.retry_budget, &d.retry_budget);
+            c.opt("timeout_s", &mut f.timeout_s, &d.timeout_s);
+        });
+        let reliable = PsFaultSpec::reliable(self.seed);
+        c.optional("ps_faults", &mut self.ps_faults, reliable, |c, p, d| {
+            c.opt("seed", &mut p.seed, &d.seed);
+            // Windows are parallel start and duration arrays on disk.
+            let keys = ["window_starts", "window_durations"];
+            let (mut starts, mut lengths): (Vec<_>, Vec<_>) = p.windows.iter().copied().unzip();
+            c.opt(keys[0], &mut starts, &Vec::new());
+            c.opt(keys[1], &mut lengths, &Vec::new());
+            if starts.len() != lengths.len() {
+                c.fail(format!("{} and {} differ in length", keys[0], keys[1]));
             }
-            if let Some(path) = &self.trace.path {
-                t.set("path", Value::Str(path.clone()));
-            }
-            if self.trace.granularity != TraceGranularity::Full {
-                t.set(
-                    "granularity",
-                    Value::Str(self.trace.granularity.as_str().to_string()),
-                );
-            }
-            doc.sections.push(("trace".to_string(), t));
+            p.windows = starts.into_iter().zip(lengths).collect();
+            c.opt("flaky", &mut p.flaky, &d.flaky);
+        });
+        let images = CheckpointSpec::new(0, "");
+        c.optional("checkpoint", &mut self.checkpoint, images, |c, ck, d| {
+            c.req("every", &mut ck.every);
+            c.req("dir", &mut ck.dir);
+            c.elide("halt_after", &mut ck.halt_after, &d.halt_after);
+            c.elide("keep", &mut ck.keep, &d.keep);
+        });
+        let grid = SweepSpec {
+            deltas: Vec::new(),
+            seeds: vec![self.seed],
+            policies: Vec::new(),
+        };
+        c.optional("sweep", &mut self.sweep, grid.clone(), |c, sw, d| {
+            c.opt("deltas", &mut sw.deltas, &d.deltas);
+            c.opt("seeds", &mut sw.seeds, &d.seeds);
+        });
+        let (emit, speeds) = (!self.heterogeneity.is_empty(), &mut self.heterogeneity);
+        c.section("heterogeneity", emit, speeds, &Vec::new(), |c, h, _| {
+            c.req("speeds", h)
+        });
+        c.tables("fault", &mut self.faults);
+        // `[[policy]]` tables are the sweep's policy arms; without a `[sweep]`
+        // section they sweep over the scenario seed alone.
+        let mut policies = self.sweep.clone().map(|sw| sw.policies).unwrap_or_default();
+        c.tables("policy", &mut policies);
+        if !policies.is_empty() {
+            self.sweep.get_or_insert(grid).policies = policies;
         }
-
-        // Only serialized when present (omitted = lossless links), so pre-existing
-        // scenario dumps stay byte-identical.
-        if let Some(spec) = &self.comm_faults {
-            let mut cf = Table::new();
-            cf.set("seed", Value::Int(spec.seed as i64));
-            cf.set("drop", Value::Float(spec.drop));
-            cf.set("duplicate", Value::Float(spec.duplicate));
-            cf.set("corrupt", Value::Float(spec.corrupt));
-            cf.set("delay", Value::Float(spec.delay));
-            // Only serialized when non-default so pre-existing dumps stay
-            // byte-identical.
-            if spec.delay_rounds > 0 {
-                cf.set("delay_rounds", Value::Int(spec.delay_rounds as i64));
-            }
-            cf.set("retry_budget", Value::Int(spec.retry_budget as i64));
-            cf.set("timeout_s", Value::Float(spec.timeout_s));
-            doc.sections.push(("comm_faults".to_string(), cf));
-        }
-
-        // Only serialized when present (omitted = perfectly reliable server), so
-        // pre-existing scenario dumps stay byte-identical. Windows serialize as
-        // parallel `window_starts` / `window_durations` arrays.
-        if let Some(spec) = &self.ps_faults {
-            let mut pf = Table::new();
-            pf.set("seed", Value::Int(spec.seed as i64));
-            pf.set(
-                "window_starts",
-                Value::Array(
-                    spec.windows
-                        .iter()
-                        .map(|&(start, _)| Value::Int(start as i64))
-                        .collect(),
-                ),
-            );
-            pf.set(
-                "window_durations",
-                Value::Array(
-                    spec.windows
-                        .iter()
-                        .map(|&(_, duration)| Value::Int(duration as i64))
-                        .collect(),
-                ),
-            );
-            pf.set("flaky", Value::Float(spec.flaky));
-            doc.sections.push(("ps_faults".to_string(), pf));
-        }
-
-        // Only serialized when present (omitted = no durable checkpoints). The
-        // `halt_after` kill switch is a runtime/CLI knob; it is still round-tripped
-        // when set so programmatic dumps stay lossless.
-        if let Some(ck) = &self.checkpoint {
-            let mut c = Table::new();
-            c.set("every", Value::Int(ck.every as i64));
-            c.set("dir", Value::Str(ck.dir.clone()));
-            if let Some(halt) = ck.halt_after {
-                c.set("halt_after", Value::Int(halt as i64));
-            }
-            if let Some(keep) = ck.keep {
-                c.set("keep", Value::Int(keep as i64));
-            }
-            doc.sections.push(("checkpoint".to_string(), c));
-        }
-
-        if let Some(sweep) = &self.sweep {
-            let mut sw = Table::new();
-            sw.set(
-                "deltas",
-                Value::Array(
-                    sweep
-                        .deltas
-                        .iter()
-                        .map(|&d| Value::Float(f32_shortest(d)))
-                        .collect(),
-                ),
-            );
-            sw.set(
-                "seeds",
-                Value::Array(sweep.seeds.iter().map(|&s| Value::Int(s as i64)).collect()),
-            );
-            doc.sections.push(("sweep".to_string(), sw));
-        }
-
-        if !self.heterogeneity.is_empty() {
-            let mut h = Table::new();
-            h.set(
-                "speeds",
-                Value::Array(
-                    self.heterogeneity
-                        .iter()
-                        .map(|&s| Value::Float(s))
-                        .collect(),
-                ),
-            );
-            doc.sections.push(("heterogeneity".to_string(), h));
-        }
-
-        for fault in &self.faults {
-            let mut t = Table::new();
-            match *fault {
-                FaultSpec::Slowdown {
-                    worker,
-                    start,
-                    duration,
-                    factor,
-                } => {
-                    t.set("kind", Value::Str("slowdown".into()));
-                    t.set("worker", Value::Int(worker as i64));
-                    t.set("start", Value::Int(start as i64));
-                    t.set("duration", Value::Int(duration as i64));
-                    t.set("factor", Value::Float(factor));
-                }
-                FaultSpec::Crash {
-                    worker,
-                    start,
-                    rejoin,
-                } => {
-                    t.set("kind", Value::Str("crash".into()));
-                    t.set("worker", Value::Int(worker as i64));
-                    t.set("start", Value::Int(start as i64));
-                    if let Some(r) = rejoin {
-                        t.set("rejoin", Value::Int(r as i64));
-                    }
-                }
-                FaultSpec::Bandwidth {
-                    start,
-                    duration,
-                    factor,
-                } => {
-                    t.set("kind", Value::Str("bandwidth".into()));
-                    t.set("start", Value::Int(start as i64));
-                    t.set("duration", Value::Int(duration as i64));
-                    t.set("factor", Value::Float(factor));
-                }
-                FaultSpec::Latency {
-                    start,
-                    duration,
-                    extra_ms,
-                } => {
-                    t.set("kind", Value::Str("latency".into()));
-                    t.set("start", Value::Int(start as i64));
-                    t.set("duration", Value::Int(duration as i64));
-                    t.set("extra_ms", Value::Float(extra_ms));
-                }
-            }
-            doc.table_arrays.push(("fault".to_string(), t));
-        }
-
-        if let Some(sweep) = &self.sweep {
-            for policy in &sweep.policies {
-                doc.table_arrays
-                    .push(("policy".to_string(), policy_to_table(policy)));
-            }
-        }
-        toml::serialize(&doc)
     }
 
-    /// Parse a scenario from TOML text.
+    /// The key tables walked in write mode.
+    fn encode(&self) -> Codec<'static> {
+        let mut c = Codec::new(Mode::Write, None);
+        self.clone().walk(&mut c);
+        c
+    }
+
+    /// Serialize to canonical TOML.
+    pub fn to_toml_string(&self) -> String {
+        toml::serialize(&self.encode().doc)
+    }
+
+    /// Parse a scenario from TOML text. Every key, section and table must be one a
+    /// key table declares.
     pub fn from_toml_str(text: &str) -> Result<Self, String> {
         let doc = toml::parse(text).map_err(|e| e.to_string())?;
-        let s = doc
-            .section("scenario")
-            .ok_or("missing [scenario] section")?;
-        let ctx = "[scenario]";
-        let name = get_str(s, "name", ctx)?.to_string();
-        let description = s
-            .get("description")
-            .and_then(|v| v.as_str())
-            .unwrap_or_default()
-            .to_string();
-        let seed = get_usize(s, "seed", ctx)? as u64;
-        let workers = get_usize(s, "workers", ctx)?;
-        let model = model_from_name(get_str(s, "model", ctx)?)?;
-        let batch_size = get_usize(s, "batch_size", ctx)?;
-        let iterations = get_usize(s, "iterations", ctx)?;
-        let train_samples = get_usize(s, "train_samples", ctx)?;
-        let test_samples = get_usize(s, "test_samples", ctx)?;
-        let eval_every = get_usize(s, "eval_every", ctx)?;
-        let eval_samples = get_usize(s, "eval_samples", ctx)?;
-        let delta = get_f64(s, "delta", ctx)? as f32;
-        let non_iid_labels_per_worker = match s.get("non_iid_labels_per_worker") {
-            None => None,
-            Some(v) => Some(
-                v.as_int()
-                    .and_then(|i| usize::try_from(i).ok())
-                    .ok_or_else(|| {
-                        format!("{ctx}: non_iid_labels_per_worker must be a non-negative integer")
-                    })?,
-            ),
-        };
-        let rejoin_pull = match s.get("rejoin_pull") {
-            None => RejoinPull::WallClock,
-            Some(v) => match v.as_str() {
-                Some("wall-clock") => RejoinPull::WallClock,
-                Some("scheduled") => RejoinPull::Scheduled,
-                Some(other) => {
-                    return Err(format!(
-                        "{ctx}: unknown rejoin_pull {other:?} \
-                         (expected wall-clock | scheduled)"
-                    ))
-                }
-                None => return Err(format!("{ctx}: rejoin_pull must be a string")),
-            },
-        };
-        let transport_addr = match s.get("transport_addr") {
-            None => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or_else(|| format!("{ctx}: transport_addr must be a string"))?
-                    .to_string(),
-            ),
-        };
-        let transport = match s.get("transport") {
-            None => {
-                if transport_addr.is_some() {
-                    return Err(format!(
-                        "{ctx}: transport_addr requires transport = \"socket\""
-                    ));
-                }
-                TransportSpec::Memory
-            }
-            Some(v) => match v.as_str() {
-                Some("memory") => {
-                    if transport_addr.is_some() {
-                        return Err(format!(
-                            "{ctx}: transport_addr requires transport = \"socket\""
-                        ));
-                    }
-                    TransportSpec::Memory
-                }
-                Some("socket") => TransportSpec::Socket {
-                    addr: transport_addr,
-                },
-                Some(other) => {
-                    return Err(format!(
-                        "{ctx}: unknown transport {other:?} (expected memory | socket)"
-                    ))
-                }
-                None => return Err(format!("{ctx}: transport must be a string")),
-            },
-        };
-
-        let trace = match doc.section("trace") {
-            Some(t) => {
-                let ctx = "[trace]";
-                let enabled = match t.get("enabled") {
-                    None => false,
-                    Some(v) => v
-                        .as_bool()
-                        .ok_or_else(|| format!("{ctx}: enabled must be a boolean"))?,
-                };
-                let path = match t.get("path") {
-                    None => None,
-                    Some(v) => Some(
-                        v.as_str()
-                            .ok_or_else(|| format!("{ctx}: path must be a string"))?
-                            .to_string(),
-                    ),
-                };
-                let granularity = match t.get("granularity") {
-                    None => TraceGranularity::Full,
-                    Some(v) => {
-                        let text = v
-                            .as_str()
-                            .ok_or_else(|| format!("{ctx}: granularity must be a string"))?;
-                        TraceGranularity::parse(text)
-                            .map_err(|e| format!("{ctx}: granularity: {e}"))?
-                    }
-                };
-                TraceSpec {
-                    enabled,
-                    path,
-                    granularity,
-                }
-            }
-            None => TraceSpec::default(),
-        };
-
-        let comm_faults = match doc.section("comm_faults") {
-            Some(cf) => {
-                let ctx = "[comm_faults]";
-                let rate = |key: &str| -> Result<f64, String> {
-                    match cf.get(key) {
-                        None => Ok(0.0),
-                        Some(v) => v
-                            .as_float()
-                            .ok_or_else(|| format!("{ctx}: {key} must be a number")),
-                    }
-                };
-                Some(CommFaultSpec {
-                    // The weather seed defaults to the scenario seed; give it its
-                    // own value to replay one run under different weather.
-                    seed: match cf.get("seed") {
-                        None => seed,
-                        Some(_) => get_usize(cf, "seed", ctx)? as u64,
-                    },
-                    drop: rate("drop")?,
-                    duplicate: rate("duplicate")?,
-                    corrupt: rate("corrupt")?,
-                    delay: rate("delay")?,
-                    delay_rounds: match cf.get("delay_rounds") {
-                        None => 0,
-                        Some(_) => get_usize(cf, "delay_rounds", ctx)? as u64,
-                    },
-                    retry_budget: match cf.get("retry_budget") {
-                        None => 3,
-                        Some(_) => u32::try_from(get_usize(cf, "retry_budget", ctx)?)
-                            .map_err(|_| format!("{ctx}: retry_budget is too large"))?,
-                    },
-                    timeout_s: match cf.get("timeout_s") {
-                        None => 5.0e-3,
-                        Some(_) => get_f64(cf, "timeout_s", ctx)?,
-                    },
-                })
-            }
-            None => None,
-        };
-
-        let ps_faults = match doc.section("ps_faults") {
-            Some(pf) => {
-                let ctx = "[ps_faults]";
-                let starts = match pf.get("window_starts") {
-                    Some(_) => get_usize_array(pf, "window_starts", ctx)?,
-                    None => Vec::new(),
-                };
-                let durations = match pf.get("window_durations") {
-                    Some(_) => get_usize_array(pf, "window_durations", ctx)?,
-                    None => Vec::new(),
-                };
-                if starts.len() != durations.len() {
-                    return Err(format!(
-                        "{ctx}: window_starts ({} entries) and window_durations ({} entries) \
-                         must be parallel arrays of the same length",
-                        starts.len(),
-                        durations.len()
-                    ));
-                }
-                Some(PsFaultSpec {
-                    // The availability seed defaults to the scenario seed; give it
-                    // its own value to replay one run under different server weather.
-                    seed: match pf.get("seed") {
-                        None => seed,
-                        Some(_) => get_usize(pf, "seed", ctx)? as u64,
-                    },
-                    windows: starts.into_iter().zip(durations).collect(),
-                    flaky: match pf.get("flaky") {
-                        None => 0.0,
-                        Some(_) => get_f64(pf, "flaky", ctx)?,
-                    },
-                })
-            }
-            None => None,
-        };
-
-        let checkpoint = match doc.section("checkpoint") {
-            Some(c) => {
-                let ctx = "[checkpoint]";
-                Some(CheckpointSpec {
-                    every: get_usize(c, "every", ctx)?,
-                    dir: get_str(c, "dir", ctx)?.to_string(),
-                    halt_after: match c.get("halt_after") {
-                        None => None,
-                        Some(_) => Some(get_usize(c, "halt_after", ctx)?),
-                    },
-                    keep: match c.get("keep") {
-                        None => None,
-                        Some(_) => Some(get_usize(c, "keep", ctx)?),
-                    },
-                })
-            }
-            None => None,
-        };
-
-        let network = match doc.section("network") {
-            Some(n) => NetworkSpec {
-                bandwidth_gbps: get_f64(n, "bandwidth_gbps", "[network]")?,
-                latency_ms: get_f64(n, "latency_ms", "[network]")?,
-            },
-            None => NetworkSpec::paper(),
-        };
-
-        let heterogeneity = match doc.section("heterogeneity") {
-            Some(h) => {
-                let arr = h
-                    .get("speeds")
-                    .and_then(|v| v.as_array())
-                    .ok_or("[heterogeneity]: speeds must be an array")?;
-                arr.iter()
-                    .map(|v| {
-                        v.as_float()
-                            .ok_or("[heterogeneity]: speeds must be numbers".into())
-                    })
-                    .collect::<Result<Vec<f64>, String>>()?
-            }
-            None => Vec::new(),
-        };
-
-        let mut faults = Vec::new();
-        for (i, t) in doc.tables_named("fault").into_iter().enumerate() {
-            let ctx = format!("[[fault]] #{i}");
-            let fault = match get_str(t, "kind", &ctx)? {
-                "slowdown" => FaultSpec::Slowdown {
-                    worker: get_usize(t, "worker", &ctx)?,
-                    start: get_usize(t, "start", &ctx)?,
-                    duration: get_usize(t, "duration", &ctx)?,
-                    factor: get_f64(t, "factor", &ctx)?,
-                },
-                "crash" => FaultSpec::Crash {
-                    worker: get_usize(t, "worker", &ctx)?,
-                    start: get_usize(t, "start", &ctx)?,
-                    rejoin: match t.get("rejoin") {
-                        Some(v) => Some(
-                            v.as_int()
-                                .and_then(|i| usize::try_from(i).ok())
-                                .ok_or(format!("{ctx}: rejoin must be a non-negative integer"))?,
-                        ),
-                        None => None,
-                    },
-                },
-                "bandwidth" => FaultSpec::Bandwidth {
-                    start: get_usize(t, "start", &ctx)?,
-                    duration: get_usize(t, "duration", &ctx)?,
-                    factor: get_f64(t, "factor", &ctx)?,
-                },
-                "latency" => FaultSpec::Latency {
-                    start: get_usize(t, "start", &ctx)?,
-                    duration: get_usize(t, "duration", &ctx)?,
-                    extra_ms: get_f64(t, "extra_ms", &ctx)?,
-                },
-                other => {
-                    return Err(format!(
-                        "{ctx}: unknown fault kind {other:?} \
-                         (expected slowdown | crash | bandwidth | latency)"
-                    ))
-                }
-            };
-            faults.push(fault);
+        if doc.section("scenario").is_none() {
+            return Err("missing [scenario] section".into());
         }
-
-        let mut policies = Vec::new();
-        for (i, t) in doc.tables_named("policy").into_iter().enumerate() {
-            policies.push(policy_from_table(t, &format!("[[policy]] #{i}"))?);
-        }
-        let sweep = match doc.section("sweep") {
-            Some(sw) => {
-                let ctx = "[sweep]";
-                let deltas = match sw.get("deltas") {
-                    Some(_) => get_f32_array(sw, "deltas", ctx)?,
-                    None => Vec::new(),
-                };
-                let sweep_seeds = match sw.get("seeds") {
-                    Some(_) => get_usize_array(sw, "seeds", ctx)?
-                        .into_iter()
-                        .map(|s| s as u64)
-                        .collect(),
-                    None => vec![seed],
-                };
-                Some(SweepSpec {
-                    deltas,
-                    seeds: sweep_seeds,
-                    policies,
-                })
-            }
-            None if !policies.is_empty() => Some(SweepSpec {
-                deltas: Vec::new(),
-                seeds: vec![seed],
-                policies,
-            }),
-            None => None,
-        };
-
-        let scenario = Scenario {
-            name,
-            description,
-            seed,
-            workers,
-            model,
-            batch_size,
-            iterations,
-            train_samples,
-            test_samples,
-            eval_every,
-            eval_samples,
-            delta,
-            network,
-            heterogeneity,
-            faults,
-            sweep,
-            rejoin_pull,
-            transport,
-            trace,
-            comm_faults,
-            ps_faults,
-            checkpoint,
-            non_iid_labels_per_worker,
-        };
+        let mut c = Codec::new(Mode::Read, Some(&doc));
+        let mut scenario = Scenario::base("", 0, 0);
+        scenario.walk(&mut c);
+        c.finish()?;
         scenario.validate()?;
         Ok(scenario)
     }
 }
 
+/// Every key a scenario file may hold, as `(block, key)` in dump order, listed by
+/// the key tables themselves; a tagged table's block is `[[name]] kind`, and every
+/// kind is listed.
+pub fn declared_keys() -> Vec<(String, &'static str)> {
+    let mut c = Codec::new(Mode::List, None);
+    Scenario::base("", 0, 0).walk(&mut c);
+    c.keys
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Field;
+
+    fn model_name(kind: ModelKind) -> String {
+        match kind.to_value() {
+            Some(toml::Value::Str(name)) => name,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn model_from_name(name: impl AsRef<str>) -> Result<ModelKind, String> {
+        let name = toml::Value::Str(name.as_ref().into());
+        ModelKind::from_value(&name).ok_or_else(ModelKind::what)
+    }
 
     fn sample() -> Scenario {
         let mut s = Scenario::base("unit-test", 4, 100);
@@ -1800,6 +1347,151 @@ mod tests {
             let got = digest(&Scenario::from_toml_str(&text).unwrap());
             assert_eq!(got, want, "{name} digest {got:#018X}");
         }
+    }
+
+    #[test]
+    fn unknown_keys_sections_and_tables_are_rejected() {
+        // A typo is an error naming the block and the key, never a silently
+        // applied default.
+        let base = Scenario::base("typo", 3, 50).to_toml_string();
+        let crash = "[[fault]]\nkind = \"crash\"\nworker = 1\nstart = 5\n";
+        let cases = [
+            (
+                format!("{base}[comm_faults]\nretry_buget = 8\n"),
+                "[comm_faults]: unknown key \"retry_buget\"",
+            ),
+            (
+                base.replace("workers = 3", "workers = 3\nworker = 3"),
+                "[scenario]: unknown key \"worker\"",
+            ),
+            (
+                format!("{base}[netwrok]\nlatency_ms = 2.0\n"),
+                "[netwrok]: no such section",
+            ),
+            (format!("{base}[[faults]]\n"), "[[faults]]: no such section"),
+            (
+                format!("{base}{crash}factor = 2.0\n"),
+                "[[fault]] #0: unknown key \"factor\"",
+            ),
+            (format!("top = 1\n{base}"), "top level: unknown key \"top\""),
+        ];
+        for (text, want) in cases {
+            let err = Scenario::from_toml_str(&text).unwrap_err();
+            assert!(err.contains(want), "{err}");
+        }
+        // The same blocks without the typos parse.
+        let fine = format!("{base}[comm_faults]\nretry_budget = 8\n{crash}");
+        Scenario::from_toml_str(&fine).unwrap();
+    }
+
+    #[test]
+    fn every_integer_key_must_fit_a_toml_integer() {
+        // A weather seed above i64::MAX has no TOML spelling, so its dump could not
+        // parse back.
+        let mut s = Scenario::base("huge", 3, 50);
+        s.comm_faults = Some(CommFaultSpec::lossless(u64::MAX));
+        let err = s.validate().unwrap_err();
+        assert!(
+            err.contains("[comm_faults]: seed must fit a TOML integer"),
+            "{err}"
+        );
+        // One rule covers every integer key.
+        let mut huge_seed = Scenario::base("huge", 3, 50);
+        huge_seed.seed = u64::MAX;
+        let mut huge_sweep = Scenario::base("huge", 3, 50);
+        huge_sweep.sweep = Some(SweepSpec::default_grid(u64::MAX));
+        let mut huge_cadence = Scenario::base("huge", 3, 50);
+        huge_cadence.checkpoint = Some(CheckpointSpec::new(usize::MAX, "ckpt"));
+        for (s, key) in [
+            (huge_seed, "[scenario]: seed"),
+            (huge_sweep, "[sweep]: seeds"),
+            (huge_cadence, "[checkpoint]: every"),
+        ] {
+            let err = s.validate().unwrap_err();
+            assert!(err.contains(key), "{err}");
+        }
+        // The largest TOML integer still round-trips.
+        let mut edge = Scenario::base("edge", 3, 50);
+        edge.comm_faults = Some(CommFaultSpec::lossless(i64::MAX as u64));
+        assert_eq!(Scenario::from_toml_str(&edge.to_toml_string()), Ok(edge));
+    }
+
+    #[test]
+    fn non_iid_shards_must_cover_the_model_classes() {
+        // Two workers with two labels each hold 4 of ResNetLike's 10 classes;
+        // building those shards would panic mid-run.
+        let mut s = Scenario::base("shards", 2, 10);
+        s.non_iid_labels_per_worker = Some(2);
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("non_iid_labels_per_worker"), "{err}");
+        // The class count is the dataset's: the fewest labels that cover it pass
+        // and build, one fewer is rejected.
+        for model in [
+            ModelKind::ResNetLike,
+            ModelKind::VggLike,
+            ModelKind::AlexLike,
+        ] {
+            let mut s = Scenario::base("shards", 3, 10);
+            s.model = model;
+            let cfg = s.train_config(selsync::config::AlgorithmSpec::selsync(s.delta));
+            let (train, _) = selsync::sim::build_datasets(&cfg);
+            let fewest = train.num_classes.div_ceil(3);
+            s.non_iid_labels_per_worker = Some(fewest - 1);
+            assert!(
+                s.validate().is_err(),
+                "{model:?} with {} labels",
+                fewest - 1
+            );
+            s.non_iid_labels_per_worker = Some(fewest);
+            s.validate().unwrap();
+            selsync_data::noniid::label_sharded(&train, 3, fewest);
+        }
+    }
+
+    #[test]
+    fn documented_schema_parses_validates_and_shows_every_key() {
+        // The ```toml blocks under "Scenario file schema" and "Sweeps" in
+        // docs/SCENARIOS.md, joined, are one scenario file.
+        let docs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/SCENARIOS.md");
+        let md = std::fs::read_to_string(docs).unwrap();
+        let (mut text, mut heading, mut in_block) = (String::new(), "", false);
+        for line in md.lines() {
+            if let Some(h) = line.strip_prefix("## ") {
+                heading = h;
+            } else if line.starts_with("```") {
+                let schema = heading == "Scenario file schema" || heading.starts_with("Sweeps");
+                in_block = line == "```toml" && schema;
+            } else if in_block {
+                text.push_str(line);
+                text.push('\n');
+            }
+        }
+        Scenario::from_toml_str(&text).unwrap_or_else(|e| panic!("{e}\n---\n{text}"));
+
+        // It shows every key the key tables declare, each in its own block.
+        let doc = toml::parse(&text).unwrap();
+        let mut shown = Vec::new();
+        for (name, table) in &doc.sections {
+            shown.extend(
+                table
+                    .entries()
+                    .iter()
+                    .map(|(k, _)| (format!("[{name}]"), k)),
+            );
+        }
+        for (name, table) in &doc.table_arrays {
+            let kind = table.get("kind").and_then(toml::Value::as_str).unwrap();
+            let block = format!("[[{name}]] {kind}");
+            shown.extend(table.entries().iter().map(|(k, _)| (block.clone(), k)));
+        }
+        let missing: Vec<_> = declared_keys()
+            .into_iter()
+            .filter(|(block, key)| !shown.iter().any(|(b, k)| b == block && k == key))
+            .collect();
+        // `halt_after` stops a run early (the crash/resume tests' kill switch), so
+        // the docs explain it in prose rather than in a template people copy.
+        assert_eq!(missing, [("[checkpoint]".to_string(), "halt_after")]);
+        assert!(md.contains("`halt_after = N`"));
     }
 
     #[test]
