@@ -138,12 +138,12 @@ pub(crate) struct Codec<'a> {
     src: Option<&'a Document>,
     /// The document written.
     pub(crate) doc: Document,
-    /// Every `(block, key)` walked; a tagged table's block is `[[name]] kind`
-    /// when listing.
+    /// List: every `(block, key)` walked; a tagged table's block is
+    /// `[[name]] kind`.
     pub(crate) keys: Vec<(String, &'static str)>,
     /// The block under walk: its header, the table read, the table written, the
     /// keys walked so far.
-    block: String,
+    header: String,
     table: Option<&'a Table>,
     out: Table,
     walked: Vec<&'static str>,
@@ -201,8 +201,8 @@ impl<'a> Codec<'a> {
 
     /// Record an error against the block under walk; the first error wins.
     pub(crate) fn fail(&mut self, msg: impl Display) {
-        let block = &self.block;
-        self.err.get_or_insert_with(|| format!("{block}: {msg}"));
+        let header = &self.header;
+        self.err.get_or_insert_with(|| format!("{header}: {msg}"));
     }
 
     /// Walk one block with `walk`, reject the keys it left in the table read, and
@@ -213,7 +213,7 @@ impl<'a> Codec<'a> {
         table: Option<&'a Table>,
         walk: impl FnOnce(&mut Self),
     ) -> Table {
-        (self.block, self.table) = (header, table);
+        (self.header, self.table) = (header, table);
         self.walked.clear();
         walk(self);
         let walked = &self.walked;
@@ -221,8 +221,10 @@ impl<'a> Codec<'a> {
         if let Some((key, _)) = entries.iter().find(|(k, _)| !walked.contains(&k.as_str())) {
             self.fail(format!("unknown key {key:?}"));
         }
-        let block = &self.block;
-        (self.keys).extend(self.walked.iter().map(|k| (block.clone(), *k)));
+        if self.mode == Mode::List {
+            let header = &self.header;
+            (self.keys).extend(self.walked.iter().map(|k| (header.clone(), *k)));
+        }
         std::mem::take(&mut self.out)
     }
 
@@ -320,7 +322,7 @@ impl<'a> Codec<'a> {
             let tables = doc.table_arrays.iter().map(|t| format!("[[{}]]", t.0));
             let claimed = &self.claimed;
             if let Some(header) = sections.chain(tables).find(|h| !claimed.contains(h)) {
-                self.block = header;
+                self.header = header;
                 self.fail("no such section");
             }
         }
