@@ -1433,6 +1433,116 @@ mod tests {
         assert!(PolicySpec::variance_default().validate().is_ok());
     }
 
+    /// The synthetic stream the pinning test drives every policy through: a descent,
+    /// a plateau, a max-Δ spike, a variance blow-up at a flat level, a cluster-wide
+    /// level shift, and a rising loss.
+    fn pinned_stream() -> Vec<RoundSignal> {
+        let mut loss = 8.0f32;
+        (0..120)
+            .map(|it| {
+                let (mut mean, mut var) = (0.05f32, 1e-4f32);
+                match it {
+                    0..=29 => loss *= 0.85,
+                    60 => mean = 0.4,
+                    75 => var = 1e-2,
+                    90..=99 => mean = 0.5,
+                    100.. => loss *= 1.1,
+                    _ => loss += if it % 2 == 0 { 1e-3 } else { -1e-3 },
+                }
+                RoundSignal {
+                    synced: it % 3 == 0,
+                    ..spread_signal(it, mean, var, loss)
+                }
+            })
+            .collect()
+    }
+
+    fn digest_bytes(policy: &mut dyn DeltaPolicy, rounds: &[RoundSignal], out: &mut Vec<u8>) {
+        let export = |p: &dyn DeltaPolicy, out: &mut Vec<u8>| {
+            let state = p.export_state();
+            out.extend((state.ints.len() as u64).to_le_bytes());
+            state.ints.iter().for_each(|i| out.extend(i.to_le_bytes()));
+            out.extend((state.floats.len() as u64).to_le_bytes());
+            (state.floats.iter()).for_each(|f| out.extend(f.to_bits().to_le_bytes()));
+        };
+        for sig in rounds {
+            out.extend(policy.delta(sig.iteration).to_bits().to_le_bytes());
+            policy.observe(sig);
+            match policy.last_switch() {
+                Some(sw) => {
+                    out.push(1 + u8::from(sw.exploit));
+                    out.extend(sw.loss_ewma.to_bits().to_le_bytes());
+                    out.extend(sw.delta_ewma.to_bits().to_le_bytes());
+                }
+                None => out.push(0),
+            }
+            if sig.iteration + 1 == 40 || sig.iteration + 1 == 120 {
+                export(policy, out);
+            }
+        }
+        (policy.switch_rounds().iter()).for_each(|&r| out.extend((r as u64).to_le_bytes()));
+    }
+
+    #[test]
+    fn policy_decisions_are_pinned_across_commits() {
+        // Every policy arm driven through one signal stream, plus an export → import →
+        // continue leg from round 40. The digests were recorded at the commit before
+        // the spike- and variance-gated policies became one type: a change that moves
+        // one threshold, switch record or state word fails here.
+        let golden = [
+            (PolicySpec::Fixed { delta: 0.3 }, 0x848F_619D_36B0_0640),
+            (
+                PolicySpec::Schedule {
+                    starts: vec![0, 30, 90],
+                    deltas: vec![0.0, 0.25, 0.1],
+                },
+                0xEFDD_9EDB_FF08_3630,
+            ),
+            (PolicySpec::adaptive_default(), 0x32B3_4828_E5E2_73AB),
+            (PolicySpec::variance_default(), 0xF35D_51C9_AA50_BE16),
+            (
+                PolicySpec::Adaptive {
+                    delta_explore: 0.05,
+                    delta_exploit: 0.8,
+                    factor: 0.3,
+                    warmup: 0,
+                    settle: 0.02,
+                    patience: 1,
+                    spike: 1.8,
+                },
+                0x9929_06EC_2223_DEC0,
+            ),
+            (
+                PolicySpec::Variance {
+                    delta_explore: 0.1,
+                    delta_exploit: 0.6,
+                    factor: 0.5,
+                    warmup: 0,
+                    settle: 0.03,
+                    patience: 1,
+                    var_ratio: 3.0,
+                },
+                0xF2E3_9DF9_EF85_AB30,
+            ),
+        ];
+        let stream = pinned_stream();
+        let mut wrong = Vec::new();
+        for (spec, want) in golden {
+            let mut bytes = spec.label().into_bytes();
+            let mut a = spec.build();
+            digest_bytes(a.as_mut(), &stream[..40], &mut bytes);
+            let mut b = spec.build();
+            b.import_state(&a.export_state());
+            digest_bytes(a.as_mut(), &stream[40..], &mut bytes);
+            digest_bytes(b.as_mut(), &stream[40..], &mut bytes);
+            let got = selsync_comm::wire::checksum(&bytes);
+            if got != want {
+                wrong.push(format!("{}: {got:#018X}", spec.label()));
+            }
+        }
+        assert!(wrong.is_empty(), "digests moved:\n{}", wrong.join("\n"));
+    }
+
     #[test]
     fn spec_labels_are_stable_and_match_the_runtime_policies() {
         assert_eq!(PolicySpec::Fixed { delta: 0.25 }.label(), "d=0.25");
