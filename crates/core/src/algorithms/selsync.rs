@@ -294,16 +294,7 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
         let compute = sim.round_compute_seconds(it);
         sim.account_step(compute, comm, bytes, round_signal.synced);
         policy.observe(&round_signal);
-        if let Some(sw) = policy.last_switch() {
-            cfg.trace.record(selsync_tracelog::Event::RegimeSwitch {
-                round: it,
-                exploit: sw.exploit,
-                loss_ewma: sw.loss_ewma,
-                delta_ewma: sw.delta_ewma,
-                mean_loss: round_signal.mean_loss,
-                max_delta: round_signal.max_delta,
-            });
-        }
+        crate::tracing::regime_switch(&cfg.trace, policy.as_ref(), &round_signal);
         if sim.should_eval(it) {
             // The evaluated global model is the present replicas' average (identical to
             // any single present replica right after a PA synchronization).

@@ -15,9 +15,10 @@
 //!
 //! * [`tracker`] — the per-worker `Δ(g_i)` tracker (EWMA-smoothed gradient statistic).
 //! * [`policy`] — the `δ` decision rule (Fig. 6): `Δ(g_i) ≥ δ` ⇒ synchronize — plus
-//!   the [`policy::DeltaPolicy`] trait choosing δ itself (fixed, scheduled, or a
-//!   Sync-Switch-style adaptive policy that relaxes δ once gradients settle), and the
-//!   crate-private sync rules that make BSP, FedAvg and local SGD variants of it.
+//!   the [`policy::DeltaPolicy`] trait choosing δ itself (fixed, scheduled, or one
+//!   Sync-Switch-style switching policy that relaxes δ once the loss settles and
+//!   re-enters the eager regime through a `Δ(g)`-spike or a `Δ(g)`-variance gate), and
+//!   the crate-private sync rules that make BSP, FedAvg and local SGD variants of it.
 //! * [`conditions`] — cluster imperfections: device heterogeneity profiles and timed
 //!   fault schedules (stragglers, crashes, network degradation) shared by every driver.
 //! * [`aggregation`] — parameter vs gradient aggregation (§III-C).
@@ -81,7 +82,7 @@ pub use conditions::{ClusterConditions, FaultEvent};
 pub use config::{AlgorithmSpec, CheckpointSpec, TrainConfig};
 pub use policy::{
     AdaptiveDelta, DeltaPolicy, PolicySpec, PolicyState, RoundSignal, SwitchRecord, SyncDecision,
-    SyncPolicy, VarianceDelta,
+    SyncPolicy,
 };
 pub use report::RunReport;
 pub use tracker::{GradientTracker, TrackerState};

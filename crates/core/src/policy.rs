@@ -215,9 +215,9 @@ pub struct SwitchRecord {
     pub exploit: bool,
     /// The smoothed loss at the moment of the switch.
     pub loss_ewma: f32,
-    /// The `Δ(g)` baseline the decision compared against: for a spike-triggered
-    /// switch, the pre-update EWMA the raw `Δ(g)` was measured as a multiple of;
-    /// for a settle-triggered switch, the current `Δ(g)` EWMA.
+    /// The re-entry gate's EWMA, of `Δ(g)` or of the `Δ(g_i)` variance: for a re-entry,
+    /// the pre-update value the round's signal was measured as a multiple of; for a
+    /// settle, the current value.
     pub delta_ewma: f32,
 }
 
@@ -244,9 +244,6 @@ pub trait DeltaPolicy: Send {
 
     /// Ingest the signals of the completed round at `signal.iteration`.
     fn observe(&mut self, signal: &RoundSignal);
-
-    /// Short label used in report algorithm names (e.g. `d=0.3`, `adaptive(0..0.5)`).
-    fn label(&self) -> String;
 
     /// The regime switch triggered by the most recent [`Self::observe`] call, if
     /// any. Stateless policies never switch; adaptive policies report the switch
@@ -294,17 +291,10 @@ fn unpack_ewma(
     floats: &mut impl Iterator<Item = f32>,
     what: &str,
 ) {
-    let has = ints
-        .next()
-        .unwrap_or_else(|| panic!("{what} EWMA state: missing presence flag"))
-        != 0;
-    let smoothed = floats
-        .next()
-        .unwrap_or_else(|| panic!("{what} EWMA state: missing smoothed value"));
-    let n = ints
-        .next()
-        .unwrap_or_else(|| panic!("{what} EWMA state: missing history length"))
-        as usize;
+    let missing = |field: &str| -> ! { panic!("{what} EWMA state: missing {field}") };
+    let has = ints.next().unwrap_or_else(|| missing("presence flag")) != 0;
+    let smoothed = floats.next().unwrap_or_else(|| missing("smoothed value"));
+    let n = ints.next().unwrap_or_else(|| missing("history length")) as usize;
     let history: Vec<f32> = floats.by_ref().take(n).collect();
     assert_eq!(history.len(), n, "{what} EWMA state: truncated history");
     ewma.restore(&history, has.then_some(smoothed));
@@ -323,33 +313,16 @@ impl DeltaPolicy for FixedDelta {
     }
 
     fn observe(&mut self, _signal: &RoundSignal) {}
-
-    fn label(&self) -> String {
-        format!("d={}", self.delta)
-    }
 }
 
 /// An iteration-keyed δ schedule: stage `i` applies from iteration `starts[i]` until
 /// the next stage begins. A pure function of the iteration, so every consumer agrees
-/// on every threshold without coordination.
+/// on every threshold without coordination. Built by [`PolicySpec::build`] from a
+/// validated [`PolicySpec::Schedule`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledDelta {
     starts: Vec<usize>,
     deltas: Vec<f32>,
-}
-
-impl ScheduledDelta {
-    /// Build from parallel `starts`/`deltas` arrays (validated: non-empty, equal
-    /// length, `starts[0] == 0`, strictly increasing, finite non-negative deltas).
-    pub fn new(starts: Vec<usize>, deltas: Vec<f32>) -> Self {
-        PolicySpec::Schedule {
-            starts: starts.clone(),
-            deltas: deltas.clone(),
-        }
-        .validate()
-        .expect("invalid δ schedule");
-        ScheduledDelta { starts, deltas }
-    }
 }
 
 impl DeltaPolicy for ScheduledDelta {
@@ -363,15 +336,93 @@ impl DeltaPolicy for ScheduledDelta {
     }
 
     fn observe(&mut self, _signal: &RoundSignal) {}
+}
 
-    fn label(&self) -> String {
-        let stages: Vec<String> = self
-            .starts
-            .iter()
-            .zip(self.deltas.iter())
-            .map(|(s, d)| format!("{s}:{d}"))
-            .collect();
-        format!("schedule({})", stages.join(","))
+/// Which round signal re-arms an [`AdaptiveDelta`]'s eager regime: the one that feeds
+/// its second EWMA and is compared against `ratio`× that EWMA's running level.
+#[derive(Debug, Clone, Copy)]
+enum Reentry {
+    /// The round-maximum `Δ(g)` ([`PolicySpec::Adaptive`]'s `spike`): what a rejoining
+    /// worker's restarted tracker or an LR-decay kink produces.
+    Spike,
+    /// The per-worker `Δ(g_i)` variance ([`PolicySpec::Variance`]'s `var_ratio`). A
+    /// restarted tracker or a straggling shard shows up as per-worker disagreement
+    /// before it moves the maximum's smoothed level, while a cluster-wide level shift
+    /// (an LR decay moving every `Δ(g_i)` together) keeps the variance low.
+    Variance,
+}
+
+impl Reentry {
+    /// How errors and labels spell the spec's kind, its ratio's key and the ratio.
+    fn names(self) -> [&'static str; 3] {
+        match self {
+            Reentry::Spike => ["adaptive", "spike", "spike"],
+            Reentry::Variance => ["variance", "var_ratio", "var"],
+        }
+    }
+
+    fn signal(self, round: &RoundSignal) -> f32 {
+        match self {
+            Reentry::Spike => round.max_delta,
+            Reentry::Variance => round.delta_variance(),
+        }
+    }
+}
+
+/// The settings of a switching spec, [`PolicySpec::Adaptive`] or
+/// [`PolicySpec::Variance`]: the one place their fields are unpacked.
+#[derive(Debug, Clone, Copy)]
+struct Switching {
+    delta_explore: f32,
+    delta_exploit: f32,
+    factor: f32,
+    warmup: usize,
+    settle: f32,
+    patience: usize,
+    reentry: Reentry,
+    /// `spike` or `var_ratio`: the multiple of its EWMA at which the gate fires.
+    ratio: f32,
+}
+
+impl Switching {
+    /// Panics unless `spec` is one of the two switching kinds.
+    fn of(spec: &PolicySpec) -> Self {
+        let (PolicySpec::Adaptive {
+            delta_explore,
+            delta_exploit,
+            factor,
+            warmup,
+            settle,
+            patience,
+            spike: ratio,
+        }
+        | PolicySpec::Variance {
+            delta_explore,
+            delta_exploit,
+            factor,
+            warmup,
+            settle,
+            patience,
+            var_ratio: ratio,
+        }) = *spec
+        else {
+            panic!("not a switching δ-policy: {spec:?}");
+        };
+        let reentry = if let PolicySpec::Adaptive { .. } = spec {
+            Reentry::Spike
+        } else {
+            Reentry::Variance
+        };
+        Switching {
+            delta_explore,
+            delta_exploit,
+            factor,
+            warmup,
+            settle,
+            patience,
+            reentry,
+            ratio,
+        }
     }
 }
 
@@ -388,79 +439,61 @@ impl DeltaPolicy for ScheduledDelta {
 ///   consecutive rounds, δ switches from `delta_explore` (small: sync-eager) to
 ///   `delta_exploit` (large: mostly local). The initial descent — where the paper
 ///   shows synchronization matters most — is always synchronized.
-/// * the **`Δ(g)` ratio** decides *spiking*: a raw round `Δ(g)` at least `spike` times
-///   its own EWMA (a rejoining worker's restarted tracker, an LR-decay kink) switches
-///   back to `delta_explore`; the settle detector then re-relaxes once the loss EWMA
-///   is calm again. Self-normalising, so the same `spike` works across workloads whose
-///   absolute `Δ(g)` scales differ.
+/// * the **re-entry gate** decides *disturbance*: a round whose gated signal is at
+///   least `ratio` times its own EWMA switches back to `delta_explore`; the settle
+///   detector then re-relaxes once the loss EWMA is calm again. [`PolicySpec::Adaptive`]
+///   gates on the round-maximum `Δ(g)` (ratio `spike`), [`PolicySpec::Variance`] on the
+///   per-worker `Δ(g_i)` variance (ratio `var_ratio`). Self-normalising, so the same
+///   ratio works across workloads whose absolute `Δ(g)` scales differ.
 #[derive(Debug, Clone)]
 pub struct AdaptiveDelta {
-    delta_explore: f32,
-    delta_exploit: f32,
-    warmup: usize,
-    settle: f32,
-    patience: usize,
-    spike: f32,
+    cfg: Switching,
     loss: Ewma,
-    delta_signal: Ewma,
+    /// The EWMA of the `reentry` signal.
+    gate: Ewma,
     rounds: usize,
     calm: usize,
     exploiting: bool,
-    switches: u32,
     switch_rounds: Vec<usize>,
     last_switch: Option<SwitchRecord>,
 }
 
 impl AdaptiveDelta {
-    /// Build from a validated [`PolicySpec::Adaptive`] configuration.
+    /// Build from a [`PolicySpec::Adaptive`] or a [`PolicySpec::Variance`] spec.
     pub fn from_spec(spec: &PolicySpec) -> Self {
         spec.validate().expect("invalid adaptive-δ configuration");
-        match *spec {
-            PolicySpec::Adaptive {
-                delta_explore,
-                delta_exploit,
-                factor,
-                warmup,
-                settle,
-                patience,
-                spike,
-            } => AdaptiveDelta {
-                delta_explore,
-                delta_exploit,
-                warmup,
-                settle,
-                patience,
-                spike,
-                loss: Ewma::new(factor, 25),
-                delta_signal: Ewma::new(factor, 25),
-                rounds: 0,
-                calm: 0,
-                exploiting: false,
-                switches: 0,
-                switch_rounds: Vec::new(),
-                last_switch: None,
-            },
-            _ => panic!("AdaptiveDelta::from_spec needs PolicySpec::Adaptive"),
+        let cfg = Switching::of(spec);
+        AdaptiveDelta {
+            cfg,
+            loss: Ewma::new(cfg.factor, 25),
+            gate: Ewma::new(cfg.factor, 25),
+            rounds: 0,
+            calm: 0,
+            exploiting: false,
+            switch_rounds: Vec::new(),
+            last_switch: None,
         }
     }
 
-    /// Whether the policy is currently in the relaxed (exploit) regime.
-    pub fn exploiting(&self) -> bool {
-        self.exploiting
-    }
-
-    /// Number of regime switches so far.
-    pub fn switches(&self) -> u32 {
-        self.switches
+    /// Enter the exploit (`true`) or explore regime at `round`, recording the trigger.
+    fn switch(&mut self, exploit: bool, round: usize, loss_ewma: f32, delta_ewma: f32) {
+        self.exploiting = exploit;
+        self.calm = 0;
+        self.switch_rounds.push(round);
+        self.last_switch = Some(SwitchRecord {
+            exploit,
+            loss_ewma,
+            delta_ewma,
+        });
     }
 }
 
 impl DeltaPolicy for AdaptiveDelta {
     fn delta(&self, _iteration: usize) -> f32 {
         if self.exploiting {
-            self.delta_exploit
+            self.cfg.delta_exploit
         } else {
-            self.delta_explore
+            self.cfg.delta_explore
         }
     }
 
@@ -469,31 +502,24 @@ impl DeltaPolicy for AdaptiveDelta {
         self.last_switch = None;
         let prev_loss = self.loss.value();
         let smoothed_loss = self.loss.update(signal.mean_loss);
-        let prev_delta = self.delta_signal.value();
-        self.delta_signal.update(signal.max_delta);
+        let gated = self.cfg.reentry.signal(signal);
+        let prev_gated = self.gate.value();
+        self.gate.update(gated);
 
         if self.exploiting {
-            // Spike detector: a raw Δ(g) far above its own running level means the
-            // cluster's dynamics changed (rejoin, LR decay) — synchronize eagerly
-            // until the loss settles again.
-            if let Some(base) = prev_delta {
-                if base > 0.0 && signal.max_delta >= self.spike * base {
-                    self.exploiting = false;
-                    self.calm = 0;
-                    self.switches += 1;
-                    self.switch_rounds.push(signal.iteration);
-                    self.last_switch = Some(SwitchRecord {
-                        exploit: false,
-                        loss_ewma: smoothed_loss,
-                        delta_ewma: base,
-                    });
+            // Re-entry: the gated signal far above its own running level means the
+            // cluster's dynamics changed (rejoin, LR decay): synchronize eagerly until
+            // the loss settles again. The switch reports that running level.
+            if let Some(base) = prev_gated {
+                if base > 0.0 && gated >= self.cfg.ratio * base {
+                    self.switch(false, signal.iteration, smoothed_loss, base);
                 }
             }
             return;
         }
         // Settle detector (active only after the warmup, once the EWMA is meaningful):
         // count consecutive rounds whose smoothed-loss improvement is below `settle`.
-        if self.rounds <= self.warmup {
+        if self.rounds <= self.cfg.warmup {
             return;
         }
         let improvement = match prev_loss {
@@ -503,34 +529,15 @@ impl DeltaPolicy for AdaptiveDelta {
         // Calm means *plateaued*: neither improving nor regressing faster than
         // `settle` per round. A loss rising beyond the threshold is volatility, not
         // settling — it must keep the eager regime.
-        if improvement.abs() < self.settle {
+        if improvement.abs() < self.cfg.settle {
             self.calm += 1;
         } else {
             self.calm = 0;
         }
-        if self.calm >= self.patience {
-            self.exploiting = true;
-            self.calm = 0;
-            self.switches += 1;
-            self.switch_rounds.push(signal.iteration);
-            self.last_switch = Some(SwitchRecord {
-                exploit: true,
-                loss_ewma: smoothed_loss,
-                delta_ewma: self.delta_signal.value().unwrap_or(0.0),
-            });
+        if self.calm >= self.cfg.patience {
+            let level = self.gate.value().unwrap_or(0.0);
+            self.switch(true, signal.iteration, smoothed_loss, level);
         }
-    }
-
-    fn label(&self) -> String {
-        format!(
-            "adaptive({}->{},warmup={},settle={}x{},spike={})",
-            self.delta_explore,
-            self.delta_exploit,
-            self.warmup,
-            self.settle,
-            self.patience,
-            self.spike
-        )
     }
 
     fn last_switch(&self) -> Option<SwitchRecord> {
@@ -543,16 +550,16 @@ impl DeltaPolicy for AdaptiveDelta {
 
     fn export_state(&self) -> PolicyState {
         let mut state = PolicyState::default();
+        let switches = self.switch_rounds.len() as u64;
+        let rounds = self.switch_rounds.iter().map(|&r| r as u64);
+        // The fourth word is the switch count; the switch rounds repeat it at the end.
+        let counters = [self.rounds as u64, self.calm as u64, switches];
         state.ints.push(u64::from(self.exploiting));
-        state.ints.push(self.rounds as u64);
-        state.ints.push(self.calm as u64);
-        state.ints.push(u64::from(self.switches));
+        state.ints.extend(counters);
         pack_ewma(&self.loss, &mut state);
-        pack_ewma(&self.delta_signal, &mut state);
-        state.ints.push(self.switch_rounds.len() as u64);
-        state
-            .ints
-            .extend(self.switch_rounds.iter().map(|&r| r as u64));
+        pack_ewma(&self.gate, &mut state);
+        state.ints.push(switches);
+        state.ints.extend(rounds);
         state
     }
 
@@ -562,215 +569,15 @@ impl DeltaPolicy for AdaptiveDelta {
         self.exploiting = ints.next().expect("adaptive state: exploiting") != 0;
         self.rounds = ints.next().expect("adaptive state: rounds") as usize;
         self.calm = ints.next().expect("adaptive state: calm") as usize;
-        self.switches = ints.next().expect("adaptive state: switches") as u32;
+        ints.next().expect("adaptive state: switches");
         unpack_ewma(&mut self.loss, &mut ints, &mut floats, "adaptive loss");
-        unpack_ewma(
-            &mut self.delta_signal,
-            &mut ints,
-            &mut floats,
-            "adaptive Δ(g)",
-        );
+        unpack_ewma(&mut self.gate, &mut ints, &mut floats, "adaptive re-entry");
         let n = ints.next().expect("adaptive state: switch-round count") as usize;
         self.switch_rounds = ints.by_ref().take(n).map(|r| r as usize).collect();
         assert_eq!(
             self.switch_rounds.len(),
             n,
             "adaptive state: truncated switch rounds"
-        );
-        self.last_switch = None;
-    }
-}
-
-/// A variance-gated variant of [`AdaptiveDelta`]: the settle detector (loss-EWMA
-/// plateau) is identical, but the *re-entry* trigger watches the cluster-level
-/// **variance of the per-worker `Δ(g_i)`** ([`RoundSignal::delta_variance`]) instead
-/// of the round-maximum's ratio to its own EWMA.
-///
-/// Rationale: a single worker's restarted tracker or a straggling shard shows up as
-/// per-worker *disagreement* (variance) well before it moves the round maximum's
-/// smoothed level, so the variance gate re-synchronizes earlier on localized
-/// disturbances while ignoring cluster-wide level shifts that affect every worker
-/// equally (e.g. an LR decay moving all `Δ(g_i)` together keeps variance low).
-#[derive(Debug, Clone)]
-pub struct VarianceDelta {
-    delta_explore: f32,
-    delta_exploit: f32,
-    warmup: usize,
-    settle: f32,
-    patience: usize,
-    var_ratio: f32,
-    loss: Ewma,
-    var_signal: Ewma,
-    rounds: usize,
-    calm: usize,
-    exploiting: bool,
-    switches: u32,
-    switch_rounds: Vec<usize>,
-    last_switch: Option<SwitchRecord>,
-}
-
-impl VarianceDelta {
-    /// Build from a validated [`PolicySpec::Variance`] configuration.
-    pub fn from_spec(spec: &PolicySpec) -> Self {
-        spec.validate().expect("invalid variance-δ configuration");
-        match *spec {
-            PolicySpec::Variance {
-                delta_explore,
-                delta_exploit,
-                factor,
-                warmup,
-                settle,
-                patience,
-                var_ratio,
-            } => VarianceDelta {
-                delta_explore,
-                delta_exploit,
-                warmup,
-                settle,
-                patience,
-                var_ratio,
-                loss: Ewma::new(factor, 25),
-                var_signal: Ewma::new(factor, 25),
-                rounds: 0,
-                calm: 0,
-                exploiting: false,
-                switches: 0,
-                switch_rounds: Vec::new(),
-                last_switch: None,
-            },
-            _ => panic!("VarianceDelta::from_spec needs PolicySpec::Variance"),
-        }
-    }
-
-    /// Whether the policy is currently in the relaxed (exploit) regime.
-    pub fn exploiting(&self) -> bool {
-        self.exploiting
-    }
-
-    /// Number of regime switches so far.
-    pub fn switches(&self) -> u32 {
-        self.switches
-    }
-}
-
-impl DeltaPolicy for VarianceDelta {
-    fn delta(&self, _iteration: usize) -> f32 {
-        if self.exploiting {
-            self.delta_exploit
-        } else {
-            self.delta_explore
-        }
-    }
-
-    fn observe(&mut self, signal: &RoundSignal) {
-        self.rounds += 1;
-        self.last_switch = None;
-        let prev_loss = self.loss.value();
-        let smoothed_loss = self.loss.update(signal.mean_loss);
-        let variance = signal.delta_variance();
-        let prev_var = self.var_signal.value();
-        self.var_signal.update(variance);
-
-        if self.exploiting {
-            // Variance gate: per-worker Δ(g) disagreement blowing past its running
-            // level means one part of the cluster's dynamics changed — re-enter the
-            // eager regime until the loss settles again.
-            if let Some(base) = prev_var {
-                if base > 0.0 && variance >= self.var_ratio * base {
-                    self.exploiting = false;
-                    self.calm = 0;
-                    self.switches += 1;
-                    self.switch_rounds.push(signal.iteration);
-                    self.last_switch = Some(SwitchRecord {
-                        exploit: false,
-                        loss_ewma: smoothed_loss,
-                        // The baseline the variance was measured as a multiple of.
-                        delta_ewma: base,
-                    });
-                }
-            }
-            return;
-        }
-        if self.rounds <= self.warmup {
-            return;
-        }
-        let improvement = match prev_loss {
-            Some(prev) if prev.abs() > f32::EPSILON => (prev - smoothed_loss) / prev,
-            _ => 0.0,
-        };
-        if improvement.abs() < self.settle {
-            self.calm += 1;
-        } else {
-            self.calm = 0;
-        }
-        if self.calm >= self.patience {
-            self.exploiting = true;
-            self.calm = 0;
-            self.switches += 1;
-            self.switch_rounds.push(signal.iteration);
-            self.last_switch = Some(SwitchRecord {
-                exploit: true,
-                loss_ewma: smoothed_loss,
-                delta_ewma: self.var_signal.value().unwrap_or(0.0),
-            });
-        }
-    }
-
-    fn label(&self) -> String {
-        format!(
-            "variance({}->{},warmup={},settle={}x{},var={})",
-            self.delta_explore,
-            self.delta_exploit,
-            self.warmup,
-            self.settle,
-            self.patience,
-            self.var_ratio
-        )
-    }
-
-    fn last_switch(&self) -> Option<SwitchRecord> {
-        self.last_switch
-    }
-
-    fn switch_rounds(&self) -> &[usize] {
-        &self.switch_rounds
-    }
-
-    fn export_state(&self) -> PolicyState {
-        let mut state = PolicyState::default();
-        state.ints.push(u64::from(self.exploiting));
-        state.ints.push(self.rounds as u64);
-        state.ints.push(self.calm as u64);
-        state.ints.push(u64::from(self.switches));
-        pack_ewma(&self.loss, &mut state);
-        pack_ewma(&self.var_signal, &mut state);
-        state.ints.push(self.switch_rounds.len() as u64);
-        state
-            .ints
-            .extend(self.switch_rounds.iter().map(|&r| r as u64));
-        state
-    }
-
-    fn import_state(&mut self, state: &PolicyState) {
-        let mut ints = state.ints.iter().copied();
-        let mut floats = state.floats.iter().copied();
-        self.exploiting = ints.next().expect("variance state: exploiting") != 0;
-        self.rounds = ints.next().expect("variance state: rounds") as usize;
-        self.calm = ints.next().expect("variance state: calm") as usize;
-        self.switches = ints.next().expect("variance state: switches") as u32;
-        unpack_ewma(&mut self.loss, &mut ints, &mut floats, "variance loss");
-        unpack_ewma(
-            &mut self.var_signal,
-            &mut ints,
-            &mut floats,
-            "variance Δ-var",
-        );
-        let n = ints.next().expect("variance state: switch-round count") as usize;
-        self.switch_rounds = ints.by_ref().take(n).map(|r| r as usize).collect();
-        assert_eq!(
-            self.switch_rounds.len(),
-            n,
-            "variance state: truncated switch rounds"
         );
         self.last_switch = None;
     }
@@ -803,8 +610,7 @@ pub enum PolicySpec {
         factor: f32,
         /// Rounds the policy always stays eager before the settle detector arms.
         warmup: usize,
-        /// Calm means the smoothed loss improves by less than this (relative, per
-        /// round).
+        /// Calm means the smoothed loss moves by less than this fraction per round.
         settle: f32,
         /// Consecutive calm rounds required before switching to exploit.
         patience: usize,
@@ -812,8 +618,9 @@ pub enum PolicySpec {
         /// the eager regime.
         spike: f32,
     },
-    /// The variance-gated adaptive policy ([`VarianceDelta`]): same settle detector,
-    /// but re-entry watches the per-worker `Δ(g)` variance instead of the maximum.
+    /// The variance-gated adaptive policy ([`AdaptiveDelta`] again): same settle
+    /// detector, but re-entry watches the per-worker `Δ(g)` variance instead of the
+    /// maximum.
     Variance {
         /// Sync-eager threshold used while training dynamics are volatile.
         delta_explore: f32,
@@ -823,8 +630,7 @@ pub enum PolicySpec {
         factor: f32,
         /// Rounds the policy always stays eager before the settle detector arms.
         warmup: usize,
-        /// Calm means the smoothed loss improves by less than this (relative, per
-        /// round).
+        /// Calm means the smoothed loss moves by less than this fraction per round.
         settle: f32,
         /// Consecutive calm rounds required before switching to exploit.
         patience: usize,
@@ -896,53 +702,22 @@ impl PolicySpec {
                 }
                 Ok(())
             }
-            PolicySpec::Adaptive {
-                delta_explore,
-                delta_exploit,
-                factor,
-                warmup: _,
-                settle,
-                patience,
-                spike,
-            } => {
-                finite_delta(*delta_explore, "delta_explore")?;
-                finite_delta(*delta_exploit, "delta_exploit")?;
-                if !(*factor > 0.0 && *factor <= 1.0) {
-                    return Err("adaptive factor must be in (0, 1]".into());
+            PolicySpec::Adaptive { .. } | PolicySpec::Variance { .. } => {
+                let s = Switching::of(self);
+                let [kind, key, _] = s.reentry.names();
+                finite_delta(s.delta_explore, "delta_explore")?;
+                finite_delta(s.delta_exploit, "delta_exploit")?;
+                if !(s.factor > 0.0 && s.factor <= 1.0) {
+                    return Err(format!("{kind} factor must be in (0, 1]"));
                 }
-                if *patience == 0 {
-                    return Err("adaptive patience must be at least 1".into());
+                if s.patience == 0 {
+                    return Err(format!("{kind} patience must be at least 1"));
                 }
-                if !(*settle > 0.0 && settle.is_finite()) {
+                if !(s.settle > 0.0 && s.settle.is_finite()) {
                     return Err("settle must be a finite positive number".into());
                 }
-                if !(*spike > 1.0 && spike.is_finite()) {
-                    return Err("spike must be a finite ratio above 1".into());
-                }
-                Ok(())
-            }
-            PolicySpec::Variance {
-                delta_explore,
-                delta_exploit,
-                factor,
-                warmup: _,
-                settle,
-                patience,
-                var_ratio,
-            } => {
-                finite_delta(*delta_explore, "delta_explore")?;
-                finite_delta(*delta_exploit, "delta_exploit")?;
-                if !(*factor > 0.0 && *factor <= 1.0) {
-                    return Err("variance factor must be in (0, 1]".into());
-                }
-                if *patience == 0 {
-                    return Err("variance patience must be at least 1".into());
-                }
-                if !(*settle > 0.0 && settle.is_finite()) {
-                    return Err("settle must be a finite positive number".into());
-                }
-                if !(*var_ratio > 1.0 && var_ratio.is_finite()) {
-                    return Err("var_ratio must be a finite ratio above 1".into());
+                if !(s.ratio > 1.0 && s.ratio.is_finite()) {
+                    return Err(format!("{key} must be a finite ratio above 1"));
                 }
                 Ok(())
             }
@@ -955,11 +730,13 @@ impl PolicySpec {
         self.validate().expect("invalid δ-policy configuration");
         match self {
             PolicySpec::Fixed { delta } => Box::new(FixedDelta { delta: *delta }),
-            PolicySpec::Schedule { starts, deltas } => {
-                Box::new(ScheduledDelta::new(starts.clone(), deltas.clone()))
+            PolicySpec::Schedule { starts, deltas } => Box::new(ScheduledDelta {
+                starts: starts.clone(),
+                deltas: deltas.clone(),
+            }),
+            PolicySpec::Adaptive { .. } | PolicySpec::Variance { .. } => {
+                Box::new(AdaptiveDelta::from_spec(self))
             }
-            PolicySpec::Adaptive { .. } => Box::new(AdaptiveDelta::from_spec(self)),
-            PolicySpec::Variance { .. } => Box::new(VarianceDelta::from_spec(self)),
         }
     }
 
@@ -975,9 +752,8 @@ impl PolicySpec {
         )
     }
 
-    /// The label the built policy reports (stable: used in report algorithm names).
-    /// Formats directly — no runtime policy is constructed; pinned equal to
-    /// `build().label()` by a unit test.
+    /// The policy's label: the one formatter of it, stable because report algorithm
+    /// names and trace headers carry it.
     pub fn label(&self) -> String {
         match self {
             PolicySpec::Fixed { delta } => format!("d={delta}"),
@@ -989,28 +765,14 @@ impl PolicySpec {
                     .collect();
                 format!("schedule({})", stages.join(","))
             }
-            PolicySpec::Adaptive {
-                delta_explore,
-                delta_exploit,
-                warmup,
-                settle,
-                patience,
-                spike,
-                ..
-            } => format!(
-                "adaptive({delta_explore}->{delta_exploit},warmup={warmup},settle={settle}x{patience},spike={spike})"
-            ),
-            PolicySpec::Variance {
-                delta_explore,
-                delta_exploit,
-                warmup,
-                settle,
-                patience,
-                var_ratio,
-                ..
-            } => format!(
-                "variance({delta_explore}->{delta_exploit},warmup={warmup},settle={settle}x{patience},var={var_ratio})"
-            ),
+            PolicySpec::Adaptive { .. } | PolicySpec::Variance { .. } => {
+                let s = Switching::of(self);
+                let [kind, _, key] = s.reentry.names();
+                format!(
+                    "{kind}({}->{},warmup={},settle={}x{},{key}={})",
+                    s.delta_explore, s.delta_exploit, s.warmup, s.settle, s.patience, s.ratio
+                )
+            }
         }
     }
 }
@@ -1102,15 +864,20 @@ mod tests {
 
     #[test]
     fn fixed_policy_is_constant_and_label_matches_paper_naming() {
-        let p = PolicySpec::Fixed { delta: 0.3 }.build();
+        let spec = PolicySpec::Fixed { delta: 0.3 };
+        let p = spec.build();
         assert_eq!(p.delta(0), 0.3);
         assert_eq!(p.delta(10_000), 0.3);
-        assert_eq!(p.label(), "d=0.3");
+        assert_eq!(spec.label(), "d=0.3");
     }
 
     #[test]
     fn schedule_policy_switches_at_stage_starts() {
-        let mut p = ScheduledDelta::new(vec![0, 10, 30], vec![0.0, 0.2, 0.5]);
+        let spec = PolicySpec::Schedule {
+            starts: vec![0, 10, 30],
+            deltas: vec![0.0, 0.2, 0.5],
+        };
+        let mut p = spec.build();
         assert_eq!(p.delta(0), 0.0);
         assert_eq!(p.delta(9), 0.0);
         assert_eq!(p.delta(10), 0.2);
@@ -1120,7 +887,7 @@ mod tests {
         // Observations are ignored: the schedule is a pure function of the iteration.
         p.observe(&signal(5, 100.0, 100.0));
         assert_eq!(p.delta(5), 0.0);
-        assert_eq!(p.label(), "schedule(0:0,10:0.2,30:0.5)");
+        assert_eq!(spec.label(), "schedule(0:0,10:0.2,30:0.5)");
     }
 
     #[test]
@@ -1154,27 +921,27 @@ mod tests {
     #[test]
     fn adaptive_policy_switches_to_exploit_once_the_loss_settles() {
         let mut p = AdaptiveDelta::from_spec(&PolicySpec::adaptive_default());
-        assert!(!p.exploiting());
+        assert!(!p.exploiting);
         assert_eq!(p.delta(0), 0.0, "starts in the sync-eager regime");
         // A fast-descending loss keeps the eager regime past the warmup.
         let mut loss = 8.0f32;
         for it in 0..20 {
             p.observe(&signal(it, 0.05, loss));
-            loss *= 0.85; // 15% per round: well above the 3% settle threshold
+            loss *= 0.85; // 15% per round: well above the 5% settle threshold
         }
-        assert!(!p.exploiting(), "loss still descending fast");
+        assert!(!p.exploiting, "loss still descending fast");
         // The loss flattens; after `patience` calm rounds the policy relaxes.
         let mut switched_at = None;
         for it in 20..60 {
             p.observe(&signal(it, 0.05, loss));
-            if p.exploiting() && switched_at.is_none() {
+            if p.exploiting && switched_at.is_none() {
                 switched_at = Some(it);
             }
         }
-        assert!(p.exploiting(), "must switch after the loss settles");
+        assert!(p.exploiting, "must switch after the loss settles");
         assert_eq!(p.delta(60), 0.5);
         assert!(switched_at.unwrap() >= 20 + 4 - 1, "respects patience");
-        assert_eq!(p.switches(), 1);
+        assert_eq!(p.switch_rounds().len(), 1);
     }
 
     #[test]
@@ -1184,11 +951,11 @@ mod tests {
         let mut p = AdaptiveDelta::from_spec(&PolicySpec::adaptive_default());
         for it in 0..11 {
             p.observe(&signal(it, 0.05, 1.0));
-            assert!(!p.exploiting(), "round {it} is inside warmup + patience");
+            assert!(!p.exploiting, "round {it} is inside warmup + patience");
         }
         p.observe(&signal(11, 0.05, 1.0));
         assert!(
-            p.exploiting(),
+            p.exploiting,
             "flat loss switches right after warmup+patience"
         );
     }
@@ -1201,12 +968,9 @@ mod tests {
         let mut loss = 1.0f32;
         for it in 0..40 {
             p.observe(&signal(it, 0.05, loss));
-            loss *= 1.2; // +20% per round: far above the 3% settle band
+            loss *= 1.2; // +20% per round: far above the 5% settle band
         }
-        assert!(
-            !p.exploiting(),
-            "a regressing loss must keep syncing eagerly"
-        );
+        assert!(!p.exploiting, "a regressing loss must keep syncing eagerly");
     }
 
     #[test]
@@ -1215,22 +979,19 @@ mod tests {
         for it in 0..30 {
             p.observe(&signal(it, 0.05, 1.0));
         }
-        assert!(p.exploiting());
+        assert!(p.exploiting);
         // A Δ(g) jump to 4x its running level (a rejoining worker's restarted
         // tracker) re-enters the eager regime; the Δ EWMA sits near 0.05.
         p.observe(&signal(30, 0.2, 1.0));
-        assert!(!p.exploiting(), "spike must re-enter the eager regime");
+        assert!(!p.exploiting, "spike must re-enter the eager regime");
         assert_eq!(p.delta(31), 0.0);
-        assert_eq!(p.switches(), 2);
+        assert_eq!(p.switch_rounds().len(), 2);
         // With the loss already calm, the policy re-relaxes after `patience` rounds.
         for it in 31..36 {
             p.observe(&signal(it, 0.05, 1.0));
         }
-        assert!(
-            p.exploiting(),
-            "calm loss re-relaxes after the repair window"
-        );
-        assert_eq!(p.switches(), 3);
+        assert!(p.exploiting, "calm loss re-relaxes after the repair window");
+        assert_eq!(p.switch_rounds().len(), 3);
     }
 
     #[test]
@@ -1255,7 +1016,6 @@ mod tests {
         assert!(!spiked.exploit);
         assert!((spiked.delta_ewma - 0.05).abs() < 1e-6);
         assert_eq!(p.switch_rounds(), &[11, 13]);
-        assert_eq!(p.switches(), p.switch_rounds().len() as u32);
         // Stateless policies expose the empty defaults.
         let fixed = PolicySpec::Fixed { delta: 0.1 }.build();
         assert!(fixed.last_switch().is_none());
@@ -1330,34 +1090,28 @@ mod tests {
 
     #[test]
     fn variance_policy_settles_like_adaptive_and_reenters_on_a_variance_blowup() {
-        let mut p = VarianceDelta::from_spec(&PolicySpec::variance_default());
-        assert!(!p.exploiting());
+        let mut p = AdaptiveDelta::from_spec(&PolicySpec::variance_default());
+        assert!(!p.exploiting);
         assert_eq!(p.delta(0), 0.0);
         // Flat loss with a small, steady per-worker Δ variance: settles after
         // warmup + patience (round 11), exactly like the adaptive default.
         for it in 0..12 {
             p.observe(&spread_signal(it, 0.05, 1e-4, 1.0));
         }
-        assert!(p.exploiting(), "flat loss must relax the threshold");
+        assert!(p.exploiting, "flat loss must relax the threshold");
         assert_eq!(p.delta(12), 0.5);
         assert_eq!(p.switch_rounds(), &[11]);
         // A cluster-wide level shift (all workers' Δ move together: variance
         // unchanged) must NOT re-enter the eager regime...
         p.observe(&spread_signal(12, 0.5, 1e-4, 1.0));
-        assert!(
-            p.exploiting(),
-            "level shifts with low variance stay relaxed"
-        );
+        assert!(p.exploiting, "level shifts with low variance stay relaxed");
         // ...but a localized disturbance (variance 100× its running level) must.
         p.observe(&spread_signal(13, 0.06, 1e-2, 1.0));
-        assert!(
-            !p.exploiting(),
-            "variance blow-up re-enters the eager regime"
-        );
+        assert!(!p.exploiting, "variance blow-up re-enters the eager regime");
         let rec = p.last_switch().expect("switch must be reported");
         assert!(!rec.exploit);
         assert!(rec.delta_ewma > 0.0, "reports the variance baseline");
-        assert_eq!(p.switches(), 2);
+        assert_eq!(p.switch_rounds().len(), 2);
     }
 
     #[test]
@@ -1544,27 +1298,61 @@ mod tests {
     }
 
     #[test]
-    fn spec_labels_are_stable_and_match_the_runtime_policies() {
+    fn spec_labels_and_errors_are_stable() {
         assert_eq!(PolicySpec::Fixed { delta: 0.25 }.label(), "d=0.25");
         assert_eq!(
             PolicySpec::adaptive_default().label(),
             "adaptive(0->0.5,warmup=8,settle=0.05x4,spike=2.5)"
         );
-        // The spec-side formatting must never drift from the built policies' labels.
-        for spec in [
-            PolicySpec::Fixed { delta: 0.25 },
-            PolicySpec::Schedule {
-                starts: vec![0, 10, 30],
-                deltas: vec![0.0, 0.2, 0.5],
-            },
-            PolicySpec::adaptive_default(),
-            PolicySpec::variance_default(),
-        ] {
-            assert_eq!(spec.label(), spec.build().label());
-        }
         assert_eq!(
             PolicySpec::variance_default().label(),
             "variance(0->0.5,warmup=8,settle=0.05x4,var=4)"
         );
+        // Each switching kind names itself and its own ratio key in its errors.
+        type Break = fn(&mut f32, &mut usize, &mut f32);
+        let error = |spec: &PolicySpec, break_it: Break| {
+            let mut spec = spec.clone();
+            match &mut spec {
+                PolicySpec::Adaptive {
+                    factor,
+                    patience,
+                    spike: ratio,
+                    ..
+                }
+                | PolicySpec::Variance {
+                    factor,
+                    patience,
+                    var_ratio: ratio,
+                    ..
+                } => break_it(factor, patience, ratio),
+                _ => unreachable!(),
+            }
+            spec.validate().unwrap_err()
+        };
+        for (spec, want) in [
+            (
+                PolicySpec::adaptive_default(),
+                [
+                    "adaptive factor must be in (0, 1]",
+                    "adaptive patience must be at least 1",
+                    "spike must be a finite ratio above 1",
+                ],
+            ),
+            (
+                PolicySpec::variance_default(),
+                [
+                    "variance factor must be in (0, 1]",
+                    "variance patience must be at least 1",
+                    "var_ratio must be a finite ratio above 1",
+                ],
+            ),
+        ] {
+            let got = [
+                error(&spec, |factor, _, _| *factor = 0.0),
+                error(&spec, |_, patience, _| *patience = 0),
+                error(&spec, |_, _, ratio| *ratio = 1.0),
+            ];
+            assert_eq!(got, want);
+        }
     }
 }

@@ -6,8 +6,8 @@
 //! "any worker can force a synchronization" rule — deserves to be exercised with real
 //! concurrency. This module runs each worker on its own OS thread against the
 //! [`selsync_comm`] parameter server and collectives. It is used by the integration
-//! tests and the `collectives` criterion bench; it reports metrics but not simulated
-//! time (wall-clock on the host is meaningless for the paper's comparisons).
+//! tests and the scenario binaries; it reports metrics but not simulated time
+//! (wall-clock on the host is meaningless for the paper's comparisons).
 //!
 //! **Parity with the simulator.** The driver deliberately mirrors the simulator's
 //! training semantics exactly: the same synthetic datasets ([`crate::sim::build_datasets`]),
@@ -78,7 +78,7 @@ use selsync_comm::cluster::{make_handles, run_cluster_with, ClusterHandles};
 use selsync_comm::faults::CommFaultSchedule;
 use selsync_comm::{MessageLayer, ScalarOp};
 use selsync_nn::model::PaperModel;
-use selsync_tracelog::{Event, EventLog, TraceSink};
+use selsync_tracelog::{EventLog, TraceSink};
 use serde::{Deserialize, Serialize};
 
 /// The cluster-level δ-policy shared by every worker thread — the threaded
@@ -158,20 +158,7 @@ impl SignalBoard {
             "round signals observed out of order"
         );
         s.policy.observe(&signal);
-        if self.trace.is_enabled() {
-            if let Some(sw) = s.policy.last_switch() {
-                // Same shape as the simulator driver's switch event: the trigger
-                // state from the policy plus the observed cluster signals.
-                self.trace.record(Event::RegimeSwitch {
-                    round: signal.iteration,
-                    exploit: sw.exploit,
-                    loss_ewma: sw.loss_ewma,
-                    delta_ewma: sw.delta_ewma,
-                    mean_loss: signal.mean_loss,
-                    max_delta: signal.max_delta,
-                });
-            }
-        }
+        crate::tracing::regime_switch(&self.trace, s.policy.as_ref(), &signal);
         s.next_observe = next_round;
         self.cv.notify_all();
     }
@@ -504,6 +491,7 @@ mod tests {
     use super::*;
     use crate::config::AlgorithmSpec;
     use selsync_nn::model::ModelKind;
+    use selsync_tracelog::Event;
 
     fn cfg(delta: f32, workers: usize) -> TrainConfig {
         let mut cfg = TrainConfig::small(ModelKind::ResNetLike, workers);

@@ -9,7 +9,7 @@
 
 use crate::conditions::{ClusterConditions, FaultEvent};
 use crate::config::{RejoinPull, TrainConfig};
-use crate::policy::RoundSignal;
+use crate::policy::{DeltaPolicy, RoundSignal};
 use selsync_comm::faults::PsFaultSchedule;
 use selsync_tracelog::{Event, FaultKind, PullKind, TraceSink, WindowEdge, TRACE_VERSION};
 
@@ -207,6 +207,23 @@ pub fn emit_round(
         delta,
         flags: flags.collect(),
         synced: signal.synced,
+    });
+}
+
+/// The regime switch `policy` made on observing `signal`, if any: the trigger state
+/// from the policy plus the observed cluster signals. Call right after
+/// [`DeltaPolicy::observe`], while the one-shot switch record is still set.
+pub fn regime_switch(sink: &TraceSink, policy: &dyn DeltaPolicy, signal: &RoundSignal) {
+    let Some(sw) = policy.last_switch() else {
+        return;
+    };
+    sink.record(Event::RegimeSwitch {
+        round: signal.iteration,
+        exploit: sw.exploit,
+        loss_ewma: sw.loss_ewma,
+        delta_ewma: sw.delta_ewma,
+        mean_loss: signal.mean_loss,
+        max_delta: signal.max_delta,
     });
 }
 

@@ -69,20 +69,6 @@ impl GradientTracker {
         }
     }
 
-    /// The paper's default tracker for an `n_workers` cluster: squared-norm statistic,
-    /// EWMA window 25, smoothing factor `n_workers / 100`.
-    pub fn paper_default(n_workers: usize) -> Self {
-        let ewma = Ewma::paper_default(n_workers);
-        GradientTracker {
-            statistic: GradStatistic::SqNorm,
-            ewma,
-            previous_smoothed: None,
-            last_delta: 0.0,
-            max_delta: 0.0,
-            steps: 0,
-        }
-    }
-
     /// Ingest this iteration's gradient and return `Δ(g_i)`.
     ///
     /// The first iteration returns 0 (there is no previous smoothed value to compare
@@ -196,14 +182,14 @@ mod tests {
 
     #[test]
     fn first_update_reports_zero_delta() {
-        let mut t = GradientTracker::paper_default(16);
+        let mut t = GradientTracker::new(GradStatistic::SqNorm, 0.16, 25);
         assert_eq!(t.update(&[1.0, 2.0, 3.0]), 0.0);
         assert_eq!(t.steps(), 1);
     }
 
     #[test]
     fn constant_gradients_give_zero_delta() {
-        let mut t = GradientTracker::paper_default(16);
+        let mut t = GradientTracker::new(GradStatistic::SqNorm, 0.16, 25);
         for _ in 0..50 {
             t.update(&[0.5, -0.5, 1.0]);
         }
@@ -290,7 +276,7 @@ mod tests {
 
     #[test]
     fn reset_clears_history() {
-        let mut t = GradientTracker::paper_default(4);
+        let mut t = GradientTracker::new(GradStatistic::SqNorm, 0.04, 25);
         t.update(&[1.0]);
         t.update(&[5.0]);
         t.reset();

@@ -40,13 +40,6 @@ impl Ewma {
         }
     }
 
-    /// The paper's default configuration for an `n_workers` cluster: window 25,
-    /// smoothing factor `n_workers / 100` (0.16 for the 16-worker cluster).
-    pub fn paper_default(n_workers: usize) -> Self {
-        let factor = (n_workers as f32 / 100.0).clamp(0.01, 1.0);
-        Ewma::new(factor, 25)
-    }
-
     /// Add an observation and return the updated smoothed value.
     pub fn update(&mut self, x: f32) -> f32 {
         if self.history.len() == self.window {
@@ -151,13 +144,6 @@ mod tests {
         }
         assert_eq!(e.window_len(), 4);
         assert_eq!(e.window_mean(), Some((6.0 + 7.0 + 8.0 + 9.0) / 4.0));
-    }
-
-    #[test]
-    fn paper_default_for_16_workers() {
-        let e = Ewma::paper_default(16);
-        assert!((e.factor - 0.16).abs() < 1e-6);
-        assert_eq!(e.window, 25);
     }
 
     #[test]
