@@ -669,6 +669,79 @@ mod tests {
     }
 
     #[test]
+    fn elastic_sync_results_are_pinned_across_commits() {
+        // Every participant's mean and the exported state — global, newest-round
+        // guard, an evicting depth-2 snapshot ring — over twelve rounds of changing
+        // membership, a 1-worker round and a reverse-id arrival, folded into one
+        // checksum. A change to how the PS buffers or hands out its means must leave
+        // this digest alone.
+        const DIM: usize = 8;
+        let value = |round: usize, w: usize, i: usize| {
+            let scale = [1e6f32, 1.0, -1e6][w];
+            ((round * 13 + w * 5 + i * 3) % 17) as f32 * 0.173 * scale + i as f32 * 0.01
+        };
+        // (members in arrival order) per round.
+        let rounds: [&[usize]; 12] = [
+            &[0, 1, 2],
+            &[2, 1, 0],
+            &[0, 2],
+            &[1],
+            &[0, 1],
+            &[1, 2, 0],
+            &[1, 2],
+            &[0, 1, 2],
+            &[2, 0],
+            &[0, 1, 2],
+            &[2, 1],
+            &[0, 2, 1],
+        ];
+        let ps = ParameterServer::new((0..DIM).map(|i| i as f32 * 0.5).collect());
+        ps.enable_scheduled_snapshots(2);
+        let mut bytes = Vec::new();
+        for (round, arrivals) in rounds.iter().enumerate() {
+            let mut means: Vec<(usize, Vec<f32>)> = std::thread::scope(|scope| {
+                let handles: Vec<_> = arrivals
+                    .iter()
+                    .enumerate()
+                    .map(|(order, &w)| {
+                        let ps = &ps;
+                        scope.spawn(move || {
+                            std::thread::sleep(std::time::Duration::from_millis(order as u64 * 3));
+                            let c: Vec<f32> = (0..DIM).map(|i| value(round, w, i)).collect();
+                            (
+                                w,
+                                ps.sync_round_elastic(round as u64, w, &c, arrivals.len()),
+                            )
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            means.sort_by_key(|&(w, _)| w);
+            for (w, mean) in means {
+                bytes.extend_from_slice(&(round as u64).to_le_bytes());
+                bytes.extend_from_slice(&(w as u64).to_le_bytes());
+                bytes.extend(mean.iter().flat_map(|x| x.to_le_bytes()));
+            }
+        }
+        let state = ps.export_state();
+        let ring = state.ring.as_ref().expect("ring enabled");
+        assert_eq!(
+            ring.evicted_min,
+            Some(0),
+            "the depth-2 ring must have evicted"
+        );
+        bytes.extend(state.global.iter().flat_map(|x| x.to_le_bytes()));
+        bytes.extend_from_slice(&state.last_global_round.unwrap().to_le_bytes());
+        bytes.extend(ring.initial.iter().flat_map(|x| x.to_le_bytes()));
+        for (round, mean) in &ring.entries {
+            bytes.extend_from_slice(&round.to_le_bytes());
+            bytes.extend(mean.iter().flat_map(|x| x.to_le_bytes()));
+        }
+        assert_eq!(crate::wire::checksum(&bytes), 0x6832_35fe_8df8_1a10);
+    }
+
+    #[test]
     fn elastic_mean_is_summed_in_worker_order_not_arrival_order() {
         // Values chosen so the fp sum depends on order: with f32,
         // (1e8 + 1.0) - 1e8 == 0 but (1e8 - 1e8) + 1.0 == 1.0. The combine must sum
