@@ -39,7 +39,7 @@ fn bench_ps_sync_round(c: &mut Criterion) {
             b.iter(|| {
                 let ps = Arc::new(ParameterServer::new(vec![0.0; dim]));
                 let ps2 = Arc::clone(&ps);
-                run_threads(8, move |w| ps2.sync_round(&vec![w as f32; dim], 8))
+                run_threads(8, move |w| ps2.sync_round_elastic(0, w, &vec![w as f32; dim], 8))
             });
         });
     }

@@ -76,7 +76,8 @@ mod tests {
     #[test]
     fn workers_share_the_parameter_server() {
         let out = run_cluster(4, vec![0.0; 2], |w, h| {
-            let avg = h.ps.sync_round(&[w as f32, 1.0], h.world_size);
+            let avg =
+                h.ps.sync_round_elastic(0, w, &[w as f32, 1.0], h.world_size);
             avg[0]
         });
         assert!(out.iter().all(|&x| (x - 1.5).abs() < 1e-6));

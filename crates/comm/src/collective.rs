@@ -153,7 +153,7 @@ impl Collective {
         self.elastic_flags
             .run(round, worker, expected, flag, |contribs| {
                 let mut out = vec![false; n];
-                for &(w, f) in contribs {
+                for &(w, f) in contribs.iter() {
                     out[w] = f;
                 }
                 out

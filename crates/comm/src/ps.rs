@@ -3,11 +3,11 @@
 //! The server stores the flat global vector (parameters for PA, or a gradient buffer for
 //! GA) and offers two interaction styles:
 //!
-//! * **Synchronous rounds** ([`ParameterServer::sync_round`]): every participating
-//!   worker contributes a vector; once all have arrived the server averages them, stores
-//!   the result as the new global state and hands the averaged vector back to every
-//!   participant. This is the blocking push-then-pull of BSP, FedAvg and SelSync's
-//!   synchronization phase (Alg. 1, lines 14–15).
+//! * **Synchronous rounds** ([`ParameterServer::sync_round_elastic`]): every worker
+//!   present at a round contributes a vector; once all have arrived the server averages
+//!   them, stores the result as the new global state and hands the averaged vector back
+//!   to every participant. This is the blocking push-then-pull of BSP, FedAvg and
+//!   SelSync's synchronization phase (Alg. 1, lines 14–15).
 //! * **Asynchronous push/pull** ([`ParameterServer::push_delta`] /
 //!   [`ParameterServer::pull`]): non-blocking updates used by SSP, where workers apply
 //!   scaled deltas to the global state whenever they finish a step.
@@ -16,7 +16,8 @@
 //! which is also what the sequential simulator holds in place of a live server.
 
 use crate::rounds::ElasticRounds;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
+use std::sync::Arc;
 
 /// Default depth of the scheduled-snapshot ring enabled by
 /// [`ParameterServer::enable_scheduled_snapshots`]. Synchronized rounds progress
@@ -146,38 +147,24 @@ pub struct ParameterServer {
     /// finish round `k` while a slower worker is still closing round `k-1`;
     /// [`PsState::record_sync`] keeps the older mean from overwriting the newer one.
     state: RwLock<PsState>,
-    round: Mutex<RoundState>,
-    round_cv: Condvar,
     /// Round-keyed elastic aggregation rounds (membership may differ round to round
     /// when workers crash and rejoin) — the shared [`ElasticRounds`] skeleton with a
-    /// sum-then-average combine.
-    elastic: ElasticRounds<Vec<f32>, Vec<f32>>,
-}
-
-struct RoundState {
-    accum: Vec<f32>,
-    contributions: usize,
-    expected: usize,
-    generation: u64,
-    /// Result of the generation that just completed (kept until the next round starts).
-    finished: Option<(u64, Vec<f32>)>,
+    /// sum-then-average combine whose one mean every participant shares.
+    elastic: ElasticRounds<Vec<f32>, Arc<[f32]>>,
+    /// Contribution buffers handed back by completed rounds, refilled by the next.
+    spare_contributions: Mutex<Vec<Vec<f32>>>,
+    /// Every mean buffer handed out so far; a round reuses one nobody holds any more.
+    means: Mutex<Vec<Arc<[f32]>>>,
 }
 
 impl ParameterServer {
     /// Create a server holding `initial` as the global vector.
     pub fn new(initial: Vec<f32>) -> Self {
-        let dim = initial.len();
         ParameterServer {
             state: RwLock::new(PsState::new(initial, None)),
-            round: Mutex::new(RoundState {
-                accum: vec![0.0; dim],
-                contributions: 0,
-                expected: 0,
-                generation: 0,
-                finished: None,
-            }),
-            round_cv: Condvar::new(),
             elastic: ElasticRounds::new(),
+            spare_contributions: Mutex::new(Vec::new()),
+            means: Mutex::new(Vec::new()),
         }
     }
 
@@ -240,67 +227,6 @@ impl ParameterServer {
         }
     }
 
-    /// Participate in a blocking synchronous aggregation round over `participants`
-    /// workers. Blocks until all participants of the current round have contributed,
-    /// then returns the element-wise average. The average also becomes the new global
-    /// vector.
-    ///
-    /// All participants of one round must pass the same `participants` count.
-    pub fn sync_round(&self, contribution: &[f32], participants: usize) -> Vec<f32> {
-        assert!(
-            participants > 0,
-            "a synchronization round needs at least one participant"
-        );
-        let mut state = self.round.lock();
-        assert_eq!(
-            contribution.len(),
-            state.accum.len(),
-            "contribution dimension mismatch"
-        );
-
-        // If a previous round just finished and its result has been fully consumed,
-        // `finished` may still hold it; a new round starts when contributions == 0.
-        if state.contributions == 0 {
-            state.expected = participants;
-            for a in state.accum.iter_mut() {
-                *a = 0.0;
-            }
-        } else {
-            assert_eq!(
-                state.expected, participants,
-                "mismatched participant counts in one round"
-            );
-        }
-
-        for (a, &c) in state.accum.iter_mut().zip(contribution.iter()) {
-            *a += c;
-        }
-        state.contributions += 1;
-        let my_generation = state.generation;
-
-        if state.contributions == state.expected {
-            // Last contributor closes the round: average, publish, wake everyone.
-            let n = state.expected as f32;
-            let mean: Vec<f32> = state.accum.iter().map(|&x| x / n).collect();
-            self.state.write().global.copy_from_slice(&mean);
-            state.finished = Some((my_generation, mean.clone()));
-            state.generation += 1;
-            state.contributions = 0;
-            self.round_cv.notify_all();
-            return mean;
-        }
-
-        // Wait until our generation finishes.
-        loop {
-            self.round_cv.wait(&mut state);
-            if let Some((gen, result)) = &state.finished {
-                if *gen == my_generation {
-                    return result.clone();
-                }
-            }
-        }
-    }
-
     /// Participate in a blocking aggregation round with **elastic membership**: only the
     /// workers alive at this training iteration contribute, and the round is keyed by
     /// the explicit `round` id rather than an implicit generation counter, so crashed
@@ -320,29 +246,52 @@ impl ParameterServer {
         contribution: &[f32],
         participants: usize,
     ) -> Vec<f32> {
+        let fill = |buf: &mut Vec<f32>| buf.extend_from_slice(contribution);
+        self.sync_round_shared(round, worker, participants, fill)
+            .to_vec()
+    }
+
+    /// [`Self::sync_round_elastic`] without a copy on either side: `fill` writes the
+    /// contribution into a buffer recycled from an earlier round, and every
+    /// participant gets the one mean behind an [`Arc`]. Once its holders drop it, a
+    /// later round overwrites that mean in place, so a warm round allocates nothing.
+    pub fn sync_round_shared(
+        &self,
+        round: u64,
+        worker: usize,
+        participants: usize,
+        fill: impl FnOnce(&mut Vec<f32>),
+    ) -> Arc<[f32]> {
         let dim = self.dim();
+        let spare = self.spare_contributions.lock().pop();
+        let mut contribution = spare.unwrap_or_else(|| Vec::with_capacity(dim));
+        contribution.clear();
+        fill(&mut contribution);
         assert_eq!(contribution.len(), dim, "contribution dimension mismatch");
-        self.elastic.run(
-            round,
-            worker,
-            participants,
-            contribution.to_vec(),
-            |contribs| {
-                let n = contribs.len() as f32;
-                let mut mean = vec![0.0f32; dim];
-                for (_, c) in contribs {
-                    assert_eq!(c.len(), dim, "contribution dimension mismatch");
+        self.elastic
+            .run(round, worker, participants, contribution, |contribs| {
+                let mut means = self.means.lock();
+                let free = means.iter_mut().position(|m| Arc::get_mut(m).is_some());
+                let at = free.unwrap_or_else(|| {
+                    means.push(vec![0.0; dim].into());
+                    means.len() - 1
+                });
+                let mean = Arc::get_mut(&mut means[at]).expect("an unshared mean");
+                mean.fill(0.0);
+                let mut spare = self.spare_contributions.lock();
+                for (_, c) in contribs.iter_mut() {
                     for (o, &x) in mean.iter_mut().zip(c.iter()) {
                         *o += x;
                     }
+                    spare.push(std::mem::take(c));
                 }
+                let n = contribs.len() as f32;
                 for o in mean.iter_mut() {
                     *o /= n;
                 }
-                self.state.write().record_sync(round, &mean);
-                mean
-            },
-        )
+                self.state.write().record_sync(round, mean);
+                Arc::clone(&means[at])
+            })
     }
 
     /// Capture the server's durable state for a checkpoint. Must only be called at
@@ -395,7 +344,7 @@ mod tests {
     #[test]
     fn single_participant_round_is_identity() {
         let ps = ParameterServer::new(vec![0.0; 3]);
-        let avg = ps.sync_round(&[3.0, 6.0, 9.0], 1);
+        let avg = ps.sync_round_elastic(0, 0, &[3.0, 6.0, 9.0], 1);
         assert_eq!(avg, vec![3.0, 6.0, 9.0]);
         assert_eq!(ps.pull(), vec![3.0, 6.0, 9.0]);
     }
@@ -408,7 +357,7 @@ mod tests {
         for w in 0..workers {
             let ps = Arc::clone(&ps);
             handles.push(std::thread::spawn(move || {
-                ps.sync_round(&[w as f32, 1.0], workers)
+                ps.sync_round_elastic(0, w, &[w as f32, 1.0], workers)
             }));
         }
         let expected_mean = (0..workers).sum::<usize>() as f32 / workers as f32;
@@ -428,7 +377,9 @@ mod tests {
             for w in 0..4 {
                 let ps = Arc::clone(&ps);
                 let v = (round * 4 + w) as f32;
-                handles.push(std::thread::spawn(move || ps.sync_round(&[v], 4)));
+                handles.push(std::thread::spawn(move || {
+                    ps.sync_round_elastic(round as u64, w, &[v], 4)
+                }));
             }
             let expected = (0..4).map(|w| (round * 4 + w) as f32).sum::<f32>() / 4.0;
             for h in handles {

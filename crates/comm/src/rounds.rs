@@ -52,7 +52,8 @@ impl<T, R: Clone> ElasticRounds<T, R> {
     /// `expected` participants have all contributed. The last arrival closes the round
     /// by calling `combine` on the contributions **sorted by worker id** (never arrival
     /// order — deterministic combines stay deterministic under any scheduling); every
-    /// participant receives a clone of the combined result.
+    /// participant receives a clone of the combined result. The contributions are
+    /// dropped with the round, so a combine that recycles them takes them out.
     ///
     /// All participants of one round must pass the same `expected` count, and a worker
     /// must contribute at most once per round. `combine` runs under the rendezvous
@@ -63,7 +64,7 @@ impl<T, R: Clone> ElasticRounds<T, R> {
         worker: usize,
         expected: usize,
         value: T,
-        combine: impl FnOnce(&[(usize, T)]) -> R,
+        combine: impl FnOnce(&mut [(usize, T)]) -> R,
     ) -> R {
         assert!(
             expected > 0,
@@ -88,7 +89,7 @@ impl<T, R: Clone> ElasticRounds<T, R> {
         if slot.contributions.len() == slot.expected {
             // Last arrival closes the round: combine in worker-id order, publish, wake.
             slot.contributions.sort_by_key(|&(w, _)| w);
-            slot.result = Some(combine(&slot.contributions));
+            slot.result = Some(combine(&mut slot.contributions));
             self.cv.notify_all();
         }
         loop {

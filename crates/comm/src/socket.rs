@@ -26,14 +26,17 @@
 //! Workers are single-threaded and strictly lockstep per connection (write one
 //! frame, read one frame), so no request/response correlation ids are needed.
 //!
-//! **Data plane.** A frame crosses a process in one copy per direction. Going
-//! out it is laid down once in the connection's reused [`FrameBuf`] — header,
-//! op tag, scalars and the `&[f32]` body — checksummed and written with one
-//! `write_all`. Coming in, the stream is read straight into the
-//! [`FrameDecoder`]'s reassembly buffer, validated in place
+//! **Data plane.** Going out, a frame is laid down once in the connection's
+//! reused [`FrameBuf`] — header, op tag, scalars and the `&[f32]` body —
+//! checksummed and written with one `write_all`. Coming in, the stream is read
+//! straight into the [`FrameDecoder`]'s reassembly buffer, validated in place
 //! ([`EnvelopeRef::parse`]) and lent to the consumer ([`RpcService::handle_into`]
-//! on the hub, the `reply` closure of [`HubClient::call`] on a worker), whose
-//! `bytes → Vec<f32>` conversion is the only copy.
+//! on the hub, the `reply` closure of [`HubClient::call`] on a worker), which
+//! decodes the `f32`s into a buffer of its own. This layer therefore adds no
+//! copy of its own; what the consumers do with the payload is theirs to keep
+//! cheap. The bulk sync round does: the hub decodes into a contribution buffer
+//! the parameter server recycles and encodes its reply from the one mean every
+//! participant shares, and a worker decodes into a mean buffer it keeps.
 
 use crate::transport::{Delivery, Link, Transport};
 use crate::wire::{EnvelopeRef, FrameBuf, FrameDecoder, MsgKind, WireError, HUB_SENDER};

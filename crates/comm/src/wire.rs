@@ -371,16 +371,29 @@ impl FrameBuf {
     }
 }
 
-/// Decode a little-endian `f32` payload — the receiving side's one copy.
+/// Decode a little-endian `f32` payload into a fresh vector.
 ///
 /// # Panics
 /// If the byte count is not a multiple of four.
 pub fn f32s_from_le_bytes(bytes: &[u8]) -> Vec<f32> {
+    let mut values = Vec::new();
+    f32s_from_le_bytes_into(bytes, &mut values);
+    values
+}
+
+/// Decode a little-endian `f32` payload over the contents of `values`, reusing its
+/// allocation when it is large enough (the bulk path's recycled buffers).
+///
+/// # Panics
+/// If the byte count is not a multiple of four.
+pub fn f32s_from_le_bytes_into(bytes: &[u8], values: &mut Vec<f32>) {
     assert!(bytes.len().is_multiple_of(4), "f32 payload length");
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-        .collect()
+    values.clear();
+    values.extend(
+        bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
+    );
 }
 
 /// Upper bound on a single frame's body length. Byte-stream corruption of the

@@ -81,7 +81,9 @@ use crate::worker::{run_worker, with_ps_gate, ClusterLink, WorkerInputs};
 use parking_lot::{Condvar, Mutex};
 use selsync_comm::faults::CommFaultSchedule;
 use selsync_comm::socket::{HubClient, HubServer, RpcService, SocketAddrSpec, SocketConn};
-use selsync_comm::wire::{f32s_from_le_bytes, FrameBuf, MsgKind, HUB_SENDER};
+use selsync_comm::wire::{
+    f32s_from_le_bytes, f32s_from_le_bytes_into, FrameBuf, MsgKind, HUB_SENDER,
+};
 use selsync_comm::{MessageLayer, ScalarOp};
 use selsync_nn::model::PaperModel;
 use std::collections::HashMap;
@@ -340,8 +342,8 @@ impl RpcService for HubService {
             },
             op::SYNC_ROUND => {
                 let expected = read_u32(args, 0) as usize;
-                let params = f32s_from_le_bytes(&args[4..]);
-                reply.put_f32s(&ps.sync_round_elastic(round, worker, &params, expected));
+                let fill = |buf: &mut Vec<f32>| f32s_from_le_bytes_into(&args[4..], buf);
+                reply.put_f32s(&ps.sync_round_shared(round, worker, expected, fill));
             }
             op::ALLGATHER_FLAGS => {
                 let flag = args[0] != 0;
@@ -459,12 +461,13 @@ impl ClusterLink for RemoteCluster<'_> {
         )
     }
 
-    fn sync_round_elastic(&self, round: u64, params: &[f32], expected: usize) -> Vec<f32> {
+    fn sync_round_elastic(&self, round: u64, params: &[f32], expected: usize, mean: &mut Vec<f32>) {
         let args = |frame: &mut FrameBuf| {
             frame.put(&(expected as u32).to_le_bytes());
             frame.put_f32s(params);
         };
-        self.request(round, op::SYNC_ROUND, args, f32s_from_le_bytes)
+        let decode = |reply: &[u8]| f32s_from_le_bytes_into(reply, mean);
+        self.request(round, op::SYNC_ROUND, args, decode)
     }
 
     fn allgather_flags_among(&self, round: u64, flag: bool, expected: usize) -> Vec<bool> {

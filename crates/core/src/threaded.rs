@@ -364,9 +364,12 @@ impl ClusterLink for ThreadLink<'_> {
         self.handles.ps.scheduled_round_before(round)
     }
 
-    fn sync_round_elastic(&self, round: u64, params: &[f32], expected: usize) -> Vec<f32> {
+    fn sync_round_elastic(&self, round: u64, params: &[f32], expected: usize, mean: &mut Vec<f32>) {
+        let fill = |buf: &mut Vec<f32>| buf.extend_from_slice(params);
         let ps = &self.handles.ps;
-        ps.sync_round_elastic(round, self.worker, params, expected)
+        let shared = ps.sync_round_shared(round, self.worker, expected, fill);
+        mean.clear();
+        mean.extend_from_slice(&shared);
     }
 
     fn allgather_flags_among(&self, round: u64, flag: bool, expected: usize) -> Vec<bool> {

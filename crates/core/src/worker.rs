@@ -40,8 +40,9 @@ pub(crate) trait ClusterLink {
     fn scheduled_global_before(&self, round: u64) -> Vec<f32>;
     /// The round of that synchronization (`None`: the initial global).
     fn scheduled_round_before(&self, round: u64) -> Option<u64>;
-    /// Push `params`, pull the worker-order average over `expected` contributors.
-    fn sync_round_elastic(&self, round: u64, params: &[f32], expected: usize) -> Vec<f32>;
+    /// Push `params`, pull the worker-order average over `expected` contributors
+    /// into `mean` (reused across rounds, so a warm round allocates nothing).
+    fn sync_round_elastic(&self, round: u64, params: &[f32], expected: usize, mean: &mut Vec<f32>);
     /// The round's full-width status vector (absent slots read `false`).
     fn allgather_flags_among(&self, round: u64, flag: bool, expected: usize) -> Vec<bool>;
     /// Worker-order reduction of one scalar over the round's present workers.
@@ -168,7 +169,7 @@ pub(crate) fn run_worker<L: ClusterLink>(
         was_present = conditions.is_present(worker, start - 1);
     }
     let mut indices = Vec::with_capacity(cfg.batch_size);
-    let mut grads = Vec::new();
+    let (mut grads, mut mean) = (Vec::new(), Vec::new());
     // Control-plane exchange for one comm op: request envelope out, hub ack
     // back, bounded retry. A worker present at a round always lands within its
     // budget — exhaustion would have evicted it from this round's membership —
@@ -413,7 +414,7 @@ pub(crate) fn run_worker<L: ClusterLink>(
                 MsgKind::SyncRound,
                 &((state.params.len() * 4) as u64).to_le_bytes(),
             );
-            let mean = link.sync_round_elastic(it as u64, &state.params, active);
+            link.sync_round_elastic(it as u64, &state.params, active, &mut mean);
             state.apply_sync(it, &mean);
         }
         if rank == 0 {

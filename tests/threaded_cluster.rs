@@ -64,7 +64,7 @@ fn parameter_server_rounds_compose_with_collectives_under_contention() {
                     assert_eq!(flags.len(), n);
                     if flags.iter().any(|&f| f) {
                         let contribution = vec![(w + round) as f32; 64];
-                        last = ps.sync_round(&contribution, n);
+                        last = ps.sync_round_elastic(round as u64, w, &contribution, n);
                     }
                     coll.barrier(w);
                 }
