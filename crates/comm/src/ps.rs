@@ -150,11 +150,11 @@ pub struct ParameterServer {
     /// Round-keyed elastic aggregation rounds (membership may differ round to round
     /// when workers crash and rejoin) — the shared [`ElasticRounds`] skeleton with a
     /// sum-then-average combine whose one mean every participant shares.
-    elastic: ElasticRounds<Vec<f32>, Arc<[f32]>>,
+    elastic: ElasticRounds<Vec<f32>, Arc<Vec<f32>>>,
     /// Contribution buffers handed back by completed rounds, refilled by the next.
     spare_contributions: Mutex<Vec<Vec<f32>>>,
     /// Every mean buffer handed out so far; a round reuses one nobody holds any more.
-    means: Mutex<Vec<Arc<[f32]>>>,
+    means: Mutex<Vec<Arc<Vec<f32>>>>,
 }
 
 impl ParameterServer {
@@ -261,7 +261,7 @@ impl ParameterServer {
         worker: usize,
         participants: usize,
         fill: impl FnOnce(&mut Vec<f32>),
-    ) -> Arc<[f32]> {
+    ) -> Arc<Vec<f32>> {
         let dim = self.dim();
         let spare = self.spare_contributions.lock().pop();
         let mut contribution = spare.unwrap_or_else(|| Vec::with_capacity(dim));
@@ -270,13 +270,12 @@ impl ParameterServer {
         assert_eq!(contribution.len(), dim, "contribution dimension mismatch");
         self.elastic
             .run(round, worker, participants, contribution, |contribs| {
+                // A mean only the pool holds can be overwritten in place.
                 let mut means = self.means.lock();
-                let free = means.iter_mut().position(|m| Arc::get_mut(m).is_some());
-                let at = free.unwrap_or_else(|| {
-                    means.push(vec![0.0; dim].into());
-                    means.len() - 1
-                });
-                let mean = Arc::get_mut(&mut means[at]).expect("an unshared mean");
+                let free = means.iter().position(|m| Arc::strong_count(m) == 1);
+                let mut shared =
+                    free.map_or_else(|| Arc::new(vec![0.0; dim]), |at| means.swap_remove(at));
+                let mean = Arc::make_mut(&mut shared);
                 mean.fill(0.0);
                 let mut spare = self.spare_contributions.lock();
                 for (_, c) in contribs.iter_mut() {
@@ -290,7 +289,8 @@ impl ParameterServer {
                     *o /= n;
                 }
                 self.state.write().record_sync(round, mean);
-                Arc::clone(&means[at])
+                means.push(Arc::clone(&shared));
+                shared
             })
     }
 
