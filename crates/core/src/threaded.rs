@@ -367,9 +367,7 @@ impl ClusterLink for ThreadLink<'_> {
     fn sync_round_elastic(&self, round: u64, params: &[f32], expected: usize, mean: &mut Vec<f32>) {
         let fill = |buf: &mut Vec<f32>| buf.extend_from_slice(params);
         let ps = &self.handles.ps;
-        let shared = ps.sync_round_shared(round, self.worker, expected, fill);
-        mean.clear();
-        mean.extend_from_slice(&shared);
+        mean.clone_from(&ps.sync_round_shared(round, self.worker, expected, fill));
     }
 
     fn allgather_flags_among(&self, round: u64, flag: bool, expected: usize) -> Vec<bool> {
