@@ -997,6 +997,16 @@ mod tests {
     }
 
     #[test]
+    fn fig4_table_is_pinned_across_commits() {
+        // The quick Fig. 4 table — power-iteration eigenvalues over finite-difference
+        // Hessian-vector products and the gradient variance, ResNet and VGG — folded
+        // into one checksum. Moving the second-order diagnostics must not move a digit.
+        let csv = fig4_hessian_vs_variance(Scale::Quick).to_csv();
+        let got = selsync_comm::wire::checksum(csv.as_bytes());
+        assert_eq!(got, 0xE557_89FD_5E61_E641, "fig4 digest {got:#018X}");
+    }
+
+    #[test]
     fn scale_from_env_defaults_to_quick() {
         assert_eq!(Scale::Quick.workers(), 8);
         assert_eq!(Scale::Full.workers(), 16);
