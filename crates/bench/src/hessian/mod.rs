@@ -1,6 +1,4 @@
-//! # selsync-hessian
-//!
-//! Second-order diagnostics used in §II-E / Fig. 4 of the paper: the largest eigenvalue
+//! Second-order diagnostics for §II-E / Fig. 4 of the paper: the largest eigenvalue
 //! of the loss Hessian tracks "critical learning periods", and the paper shows that the
 //! (much cheaper) first-order gradient variance follows the same trajectory — which is
 //! the approximation SelSync's `Δ(g_i)` metric builds on.
@@ -11,12 +9,9 @@
 //!   eigenvalue.
 //! * [`variance`] — per-step gradient variance (the first-order proxy).
 //!
-//! The figure binary `fig4_hessian_variance` runs both trackers along a BSP training
-//! trajectory and prints the two series side by side.
+//! [`crate::fig4_hessian_vs_variance`] runs both along a training trajectory and
+//! tabulates the two series side by side.
 
 pub mod hvp;
 pub mod power;
 pub mod variance;
-
-pub use power::top_eigenvalue;
-pub use variance::gradient_variance;

@@ -1,6 +1,6 @@
 //! Power iteration for the largest Hessian eigenvalue.
 
-use crate::hvp::{hessian_vector_product, GradientOracle};
+use super::hvp::{hessian_vector_product, GradientOracle};
 use rand::Rng;
 use selsync_tensor::rng;
 
@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn works_on_a_real_model() {
-        use crate::hvp::ModelBatchOracle;
+        use crate::hessian::hvp::ModelBatchOracle;
         use selsync_nn::model::{ModelKind, PaperModel};
         use selsync_tensor::Tensor;
         let mut model = PaperModel::build(ModelKind::ResNetLike, 5);

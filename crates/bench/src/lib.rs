@@ -10,6 +10,8 @@
 //! suite finishes on a laptop; set the environment variable `SELSYNC_SCALE=full` for the
 //! larger configuration (more iterations and the paper's 16 workers).
 
+pub mod hessian;
+
 use selsync::algorithms;
 use selsync::checkpoint::Checkpoint;
 use selsync::config::{AlgorithmSpec, CheckpointSpec, TrainConfig};
@@ -19,7 +21,6 @@ use selsync_metrics::kde::{gaussian_kde, kde_distance};
 use selsync_metrics::table::{fmt_f, Table};
 use selsync_nn::cost::{compute_time_ms, fits_in_memory, memory_bytes, DeviceProfile};
 use selsync_nn::model::{ModelKind, PaperModel};
-use selsync_tensor::Tensor;
 
 /// The checkpoint/resume flags `scenario_run`, `scenario_replay` and
 /// `scenario_cluster` share: `--ckpt-every N`, `--ckpt-dir DIR`, `--ckpt-keep N`,
@@ -116,11 +117,25 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read the scale from the `SELSYNC_SCALE` environment variable (`full` or `quick`).
+    /// The scale the `SELSYNC_SCALE` environment variable asks for. A value
+    /// [`Scale::parse`] rejects is a one-line error and exit status 2.
     pub fn from_env() -> Scale {
-        match std::env::var("SELSYNC_SCALE").as_deref() {
-            Ok("full") => Scale::Full,
-            _ => Scale::Quick,
+        let value = std::env::var_os("SELSYNC_SCALE");
+        Scale::parse(value.as_ref().map(|v| v.to_string_lossy()).as_deref()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parse a `SELSYNC_SCALE` value: unset or `quick` is [`Scale::Quick`], `full` is
+    /// [`Scale::Full`], and anything else is an error.
+    pub fn parse(value: Option<&str>) -> Result<Scale, String> {
+        match value {
+            None | Some("quick") => Ok(Scale::Quick),
+            Some("full") => Ok(Scale::Full),
+            Some(other) => Err(format!(
+                "SELSYNC_SCALE must be \"quick\" or \"full\", got {other:?}"
+            )),
         }
     }
 
@@ -350,9 +365,9 @@ pub fn fig3_gradient_kde(scale: Scale) -> Table {
 /// Fig. 4: the largest Hessian eigenvalue and the first-order gradient variance sampled
 /// along a training trajectory (ResNet-like and VGG-like).
 pub fn fig4_hessian_vs_variance(scale: Scale) -> Table {
-    use selsync_hessian::hvp::ModelBatchOracle;
-    use selsync_hessian::power::top_eigenvalue;
-    use selsync_hessian::variance::gradient_variance;
+    use crate::hessian::hvp::ModelBatchOracle;
+    use crate::hessian::power::top_eigenvalue;
+    use crate::hessian::variance::gradient_variance;
 
     let steps = scale.iterations().min(300);
     let sample_every = (steps / 10).max(1);
@@ -850,25 +865,6 @@ pub fn build_training_data(kind: ModelKind, cfg: &TrainConfig) -> selsync_data::
     }
 }
 
-/// Synthetic gradient vector of a model's (analogue) dimensionality, used by the
-/// criterion micro-benchmarks.
-pub fn synthetic_gradient(kind: ModelKind) -> Vec<f32> {
-    let dim = PaperModel::build(kind, 1).param_count();
-    (0..dim)
-        .map(|i| (((i * 2654435761) % 1000) as f32 / 1000.0 - 0.5) * 0.01)
-        .collect()
-}
-
-/// A deterministic input batch for micro-benchmarks.
-pub fn synthetic_batch(kind: ModelKind, batch: usize) -> (Tensor, Vec<usize>) {
-    let model = PaperModel::build(kind, 1);
-    let x = Tensor::from_fn(batch, model.input_dim(), |r, c| {
-        (((r * 31 + c * 7) % 13) as f32 - 6.0) * 0.1
-    });
-    let y = (0..batch).map(|i| i % model.output_dim()).collect();
-    (x, y)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1007,20 +1003,17 @@ mod tests {
     }
 
     #[test]
-    fn scale_from_env_defaults_to_quick() {
+    fn scale_parse_accepts_only_quick_and_full() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("full")), Ok(Scale::Full));
+        for bad in ["FULL", "ful", ""] {
+            let err = Scale::parse(Some(bad)).expect_err(bad);
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(!err.contains('\n'), "one line: {err}");
+        }
         assert_eq!(Scale::Quick.workers(), 8);
         assert_eq!(Scale::Full.workers(), 16);
         assert!(Scale::Quick.iterations() < Scale::Full.iterations());
-    }
-
-    #[test]
-    fn synthetic_helpers_match_model_shapes() {
-        for kind in ModelKind::all() {
-            let g = synthetic_gradient(kind);
-            assert_eq!(g.len(), PaperModel::build(kind, 1).param_count());
-            let (x, y) = synthetic_batch(kind, 8);
-            assert_eq!(x.rows(), 8);
-            assert_eq!(y.len(), 8);
-        }
     }
 }

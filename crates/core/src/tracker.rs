@@ -116,11 +116,6 @@ impl GradientTracker {
         self.steps
     }
 
-    /// The current smoothed statistic value.
-    pub fn smoothed_statistic(&self) -> Option<f32> {
-        self.ewma.value()
-    }
-
     /// The statistic being tracked.
     pub fn statistic(&self) -> GradStatistic {
         self.statistic

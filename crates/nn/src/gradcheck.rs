@@ -1,9 +1,8 @@
 //! Finite-difference gradient verification.
 //!
 //! The layers in this crate have hand-written backward passes; this module certifies
-//! them against central finite differences of the loss. It is used by the test suites of
-//! both `selsync-nn` and `selsync-hessian`, and is exposed publicly so downstream users
-//! can validate custom layer stacks.
+//! them against central finite differences of the loss. It is used by this crate's test
+//! suite, and is exposed publicly so downstream users can validate custom layer stacks.
 
 use crate::loss::softmax_cross_entropy;
 use crate::model::Sequential;

@@ -526,11 +526,6 @@ impl PaperModel {
         &self.net
     }
 
-    /// Mutable access to the underlying network (used by the Hessian diagnostics).
-    pub fn network_mut(&mut self) -> &mut Sequential {
-        &mut self.net
-    }
-
     /// One training pass: zero grads, forward in train mode, compute loss, backpropagate.
     /// Gradients are left accumulated in the model; read them with [`Self::grads_flat`].
     pub fn forward_backward(&mut self, inputs: &Tensor, targets: &[usize]) -> BatchStats {

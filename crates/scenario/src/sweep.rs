@@ -392,11 +392,6 @@ pub fn run_sweep(scenario: &Scenario) -> Result<SweepReport, String> {
 }
 
 impl SweepReport {
-    /// The first arm whose label starts with `prefix`.
-    pub fn arm_named(&self, prefix: &str) -> Option<&ArmSummary> {
-        self.arms.iter().find(|a| a.label.starts_with(prefix))
-    }
-
     /// Index of the *best fixed* arm: among fixed-δ arms (grid entries, or policy arms
     /// written as `kind = "fixed"` tables — same semantics) whose every seed reached
     /// the target, the one spending the fewest mean synchronizations to get there.

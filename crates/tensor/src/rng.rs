@@ -85,8 +85,8 @@ pub fn sample_without_replacement_into(
 }
 
 /// Reusable sparse Fisher–Yates sampler: `O(k)` memory instead of materialising
-/// `0..n`, and the displacement map keeps its capacity across calls — the zero-alloc
-/// path for per-step compressors that hold a sampler in their state.
+/// `0..n`, and the displacement map keeps its capacity across calls — a sampler kept
+/// across calls draws without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct SparseSampler {
     /// `swapped[p]` is the value currently sitting at position `p` (positions not

@@ -63,15 +63,6 @@ impl Tensor {
         Tensor { rows, cols, data }
     }
 
-    /// Build a `1 x n` row vector from a slice.
-    pub fn row_vector(values: &[f32]) -> Self {
-        Tensor {
-            rows: 1,
-            cols: values.len(),
-            data: values.to_vec(),
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -105,11 +96,6 @@ impl Tensor {
     /// Mutable view of the underlying row-major buffer.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consume the tensor and return its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Element at `(r, c)`; panics if out of bounds (debug-friendly hot path).

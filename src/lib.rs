@@ -5,11 +5,12 @@
 //! on a single package:
 //!
 //! * [`core`] (`selsync`) — the paper's contribution: the `Δ(g_i)` tracker, the δ
-//!   policy, and the BSP / FedAvg / SSP / local-SGD / SelSync training drivers.
+//!   policy, and the training drivers — one round loop whose sync rules give SelSync,
+//!   BSP, FedAvg and local SGD, plus SSP's own.
 //! * [`tensor`], [`nn`], [`data`], [`comm`] — the substrates (dense math, neural
 //!   networks, datasets/partitioning, parameter server + collectives + network model).
-//! * [`compress`], [`hessian`], [`metrics`] — gradient-compression baselines,
-//!   second-order diagnostics, and metrics/reporting.
+//! * [`metrics`], [`tracelog`], [`scenario`] — metrics and reporting, the deterministic
+//!   event log, and scenario files with fault injection.
 //!
 //! See `ROADMAP.md` for the north star and open directions, and `docs/` for the
 //! subsystem guides: `SCENARIOS.md` (scenario files and fault injection),
@@ -36,12 +37,6 @@ pub use selsync_comm as comm;
 /// Deterministic run-trace layer (typed event stream, line codec, trace diff).
 pub use selsync_tracelog as tracelog;
 
-/// Gradient-compression baselines (Top-k, Random-k, signSGD, TernGrad, error feedback).
-pub use selsync_compress as compress;
-
-/// Second-order diagnostics (Hessian-vector products, power iteration, gradient variance).
-pub use selsync_hessian as hessian;
-
 /// Metrics and reporting (EWMA, KDE, LSSR, throughput, tables).
 pub use selsync_metrics as metrics;
 
@@ -60,8 +55,6 @@ mod tests {
         let _ = crate::data::partition::PartitionScheme::SelDp;
         let _ = crate::comm::NetworkModel::paper_5gbps();
         let _ = crate::tracelog::TraceSink::disabled();
-        let _ = crate::compress::SignSgd::new();
-        let _ = crate::hessian::variance::gradient_variance(&[1.0]);
         let _ = crate::metrics::Ewma::new(0.5, 5);
         let _ = crate::scenario::library::builtin("steady");
     }
