@@ -1,14 +1,14 @@
 //! Property-based tests (proptest) over the core data structures and invariants that the
 //! paper's mechanism depends on: partitioning, the δ policy, aggregation, EWMA
-//! smoothing and the flat parameter round-trip.
+//! smoothing, the LSSR counter and the flat parameter round-trip.
 
 use proptest::prelude::*;
-use selsync_repro::core::aggregation::{average, replica_divergence};
+use selsync_repro::core::aggregation::{average, average_present, replica_divergence};
 use selsync_repro::core::policy::{SyncDecision, SyncPolicy};
 use selsync_repro::core::tracker::{GradStatistic, GradientTracker};
 use selsync_repro::data::injection::DataInjection;
 use selsync_repro::data::partition::{build_all, chunk_boundaries, PartitionScheme};
-use selsync_repro::metrics::Ewma;
+use selsync_repro::metrics::{Ewma, LssrCounter};
 use selsync_repro::nn::layer::Linear;
 use selsync_repro::nn::model::Sequential;
 use selsync_repro::tensor::rng::seeded;
@@ -128,6 +128,21 @@ proptest! {
         prop_assert!(replica_divergence(&after) <= before + 1e-6);
     }
 
+    #[test]
+    fn average_present_is_the_average_of_the_present_replicas(
+        vecs in proptest::collection::vec(proptest::collection::vec(-10.0f32..10.0, 8), 1..8),
+        alive in proptest::collection::vec(0u8..2, 8),
+    ) {
+        // Elastic membership: the reduce over the workers alive at a sync step equals a
+        // plain average of exactly those replicas, bit for bit (same summation order).
+        let mut present: Vec<usize> = (0..vecs.len()).filter(|&i| alive[i] == 1).collect();
+        if present.is_empty() {
+            present.push(vecs.len() - 1);
+        }
+        let subset: Vec<&[f32]> = present.iter().map(|&i| vecs[i].as_slice()).collect();
+        prop_assert_eq!(average_present(&vecs, &present), average(&subset));
+    }
+
     // ----- thread-count determinism of the compute backend --------------------------
 
     #[test]
@@ -198,6 +213,65 @@ proptest! {
         for &x in &xs {
             let s = e.update(x);
             prop_assert!(s >= lo - 1e-4 && s <= hi + 1e-4);
+        }
+    }
+
+    #[test]
+    fn ewma_restored_from_its_state_continues_identically(
+        xs in proptest::collection::vec(0.0f32..100.0, 2..100),
+        split in 0usize..100,
+        factor in 0.01f32..1.0,
+        window in 1usize..40,
+    ) {
+        // A checkpoint keeps `state()`; the resumed run rebuilds the smoother from its
+        // configuration, restores that state and must then smooth bit-identically.
+        let split = split % xs.len();
+        let mut whole = Ewma::new(factor, window);
+        for &x in &xs[..split] {
+            whole.update(x);
+        }
+        let (history, smoothed) = whole.state();
+        let mut resumed = Ewma::new(factor, window);
+        resumed.restore(&history, smoothed);
+        for &x in &xs[split..] {
+            prop_assert_eq!(resumed.update(x).to_bits(), whole.update(x).to_bits());
+        }
+        prop_assert_eq!(resumed.state(), whole.state());
+    }
+
+    // ----- LSSR (Eqn. 4) ------------------------------------------------------------
+
+    #[test]
+    fn lssr_is_the_local_share_and_fixes_the_communication_reduction(
+        steps in proptest::collection::vec(0u8..2, 0..200),
+    ) {
+        // LSSR = local / (local + sync); over the same steps BSP synchronizes on all of
+        // them and SelSync on `sync`, a reduction of total / sync = 1 / (1 - LSSR).
+        let mut c = LssrCounter::new();
+        for &s in &steps {
+            if s == 1 {
+                c.record_sync();
+            } else {
+                c.record_local();
+            }
+        }
+        let total = steps.len() as u64;
+        let sync = steps.iter().filter(|&&s| s == 1).count() as u64;
+        prop_assert_eq!(c.total(), total);
+        prop_assert_eq!(c.sync_steps, sync);
+        let l = c.lssr();
+        prop_assert!((0.0..=1.0).contains(&l));
+        let reduction = c.communication_reduction();
+        if total == 0 {
+            prop_assert_eq!(l, 0.0);
+            prop_assert_eq!(reduction, 1.0);
+        } else if sync == 0 {
+            prop_assert_eq!(l, 1.0);
+            prop_assert!(reduction.is_infinite());
+        } else {
+            prop_assert!((l - (total - sync) as f64 / total as f64).abs() < 1e-12);
+            let expected = total as f64 / sync as f64;
+            prop_assert!((reduction - expected).abs() <= 1e-9 * expected, "{reduction} vs {expected}");
         }
     }
 
