@@ -154,3 +154,150 @@ proptest! {
         }
     }
 }
+
+/// One event of every kind, with every escape class in the header strings, NaN and
+/// ±inf floats, `None` and `Some` options and empty arrays.
+fn pinned_events() -> Vec<Event> {
+    vec![
+        Event::Header {
+            version: TRACE_VERSION,
+            algorithm: "quotes \" backslash \\ newline\n tab\t return\r".into(),
+            policy: "control\u{1}\u{1f} del\u{7f} δ π≈3.14159 ".into(),
+            workers: 6,
+            iterations: 30,
+            seed: u64::MAX,
+        },
+        Event::Header {
+            version: TRACE_VERSION,
+            algorithm: String::new(),
+            policy: "SelSync(d=0.055,PA)".into(),
+            workers: 1,
+            iterations: 0,
+            seed: 0,
+        },
+        Event::Membership {
+            round: 0,
+            active: vec![0, 1, 2, 3],
+            joined: vec![0, 1, 2, 3],
+            left: vec![],
+        },
+        Event::Membership {
+            round: 7,
+            active: vec![],
+            joined: vec![],
+            left: vec![0, 1, 2, 3],
+        },
+        Event::FaultWindow {
+            round: 3,
+            kind: FaultKind::Bandwidth,
+            edge: WindowEdge::Open,
+            worker: None,
+        },
+        Event::FaultWindow {
+            round: 3,
+            kind: FaultKind::Slowdown,
+            edge: WindowEdge::Close,
+            worker: Some(2),
+        },
+        Event::FaultWindow {
+            round: 4,
+            kind: FaultKind::Latency,
+            edge: WindowEdge::Open,
+            worker: Some(0),
+        },
+        Event::RejoinPull {
+            round: 12,
+            worker: 5,
+            pull: PullKind::WallClock,
+            from: None,
+        },
+        Event::RejoinPull {
+            round: 12,
+            worker: 4,
+            pull: PullKind::Scheduled,
+            from: Some(9),
+        },
+        Event::Signal {
+            round: 4,
+            mean_loss: f32::NAN,
+            max_delta: f32::INFINITY,
+        },
+        Event::Signal {
+            round: 5,
+            mean_loss: 0.1,
+            max_delta: f32::NEG_INFINITY,
+        },
+        Event::Round {
+            round: 4,
+            delta: 0.055,
+            flags: vec![true, false, true],
+            synced: true,
+        },
+        Event::Round {
+            round: 5,
+            delta: -0.0,
+            flags: vec![],
+            synced: false,
+        },
+        Event::RegimeSwitch {
+            round: 14,
+            exploit: true,
+            loss_ewma: 1.234_567_8e-3,
+            delta_ewma: f32::MIN_POSITIVE,
+            mean_loss: f32::MAX,
+            max_delta: 1.0e-45,
+        },
+        Event::CommRetry {
+            round: 9,
+            worker: 2,
+            attempts: u32::MAX,
+        },
+        Event::CommRetry {
+            round: 9,
+            worker: 1,
+            attempts: 2,
+        },
+        Event::CommEvict {
+            round: 11,
+            worker: 2,
+        },
+        Event::PsDown { round: 16 },
+        Event::PsUp { round: 19 },
+        Event::DegradedRound {
+            round: 17,
+            delta: 0.055,
+            loss: 0.912,
+            delta_g: 0.033,
+        },
+        Event::CatchupSync {
+            round: 19,
+            behind: 3,
+        },
+    ]
+}
+
+#[test]
+fn trace_lines_are_pinned_across_commits() {
+    // The encoded lines of `pinned_events()` as listed, then the canonical log that
+    // `EventLog::merge` builds from a shuffled copy split over three shards. The
+    // digest was recorded before the codec became one table per event kind: a
+    // codec that moves one byte of a line, or a rank that moves one event, fails
+    // here.
+    let events = pinned_events();
+    let mut text = EventLog {
+        events: events.clone(),
+    }
+    .encode();
+    let mut shuffled = events;
+    shuffled.reverse();
+    shuffled.rotate_left(5);
+    let shards: Vec<EventLog> = shuffled
+        .chunks(7)
+        .map(|chunk| EventLog {
+            events: chunk.to_vec(),
+        })
+        .collect();
+    text.push_str(&EventLog::merge(shards).encode());
+    let got = selsync_repro::comm::wire::checksum(text.as_bytes());
+    assert_eq!(got, 0x35CC_7AE2_B8CB_3BB7, "digest {got:#018X}\n{text}");
+}
