@@ -596,20 +596,19 @@ impl std::error::Error for UnsupportedConfig {}
 /// aggregation (a cluster worker pushes parameters and pulls their mean) and
 /// data-injection over non-IID shards (whose injection draws ride the
 /// simulator's cluster RNG).
-pub fn ensure_supported(cfg: &TrainConfig) -> Result<(f32, PolicySpec), UnsupportedConfig> {
-    let delta = match cfg.algorithm {
-        AlgorithmSpec::SelSync { delta, .. } => delta,
-        AlgorithmSpec::Bsp => 0.0,
-        _ => {
-            return Err(UnsupportedConfig {
-                key: "scenario.algorithm",
-                message: format!(
-                    "the threaded and process backends run SelSync and BSP only, not {}",
-                    cfg.algorithm.name()
-                ),
-            })
-        }
-    };
+pub fn ensure_supported(cfg: &TrainConfig) -> Result<PolicySpec, UnsupportedConfig> {
+    if !matches!(
+        cfg.algorithm,
+        AlgorithmSpec::SelSync { .. } | AlgorithmSpec::Bsp
+    ) {
+        return Err(UnsupportedConfig {
+            key: "scenario.algorithm",
+            message: format!(
+                "the threaded and process backends run SelSync and BSP only, not {}",
+                cfg.algorithm.name()
+            ),
+        });
+    }
     if let AlgorithmSpec::SelSync {
         aggregation,
         injection,
@@ -641,7 +640,7 @@ pub fn ensure_supported(cfg: &TrainConfig) -> Result<(f32, PolicySpec), Unsuppor
     if let Some(Err(e)) = cfg.checkpoint.as_ref().map(|ck| ck.validate()) {
         return invalid("checkpoint", e);
     }
-    Ok((delta, spec))
+    Ok(spec)
 }
 
 /// Run the hub process: bind `addr`, serve one connection per worker until all
@@ -658,7 +657,7 @@ pub fn run_process_hub_with(
     addr: &SocketAddrSpec,
     resume: Option<&Checkpoint>,
 ) -> String {
-    let (_delta, spec) = ensure_supported(cfg).unwrap_or_else(|e| panic!("{e}"));
+    let spec = ensure_supported(cfg).unwrap_or_else(|e| panic!("{e}"));
     // The hub shard carries a resume image's merged trace prefix; workers
     // re-emit nothing before the first resumed round, so the merged result is
     // exactly prefix + fresh suffix.
@@ -706,7 +705,7 @@ pub fn run_process_worker_with(
     addr: &SocketAddrSpec,
     opts: WorkerOptions<'_>,
 ) -> (ThreadedWorkerReport, String) {
-    let (_delta, spec) = ensure_supported(cfg).unwrap_or_else(|e| panic!("{e}"));
+    let spec = ensure_supported(cfg).unwrap_or_else(|e| panic!("{e}"));
     if let Some(ckpt) = opts.resume {
         ckpt.check_resumable(cfg).unwrap_or_else(|e| panic!("{e}"));
     }

@@ -461,7 +461,7 @@ pub fn run_threaded_selsync_resumed(
 }
 
 fn run_threaded_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> Vec<ThreadedWorkerReport> {
-    let (_delta, spec) = crate::process::ensure_supported(cfg)
+    let spec = crate::process::ensure_supported(cfg)
         .unwrap_or_else(|e| panic!("threaded driver: {} ({})", e.message, e.key));
     let proto = PaperModel::build(cfg.model, cfg.seed);
     let inputs = WorkerInputs::build(cfg, &spec, &proto);

@@ -1,12 +1,20 @@
-//! The line codec: one event per line, a small hand-rolled JSON subset.
+//! The line codec: one event per line, a rigid subset of JSON.
 //!
 //! The canonical form is deliberately rigid — fixed key order per kind, shortest
 //! round-trippable float formatting (`format!("{x}")` on `f32`), no whitespace —
 //! so that byte equality of two logs is exactly semantic equality of two runs.
 //! Non-finite floats encode as the bare tokens `NaN` / `inf` / `-inf` (a documented
 //! deviation from strict JSON; Rust's `f32` parser accepts them back).
+//!
+//! Both directions walk the taxonomy table in `event.rs`. Decoding is a cursor over
+//! the canonical line that reads the same fields in the same order, and a line is
+//! accepted only if its event encodes back to the same bytes: whitespace, reordered,
+//! duplicated or unknown keys, non-shortest numbers and out-of-range integers are
+//! errors, never silently normalised.
 
-use crate::event::{Event, FaultKind, PullKind, WindowEdge};
+use std::fmt::Write;
+
+use crate::event::Event;
 
 /// Encode one event as its canonical line (no trailing newline).
 pub fn encode_event(event: &Event) -> String {
@@ -14,40 +22,183 @@ pub fn encode_event(event: &Event) -> String {
     s.push_str("{\"k\":\"");
     s.push_str(event.kind());
     s.push('"');
-    for (key, value) in encoded_fields(event) {
+    event.visit_fields(|key, value| {
         s.push_str(",\"");
         s.push_str(key);
         s.push_str("\":");
-        s.push_str(&value);
-    }
+        value.write(&mut s);
+    });
     s.push('}');
     s
 }
 
-/// Per-kind payload in canonical key order, values already JSON-rendered.
-fn encoded_fields(event: &Event) -> Vec<(&'static str, String)> {
-    event
-        .fields()
-        .into_iter()
-        .map(|(key, value)| {
-            // `fields()` renders everything except strings in final JSON form; the
-            // two string-valued header fields need quoting + escaping here.
-            let rendered = match (event, key) {
-                (Event::Header { .. }, "algorithm") | (Event::Header { .. }, "policy") => {
-                    quote(&value)
-                }
-                (Event::FaultWindow { .. }, "fault")
-                | (Event::FaultWindow { .. }, "edge")
-                | (Event::RejoinPull { .. }, "pull") => quote(&value),
-                _ => value,
-            };
-            (key, rendered)
-        })
-        .collect()
+/// Decode one canonical line back into an event.
+pub fn decode_event(line: &str) -> Result<Event, String> {
+    let mut cur = Cursor { rest: line };
+    cur.eat("{\"k\":")?;
+    let event = Event::read_fields(&String::read(&mut cur)?, &mut cur)?;
+    let canonical = encode_event(&event);
+    if canonical != line {
+        return Err(format!(
+            "not a canonical line (the canonical form is `{canonical}`)"
+        ));
+    }
+    Ok(event)
 }
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// A value with one canonical rendering: written by the encoder, read back at the
+/// decoder's cursor.
+pub(crate) trait Field {
+    fn write(&self, out: &mut String);
+
+    fn read(cur: &mut Cursor) -> Result<Self, String>
+    where
+        Self: Sized;
+}
+
+/// The unread rest of a line.
+pub(crate) struct Cursor<'a> {
+    rest: &'a str,
+}
+
+impl Cursor<'_> {
+    /// Consume `prefix` if the rest starts with it.
+    fn skip(&mut self, prefix: &str) -> bool {
+        match self.rest.strip_prefix(prefix) {
+            Some(rest) => {
+                self.rest = rest;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn eat(&mut self, prefix: &str) -> Result<(), String> {
+        if self.skip(prefix) {
+            Ok(())
+        } else {
+            Err(format!("expected `{prefix}`"))
+        }
+    }
+
+    /// Read `,"key":` and the value after it.
+    pub(crate) fn field<T: Field>(&mut self, key: &str) -> Result<T, String> {
+        if !(self.skip(",\"") && self.skip(key) && self.skip("\":")) {
+            return Err(format!("missing field `{key}`"));
+        }
+        T::read(self).map_err(|e| format!("field `{key}`: {e}"))
+    }
+
+    /// A bare token: everything up to the next `,`, `]` or `}`.
+    fn token(&mut self) -> &str {
+        let end = self.rest.find([',', ']', '}']).unwrap_or(self.rest.len());
+        let (token, rest) = self.rest.split_at(end);
+        self.rest = rest;
+        token
+    }
+}
+
+/// Numbers and booleans: `Display` out, `FromStr` back.
+macro_rules! token_fields {
+    ($($ty:ty),+) => {$(
+        impl Field for $ty {
+            fn write(&self, out: &mut String) {
+                write!(out, "{self}").expect("a String takes every write");
+            }
+
+            fn read(cur: &mut Cursor) -> Result<Self, String> {
+                let token = cur.token();
+                token
+                    .parse()
+                    .map_err(|_| format!("`{token}` is not a {}", stringify!($ty)))
+            }
+        }
+    )+};
+}
+
+token_fields!(bool, u32, u64, usize, f32);
+
+impl<T: Field> Field for Option<T> {
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(value) => value.write(out),
+            None => out.push_str("null"),
+        }
+    }
+
+    fn read(cur: &mut Cursor) -> Result<Self, String> {
+        if cur.skip("null") {
+            Ok(None)
+        } else {
+            T::read(cur).map(Some)
+        }
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write(out);
+        }
+        out.push(']');
+    }
+
+    fn read(cur: &mut Cursor) -> Result<Self, String> {
+        cur.eat("[")?;
+        let mut items = Vec::new();
+        while !cur.skip("]") {
+            if !items.is_empty() {
+                cur.eat(",")?;
+            }
+            items.push(T::read(cur)?);
+        }
+        Ok(items)
+    }
+}
+
+impl Field for String {
+    fn write(&self, out: &mut String) {
+        quote(self, out);
+    }
+
+    fn read(cur: &mut Cursor) -> Result<Self, String> {
+        cur.eat("\"")?;
+        let mut out = String::new();
+        let mut chars = cur.rest.char_indices();
+        loop {
+            let (i, c) = chars.next().ok_or("unterminated string")?;
+            out.push(match c {
+                '"' => {
+                    cur.rest = &cur.rest[i + 1..];
+                    return Ok(out);
+                }
+                '\\' => match chars.next().map(|(_, e)| e) {
+                    Some('"') => '"',
+                    Some('\\') => '\\',
+                    Some('n') => '\n',
+                    Some('t') => '\t',
+                    Some('r') => '\r',
+                    Some('u') => {
+                        let hex: String = chars.by_ref().take(4).map(|(_, h)| h).collect();
+                        u32::from_str_radix(&hex, 16)
+                            .ok()
+                            .and_then(char::from_u32)
+                            .ok_or_else(|| format!("bad escape `\\u{hex}`"))?
+                    }
+                    other => return Err(format!("bad escape {other:?}")),
+                },
+                c => c,
+            });
+        }
+    }
+}
+
+/// Append `s` as a JSON string.
+pub(crate) fn quote(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -56,350 +207,19 @@ fn quote(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("a String takes every write");
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
-}
-
-// ---------------------------------------------------------------------------
-// decoding
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON-subset value. Numbers keep their raw token so `f32` fields parse
-/// with exactly one rounding (no double round-trip through `f64`).
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<JsonValue>),
-}
-
-impl JsonValue {
-    fn as_usize(&self, field: &str) -> Result<usize, String> {
-        match self {
-            JsonValue::Num(raw) => raw
-                .parse::<usize>()
-                .map_err(|_| format!("field `{field}`: `{raw}` is not an unsigned integer")),
-            other => Err(format!("field `{field}`: expected integer, got {other:?}")),
-        }
-    }
-
-    fn as_u64(&self, field: &str) -> Result<u64, String> {
-        match self {
-            JsonValue::Num(raw) => raw
-                .parse::<u64>()
-                .map_err(|_| format!("field `{field}`: `{raw}` is not a u64")),
-            other => Err(format!("field `{field}`: expected integer, got {other:?}")),
-        }
-    }
-
-    fn as_f32(&self, field: &str) -> Result<f32, String> {
-        match self {
-            JsonValue::Num(raw) => raw
-                .parse::<f32>()
-                .map_err(|_| format!("field `{field}`: `{raw}` is not a float")),
-            other => Err(format!("field `{field}`: expected number, got {other:?}")),
-        }
-    }
-
-    fn as_bool(&self, field: &str) -> Result<bool, String> {
-        match self {
-            JsonValue::Bool(b) => Ok(*b),
-            other => Err(format!("field `{field}`: expected bool, got {other:?}")),
-        }
-    }
-
-    fn as_str(&self, field: &str) -> Result<&str, String> {
-        match self {
-            JsonValue::Str(s) => Ok(s),
-            other => Err(format!("field `{field}`: expected string, got {other:?}")),
-        }
-    }
-
-    fn as_opt_usize(&self, field: &str) -> Result<Option<usize>, String> {
-        match self {
-            JsonValue::Null => Ok(None),
-            other => other.as_usize(field).map(Some),
-        }
-    }
-
-    fn as_usize_array(&self, field: &str) -> Result<Vec<usize>, String> {
-        match self {
-            JsonValue::Arr(items) => items.iter().map(|v| v.as_usize(field)).collect(),
-            other => Err(format!("field `{field}`: expected array, got {other:?}")),
-        }
-    }
-
-    fn as_bool_array(&self, field: &str) -> Result<Vec<bool>, String> {
-        match self {
-            JsonValue::Arr(items) => items.iter().map(|v| v.as_bool(field)).collect(),
-            other => Err(format!("field `{field}`: expected array, got {other:?}")),
-        }
-    }
-}
-
-/// Decode one canonical line back into an event.
-pub fn decode_event(line: &str) -> Result<Event, String> {
-    let pairs = parse_object(line)?;
-    let get = |field: &str| -> Result<&JsonValue, String> {
-        pairs
-            .iter()
-            .find(|(k, _)| k == field)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field `{field}`"))
-    };
-    let kind = get("k")?.as_str("k")?.to_string();
-    match kind.as_str() {
-        "header" => Ok(Event::Header {
-            version: get("version")?.as_u64("version")? as u32,
-            algorithm: get("algorithm")?.as_str("algorithm")?.to_string(),
-            policy: get("policy")?.as_str("policy")?.to_string(),
-            workers: get("workers")?.as_usize("workers")?,
-            iterations: get("iterations")?.as_usize("iterations")?,
-            seed: get("seed")?.as_u64("seed")?,
-        }),
-        "membership" => Ok(Event::Membership {
-            round: get("round")?.as_usize("round")?,
-            active: get("active")?.as_usize_array("active")?,
-            joined: get("joined")?.as_usize_array("joined")?,
-            left: get("left")?.as_usize_array("left")?,
-        }),
-        "fault" => Ok(Event::FaultWindow {
-            round: get("round")?.as_usize("round")?,
-            kind: FaultKind::parse(get("fault")?.as_str("fault")?)?,
-            edge: WindowEdge::parse(get("edge")?.as_str("edge")?)?,
-            worker: get("worker")?.as_opt_usize("worker")?,
-        }),
-        "rejoin" => Ok(Event::RejoinPull {
-            round: get("round")?.as_usize("round")?,
-            worker: get("worker")?.as_usize("worker")?,
-            pull: PullKind::parse(get("pull")?.as_str("pull")?)?,
-            from: get("from")?.as_opt_usize("from")?,
-        }),
-        "signal" => Ok(Event::Signal {
-            round: get("round")?.as_usize("round")?,
-            mean_loss: get("mean_loss")?.as_f32("mean_loss")?,
-            max_delta: get("max_delta")?.as_f32("max_delta")?,
-        }),
-        "round" => Ok(Event::Round {
-            round: get("round")?.as_usize("round")?,
-            delta: get("delta")?.as_f32("delta")?,
-            flags: get("flags")?.as_bool_array("flags")?,
-            synced: get("synced")?.as_bool("synced")?,
-        }),
-        "switch" => Ok(Event::RegimeSwitch {
-            round: get("round")?.as_usize("round")?,
-            exploit: get("exploit")?.as_bool("exploit")?,
-            loss_ewma: get("loss_ewma")?.as_f32("loss_ewma")?,
-            delta_ewma: get("delta_ewma")?.as_f32("delta_ewma")?,
-            mean_loss: get("mean_loss")?.as_f32("mean_loss")?,
-            max_delta: get("max_delta")?.as_f32("max_delta")?,
-        }),
-        "comm_retry" => Ok(Event::CommRetry {
-            round: get("round")?.as_usize("round")?,
-            worker: get("worker")?.as_usize("worker")?,
-            attempts: get("attempts")?.as_u64("attempts")? as u32,
-        }),
-        "comm_evict" => Ok(Event::CommEvict {
-            round: get("round")?.as_usize("round")?,
-            worker: get("worker")?.as_usize("worker")?,
-        }),
-        "ps_down" => Ok(Event::PsDown {
-            round: get("round")?.as_usize("round")?,
-        }),
-        "ps_up" => Ok(Event::PsUp {
-            round: get("round")?.as_usize("round")?,
-        }),
-        "degraded_round" => Ok(Event::DegradedRound {
-            round: get("round")?.as_usize("round")?,
-            delta: get("delta")?.as_f32("delta")?,
-            loss: get("loss")?.as_f32("loss")?,
-            delta_g: get("delta_g")?.as_f32("delta_g")?,
-        }),
-        "catchup_sync" => Ok(Event::CatchupSync {
-            round: get("round")?.as_usize("round")?,
-            behind: get("behind")?.as_usize("behind")?,
-        }),
-        other => Err(format!("unknown event kind `{other}`")),
-    }
-}
-
-/// Parse a single-line JSON object into ordered key/value pairs.
-fn parse_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut pairs = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.parse_string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let value = p.parse_value()?;
-            pairs.push((key, value));
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                other => return Err(format!("expected `,` or `}}`, got {other:?}")),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes after object at offset {}", p.pos));
-    }
-    Ok(pairs)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if b.is_some() {
-            self.pos += 1;
-        }
-        b
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next() {
-            Some(b) if b == want => Ok(()),
-            other => Err(format!("expected `{}`, got {other:?}", want as char)),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ') | Some(b'\t')) {
-            self.pos += 1;
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                loop {
-                    self.skip_ws();
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.next() {
-                        Some(b',') => continue,
-                        Some(b']') => break,
-                        other => return Err(format!("expected `,` or `]`, got {other:?}")),
-                    }
-                }
-                Ok(JsonValue::Arr(items))
-            }
-            Some(_) => {
-                // Bare token: number (possibly NaN/inf/-inf), bool, or null.
-                let start = self.pos;
-                while let Some(b) = self.peek() {
-                    if matches!(b, b',' | b'}' | b']' | b' ' | b'\t') {
-                        break;
-                    }
-                    self.pos += 1;
-                }
-                let token = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid utf-8 token".to_string())?;
-                match token {
-                    "" => Err("empty value".to_string()),
-                    "true" => Ok(JsonValue::Bool(true)),
-                    "false" => Ok(JsonValue::Bool(false)),
-                    "null" => Ok(JsonValue::Null),
-                    _ => Ok(JsonValue::Num(token.to_string())),
-                }
-            }
-            None => Err("unexpected end of line".to_string()),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .next()
-                                .and_then(|b| (b as char).to_digit(16))
-                                .ok_or_else(|| "bad \\u escape".to_string())?;
-                            code = code * 16 + d;
-                        }
-                        out.push(
-                            char::from_u32(code).ok_or_else(|| "bad \\u codepoint".to_string())?,
-                        );
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Multi-byte UTF-8: copy the remaining continuation bytes raw.
-                    let len = if b >= 0xF0 {
-                        4
-                    } else if b >= 0xE0 {
-                        3
-                    } else {
-                        2
-                    };
-                    let start = self.pos - 1;
-                    let end = start + len;
-                    if end > self.bytes.len() {
-                        return Err("truncated utf-8 sequence".to_string());
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| "invalid utf-8 in string".to_string())?,
-                    );
-                    self.pos = end;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventLog, TRACE_VERSION};
+    use crate::event::{EventLog, FaultKind, PullKind, WindowEdge, TRACE_VERSION};
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -542,6 +362,24 @@ mod tests {
         )
         .is_err());
         assert!(EventLog::decode("{\"k\":\"header\"\n\n").is_err());
+    }
+
+    #[test]
+    fn non_canonical_lines_are_rejected() {
+        // Each line is well-formed JSON naming a real kind, and each would read as
+        // an event whose canonical line differs: a version or attempt count past
+        // u32, an unknown key, a duplicate key, whitespace with reordered keys, a
+        // padded float.
+        for line in [
+            r#"{"k":"header","version":4294967297,"algorithm":"a","policy":"p","workers":1,"iterations":1,"seed":0}"#,
+            r#"{"k":"comm_retry","round":3,"worker":0,"attempts":4294967298}"#,
+            r#"{"k":"ps_up","round":3,"junk":[1,2]}"#,
+            r#"{"k":"ps_up","round":3,"round":4}"#,
+            r#"{ "round" : 3 , "k" : "ps_up" }"#,
+            r#"{"k":"signal","round":0,"mean_loss":0.10000,"max_delta":0.5}"#,
+        ] {
+            assert!(decode_event(line).is_err(), "{line}");
+        }
     }
 
     #[test]

@@ -228,4 +228,18 @@ mod tests {
         assert_eq!(d.fields[0].field, "seed");
         assert!(explain(&d, "a", "b").contains("in the header"));
     }
+
+    #[test]
+    fn string_fields_are_explained_as_they_are_on_disk() {
+        let a = base_log();
+        let mut b = base_log();
+        if let Event::Header { policy, .. } = &mut b.events[0] {
+            *policy = "d=\"0.2\"".into();
+        }
+        let text = diff_report(&a, &b, "a", "b").expect("must diverge");
+        assert!(
+            text.contains(r#"field `policy`: "d=0.1" vs "d=\"0.2\"""#),
+            "{text}"
+        );
+    }
 }

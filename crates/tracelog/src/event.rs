@@ -1,217 +1,289 @@
 //! The typed event stream: one versioned header plus per-round schedule-level facts.
+//!
+//! The taxonomy is declared once, in the `events!` table below: each row names a
+//! kind's variant, its `"k"` tag, the coarsest granularity that keeps it and its
+//! fields in key order. Rows are in canonical rank order. The codec, the diff and
+//! the sink filter all read the table; nothing else spells out a kind's format.
+
+use crate::codec::{quote, Cursor, Field};
 
 /// Version of the canonical encoding. Bump on any wire-visible change so recorded
 /// logs from older binaries fail loudly instead of diffing confusingly.
 pub const TRACE_VERSION: u32 = 1;
 
-/// How much of the stream a sink keeps.
-///
-/// * `Full` keeps every event.
-/// * `Rounds` keeps only the structural skeleton — header, membership changes and
-///   per-round decisions — dropping fault edges, rejoin pulls, signal values and
-///   regime switches. Useful when only the sync schedule matters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceGranularity {
-    #[default]
-    Full,
-    Rounds,
+/// A closed set of names: the enum, `as_str`, `parse` and its codec [`Field`] (the
+/// name as a JSON string).
+macro_rules! tags {
+    ($(#[$meta:meta])* $name:ident, $what:literal {
+        $($(#[$attr:meta])* $variant:ident = $tag:literal),+ $(,)?
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[$attr])* $variant),+
+        }
+
+        impl $name {
+            /// Canonical name (the on-disk and scenario-TOML value).
+            pub fn as_str(&self) -> &'static str {
+                match self {
+                    $($name::$variant => $tag),+
+                }
+            }
+
+            /// Parse a canonical name back.
+            pub fn parse(s: &str) -> Result<Self, String> {
+                match s {
+                    $($tag => Ok($name::$variant),)+
+                    other => Err(format!(
+                        "unknown {} `{other}` (expected {})",
+                        $what,
+                        [$(concat!("`", $tag, "`")),+].join(" or ")
+                    )),
+                }
+            }
+        }
+
+        impl Field for $name {
+            fn write(&self, out: &mut String) {
+                quote(self.as_str(), out);
+            }
+
+            fn read(cur: &mut Cursor) -> Result<Self, String> {
+                Self::parse(&String::read(cur)?)
+            }
+        }
+    };
 }
 
-impl TraceGranularity {
-    /// Canonical lowercase name (the scenario-TOML value).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            TraceGranularity::Full => "full",
-            TraceGranularity::Rounds => "rounds",
-        }
-    }
-
-    /// Parse a canonical name back.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "full" => Ok(TraceGranularity::Full),
-            "rounds" => Ok(TraceGranularity::Rounds),
-            other => Err(format!(
-                "unknown trace granularity `{other}` (expected `full` or `rounds`)"
-            )),
-        }
-    }
-}
-
-/// Which fault family a window edge belongs to (crashes are covered by membership
-/// events, not window edges).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    Slowdown,
-    Bandwidth,
-    Latency,
-}
-
-impl FaultKind {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            FaultKind::Slowdown => "slowdown",
-            FaultKind::Bandwidth => "bandwidth",
-            FaultKind::Latency => "latency",
-        }
-    }
-
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "slowdown" => Ok(FaultKind::Slowdown),
-            "bandwidth" => Ok(FaultKind::Bandwidth),
-            "latency" => Ok(FaultKind::Latency),
-            other => Err(format!("unknown fault kind `{other}`")),
-        }
+tags! {
+    /// How much of the stream a sink keeps.
+    ///
+    /// * `Full` keeps every event.
+    /// * `Rounds` keeps only the structural skeleton — header, membership changes and
+    ///   per-round decisions — dropping fault edges, rejoin pulls, signal values and
+    ///   regime switches. Useful when only the sync schedule matters.
+    #[derive(Default)]
+    TraceGranularity, "trace granularity" {
+        #[default]
+        Full = "full",
+        Rounds = "rounds",
     }
 }
 
-/// Whether a fault window opened or closed at this round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WindowEdge {
-    Open,
-    Close,
-}
-
-impl WindowEdge {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            WindowEdge::Open => "open",
-            WindowEdge::Close => "close",
-        }
-    }
-
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "open" => Ok(WindowEdge::Open),
-            "close" => Ok(WindowEdge::Close),
-            other => Err(format!("unknown window edge `{other}`")),
-        }
+tags! {
+    /// Which fault family a window edge belongs to (crashes are covered by membership
+    /// events, not window edges).
+    FaultKind, "fault kind" {
+        Slowdown = "slowdown",
+        Bandwidth = "bandwidth",
+        Latency = "latency",
     }
 }
 
-/// Which rejoin-pull semantics produced a global-model pull.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PullKind {
-    WallClock,
-    Scheduled,
-}
-
-impl PullKind {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            PullKind::WallClock => "wall-clock",
-            PullKind::Scheduled => "scheduled",
-        }
-    }
-
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "wall-clock" => Ok(PullKind::WallClock),
-            "scheduled" => Ok(PullKind::Scheduled),
-            other => Err(format!("unknown pull kind `{other}`")),
-        }
+tags! {
+    /// Whether a fault window opened or closed at this round.
+    WindowEdge, "window edge" {
+        Open = "open",
+        Close = "close",
     }
 }
 
-/// One line of the canonical log. All fields are schedule-level facts both backends
-/// can compute identically; nothing here depends on wall clocks or thread timing.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
-    /// First line of every log: run identity.
-    Header {
-        version: u32,
-        algorithm: String,
-        policy: String,
-        workers: usize,
-        iterations: usize,
-        seed: u64,
-    },
-    /// Active-set change at `round`: who is computing this round, who joined since
-    /// the previous active round, who left. Emitted for the first active round and
-    /// whenever the set changes (covers crashes, rejoins and elastic churn).
-    Membership {
-        round: usize,
-        active: Vec<usize>,
-        joined: Vec<usize>,
-        left: Vec<usize>,
-    },
-    /// A non-crash fault window opened or closed between the previous active round
-    /// and this one. `worker` is set for per-worker faults (slowdowns).
-    FaultWindow {
-        round: usize,
-        kind: FaultKind,
-        edge: WindowEdge,
-        worker: Option<usize>,
-    },
-    /// A rejoining worker pulled a global model. `from` is the sync round whose
-    /// global it received (`None` for the initial model, or for wall-clock pulls
-    /// whose source is inherently timing-dependent).
-    RejoinPull {
-        round: usize,
-        worker: usize,
-        pull: PullKind,
-        from: Option<usize>,
-    },
-    /// Cluster-aggregated round signal (only emitted for signal-consuming policies,
-    /// which are the only arms that exchange these values in the cluster driver).
-    Signal {
-        round: usize,
-        mean_loss: f32,
-        max_delta: f32,
-    },
-    /// The round's synchronization decision: the δ the policy chose, each present
-    /// worker's sync wish (in active-set order), and whether the cluster synced.
-    Round {
-        round: usize,
-        delta: f32,
-        flags: Vec<bool>,
-        synced: bool,
-    },
-    /// The adaptive policy switched regimes after observing this round's signal.
-    /// `exploit` is the regime switched *to*; the EWMA fields are the detector
-    /// state that triggered the switch.
-    RegimeSwitch {
-        round: usize,
-        exploit: bool,
-        loss_ewma: f32,
-        delta_ewma: f32,
-        mean_loss: f32,
-        max_delta: f32,
-    },
-    /// A worker's comm exchanges at this round needed more than one attempt under
-    /// the seeded `[comm_faults]` schedule. `attempts` is the per-op attempt count
-    /// (all of a worker's ops in one round share the same link weather, hence the
-    /// same count).
-    CommRetry {
-        round: usize,
-        worker: usize,
-        attempts: u32,
-    },
-    /// A worker exhausted its retry budget at this round and was evicted from the
-    /// cluster membership — the comm-fault analogue of a scheduled crash with no
-    /// rejoin.
-    CommEvict { round: usize, worker: usize },
-    /// The parameter server became unreachable at this round (the first round of a
-    /// `[ps_faults]` outage window or brownout).
-    PsDown { round: usize },
-    /// The parameter server came back at this round (the first reachable round
-    /// after an outage) — this round runs the catch-up sync.
-    PsUp { round: usize },
-    /// A degraded, forced-local round while the PS was down: no sync decision was
-    /// possible, every present worker trained locally. Replaces the `Round` event
-    /// for that round; `delta` is the δ the policy would have used, `loss`/`delta_g`
-    /// are the local signal fed to the policy so regime state stays coherent.
-    DegradedRound {
-        round: usize,
-        delta: f32,
-        loss: f32,
-        delta_g: f32,
-    },
-    /// The first sync after a PS outage: synchronization is forced for every present
-    /// worker, reconciling the `behind` accumulated local-only rounds through the
-    /// elastic aggregation machinery.
-    CatchupSync { round: usize, behind: usize },
+tags! {
+    /// Which rejoin-pull semantics produced a global-model pull.
+    PullKind, "pull kind" {
+        WallClock = "wall-clock",
+        Scheduled = "scheduled",
+    }
+}
+
+/// A field's on-disk key: its name, unless the table renames it.
+macro_rules! key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
+
+/// The event taxonomy. Each row is `Variant = "k" tag, granularity { fields }`:
+/// the granularity is the coarsest [`TraceGranularity`] whose sink keeps the kind,
+/// and the fields are in on-disk key order (`field as "key"` where the key differs
+/// from the field name). A row's position is its rank: within a round, events sort
+/// in row order.
+macro_rules! events {
+    ($(#[$meta:meta])* pub enum Event {
+        $($(#[$attr:meta])* $variant:ident = $tag:literal, $keep:ident {
+            $($field:ident $(as $key:literal)?: $ty:ty),+ $(,)?
+        }),+ $(,)?
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Event {
+            $($(#[$attr])* $variant { $($field: $ty),+ }),+
+        }
+
+        /// Every kind's `"k"` tag, in rank order.
+        const KINDS: &[&str] = &[$($tag),+];
+
+        /// The variants without payload; a discriminant is a rank.
+        enum Rank {
+            $($variant),+
+        }
+
+        impl Event {
+            /// Canonical kind tag (the `"k"` field of the encoded line).
+            pub fn kind(&self) -> &'static str {
+                KINDS[usize::from(self.kind_rank())]
+            }
+
+            /// Fixed within-round ordering of kinds in the canonical form.
+            fn kind_rank(&self) -> u8 {
+                match self {
+                    $(Event::$variant { .. } => Rank::$variant as u8),+
+                }
+            }
+
+            /// The coarsest granularity whose sink keeps this kind.
+            pub(crate) fn granularity(&self) -> TraceGranularity {
+                match self {
+                    $(Event::$variant { .. } => TraceGranularity::$keep),+
+                }
+            }
+
+            /// Visit the payload in key order (the `"k"` tag excluded).
+            pub(crate) fn visit_fields(&self, mut visit: impl FnMut(&'static str, &dyn Field)) {
+                match self {
+                    $(Event::$variant { $($field),+ } => {
+                        $(visit(key!($field $($key)?), $field);)+
+                    })+
+                }
+            }
+
+            /// Read the payload of a `tag` event, field by field in key order.
+            pub(crate) fn read_fields(tag: &str, cur: &mut Cursor) -> Result<Event, String> {
+                Ok(match tag {
+                    $($tag => Event::$variant {
+                        $($field: cur.field(key!($field $($key)?))?),+
+                    },)+
+                    other => return Err(format!("unknown event kind `{other}`")),
+                })
+            }
+        }
+    };
+}
+
+events! {
+    /// One line of the canonical log. All fields are schedule-level facts both
+    /// backends can compute identically; nothing here depends on wall clocks or
+    /// thread timing.
+    pub enum Event {
+        /// First line of every log: run identity.
+        Header = "header", Rounds {
+            version: u32,
+            algorithm: String,
+            policy: String,
+            workers: usize,
+            iterations: usize,
+            seed: u64,
+        },
+        /// Active-set change at `round`: who is computing this round, who joined since
+        /// the previous active round, who left. Emitted for the first active round and
+        /// whenever the set changes (covers crashes, rejoins and elastic churn).
+        Membership = "membership", Rounds {
+            round: usize,
+            active: Vec<usize>,
+            joined: Vec<usize>,
+            left: Vec<usize>,
+        },
+        /// A non-crash fault window opened or closed between the previous active round
+        /// and this one. `worker` is set for per-worker faults (slowdowns).
+        FaultWindow = "fault", Full {
+            round: usize,
+            kind as "fault": FaultKind,
+            edge: WindowEdge,
+            worker: Option<usize>,
+        },
+        /// A rejoining worker pulled a global model. `from` is the sync round whose
+        /// global it received (`None` for the initial model, or for wall-clock pulls
+        /// whose source is inherently timing-dependent).
+        RejoinPull = "rejoin", Full {
+            round: usize,
+            worker: usize,
+            pull: PullKind,
+            from: Option<usize>,
+        },
+        /// Cluster-aggregated round signal (only emitted for signal-consuming policies,
+        /// which are the only arms that exchange these values in the cluster driver).
+        Signal = "signal", Full {
+            round: usize,
+            mean_loss: f32,
+            max_delta: f32,
+        },
+        /// The round's synchronization decision: the δ the policy chose, each present
+        /// worker's sync wish (in active-set order), and whether the cluster synced.
+        Round = "round", Rounds {
+            round: usize,
+            delta: f32,
+            flags: Vec<bool>,
+            synced: bool,
+        },
+        /// The adaptive policy switched regimes after observing this round's signal.
+        /// `exploit` is the regime switched *to*; the EWMA fields are the detector
+        /// state that triggered the switch.
+        RegimeSwitch = "switch", Full {
+            round: usize,
+            exploit: bool,
+            loss_ewma: f32,
+            delta_ewma: f32,
+            mean_loss: f32,
+            max_delta: f32,
+        },
+        /// A worker's comm exchanges at this round needed more than one attempt under
+        /// the seeded `[comm_faults]` schedule. `attempts` is the per-op attempt count
+        /// (all of a worker's ops in one round share the same link weather, hence the
+        /// same count).
+        CommRetry = "comm_retry", Full {
+            round: usize,
+            worker: usize,
+            attempts: u32,
+        },
+        /// A worker exhausted its retry budget at this round and was evicted from the
+        /// cluster membership — the comm-fault analogue of a scheduled crash with no
+        /// rejoin.
+        CommEvict = "comm_evict", Full {
+            round: usize,
+            worker: usize,
+        },
+        /// The parameter server became unreachable at this round (the first round of a
+        /// `[ps_faults]` outage window or brownout).
+        PsDown = "ps_down", Full {
+            round: usize,
+        },
+        /// The parameter server came back at this round (the first reachable round
+        /// after an outage) — this round runs the catch-up sync.
+        PsUp = "ps_up", Full {
+            round: usize,
+        },
+        /// A degraded, forced-local round while the PS was down: no sync decision was
+        /// possible, every present worker trained locally. Replaces the `Round` event
+        /// for that round; `delta` is the δ the policy would have used, `loss`/`delta_g`
+        /// are the local signal fed to the policy so regime state stays coherent.
+        DegradedRound = "degraded_round", Rounds {
+            round: usize,
+            delta: f32,
+            loss: f32,
+            delta_g: f32,
+        },
+        /// The first sync after a PS outage: synchronization is forced for every present
+        /// worker, reconciling the `behind` accumulated local-only rounds through the
+        /// elastic aggregation machinery.
+        CatchupSync = "catchup_sync", Full {
+            round: usize,
+            behind: usize,
+        },
+    }
 }
 
 impl Event {
@@ -234,44 +306,6 @@ impl Event {
         }
     }
 
-    /// Canonical kind tag (the `"k"` field of the encoded line).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::Header { .. } => "header",
-            Event::Membership { .. } => "membership",
-            Event::FaultWindow { .. } => "fault",
-            Event::RejoinPull { .. } => "rejoin",
-            Event::Signal { .. } => "signal",
-            Event::Round { .. } => "round",
-            Event::RegimeSwitch { .. } => "switch",
-            Event::CommRetry { .. } => "comm_retry",
-            Event::CommEvict { .. } => "comm_evict",
-            Event::PsDown { .. } => "ps_down",
-            Event::PsUp { .. } => "ps_up",
-            Event::DegradedRound { .. } => "degraded_round",
-            Event::CatchupSync { .. } => "catchup_sync",
-        }
-    }
-
-    /// Fixed within-round ordering of kinds in the canonical form.
-    fn kind_rank(&self) -> u8 {
-        match self {
-            Event::Header { .. } => 0,
-            Event::Membership { .. } => 1,
-            Event::FaultWindow { .. } => 2,
-            Event::RejoinPull { .. } => 3,
-            Event::Signal { .. } => 4,
-            Event::Round { .. } => 5,
-            Event::RegimeSwitch { .. } => 6,
-            Event::CommRetry { .. } => 7,
-            Event::CommEvict { .. } => 8,
-            Event::PsDown { .. } => 9,
-            Event::PsUp { .. } => 10,
-            Event::DegradedRound { .. } => 11,
-            Event::CatchupSync { .. } => 12,
-        }
-    }
-
     /// Total order of the canonical form: header first, then rounds ascending, then
     /// kind, then worker (so concurrent per-worker events sort deterministically).
     /// Events that tie on this key are emitted by a single logical thread in a fixed
@@ -288,144 +322,16 @@ impl Event {
         (round_key, self.kind_rank(), worker_key)
     }
 
-    /// The event's payload as ordered `(field, rendered value)` pairs — the
-    /// substrate of the field-level diff explanation. Renders with the same
-    /// formatting as the codec so diff output matches the bytes on disk.
+    /// The payload as ordered `(key, value)` pairs, each value rendered exactly as
+    /// it is on disk — the substrate of the field-level diff explanation.
     pub fn fields(&self) -> Vec<(&'static str, String)> {
-        fn f32s(x: f32) -> String {
-            format!("{x}")
-        }
-        fn list(xs: &[usize]) -> String {
-            let inner: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
-            format!("[{}]", inner.join(","))
-        }
-        fn opt(x: Option<usize>) -> String {
-            x.map_or_else(|| "null".to_string(), |v| v.to_string())
-        }
-        match self {
-            Event::Header {
-                version,
-                algorithm,
-                policy,
-                workers,
-                iterations,
-                seed,
-            } => vec![
-                ("version", version.to_string()),
-                ("algorithm", algorithm.clone()),
-                ("policy", policy.clone()),
-                ("workers", workers.to_string()),
-                ("iterations", iterations.to_string()),
-                ("seed", seed.to_string()),
-            ],
-            Event::Membership {
-                round,
-                active,
-                joined,
-                left,
-            } => vec![
-                ("round", round.to_string()),
-                ("active", list(active)),
-                ("joined", list(joined)),
-                ("left", list(left)),
-            ],
-            Event::FaultWindow {
-                round,
-                kind,
-                edge,
-                worker,
-            } => vec![
-                ("round", round.to_string()),
-                ("fault", kind.as_str().to_string()),
-                ("edge", edge.as_str().to_string()),
-                ("worker", opt(*worker)),
-            ],
-            Event::RejoinPull {
-                round,
-                worker,
-                pull,
-                from,
-            } => vec![
-                ("round", round.to_string()),
-                ("worker", worker.to_string()),
-                ("pull", pull.as_str().to_string()),
-                ("from", opt(*from)),
-            ],
-            Event::Signal {
-                round,
-                mean_loss,
-                max_delta,
-            } => vec![
-                ("round", round.to_string()),
-                ("mean_loss", f32s(*mean_loss)),
-                ("max_delta", f32s(*max_delta)),
-            ],
-            Event::Round {
-                round,
-                delta,
-                flags,
-                synced,
-            } => vec![
-                ("round", round.to_string()),
-                ("delta", f32s(*delta)),
-                (
-                    "flags",
-                    format!(
-                        "[{}]",
-                        flags
-                            .iter()
-                            .map(|f| f.to_string())
-                            .collect::<Vec<_>>()
-                            .join(",")
-                    ),
-                ),
-                ("synced", synced.to_string()),
-            ],
-            Event::RegimeSwitch {
-                round,
-                exploit,
-                loss_ewma,
-                delta_ewma,
-                mean_loss,
-                max_delta,
-            } => vec![
-                ("round", round.to_string()),
-                ("exploit", exploit.to_string()),
-                ("loss_ewma", f32s(*loss_ewma)),
-                ("delta_ewma", f32s(*delta_ewma)),
-                ("mean_loss", f32s(*mean_loss)),
-                ("max_delta", f32s(*max_delta)),
-            ],
-            Event::CommRetry {
-                round,
-                worker,
-                attempts,
-            } => vec![
-                ("round", round.to_string()),
-                ("worker", worker.to_string()),
-                ("attempts", attempts.to_string()),
-            ],
-            Event::CommEvict { round, worker } => {
-                vec![("round", round.to_string()), ("worker", worker.to_string())]
-            }
-            Event::PsDown { round } | Event::PsUp { round } => {
-                vec![("round", round.to_string())]
-            }
-            Event::DegradedRound {
-                round,
-                delta,
-                loss,
-                delta_g,
-            } => vec![
-                ("round", round.to_string()),
-                ("delta", f32s(*delta)),
-                ("loss", f32s(*loss)),
-                ("delta_g", f32s(*delta_g)),
-            ],
-            Event::CatchupSync { round, behind } => {
-                vec![("round", round.to_string()), ("behind", behind.to_string())]
-            }
-        }
+        let mut fields = Vec::new();
+        self.visit_fields(|key, value| {
+            let mut rendered = String::new();
+            value.write(&mut rendered);
+            fields.push((key, rendered));
+        });
+        fields
     }
 }
 
@@ -542,6 +448,23 @@ mod tests {
     }
 
     #[test]
+    fn docs_taxonomy_lists_every_kind_in_rank_order() {
+        let doc = include_str!("../../../docs/EVENT_LOG.md");
+        let table = doc
+            .split("## Event taxonomy")
+            .nth(1)
+            .expect("taxonomy section");
+        let kinds: Vec<&str> = table
+            .lines()
+            .skip_while(|line| !line.starts_with("|---"))
+            .skip(1)
+            .take_while(|line| line.starts_with('|'))
+            .map(|line| line.split('|').nth(1).unwrap().trim().trim_matches('`'))
+            .collect();
+        assert_eq!(kinds, KINDS);
+    }
+
+    #[test]
     fn granularity_and_tag_enums_round_trip_their_names() {
         for g in [TraceGranularity::Full, TraceGranularity::Rounds] {
             assert_eq!(TraceGranularity::parse(g.as_str()), Ok(g));
@@ -559,6 +482,9 @@ mod tests {
         for p in [PullKind::WallClock, PullKind::Scheduled] {
             assert_eq!(PullKind::parse(p.as_str()), Ok(p));
         }
-        assert!(TraceGranularity::parse("verbose").is_err());
+        assert_eq!(
+            TraceGranularity::parse("verbose"),
+            Err("unknown trace granularity `verbose` (expected `full` or `rounds`)".into())
+        );
     }
 }

@@ -50,13 +50,7 @@ impl TraceSink {
     pub fn record(&self, event: Event) {
         let Some(inner) = &self.inner else { return };
         if inner.granularity == TraceGranularity::Rounds
-            && !matches!(
-                event,
-                Event::Header { .. }
-                    | Event::Membership { .. }
-                    | Event::Round { .. }
-                    | Event::DegradedRound { .. }
-            )
+            && event.granularity() == TraceGranularity::Full
         {
             return;
         }

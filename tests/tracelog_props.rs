@@ -1,9 +1,11 @@
 //! Property tests for the event-log codec: `decode(encode(log)) == log` and the
 //! canonical encoding is a fixed point, for arbitrary event sequences — every event
 //! kind, awkward float mantissas, non-finite floats, option fields, empty arrays,
-//! and header strings that need escaping.
+//! and header strings that need escaping. Decoding accepts only canonical lines:
+//! whatever decodes re-encodes to itself, and non-canonical mutations are errors.
 
 use proptest::prelude::*;
+use selsync_repro::tracelog::codec::{decode_event, encode_event};
 use selsync_repro::tracelog::{Event, EventLog, FaultKind, PullKind, WindowEdge, TRACE_VERSION};
 
 /// Header strings are the only free-form text in the format; these candidates cover
@@ -300,4 +302,119 @@ fn trace_lines_are_pinned_across_commits() {
     text.push_str(&EventLog::merge(shards).encode());
     let got = selsync_repro::comm::wire::checksum(text.as_bytes());
     assert_eq!(got, 0x35CC_7AE2_B8CB_3BB7, "digest {got:#018X}\n{text}");
+}
+
+/// One of `pinned_events()` (every kind) when `pick` indexes it, else a
+/// `build_event` draw from `raw` (floats from raw bits: subnormals, huge values and
+/// NaN payloads included).
+fn any_event(pick: usize, raw: &[u64]) -> Event {
+    let pinned = pinned_events();
+    match pinned.get(pick) {
+        Some(event) => event.clone(),
+        None => build_event(
+            raw[0] as u8,
+            raw[1] as usize % 10_000,
+            raw[2] as usize % 32,
+            f32::from_bits(raw[3] as u32),
+            f32::from_bits(raw[4] as u32),
+            raw[5] as u8,
+            raw[6] as u8,
+            raw[7] as usize,
+        ),
+    }
+}
+
+/// Characters a single-character edit of a line draws from: JSON punctuation and
+/// the letters and digits of every bare token.
+const EDITS: &str = " ,:{}[]\"\\0123456789.-+eEnulfatrsNIix";
+
+/// The line's `"key":value` items, `"k"` first, rendered as the diff shows them.
+fn items(event: &Event) -> Vec<String> {
+    let mut items = vec![format!("\"k\":\"{}\"", event.kind())];
+    items.extend(
+        event
+            .fields()
+            .iter()
+            .map(|(key, value)| format!("\"{key}\":{value}")),
+    );
+    items
+}
+
+fn join(items: &[String]) -> String {
+    format!("{{{}}}", items.join(","))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn every_line_that_decodes_re_encodes_to_itself(
+        pick in 0usize..42,
+        raw in proptest::collection::vec(0u64..u64::MAX, 8),
+        at in 0usize..1024,
+        edit in 0u8..3,
+        c in 0usize..EDITS.len(),
+    ) {
+        let mut line = encode_event(&any_event(pick, &raw));
+        let c = EDITS.as_bytes()[c] as char;
+        let mut pos = at % (line.len() + 1);
+        while !line.is_char_boundary(pos) {
+            pos -= 1;
+        }
+        match line[pos..].chars().next() {
+            Some(old) if edit == 1 => line.replace_range(pos..pos + old.len_utf8(), ""),
+            Some(old) if edit == 2 => line.replace_range(pos..pos + old.len_utf8(), &c.to_string()),
+            _ => line.insert(pos, c),
+        }
+        if let Ok(back) = decode_event(&line) {
+            prop_assert_eq!(encode_event(&back), line);
+        }
+    }
+
+    #[test]
+    fn non_canonical_mutations_of_a_line_fail_to_decode(
+        pick in 0usize..42,
+        raw in proptest::collection::vec(0u64..u64::MAX, 8),
+        i in 0usize..1024,
+        j in 0usize..1024,
+    ) {
+        let event = any_event(pick, &raw);
+        let items = items(&event);
+        let line = join(&items);
+        // The diff's rendering of each field is the bytes on disk.
+        prop_assert_eq!(&line, &encode_event(&event));
+        prop_assert!(decode_event(&line).is_ok());
+
+        let n = items.len();
+        let (i, j) = (i % n, j % (n - 1));
+        let j = if j >= i { j + 1 } else { j };
+        let mut mutants = Vec::new();
+        let mut spaced = items.clone();
+        spaced[i] = spaced[i].replacen("\":", "\": ", 1);
+        mutants.push(join(&spaced));
+        let mut spaced = items.clone();
+        spaced[i.max(1)].insert(0, ' ');
+        mutants.push(join(&spaced));
+        let mut swapped = items.clone();
+        swapped.swap(i, j);
+        mutants.push(join(&swapped));
+        let mut duplicated = items.clone();
+        duplicated.insert(i + 1, items[i].clone());
+        mutants.push(join(&duplicated));
+        let mut extended = items.clone();
+        extended.push("\"x\":0".into());
+        mutants.push(join(&extended));
+        // Only the u32 fields can be widened out of range: a usize or u64 field
+        // holds the widened value exactly.
+        for (key, value) in event.fields() {
+            if key == "version" || key == "attempts" {
+                let widened = value.parse::<u64>().unwrap() + (1 << 32);
+                let from = format!("\"{key}\":{value}");
+                mutants.push(line.replacen(&from, &format!("\"{key}\":{widened}"), 1));
+            }
+        }
+        for mutant in mutants {
+            prop_assert!(decode_event(&mutant).is_err(), "decoded {}", mutant);
+        }
+    }
 }
