@@ -335,3 +335,92 @@ fn all_faulty_builtins_hold_parity_for_every_arm_across_thread_counts() {
         }
     }
 }
+
+#[test]
+fn builtin_runs_are_pinned_across_commits() {
+    // Every built-in under the fixed and adaptive arms: one digest over the
+    // simulator's report (cost-model seconds and bytes, sync schedule, eval
+    // history), its full event log and the threaded run's worker-report lines
+    // (final loss and distance to the global, as bit patterns). Rejoin pulls are
+    // scheduled, because a wall-clock pull depends on thread timing. The last rows
+    // run the simulator-only rules (BSP's gradient averaging, FedAvg's client
+    // sampling, SelSync GA) on the two fault domains that price retries and PS
+    // outages. The digests were recorded before the simulator and the cluster
+    // workers shared one round loop: a loop that moves one byte fails here.
+    use selsync_repro::comm::wire::checksum;
+    use selsync_repro::core::process::encode_worker_report;
+    use selsync_repro::scenario::BUILTIN_NAMES;
+
+    let digest = |cfg: &mut TrainConfig, threaded: bool| {
+        cfg.rejoin_pull = RejoinPull::Scheduled;
+        cfg.trace = TraceSink::capture(TraceGranularity::Full);
+        let mut text = format!("{:?}\n", algorithms::run(cfg));
+        text += &cfg.trace.take_log().encode();
+        if threaded {
+            cfg.trace = TraceSink::disabled();
+            let (conditions, last) = (cfg.effective_conditions(), cfg.iterations - 1);
+            for mut report in run_threaded_selsync(cfg) {
+                // A worker absent at the last round ends early, and its final pull
+                // races the others' remaining syncs: its distance is a wall-clock read.
+                if !conditions.is_present(report.worker, last) {
+                    report.distance_to_global = f32::NAN;
+                }
+                text += &encode_worker_report(&report);
+                text.push('\n');
+            }
+        }
+        checksum(text.as_bytes())
+    };
+    let mut got = Vec::new();
+    for name in BUILTIN_NAMES {
+        let scenario = scaled(name);
+        for (arm, policy) in [
+            ("fixed", None),
+            ("adaptive", Some(PolicySpec::adaptive_default())),
+        ] {
+            let mut cfg = scenario.train_config(AlgorithmSpec::selsync(MIXED_DELTA));
+            cfg.delta_policy = policy;
+            got.push((format!("{name}/{arm}"), digest(&mut cfg, true)));
+        }
+    }
+    for name in ["flaky-links", "ps-brownout"] {
+        let scenario = scaled(name);
+        for algo in [
+            AlgorithmSpec::Bsp,
+            AlgorithmSpec::FedAvg { c: 0.5, e: 0.25 },
+            AlgorithmSpec::selsync_ga(MIXED_DELTA),
+        ] {
+            let mut cfg = scenario.train_config(algo);
+            got.push((format!("{name}/{}", algo.name()), digest(&mut cfg, false)));
+        }
+    }
+    // BSP and FedAvg read the same on both scenarios: neither meets link weather
+    // nor PS outages (docs/SCENARIOS.md, "Semantics").
+    let want = [
+        ("steady/fixed", 0xE0E0_21F2_4E49_ECA6),
+        ("steady/adaptive", 0xD113_294B_6A1E_DAA8),
+        ("transient-straggler/fixed", 0x1C25_3729_4326_4C4C),
+        ("transient-straggler/adaptive", 0x5053_BF12_E6C9_9DC6),
+        ("degraded-network/fixed", 0x8E4C_9210_9E68_736C),
+        ("degraded-network/adaptive", 0x31F8_795A_BC4D_F0CA),
+        ("crash-rejoin/fixed", 0xD684_4FA9_E517_2CD6),
+        ("crash-rejoin/adaptive", 0x6B3F_0526_1BDA_3E3A),
+        ("heterogeneous-fleet/fixed", 0x2E9D_42BB_29B9_7F26),
+        ("heterogeneous-fleet/adaptive", 0xB2CE_6CEF_D9AB_D256),
+        ("elastic-churn/fixed", 0x6166_C34A_1202_C1F4),
+        ("elastic-churn/adaptive", 0x8834_40FC_49FE_B4E3),
+        ("flaky-links/fixed", 0x1ADF_06BF_CC25_A41B),
+        ("flaky-links/adaptive", 0x73CF_44BA_B315_FE2F),
+        ("ps-brownout/fixed", 0x04E3_0036_86AA_D4E3),
+        ("ps-brownout/adaptive", 0x4B30_E9A7_7E0B_6C0E),
+        ("flaky-links/BSP", 0xA315_ECCE_8C31_E7C8),
+        ("flaky-links/FedAvg(0.5,0.25)", 0xD45D_D1F7_9C26_EDF4),
+        ("flaky-links/SelSync(d=0.055,GA)", 0x3782_FFAD_3EA0_6E88),
+        ("ps-brownout/BSP", 0xA315_ECCE_8C31_E7C8),
+        ("ps-brownout/FedAvg(0.5,0.25)", 0xD45D_D1F7_9C26_EDF4),
+        ("ps-brownout/SelSync(d=0.055,GA)", 0x8EE6_B0DD_3AEF_79DD),
+    ];
+    let got: Vec<(&str, u64)> = got.iter().map(|(l, d)| (l.as_str(), *d)).collect();
+    let rendered: Vec<String> = got.iter().map(|(l, d)| format!("{l}: {d:#018X}")).collect();
+    assert_eq!(got, want, "digests moved:\n{}", rendered.join("\n"));
+}
