@@ -63,7 +63,8 @@ impl CheckpointArgs {
 
     /// The `[checkpoint]` policy the flags ask for — `None` when neither
     /// `--ckpt-every` nor `--halt` was given. Images land in `--ckpt-dir`, else in
-    /// `default_dir`; with neither the directory is an error.
+    /// `default_dir`; with neither the directory is an error, and so is a policy
+    /// [`CheckpointSpec::validate`] rejects.
     pub fn spec(&self, default_dir: Option<String>) -> Result<Option<CheckpointSpec>, String> {
         let every = match (self.every, self.halt) {
             (None, None) if self.dir.is_some() || self.keep.is_some() => {
@@ -77,12 +78,14 @@ impl CheckpointArgs {
         let dir = self.dir.clone().or(default_dir).ok_or_else(|| {
             "--ckpt-every/--halt need --ckpt-dir (images must land somewhere durable)".to_string()
         })?;
-        Ok(Some(CheckpointSpec {
+        let spec = CheckpointSpec {
             every,
             dir,
             halt_after: self.halt,
             keep: self.keep,
-        }))
+        };
+        spec.validate()?;
+        Ok(Some(spec))
     }
 
     /// The `--resume` image, read and checked against the run's `cfg` by
@@ -943,6 +946,25 @@ mod tests {
             ..Default::default()
         };
         assert!(stray.spec(Some("d".into())).is_err());
+    }
+
+    #[test]
+    fn checkpoint_args_reject_a_policy_the_spec_rejects() {
+        // Both used to reach a driver's `expect` and exit 101 with a panic.
+        let every_zero = CheckpointArgs {
+            every: Some(0),
+            dir: Some("d".into()),
+            ..Default::default()
+        };
+        let err = "checkpoint cadence `every` must be at least 1";
+        assert_eq!(every_zero.spec(None), Err(err.to_string()));
+        let keep_zero = CheckpointArgs {
+            every: Some(2),
+            keep: Some(0),
+            ..Default::default()
+        };
+        let err = "checkpoint retention `keep` must be at least 1";
+        assert_eq!(keep_zero.spec(Some("d".into())), Err(err.to_string()));
     }
 
     #[test]

@@ -2,14 +2,16 @@
 //!
 //! Four of the paper's algorithms are one training loop that differs only in *when*
 //! and *what* it aggregates — the axis the paper studies — so each is a sync rule
-//! (the crate-private `policy::SyncRule`) that [`selsync`]'s round loop reads:
+//! ([`crate::policy::SyncRule`]) that the one round loop reads. [`selsync`] runs it
+//! over the simulator's in-memory link; the cluster backends run the same loop
+//! under the rule `crate::process::ensure_supported` gives them:
 //!
-//! | Algorithm | Sync bits | Contributors | Averages | Status all-gather, retries, PS outages | PS | Paper section |
-//! |---|---|---|---|---|---|---|
-//! | BSP | every round | present workers | gradients | no | yes | §II-A |
-//! | local SGD | never | — | — | no | no | §III-B (δ ≥ M limit) |
-//! | FedAvg | every `round(E·steps_per_epoch)`-th round | `⌈C·N⌉` drawn workers | parameters | no | yes | §II-B |
-//! | SelSync | `Δ(g_i) ≥ δ`, any bit syncs | present workers | parameters or gradients | yes | yes | §III |
+//! | Algorithm | Sync bits | Contributors | Averages | Status all-gather, retries, PS outages | PS | Cluster backends | Paper section |
+//! |---|---|---|---|---|---|---|---|
+//! | BSP | every round | present workers | gradients | no | yes | SelSync at δ = 0: parameters, status all-gather, meets outages | §II-A |
+//! | local SGD | never | — | — | no | no | not admitted | §III-B (δ ≥ M limit) |
+//! | FedAvg | every `round(E·steps_per_epoch)`-th round | `⌈C·N⌉` drawn workers | parameters | no | yes | not admitted | §II-B |
+//! | SelSync | `Δ(g_i) ≥ δ`, any bit syncs | present workers | parameters or gradients | yes | yes | parameters only; no injection over non-IID shards | §III |
 //!
 //! SSP (§II-C) keeps its own driver, [`ssp`]: each worker pushes to the global model
 //! and refreshes its stale copy on its own clock inside a round, which does not

@@ -1,5 +1,6 @@
-//! SelSync (§III, Alg. 1): δ-based selective synchronization, in the round loop that
-//! BSP, FedAvg and local SGD run too, as other sync rules (`policy::SyncRule`).
+//! SelSync (§III, Alg. 1): δ-based selective synchronization, in the simulator's run
+//! of the one round loop (`crate::worker::run_group`), which BSP, FedAvg and local SGD
+//! run too, as other sync rules ([`SyncRule`]).
 //!
 //! Per iteration, every worker computes its gradient and its relative gradient change
 //! `Δ(g_i)`; the cluster exchanges one status bit per worker (all-gather) and
@@ -16,19 +17,23 @@
 //!
 //! The δ threshold itself comes from a [`crate::policy::DeltaPolicy`]: the paper's
 //! fixed δ by default, or — when `cfg.delta_policy` is set — a scheduled or adaptive
-//! (Sync-Switch-style) policy that is consulted before each round and observes the
-//! round's signals afterwards. Policies are deterministic functions of the merged
-//! round signals, so the byte-identity guarantee across thread counts is preserved.
+//! (Sync-Switch-style) policy that is consulted before each round's decision and
+//! observes the round's signals afterwards. Policies are deterministic functions of
+//! the merged round signals, so the byte-identity guarantee across thread counts is
+//! preserved.
 
-use crate::aggregation::{self, AggregationMode};
+use crate::aggregation;
 use crate::checkpoint::Checkpoint;
 use crate::config::{AlgorithmSpec, TrainConfig};
-use crate::policy::{run_policy_spec, PolicySpec, SyncDecision, SyncPolicy, SyncRule};
+use crate::policy::{run_policy_spec, DeltaPolicy, PolicySpec, RoundSignal, SyncRule};
 use crate::report::RunReport;
-use crate::sim::{Simulator, WorkerStep};
-use selsync_comm::faults::CommFaultSchedule;
+use crate::sim::{RoundOutput, Simulator};
+use crate::worker::{open_run, run_group, ClusterLink};
+use selsync_comm::faults::{CommFaultSchedule, PsFaultSchedule};
 use selsync_comm::ps::PsState;
 use selsync_comm::wire::frame_len;
+use selsync_comm::NetworkModel;
+use selsync_tracelog::Event;
 
 /// The algorithm label a run reports, as a pure function of its config.
 /// Shared by the simulator driver and the threaded driver (and the trace headers of
@@ -81,250 +86,196 @@ pub fn run_resumed(cfg: &TrainConfig, ckpt: &Checkpoint) -> RunReport {
 }
 
 fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
-    let rule = SyncRule::of(cfg);
-    let spec = run_policy_spec(cfg);
-    let mut policy = spec.build();
-    let algo_name = algorithm_label(cfg);
-    // Only signal-consuming policies receive cluster round signals in the threaded
-    // driver (the exchange is elided otherwise), so only they log signal events.
-    let exchange_signals = spec.consumes_round_signals();
-
-    let mut sim = Simulator::new(cfg);
-    // Comm-fault machinery: the schedule prices retries, the compiled evictions
-    // (already folded into the simulator's membership) drive the evict events, and
-    // every presence-derived trace fact must come from the *effective* conditions so
-    // fault-driven evictions look exactly like scheduled crashes.
-    let fault_schedule = cfg.comm_faults.map(CommFaultSchedule::new);
-    // PS availability: a pure function of `(spec, round)`, so both backends see the
-    // exact same outage windows. `None` keeps the server perfectly reliable.
-    let ps_schedule = cfg.ps_fault_schedule().filter(|_| rule.exchanges_status());
+    let (rule, spec) = (SyncRule::of(cfg), run_policy_spec(cfg));
     if let Some(ck) = &cfg.checkpoint {
         ck.validate().expect("invalid checkpoint configuration");
     }
-    let evictions = cfg.comm_fault_evictions();
-    let conditions = cfg.effective_conditions();
-    // The parameter server's durable state, held as a value: the latest synchronized
-    // model (rejoining workers pull it), the newest-sync guard and the rejoin
-    // snapshot ring — folded exactly as a live server folds them, so the image's
-    // `ps` section is the one a cluster backend writes.
-    let mut ps = PsState::new(sim.workers[0].params.clone(), cfg.snapshot_depth());
-    // Round-to-round buffers: the averaged vector is written once per round and
-    // copied into reused per-replica buffers (no per-replica clone fan-out).
-    let mut avg = Vec::new();
-    let mut steps: Vec<WorkerStep> = Vec::new();
-
-    let start = match resume {
-        Some(ckpt) => {
-            ckpt.check_resumable(cfg).unwrap_or_else(|e| panic!("{e}"));
-            sim.restore_checkpoint(ckpt);
-            policy.import_state(&ckpt.board_state());
-            ps = ckpt.ps_state();
-            assert_eq!(
-                ps.global.len(),
-                sim.param_dim(),
-                "checkpointed global model has the wrong parameter count"
-            );
-            // The restored trace prefix already contains the run header, so the
-            // resumed run skips `emit_header` and appends from `round + 1`.
-            ckpt.preload_trace(&cfg.trace);
-            ckpt.round + 1
-        }
-        None => {
-            crate::tracing::emit_header(&cfg.trace, cfg, &algo_name, &spec.label());
-            0
-        }
+    let mut sim = Simulator::new(cfg);
+    let initial = || PsState::new(sim.workers[0].params.clone(), cfg.snapshot_depth());
+    let mut link = MemoryLink {
+        cfg,
+        policy: open_run(cfg, &spec, resume),
+        ps: resume.map_or_else(initial, Checkpoint::ps_state),
+        wire_bytes: sim.nominal().wire_bytes,
+        faults: cfg.comm_faults.map(CommFaultSchedule::new),
+        ps_schedule: cfg.ps_fault_schedule(),
+        protect: resume.map(|c| c.round),
+        comm: [0.0; 6],
+        bytes: 0,
     };
+    run_group(cfg, (rule, &spec), &mut sim, &mut link, resume);
+    let mut report = sim.finalize(algorithm_label(cfg));
+    report.policy_switches = link.policy.switch_rounds().len() as u32;
+    report.switch_rounds = link.policy.switch_rounds().to_vec();
+    report
+}
 
-    for it in start..cfg.iterations {
-        let lr = sim.lr_at(it);
-        let (present, rejoin_comm, rejoin_bytes) = if rule.has_ps() {
-            sim.begin_round(it, &ps.global)
-        } else {
-            (sim.present_workers(it), 0.0, 0)
+/// The simulator's [`ClusterLink`]: one group of all W workers, whose collectives are
+/// worker-order folds in memory. It holds what a hub holds — the parameter server's
+/// durable state, folded exactly as a live server folds it (so the image's `ps`
+/// section is the one a cluster backend writes), and the one δ-policy — and prices
+/// every op it performs on the cost model.
+struct MemoryLink<'a> {
+    cfg: &'a TrainConfig,
+    policy: Box<dyn DeltaPolicy>,
+    ps: PsState,
+    /// Bytes one parameter transfer moves at paper scale.
+    wire_bytes: u64,
+    /// The comm-fault schedule, which prices retries.
+    faults: Option<CommFaultSchedule>,
+    /// PS availability: at a down round the status exchange is the outage probe.
+    ps_schedule: Option<PsFaultSchedule>,
+    /// The image a resume started from stays on disk whatever the retention says.
+    protect: Option<usize>,
+    /// The round's cost terms in seconds, in the order they are summed: rejoin pulls,
+    /// probe or status all-gather, injection, signal exchange, retry penalty, sync.
+    comm: [f64; 6],
+    /// The round's bytes on the wire.
+    bytes: u64,
+}
+
+const REJOIN: usize = 0;
+const STATUS: usize = 1;
+const INJECTION: usize = 2;
+const SIGNALS: usize = 3;
+const RETRY: usize = 4;
+const SYNC: usize = 5;
+
+impl MemoryLink<'_> {
+    fn network(&self, it: usize) -> NetworkModel {
+        self.cfg.conditions.network_at(it, &self.cfg.network)
+    }
+}
+
+impl ClusterLink for MemoryLink<'_> {
+    fn rejoin_pull(&mut self, it: usize, _worker: usize) -> Vec<f32> {
+        self.comm[REJOIN] += self.network(it).ps_one_way_time(self.wire_bytes);
+        self.bytes += self.wire_bytes;
+        self.ps.global.clone()
+    }
+
+    fn scheduled_round_before(&self, _it: usize) -> Option<usize> {
+        self.ps.last_global_round.map(|r| r as usize)
+    }
+
+    /// Two scalar all-reduces (loss mean, Δ max) plus the 2-element Δ-moment vector:
+    /// 16 payload bytes per present worker.
+    fn signals(&mut self, it: usize, round: &RoundOutput, expected: usize) -> RoundSignal {
+        let net = self.network(it);
+        self.comm[SIGNALS] =
+            2.0 * net.scalar_allreduce_time(expected) + net.vec_allreduce_time(expected, 2);
+        self.bytes += expected as u64 * 16;
+        round.signal(it, false)
+    }
+
+    fn delta_for(&mut self, it: usize) -> f32 {
+        self.policy.delta(it)
+    }
+
+    /// Every present worker pays one probe round-trip at a PS-down round, else the
+    /// 1-bit all-gather (≈1 B per worker) and its retries: failed attempts cost their
+    /// deterministic backoff (workers retry concurrently, so the round pays the worst
+    /// worker's penalty) and retransmit both legs of the op frame.
+    fn allgather_flags(&mut self, it: usize, present: &[usize], flags: Vec<bool>) -> Vec<bool> {
+        let (net, round, n) = (self.network(it), it as u64, present.len() as u64);
+        if self.ps_schedule.as_ref().is_some_and(|s| s.down(round)) {
+            self.comm[STATUS] = net.ps_probe_time();
+            self.bytes += n * frame_len(8) as u64;
+            return flags;
+        }
+        self.comm[STATUS] = net.status_allgather_time(present.len());
+        self.bytes += n;
+        let Some(schedule) = &self.faults else {
+            return flags;
         };
-        // Evictions fire whether or not the remaining round is runnable, so the
-        // event stream matches the threaded driver's (whose evicted thread emits
-        // its farewell regardless of what the survivors do this round).
-        for &(worker, _) in evictions.iter().filter(|e| e.1 == it) {
-            cfg.trace
-                .record(selsync_tracelog::Event::CommEvict { round: it, worker });
+        for &worker in present {
+            let attempts = schedule
+                .attempts_used(worker, round)
+                .expect("present workers complete within their retry budget");
+            if attempts > 1 {
+                self.bytes += (attempts as u64 - 1) * 2 * frame_len(8) as u64;
+                let penalty = schedule.retry_penalty_s(worker, round);
+                self.comm[RETRY] = self.comm[RETRY].max(penalty);
+                let retry = Event::CommRetry {
+                    round: it,
+                    worker,
+                    attempts,
+                };
+                self.cfg.trace.record(retry);
+            }
         }
-        if present.is_empty() {
-            sim.account_step(0.0, 0.0, 0, false);
-            continue;
-        }
-        crate::tracing::emit_round_context(&cfg.trace, &conditions, cfg.workers, it, &present);
-        let mut comm = rejoin_comm;
-        let mut bytes = rejoin_bytes;
+        flags
+    }
 
-        // Phase 0: ask the δ policy for this round's threshold.
-        let sync_policy = SyncPolicy::new(policy.delta(it));
+    fn sync(
+        &mut self,
+        _it: usize,
+        contributions: &[&[f32]],
+        _expected: usize,
+        mean: &mut Vec<f32>,
+    ) {
+        aggregation::average_into(contributions, mean);
+    }
 
-        // Phase 1: every present worker computes its gradient and Δ(g_i) on its next
-        // mini-batch — in parallel on the engine pool.
-        sim.plan_round(&present, &mut steps);
-        let round = sim.run_round(&steps);
+    fn commit(&mut self, it: usize, global: &[f32], contributors: usize) {
+        self.ps.record_sync(it as u64, global);
+        self.comm[SYNC] = self.network(it).ps_sync_time(self.wire_bytes, contributors);
+        self.bytes += 2 * contributors as u64 * self.wire_bytes;
+    }
 
-        // PS outage: the round degrades to forced-local. Every present worker pays
-        // one probe round-trip to discover the outage, skips the status all-gather,
-        // signal exchange and retry machinery (they all ride PS envelopes), applies
-        // its own update, and the δ policy is fed the first present worker's local
-        // signal so regime state stays coherent through the outage. `DegradedRound`
-        // replaces the `Round` event.
-        let ps_down = ps_schedule.as_ref().is_some_and(|s| s.down(it as u64));
-        if ps_down {
-            comm += sim.network_at(it).ps_probe_time();
-            bytes += present.len() as u64 * frame_len(8) as u64;
-        } else if rule.exchanges_status() {
-            // Phase 2: the 1-bit status all-gather among the present workers.
-            comm += sim.status_allgather_seconds_at(it, present.len());
-            bytes += present.len() as u64; // the flag bits (≈1 B/worker)
-        }
-        // Worker-to-worker injection shipping is unaffected by the PS outage.
-        bytes += round.injected_bytes;
+    fn observe(&mut self, signal: RoundSignal, _next_round: usize) {
+        self.policy.observe(&signal);
+        crate::tracing::regime_switch(&self.cfg.trace, self.policy.as_ref(), &signal);
+    }
+
+    /// The image every backend writes, plus the simulator's own section.
+    fn checkpoint(&mut self, it: usize, group: &Simulator) {
+        let image = Checkpoint::assemble(
+            "sim",
+            self.cfg,
+            it,
+            &self.ps,
+            &self.policy.export_state(),
+            group.recovery_sections(),
+            &self.cfg.trace.snapshot_log(),
+        );
+        let ck = self.cfg.checkpoint.as_ref().expect("a checkpoint round");
+        ck.write_image(&image, self.protect);
+    }
+
+    /// Accounting (the round's cost terms summed in their fixed order, whatever order
+    /// the loop priced them in) and evaluation of the present replicas' average —
+    /// identical to any single present replica right after a PA synchronization.
+    fn round_done(
+        &mut self,
+        it: usize,
+        group: &mut Simulator,
+        present: &[usize],
+        round: Option<(&RoundOutput, bool)>,
+    ) {
+        let Some((round, synced)) = round else {
+            group.account_step(0.0, 0.0, 0, false);
+            return;
+        };
+        // Worker-to-worker injection shipping is unaffected by a PS outage.
         if round.injected_bytes > 0 {
-            comm += sim.network_at(it).p2p_time(round.injected_bytes);
+            self.comm[INJECTION] = self.network(it).p2p_time(round.injected_bytes);
         }
-        let round_signal = if ps_down {
-            sim.apply_round_own(&steps, lr);
-            crate::tracing::degraded_round(
-                &cfg.trace,
-                ps_schedule.as_ref(),
-                it,
-                sync_policy.delta,
-                round.stats[0].loss,
-                round.deltas[0],
-            )
-        } else {
-            // The cluster-level decision from the present workers' bits. The first
-            // reachable round after an outage runs the catch-up sync: synchronization
-            // is forced for every present worker so the accumulated local-only deltas
-            // reconcile through the ordinary aggregation path.
-            let mut flags = rule.flags(it, sync_policy, &round.deltas);
-            if ps_schedule
-                .as_ref()
-                .is_some_and(|s| s.outage_ends(it as u64))
-            {
-                flags.fill(true);
-            }
-            let synced = sync_policy.decide(&flags) == SyncDecision::Synchronize;
-            // Price the δ-signal exchange when a signal-consuming policy runs: two
-            // scalar all-reduces (loss mean, Δ max) plus the 2-element Δ-moment vector
-            // feed — 16 payload bytes per present worker. Mirrors the envelopes the
-            // threaded driver actually exchanges.
-            if exchange_signals {
-                let net = sim.network_at(it);
-                comm += 2.0 * net.scalar_allreduce_time(present.len())
-                    + net.vec_allreduce_time(present.len(), 2);
-                bytes += present.len() as u64 * 16;
-            }
-            // Price the fault schedule's retries: each present worker's exchanges at
-            // this round share one link-weather attempt count; failed attempts cost
-            // their deterministic backoff (workers retry concurrently, so the round
-            // pays the worst worker's penalty) and retransmit both legs of the op
-            // frame. Present workers always land within budget — exhaustion would have
-            // evicted them from this round's membership.
-            if let Some(schedule) = fault_schedule.as_ref().filter(|_| rule.exchanges_status()) {
-                let mut worst_penalty_s = 0.0f64;
-                for &worker in &present {
-                    let attempts = schedule
-                        .attempts_used(worker, it as u64)
-                        .expect("present workers complete within their retry budget");
-                    if attempts > 1 {
-                        bytes += (attempts as u64 - 1) * 2 * frame_len(8) as u64;
-                        worst_penalty_s =
-                            worst_penalty_s.max(schedule.retry_penalty_s(worker, it as u64));
-                        cfg.trace.record(selsync_tracelog::Event::CommRetry {
-                            round: it,
-                            worker,
-                            attempts,
-                        });
-                    }
-                }
-                comm += worst_penalty_s;
-            }
-
-            // Phase 3: apply updates according to the decision and aggregation mode.
-            // Who contributes is drawn after the compute phase, on sync rounds only.
-            let contributors = if synced {
-                rule.contributors(&present, &mut sim.rng)
-            } else {
-                Vec::new()
-            };
-            match (synced, rule.aggregation()) {
-                (false, _) => sim.apply_round_own(&steps, lr),
-                (true, AggregationMode::Parameter) => {
-                    // Alg. 1: local update first, then push parameters and pull the average.
-                    sim.apply_round_own(&steps, lr);
-                    sim.average_params_of_into(&contributors, &mut avg);
-                    sim.set_params_of(&present, &avg);
-                }
-                (true, AggregationMode::Gradient) => {
-                    // Gradients are averaged on the PS and applied locally by each worker.
-                    // GA keeps replicas diverged by design, so the PS global is the present
-                    // replicas' average, not any single replica.
-                    aggregation::average_into(sim.round_grads(), &mut avg);
-                    sim.apply_round_shared(&present, &avg, lr);
-                    sim.average_params_of_into(&present, &mut avg);
-                }
-            }
-            if synced {
-                // Either way `avg` is now the contributors' average: the new global.
-                ps.record_sync(it as u64, &avg);
-                comm += sim.ps_sync_seconds_at(it, contributors.len());
-                bytes += 2 * contributors.len() as u64 * sim.nominal().wire_bytes;
-            }
-
-            let round_signal = round.signal(it, synced);
-            crate::tracing::emit_round(
-                &cfg.trace,
-                ps_schedule.as_ref(),
-                &round_signal,
-                exchange_signals,
-                sync_policy.delta,
-                flags.into_iter(),
-            );
-            round_signal
-        };
-
-        // The tail every executed round ends with, reachable PS or not: accounting,
-        // the completed round's (worker-order-merged, thread-count-invariant) signal
-        // fed back to the δ policy, the regime switch that observation may have
-        // triggered, evaluation, checkpoint / halt.
-        let compute = sim.round_compute_seconds(it);
-        sim.account_step(compute, comm, bytes, round_signal.synced);
-        policy.observe(&round_signal);
-        crate::tracing::regime_switch(&cfg.trace, policy.as_ref(), &round_signal);
-        if sim.should_eval(it) {
-            // The evaluated global model is the present replicas' average (identical to
-            // any single present replica right after a PA synchronization).
-            sim.average_params_of_into(&present, &mut avg);
-            sim.record_eval(it, &avg, round.max_delta);
-        }
-        if let Some(ck) = &cfg.checkpoint {
-            if ck.due(it) || ck.halt_after == Some(it) {
-                // The image every backend writes, plus the simulator's own section.
-                let image = Checkpoint::assemble(
-                    "sim",
-                    cfg,
-                    it,
-                    &ps,
-                    &policy.export_state(),
-                    sim.recovery_sections(),
-                    &cfg.trace.snapshot_log(),
-                );
-                // The image a resume started from stays on disk whatever the retention says.
-                ck.write_image(&image, resume.map(|c| c.round));
-            }
-            if ck.halt_after == Some(it) {
-                break;
-            }
+        let comm = std::mem::take(&mut self.comm)
+            .iter()
+            .fold(0.0, |sum, t| sum + t);
+        let bytes = std::mem::take(&mut self.bytes) + round.injected_bytes;
+        group.account_step(group.round_compute_seconds(it), comm, bytes, synced);
+        if group.should_eval(it) {
+            let mut avg = Vec::new();
+            group.average_params_of_into(present, &mut avg);
+            group.record_eval(it, &avg, round.max_delta);
         }
     }
-    let mut report = sim.finalize(algo_name);
-    report.policy_switches = policy.switch_rounds().len() as u32;
-    report.switch_rounds = policy.switch_rounds().to_vec();
-    report
+
+    fn pull(&self) -> Vec<f32> {
+        self.ps.global.clone()
+    }
 }
 
 #[cfg(test)]

@@ -18,33 +18,33 @@
 //!   the [`policy::DeltaPolicy`] trait choosing δ itself (fixed, scheduled, or one
 //!   Sync-Switch-style switching policy that relaxes δ once the loss settles and
 //!   re-enters the eager regime through a `Δ(g)`-spike or a `Δ(g)`-variance gate), and
-//!   the crate-private sync rules that make BSP, FedAvg and local SGD variants of it.
+//!   the sync rules that make BSP, FedAvg and local SGD variants of it.
 //! * [`conditions`] — cluster imperfections: device heterogeneity profiles and timed
 //!   fault schedules (stragglers, crashes, network degradation) shared by every driver.
 //! * [`aggregation`] — parameter vs gradient aggregation (§III-C).
 //! * [`config`] — experiment configuration: model, cluster, algorithm, schedules.
 //! * [`report`] — per-run results (LSSR, accuracy/perplexity, simulated time, history).
 //! * [`replica`] — one worker's training state and the four link-free phases of its
-//!   round (rejoin reset, compute, apply-local, apply-sync), written once: what the
-//!   simulator holds W of and what each cluster worker owns one of.
-//! * [`sim`] — the deterministic single-process cluster simulator that both algorithm
-//!   drivers share (compute is real, communication time comes from the cost model):
-//!   it runs the replica phases for W workers, with accounting and evaluation around.
-//! * [`algorithms`] — two training drivers: one round loop that runs BSP, local SGD,
-//!   FedAvg and SelSync as sync rules, and SSP's own.
-//! * [`threaded`] — a thread-per-worker SelSync/BSP driver over the real parameter
-//!   server and collectives of `selsync-comm` (used by integration tests).
-//! * [`process`] — a process-per-worker SelSync/BSP driver over the socket transport:
-//!   hub and worker entry points the `scenario_cluster` orchestrator spawns, with
-//!   per-process trace shards that merge into the canonical event log.
-//! * `worker` (crate-private) — the cluster worker's round, once: `run_worker` calls
-//!   the replica phases with a blocking `ClusterLink` between them, which [`threaded`]
-//!   implements in-process and [`process`] over RPC.
+//!   round (rejoin reset, compute, apply-local, apply-sync), written once.
+//! * `worker` (crate-private) — the round of Alg. 1, once for every backend:
+//!   `run_group` runs a replica group's rounds with a `ClusterLink` between the
+//!   phases — in memory for the simulator, in-process for [`threaded`], over RPC
+//!   for [`process`].
+//! * [`sim`] — the replica group: all W replicas in the deterministic single-process
+//!   simulator (compute is real, communication time comes from the cost model), one
+//!   on a cluster backend.
+//! * [`algorithms`] — two training drivers: the simulator's, which runs BSP, local
+//!   SGD, FedAvg and SelSync as sync rules of the one round loop, and SSP's own.
+//! * [`threaded`] — the thread-per-worker backend over the real parameter server and
+//!   collectives of `selsync-comm`.
+//! * [`process`] — the process-per-worker backend over the socket transport: hub and
+//!   worker entry points the `scenario_cluster` orchestrator spawns, with per-process
+//!   trace shards that merge into the canonical event log.
 //! * [`checkpoint`] — the durable recovery image: one section layout for all three
 //!   backends, so any driver resumes any backend's image.
-//! * [`tracing`] — shared emission helpers for the deterministic run-trace layer
-//!   (`selsync-tracelog`): both SelSync drivers log the same canonical event stream —
-//!   structural and round-decision events alike are constructed here only.
+//! * [`tracing`] — emission helpers for the deterministic run-trace layer
+//!   (`selsync-tracelog`): structural and round-decision events alike are constructed
+//!   here only, so every backend logs the same canonical event stream.
 //!
 //! # Quickstart
 //!

@@ -78,9 +78,11 @@ impl SyncPolicy {
 }
 
 /// When an algorithm synchronizes, who contributes and what is averaged: all that BSP,
-/// FedAvg, local SGD and SelSync differ in, as data for their one round loop.
+/// FedAvg, local SGD and SelSync differ in, as data for the one round loop. The
+/// cluster backends run [`SyncRule::Selective`] with parameter aggregation for both
+/// algorithms they admit, BSP as its δ = 0 case (`crate::process::ensure_supported`).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum SyncRule {
+pub enum SyncRule {
     /// SelSync (§III): a worker's bit is `Δ(g_i) ≥ δ`.
     Selective(AggregationMode),
     /// BSP (§II-A): every bit set, gradients averaged.
@@ -174,12 +176,10 @@ pub(crate) fn run_policy_spec(cfg: &TrainConfig) -> PolicySpec {
 
 /// Observed signals of one completed training round, fed back to a [`DeltaPolicy`].
 ///
-/// The signals are cluster-level in both backends: the round-maximum `Δ(g_i)` and the
-/// mean batch loss over the round's steps. The simulator merges them in worker order
-/// ([`crate::sim::RoundOutput::signal`]); the threaded driver computes the identical
-/// aggregates through the elastic scalar all-reduce accompanying the 1-bit status
-/// exchange (`selsync_comm::Collective::allreduce_scalar_among`) and feeds them to its
-/// single shared policy instance, so both backends' policies observe the same stream.
+/// The signals are cluster-level on every backend: folded in worker order by the
+/// round's signal exchange ([`crate::sim::RoundOutput::signal`] in memory, the elastic
+/// all-reduces of `selsync_comm::Collective` on a cluster), so every backend's one
+/// policy instance observes the same stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundSignal {
     /// Training iteration the round ran at.
@@ -200,6 +200,20 @@ pub struct RoundSignal {
 }
 
 impl RoundSignal {
+    /// The unsynchronized signal of round `iteration` from its values in wire order:
+    /// max `Δ(g_i)`, mean loss, `Δ(g_i)` mean, `Δ(g_i)²` mean.
+    pub(crate) fn of(iteration: usize, values: [f32; 4]) -> Self {
+        let [max_delta, mean_loss, delta_mean, delta_sq_mean] = values;
+        RoundSignal {
+            iteration,
+            max_delta,
+            mean_loss,
+            delta_mean,
+            delta_sq_mean,
+            synced: false,
+        }
+    }
+
     /// Population variance of the round's per-worker `Δ(g_i)` (clamped at zero
     /// against f32 cancellation).
     pub fn delta_variance(&self) -> f32 {

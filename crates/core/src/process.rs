@@ -1,91 +1,68 @@
-//! Process-per-worker SelSync/BSP driver over the socket transport — the third
-//! backend, closing the simulator → threads → processes ladder.
+//! Process-per-worker driver over the socket transport — the third backend, closing
+//! the simulator → threads → processes ladder.
 //!
-//! The cluster is a star of OS processes: one **hub** ([`run_process_hub`]) owns
-//! the parameter server, the collectives and the shared δ-policy board; each
-//! **worker** ([`run_process_worker`]) owns its model replica, data traversal,
-//! optimizer and `Δ(g_i)` tracker, and reaches the hub over one
-//! [`selsync_comm::socket`] connection (UDS by default, TCP by address). The
-//! `scenario_cluster` bench binary is the orchestrator: it spawns the processes,
-//! collects each one's trace shard and merges them with
+//! The cluster is a star of OS processes: one **hub** ([`run_process_hub`]) owns the
+//! parameter server, the collectives and the shared δ-policy board — the same
+//! `ClusterCore` the threaded driver builds; each **worker**
+//! ([`run_process_worker`]) runs `crate::worker::run_group` over a replica group of
+//! one and reaches the hub over one [`selsync_comm::socket`] connection (UDS by
+//! default, TCP by address). The `scenario_cluster` bench binary is the orchestrator:
+//! it spawns the processes, collects each one's trace shard and merges them with
 //! [`selsync_tracelog::EventLog::merge`].
 //!
-//! **Parity contract.** A worker process runs the same function a
-//! [`crate::threaded`] worker thread runs — `crate::worker::run_worker` — and
-//! the hub holds the same `ClusterCore` the threaded driver builds; the only
-//! difference is *where* the shared state lives. Every shared-state touch is
-//! either
+//! A worker's `ClusterLink` sends each op's control-plane envelope on the message
+//! layer riding the [`SocketTransport`](selsync_comm::SocketTransport) (the hub
+//! echoes frames verbatim, so retry, dedupe and eviction semantics — and the
+//! [`crate::config::TrainConfig::comm_faults`] weather composed *over* the socket —
+//! are bit-identical to the in-memory transports), then makes the op's blocking RPC
+//! ([`selsync_comm::HubClient`]) into the hub's [`RpcService`], which calls the very
+//! same `ParameterServer` / `Collective` / `SignalBoard` methods the threaded driver
+//! calls in-process. Worker-order folds, round-keyed rendezvous and the board's
+//! round-ordered observation stream are all hub-side, so the merged event log is the
+//! threaded driver's — and the simulator's — byte for byte (`tests/process_parity.rs`).
 //!
-//! * a control-plane envelope on the [`MessageLayer`] riding the
-//!   [`SocketTransport`](selsync_comm::SocketTransport) (the hub echoes frames
-//!   verbatim, so retry/dedupe/eviction semantics — and the
-//!   [`crate::config::TrainConfig::comm_faults`] weather composed *over* the
-//!   socket — are bit-identical to the in-memory transports), or
-//! * a `ClusterLink` call, here a blocking RPC ([`selsync_comm::HubClient`])
-//!   into the hub's [`RpcService`], which calls the very same
-//!   `ParameterServer` / `Collective` / `SignalBoard` methods the threaded
-//!   driver's link calls in-process. The `op` tags below are that trait's wire
-//!   form, one per method.
+//! Each process records its own trace shard: the hub owns the header and the policy's
+//! regime switches, the lowest-ranked present worker owns a round's structural events,
+//! and each worker owns its own retry/eviction/rejoin events — every canonical event is
+//! emitted by exactly one process, so the sorted concatenation of shards is the
+//! single-process log.
 //!
-//! Worker-order folds, round-keyed rendezvous and the board's round-ordered
-//! observation stream are all hub-side, so the multi-process cluster's
-//! parameter stream, synchronization schedule and canonical event log are
-//! byte-identical to the threaded driver's — and therefore to the simulator's,
-//! on every schedule the threaded parity contract covers (crash/rejoin under
-//! scheduled rejoin pulls, `[comm_faults]` weather, PS brownouts). The
-//! `tests/process_parity.rs` suite pins merged-trace byte-identity against the
-//! simulator across worker counts.
+//! **Durable checkpoints.** At every due round each live worker ships its recovery
+//! section and trace-shard prefix to the hub as a binary Rpc deposit
+//! (`op::CKPT_DEPOSIT`, [`crate::checkpoint`]'s `Deposit` codec) and parks; once every
+//! deposit is in, the hub writes the image through `ClusterCore::write_image` — the
+//! function the threaded driver writes its own with — under the configured `keep`
+//! rotation, and releases the cluster. Every backend writes the one layout of
+//! [`crate::checkpoint`], so the hub and its workers resume an image of any tag.
 //!
-//! Each process records its own trace shard: the hub owns the header and the
-//! policy's regime switches, the lowest-ranked present worker owns a round's
-//! structural events, and each worker owns its own retry/eviction/rejoin
-//! events — every canonical event is emitted by exactly one process, so the
-//! sorted concatenation of shards is the single-process log.
+//! **Worker death.** A connection that terminates after identification — clean EOF or
+//! broken pipe alike — is mapped by the hub to a deterministic eviction at the dead
+//! worker's next scheduled-present round, published to the survivors through the
+//! per-round `op::ROUND_BEGIN` barrier: every present worker of a round folds the
+//! identical frozen eviction prefix, so the surviving cluster continues exactly as if
+//! the schedule had carried a no-rejoin crash at that round. Out of contract: a death
+//! mid-round after the worker announced it (in-flight rendezvous may hang), the death
+//! of a round's sole present worker, and a death racing an in-flight checkpoint (that
+//! image is voided, not written).
 //!
-//! **Durable checkpoints.** `[checkpoint]` runs ride a hub-coordinated
-//! quiescent-point protocol: at every due round each live worker ships its
-//! recovery section and trace-shard prefix to the hub as a binary Rpc deposit
-//! (`op::CKPT_DEPOSIT`, [`crate::checkpoint`]'s `Deposit` codec: no text image on
-//! either side) and parks; once every deposit is in, the hub writes
-//! the image through `ClusterCore::write_image` — the function the threaded
-//! driver writes its own with — under the configured `keep` rotation, and
-//! releases the cluster. Every backend writes the one layout of
-//! [`crate::checkpoint`], so the hub and its workers resume an image of any
-//! tag as it is, reproducing the uninterrupted run byte for byte.
-//!
-//! **Worker death.** A connection that terminates after identification —
-//! clean EOF or broken pipe alike — is mapped by the hub to a deterministic
-//! eviction at the dead worker's next scheduled-present round, published to
-//! the survivors through the per-round `op::ROUND_BEGIN` barrier: every
-//! present worker of a round folds the identical frozen eviction prefix, so
-//! membership stays a pure function of the round and the surviving cluster
-//! continues exactly as if the schedule had carried a no-rejoin crash at that
-//! round. Out of contract: a death mid-round after the worker announced it
-//! (in-flight rendezvous may hang), the death of a round's sole present
-//! worker, and a death racing an in-flight checkpoint (that image is voided,
-//! not written).
-//!
-//! Still unsupported — reported as a structured [`UnsupportedConfig`] from
-//! [`ensure_supported`] so orchestrators print a one-line diagnosis instead of
-//! surfacing an opaque child panic: algorithms other than SelSync/BSP, gradient
-//! aggregation, and data-injection over non-IID shards (the injection draw consumes the
-//! simulator's cluster RNG, which has no cross-process counterpart). Non-IID
-//! label shards themselves run natively via [`crate::sim::worker_traversal`].
+//! [`ensure_supported`] reports what the cluster backends cannot run as a structured
+//! [`UnsupportedConfig`], so orchestrators print a one-line diagnosis instead of an
+//! opaque child panic: algorithms other than SelSync and BSP, gradient aggregation,
+//! and data-injection over non-IID shards (the injection draw consumes the simulator's
+//! cluster RNG, which has no cross-process counterpart).
 
 use crate::aggregation::AggregationMode;
-use crate::checkpoint::{self, Checkpoint, Deposit, Section};
+use crate::checkpoint::{self, Checkpoint, Deposit};
 use crate::config::{AlgorithmSpec, TrainConfig};
-use crate::policy::{run_policy_spec, PolicySpec, RoundSignal};
+use crate::policy::{run_policy_spec, PolicySpec, RoundSignal, SyncRule};
+use crate::sim::{RoundOutput, Simulator};
 use crate::threaded::{ClusterCore, ThreadedWorkerReport};
-use crate::worker::{run_worker, with_ps_gate, ClusterLink, WorkerInputs};
+use crate::worker::{message_layer, run_worker, ClusterLink, Envelopes};
 use parking_lot::{Condvar, Mutex};
-use selsync_comm::faults::CommFaultSchedule;
 use selsync_comm::socket::{HubClient, HubServer, RpcService, SocketAddrSpec, SocketConn};
 use selsync_comm::wire::{
     f32s_from_le_bytes, f32s_from_le_bytes_into, FrameBuf, MsgKind, HUB_SENDER,
 };
-use selsync_comm::{MessageLayer, ScalarOp};
-use selsync_nn::model::PaperModel;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -93,37 +70,29 @@ use std::time::Duration;
 /// How long a worker keeps retrying its initial connect while the hub binds.
 pub const CONNECT_RETRY: Duration = Duration::from_secs(30);
 
-/// RPC operation tags (first payload byte; arguments follow, little-endian).
+/// RPC operation tags (first payload byte; arguments follow, little-endian), one per
+/// `ClusterLink` op that reaches the hub; the frame's round field is the op's round.
 mod op {
     pub const PULL: u8 = 1;
-    pub const SCHED_GLOBAL_BEFORE: u8 = 2;
+    pub const REJOIN_PULL: u8 = 2;
     pub const SCHED_ROUND_BEFORE: u8 = 3;
     pub const SYNC_ROUND: u8 = 4;
     pub const ALLGATHER_FLAGS: u8 = 5;
-    pub const ALLREDUCE_SCALAR: u8 = 6;
-    pub const ALLREDUCE_VEC: u8 = 7;
-    pub const BOARD_WAIT_CAUGHT_UP: u8 = 8;
-    pub const BOARD_DELTA_FOR: u8 = 9;
-    pub const BOARD_OBSERVE: u8 = 10;
-    pub const ROUND_BEGIN: u8 = 11;
-    pub const CKPT_DEPOSIT: u8 = 12;
+    pub const SIGNALS: u8 = 6;
+    pub const DELTA_FOR: u8 = 7;
+    pub const OBSERVE: u8 = 8;
+    pub const ROUND_BEGIN: u8 = 9;
+    pub const CKPT_DEPOSIT: u8 = 10;
 }
 
-fn scalar_op_tag(op: ScalarOp) -> u8 {
-    match op {
-        ScalarOp::Sum => 0,
-        ScalarOp::Mean => 1,
-        ScalarOp::Max => 2,
-    }
+/// Wire shape of a round signal's values: max Δ, mean loss, Δ mean, Δ² mean.
+fn put_signal(frame: &mut FrameBuf, s: &RoundSignal) {
+    frame.put_f32s(&[s.max_delta, s.mean_loss, s.delta_mean, s.delta_sq_mean]);
 }
 
-fn scalar_op_from_tag(tag: u8) -> ScalarOp {
-    match tag {
-        0 => ScalarOp::Sum,
-        1 => ScalarOp::Mean,
-        2 => ScalarOp::Max,
-        other => panic!("unknown scalar-op tag {other}"),
-    }
+/// Inverse of [`put_signal`], for round `iteration` (`synced` unset).
+fn read_signal(bytes: &[u8], iteration: usize) -> RoundSignal {
+    RoundSignal::of(iteration, std::array::from_fn(|i| read_f32(bytes, 4 * i)))
 }
 
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
@@ -326,13 +295,13 @@ impl RpcService for HubService {
     }
 
     fn handle_into(&self, worker: u32, round: u64, request: &[u8], reply: &mut FrameBuf) {
-        let worker = worker as usize;
+        let (worker, it) = (worker as usize, round as usize);
         let args = &request[1..];
         let ClusterCore { handles, board, .. } = &self.core;
         let (ps, collective) = (&handles.ps, &handles.collective);
         match request[0] {
             op::PULL => reply.put_f32s(&ps.pull()),
-            op::SCHED_GLOBAL_BEFORE => reply.put_f32s(&ps.scheduled_global_before(round)),
+            op::REJOIN_PULL => reply.put_f32s(&self.core.rejoin_pull(&self.cfg, it)),
             op::SCHED_ROUND_BEFORE => match ps.scheduled_round_before(round) {
                 Some(r) => {
                     reply.put(&[1]);
@@ -352,37 +321,18 @@ impl RpcService for HubService {
                     reply.put(&[u8::from(flag)]);
                 }
             }
-            op::ALLREDUCE_SCALAR => {
-                let op = scalar_op_from_tag(args[0]);
-                let expected = read_u32(args, 1) as usize;
-                let value = read_f32(args, 5);
-                let reduced = collective.allreduce_scalar_among(round, worker, value, expected, op);
-                reply.put(&reduced.to_le_bytes());
+            op::SIGNALS => {
+                let (loss, delta) = (read_f32(args, 0), read_f32(args, 4));
+                let expected = read_u32(args, 8) as usize;
+                put_signal(reply, &self.core.signals(it, worker, loss, delta, expected));
             }
-            op::ALLREDUCE_VEC => {
-                let op = scalar_op_from_tag(args[0]);
-                let expected = read_u32(args, 1) as usize;
-                let values = f32s_from_le_bytes(&args[5..]);
-                reply
-                    .put_f32s(&collective.allreduce_vec_among(round, worker, values, expected, op));
+            op::DELTA_FOR => reply.put(&board.delta_for(it).to_le_bytes()),
+            op::OBSERVE => {
+                let mut signal = read_signal(args, it);
+                signal.synced = args[16] != 0;
+                board.observe(signal, read_u64(args, 17) as usize);
             }
-            op::BOARD_WAIT_CAUGHT_UP => board.wait_caught_up(read_u64(args, 0) as usize),
-            op::BOARD_DELTA_FOR => {
-                reply.put(&board.delta_for(read_u64(args, 0) as usize).to_le_bytes())
-            }
-            op::BOARD_OBSERVE => {
-                let signal = RoundSignal {
-                    iteration: read_u64(args, 0) as usize,
-                    max_delta: read_f32(args, 8),
-                    mean_loss: read_f32(args, 12),
-                    delta_mean: read_f32(args, 16),
-                    delta_sq_mean: read_f32(args, 20),
-                    synced: args[24] != 0,
-                };
-                let next_round = read_u64(args, 25) as usize;
-                board.observe(signal, next_round);
-            }
-            op::ROUND_BEGIN => self.round_begin(worker, read_u64(args, 0) as usize, reply),
+            op::ROUND_BEGIN => self.round_begin(worker, it, reply),
             op::CKPT_DEPOSIT => self.ckpt_deposit(worker, round, args),
             other => panic!("unknown rpc op {other} from worker {worker}"),
         }
@@ -412,19 +362,20 @@ impl RpcService for HubService {
     }
 }
 
-/// A worker process's [`ClusterLink`]: each method is one blocking RPC whose
-/// name and argument shape matches the in-process call it stands in for.
+/// A worker process's [`ClusterLink`]: its envelopes, then blocking RPCs whose names
+/// and argument shapes match the in-process calls they stand in for.
 struct RemoteCluster<'a> {
+    env: Envelopes<'a>,
     client: HubClient,
-    cfg: &'a TrainConfig,
+    kill_at: Option<usize>,
 }
 
 impl RemoteCluster<'_> {
-    /// One blocking RPC: the op tag, then whatever `args` appends, out; the
-    /// reply payload lent to `reply` where it was received.
+    /// One blocking RPC for round `it`: the op tag, then whatever `args` appends, out;
+    /// the reply payload lent to `reply` where it was received.
     fn request<R>(
         &self,
-        round: u64,
+        it: usize,
         op: u8,
         args: impl FnOnce(&mut FrameBuf),
         reply: impl FnOnce(&[u8]) -> R,
@@ -433,137 +384,114 @@ impl RemoteCluster<'_> {
             frame.put(&[op]);
             args(frame);
         };
-        self.client.call(round, request, reply)
+        self.client.call(it as u64, request, reply)
     }
-}
-
-/// Head of the collective ops' argument list: reduction tag, expected count.
-fn put_reduce_head(frame: &mut FrameBuf, op: ScalarOp, expected: usize) {
-    frame.put(&[scalar_op_tag(op)]);
-    frame.put(&(expected as u32).to_le_bytes());
 }
 
 impl ClusterLink for RemoteCluster<'_> {
-    fn pull(&self) -> Vec<f32> {
-        self.request(u64::MAX, op::PULL, |_| {}, f32s_from_le_bytes)
+    fn dies_at(&self, it: usize) -> bool {
+        // Abrupt death: the connection drops at a frame boundary and the rest of the
+        // cluster learns of it at its next round boundary.
+        self.kill_at == Some(it)
     }
 
-    fn scheduled_global_before(&self, round: u64) -> Vec<f32> {
-        self.request(round, op::SCHED_GLOBAL_BEFORE, |_| {}, f32s_from_le_bytes)
-    }
-
-    fn scheduled_round_before(&self, round: u64) -> Option<u64> {
+    /// Blocks until the hub releases the round's barrier; the reply is the
+    /// eviction prefix frozen at that release.
+    fn round_begin(&mut self, it: usize) -> Vec<(usize, usize)> {
         self.request(
-            round,
-            op::SCHED_ROUND_BEFORE,
+            it,
+            op::ROUND_BEGIN,
             |_| {},
-            |reply| (reply[0] != 0).then(|| read_u64(reply, 1)),
+            |reply| {
+                let count = read_u32(reply, 0) as usize;
+                let entry = |at| {
+                    (
+                        read_u32(reply, at) as usize,
+                        read_u64(reply, at + 4) as usize,
+                    )
+                };
+                (0..count).map(|i| entry(4 + i * 12)).collect()
+            },
         )
     }
 
-    fn sync_round_elastic(&self, round: u64, params: &[f32], expected: usize, mean: &mut Vec<f32>) {
+    fn farewell(&mut self, it: usize, _worker: usize) {
+        self.env.farewell(it)
+    }
+
+    fn rejoin_pull(&mut self, it: usize, _worker: usize) -> Vec<f32> {
+        self.env.rejoin(it);
+        self.request(it, op::REJOIN_PULL, |_| {}, f32s_from_le_bytes)
+    }
+
+    fn scheduled_round_before(&self, it: usize) -> Option<usize> {
+        let decode = |reply: &[u8]| (reply[0] != 0).then(|| read_u64(reply, 1) as usize);
+        self.request(it, op::SCHED_ROUND_BEFORE, |_| {}, decode)
+    }
+
+    fn signals(&mut self, it: usize, round: &RoundOutput, expected: usize) -> RoundSignal {
+        let (loss, delta) = (round.stats[0].loss, round.deltas[0]);
+        self.env.signals(it, loss, delta);
+        let args = |frame: &mut FrameBuf| {
+            frame.put_f32s(&[loss, delta]);
+            frame.put(&(expected as u32).to_le_bytes());
+        };
+        self.request(it, op::SIGNALS, args, |reply| read_signal(reply, it))
+    }
+
+    fn delta_for(&mut self, it: usize) -> f32 {
+        self.request(it, op::DELTA_FOR, |_| {}, |reply| read_f32(reply, 0))
+    }
+
+    fn allgather_flags(&mut self, it: usize, present: &[usize], flags: Vec<bool>) -> Vec<bool> {
+        let flag = flags[self.env.worker];
+        self.env.status(it, flag);
+        let args = |frame: &mut FrameBuf| {
+            frame.put(&[flag as u8]);
+            frame.put(&(present.len() as u32).to_le_bytes());
+        };
+        self.request(it, op::ALLGATHER_FLAGS, args, |reply| {
+            reply.iter().map(|&b| b != 0).collect()
+        })
+    }
+
+    fn sync(&mut self, it: usize, contributions: &[&[f32]], expected: usize, mean: &mut Vec<f32>) {
+        let params = contributions[0];
+        self.env.sync(it, params.len());
         let args = |frame: &mut FrameBuf| {
             frame.put(&(expected as u32).to_le_bytes());
             frame.put_f32s(params);
         };
         let decode = |reply: &[u8]| f32s_from_le_bytes_into(reply, mean);
-        self.request(round, op::SYNC_ROUND, args, decode)
+        self.request(it, op::SYNC_ROUND, args, decode)
     }
 
-    fn allgather_flags_among(&self, round: u64, flag: bool, expected: usize) -> Vec<bool> {
+    fn observe(&mut self, signal: RoundSignal, next_round: usize) {
         let args = |frame: &mut FrameBuf| {
-            frame.put(&[flag as u8]);
-            frame.put(&(expected as u32).to_le_bytes());
-        };
-        self.request(round, op::ALLGATHER_FLAGS, args, |reply| {
-            reply.iter().map(|&b| b != 0).collect()
-        })
-    }
-
-    fn allreduce_scalar_among(
-        &self,
-        round: u64,
-        value: f32,
-        expected: usize,
-        op_: ScalarOp,
-    ) -> f32 {
-        let args = |frame: &mut FrameBuf| {
-            put_reduce_head(frame, op_, expected);
-            frame.put(&value.to_le_bytes());
-        };
-        self.request(round, op::ALLREDUCE_SCALAR, args, |reply| {
-            read_f32(reply, 0)
-        })
-    }
-
-    fn allreduce_vec_among(
-        &self,
-        round: u64,
-        values: &[f32],
-        expected: usize,
-        op_: ScalarOp,
-    ) -> Vec<f32> {
-        let args = |frame: &mut FrameBuf| {
-            put_reduce_head(frame, op_, expected);
-            frame.put_f32s(values);
-        };
-        self.request(round, op::ALLREDUCE_VEC, args, f32s_from_le_bytes)
-    }
-
-    fn wait_caught_up(&self, iteration: usize) {
-        let it = iteration as u64;
-        let args = |frame: &mut FrameBuf| frame.put(&it.to_le_bytes());
-        self.request(it, op::BOARD_WAIT_CAUGHT_UP, args, |_| {});
-    }
-
-    fn delta_for(&self, iteration: usize) -> f32 {
-        let it = iteration as u64;
-        let args = |frame: &mut FrameBuf| frame.put(&it.to_le_bytes());
-        self.request(it, op::BOARD_DELTA_FOR, args, |reply| read_f32(reply, 0))
-    }
-
-    fn observe(&self, signal: RoundSignal, next_round: usize) {
-        let args = |frame: &mut FrameBuf| {
-            frame.put(&(signal.iteration as u64).to_le_bytes());
-            frame.put(&signal.max_delta.to_le_bytes());
-            frame.put(&signal.mean_loss.to_le_bytes());
-            frame.put(&signal.delta_mean.to_le_bytes());
-            frame.put(&signal.delta_sq_mean.to_le_bytes());
+            put_signal(frame, &signal);
             frame.put(&[signal.synced as u8]);
             frame.put(&(next_round as u64).to_le_bytes());
         };
-        self.request(signal.iteration as u64, op::BOARD_OBSERVE, args, |_| {});
-    }
-
-    /// Blocks until the hub releases the round's barrier; the reply is the
-    /// eviction prefix frozen at that release.
-    fn round_begin(&self, it: usize) -> Vec<(usize, usize)> {
-        let args = |frame: &mut FrameBuf| frame.put(&(it as u64).to_le_bytes());
-        self.request(it as u64, op::ROUND_BEGIN, args, |reply| {
-            let count = read_u32(reply, 0) as usize;
-            (0..count)
-                .map(|i| {
-                    let at = 4 + i * 12;
-                    (
-                        read_u32(reply, at) as usize,
-                        read_u64(reply, at + 4) as usize,
-                    )
-                })
-                .collect()
-        })
+        self.request(signal.iteration, op::OBSERVE, args, |_| {});
     }
 
     /// Ships the section together with this process's trace shard so far, as a
     /// binary [`Deposit`] written straight into the frame, and parks inside the
     /// RPC until the hub has written (or voided) the round's image.
-    fn ckpt_deposit(&self, it: usize, section: Section) {
+    fn checkpoint(&mut self, it: usize, group: &Simulator) {
+        let cfg = self.env.cfg;
         let deposit = Deposit {
             round: it,
-            fingerprint: checkpoint::config_fingerprint(self.cfg),
-            section,
-            shard: self.cfg.trace.snapshot_log(),
+            fingerprint: checkpoint::config_fingerprint(cfg),
+            section: group.workers[0].section(self.env.worker),
+            shard: cfg.trace.snapshot_log(),
         };
-        self.request(it as u64, op::CKPT_DEPOSIT, |f| deposit.put(f), |_| {});
+        self.request(it, op::CKPT_DEPOSIT, |f| deposit.put(f), |_| {});
+    }
+
+    fn pull(&self) -> Vec<f32> {
+        self.client
+            .call(u64::MAX, |f| f.put(&[op::PULL]), f32s_from_le_bytes)
     }
 }
 
@@ -591,12 +519,12 @@ impl std::fmt::Display for UnsupportedConfig {
 impl std::error::Error for UnsupportedConfig {}
 
 /// The configuration envelope the cluster backends — this one and the threaded
-/// driver — support, and the δ-policy spec a supported run uses. The only
-/// genuinely unsupported shapes are non-SelSync/BSP algorithms, gradient
+/// driver — support, and the sync rule and δ-policy spec a supported run uses. The
+/// only genuinely unsupported shapes are non-SelSync/BSP algorithms, gradient
 /// aggregation (a cluster worker pushes parameters and pulls their mean) and
 /// data-injection over non-IID shards (whose injection draws ride the
 /// simulator's cluster RNG).
-pub fn ensure_supported(cfg: &TrainConfig) -> Result<PolicySpec, UnsupportedConfig> {
+pub fn ensure_supported(cfg: &TrainConfig) -> Result<(SyncRule, PolicySpec), UnsupportedConfig> {
     if !matches!(
         cfg.algorithm,
         AlgorithmSpec::SelSync { .. } | AlgorithmSpec::Bsp
@@ -640,7 +568,9 @@ pub fn ensure_supported(cfg: &TrainConfig) -> Result<PolicySpec, UnsupportedConf
     if let Some(Err(e)) = cfg.checkpoint.as_ref().map(|ck| ck.validate()) {
         return invalid("checkpoint", e);
     }
-    Ok(spec)
+    // Every admitted algorithm exchanges its status bits and averages parameters:
+    // BSP is SelSync at δ = 0, whose every bit is set.
+    Ok((SyncRule::Selective(AggregationMode::Parameter), spec))
 }
 
 /// Run the hub process: bind `addr`, serve one connection per worker until all
@@ -657,12 +587,11 @@ pub fn run_process_hub_with(
     addr: &SocketAddrSpec,
     resume: Option<&Checkpoint>,
 ) -> String {
-    let spec = ensure_supported(cfg).unwrap_or_else(|e| panic!("{e}"));
+    let (_, spec) = ensure_supported(cfg).unwrap_or_else(|e| panic!("{e}"));
     // The hub shard carries a resume image's merged trace prefix; workers
     // re-emit nothing before the first resumed round, so the merged result is
     // exactly prefix + fresh suffix.
-    let proto = PaperModel::build(cfg.model, cfg.seed);
-    let core = ClusterCore::build(cfg, &spec, &proto, cfg.effective_conditions(), resume);
+    let core = ClusterCore::build(cfg, &spec, resume);
     let server = HubServer::bind(addr).unwrap_or_else(|e| panic!("hub failed to bind {addr}: {e}"));
     let service = HubService {
         cfg: cfg.clone(),
@@ -687,9 +616,9 @@ pub struct WorkerOptions<'a> {
 }
 
 /// Run one worker process: connect to the hub at `addr` and execute worker
-/// `worker`'s rounds — `crate::worker::run_worker`, the threaded driver's
-/// worker function, with shared-state touches carried by the socket. Returns
-/// the worker's report and its trace shard in encoded form.
+/// `worker`'s rounds — the one round loop over a group of one, with shared-state
+/// touches carried by the socket. Returns the worker's report and its trace shard
+/// in encoded form.
 pub fn run_process_worker(
     cfg: &TrainConfig,
     worker: usize,
@@ -705,11 +634,12 @@ pub fn run_process_worker_with(
     addr: &SocketAddrSpec,
     opts: WorkerOptions<'_>,
 ) -> (ThreadedWorkerReport, String) {
-    let spec = ensure_supported(cfg).unwrap_or_else(|e| panic!("{e}"));
+    let (rule, spec) = ensure_supported(cfg).unwrap_or_else(|e| panic!("{e}"));
     if let Some(ckpt) = opts.resume {
         ckpt.check_resumable(cfg).unwrap_or_else(|e| panic!("{e}"));
     }
-    let inputs = WorkerInputs::build(cfg, &spec, &PaperModel::build(cfg.model, cfg.seed));
+    let (train, test) = crate::sim::build_datasets(cfg);
+    let group = Simulator::group(cfg, &(Arc::new(train), Arc::new(test)), worker..worker + 1);
 
     let conn = SocketConn::connect(addr, CONNECT_RETRY)
         .unwrap_or_else(|e| panic!("worker {worker} failed to connect to {addr}: {e}"));
@@ -717,24 +647,17 @@ pub fn run_process_worker_with(
     // frame verbatim, so retries, dedupe and evictions behave exactly as over
     // the in-memory transports — including with the fault decorator composed
     // over the socket.
-    let layer = match cfg.comm_faults.map(CommFaultSchedule::new) {
-        Some(schedule) => MessageLayer::faulty_over(schedule, Box::new(conn.transport())),
-        None => MessageLayer::over(Box::new(conn.transport()), 1),
-    };
-    let layer = with_ps_gate(cfg, layer);
-    let hub = RemoteCluster {
+    let layer = message_layer(cfg, Box::new(conn.transport()));
+    let mut hub = RemoteCluster {
+        env: Envelopes {
+            cfg,
+            layer: &layer,
+            worker,
+        },
         client: conn.client(worker as u32),
-        cfg,
+        kill_at: opts.kill_at,
     };
-    let report = run_worker(
-        cfg,
-        &inputs,
-        worker,
-        &hub,
-        &layer,
-        opts.resume,
-        opts.kill_at,
-    );
+    let report = run_worker(cfg, (rule, &spec), group, &mut hub, opts.resume);
     (report, cfg.trace.take_log().encode())
 }
 
@@ -958,42 +881,45 @@ mod tests {
     #[test]
     fn worker_death_is_trace_identical_to_the_equivalent_scheduled_crash() {
         use crate::conditions::ClusterConditions;
-        let killed_worker = 2;
-        let kill_round = 10;
-        // Reference: the same cluster where the death is a *scheduled* no-rejoin
-        // crash at the kill round. The hub must map the abrupt connection drop
-        // to exactly this membership schedule.
-        let mut reference = cfg(0.05, 3);
-        reference.conditions = ClusterConditions::uniform().with_fault(FaultEvent::Crash {
-            worker: killed_worker,
-            start: kill_round,
-            rejoin: None,
-        });
-        reference.trace = TraceSink::capture(TraceGranularity::Full);
-        let _ = crate::algorithms::run(&reference);
-        let sim_trace = reference.trace.take_log().encode();
-        reference.trace = TraceSink::disabled();
-        let threaded = run_threaded_selsync(&reference);
+        // A death mid-run, and one before the worker's first round: the start-of-run
+        // pull identifies the worker to the hub, so that death is mapped too.
+        for (killed_worker, kill_round) in [(2, 10), (1, 0)] {
+            // Reference: the same cluster where the death is a *scheduled* no-rejoin
+            // crash at the kill round. The hub must map the abrupt connection drop
+            // to exactly this membership schedule.
+            let mut reference = cfg(0.05, 3);
+            reference.conditions = ClusterConditions::uniform().with_fault(FaultEvent::Crash {
+                worker: killed_worker,
+                start: kill_round,
+                rejoin: None,
+            });
+            reference.trace = TraceSink::capture(TraceGranularity::Full);
+            let _ = crate::algorithms::run(&reference);
+            let sim_trace = reference.trace.take_log().encode();
+            reference.trace = TraceSink::disabled();
+            let threaded = run_threaded_selsync(&reference);
 
-        let c = cfg(0.05, 3);
-        let (reports, merged) =
-            run_in_process_cluster_with(&c, "kill", None, Some((killed_worker, kill_round)));
-        assert_eq!(
-            merged, sim_trace,
-            "worker-death eviction diverged from the scheduled-crash reference"
-        );
-        for (p, t) in reports.iter().zip(threaded.iter()) {
-            assert_eq!(p.sync_rounds, t.sync_rounds, "worker {}", p.worker);
-            assert_eq!(p.sync_steps, t.sync_steps);
-            assert_eq!(p.local_steps, t.local_steps);
-            assert_eq!(p.final_loss.to_bits(), t.final_loss.to_bits());
-            if p.worker != killed_worker {
-                // The killed worker dies before its final pull, so its distance
-                // is the one report field with no reference counterpart.
-                assert_eq!(
-                    p.distance_to_global.to_bits(),
-                    t.distance_to_global.to_bits()
-                );
+            let c = cfg(0.05, 3);
+            let tag = format!("kill-{kill_round}");
+            let kill = Some((killed_worker, kill_round));
+            let (reports, merged) = run_in_process_cluster_with(&c, &tag, None, kill);
+            assert_eq!(
+                merged, sim_trace,
+                "worker-death eviction diverged from the scheduled-crash reference"
+            );
+            for (p, t) in reports.iter().zip(threaded.iter()) {
+                assert_eq!(p.sync_rounds, t.sync_rounds, "worker {}", p.worker);
+                assert_eq!(p.sync_steps, t.sync_steps);
+                assert_eq!(p.local_steps, t.local_steps);
+                assert_eq!(p.final_loss.to_bits(), t.final_loss.to_bits());
+                if p.worker != killed_worker {
+                    // The killed worker dies before its final pull, so its distance
+                    // is the one report field with no reference counterpart.
+                    assert_eq!(
+                        p.distance_to_global.to_bits(),
+                        t.distance_to_global.to_bits()
+                    );
+                }
             }
         }
     }

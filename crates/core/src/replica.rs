@@ -6,12 +6,12 @@
 //! *compute* ([`Replica::next_batch`], `Replica::compute`: batch → forward/backward
 //! → `Δ(g_i)`), [`Replica::apply_local`] (the optimizer step) and
 //! [`Replica::apply_sync`] (adopt the PS mean, record the round). What happens
-//! *between* them is the backend: `crate::worker::run_worker` puts a blocking
-//! `ClusterLink` there, [`crate::sim::Simulator`] runs them for W replicas with
-//! cost-model accounting, evaluation, gradient aggregation and data-injection
-//! around. No phase knows which of the two is calling. The replica is also the one
-//! writer and reader of a worker's durable record ([`Replica::section`],
-//! [`Replica::restore`]), so any backend continues any other's image.
+//! *between* them is the one round loop, `crate::worker::run_group`, with a
+//! `ClusterLink` there; the [`crate::sim::Simulator`] group runs the phases for its
+//! replicas, all W in the simulator and one on a cluster backend. No phase knows
+//! which backend is calling. The replica is also the one writer and reader of a
+//! worker's durable record ([`Replica::section`], [`Replica::restore`]), so any
+//! backend continues any other's image.
 
 use crate::checkpoint::{Section, WorkerCore, WorkerImage};
 use crate::config::TrainConfig;

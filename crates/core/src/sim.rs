@@ -1,22 +1,15 @@
-//! The deterministic single-process cluster simulator.
+//! The replica group: what the one round loop (`crate::worker::run_group`) trains.
 //!
-//! Both algorithm drivers ([`crate::algorithms`]) share this harness: the round loop
-//! that BSP, FedAvg, local SGD and SelSync run as sync rules, and SSP's. It owns:
-//!
-//! * the synthetic train/test datasets for the configured workload,
-//! * one [`Replica`] **per worker** — the very type, and the very round phases, a
-//!   cluster worker (`crate::worker::run_worker`) trains through — plus a pool of
-//!   compute engines: one per round slot for the worker-parallel compute phase and one
-//!   shared engine for evaluation and the sequential reference path,
-//! * the simulated clock: compute time comes from the device cost model, communication
-//!   time from the network cost model, with identical accounting for every algorithm,
-//! * LSSR bookkeeping and the evaluation history that becomes the [`RunReport`].
-//!
-//! The simulator is what surrounds a round's phases, never what is inside them:
-//! [`Simulator::begin_round`] runs the rejoin reset, [`Simulator::plan_round`] /
-//! [`Simulator::run_round`] the compute phase, [`Simulator::apply_round_own`] the local
-//! apply and [`Simulator::set_params_of`] the sync apply for the round's replicas, with
-//! accounting, evaluation, gradient aggregation and data-injection in between.
+//! In the deterministic single-process simulator the group is the whole cluster,
+//! W [`Replica`]s over the in-memory link of [`crate::algorithms::selsync`]; on a
+//! cluster backend it is one worker's replica. SSP's driver ([`crate::algorithms`])
+//! uses it too. It owns the synthetic train/test datasets, the replicas, a pool of
+//! compute engines (one per round slot for the worker-parallel compute phase, one
+//! shared engine for evaluation and the sequential reference path) and — what only the
+//! simulator reads — the simulated clock (compute time from the device cost model,
+//! communication time priced by the link on the network cost model), LSSR
+//! bookkeeping, the evaluation history that becomes the [`RunReport`], and the
+//! data-injection draw, which advances *other* workers' shards.
 //!
 //! The compute phase runs concurrently on the shared worker pool
 //! ([`selsync_tensor::par`]): batch indices are drawn up front from each worker's own
@@ -43,6 +36,8 @@ use selsync_nn::cost;
 use selsync_nn::model::{BatchStats, ModelKind, NominalFootprint, TaskKind};
 use selsync_tensor::par::{self, SendPtr};
 use selsync_tensor::rng::{self, SelRng};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// One worker's slot in a training round, planned up front by
 /// [`Simulator::plan_round`] and executed by [`Simulator::run_round`].
@@ -78,14 +73,6 @@ pub struct RoundOutput {
 }
 
 impl RoundOutput {
-    /// Mean training loss over the round's steps (0 for an empty round).
-    pub fn mean_loss(&self) -> f32 {
-        if self.stats.is_empty() {
-            return 0.0;
-        }
-        self.stats.iter().map(|s| s.loss).sum::<f32>() / self.stats.len() as f32
-    }
-
     /// The cluster-level [`RoundSignal`] a [`crate::policy::DeltaPolicy`] observes for
     /// this round: the round-maximum `Δ(g_i)`, the mean batch loss, the Δ moment
     /// feed (mean of `Δ(g_i)` and of `Δ(g_i)²`), and whether the round
@@ -99,15 +86,13 @@ impl RoundOutput {
             sum += d;
             sq_sum += d * d;
         }
-        // An empty round reads 0 for both moments.
+        // An empty round reads 0 for the means.
         let n = self.deltas.len().max(1) as f32;
+        let loss_sum = self.stats.iter().fold(0.0f32, |sum, s| sum + s.loss);
+        let values = [self.max_delta, loss_sum / n, sum / n, sq_sum / n];
         RoundSignal {
-            iteration,
-            max_delta: self.max_delta,
-            mean_loss: self.mean_loss(),
-            delta_mean: sum / n,
-            delta_sq_mean: sq_sum / n,
             synced,
+            ..RoundSignal::of(iteration, values)
         }
     }
 }
@@ -186,18 +171,23 @@ fn apply_each(
     });
 }
 
-/// The shared simulator.
+/// A replica group: the whole cluster in the simulator, one worker on a cluster backend.
 pub struct Simulator {
-    /// The run configuration.
+    /// The run configuration, with the compiled membership schedule as its conditions.
     pub cfg: TrainConfig,
     /// The shared engine: evaluation, the sequential reference path, model facts.
     engine: Engine,
     /// Synthetic training set.
-    pub train: Dataset,
+    pub train: Arc<Dataset>,
     /// Synthetic held-out set.
-    pub test: Dataset,
-    /// Per-worker replica state.
+    pub test: Arc<Dataset>,
+    /// The group's replicas: worker `first + i` at index `i`.
     pub workers: Vec<Replica>,
+    /// The worker id of `workers[0]` (0 for the whole cluster).
+    pub(crate) first: usize,
+    /// The comm-fault evictions compiled into the membership schedule,
+    /// `(worker, first-absent round)`.
+    pub(crate) evictions: Vec<(usize, usize)>,
     injection: Option<DataInjection>,
     lssr: LssrCounter,
     /// Step indices at which [`Self::account_step`] recorded a synchronization — the
@@ -211,8 +201,6 @@ pub struct Simulator {
     /// data-injection donor choice, SSP scheduling jitter).
     pub rng: SelRng,
     max_delta_seen: f32,
-    /// The last iteration [`Self::begin_round`] processed (rejoin detection).
-    last_round: Option<usize>,
     /// Per-slot compute engines for worker-parallel rounds (grown lazily to the
     /// largest round width seen).
     engines: Vec<Engine>,
@@ -231,6 +219,17 @@ impl Simulator {
     /// Build a simulator (datasets, model, worker replicas) from a configuration.
     pub fn new(cfg: &TrainConfig) -> Self {
         let (train, test) = build_datasets(cfg);
+        Self::group(cfg, &(Arc::new(train), Arc::new(test)), 0..cfg.workers)
+    }
+
+    /// The group of `members` over shared `datasets` (train, test): every replica
+    /// holds the initial global (pullFromPS, Alg. 1 line 3).
+    pub(crate) fn group(
+        cfg: &TrainConfig,
+        datasets: &(Arc<Dataset>, Arc<Dataset>),
+        members: Range<usize>,
+    ) -> Self {
+        let (train, test) = datasets.clone();
         let engine = Engine::new(cfg.model, cfg.seed);
         let init_params = engine.model.params_flat();
 
@@ -244,7 +243,8 @@ impl Simulator {
         };
 
         let iid_order = iid_sample_order(&train, &engine.model.task);
-        let workers = (0..cfg.workers)
+        let first = members.start;
+        let workers = members
             .map(|w| {
                 let traversal = worker_traversal(cfg, &train, &iid_order, w);
                 Replica::new(cfg, init_params.clone(), traversal)
@@ -252,12 +252,13 @@ impl Simulator {
             .collect();
 
         // Compile comm-fault evictions into the membership schedule up front: every
-        // presence query below (both algorithm drivers, round planning, trace
-        // context) then sees fault-driven evictions exactly like scheduled crashes.
-        // Idempotent — an evicted worker is absent from its eviction round on, so
-        // recompiling cannot add further crashes.
+        // presence query below (round planning, trace context, rejoins) then sees
+        // fault-driven evictions exactly like scheduled crashes. Idempotent — an
+        // evicted worker is absent from its eviction round on, so recompiling cannot
+        // add further crashes.
         let mut cfg = cfg.clone();
-        cfg.conditions = cfg.effective_conditions();
+        let evictions = cfg.comm_fault_evictions();
+        cfg.conditions = cfg.conditions.with_evictions(&evictions);
         let rng = rng::derived(cfg.seed, 0xC1A5);
 
         Simulator {
@@ -266,6 +267,8 @@ impl Simulator {
             train,
             test,
             workers,
+            first,
+            evictions,
             injection,
             lssr: LssrCounter::new(),
             sync_rounds: Vec::new(),
@@ -275,7 +278,6 @@ impl Simulator {
             bytes_communicated: 0,
             rng,
             max_delta_seen: 0.0,
-            last_round: None,
             engines: Vec::new(),
             round_grads: Vec::new(),
             last_round_workers: Vec::new(),
@@ -286,6 +288,25 @@ impl Simulator {
     /// Number of workers.
     pub fn num_workers(&self) -> usize {
         self.workers.len()
+    }
+
+    /// Whether worker `w` is one of the group's members.
+    pub(crate) fn hosts(&self, w: usize) -> bool {
+        (self.first..self.first + self.workers.len()).contains(&w)
+    }
+
+    /// The replica of member `w`.
+    pub(crate) fn replica_mut(&mut self, w: usize) -> &mut Replica {
+        &mut self.workers[w - self.first]
+    }
+
+    /// Fold runtime `evictions` (worker deaths a cluster learns at the boundary of
+    /// round `it`) into the schedule, and recompute the forward counter from it:
+    /// evictions can land at rounds this group sat out.
+    pub(crate) fn fold_evictions(&mut self, evictions: &[(usize, usize)], it: usize) {
+        let conditions = std::mem::take(&mut self.cfg.conditions);
+        self.cfg.conditions = conditions.with_evictions(evictions);
+        self.forwards_issued = self.cfg.conditions.forwards_before(self.cfg.workers, it);
     }
 
     /// Number of scalar model parameters.
@@ -306,7 +327,7 @@ impl Simulator {
     pub fn fill_batch_indices(&mut self, worker: usize, out: &mut Vec<usize>) -> u64 {
         let batch = self.cfg.batch_size;
         let Some(inj) = self.injection else {
-            self.workers[worker].next_batch(batch, out);
+            self.replica_mut(worker).next_batch(batch, out);
             return 0;
         };
         let mut cursors: Vec<usize> = self.workers.iter().map(|w| w.cursor).collect();
@@ -330,20 +351,30 @@ impl Simulator {
 
     // --- worker-parallel rounds ----------------------------------------------------
 
-    /// Plan one training round for the given (strictly increasing) worker list: draw
-    /// every worker's batch indices in worker order — so cursor and cluster-RNG
-    /// streams advance exactly as the sequential loop did — and stamp each step with
-    /// its global forward index. `steps` is reused across rounds (cleared and
-    /// refilled, index buffers kept).
+    /// Plan one training round for the group's members among the (strictly
+    /// increasing) `present` workers: draw every member's batch indices in worker
+    /// order — so cursor and cluster-RNG streams advance exactly as the sequential
+    /// loop did — and stamp each step with its global forward index, its worker's
+    /// rank among `present` past the forwards of earlier rounds. `steps` is reused
+    /// across rounds (cleared and refilled, index buffers kept).
     pub fn plan_round(&mut self, present: &[usize], steps: &mut Vec<WorkerStep>) {
-        assert_valid_round_workers(present.iter().copied(), self.workers.len());
-        steps.resize_with(present.len(), WorkerStep::default);
-        for (step, &w) in steps.iter_mut().zip(present.iter()) {
+        assert_valid_round_workers(present.iter().copied(), self.cfg.workers);
+        let mut planned = 0;
+        for (rank, &w) in present.iter().enumerate() {
+            if !self.hosts(w) {
+                continue;
+            }
+            if steps.len() == planned {
+                steps.push(WorkerStep::default());
+            }
+            let step = &mut steps[planned];
             step.worker = w;
             step.injected_bytes = self.fill_batch_indices(w, &mut step.indices);
-            step.forward_index = self.forwards_issued;
-            self.forwards_issued += 1;
+            step.forward_index = self.forwards_issued + rank as u64;
+            planned += 1;
         }
+        steps.truncate(planned);
+        self.forwards_issued += present.len() as u64;
     }
 
     /// Execute the compute phase of a planned round: every step's
@@ -358,8 +389,8 @@ impl Simulator {
     /// tracker/optimizer state is its own, and a step's outcome is independent of
     /// *which* engine runs it (see `Engine`).
     pub fn run_round(&mut self, steps: &[WorkerStep]) -> RoundOutput {
-        let n = steps.len();
-        assert_valid_round_workers(steps.iter().map(|s| s.worker), self.workers.len());
+        let (n, first) = (steps.len(), self.first);
+        assert_valid_round_workers(steps.iter().map(|s| s.worker - first), self.workers.len());
         self.last_round_workers.clear();
         self.last_round_workers
             .extend(steps.iter().map(|s| s.worker));
@@ -379,7 +410,7 @@ impl Simulator {
         if SEQUENTIAL_ROUNDS.with(|c| c.get()) {
             // Reference path: the same phase on the one shared engine, workers in order.
             for (i, step) in steps.iter().enumerate() {
-                let (stats, delta) = self.workers[step.worker].compute(
+                let (stats, delta) = self.workers[step.worker - first].compute(
                     &mut self.engine,
                     &self.train,
                     &step.indices,
@@ -410,14 +441,14 @@ impl Simulator {
             let train = &self.train;
             par::parallel_for(tasks, |t| {
                 // SAFETY: each task owns engine `t` and a disjoint slot range (so the
-                // grads/stats/deltas writes are disjoint), and worker ids are strictly
-                // increasing and in bounds (asserted above) so the worker writes are
-                // disjoint too; `parallel_for` blocks until all tasks finish, so the
+                // grads/stats/deltas writes are disjoint), and the steps' replica slots
+                // are strictly increasing and in bounds (asserted above) so the replica
+                // writes are disjoint too; `parallel_for` blocks until all tasks finish, so the
                 // borrows outlive every use.
                 let engine = unsafe { &mut *engines_ptr.get().add(t) };
                 let hi = ((t + 1) * chunk).min(n);
                 for (i, step) in steps.iter().enumerate().take(hi).skip(t * chunk) {
-                    let wstate = unsafe { &mut *workers_ptr.get().add(step.worker) };
+                    let wstate = unsafe { &mut *workers_ptr.get().add(step.worker - first) };
                     let grads = unsafe { &mut *grads_ptr.get().add(i) };
                     let (stats, delta) =
                         wstate.compute(engine, train, &step.indices, step.forward_index, grads);
@@ -473,11 +504,11 @@ impl Simulator {
                 "apply_round_own steps must align with the last run_round"
             );
         }
-        let grads = &self.round_grads;
+        let (grads, first) = (&self.round_grads, self.first);
         apply_each(
             &mut self.workers,
             steps.len(),
-            |i| steps[i].worker,
+            |i| steps[i].worker - first,
             |i, w| w.apply_local(&grads[i], lr),
         );
     }
@@ -486,12 +517,12 @@ impl Simulator {
     /// synchronization, recorded as such) to every listed worker's replica, in
     /// parallel across workers.
     pub fn apply_round_shared(&mut self, worker_ids: &[usize], grads: &[f32], lr: f32) {
-        assert_valid_round_workers(worker_ids.iter().copied(), self.workers.len());
-        let round = self.step_index();
+        let (round, first) = (self.step_index(), self.first);
+        assert_valid_round_workers(worker_ids.iter().map(|w| w - first), self.workers.len());
         apply_each(
             &mut self.workers,
             worker_ids.len(),
-            |i| worker_ids[i],
+            |i| worker_ids[i] - first,
             |_, w| {
                 w.apply_local(grads, lr);
                 w.sync_rounds.push(round);
@@ -613,7 +644,7 @@ impl Simulator {
     pub fn present_workers(&self, iteration: usize) -> Vec<usize> {
         self.cfg
             .conditions
-            .present_workers(self.workers.len(), iteration)
+            .present_workers(self.cfg.workers, iteration)
     }
 
     /// Wall-clock seconds of one synchronous compute round at `iteration`: the batch
@@ -623,7 +654,7 @@ impl Simulator {
             * self
                 .cfg
                 .conditions
-                .slowest_present_multiplier(self.workers.len(), iteration)
+                .slowest_present_multiplier(self.cfg.workers, iteration)
     }
 
     /// The network model in effect at `iteration` (base model plus active degradations).
@@ -657,33 +688,35 @@ impl Simulator {
     pub fn set_params_of(&mut self, worker_ids: &[usize], params: &[f32]) {
         let round = self.step_index();
         for &w in worker_ids {
-            self.workers[w].apply_sync(round, params);
+            self.replica_mut(w).apply_sync(round, params);
         }
+    }
+
+    /// Whether worker `w`, present at `iteration`, is back from an absence: it missed
+    /// the round before.
+    pub(crate) fn rejoins(&self, w: usize, iteration: usize) -> bool {
+        iteration > 0 && !self.cfg.conditions.is_present(w, iteration - 1)
     }
 
     /// Begin a synchronous round at `iteration` for drivers with a PS rejoin path:
     /// returns the present workers, and for every worker that was absent at the
-    /// previously processed round and is back now, performs the rejoin pull from
-    /// `global` ([`Replica::rejoin`]) and accounts the one-way transfer. Returns
+    /// round before and is back now, performs the rejoin pull from `global`
+    /// ([`Replica::rejoin`]) and accounts the one-way transfer. Returns
     /// `(present, rejoin_comm_seconds, rejoin_bytes)` for the caller to fold into the
     /// round's accounting.
     pub fn begin_round(&mut self, iteration: usize, global: &[f32]) -> (Vec<usize>, f64, u64) {
         let present = self.present_workers(iteration);
-        let mut comm_s = 0.0f64;
-        let mut bytes = 0u64;
-        if let Some(prev) = self.last_round {
-            for &w in &present {
-                if !self.cfg.conditions.is_present(w, prev) {
-                    self.workers[w].rejoin(global);
-                    comm_s += self.ps_one_way_seconds_at(iteration);
-                    bytes += self.nominal().wire_bytes;
-                    crate::tracing::emit_rejoin_pull(&self.cfg, iteration, w, || {
-                        self.sync_rounds.last().copied()
-                    });
-                }
+        let (mut comm_s, mut bytes) = (0.0f64, 0u64);
+        for &w in &present {
+            if self.rejoins(w, iteration) {
+                self.replica_mut(w).rejoin(global);
+                comm_s += self.ps_one_way_seconds_at(iteration);
+                bytes += self.nominal().wire_bytes;
+                crate::tracing::emit_rejoin_pull(&self.cfg, iteration, w, || {
+                    self.sync_rounds.last().copied()
+                });
             }
         }
-        self.last_round = Some(iteration);
         (present, comm_s, bytes)
     }
 
@@ -782,7 +815,7 @@ impl Simulator {
             .workers
             .iter()
             .enumerate()
-            .map(|(k, w)| w.section(k))
+            .map(|(k, w)| w.section(self.first + k))
             .collect();
 
         let mut s = Section::new("sim");
@@ -814,13 +847,14 @@ impl Simulator {
     /// recomputed from the configuration exactly as a cluster worker recomputes its
     /// own. A cluster-written image has no `sim` section: the cost-model aggregates
     /// and the eval history then restart at zero and the run-wide max `Δ(g_i)` is
-    /// the trackers'.
+    /// the trackers'. A group of part of the cluster reads only its members'
+    /// sections.
     pub fn restore_checkpoint(&mut self, ckpt: &Checkpoint) {
         let rounds = ckpt.round + 1;
         let mut sync_rounds = Vec::new();
         self.max_delta_seen = 0.0;
         for (k, w) in self.workers.iter_mut().enumerate() {
-            w.restore(ckpt.worker_image(k), self.cfg.batch_size);
+            w.restore(ckpt.worker_image(self.first + k), self.cfg.batch_size);
             self.max_delta_seen = self.max_delta_seen.max(w.tracker.max_delta());
             sync_rounds.extend_from_slice(&w.sync_rounds);
         }
@@ -835,10 +869,10 @@ impl Simulator {
         self.forwards_issued = self
             .cfg
             .conditions
-            .forwards_before(self.workers.len(), rounds);
-        self.last_round = Some(ckpt.round);
+            .forwards_before(self.cfg.workers, rounds);
 
-        let Some(section) = ckpt.section("sim") else {
+        let whole = self.workers.len() == self.cfg.workers;
+        let Some(section) = ckpt.section("sim").filter(|_| whole) else {
             return;
         };
         let mut s = section.reader();

@@ -1,11 +1,11 @@
-//! Shared trace-emission helpers for the SelSync drivers.
+//! Shared trace-emission helpers for the one round loop (`crate::worker::run_group`).
 //!
-//! Both drivers — the simulator's round loop and a cluster round's rank-0 worker —
-//! feed the same per-round facts through these helpers, so the structural events (run
-//! header, membership changes, fault-window edges) and the round's decision events
-//! are identical *by construction*: everything here is a pure function of the
-//! config's deterministic schedules and the round's merged signal, never of backend
-//! state.
+//! The group that emits a round — the whole cluster in the simulator, the
+//! lowest-ranked present worker on a cluster backend — feeds the same per-round facts
+//! through these helpers, so the structural events (run header, membership changes,
+//! fault-window edges) and the round's decision events are identical *by
+//! construction*: everything here is a pure function of the config's deterministic
+//! schedules and the round's merged signal, never of backend state.
 
 use crate::conditions::{ClusterConditions, FaultEvent};
 use crate::config::{RejoinPull, TrainConfig};
@@ -13,8 +13,8 @@ use crate::policy::{DeltaPolicy, RoundSignal};
 use selsync_comm::faults::PsFaultSchedule;
 use selsync_tracelog::{Event, FaultKind, PullKind, TraceSink, WindowEdge, TRACE_VERSION};
 
-/// Emit the run header. `algorithm` and `policy` are the same labels both drivers
-/// derive from the config (see [`crate::algorithms::selsync::algorithm_label`] and
+/// Emit the run header. `algorithm` and `policy` are the same labels every backend
+/// derives from the config (see [`crate::algorithms::selsync::algorithm_label`] and
 /// `PolicySpec::label`), so sim and threaded headers agree byte-for-byte.
 pub fn emit_header(sink: &TraceSink, cfg: &TrainConfig, algorithm: &str, policy: &str) {
     if !sink.is_enabled() {
@@ -32,8 +32,8 @@ pub fn emit_header(sink: &TraceSink, cfg: &TrainConfig, algorithm: &str, policy:
 
 /// The previous *active* round before `iteration` (the last earlier round with at
 /// least one present worker), if any. Rounds where the whole cluster is absent are
-/// skipped by both drivers, so consecutive active rounds are the granularity at
-/// which membership and fault edges are observable in either backend.
+/// skipped by every backend, so consecutive active rounds are the granularity at
+/// which membership and fault edges are observable on any backend.
 fn previous_active_round(
     conditions: &ClusterConditions,
     workers: usize,
@@ -162,14 +162,7 @@ pub fn degraded_round(
             delta_g,
         });
     }
-    RoundSignal {
-        iteration: round,
-        max_delta: delta_g,
-        mean_loss: loss,
-        delta_mean: delta_g,
-        delta_sq_mean: delta_g * delta_g,
-        synced: false,
-    }
+    RoundSignal::of(round, [delta_g, loss, delta_g, delta_g * delta_g])
 }
 
 /// The decision events of a reachable round: the `ps_up` edge and its catch-up sync
