@@ -246,7 +246,12 @@ fn main() {
     if quick {
         scenario = scaled(scenario);
     }
-    let delta = delta.unwrap_or(scenario.delta);
+    // The override passes the same checks as a scenario file's `delta` key.
+    if let Some(delta) = delta {
+        scenario.delta = delta;
+        scenario.validate().unwrap_or_else(|e| fail(&e));
+    }
+    let delta = scenario.delta;
     let checkpoint = ckpt_args
         .spec(Some(format!("target/replay-ckpt/{}", scenario.name)))
         .unwrap_or_else(|e| fail(&e));

@@ -2,8 +2,7 @@
 //!
 //! Spawns one OS thread per worker, hands each a worker id plus shared handles (the
 //! parameter server and the collectives group), and collects the per-worker results.
-//! The threaded algorithm drivers in the `selsync` crate and the integration tests use
-//! this to exercise the real blocking/rendezvous code paths.
+//! The threaded driver in the `selsync` crate runs its worker threads through it.
 
 use crate::collective::Collective;
 use crate::ps::ParameterServer;
@@ -14,7 +13,8 @@ use std::sync::Arc;
 pub struct ClusterHandles {
     /// The parameter server shared by all workers.
     pub ps: Arc<ParameterServer>,
-    /// The collectives group (status all-gather, all-reduce, barrier).
+    /// The collectives group (the round-keyed status all-gather and scalar
+    /// all-reduce).
     pub collective: Arc<Collective>,
     /// Total number of workers.
     pub world_size: usize,
@@ -29,19 +29,10 @@ pub fn make_handles(world_size: usize, initial_global: Vec<f32>) -> ClusterHandl
     }
 }
 
-/// Run `f(worker_id, handles)` on `world_size` OS threads and return the results in
-/// worker order. Panics in any worker propagate to the caller.
-pub fn run_cluster<T, F>(world_size: usize, initial_global: Vec<f32>, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, ClusterHandles) -> T + Send + Sync,
-{
-    run_cluster_with(make_handles(world_size, initial_global), f)
-}
-
-/// [`run_cluster`] over pre-built handles — for drivers that need to configure the
-/// shared parameter server (e.g. enable the scheduled-snapshot ring for deterministic
-/// rejoin pulls) before the worker threads start.
+/// Run `f(worker_id, handles)` on one OS thread per worker of `handles` and return
+/// the results in worker order. Panics in any worker propagate to the caller. Build
+/// the handles first to configure the shared parameter server (e.g. enable the
+/// scheduled-snapshot ring for deterministic rejoin pulls) before the threads start.
 pub fn run_cluster_with<T, F>(handles: ClusterHandles, f: F) -> Vec<T>
 where
     T: Send,
@@ -69,13 +60,13 @@ mod tests {
 
     #[test]
     fn run_cluster_returns_results_in_worker_order() {
-        let out = run_cluster(4, vec![0.0; 1], |w, _| w * 10);
+        let out = run_cluster_with(make_handles(4, vec![0.0; 1]), |w, _| w * 10);
         assert_eq!(out, vec![0, 10, 20, 30]);
     }
 
     #[test]
     fn workers_share_the_parameter_server() {
-        let out = run_cluster(4, vec![0.0; 2], |w, h| {
+        let out = run_cluster_with(make_handles(4, vec![0.0; 2]), |w, h| {
             let avg =
                 h.ps.sync_round_elastic(0, w, &[w as f32, 1.0], h.world_size);
             avg[0]
@@ -85,7 +76,10 @@ mod tests {
 
     #[test]
     fn workers_share_the_collective() {
-        let out = run_cluster(3, vec![], |w, h| h.collective.allgather_flags(w, w == 1));
+        let out = run_cluster_with(make_handles(3, vec![]), |w, h| {
+            h.collective
+                .allgather_flags_among(0, w, w == 1, h.world_size)
+        });
         for flags in out {
             assert_eq!(flags, vec![false, true, false]);
         }

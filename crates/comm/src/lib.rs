@@ -8,19 +8,18 @@
 //! analytical cost model:
 //!
 //! * [`ps`] — an in-memory parameter server holding the flat global parameter vector,
-//!   with blocking synchronous aggregation rounds (BSP / SelSync / FedAvg) and
-//!   non-blocking push/pull (SSP).
-//! * [`collective`] — thread rendezvous collectives: the 1-bit-per-worker `all-gather`
-//!   used by SelSync's synchronization-status exchange (Alg. 1, line 12), an
-//!   all-reduce, and a barrier.
+//!   with blocking synchronous aggregation rounds (SelSync's push-then-pull).
+//! * [`collective`] — round-keyed collectives: the 1-bit-per-worker `all-gather` used
+//!   by SelSync's synchronization-status exchange (Alg. 1, line 12) and a scalar
+//!   all-reduce.
 //! * [`netmodel`] — the analytical network cost model (bandwidth, latency, PS incast,
 //!   ring all-reduce) that converts nominal transfer sizes into simulated seconds. All
 //!   throughput/speedup numbers in the benchmark harness come from this model, with the
 //!   same accounting applied to every algorithm.
-//! * [`rounds`] — the round-keyed elastic rendezvous skeleton shared by the parameter
-//!   server's elastic aggregation rounds and the collective's elastic status
-//!   all-gather: contributions are keyed by worker id and combined in worker order, so
-//!   deterministic combines stay deterministic under any thread scheduling.
+//! * [`rounds`] — the round-keyed elastic rendezvous skeleton under the parameter
+//!   server's aggregation rounds, the collectives and the driver's signal and
+//!   checkpoint rounds: contributions are keyed by worker id and combined in worker
+//!   order, so deterministic combines stay deterministic under any thread scheduling.
 //! * [`cluster`] — a small harness for running a closure on `N` worker threads and
 //!   collecting the per-worker results.
 //! * [`wire`] — serialized, length-prefixed wire messages: every comm op is an

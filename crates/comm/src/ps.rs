@@ -1,16 +1,12 @@
 //! In-memory parameter server.
 //!
 //! The server stores the flat global vector (parameters for PA, or a gradient buffer for
-//! GA) and offers two interaction styles:
-//!
-//! * **Synchronous rounds** ([`ParameterServer::sync_round_elastic`]): every worker
-//!   present at a round contributes a vector; once all have arrived the server averages
-//!   them, stores the result as the new global state and hands the averaged vector back
-//!   to every participant. This is the blocking push-then-pull of BSP, FedAvg and
-//!   SelSync's synchronization phase (Alg. 1, lines 14–15).
-//! * **Asynchronous push/pull** ([`ParameterServer::push_delta`] /
-//!   [`ParameterServer::pull`]): non-blocking updates used by SSP, where workers apply
-//!   scaled deltas to the global state whenever they finish a step.
+//! GA). Its synchronous rounds ([`ParameterServer::sync_round_elastic`]) are the
+//! blocking push-then-pull of SelSync's synchronization phase (Alg. 1, lines 14–15):
+//! every worker present at a round contributes a vector; once all have arrived the
+//! server averages them, stores the result as the new global state and hands the
+//! averaged vector back to every participant. [`ParameterServer::pull`] reads the
+//! global vector without a round (a rejoiner's pull, a worker's final read).
 //!
 //! Everything the server must carry across a checkpoint is one [`PsState`] value,
 //! which is also what the sequential simulator holds in place of a live server.
@@ -210,23 +206,6 @@ impl ParameterServer {
         self.state.read().global.clone()
     }
 
-    /// Overwrite the global vector (used to initialise training or by tests).
-    pub fn store(&self, value: Vec<f32>) {
-        let g = &mut self.state.write().global;
-        assert_eq!(g.len(), value.len(), "parameter server dimension mismatch");
-        *g = value;
-    }
-
-    /// Apply a scaled delta to the global vector without any coordination (SSP-style
-    /// asynchronous update): `global += scale * delta`.
-    pub fn push_delta(&self, delta: &[f32], scale: f32) {
-        let g = &mut self.state.write().global;
-        assert_eq!(g.len(), delta.len(), "parameter server dimension mismatch");
-        for (gi, &di) in g.iter_mut().zip(delta.iter()) {
-            *gi += scale * di;
-        }
-    }
-
     /// Participate in a blocking aggregation round with **elastic membership**: only the
     /// workers alive at this training iteration contribute, and the round is keyed by
     /// the explicit `round` id rather than an implicit generation counter, so crashed
@@ -327,21 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn push_delta_accumulates() {
-        let ps = ParameterServer::new(vec![0.0; 4]);
-        ps.push_delta(&[1.0, 2.0, 3.0, 4.0], 0.5);
-        ps.push_delta(&[1.0, 0.0, 0.0, 0.0], 1.0);
-        assert_eq!(ps.pull(), vec![1.5, 1.0, 1.5, 2.0]);
-    }
-
-    #[test]
-    fn store_replaces_state() {
-        let ps = ParameterServer::new(vec![0.0; 2]);
-        ps.store(vec![5.0, 6.0]);
-        assert_eq!(ps.pull(), vec![5.0, 6.0]);
-    }
-
-    #[test]
     fn single_participant_round_is_identity() {
         let ps = ParameterServer::new(vec![0.0; 3]);
         let avg = ps.sync_round_elastic(0, 0, &[3.0, 6.0, 9.0], 1);
@@ -389,10 +353,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "dimension mismatch")]
     fn dimension_mismatch_panics() {
         let ps = ParameterServer::new(vec![0.0; 2]);
-        ps.push_delta(&[1.0], 1.0);
+        ps.sync_round_elastic(0, 0, &[1.0], 1);
     }
 
     #[test]

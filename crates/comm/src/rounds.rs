@@ -1,6 +1,7 @@
-//! Round-keyed rendezvous with elastic membership — the shared skeleton behind
-//! [`crate::ps::ParameterServer::sync_round_elastic`] (sum/average combine) and
-//! [`crate::collective::Collective::allgather_flags_among`] (gather combine).
+//! Round-keyed rendezvous with elastic membership — the one meeting point of the
+//! cluster's round: [`crate::ps::ParameterServer::sync_round_elastic`] (sum/average
+//! combine), the [`crate::collective::Collective`] all-gather and all-reduce, and the
+//! `selsync` driver's signal and checkpoint rounds.
 //!
 //! Each round is identified by an explicit round id (the training iteration), so a
 //! worker that skipped earlier rounds (it was crashed) can never close or corrupt a

@@ -158,8 +158,9 @@ impl ClusterLink for MemoryLink<'_> {
         self.ps.last_global_round.map(|r| r as usize)
     }
 
-    /// Two scalar all-reduces (loss mean, Δ max) plus the 2-element Δ-moment vector:
-    /// 16 payload bytes per present worker.
+    /// Priced as two scalar all-reduces (loss mean, Δ max) plus the 2-element
+    /// Δ-moment vector: the 16 payload bytes per present worker of the `ScalarReduce`
+    /// and `VecReduce` envelopes.
     fn signals(&mut self, it: usize, round: &RoundOutput, expected: usize) -> RoundSignal {
         let net = self.network(it);
         self.comm[SIGNALS] =

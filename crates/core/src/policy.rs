@@ -176,10 +176,10 @@ pub(crate) fn run_policy_spec(cfg: &TrainConfig) -> PolicySpec {
 
 /// Observed signals of one completed training round, fed back to a [`DeltaPolicy`].
 ///
-/// The signals are cluster-level on every backend: folded in worker order by the
-/// round's signal exchange ([`crate::sim::RoundOutput::signal`] in memory, the elastic
-/// all-reduces of `selsync_comm::Collective` on a cluster), so every backend's one
-/// policy instance observes the same stream.
+/// The signals are cluster-level on every backend: [`Self::fold`] combines the
+/// present workers' `(loss, Δ(g_i))` pairs in worker order, called by
+/// [`crate::sim::RoundOutput::signal`] in memory and by the cluster's one signal
+/// rendezvous, so every backend's one policy instance observes the same stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundSignal {
     /// Training iteration the round ran at.
@@ -212,6 +212,24 @@ impl RoundSignal {
             delta_sq_mean,
             synced: false,
         }
+    }
+
+    /// The unsynchronized signal of round `iteration` from its present workers'
+    /// `(loss, Δ(g_i))` pairs in worker order: the maximum `Δ(g_i)` (from 0, which
+    /// no `Δ(g_i) ≥ 0` lowers) and the means of the loss, `Δ(g_i)` and `Δ(g_i)²`,
+    /// each one in-order sum `0 + x₀ + x₁ + …` and one divide. An empty round reads
+    /// 0 throughout.
+    pub(crate) fn fold(iteration: usize, pairs: impl IntoIterator<Item = (f32, f32)>) -> Self {
+        let (mut n, mut max, mut loss, mut sum, mut sq_sum) = (0usize, 0.0f32, 0.0, 0.0, 0.0);
+        for (l, d) in pairs {
+            n += 1;
+            max = max.max(d);
+            loss += l;
+            sum += d;
+            sq_sum += d * d;
+        }
+        let n = n.max(1) as f32;
+        RoundSignal::of(iteration, [max, loss / n, sum / n, sq_sum / n])
     }
 
     /// Population variance of the round's per-worker `Δ(g_i)` (clamped at zero

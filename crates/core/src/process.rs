@@ -244,7 +244,7 @@ impl HubService {
 
     /// If every live worker has deposited for the gathering round, write the
     /// image and release the gate — the process analogue of the threaded
-    /// gate's writer leg, run by whichever connection completed the set, at
+    /// checkpoint round's combine, run by whichever connection completed the set, at
     /// the same quiescent point: every worker parked in its deposit RPC, the
     /// round's signals observed, every shard's events through the round
     /// shipped (the hub's own shard holds the header and regime switches). A

@@ -74,25 +74,15 @@ pub struct RoundOutput {
 
 impl RoundOutput {
     /// The cluster-level [`RoundSignal`] a [`crate::policy::DeltaPolicy`] observes for
-    /// this round: the round-maximum `Δ(g_i)`, the mean batch loss, the Δ moment
-    /// feed (mean of `Δ(g_i)` and of `Δ(g_i)²`), and whether the round
-    /// synchronized. Everything here is merged in worker-index order — the moment
-    /// sums fold exactly like the threaded driver's elementwise worker-order vector
-    /// all-reduce — so the signal, and therefore every policy decision, is
-    /// bit-identical across backends and thread counts.
+    /// this round, and whether the round synchronized: [`RoundSignal::fold`] over the
+    /// steps' `(loss, Δ(g_i))` pairs in worker-index order — the fold the cluster's
+    /// signal rendezvous runs — so the signal, and therefore every policy decision,
+    /// is bit-identical across backends and thread counts.
     pub fn signal(&self, iteration: usize, synced: bool) -> RoundSignal {
-        let (mut sum, mut sq_sum) = (0.0f32, 0.0f32);
-        for &d in &self.deltas {
-            sum += d;
-            sq_sum += d * d;
-        }
-        // An empty round reads 0 for the means.
-        let n = self.deltas.len().max(1) as f32;
-        let loss_sum = self.stats.iter().fold(0.0f32, |sum, s| sum + s.loss);
-        let values = [self.max_delta, loss_sum / n, sum / n, sq_sum / n];
+        let pairs = self.stats.iter().zip(&self.deltas);
         RoundSignal {
             synced,
-            ..RoundSignal::of(iteration, values)
+            ..RoundSignal::fold(iteration, pairs.map(|(s, &d)| (s.loss, d)))
         }
     }
 }

@@ -12,7 +12,8 @@
 //! equal the simulator's. This module supplies what is particular to threads: the
 //! shared cluster state (`ClusterCore`, which the process hub builds and checkpoints
 //! through the very same functions), the in-process `ClusterLink` over it, and the
-//! checkpoint gate.
+//! checkpoint round: every thread deposits its section in one round-keyed
+//! rendezvous, whose last depositor writes the image.
 //!
 //! A rejoining worker restarts its tracker and optimizer and pulls parameters as
 //! [`crate::config::RejoinPull`] says:
@@ -38,7 +39,8 @@ use crate::sim::{RoundOutput, Simulator};
 use crate::worker::{message_layer, open_run, run_worker, ClusterLink, Envelopes};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use selsync_comm::cluster::{make_handles, run_cluster_with, ClusterHandles};
-use selsync_comm::{LosslessTransport, ScalarOp};
+use selsync_comm::rounds::ElasticRounds;
+use selsync_comm::LosslessTransport;
 use selsync_nn::model::PaperModel;
 use selsync_tracelog::{EventLog, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -124,83 +126,15 @@ impl SignalBoard {
     }
 }
 
-/// Full-cluster checkpoint barrier: at a checkpoint round every worker thread —
-/// present or absent — deposits its per-worker recovery section and parks; once all
-/// `n` have arrived the cluster is quiescent (no in-flight rounds, every event of
-/// the round recorded, the round's signals observed), worker 0 writes the image,
-/// and everyone is released. Round-keyed like every other rendezvous in the driver,
-/// so consecutive checkpoint rounds cannot interleave.
-struct CheckpointGate {
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-struct GateState {
-    deposits: Vec<Option<Section>>,
-    arrived: usize,
-    /// The newest round whose checkpoint has been fully written.
-    written: Option<usize>,
-}
-
-impl CheckpointGate {
-    fn new(n: usize) -> Self {
-        CheckpointGate {
-            state: Mutex::new(GateState {
-                deposits: (0..n).map(|_| None).collect(),
-                arrived: 0,
-                written: None,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Deposit `section` for `worker` and block until round `round`'s checkpoint has
-    /// been written. Worker 0 is the designated writer: it waits for all `n`
-    /// deposits, runs `write` outside the lock, and releases the cluster.
-    fn checkpoint_round(
-        &self,
-        worker: usize,
-        round: usize,
-        section: Section,
-        write: impl FnOnce(Vec<Section>),
-    ) {
-        let mut s = self.state.lock();
-        assert!(
-            s.deposits[worker].is_none(),
-            "worker {worker} deposited twice for one checkpoint"
-        );
-        s.deposits[worker] = Some(section);
-        s.arrived += 1;
-        if worker == 0 {
-            while s.arrived < s.deposits.len() {
-                self.cv.wait(&mut s);
-            }
-            let deposits: Vec<Section> = s
-                .deposits
-                .iter_mut()
-                .map(|d| d.take().expect("every worker deposited"))
-                .collect();
-            s.arrived = 0;
-            drop(s);
-            write(deposits);
-            let mut s = self.state.lock();
-            s.written = Some(round);
-            self.cv.notify_all();
-        } else {
-            self.cv.notify_all();
-            while s.written != Some(round) {
-                self.cv.wait(&mut s);
-            }
-        }
-    }
-}
-
-/// The cluster's shared state — parameter server, collectives, the δ-policy signal
-/// board — set up (fresh or from a recovery image) and checkpointed the same way by
-/// both cluster backends: the threaded driver's worker threads reach it through
-/// [`ThreadLink`], the process hub serves it to its workers over RPC.
+/// The cluster's shared state — parameter server, collectives, the round signal
+/// rendezvous, the δ-policy signal board — set up (fresh or from a recovery image)
+/// and checkpointed the same way by both cluster backends: the threaded driver's
+/// worker threads reach it through [`ThreadLink`], the process hub serves it to its
+/// workers over RPC.
 pub(crate) struct ClusterCore {
     pub(crate) handles: ClusterHandles,
+    /// One rendezvous per round for the present workers' `(loss, Δ(g_i))` pairs.
+    signal_rounds: ElasticRounds<(f32, f32), RoundSignal>,
     pub(crate) board: SignalBoard,
     /// The *base* effective membership schedule: scheduled crashes plus compiled
     /// comm-fault evictions.
@@ -239,6 +173,7 @@ impl ClusterCore {
         );
         ClusterCore {
             handles,
+            signal_rounds: ElasticRounds::new(),
             board,
             conditions,
             start,
@@ -262,8 +197,8 @@ impl ClusterCore {
     }
 
     /// `worker`'s side of round `it`'s signal exchange among the `expected` present
-    /// workers: the mean batch loss, the maximum `Δ(g_i)` and the Δ moments, combined
-    /// in worker-id order — bit-identical to the simulator's in-memory folds.
+    /// workers: one round-keyed rendezvous whose combine runs [`RoundSignal::fold`]
+    /// over the `(loss, Δ(g_i))` pairs in worker-id order — the simulator's fold.
     pub(crate) fn signals(
         &self,
         it: usize,
@@ -272,12 +207,11 @@ impl ClusterCore {
         delta: f32,
         expected: usize,
     ) -> RoundSignal {
-        let (c, r) = (&self.handles.collective, it as u64);
-        let mean_loss = c.allreduce_scalar_among(r, worker, loss, expected, ScalarOp::Mean);
-        let max_delta = c.allreduce_scalar_among(r, worker, delta, expected, ScalarOp::Max);
-        let moments = vec![delta, delta * delta];
-        let m = c.allreduce_vec_among(r, worker, moments, expected, ScalarOp::Mean);
-        RoundSignal::of(it, [max_delta, mean_loss, m[0], m[1]])
+        let fold = |pairs: &mut [(usize, (f32, f32))]| {
+            RoundSignal::fold(it, pairs.iter().map(|&(_, pair)| pair))
+        };
+        self.signal_rounds
+            .run(it as u64, worker, expected, (loss, delta), fold)
     }
 
     /// Write the cluster's full recovery image after round `it`, tagged `backend`:
@@ -317,7 +251,8 @@ impl ClusterCore {
 struct ThreadLink<'a> {
     env: Envelopes<'a>,
     core: &'a ClusterCore,
-    gate: &'a CheckpointGate,
+    /// Checkpoint rounds, keyed by iteration: every thread deposits its section.
+    checkpoints: &'a ElasticRounds<Section, ()>,
 }
 
 impl ClusterLink for ThreadLink<'_> {
@@ -366,12 +301,19 @@ impl ClusterLink for ThreadLink<'_> {
 
     fn checkpoint(&mut self, it: usize, group: &Simulator) {
         let (cfg, worker) = (self.env.cfg, self.env.worker);
-        let write = |deposits| {
-            self.core
-                .write_image(cfg, "threaded", it, deposits, Vec::new())
-        };
         let section = group.workers[0].section(worker);
-        self.gate.checkpoint_round(worker, it, section, write);
+        // Every thread, present or absent, deposits: the last one to arrive finds the
+        // cluster quiescent and writes the image from the sections in worker order.
+        let write = |deposits: &mut [(usize, Section)]| {
+            let sections = deposits
+                .iter_mut()
+                .map(|(_, s)| std::mem::take(s))
+                .collect();
+            self.core
+                .write_image(cfg, "threaded", it, sections, Vec::new())
+        };
+        self.checkpoints
+            .run(it as u64, worker, cfg.workers, section, write);
     }
 
     fn pull(&self) -> Vec<f32> {
@@ -395,7 +337,10 @@ pub struct ThreadedWorkerReport {
     /// Final training loss observed by this worker.
     pub final_loss: f32,
     /// L2 distance between this worker's final parameters and the PS global vector
-    /// (0 after a final synchronization under parameter aggregation).
+    /// (0 after a final synchronization under parameter aggregation). Deterministic
+    /// only for a worker present at the last round: one absent there finishes early,
+    /// and its final pull races the other workers' remaining synchronizations, so
+    /// its distance depends on thread timing.
     pub distance_to_global: f32,
 }
 
@@ -420,15 +365,19 @@ fn run_threaded_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> Vec<Thr
         .unwrap_or_else(|e| panic!("threaded driver: {} ({})", e.message, e.key));
     let core = ClusterCore::build(cfg, &spec, resume);
     let layer = message_layer(cfg, Box::new(LosslessTransport));
-    let gate = CheckpointGate::new(cfg.workers);
+    let checkpoints = ElasticRounds::new();
     // One dataset build for the whole cluster; every thread's group of one shares it.
     let (train, test) = crate::sim::build_datasets(cfg);
     let datasets = (Arc::new(train), Arc::new(test));
-    let (core, gate, layer) = (&core, &gate, &layer);
+    let (core, checkpoints, layer) = (&core, &checkpoints, &layer);
     run_cluster_with(core.handles.clone(), |worker, _| {
         let group = Simulator::group(cfg, &datasets, worker..worker + 1);
         let env = Envelopes { cfg, layer, worker };
-        let mut link = ThreadLink { env, core, gate };
+        let mut link = ThreadLink {
+            env,
+            core,
+            checkpoints,
+        };
         run_worker(cfg, (rule, &spec), group, &mut link, resume)
     })
 }
@@ -448,6 +397,66 @@ mod tests {
         cfg.test_samples = 64;
         cfg.algorithm = AlgorithmSpec::selsync(delta);
         cfg
+    }
+
+    #[test]
+    fn the_signal_rendezvous_folds_in_worker_order_like_the_simulator() {
+        use selsync_nn::model::BatchStats;
+        // With f32, (1e8 + 1.0) - 1e8 == 0 but (1e8 - 1e8) + 1.0 == 1.0, and
+        // (4 + 4) + 1e8 != (1e8 + 4) + 4: the loss and Δ means depend on fold order.
+        // Whatever order the threads arrive in, the cluster's one signal round must
+        // equal the simulator's fold over the same pairs, bit for bit.
+        let pairs = [(1e8f32, 4.0f32), (1.0, 4.0), (-1e8, 1e8)];
+        let bits = |s: &RoundSignal| {
+            let values = [s.max_delta, s.mean_loss, s.delta_mean, s.delta_sq_mean];
+            (s.iteration, values.map(f32::to_bits), s.synced)
+        };
+        let core = ClusterCore::build(&cfg(0.05, 3), &PolicySpec::Fixed { delta: 0.05 }, None);
+        // Every arrival order of all three workers, then a round worker 1 sits out.
+        // Threads are staggered to arrive in the listed order; the fold must not
+        // depend on whether they do.
+        let mut rounds: Vec<Vec<usize>> = Vec::new();
+        for first in 0..3 {
+            for second in (0..3).filter(|&w| w != first) {
+                rounds.push(vec![first, second, 3 - first - second]);
+            }
+        }
+        rounds.push(vec![2, 0]);
+        for (it, arrivals) in rounds.iter().enumerate() {
+            let core = &core;
+            let signals: Vec<RoundSignal> = std::thread::scope(|scope| {
+                let joins: Vec<_> = arrivals
+                    .iter()
+                    .enumerate()
+                    .map(|(order, &w)| {
+                        scope.spawn(move || {
+                            std::thread::sleep(std::time::Duration::from_millis(3 * order as u64));
+                            let (loss, delta) = pairs[w];
+                            core.signals(it, w, loss, delta, arrivals.len())
+                        })
+                    })
+                    .collect();
+                joins.into_iter().map(|j| j.join().unwrap()).collect()
+            });
+            let mut present = arrivals.clone();
+            present.sort_unstable();
+            let round = RoundOutput {
+                stats: present
+                    .iter()
+                    .map(|&w| BatchStats {
+                        loss: pairs[w].0,
+                        metric: 0.0,
+                    })
+                    .collect(),
+                deltas: present.iter().map(|&w| pairs[w].1).collect(),
+                max_delta: 0.0,
+                injected_bytes: 0,
+            };
+            let want = bits(&round.signal(it, false));
+            for signal in &signals {
+                assert_eq!(bits(signal), want, "arrival order {arrivals:?}");
+            }
+        }
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! schedules too:
 //!
 //! * adaptive δ policies: the threaded driver runs one shared policy fed the same
-//!   worker-order cluster aggregates (loss mean, `Δ(g)` max, via the elastic scalar
-//!   all-reduce) the simulator merges, so the stateful policy's decisions coincide;
+//!   worker-order cluster aggregates (loss mean, `Δ(g)` max, via the one signal
+//!   rendezvous and the simulator's own fold), so the stateful policy's decisions
+//!   coincide;
 //! * crash/rejoin schedules: under `RejoinPull::Scheduled` a rejoining thread pulls
 //!   the last *scheduled* global from the PS snapshot ring — exactly the simulator's
 //!   rejoin pull — instead of the non-deterministic wall-clock PS state. (The built-in
@@ -73,6 +74,14 @@ fn assert_parity(cfg: &TrainConfig, label: &str) {
             );
         }
     }
+}
+
+/// Whether `worker` is absent at `cfg`'s last round. Such a worker finishes early, and
+/// its final pull races the others' remaining syncs, so its `distance_to_global` is a
+/// wall-clock read (`ThreadedWorkerReport::distance_to_global`).
+fn ends_early(cfg: &TrainConfig, worker: usize) -> bool {
+    !cfg.effective_conditions()
+        .is_present(worker, cfg.iterations - 1)
 }
 
 /// Re-run both backends with full event-log capture and render the first divergent
@@ -234,18 +243,19 @@ fn crash_rejoin_parity_reports_are_byte_identical_across_thread_counts() {
     let mut cfg = scenario.train_config(AlgorithmSpec::selsync(MIXED_DELTA));
     cfg.delta_policy = Some(PolicySpec::adaptive_default());
 
-    let (sim_ref, threaded_ref) = par::with_threads(1, || {
-        (
-            format!("{:?}", algorithms::run(&cfg)),
-            format!("{:?}", run_threaded_selsync(&cfg)),
-        )
-    });
+    // An early finisher's distance is a wall-clock read: masked, as the pin does.
+    let threaded = || {
+        let mut reports = run_threaded_selsync(&cfg);
+        for report in reports.iter_mut().filter(|r| ends_early(&cfg, r.worker)) {
+            report.distance_to_global = f32::NAN;
+        }
+        format!("{reports:?}")
+    };
+    let (sim_ref, threaded_ref) =
+        par::with_threads(1, || (format!("{:?}", algorithms::run(&cfg)), threaded()));
     for threads in [2usize, 4] {
         let (sim, threaded) = par::with_threads(threads, || {
-            (
-                format!("{:?}", algorithms::run(&cfg)),
-                format!("{:?}", run_threaded_selsync(&cfg)),
-            )
+            (format!("{:?}", algorithms::run(&cfg)), threaded())
         });
         assert_eq!(sim, sim_ref, "simulator report at {threads} threads");
         assert_eq!(
@@ -279,12 +289,13 @@ fn threaded_final_state_matches_the_simulator_after_a_final_sync() {
 #[test]
 fn crash_rejoin_final_state_matches_the_simulator_after_a_final_sync() {
     // Same parameter-stream check across a crash window: δ=0 keeps every round
-    // synchronized, the rejoiner pulls the scheduled global, and everyone ends on the
-    // PS state.
+    // synchronized, the rejoiner pulls the scheduled global, and every worker present
+    // at the last round ends on the PS state (an early finisher's distance is a
+    // wall-clock read).
     let scenario = scaled("crash-rejoin");
     let cfg = scenario.train_config(AlgorithmSpec::selsync(0.0));
     let threaded = run_threaded_selsync(&cfg);
-    for worker in &threaded {
+    for worker in threaded.iter().filter(|w| !ends_early(&cfg, w.worker)) {
         assert_eq!(
             worker.distance_to_global, 0.0,
             "worker {} must end exactly on the PS state",
