@@ -1,11 +1,12 @@
 //! `bench_kernels` — machine-readable perf report for the compute backend.
 //!
 //! Reports which instantiation of the matmul micro-kernel this host runs (`kernel_isa`:
-//! `"avx2"` or `"baseline"`, so an archived report is attributable), measures GFLOP/s for
-//! the three matmul kernels at several shapes, elementwise
+//! `"avx512"`, `"avx2"` or `"baseline"`, so an archived report is attributable),
+//! measures GFLOP/s for the three matmul kernels at several shapes, elementwise
 //! bandwidth for the optimizer/aggregation sweeps, the kernels at the shapes the
-//! ResNetLike and VggLike workloads actually run (`model_shapes`: pooled time over
-//! serial time, the dispatch gate's acceptance rows), simulator training
+//! ResNetLike and VggLike workloads actually run plus the AlexLike hidden layer, the
+//! one row above the dispatch gate (`model_shapes`: pooled time over serial time, the
+//! gate's acceptance rows), simulator training
 //! throughput (steps/sec), the 1-thread vs 4-thread speedup on the
 //! 256x256x256 matmul (the backend's acceptance benchmark), and the socket
 //! frame codec at the size of a VggLike parameter vector (`wire`: checksum
@@ -169,7 +170,9 @@ fn serial_and_pooled(budget_s: f64, pooled_threads: usize, mut f: impl FnMut()) 
 }
 
 /// The kernels at the shapes the benchmark workloads run (batch 16): the ResNetLike
-/// and VggLike hidden layers for all three matmuls, and axpy / SGD sweeps over each
+/// hidden layer and the VggLike hidden and output layers, plus the AlexLike hidden
+/// layer, which stays above the dispatch gate, for all three matmuls of a linear layer
+/// (`X·W`, `dX = dY·Wᵀ`, `dW = Xᵀ·dY`); and axpy / SGD sweeps over each benchmark
 /// model's flat parameter vector. The pooled side runs at the configured thread
 /// count, but at least 2 (the pool grows on demand), so the rows mean the same on a
 /// 1-CPU runner.
@@ -186,19 +189,20 @@ fn bench_model_shapes(budget_s: f64) -> (usize, Vec<ModelShapeResult>) {
             pooled_secs,
         });
     };
-    for hidden in [64usize, 128] {
-        let (m, k, n) = (16, hidden, hidden);
+    // (batch, in, out) of a linear layer.
+    for (m, k, n) in [(16, 64, 64), (16, 128, 128), (16, 128, 100), (16, 256, 256)] {
         let shape = format!("{m}x{k}x{n}");
         let x = tensor(m, k, 1);
         let w = tensor(k, n, 2);
         let dy = tensor(m, n, 3);
         let mut out = Tensor::zeros(m, n);
+        let mut dx = Tensor::zeros(m, k);
         let mut dw = Tensor::zeros(k, n);
         push("matmul", shape.clone(), m * k * n, &mut || {
             ops::matmul_into(&x, &w, &mut out).expect("matmul shapes");
         });
         push("matmul_bt", shape.clone(), m * k * n, &mut || {
-            ops::matmul_bt_into(&x, &w, &mut out).expect("matmul_bt shapes");
+            ops::matmul_bt_into(&dy, &w, &mut dx).expect("matmul_bt shapes");
         });
         push("matmul_at", shape, m * k * n, &mut || {
             ops::matmul_at_into(&x, &dy, &mut dw).expect("matmul_at shapes");

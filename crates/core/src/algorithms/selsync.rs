@@ -274,7 +274,7 @@ impl ClusterLink for MemoryLink<'_> {
         }
     }
 
-    fn pull(&self) -> Vec<f32> {
+    fn pull(&self, _end: usize) -> Vec<f32> {
         self.ps.global.clone()
     }
 }

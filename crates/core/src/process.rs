@@ -300,7 +300,7 @@ impl RpcService for HubService {
         let ClusterCore { handles, board, .. } = &self.core;
         let (ps, collective) = (&handles.ps, &handles.collective);
         match request[0] {
-            op::PULL => reply.put_f32s(&ps.pull()),
+            op::PULL => reply.put_f32s(&self.core.pull(read_u64(args, 0) as usize)),
             op::REJOIN_PULL => reply.put_f32s(&self.core.rejoin_pull(&self.cfg, it)),
             op::SCHED_ROUND_BEFORE => match ps.scheduled_round_before(round) {
                 Some(r) => {
@@ -489,9 +489,12 @@ impl ClusterLink for RemoteCluster<'_> {
         self.request(it, op::CKPT_DEPOSIT, |f| deposit.put(f), |_| {});
     }
 
-    fn pull(&self) -> Vec<f32> {
-        self.client
-            .call(u64::MAX, |f| f.put(&[op::PULL]), f32s_from_le_bytes)
+    fn pull(&self, end: usize) -> Vec<f32> {
+        let request = |f: &mut FrameBuf| {
+            f.put(&[op::PULL]);
+            f.put(&(end as u64).to_le_bytes());
+        };
+        self.client.call(u64::MAX, request, f32s_from_le_bytes)
     }
 }
 
@@ -872,6 +875,32 @@ mod tests {
         assert_eq!(
             merged, sim_trace,
             "non-IID merged shard log diverged from the simulator"
+        );
+        for (p, t) in reports.iter().zip(threaded.iter()) {
+            assert_eq!(format!("{p:?}"), format!("{t:?}"), "worker {}", p.worker);
+        }
+    }
+
+    #[test]
+    fn an_early_finisher_ends_on_the_threaded_drivers_global() {
+        use crate::conditions::ClusterConditions;
+        // Worker 2 crashes for good at round 14 and finishes six rounds before the
+        // others, which synchronize at each of them (δ = 0). Its final pull waits for
+        // the run's last round on both links, so it reads the global those rounds
+        // moved — not the round-13 one it left with, at distance 0 — and its distance
+        // is the same on every run of either backend.
+        let mut c = cfg(0.0, 3);
+        c.conditions = ClusterConditions::uniform().with_fault(FaultEvent::Crash {
+            worker: 2,
+            start: 14,
+            rejoin: None,
+        });
+        let threaded = run_threaded_selsync(&c);
+        let (reports, _merged) = run_in_process_cluster(&c, "early");
+        let early = threaded[2].distance_to_global;
+        assert!(
+            early.is_finite() && early > 0.0,
+            "early finisher reads {early}"
         );
         for (p, t) in reports.iter().zip(threaded.iter()) {
             assert_eq!(format!("{p:?}"), format!("{t:?}"), "worker {}", p.worker);

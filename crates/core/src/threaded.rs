@@ -196,6 +196,14 @@ impl ClusterCore {
         }
     }
 
+    /// The PS's global vector once the board has observed every active round before
+    /// `end`: then every synchronization before `end` has reached the PS, whatever
+    /// rounds the asking worker sat out.
+    pub(crate) fn pull(&self, end: usize) -> Vec<f32> {
+        drop(self.board.wait_caught_up(end));
+        self.handles.ps.pull()
+    }
+
     /// `worker`'s side of round `it`'s signal exchange among the `expected` present
     /// workers: one round-keyed rendezvous whose combine runs [`RoundSignal::fold`]
     /// over the `(loss, Δ(g_i))` pairs in worker-id order — the simulator's fold.
@@ -316,8 +324,8 @@ impl ClusterLink for ThreadLink<'_> {
             .run(it as u64, worker, cfg.workers, section, write);
     }
 
-    fn pull(&self) -> Vec<f32> {
-        self.core.handles.ps.pull()
+    fn pull(&self, end: usize) -> Vec<f32> {
+        self.core.pull(end)
     }
 }
 
@@ -337,10 +345,10 @@ pub struct ThreadedWorkerReport {
     /// Final training loss observed by this worker.
     pub final_loss: f32,
     /// L2 distance between this worker's final parameters and the PS global vector
-    /// (0 after a final synchronization under parameter aggregation). Deterministic
-    /// only for a worker present at the last round: one absent there finishes early,
-    /// and its final pull races the other workers' remaining synchronizations, so
-    /// its distance depends on thread timing.
+    /// the run ends on (0 after a final synchronization under parameter aggregation).
+    /// A worker absent at the last rounds finishes early; its final pull waits until
+    /// the cluster has observed every round of the run, so its distance is as
+    /// deterministic as everyone else's.
     pub distance_to_global: f32,
 }
 

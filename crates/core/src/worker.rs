@@ -75,8 +75,11 @@ pub(crate) trait ClusterLink {
         _round: Option<(&RoundOutput, bool)>,
     ) {
     }
-    /// The PS's current global vector.
-    fn pull(&self) -> Vec<f32>;
+    /// The PS's global vector once the cluster has observed every active round before
+    /// `end` (`0`: at once). A worker that finishes before the others passes the end
+    /// of its run, so it reads the global the run ends on, not whatever the others have
+    /// synchronized so far.
+    fn pull(&self, end: usize) -> Vec<f32>;
 }
 
 /// The δ-policy a run of `cfg` under `spec` starts with, restored from `resume` when
@@ -104,16 +107,17 @@ pub(crate) fn open_run(
 }
 
 /// Run `group`'s rounds of `cfg` under `rule` and the δ-policy `spec` over `link`,
-/// from the recovery image `resume` (any backend's) when given. Returns `false` when
-/// the group died (the link's kill switch), `true` when it ran to the end or halted
-/// after a checkpoint.
+/// from the recovery image `resume` (any backend's) when given. Returns `None` when
+/// the group died (the link's kill switch), otherwise the end of the cluster's run:
+/// the iteration count, or the round after the halt when it halted after a
+/// checkpoint.
 pub(crate) fn run_group<L: ClusterLink>(
     cfg: &TrainConfig,
     (rule, spec): (SyncRule, &PolicySpec),
     group: &mut Simulator,
     link: &mut L,
     resume: Option<&Checkpoint>,
-) -> bool {
+) -> Option<usize> {
     let (n, exchange_signals) = (cfg.workers, spec.consumes_round_signals());
     let start = resume.map_or(0, |ckpt| {
         group.restore_checkpoint(ckpt);
@@ -127,7 +131,7 @@ pub(crate) fn run_group<L: ClusterLink>(
     let (mut steps, mut mean, mut known_evictions) = (Vec::new(), Vec::new(), 0);
     for it in start..cfg.iterations {
         if link.dies_at(it) {
-            return false;
+            return None;
         }
         if (0..n).any(|w| group.hosts(w) && group.cfg.conditions.is_present(w, it)) {
             // Round-boundary barrier: learn the frozen eviction prefix and fold any
@@ -259,11 +263,11 @@ pub(crate) fn run_group<L: ClusterLink>(
                 link.checkpoint(it, group);
             }
             if ck.halt_after == Some(it) {
-                break;
+                return Some(it + 1);
             }
         }
     }
-    true
+    Some(cfg.iterations)
 }
 
 /// A cluster worker's run: worker `group`'s rounds of `cfg` over `link`, from the
@@ -277,18 +281,20 @@ pub(crate) fn run_worker<L: ClusterLink>(
 ) -> ThreadedWorkerReport {
     // Every worker starts from the global on the PS (pullFromPS, Alg. 1 line 3); the
     // request also identifies a worker process to its hub before any round.
-    group.workers[0].params = link.pull();
-    let alive = run_group(cfg, run, &mut group, link, resume);
+    group.workers[0].params = link.pull(0);
+    let end = run_group(cfg, run, &mut group, link, resume);
     let replica = group.workers.pop().expect("a worker is a group of one");
     // A killed worker dies right here — no final pull, no farewell. Its report never
     // reaches an orchestrator (the process is gone); the in-process tests that drive
-    // the kill through `WorkerOptions` just discard it.
-    let distance_to_global = if alive {
-        let global = link.pull();
-        let pairs = replica.params.iter().zip(&global);
-        pairs.map(|(a, b)| (a - b).powi(2)).sum::<f32>().sqrt()
-    } else {
-        f32::NAN
+    // the kill through `WorkerOptions` just discard it. A worker absent at the last
+    // rounds gets here early, and its pull waits for the cluster to finish them.
+    let distance_to_global = match end {
+        Some(end) => {
+            let global = link.pull(end);
+            let pairs = replica.params.iter().zip(&global);
+            pairs.map(|(a, b)| (a - b).powi(2)).sum::<f32>().sqrt()
+        }
+        None => f32::NAN,
     };
     ThreadedWorkerReport {
         worker: group.first,

@@ -127,6 +127,10 @@ fn row_block<const NR: usize, const T: bool>(g: &Gemm<T>, out: &mut [f32]) {
         panel::<NR, T>(g, out, rows, c);
         c += NR;
     }
+    if NR > 16 && n - c >= 16 {
+        panel::<16, T>(g, out, rows, c);
+        c += 16;
+    }
     if NR > 8 && n - c >= 8 {
         panel::<8, T>(g, out, rows, c);
         c += 8;
@@ -156,6 +160,16 @@ fn row_block_avx2<const T: bool>(g: &Gemm<T>, out: &mut [f32]) {
     row_block::<16, T>(g, out)
 }
 
+/// The same [`row_block`] body at four times the baseline width, compiled for 512-bit
+/// lanes: 4 x 32 tiles, then a 16-wide column remainder. LLVM's `avx512f` implies its
+/// `fma` feature, but rustc never contracts `a * b + c` into a fused multiply-add, so a
+/// product is still one multiply and one add.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx512f")]
+fn row_block_avx512<const T: bool>(g: &Gemm<T>, out: &mut [f32]) {
+    row_block::<32, T>(g, out)
+}
+
 /// Whether [`row_block_avx2`] may run on this host (the standard library caches the
 /// answer; this is one relaxed load).
 fn has_avx2() -> bool {
@@ -165,10 +179,21 @@ fn has_avx2() -> bool {
     false
 }
 
-/// Which instantiation of the micro-kernel the matmuls run on this host: `"avx2"` or
-/// `"baseline"`. Speed only — the bytes are the same.
+/// Whether [`row_block_avx512`] may run on this host (cached like [`has_avx2`]).
+fn has_avx512() -> bool {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    return std::arch::is_x86_feature_detected!("avx512f");
+    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+    false
+}
+
+/// Which instantiation of the micro-kernel the matmuls run on this host: `"avx512"`,
+/// `"avx2"` or `"baseline"`, the widest the host supports. Speed only — the bytes are
+/// the same.
 pub fn kernel_isa() -> &'static str {
-    if has_avx2() {
+    if has_avx512() {
+        "avx512"
+    } else if has_avx2() {
         "avx2"
     } else {
         "baseline"
@@ -192,9 +217,15 @@ fn gemm_acc<const T: bool>(g: Gemm<T>, out: &mut [f32]) {
     par::for_each_chunk_mut(out.len() * g.k, out, MR * n, |start, rows| {
         let g = g.rows_from(start / n);
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if has_avx2() {
-            // SAFETY: AVX2 was just detected on this host.
-            return unsafe { row_block_avx2(&g, rows) };
+        {
+            if has_avx512() {
+                // SAFETY: AVX-512F was just detected on this host.
+                return unsafe { row_block_avx512(&g, rows) };
+            }
+            if has_avx2() {
+                // SAFETY: AVX2 was just detected on this host.
+                return unsafe { row_block_avx2(&g, rows) };
+            }
         }
         row_block::<NR_BASELINE, T>(&g, rows)
     });
@@ -715,10 +746,15 @@ mod tests {
         // The determinism contract of the compute backend: same bytes out for 1 and 4
         // threads, for shapes on both sides of the dispatch gate (`par::GRAIN`
         // multiply-adds) and on its two edges.
+        assert_eq!(
+            16 * 128 * 128,
+            par::GRAIN,
+            "the edge shapes below left the grain"
+        );
         for &(m, k, n) in &[
             (3usize, 5usize, 4usize),
-            (16, 64, 64), // exactly one grain: the largest inline shape
-            (16, 65, 64), // one row of B past it: the smallest pooled one here
+            (16, 128, 128), // exactly one grain: the largest inline shape
+            (16, 129, 128), // one row of B past it: the smallest pooled one here
             (64, 96, 80),
             (130, 70, 33),
         ] {
@@ -862,14 +898,18 @@ mod tests {
     }
 
     #[test]
-    fn every_tile_edge_of_both_instantiations_matches_the_reference_loops() {
-        if !has_avx2() {
-            println!("AVX2 not detected: only the baseline instantiation is compared");
+    fn every_tile_edge_of_every_instantiation_matches_the_reference_loops() {
+        if !has_avx512() {
+            println!("AVX-512F not detected: the avx512 instantiation is not compared");
         }
-        // Every row and column remainder of both tile shapes (4 x 8 and 4 x 16).
+        if !has_avx2() {
+            println!("AVX2 not detected: the avx2 instantiation is not compared");
+        }
+        // Every row and column remainder of the three tile shapes (4 x 8, 4 x 16 and
+        // 4 x 32): n runs past two full 32-wide panels, through every 16/8/4/2/1 tail.
         for m in 1..=2 * MR + 1 {
             for k in [1, 2, 7, 33] {
-                for n in 1..=2 * 16 + 1 {
+                for n in 1..=2 * 32 + 1 {
                     let x = lattice(m, k, 1, true);
                     let w = lattice(k, n, 2, false);
                     let dy = lattice(m, n, 3, true);
@@ -886,8 +926,9 @@ mod tests {
                             "{kernel} {m}x{k}x{n}, 4 threads"
                         );
                     }
-                    // The two instantiations called directly, in both operand layouts
-                    // (`X·W` reads its left operand row-major, `Xᵀ·dY` transposed).
+                    // Each instantiation the host can run, called directly, in both
+                    // operand layouts (`X·W` reads its left operand row-major, `Xᵀ·dY`
+                    // transposed).
                     let [(_, y_ref), _, (_, dw_ref)] = serial;
                     let row_major = Gemm::<false> {
                         a: x.data(),
@@ -903,25 +944,40 @@ mod tests {
                         k: m,
                         n,
                     };
-                    let mut y = lattice(m, n, 9, false);
-                    row_block::<NR_BASELINE, false>(&row_major, y.data_mut());
-                    assert!(y.data() == y_ref.data(), "baseline {m}x{k}x{n}");
-                    let mut dw = lattice(k, n, 9, false);
-                    row_block::<NR_BASELINE, true>(&transposed, dw.data_mut());
-                    assert!(
-                        dw.data() == dw_ref.data(),
-                        "baseline, transposed {m}x{k}x{n}"
+                    let check =
+                        |isa: &str, by_rows: &dyn Fn(&mut [f32]), by_cols: &dyn Fn(&mut [f32])| {
+                            let mut y = lattice(m, n, 9, false);
+                            by_rows(y.data_mut());
+                            assert!(y.data() == y_ref.data(), "{isa} {m}x{k}x{n}");
+                            let mut dw = lattice(k, n, 9, false);
+                            by_cols(dw.data_mut());
+                            assert!(dw.data() == dw_ref.data(), "{isa}, transposed {m}x{k}x{n}");
+                        };
+                    check(
+                        "baseline",
+                        &|y| row_block::<NR_BASELINE, false>(&row_major, y),
+                        &|dw| row_block::<NR_BASELINE, true>(&transposed, dw),
                     );
                     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-                    if has_avx2() {
-                        let mut y = lattice(m, n, 9, false);
-                        // SAFETY: AVX2 was just detected on this host.
-                        unsafe { row_block_avx2(&row_major, y.data_mut()) };
-                        assert!(y.data() == y_ref.data(), "avx2 {m}x{k}x{n}");
-                        let mut dw = lattice(k, n, 9, false);
-                        // SAFETY: as above.
-                        unsafe { row_block_avx2(&transposed, dw.data_mut()) };
-                        assert!(dw.data() == dw_ref.data(), "avx2, transposed {m}x{k}x{n}");
+                    {
+                        if has_avx2() {
+                            check(
+                                "avx2",
+                                // SAFETY: AVX2 was just detected on this host.
+                                &|y| unsafe { row_block_avx2(&row_major, y) },
+                                // SAFETY: as above.
+                                &|dw| unsafe { row_block_avx2(&transposed, dw) },
+                            );
+                        }
+                        if has_avx512() {
+                            check(
+                                "avx512",
+                                // SAFETY: AVX-512F was just detected on this host.
+                                &|y| unsafe { row_block_avx512(&row_major, y) },
+                                // SAFETY: as above.
+                                &|dw| unsafe { row_block_avx512(&transposed, dw) },
+                            );
+                        }
                     }
                 }
             }
@@ -1126,7 +1182,7 @@ mod tests {
 
     #[test]
     fn axpy_slice_is_bit_identical_for_1_vs_4_threads_around_the_grain() {
-        for len in [par::GRAIN - 1, par::GRAIN, par::GRAIN + 1, 200_000] {
+        for len in [par::GRAIN - 1, par::GRAIN, par::GRAIN + 1, 3 * par::GRAIN] {
             let x: Vec<f32> = (0..len).map(|i| (i % 9) as f32 * 0.3 - 1.1).collect();
             let y: Vec<f32> = (0..len).map(|i| (i % 4) as f32 - 1.5).collect();
             let (mut one, mut four) = (y.clone(), y.clone());

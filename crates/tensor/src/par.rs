@@ -27,14 +27,15 @@ pub const ELEM_CHUNK: usize = 16 * 1024;
 /// The largest call, in work units, that runs on the calling thread alone: one
 /// unit is one multiply-add of a matmul or one element of an elementwise sweep.
 ///
-/// A pool dispatch costs a queue lock, a channel send, a latch allocation, a
-/// futex wake and a condvar wait — 5 to 30 µs, and threads that submit at the same
-/// time queue for the same helpers. 2¹⁶ multiply-adds are 2 to 3 µs of
-/// arithmetic and a sweep over the 27 722-element ResNetLike vector 4 to 7 µs, so
-/// a dispatch at this size makes a kernel several times slower. The measurements
-/// (`bench_kernels`' `model_shapes` rows), and the end-to-end reason the grain is
-/// not larger, are in `docs/PERFORMANCE.md`, "The dispatch gate".
-pub const GRAIN: usize = 1 << 16;
+/// 2¹⁸ is the largest batch-16 VggLike kernel, 16·128·128 multiply-adds, so every
+/// VggLike and ResNetLike matmul and every sweep over either model's parameter vector
+/// runs on the caller. A pool dispatch costs a queue lock, a channel send, a latch
+/// allocation, a futex wake and a condvar wait, and threads that submit at the same
+/// time queue for the same helpers; a serial 16·128·128 matmul takes a few µs, and
+/// the same kernel sent to the pool takes longer, not shorter. The measurements
+/// (`bench_kernels`' `model_shapes` rows) and the end-to-end A/B are in
+/// `docs/PERFORMANCE.md`, "The dispatch gate".
+pub const GRAIN: usize = 1 << 18;
 
 #[cfg(test)]
 thread_local! {
@@ -218,33 +219,43 @@ mod tests {
         assert_eq!(chunks.load(Ordering::Relaxed), 1);
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
 
-        // The ResNetLike parameter vector through the SGD-shaped sweep.
-        let (mut a, mut b, x) = (ramp(27_722, 1), ramp(27_722, 2), ramp(27_722, 3));
-        let sent = dispatches_during(|| {
-            zip3_mut(&mut a, &mut b, &x, |ai, bi, xi| {
-                note();
-                *bi += xi;
-                *ai -= *bi;
+        // The ResNetLike and VggLike parameter vectors through the SGD-shaped sweep.
+        for len in [27_722, 99_684] {
+            let (mut a, mut b, x) = (ramp(len, 1), ramp(len, 2), ramp(len, 3));
+            let sent = dispatches_during(|| {
+                zip3_mut(&mut a, &mut b, &x, |ai, bi, xi| {
+                    note();
+                    *bi += xi;
+                    *ai -= *bi;
+                });
             });
-        });
-        assert_eq!(sent, 0, "zip3_mut over 27 722 elements dispatched");
+            assert_eq!(sent, 0, "zip3_mut over {len} elements dispatched");
+        }
         assert!(
             !strayed.load(Ordering::Relaxed),
             "a chunk ran off the caller"
         );
 
-        // The ResNetLike hidden layer at batch 16 (exactly one grain of multiply-adds)
-        // through all three matmul kernels; they take no closure, so count dispatches.
-        let act = Tensor::from_vec(16, 64, ramp(16 * 64, 4)).unwrap();
-        let weight = Tensor::from_vec(64, 64, ramp(64 * 64, 5)).unwrap();
-        let mut out = Tensor::zeros(16, 64);
-        let mut dw = Tensor::zeros(64, 64);
-        let sent = dispatches_during(|| {
-            ops::matmul_into(&act, &weight, &mut out).unwrap();
-            ops::matmul_bt_into(&act, &weight, &mut out).unwrap();
-            ops::matmul_at_into(&act, &act, &mut dw).unwrap();
-        });
-        assert_eq!(sent, 0, "a 16x64x64 matmul dispatched");
+        // The ResNetLike hidden layer and the VggLike hidden layer (exactly one grain of
+        // multiply-adds) at batch 16 through all three matmul kernels; they take no
+        // closure, so count dispatches.
+        assert_eq!(16 * 128 * 128, GRAIN, "the VggLike layer left the grain");
+        for width in [64, 128] {
+            let sent = dispatches_during(|| square_layer_matmuls(width, 4));
+            assert_eq!(sent, 0, "a 16x{width}x{width} matmul dispatched");
+        }
+    }
+
+    /// All three matmul kernels of a batch-16 `width x width` linear layer: forward,
+    /// `dX` and `dW`.
+    fn square_layer_matmuls(width: usize, salt: usize) {
+        let act = Tensor::from_vec(16, width, ramp(16 * width, salt)).unwrap();
+        let weight = Tensor::from_vec(width, width, ramp(width * width, salt + 1)).unwrap();
+        let mut out = Tensor::zeros(16, width);
+        let mut dw = Tensor::zeros(width, width);
+        ops::matmul_into(&act, &weight, &mut out).unwrap();
+        ops::matmul_bt_into(&act, &weight, &mut out).unwrap();
+        ops::matmul_at_into(&act, &act, &mut dw).unwrap();
     }
 
     #[test]
@@ -260,23 +271,15 @@ mod tests {
         assert_eq!(sent, 1, "one element past the grain must reach the pool");
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
 
-        // The VggLike hidden layer at batch 16 is four grains of multiply-adds.
-        let act = Tensor::from_vec(16, 128, ramp(16 * 128, 6)).unwrap();
-        let weight = Tensor::from_vec(128, 128, ramp(128 * 128, 7)).unwrap();
-        let mut out = Tensor::zeros(16, 128);
-        let mut dw = Tensor::zeros(128, 128);
-        let sent = dispatches_during(|| {
-            ops::matmul_into(&act, &weight, &mut out).unwrap();
-            ops::matmul_bt_into(&act, &weight, &mut out).unwrap();
-            ops::matmul_at_into(&act, &act, &mut dw).unwrap();
-        });
-        assert_eq!(sent, 3, "the 16x128x128 matmuls must still dispatch");
+        // The AlexLike hidden layer at batch 16 is four grains of multiply-adds.
+        let sent = dispatches_during(|| square_layer_matmuls(256, 6));
+        assert_eq!(sent, 3, "the 16x256x256 matmuls must dispatch");
     }
 
     #[test]
     fn sweeps_are_bit_identical_for_1_vs_4_threads_around_the_grain() {
         // Both sides of the gate, its two edges, and a multi-chunk pooled sweep.
-        for len in [GRAIN - 1, GRAIN, GRAIN + 1, 200_000] {
+        for len in [GRAIN - 1, GRAIN, GRAIN + 1, 3 * GRAIN] {
             let x = ramp(len, 1);
             let run = |threads: usize| {
                 let (mut a, mut b, mut c) = (ramp(len, 2), ramp(len, 3), ramp(len, 4));

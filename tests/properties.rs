@@ -147,14 +147,15 @@ proptest! {
 
     #[test]
     fn matmul_kernels_are_bit_identical_for_1_vs_4_threads(
-        m in 16usize..72,
-        k in 16usize..72,
-        n in 16usize..72,
+        m in 32usize..96,
+        k in 32usize..96,
+        n in 32usize..96,
         seed in 0u64..10_000,
     ) {
-        // m·k·n spans 4 096 to 357 911 multiply-adds around the dispatch gate
-        // (`par::GRAIN` = 65 536, crossed near 40³): about half of the cases run inline
-        // on the caller, the other half on the pool.
+        // m·k·n spans 32 768 to 857 375 multiply-adds around the dispatch gate
+        // (`par::GRAIN` = 2¹⁸, crossed at 64³): about half of the cases run inline on
+        // the caller, the other half on the pool.
+        prop_assert_eq!(64 * 64 * 64, par::GRAIN, "the ranges no longer straddle the grain");
         let mut r = seeded(seed);
         let mut a = Tensor::zeros(m, k);
         let mut b = Tensor::zeros(k, n);
@@ -180,10 +181,10 @@ proptest! {
     #[test]
     fn aggregation_is_bit_identical_for_1_vs_4_threads(
         replicas in 2usize..6,
-        dim in 1usize..200_000,
+        dim in 1usize..3 * par::GRAIN,
         seed in 0u64..10_000,
     ) {
-        // `dim` crosses the dispatch gate (`par::GRAIN` = 65 536 elements: inline on
+        // `dim` crosses the dispatch gate (`par::GRAIN` elements: inline on
         // the caller up to it, pooled in ELEM_CHUNK chunks above it), so about a third
         // of the cases are single-thread either way and two thirds really compare a
         // 1-thread with a 4-thread schedule.

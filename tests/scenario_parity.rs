@@ -77,8 +77,8 @@ fn assert_parity(cfg: &TrainConfig, label: &str) {
 }
 
 /// Whether `worker` is absent at `cfg`'s last round. Such a worker finishes early, and
-/// its final pull races the others' remaining syncs, so its `distance_to_global` is a
-/// wall-clock read (`ThreadedWorkerReport::distance_to_global`).
+/// its final pull waits for the others' remaining syncs
+/// (`ThreadedWorkerReport::distance_to_global`).
 fn ends_early(cfg: &TrainConfig, worker: usize) -> bool {
     !cfg.effective_conditions()
         .is_present(worker, cfg.iterations - 1)
@@ -243,14 +243,7 @@ fn crash_rejoin_parity_reports_are_byte_identical_across_thread_counts() {
     let mut cfg = scenario.train_config(AlgorithmSpec::selsync(MIXED_DELTA));
     cfg.delta_policy = Some(PolicySpec::adaptive_default());
 
-    // An early finisher's distance is a wall-clock read: masked, as the pin does.
-    let threaded = || {
-        let mut reports = run_threaded_selsync(&cfg);
-        for report in reports.iter_mut().filter(|r| ends_early(&cfg, r.worker)) {
-            report.distance_to_global = f32::NAN;
-        }
-        format!("{reports:?}")
-    };
+    let threaded = || format!("{:?}", run_threaded_selsync(&cfg));
     let (sim_ref, threaded_ref) =
         par::with_threads(1, || (format!("{:?}", algorithms::run(&cfg)), threaded()));
     for threads in [2usize, 4] {
@@ -290,18 +283,38 @@ fn threaded_final_state_matches_the_simulator_after_a_final_sync() {
 fn crash_rejoin_final_state_matches_the_simulator_after_a_final_sync() {
     // Same parameter-stream check across a crash window: δ=0 keeps every round
     // synchronized, the rejoiner pulls the scheduled global, and every worker present
-    // at the last round ends on the PS state (an early finisher's distance is a
-    // wall-clock read).
+    // at the last round ends on the PS state. An early finisher's final pull waits for
+    // the run's last round, so it reads the global the rounds it sat out moved — a
+    // finite, non-zero distance that every run repeats.
     let scenario = scaled("crash-rejoin");
     let cfg = scenario.train_config(AlgorithmSpec::selsync(0.0));
     let threaded = run_threaded_selsync(&cfg);
-    for worker in threaded.iter().filter(|w| !ends_early(&cfg, w.worker)) {
-        assert_eq!(
-            worker.distance_to_global, 0.0,
-            "worker {} must end exactly on the PS state",
-            worker.worker
-        );
+    let again = run_threaded_selsync(&cfg);
+    let mut early = 0;
+    for (worker, repeat) in threaded.iter().zip(&again) {
+        if ends_early(&cfg, worker.worker) {
+            early += 1;
+            assert!(
+                worker.distance_to_global.is_finite() && worker.distance_to_global > 0.0,
+                "early finisher {} reads {}",
+                worker.worker,
+                worker.distance_to_global
+            );
+            assert_eq!(
+                worker.distance_to_global.to_bits(),
+                repeat.distance_to_global.to_bits(),
+                "early finisher {}'s distance differs between two runs",
+                worker.worker
+            );
+        } else {
+            assert_eq!(
+                worker.distance_to_global, 0.0,
+                "worker {} must end exactly on the PS state",
+                worker.worker
+            );
+        }
     }
+    assert!(early > 0, "crash-rejoin no longer has an early finisher");
     assert_parity(&cfg, "crash-rejoin/bsp");
 }
 
