@@ -7,15 +7,18 @@
 //! connection, both as ordinary [`Envelope`] frames reassembled by the
 //! incremental [`FrameDecoder`] (a read may return half a frame or three):
 //!
-//! * **Transport echo** — [`SocketTransport`] implements [`Transport`] by
-//!   writing the frame and reading the hub's verbatim echo. The hub treats
-//!   every non-[`MsgKind::Rpc`] frame statelessly: what arrives is written
-//!   back byte for byte. That puts a real socket round-trip under the existing
-//!   [`crate::MessageLayer`] without changing its semantics — dedupe, retry
-//!   and acknowledgement logic stay where they are, and the
+//! * **Transport echo** — [`SocketTransport`] implements [`Transport`] over the
+//!   hub's verbatim echo. The hub treats every non-[`MsgKind::Rpc`] frame
+//!   statelessly: what arrives is written back byte for byte. A delivered leg
+//!   is owed to the connection and rides ahead of the next RPC, in the same
+//!   write; that call reads each echo back and asserts it is byte-equal to the
+//!   leg before it reads its own reply. So the legs of the existing
+//!   [`crate::MessageLayer`] cross the real socket without a round trip of
+//!   their own, and its semantics do not change — dedupe, retry and
+//!   acknowledgement logic stay where they are, and the
 //!   [`crate::FaultyTransport`] decorator composes over this transport
 //!   unchanged (dropped legs never touch the wire, corrupted legs flip a byte
-//!   of what the socket actually delivered).
+//!   of the delivered copy).
 //! * **RPC** — [`HubClient`] sends an [`MsgKind::Rpc`] envelope and blocks for
 //!   the reply. The hub dispatches the payload to its [`RpcService`] (pull,
 //!   sync-round rendezvous, all-reduces, policy-board calls). Blocking
@@ -23,25 +26,27 @@
 //!   thread, so one worker waiting inside a collective does not stall the
 //!   others.
 //!
-//! Workers are single-threaded and strictly lockstep per connection (write one
-//! frame, read one frame), so no request/response correlation ids are needed.
+//! Workers are single-threaded and strictly lockstep per connection (write the
+//! owed legs and one request, read their echoes and one reply), so no
+//! request/response correlation ids are needed.
 //!
 //! **Data plane.** Going out, a frame is laid down once in the connection's
 //! reused [`FrameBuf`] — header, op tag, scalars and the `&[f32]` body —
-//! checksummed and written with one `write_all`. Coming in, the stream is read
-//! straight into the [`FrameDecoder`]'s reassembly buffer, validated in place
-//! ([`EnvelopeRef::parse`]) and lent to the consumer ([`RpcService::handle_into`]
-//! on the hub, the `reply` closure of [`HubClient::call`] on a worker), which
-//! decodes the `f32`s into a buffer of its own. This layer therefore adds no
-//! copy of its own; what the consumers do with the payload is theirs to keep
-//! cheap. The bulk sync round does: the hub decodes into a contribution buffer
-//! the parameter server recycles and encodes its reply from the one mean every
-//! participant shares, and a worker decodes into a mean buffer it keeps.
+//! checksummed and written, behind any owed legs, in one vectored write. Coming
+//! in, the stream is read straight into the [`FrameDecoder`]'s reassembly
+//! buffer, validated in place ([`EnvelopeRef::parse`]) and lent to the consumer
+//! ([`RpcService::handle_into`] on the hub, the `reply` closure of
+//! [`HubClient::call`] on a worker), which decodes the `f32`s into a buffer of
+//! its own. This layer therefore adds no copy of its own; what the consumers do
+//! with the payload is theirs to keep cheap. The bulk sync round does: the hub
+//! decodes into a contribution buffer the parameter server recycles and encodes
+//! its reply from the one mean every participant shares, and a worker decodes
+//! into a mean buffer it keeps.
 
 use crate::transport::{Delivery, Link, Transport};
 use crate::wire::{EnvelopeRef, FrameBuf, FrameDecoder, MsgKind, WireError, HUB_SENDER};
 use parking_lot::Mutex;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -111,12 +116,24 @@ fn wire_to_io(e: WireError) -> std::io::Error {
 }
 
 /// One side of a stream connection: the stream, the reassembly buffer its
-/// incoming frames are read into and the buffer its outgoing RPC frames are
-/// built in.
+/// incoming frames are read into, the buffer its outgoing RPC frames are built
+/// in and the transport legs owed to the hub, which ride ahead of the next RPC.
 struct Conn {
     stream: Box<dyn Stream>,
     decoder: FrameDecoder,
     out: FrameBuf,
+    owed: Vec<u8>,
+}
+
+impl Conn {
+    fn new(stream: Box<dyn Stream>) -> Self {
+        Conn {
+            stream,
+            decoder: FrameDecoder::new(),
+            out: FrameBuf::new(),
+            owed: Vec::new(),
+        }
+    }
 }
 
 /// Object-safe Read + Write.
@@ -125,6 +142,22 @@ impl<T: Read + Write + Send> Stream for T {}
 
 fn write_frame(stream: &mut dyn Stream, frame: &[u8]) -> std::io::Result<()> {
     stream.write_all(frame)?;
+    stream.flush()
+}
+
+/// Write `owed` and then `frame` as one vectored write, short writes resumed.
+fn write_frames(stream: &mut dyn Stream, owed: &[u8], frame: &[u8]) -> std::io::Result<()> {
+    let mut slices = [IoSlice::new(owed), IoSlice::new(frame)];
+    let mut rest = &mut slices[..];
+    IoSlice::advance_slices(&mut rest, 0);
+    while !rest.is_empty() {
+        match stream.write_vectored(rest) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 
@@ -179,11 +212,7 @@ impl SocketConn {
             match attempt {
                 Ok(stream) => {
                     return Ok(SocketConn {
-                        conn: Arc::new(Mutex::new(Conn {
-                            stream,
-                            decoder: FrameDecoder::new(),
-                            out: FrameBuf::new(),
-                        })),
+                        conn: Arc::new(Mutex::new(Conn::new(stream))),
                     })
                 }
                 Err(e) => {
@@ -219,28 +248,20 @@ impl SocketConn {
     }
 }
 
-/// [`Transport`] over a hub connection: write the frame, read the hub's
-/// verbatim echo. Always exactly one punctual delivery — weather is layered on
-/// by composing [`crate::FaultyTransport`] *over* this transport, so fault
-/// fates stay pure functions of the link key and never depend on socket
-/// timing.
+/// [`Transport`] over a hub connection: the frame is owed to the hub and rides
+/// ahead of the connection's next RPC, whose call checks the hub's verbatim echo
+/// of it. Always exactly one punctual delivery — weather is layered on by
+/// composing [`crate::FaultyTransport`] *over* this transport, so fault fates
+/// stay pure functions of the link key and never depend on socket timing.
 pub struct SocketTransport {
     conn: Arc<Mutex<Conn>>,
 }
 
 impl Transport for SocketTransport {
-    fn deliver(&self, link: Link, frame: &[u8]) -> Vec<Delivery> {
-        let mut conn = self.conn.lock();
-        let Conn {
-            stream, decoder, ..
-        } = &mut *conn;
-        write_frame(&mut **stream, frame)
-            .unwrap_or_else(|e| panic!("socket transport write failed on {link:?}: {e}"));
-        let echoed = read_frame(&mut **stream, decoder)
-            .unwrap_or_else(|e| panic!("socket transport read failed on {link:?}: {e}"))
-            .unwrap_or_else(|| panic!("hub closed the connection mid-exchange on {link:?}"));
+    fn deliver(&self, _link: Link, frame: &[u8]) -> Vec<Delivery> {
+        self.conn.lock().owed.extend_from_slice(frame);
         vec![Delivery {
-            frame: echoed.to_vec(),
+            frame: frame.to_vec(),
             delayed: false,
         }]
     }
@@ -260,7 +281,9 @@ impl HubClient {
 
     /// Call the hub service without intermediate buffers: `request` appends
     /// the payload to the outgoing frame (`put` / `put_f32s`), `reply` reads
-    /// the validated reply payload where it was received.
+    /// the validated reply payload where it was received. The transport legs
+    /// owed to the hub go out ahead of the request, in the same write, and their
+    /// echoes must come back byte for byte before the reply.
     pub fn call<R>(
         &self,
         round: u64,
@@ -272,11 +295,30 @@ impl HubClient {
             stream,
             decoder,
             out,
+            owed,
         } = &mut *conn;
         out.begin(MsgKind::Rpc, round, self.worker);
         request(out);
-        write_frame(&mut **stream, out.finish())
+        write_frames(&mut **stream, owed, out.finish())
             .unwrap_or_else(|e| panic!("rpc write failed (worker {}): {e}", self.worker));
+        let mut at = 0;
+        while at < owed.len() {
+            let echo = read_frame(&mut **stream, decoder)
+                .unwrap_or_else(|e| panic!("echo read failed (worker {}): {e}", self.worker))
+                .unwrap_or_else(|| {
+                    panic!(
+                        "hub closed the connection mid-echo (worker {})",
+                        self.worker
+                    )
+                });
+            assert!(
+                owed.get(at..at + echo.len()) == Some(echo),
+                "hub echo of the owed leg at byte {at} differs from what was sent (worker {})",
+                self.worker
+            );
+            at += echo.len();
+        }
+        owed.clear();
         let frame = read_frame(&mut **stream, decoder)
             .unwrap_or_else(|e| panic!("rpc read failed (worker {}): {e}", self.worker))
             .unwrap_or_else(|| {
@@ -358,8 +400,8 @@ const FRAME_SENDER_AT: usize = 4 + 1 + 8;
 
 /// The sender id a frame carries on the wire, if the frame is long enough to
 /// hold one. Reliable even under `[comm_faults]` weather: corruption is applied
-/// worker-side to what the hub echoed, so the bytes the hub *reads* are always
-/// the ones the worker wrote.
+/// worker-side to the delivered copy, so the bytes the hub *reads* are always
+/// the ones the worker's layer sent.
 fn frame_sender(frame: &[u8]) -> Option<u32> {
     frame
         .get(FRAME_SENDER_AT..FRAME_SENDER_AT + 4)
@@ -520,6 +562,9 @@ mod tests {
                 assert_eq!(out.duplicates_absorbed, 0);
                 assert_eq!(out.corrupt_rejected, 0);
             }
+            // Sixteen legs are owed; the call reads back and compares every
+            // echo before its own reply.
+            assert_eq!(conn.client(0).rpc(8, vec![1, 2]), vec![2, 1]);
         });
     }
 
@@ -550,9 +595,12 @@ mod tests {
                 let got = layer.exchange(0, round, MsgKind::Flags, &[1]);
                 assert_eq!(got, expected[round as usize], "round {round}");
             }
+            // Every leg the weather did not drop went out on the socket: the
+            // call writes them ahead of its request and checks each echo.
+            assert_eq!(conn.client(0).rpc(24, vec![1, 2]), vec![2, 1]);
         });
-        // A corrupt-fated request leg still consists of real socket round
-        // trips: the decorator flips a byte of what the hub echoed.
+        // A corrupt-fated leg still crosses the socket intact: the decorator
+        // flips a byte of the copy it delivers to the layer.
         assert!(
             expected.iter().any(|r| match r {
                 Ok(out) => out.corrupt_rejected > 0,
@@ -688,18 +736,34 @@ mod tests {
     }
 
     /// A stream double that moves 1..=7 bytes per call in either direction —
-    /// the worst chunking a byte stream may legally produce.
+    /// the worst chunking a byte stream may legally produce. It records what
+    /// was written, one entry per flush.
     struct Trickle {
         incoming: Vec<u8>,
         read_at: usize,
         calls: usize,
-        written: Arc<Mutex<Vec<u8>>>,
+        pending: Vec<u8>,
+        flushed: Arc<Mutex<Vec<Vec<u8>>>>,
     }
 
     impl Trickle {
         fn step(&mut self) -> usize {
             self.calls += 1;
             1 + self.calls * 5 % 7
+        }
+
+        /// A connection reading `incoming`; `flushed` collects its writes.
+        fn conn(incoming: Vec<u8>, flushed: &Arc<Mutex<Vec<Vec<u8>>>>) -> SocketConn {
+            let stream = Trickle {
+                incoming,
+                read_at: 0,
+                calls: 0,
+                pending: Vec::new(),
+                flushed: Arc::clone(flushed),
+            };
+            SocketConn {
+                conn: Arc::new(Mutex::new(Conn::new(Box::new(stream)))),
+            }
         }
     }
 
@@ -718,10 +782,11 @@ mod tests {
     impl Write for Trickle {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
             let n = self.step().min(buf.len());
-            self.written.lock().extend_from_slice(&buf[..n]);
+            self.pending.extend_from_slice(&buf[..n]);
             Ok(n)
         }
         fn flush(&mut self) -> std::io::Result<()> {
+            self.flushed.lock().push(std::mem::take(&mut self.pending));
             Ok(())
         }
     }
@@ -734,8 +799,8 @@ mod tests {
             sender: HUB_SENDER,
             payload,
         };
-        // What the "hub" will have sent: two replies back to back, an echo,
-        // then a frame cut off one byte short.
+        // What the "hub" will have sent: two replies back to back, the echo of
+        // an owed leg and the third reply, then a frame cut off one byte short.
         let echo = Envelope {
             kind: MsgKind::Flags,
             round: 3,
@@ -746,21 +811,11 @@ mod tests {
         let mut incoming = reply(1, (0u8..200).collect()).encode();
         incoming.extend(reply(2, vec![]).encode());
         incoming.extend(&echo);
+        incoming.extend(reply(3, vec![5, 6]).encode());
         let cut = reply(4, vec![7; 40]).encode();
         incoming.extend(&cut[..cut.len() - 1]);
-        let written = Arc::new(Mutex::new(Vec::new()));
-        let conn = SocketConn {
-            conn: Arc::new(Mutex::new(Conn {
-                stream: Box::new(Trickle {
-                    incoming,
-                    read_at: 0,
-                    calls: 0,
-                    written: Arc::clone(&written),
-                }),
-                decoder: FrameDecoder::new(),
-                out: FrameBuf::new(),
-            })),
-        };
+        let flushed = Arc::new(Mutex::new(Vec::new()));
+        let conn = Trickle::conn(incoming, &flushed);
         let client = conn.client(2);
         // Reassembly across many tiny reads; the second reply arrives
         // coalesced behind the first as far as the decoder is concerned.
@@ -777,9 +832,14 @@ mod tests {
             attempt: 0,
             leg: Leg::Request,
         };
+        // The leg is delivered at once and owed to the hub: nothing is written
+        // until the next call, which reads the echo back before its reply.
         assert_eq!(conn.transport().deliver(link, &echo)[0].frame, echo);
-        // Short writes lost nothing: the stream holds exactly the three frames,
-        // and the piecewise-built ones are what `Envelope::encode` produces.
+        assert_eq!(flushed.lock().len(), 2);
+        assert_eq!(client.rpc(3, vec![4]), vec![5, 6]);
+        // Short writes lost nothing: one flush per call, the piecewise-built
+        // frames are what `Envelope::encode` produces, and the owed leg went
+        // out in the third call's write, ahead of its request.
         let request = |round: u64, payload: Vec<u8>| Envelope {
             kind: MsgKind::Rpc,
             round,
@@ -787,11 +847,16 @@ mod tests {
             payload,
         };
         let floats = [1.0f32.to_le_bytes(), (-2.0f32).to_le_bytes()].concat();
-        let mut expected = request(1, floats).encode();
-        expected.extend(request(2, vec![9]).encode());
-        expected.extend(&echo);
-        assert_eq!(*written.lock(), expected);
-        // The stream ends inside the fourth frame.
+        let third = [echo, request(3, vec![4]).encode()].concat();
+        assert_eq!(
+            *flushed.lock(),
+            vec![
+                request(1, floats).encode(),
+                request(2, vec![9]).encode(),
+                third
+            ]
+        );
+        // The stream ends inside the fifth frame.
         let mut guard = conn.conn.lock();
         let Conn {
             stream, decoder, ..
@@ -801,6 +866,37 @@ mod tests {
         assert!(err
             .to_string()
             .contains(&format!("{} bytes into a frame", cut.len() - 1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "hub echo of the owed leg at byte 0 differs")]
+    fn an_echo_that_differs_from_the_owed_leg_fails_the_next_call() {
+        let leg = Envelope {
+            kind: MsgKind::Flags,
+            round: 0,
+            sender: 1,
+            payload: vec![1],
+        }
+        .encode();
+        // The "hub" flips one byte of the echo; its reply is intact.
+        let mut incoming = leg.clone();
+        incoming[FRAME_SENDER_AT + 4] ^= 0x01;
+        let reply = Envelope {
+            kind: MsgKind::Rpc,
+            round: 0,
+            sender: HUB_SENDER,
+            payload: vec![],
+        };
+        incoming.extend(reply.encode());
+        let conn = Trickle::conn(incoming, &Arc::new(Mutex::new(Vec::new())));
+        let link = Link {
+            worker: 1,
+            round: 0,
+            attempt: 0,
+            leg: Leg::Request,
+        };
+        conn.transport().deliver(link, &leg);
+        conn.client(1).rpc(0, vec![]);
     }
 
     #[test]

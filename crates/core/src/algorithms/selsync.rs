@@ -176,18 +176,26 @@ impl ClusterLink for MemoryLink<'_> {
     /// Every present worker pays one probe round-trip at a PS-down round, else the
     /// 1-bit all-gather (≈1 B per worker) and its retries: failed attempts cost their
     /// deterministic backoff (workers retry concurrently, so the round pays the worst
-    /// worker's penalty) and retransmit both legs of the op frame.
-    fn allgather_flags(&mut self, it: usize, present: &[usize], flags: Vec<bool>) -> Vec<bool> {
+    /// worker's penalty) and retransmit both legs of the op frame. The group is the
+    /// cluster, so its bits are the cluster's; the round is observed in
+    /// [`ClusterLink::observe`].
+    fn status(
+        &mut self,
+        it: usize,
+        present: &[usize],
+        flags: Vec<bool>,
+        _pending: Option<(RoundSignal, usize)>,
+    ) -> (Vec<bool>, bool) {
         let (net, round, n) = (self.network(it), it as u64, present.len() as u64);
         if self.ps_schedule.as_ref().is_some_and(|s| s.down(round)) {
             self.comm[STATUS] = net.ps_probe_time();
             self.bytes += n * frame_len(8) as u64;
-            return flags;
+            return (flags, false);
         }
         self.comm[STATUS] = net.status_allgather_time(present.len());
         self.bytes += n;
         let Some(schedule) = &self.faults else {
-            return flags;
+            return (flags, false);
         };
         for &worker in present {
             let attempts = schedule
@@ -205,7 +213,7 @@ impl ClusterLink for MemoryLink<'_> {
                 self.cfg.trace.record(retry);
             }
         }
-        flags
+        (flags, false)
     }
 
     fn sync(

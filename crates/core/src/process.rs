@@ -2,7 +2,7 @@
 //! the simulator → threads → processes ladder.
 //!
 //! The cluster is a star of OS processes: one **hub** ([`run_process_hub`]) owns the
-//! parameter server, the collectives and the shared δ-policy board — the same
+//! parameter server, the round rendezvous and the shared δ-policy board — the same
 //! `ClusterCore` the threaded driver builds; each **worker**
 //! ([`run_process_worker`]) runs `crate::worker::run_group` over a replica group of
 //! one and reaches the hub over one [`selsync_comm::socket`] connection (UDS by
@@ -11,15 +11,18 @@
 //! [`selsync_tracelog::EventLog::merge`].
 //!
 //! A worker's `ClusterLink` sends each op's control-plane envelope on the message
-//! layer riding the [`SocketTransport`](selsync_comm::SocketTransport) (the hub
-//! echoes frames verbatim, so retry, dedupe and eviction semantics — and the
-//! [`crate::config::TrainConfig::comm_faults`] weather composed *over* the socket —
-//! are bit-identical to the in-memory transports), then makes the op's blocking RPC
-//! ([`selsync_comm::HubClient`]) into the hub's [`RpcService`], which calls the very
-//! same `ParameterServer` / `Collective` / `SignalBoard` methods the threaded driver
-//! calls in-process. Worker-order folds, round-keyed rendezvous and the board's
-//! round-ordered observation stream are all hub-side, so the merged event log is the
-//! threaded driver's — and the simulator's — byte for byte (`tests/process_parity.rs`).
+//! layer riding the [`SocketTransport`](selsync_comm::SocketTransport) (its legs ride
+//! ahead of the next RPC and the hub echoes them verbatim, so retry, dedupe and
+//! eviction semantics — and the [`crate::config::TrainConfig::comm_faults`] weather
+//! composed *over* the socket — are bit-identical to the in-memory transports), then
+//! makes the op's blocking RPC ([`selsync_comm::HubClient`]) into the hub's
+//! [`RpcService`], which calls the very same `ClusterCore` / `ParameterServer` /
+//! `SignalBoard` methods the threaded driver calls in-process. A fault-free local
+//! round is two calls: `op::ROUND_BEGIN`, and `op::STATUS`, whose reply carries the
+//! next round's δ once the all-gather has observed the round. Worker-order folds,
+//! round-keyed rendezvous and the board's round-ordered observation stream are all
+//! hub-side, so the merged event log is the threaded driver's — and the simulator's —
+//! byte for byte (`tests/process_parity.rs`).
 //!
 //! Each process records its own trace shard: the hub owns the header and the policy's
 //! regime switches, the lowest-ranked present worker owns a round's structural events,
@@ -53,6 +56,7 @@
 
 use crate::aggregation::AggregationMode;
 use crate::checkpoint::{self, Checkpoint, Deposit};
+use crate::conditions::ClusterConditions;
 use crate::config::{AlgorithmSpec, TrainConfig};
 use crate::policy::{run_policy_spec, PolicySpec, RoundSignal, SyncRule};
 use crate::sim::{RoundOutput, Simulator};
@@ -77,7 +81,7 @@ mod op {
     pub const REJOIN_PULL: u8 = 2;
     pub const SCHED_ROUND_BEFORE: u8 = 3;
     pub const SYNC_ROUND: u8 = 4;
-    pub const ALLGATHER_FLAGS: u8 = 5;
+    pub const STATUS: u8 = 5;
     pub const SIGNALS: u8 = 6;
     pub const DELTA_FOR: u8 = 7;
     pub const OBSERVE: u8 = 8;
@@ -108,7 +112,7 @@ fn read_f32(bytes: &[u8], at: usize) -> f32 {
 }
 
 /// The hub side of the RPC surface: dispatches worker requests to the very same
-/// parameter-server / collective / signal-board methods the threaded driver
+/// cluster-core / parameter-server / signal-board methods the threaded driver
 /// calls in-process. Blocking rendezvous ops block the calling connection's
 /// hub thread, which is exactly the rendezvous behaviour the threaded workers
 /// get from blocking in-process calls.
@@ -134,7 +138,8 @@ struct Ledger {
     evictions: Vec<(usize, usize)>,
     /// Per released round: the eviction count frozen at its barrier release —
     /// every `ROUND_BEGIN` reply for that round carries the identical prefix,
-    /// keeping the folded membership a pure function of the round.
+    /// keeping the folded membership a pure function of the round. A round stays
+    /// on file while one of its present workers may still be parked in it.
     released: HashMap<usize, usize>,
     /// The round currently gathering checkpoint deposits, if any.
     ckpt_round: Option<usize>,
@@ -156,6 +161,22 @@ impl Ledger {
             ckpt_released: None,
         }
     }
+
+    /// Forget the released rounds no one can still wait in: each of the round's
+    /// present workers has died or announced a later round, so it has returned from
+    /// this one. What stays is at most one round per worker, its newest.
+    fn prune_released(&mut self, conditions: &ClusterConditions) {
+        let Ledger {
+            released,
+            last_begun,
+            dead,
+            ..
+        } = self;
+        released.retain(|&r, _| {
+            (0..dead.len())
+                .any(|w| conditions.is_present(w, r) && !dead[w] && last_begun[w] <= Some(r))
+        });
+    }
 }
 
 /// Reply wire shape of `op::ROUND_BEGIN`: count, then `(worker, round)` pairs.
@@ -168,6 +189,21 @@ fn put_evictions(reply: &mut FrameBuf, evictions: &[(usize, usize)]) {
 }
 
 impl HubService {
+    /// The hub's state for a run of `cfg`, restored from `resume` when given (any
+    /// backend's image, [`Checkpoint::check_resumable`]).
+    fn new(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> Self {
+        let (_, spec) = ensure_supported(cfg).unwrap_or_else(|e| panic!("{e}"));
+        // The hub shard carries a resume image's merged trace prefix; workers
+        // re-emit nothing before the first resumed round, so the merged result is
+        // exactly prefix + fresh suffix.
+        HubService {
+            cfg: cfg.clone(),
+            core: ClusterCore::build(cfg, &spec, resume),
+            ledger: Mutex::new(Ledger::new(cfg.workers)),
+            cv: Condvar::new(),
+        }
+    }
+
     /// The round-boundary membership barrier. A present worker announces round
     /// `it` before any other traffic of the round; the call blocks until every
     /// base-present worker of the round has either announced it or died, then
@@ -182,10 +218,12 @@ impl HubService {
             "worker {worker} announced round {it} out of order"
         );
         s.last_begun[worker] = Some(it);
+        s.prune_released(&self.core.conditions);
         self.cv.notify_all();
         loop {
-            // Released rounds stay on file: a parked waiter always finds its
-            // round here first, even after faster workers advanced past it.
+            // Released rounds stay on file until their waiters have returned: a
+            // parked waiter always finds its round here first, even after faster
+            // workers advanced past it.
             if let Some(&frozen) = s.released.get(&it) {
                 return put_evictions(reply, &s.evictions[..frozen]);
             }
@@ -298,7 +336,7 @@ impl RpcService for HubService {
         let (worker, it) = (worker as usize, round as usize);
         let args = &request[1..];
         let ClusterCore { handles, board, .. } = &self.core;
-        let (ps, collective) = (&handles.ps, &handles.collective);
+        let ps = &handles.ps;
         match request[0] {
             op::PULL => reply.put_f32s(&self.core.pull(read_u64(args, 0) as usize)),
             op::REJOIN_PULL => reply.put_f32s(&self.core.rejoin_pull(&self.cfg, it)),
@@ -314,11 +352,21 @@ impl RpcService for HubService {
                 let fill = |buf: &mut Vec<f32>| f32s_from_le_bytes_into(&args[4..], buf);
                 reply.put_f32s(&ps.sync_round_shared(round, worker, expected, fill));
             }
-            op::ALLGATHER_FLAGS => {
-                let flag = args[0] != 0;
-                let expected = read_u32(args, 1) as usize;
-                for flag in collective.allgather_flags_among(round, worker, flag, expected) {
+            op::STATUS => {
+                let (flag, expected) = (args[0] != 0, read_u32(args, 1) as usize);
+                let pending = (args[5] != 0)
+                    .then(|| (read_signal(&args[6..], it), read_u64(args, 22) as usize));
+                let status = self.core.status(it, worker, flag, expected, pending);
+                for flag in status.flags {
                     reply.put(&[u8::from(flag)]);
+                }
+                match status.next {
+                    Some((next, delta)) => {
+                        reply.put(&[1]);
+                        reply.put(&(next as u64).to_le_bytes());
+                        reply.put(&delta.to_le_bytes());
+                    }
+                    None => reply.put(&[0]),
                 }
             }
             op::SIGNALS => {
@@ -368,6 +416,9 @@ struct RemoteCluster<'a> {
     env: Envelopes<'a>,
     client: HubClient,
     kill_at: Option<usize>,
+    /// The next active round and its δ, as the last status all-gather that observed
+    /// its round answered them.
+    next_delta: Option<(usize, f32)>,
 }
 
 impl RemoteCluster<'_> {
@@ -439,20 +490,47 @@ impl ClusterLink for RemoteCluster<'_> {
         self.request(it, op::SIGNALS, args, |reply| read_signal(reply, it))
     }
 
+    /// The δ the last observing status all-gather answered, when it is this round's;
+    /// otherwise (the first round, a resumed run, the round after a sync, a worker
+    /// that sat rounds out) the board's, over its own RPC.
     fn delta_for(&mut self, it: usize) -> f32 {
-        self.request(it, op::DELTA_FOR, |_| {}, |reply| read_f32(reply, 0))
+        match self.next_delta.take() {
+            Some((next, delta)) if next == it => delta,
+            _ => self.request(it, op::DELTA_FOR, |_| {}, |reply| read_f32(reply, 0)),
+        }
     }
 
-    fn allgather_flags(&mut self, it: usize, present: &[usize], flags: Vec<bool>) -> Vec<bool> {
+    fn status(
+        &mut self,
+        it: usize,
+        present: &[usize],
+        flags: Vec<bool>,
+        pending: Option<(RoundSignal, usize)>,
+    ) -> (Vec<bool>, bool) {
         let flag = flags[self.env.worker];
         self.env.status(it, flag);
         let args = |frame: &mut FrameBuf| {
             frame.put(&[flag as u8]);
             frame.put(&(present.len() as u32).to_le_bytes());
+            match pending {
+                Some((signal, next)) => {
+                    frame.put(&[1]);
+                    put_signal(frame, &signal);
+                    frame.put(&(next as u64).to_le_bytes());
+                }
+                None => frame.put(&[0]),
+            }
         };
-        self.request(it, op::ALLGATHER_FLAGS, args, |reply| {
-            reply.iter().map(|&b| b != 0).collect()
-        })
+        let n = flags.len();
+        let decode = |reply: &[u8]| {
+            let flags = reply[..n].iter().map(|&b| b != 0).collect();
+            let next =
+                (reply[n] != 0).then(|| (read_u64(reply, n + 1) as usize, read_f32(reply, n + 9)));
+            (flags, next)
+        };
+        let (flags, next) = self.request(it, op::STATUS, args, decode);
+        self.next_delta = next;
+        (flags, next.is_some())
     }
 
     fn sync(&mut self, it: usize, contributions: &[&[f32]], expected: usize, mean: &mut Vec<f32>) {
@@ -590,20 +668,15 @@ pub fn run_process_hub_with(
     addr: &SocketAddrSpec,
     resume: Option<&Checkpoint>,
 ) -> String {
-    let (_, spec) = ensure_supported(cfg).unwrap_or_else(|e| panic!("{e}"));
-    // The hub shard carries a resume image's merged trace prefix; workers
-    // re-emit nothing before the first resumed round, so the merged result is
-    // exactly prefix + fresh suffix.
-    let core = ClusterCore::build(cfg, &spec, resume);
+    serve_hub(cfg, addr, Arc::new(HubService::new(cfg, resume)))
+}
+
+/// Bind `addr`, serve `service` to the run's workers until all of them hang up, and
+/// return the hub's encoded trace shard.
+fn serve_hub(cfg: &TrainConfig, addr: &SocketAddrSpec, service: Arc<dyn RpcService>) -> String {
     let server = HubServer::bind(addr).unwrap_or_else(|e| panic!("hub failed to bind {addr}: {e}"));
-    let service = HubService {
-        cfg: cfg.clone(),
-        core,
-        ledger: Mutex::new(Ledger::new(cfg.workers)),
-        cv: Condvar::new(),
-    };
     server
-        .serve(cfg.workers, Arc::new(service))
+        .serve(cfg.workers, service)
         .unwrap_or_else(|e| panic!("hub serve failed: {e}"));
     cfg.trace.take_log().encode()
 }
@@ -659,6 +732,7 @@ pub fn run_process_worker_with(
         },
         client: conn.client(worker as u32),
         kill_at: opts.kill_at,
+        next_delta: None,
     };
     let report = run_worker(cfg, (rule, &spec), group, &mut hub, opts.resume);
     (report, cfg.trace.take_log().encode())
@@ -762,6 +836,22 @@ mod tests {
         resume: Option<&Checkpoint>,
         kill: Option<(usize, usize)>,
     ) -> (Vec<ThreadedWorkerReport>, String) {
+        let hub_resume = resume.cloned();
+        let hub = move |cfg: &TrainConfig, addr: &SocketAddrSpec| {
+            run_process_hub_with(cfg, addr, hub_resume.as_ref())
+        };
+        run_in_process_cluster_over(c, tag, resume, kill, hub)
+    }
+
+    /// The in-process harness over any hub: `hub` serves the run's workers at the
+    /// address it is given and returns its trace shard.
+    fn run_in_process_cluster_over(
+        c: &TrainConfig,
+        tag: &str,
+        resume: Option<&Checkpoint>,
+        kill: Option<(usize, usize)>,
+        hub: impl FnOnce(&TrainConfig, &SocketAddrSpec) -> String + Send,
+    ) -> (Vec<ThreadedWorkerReport>, String) {
         // In-process harness for the process drivers: the hub on one thread,
         // each worker on its own, all over a real UDS. The scenario_cluster
         // binary runs the same entry points in separate OS processes.
@@ -777,9 +867,7 @@ mod tests {
                 h
             };
             let hub_addr = addr.clone();
-            let hub_resume = resume.cloned();
-            let hub =
-                scope.spawn(move || run_process_hub_with(&hub_cfg, &hub_addr, hub_resume.as_ref()));
+            let hub = scope.spawn(move || hub(&hub_cfg, &hub_addr));
             let workers: Vec<_> = (0..c.workers)
                 .map(|w| {
                     let worker_cfg = {
@@ -1085,6 +1173,137 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The hub's service, logging every dispatch as `(worker, round, op tag)`.
+    struct Counting {
+        inner: HubService,
+        calls: Arc<Mutex<Vec<(u32, u64, u8)>>>,
+    }
+
+    impl RpcService for Counting {
+        fn handle(&self, worker: u32, round: u64, request: &[u8]) -> Vec<u8> {
+            self.inner.handle(worker, round, request)
+        }
+
+        fn handle_into(&self, worker: u32, round: u64, request: &[u8], reply: &mut FrameBuf) {
+            self.calls.lock().push((worker, round, request[0]));
+            self.inner.handle_into(worker, round, request, reply)
+        }
+
+        fn connection_closed(&self, worker: u32) {
+            self.inner.connection_closed(worker)
+        }
+    }
+
+    /// Each worker's in-round hub calls on a fault-free run of `c`, in call order,
+    /// and worker 0's synchronized rounds.
+    fn hub_calls(c: &TrainConfig, tag: &str) -> (Vec<Vec<(u64, u8)>>, Vec<usize>) {
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&calls);
+        let hub = move |cfg: &TrainConfig, addr: &SocketAddrSpec| {
+            let inner = HubService::new(cfg, None);
+            serve_hub(cfg, addr, Arc::new(Counting { inner, calls: log }))
+        };
+        let (reports, _) = run_in_process_cluster_over(c, tag, None, None, hub);
+        let mut per_worker = vec![Vec::new(); c.workers];
+        for &(worker, round, op) in calls.lock().iter() {
+            if op != op::PULL {
+                per_worker[worker as usize].push((round, op));
+            }
+        }
+        (per_worker, reports[0].sync_rounds.clone())
+    }
+
+    #[test]
+    fn a_local_round_is_two_hub_round_trips_per_worker() {
+        use op::{DELTA_FOR, OBSERVE, ROUND_BEGIN, STATUS, SYNC_ROUND};
+        // Every round local: `ROUND_BEGIN` and `STATUS`, whose reply carries the next
+        // round's δ, so `DELTA_FOR` is asked at round 0 only and the status
+        // all-gather observes every round — no `OBSERVE`. The flags envelope rides
+        // the `STATUS` call instead of making round trips of its own.
+        let c = cfg(1e9, 3);
+        let (calls, synced) = hub_calls(&c, "trips-local");
+        assert!(synced.is_empty(), "δ = 1e9 must keep every round local");
+        let rounds = 0..c.iterations as u64;
+        for (worker, calls) in calls.iter().enumerate() {
+            let expected: Vec<(u64, u8)> = rounds
+                .clone()
+                .flat_map(|r| {
+                    let delta = (r == 0).then_some((r, DELTA_FOR));
+                    [Some((r, ROUND_BEGIN)), delta, Some((r, STATUS))]
+                })
+                .flatten()
+                .collect();
+            assert_eq!(*calls, expected, "worker {worker}");
+        }
+        // Every round synchronized (δ = 0): the round after a sync asks its δ, and
+        // rank 0 observes each round after its sync.
+        let c = cfg(0.0, 3);
+        let (calls, synced) = hub_calls(&c, "trips-sync");
+        assert_eq!(synced, (0..c.iterations).collect::<Vec<_>>());
+        for (worker, calls) in calls.iter().enumerate() {
+            let expected: Vec<(u64, u8)> = rounds
+                .clone()
+                .flat_map(|r| {
+                    let observe = (worker == 0).then_some((r, OBSERVE));
+                    let sync = [
+                        (r, ROUND_BEGIN),
+                        (r, DELTA_FOR),
+                        (r, STATUS),
+                        (r, SYNC_ROUND),
+                    ];
+                    sync.into_iter().map(Some).chain([observe])
+                })
+                .flatten()
+                .collect();
+            assert_eq!(*calls, expected, "worker {worker}");
+        }
+    }
+
+    #[test]
+    fn the_barrier_ledger_stays_bounded_over_a_long_run() {
+        use crate::conditions::ClusterConditions;
+        // Worker 2 leaves for good at round 50 and worker 1 sits out 100..120: a round
+        // whose worker stops announcing stays on file, but nothing else piles up.
+        let mut c = cfg(0.05, 3);
+        c.iterations = 200;
+        c.conditions = ClusterConditions::uniform()
+            .with_fault(FaultEvent::Crash {
+                worker: 2,
+                start: 50,
+                rejoin: None,
+            })
+            .with_fault(FaultEvent::Crash {
+                worker: 1,
+                start: 100,
+                rejoin: Some(120),
+            });
+        let hub = HubService::new(&c, None);
+        let most = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..c.workers)
+                .map(|w| {
+                    let (hub, c) = (&hub, &c);
+                    scope.spawn(move || {
+                        let mut most = 0;
+                        for it in (0..c.iterations).filter(|&it| c.conditions.is_present(w, it)) {
+                            hub.round_begin(w, it, &mut FrameBuf::new());
+                            most = most.max(hub.ledger.lock().released.len());
+                        }
+                        most
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|h| h.join().expect("worker")).max()
+        });
+        // At most one round per worker: the one it announced last.
+        assert!(
+            most.is_some_and(|m| m <= c.workers),
+            "{most:?} rounds on file"
+        );
+        let mut left: Vec<usize> = hub.ledger.lock().released.keys().copied().collect();
+        left.sort_unstable();
+        assert_eq!(left, vec![49, 199]);
     }
 
     #[test]

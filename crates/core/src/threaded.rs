@@ -53,10 +53,11 @@ use std::sync::Arc;
 /// the signals of the oldest active round not yet observed, and [`Self::delta_for`]
 /// blocks until every active round before the asked one has been observed. Combined
 /// with the rendezvous structure of a round (the status all-gather cannot complete
-/// until every present worker has fetched its δ, and the observation is posted only
-/// after that all-gather), this makes the policy's signal stream — and every
-/// threshold it produces — a pure function of the schedule, independent of thread
-/// interleaving.
+/// until every present worker has fetched its δ, and the observation is posted no
+/// earlier than that all-gather's combine — by the combine on a local round, by the
+/// round's emitter after its sync otherwise), this makes the policy's signal
+/// stream — and every threshold it produces — a pure function of the schedule,
+/// independent of thread interleaving.
 pub(crate) struct SignalBoard {
     state: Mutex<BoardState>,
     cv: Condvar,
@@ -99,8 +100,9 @@ impl SignalBoard {
     }
 
     /// The δ in effect for the round at `iteration`, once caught up. The round's own
-    /// signals cannot have been observed yet (the observation is posted only after the
-    /// round's status all-gather, which this call precedes on every present worker).
+    /// signals cannot have been observed yet (the observation is posted no earlier than
+    /// the round's status all-gather closes, which this call precedes on every present
+    /// worker).
     pub(crate) fn delta_for(&self, iteration: usize) -> f32 {
         let s = self.wait_caught_up(iteration);
         assert_eq!(
@@ -111,9 +113,10 @@ impl SignalBoard {
     }
 
     /// Ingest the completed round's cluster-level signals and advance the board to
-    /// `next_round` (the next active round, or the iteration count). Called by exactly
-    /// one worker per round — the lowest-ranked present one — strictly in round order.
-    pub(crate) fn observe(&self, signal: RoundSignal, next_round: usize) {
+    /// `next_round` (the next active round, or the iteration count); returns the δ in
+    /// effect for `next_round`. Called once per round — for the lowest-ranked present
+    /// worker — strictly in round order.
+    pub(crate) fn observe(&self, signal: RoundSignal, next_round: usize) -> f32 {
         let mut s = self.state.lock();
         assert_eq!(
             s.next_observe, signal.iteration,
@@ -123,16 +126,32 @@ impl SignalBoard {
         crate::tracing::regime_switch(&self.trace, s.policy.as_ref(), &signal);
         s.next_observe = next_round;
         self.cv.notify_all();
+        s.policy.delta(next_round)
     }
 }
 
-/// The cluster's shared state — parameter server, collectives, the round signal
+/// What round `it`'s status all-gather hands every participant: the present workers'
+/// bits at their worker positions and, when none is set, the next active round and
+/// its δ — the all-gather observed the local round.
+#[derive(Debug, Clone)]
+pub(crate) struct Status {
+    pub(crate) flags: Vec<bool>,
+    pub(crate) next: Option<(usize, f32)>,
+}
+
+/// One worker's part of a status all-gather: its bit, and the round's unsynchronized
+/// signal and next active round when it emits the round.
+type StatusBit = (bool, Option<(RoundSignal, usize)>);
+
+/// The cluster's shared state — parameter server, the status and signal
 /// rendezvous, the δ-policy signal board — set up (fresh or from a recovery image)
 /// and checkpointed the same way by both cluster backends: the threaded driver's
 /// worker threads reach it through [`ThreadLink`], the process hub serves it to its
 /// workers over RPC.
 pub(crate) struct ClusterCore {
     pub(crate) handles: ClusterHandles,
+    /// One rendezvous per round for the present workers' status bits.
+    status_rounds: ElasticRounds<StatusBit, Status>,
     /// One rendezvous per round for the present workers' `(loss, Δ(g_i))` pairs.
     signal_rounds: ElasticRounds<(f32, f32), RoundSignal>,
     pub(crate) board: SignalBoard,
@@ -173,6 +192,7 @@ impl ClusterCore {
         );
         ClusterCore {
             handles,
+            status_rounds: ElasticRounds::new(),
             signal_rounds: ElasticRounds::new(),
             board,
             conditions,
@@ -202,6 +222,37 @@ impl ClusterCore {
     pub(crate) fn pull(&self, end: usize) -> Vec<f32> {
         drop(self.board.wait_caught_up(end));
         self.handles.ps.pull()
+    }
+
+    /// `worker`'s side of round `it`'s status all-gather among the `expected` present
+    /// workers: one round-keyed rendezvous. When no bit is set the round stays local
+    /// and the emitter's `pending` signal is final, so the combine observes it and
+    /// answers with the next active round's δ — the local round's last touch of the
+    /// board. Otherwise the emitter observes the round after its sync.
+    pub(crate) fn status(
+        &self,
+        it: usize,
+        worker: usize,
+        flag: bool,
+        expected: usize,
+        pending: Option<(RoundSignal, usize)>,
+    ) -> Status {
+        let n = self.handles.world_size;
+        let combine = |bits: &mut [(usize, StatusBit)]| {
+            let mut flags = vec![false; n];
+            for &(w, (bit, _)) in bits.iter() {
+                flags[w] = bit;
+            }
+            let next = (!flags.contains(&true)).then(|| {
+                let emitted = bits.iter().find_map(|&(_, (_, pending))| pending);
+                let (signal, next) = emitted.expect("a round's emitter takes part in its status");
+                (next, self.board.observe(signal, next))
+            });
+            Status { flags, next }
+        };
+        let bit = (flag, pending);
+        self.status_rounds
+            .run(it as u64, worker, expected, bit, combine)
     }
 
     /// `worker`'s side of round `it`'s signal exchange among the `expected` present
@@ -289,10 +340,17 @@ impl ClusterLink for ThreadLink<'_> {
         self.core.board.delta_for(it)
     }
 
-    fn allgather_flags(&mut self, it: usize, present: &[usize], flags: Vec<bool>) -> Vec<bool> {
-        let (worker, collective) = (self.env.worker, &self.core.handles.collective);
-        self.env.status(it, flags[worker]);
-        collective.allgather_flags_among(it as u64, worker, flags[worker], present.len())
+    fn status(
+        &mut self,
+        it: usize,
+        present: &[usize],
+        flags: Vec<bool>,
+        pending: Option<(RoundSignal, usize)>,
+    ) -> (Vec<bool>, bool) {
+        let (worker, flag) = (self.env.worker, flags[self.env.worker]);
+        self.env.status(it, flag);
+        let status = self.core.status(it, worker, flag, present.len(), pending);
+        (status.flags, status.next.is_some())
     }
 
     fn sync(&mut self, it: usize, contributions: &[&[f32]], expected: usize, mean: &mut Vec<f32>) {
@@ -304,7 +362,7 @@ impl ClusterLink for ThreadLink<'_> {
     }
 
     fn observe(&mut self, signal: RoundSignal, next_round: usize) {
-        self.core.board.observe(signal, next_round)
+        self.core.board.observe(signal, next_round);
     }
 
     fn checkpoint(&mut self, it: usize, group: &Simulator) {

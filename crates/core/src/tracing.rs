@@ -138,31 +138,35 @@ pub fn emit_rejoin_pull(
     });
 }
 
-/// A degraded (PS-down) round: log the `ps_down` edge when the outage starts here and
-/// `DegradedRound` in place of `Round`, and return the signal the δ policy observes
-/// for it — no cluster exchange ran, so it is the lowest-ranked present worker's own
-/// `loss` and `Δ(g_i)`, never synced — which keeps regime state coherent through the
-/// outage.
+/// The signal the δ policy observes for a degraded (PS-down) round: no cluster
+/// exchange ran, so it is the lowest-ranked present worker's own `loss` and
+/// `Δ(g_i)`, never synced — which keeps regime state coherent through the outage.
+pub fn degraded_signal(round: usize, loss: f32, delta_g: f32) -> RoundSignal {
+    RoundSignal::of(round, [delta_g, loss, delta_g, delta_g * delta_g])
+}
+
+/// The events of a degraded (PS-down) round with the [`degraded_signal`] `signal`:
+/// the `ps_down` edge when the outage starts here and `DegradedRound` in place of
+/// `Round`.
 pub fn degraded_round(
     sink: &TraceSink,
     ps_schedule: Option<&PsFaultSchedule>,
-    round: usize,
+    signal: &RoundSignal,
     delta: f32,
-    loss: f32,
-    delta_g: f32,
-) -> RoundSignal {
-    if sink.is_enabled() {
-        if ps_schedule.is_some_and(|s| s.outage_starts(round as u64)) {
-            sink.record(Event::PsDown { round });
-        }
-        sink.record(Event::DegradedRound {
-            round,
-            delta,
-            loss,
-            delta_g,
-        });
+) {
+    if !sink.is_enabled() {
+        return;
     }
-    RoundSignal::of(round, [delta_g, loss, delta_g, delta_g * delta_g])
+    let round = signal.iteration;
+    if ps_schedule.is_some_and(|s| s.outage_starts(round as u64)) {
+        sink.record(Event::PsDown { round });
+    }
+    sink.record(Event::DegradedRound {
+        round,
+        delta,
+        loss: signal.mean_loss,
+        delta_g: signal.max_delta,
+    });
 }
 
 /// The decision events of a reachable round: the `ps_up` edge and its catch-up sync

@@ -54,8 +54,17 @@ pub(crate) trait ClusterLink {
     fn delta_for(&mut self, it: usize) -> f32;
     /// The status all-gather among `present`: the group's bits in, at their worker
     /// positions, and the cluster's full-width bits out. At a PS-down round the op's
-    /// envelope is the probe that discovers the outage.
-    fn allgather_flags(&mut self, it: usize, present: &[usize], flags: Vec<bool>) -> Vec<bool>;
+    /// envelope is the probe that discovers the outage. `pending` is the round's
+    /// unsynchronized signal and next active round, from the group that emits the
+    /// round (`None` elsewhere). A cluster link observes it right here when no bit
+    /// is set and returns `true`; otherwise [`Self::observe`] posts the round later.
+    fn status(
+        &mut self,
+        it: usize,
+        present: &[usize],
+        flags: Vec<bool>,
+        pending: Option<(RoundSignal, usize)>,
+    ) -> (Vec<bool>, bool);
     /// Push the group's `contributions`, pull their worker-order mean into `mean`.
     fn sync(&mut self, it: usize, contributions: &[&[f32]], expected: usize, mean: &mut Vec<f32>);
     /// Round `it`'s synchronized `global` over `contributors` workers. A hub's PS
@@ -185,6 +194,8 @@ pub(crate) fn run_group<L: ClusterLink>(
             let exchanged = exchange_signals && !down;
             let mut signal = if exchanged {
                 link.signals(it, &round, present.len())
+            } else if down {
+                tracing::degraded_signal(it, round.stats[0].loss, round.deltas[0])
             } else {
                 // Signal-blind policies discard their observations: the group's own
                 // fold stands in for the cluster's.
@@ -202,8 +213,18 @@ pub(crate) fn run_group<L: ClusterLink>(
                     flags[step.worker] = bit || catchup;
                 }
             }
+            // One emitter per round: the group of the lowest-ranked present worker
+            // logs the round's events and feeds the policy. A local round's signal is
+            // final before the status all-gather, so a cluster observes it there.
+            let emitter = present[0] == steps[0].worker;
+            let next = group
+                .cfg
+                .conditions
+                .next_active_iteration(n, it + 1, cfg.iterations);
+            let mut observed = false;
             if rule.exchanges_status() {
-                flags = link.allgather_flags(it, &present, flags);
+                let pending = emitter.then_some((signal, next));
+                (flags, observed) = link.status(it, &present, flags, pending);
             }
             signal.synced = flags.iter().any(|&f| f);
             if signal.synced {
@@ -232,25 +253,23 @@ pub(crate) fn run_group<L: ClusterLink>(
             } else if gradient {
                 group.apply_round_own(&steps, lr);
             }
-            if present[0] == steps[0].worker {
-                // One emitter per round: the group of the lowest-ranked present worker
-                // logs the round's events (canonical sorting in the sink erases any
-                // cross-worker interleaving) and feeds the policy. Every present
-                // worker has passed the status all-gather by now, so no one still
-                // waits on this round's δ, and a synchronized global is already in
-                // the snapshot ring a scheduled rejoin pull reads.
-                let conditions = &group.cfg.conditions;
-                tracing::emit_round_context(sink, conditions, n, it, &present);
+            if emitter {
+                // Canonical sorting in the sink erases any cross-worker interleaving
+                // of the events. A round the status all-gather did not observe is
+                // posted here: every present worker has passed the all-gather, so no
+                // one still waits on this round's δ, and a synchronized global is
+                // already in the snapshot ring a scheduled rejoin pull reads.
+                tracing::emit_round_context(sink, &group.cfg.conditions, n, it, &present);
                 if down {
-                    let (loss, delta_g) = (round.stats[0].loss, round.deltas[0]);
-                    signal = tracing::degraded_round(sink, ps, it, delta, loss, delta_g);
+                    tracing::degraded_round(sink, ps, &signal, delta);
                 } else {
                     // The event keeps present-worker order.
                     let bits = present.iter().map(|&w| flags[w]);
                     tracing::emit_round(sink, ps, &signal, exchanged, delta, bits);
                 }
-                let next = conditions.next_active_iteration(n, it + 1, cfg.iterations);
-                link.observe(signal, next);
+                if !observed {
+                    link.observe(signal, next);
+                }
             }
             Some((round, signal.synced))
         };
