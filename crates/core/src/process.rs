@@ -1261,6 +1261,94 @@ mod tests {
         }
     }
 
+    /// The hub's service, logging every call as `(worker, round, request, reply)`
+    /// payloads. It goes through [`RpcService::handle`], whose reply is a plain byte
+    /// vector, so it records the very bytes the served path puts in the frame.
+    struct Recording {
+        inner: HubService,
+        calls: Arc<Mutex<Vec<Call>>>,
+    }
+
+    /// One recorded call: worker, round, request payload, reply payload.
+    type Call = (u32, u64, Vec<u8>, Vec<u8>);
+
+    impl RpcService for Recording {
+        fn handle(&self, worker: u32, round: u64, request: &[u8]) -> Vec<u8> {
+            let reply = self.inner.handle(worker, round, request);
+            let call = (worker, round, request.to_vec(), reply.clone());
+            self.calls.lock().push(call);
+            reply
+        }
+
+        fn connection_closed(&self, worker: u32) {
+            self.inner.connection_closed(worker)
+        }
+    }
+
+    #[test]
+    fn every_op_keeps_its_wire_bytes_across_commits() {
+        use crate::conditions::ClusterConditions;
+        use crate::config::{CheckpointSpec, RejoinPull};
+        use selsync_comm::wire::checksum;
+        // One run that sends all ten ops: the adaptive policy asks for the signal
+        // exchange, worker 2's crash window ends in a scheduled rejoin pull whose
+        // trace event asks for the round it pulls from, worker 1 dies at round 15 so
+        // later barriers carry an eviction, and images are due every four rounds.
+        let dir = std::env::temp_dir().join(format!("selsync-wire-pin-{}", std::process::id()));
+        let mut c = cfg(0.05, 3);
+        c.delta_policy = Some(PolicySpec::adaptive_default());
+        c.rejoin_pull = RejoinPull::Scheduled;
+        c.conditions = ClusterConditions::uniform().with_fault(FaultEvent::Crash {
+            worker: 2,
+            start: 5,
+            rejoin: Some(12),
+        });
+        c.checkpoint = Some(CheckpointSpec {
+            every: 4,
+            dir: dir.to_string_lossy().into_owned(),
+            halt_after: None,
+            keep: None,
+        });
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&calls);
+        let hub = move |cfg: &TrainConfig, addr: &SocketAddrSpec| {
+            let inner = HubService::new(cfg, None);
+            serve_hub(cfg, addr, Arc::new(Recording { inner, calls: log }))
+        };
+        run_in_process_cluster_over(&c, "wire-pin", None, Some((1, 15)), hub);
+        std::fs::remove_dir_all(&dir).ok();
+
+        let calls = calls.lock();
+        let tags: std::collections::BTreeSet<u8> = calls.iter().map(|c| c.2[0]).collect();
+        assert_eq!(tags, (op::PULL..=op::CKPT_DEPOSIT).collect());
+        // `STATUS` from the round's emitter carries its pending signal, from the
+        // others none: the byte after the tag, the bit and the u32 count.
+        let status = calls.iter().filter(|c| c.2[0] == op::STATUS);
+        let pending: std::collections::BTreeSet<u8> = status.map(|c| c.2[6]).collect();
+        assert_eq!(pending, [0, 1].into());
+        let begun = calls.iter().filter(|c| c.2[0] == op::ROUND_BEGIN);
+        assert!(
+            begun.clone().any(|c| c.3[..4] != [0; 4]),
+            "a barrier reply carries the death's eviction"
+        );
+        let mut bytes = vec![Vec::new(); c.workers];
+        for (worker, round, request, reply) in calls.iter() {
+            let out = &mut bytes[*worker as usize];
+            out.extend_from_slice(&round.to_le_bytes());
+            for payload in [request, reply] {
+                out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+                out.extend_from_slice(payload);
+            }
+        }
+        let digests: Vec<u64> = bytes.iter().map(|b| checksum(b)).collect();
+        let pinned = [
+            18323494345851240282,
+            9928425959756550839,
+            14591833946947874914,
+        ];
+        assert_eq!(digests, pinned, "per-worker request and reply bytes");
+    }
+
     #[test]
     fn the_barrier_ledger_stays_bounded_over_a_long_run() {
         use crate::conditions::ClusterConditions;
