@@ -96,16 +96,24 @@ pub trait RpcService: Send + Sync {
     /// reply payload appended to the outgoing frame (`reply.put*`) instead of
     /// returned. Services with bulk replies implement this one and write the
     /// parameter vector straight from its `&[f32]`; the default goes through
-    /// `handle`.
-    fn handle_into(&self, worker: u32, round: u64, request: &[u8], reply: &mut FrameBuf) {
+    /// `handle`. An `Err` refuses the request: the hub prints it and ends the
+    /// connection, as for an undecodable RPC frame.
+    fn handle_into(
+        &self,
+        worker: u32,
+        round: u64,
+        request: &[u8],
+        reply: &mut FrameBuf,
+    ) -> Result<(), String> {
         reply.put(&self.handle(worker, round, request));
+        Ok(())
     }
 
     /// The connection identified as `worker` terminated — cleanly (EOF at a
     /// frame boundary) or abruptly (broken pipe, EOF mid-frame, an undecodable
-    /// RPC frame). Called exactly once per identified connection, after its
-    /// last frame was served; the default does nothing. Services that model
-    /// worker death as an eviction hook in here.
+    /// RPC frame, a refused request). Called exactly once per identified
+    /// connection, after its last frame was served; the default does nothing.
+    /// Services that model worker death as an eviction hook in here.
     fn connection_closed(&self, worker: u32) {
         let _ = worker;
     }
@@ -417,9 +425,10 @@ fn serve_connection(
     // The worker behind this connection, learned from the first frame's sender
     // field (of an RPC frame only once it validated). Before identification a
     // failure is a hub-fatal error; after it, any termination — clean EOF,
-    // mid-frame EOF, broken pipe, an undecodable RPC frame — is a worker death,
-    // reported to the service (which models it as a deterministic eviction)
-    // instead of tearing the whole cluster down or leaving it waiting.
+    // mid-frame EOF, broken pipe, an undecodable RPC frame, a refused request —
+    // is a worker death, reported to the service (which models it as a
+    // deterministic eviction) instead of tearing the whole cluster down or
+    // leaving it waiting.
     let mut worker: Option<u32> = None;
     let ended = |worker: Option<u32>, cause: std::io::Result<()>| match worker {
         Some(w) => {
@@ -446,7 +455,11 @@ fn serve_connection(
             };
             worker.get_or_insert(request.sender);
             out.begin(MsgKind::Rpc, request.round, HUB_SENDER);
-            service.handle_into(request.sender, request.round, request.payload, &mut out);
+            let (sender, round) = (request.sender, request.round);
+            if let Err(e) = service.handle_into(sender, round, request.payload, &mut out) {
+                eprintln!("hub: refused worker {sender}'s request for round {round}: {e}");
+                return ended(worker, Ok(()));
+            }
             out.finish()
         } else {
             if worker.is_none() {
@@ -908,10 +921,17 @@ mod tests {
             fn handle(&self, _worker: u32, _round: u64, _request: &[u8]) -> Vec<u8> {
                 unreachable!("the hub calls handle_into")
             }
-            fn handle_into(&self, _worker: u32, _round: u64, request: &[u8], reply: &mut FrameBuf) {
+            fn handle_into(
+                &self,
+                _worker: u32,
+                _round: u64,
+                request: &[u8],
+                reply: &mut FrameBuf,
+            ) -> Result<(), String> {
                 let mut values = f32s_from_le_bytes(request);
                 values.reverse();
                 reply.put_f32s(&values);
+                Ok(())
             }
         }
         // 100 000 words: the special values first, then a bit-pattern sweep that

@@ -214,6 +214,12 @@ impl RoundSignal {
         }
     }
 
+    /// The values in [`Self::of`]'s order.
+    pub(crate) fn values(&self) -> [f32; 4] {
+        let s = self;
+        [s.max_delta, s.mean_loss, s.delta_mean, s.delta_sq_mean]
+    }
+
     /// The unsynchronized signal of round `iteration` from its present workers'
     /// `(loss, Δ(g_i))` pairs in worker order: the maximum `Δ(g_i)` (from 0, which
     /// no `Δ(g_i) ≥ 0` lowers) and the means of the loss, `Δ(g_i)` and `Δ(g_i)²`,

@@ -10,19 +10,20 @@
 //! it spawns the processes, collects each one's trace shard and merges them with
 //! [`selsync_tracelog::EventLog::merge`].
 //!
-//! A worker's `ClusterLink` sends each op's control-plane envelope on the message
-//! layer riding the [`SocketTransport`](selsync_comm::SocketTransport) (its legs ride
-//! ahead of the next RPC and the hub echoes them verbatim, so retry, dedupe and
-//! eviction semantics — and the [`crate::config::TrainConfig::comm_faults`] weather
-//! composed *over* the socket — are bit-identical to the in-memory transports), then
-//! makes the op's blocking RPC ([`selsync_comm::HubClient`]) into the hub's
-//! [`RpcService`], which calls the very same `ClusterCore` / `ParameterServer` /
-//! `SignalBoard` methods the threaded driver calls in-process. A fault-free local
-//! round is two calls: `op::ROUND_BEGIN`, and `op::STATUS`, whose reply carries the
-//! next round's δ once the all-gather has observed the round. Worker-order folds,
-//! round-keyed rendezvous and the board's round-ordered observation stream are all
-//! hub-side, so the merged event log is the threaded driver's — and the simulator's —
-//! byte for byte (`tests/process_parity.rs`).
+//! A worker runs the threaded driver's link, `crate::worker::WorkerLink`, over a
+//! different reach. Each op's control-plane envelope rides the message layer over
+//! the [`SocketTransport`](selsync_comm::SocketTransport) (its legs ride ahead of the
+//! next RPC and the hub echoes them verbatim, so retry, dedupe and eviction semantics
+//! — and the [`crate::config::TrainConfig::comm_faults`] weather composed *over* the
+//! socket — are bit-identical to the in-memory transports). The op itself is encoded
+//! from the one op table below into one blocking RPC ([`selsync_comm::HubClient`]);
+//! the hub's [`RpcService`] decodes it and hands it to `ClusterCore::serve`, the very
+//! call a worker thread makes in-process. A fault-free local round is two calls:
+//! `op::ROUND_BEGIN`, and `op::STATUS`, whose reply carries the next round's δ once
+//! the all-gather has observed the round. Worker-order folds, round-keyed rendezvous
+//! and the board's round-ordered observation stream are all hub-side, so the merged
+//! event log is the threaded driver's — and the simulator's — byte for byte
+//! (`tests/process_parity.rs`).
 //!
 //! Each process records its own trace shard: the hub owns the header and the policy's
 //! regime switches, the lowest-ranked present worker owns a round's structural events,
@@ -38,12 +39,13 @@
 //! rotation, and releases the cluster. Every backend writes the one layout of
 //! [`crate::checkpoint`], so the hub and its workers resume an image of any tag.
 //!
-//! **Worker death.** A connection that terminates after identification — clean EOF or
-//! broken pipe alike — is mapped by the hub to a deterministic eviction at the dead
-//! worker's next scheduled-present round, published to the survivors through the
-//! per-round `op::ROUND_BEGIN` barrier: every present worker of a round folds the
-//! identical frozen eviction prefix, so the surviving cluster continues exactly as if
-//! the schedule had carried a no-rejoin crash at that round. Out of contract: a death
+//! **Worker death.** A connection that terminates after identification — clean EOF,
+//! broken pipe, or a request the hub refuses (one that fails to decode or a ledger
+//! check) — is mapped by the hub to a deterministic eviction at the dead worker's next
+//! scheduled-present round, published to the survivors through the per-round
+//! `op::ROUND_BEGIN` barrier: every present worker of a round folds the identical
+//! frozen eviction prefix, so the surviving cluster continues exactly as if the
+//! schedule had carried a no-rejoin crash at that round. Out of contract: a death
 //! mid-round after the worker announced it (in-flight rendezvous may hang), the death
 //! of a round's sole present worker, and a death racing an in-flight checkpoint (that
 //! image is voided, not written).
@@ -58,15 +60,14 @@ use crate::aggregation::AggregationMode;
 use crate::checkpoint::{self, Checkpoint, Deposit};
 use crate::conditions::ClusterConditions;
 use crate::config::{AlgorithmSpec, TrainConfig};
-use crate::policy::{run_policy_spec, PolicySpec, RoundSignal, SyncRule};
-use crate::sim::{RoundOutput, Simulator};
-use crate::threaded::{ClusterCore, ThreadedWorkerReport};
-use crate::worker::{message_layer, run_worker, ClusterLink, Envelopes};
+use crate::policy::{run_policy_spec, PolicySpec, SyncRule};
+use crate::sim::Simulator;
+use crate::threaded::{ClusterCore, Status, ThreadedWorkerReport};
+use crate::worker::{message_layer, run_worker, Reach, WorkerLink};
 use parking_lot::{Condvar, Mutex};
 use selsync_comm::socket::{HubClient, HubServer, RpcService, SocketAddrSpec, SocketConn};
-use selsync_comm::wire::{
-    f32s_from_le_bytes, f32s_from_le_bytes_into, FrameBuf, MsgKind, HUB_SENDER,
-};
+use selsync_comm::wire::{f32s_from_le_bytes_into, FrameBuf, MsgKind, HUB_SENDER};
+use selsync_tracelog::EventLog;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -74,54 +75,345 @@ use std::time::Duration;
 /// How long a worker keeps retrying its initial connect while the hub binds.
 pub const CONNECT_RETRY: Duration = Duration::from_secs(30);
 
-/// RPC operation tags (first payload byte; arguments follow, little-endian), one per
-/// `ClusterLink` op that reaches the hub; the frame's round field is the op's round.
-mod op {
-    pub const PULL: u8 = 1;
-    pub const REJOIN_PULL: u8 = 2;
-    pub const SCHED_ROUND_BEFORE: u8 = 3;
-    pub const SYNC_ROUND: u8 = 4;
-    pub const STATUS: u8 = 5;
-    pub const SIGNALS: u8 = 6;
-    pub const DELTA_FOR: u8 = 7;
-    pub const OBSERVE: u8 = 8;
-    pub const ROUND_BEGIN: u8 = 9;
-    pub const CKPT_DEPOSIT: u8 = 10;
+/// A little-endian wire field of an op's request or reply. `take` reads one off the
+/// front of `bytes`; running short, like any other malformed field, is an error.
+trait Field<'a>: Sized {
+    fn put(&self, frame: &mut FrameBuf);
+    fn take(bytes: &mut &'a [u8]) -> Result<Self, String>;
 }
 
-/// Wire shape of a round signal's values: max Δ, mean loss, Δ mean, Δ² mean.
-fn put_signal(frame: &mut FrameBuf, s: &RoundSignal) {
-    frame.put_f32s(&[s.max_delta, s.mean_loss, s.delta_mean, s.delta_sq_mean]);
+macro_rules! le_fields {
+    ($($t:ty),+) => {$(
+        impl Field<'_> for $t {
+            fn put(&self, frame: &mut FrameBuf) {
+                frame.put(&self.to_le_bytes());
+            }
+
+            fn take(bytes: &mut &[u8]) -> Result<Self, String> {
+                let (word, rest) = bytes.split_first_chunk().ok_or("truncated")?;
+                *bytes = rest;
+                Ok(<$t>::from_le_bytes(*word))
+            }
+        }
+    )+};
 }
 
-/// Inverse of [`put_signal`], for round `iteration` (`synced` unset).
-fn read_signal(bytes: &[u8], iteration: usize) -> RoundSignal {
-    RoundSignal::of(iteration, std::array::from_fn(|i| read_f32(bytes, 4 * i)))
+le_fields!(u8, u32, u64, f32);
+
+/// One byte, 0 or 1.
+impl Field<'_> for bool {
+    fn put(&self, frame: &mut FrameBuf) {
+        u8::from(*self).put(frame);
+    }
+
+    fn take(bytes: &mut &[u8]) -> Result<Self, String> {
+        match u8::take(bytes)? {
+            flag @ (0 | 1) => Ok(flag == 1),
+            other => Err(format!("flag byte {other}")),
+        }
+    }
 }
 
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+/// A presence flag, then the value when present.
+impl<'a, T: Field<'a>> Field<'a> for Option<T> {
+    fn put(&self, frame: &mut FrameBuf) {
+        self.is_some().put(frame);
+        self.iter().for_each(|value| value.put(frame));
+    }
+
+    fn take(bytes: &mut &'a [u8]) -> Result<Self, String> {
+        bool::take(bytes)?.then(|| T::take(bytes)).transpose()
+    }
 }
 
-fn read_u64(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+impl<'a, A: Field<'a>, B: Field<'a>> Field<'a> for (A, B) {
+    fn put(&self, frame: &mut FrameBuf) {
+        self.0.put(frame);
+        self.1.put(frame);
+    }
+
+    fn take(bytes: &mut &'a [u8]) -> Result<Self, String> {
+        Ok((A::take(bytes)?, B::take(bytes)?))
+    }
 }
 
-fn read_f32(bytes: &[u8], at: usize) -> f32 {
-    f32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+/// A round signal's values, in [`crate::policy::RoundSignal::of`]'s order.
+impl Field<'_> for [f32; 4] {
+    fn put(&self, frame: &mut FrameBuf) {
+        frame.put_f32s(self);
+    }
+
+    fn take(bytes: &mut &[u8]) -> Result<Self, String> {
+        let mut values = [0.0; 4];
+        for value in &mut values {
+            *value = f32::take(bytes)?;
+        }
+        Ok(values)
+    }
 }
 
-/// The hub side of the RPC surface: dispatches worker requests to the very same
-/// cluster-core / parameter-server / signal-board methods the threaded driver
-/// calls in-process. Blocking rendezvous ops block the calling connection's
-/// hub thread, which is exactly the rendezvous behaviour the threaded workers
-/// get from blocking in-process calls.
+/// The rest of the payload, in [`crate::checkpoint`]'s binary deposit codec.
+impl Field<'_> for Deposit {
+    fn put(&self, frame: &mut FrameBuf) {
+        Deposit::put(self, frame);
+    }
+
+    fn take(bytes: &mut &[u8]) -> Result<Self, String> {
+        Deposit::parse(std::mem::take(bytes))
+    }
+}
+
+/// A parameter vector, read once, straight into the buffer that keeps it: the `f32`s
+/// themselves in-process, their little-endian bytes — the rest of the payload — off
+/// the wire.
+pub(crate) enum Floats<'a> {
+    /// A worker's own parameters, lent to the op.
+    Slice(&'a [f32]),
+    /// A served vector: a pull, or the mean every participant of a sync shares.
+    Shared(Arc<Vec<f32>>),
+    /// Received bytes, where they lie.
+    Wire(&'a [u8]),
+}
+
+impl Floats<'_> {
+    /// Overwrite `out` with the values, in its allocation when that is large enough.
+    pub(crate) fn read_into(&self, out: &mut Vec<f32>) {
+        match self {
+            Floats::Slice(values) => {
+                out.clear();
+                out.extend_from_slice(values);
+            }
+            Floats::Shared(values) => out.clone_from(values),
+            Floats::Wire(bytes) => f32s_from_le_bytes_into(bytes, out),
+        }
+    }
+
+    /// The values in a vector of their own.
+    pub(crate) fn into_vec(self) -> Vec<f32> {
+        let mut out = Vec::new();
+        match self {
+            Floats::Shared(values) => return Arc::unwrap_or_clone(values),
+            floats => floats.read_into(&mut out),
+        }
+        out
+    }
+}
+
+impl<'a> Field<'a> for Floats<'a> {
+    fn put(&self, frame: &mut FrameBuf) {
+        match self {
+            Floats::Slice(values) => frame.put_f32s(values),
+            Floats::Shared(values) => frame.put_f32s(values),
+            Floats::Wire(bytes) => frame.put(bytes),
+        }
+    }
+
+    fn take(bytes: &mut &'a [u8]) -> Result<Self, String> {
+        match bytes.len() % 4 {
+            0 => Ok(Floats::Wire(std::mem::take(bytes))),
+            odd => Err(format!("{odd} bytes past the last f32")),
+        }
+    }
+}
+
+/// `value`, when nothing is left after it: a payload longer than its fields is an
+/// error too.
+fn whole<T>(rest: &[u8], value: T) -> Result<T, String> {
+    match rest.len() {
+        0 => Ok(value),
+        extra => Err(format!("{extra} bytes past the last field")),
+    }
+}
+
+/// Refuse the request being served, with the formatted reason, unless `ok`.
+macro_rules! ensure {
+    ($ok:expr, $($why:tt)+) => {
+        if !$ok {
+            return Err(format!($($why)+));
+        }
+    };
+}
+
+/// Declares the op table: each op's tag constant and its variant, whose fields are
+/// the request's fields in wire order, and the request codec — the tag, then every
+/// field.
+macro_rules! ops {
+    ($(#[$meta:meta])* pub(crate) enum Op<$lt:lifetime> {
+        $($(#[$attr:meta])* $variant:ident = $tag:literal as $name:ident($($field:ident: $ty:ty),*),)+
+    }) => {
+        /// Request tags: the first byte of an RPC payload.
+        pub(crate) mod op {
+            $(pub const $name: u8 = $tag;)+
+        }
+
+        $(#[$meta])*
+        pub(crate) enum Op<$lt> {
+            $($(#[$attr])* $variant($($ty),*),)+
+        }
+
+        impl<$lt> Op<$lt> {
+            /// Append the request: the tag, then the fields in order.
+            fn put(&self, frame: &mut FrameBuf) {
+                match self {
+                    $(Op::$variant($($field),*) => {
+                        op::$name.put(frame);
+                        $($field.put(frame);)*
+                    })+
+                }
+            }
+
+            /// Parse [`Self::put`]'s bytes; any other payload is an error.
+            fn take(mut bytes: &$lt [u8]) -> Result<Self, String> {
+                let b = &mut bytes;
+                let op = match u8::take(b)? {
+                    $(op::$name => Op::$variant($(<$ty as Field>::take(b)?),*),)+
+                    other => return Err(format!("unknown op {other}")),
+                };
+                whole(bytes, op)
+            }
+        }
+    };
+}
+
+ops! {
+    /// An op a cluster worker's link hands to `ClusterCore::serve`: every op that
+    /// reaches the cluster's shared state, declared once with its tag and its
+    /// request fields in wire order. The frame's round field is the op's round
+    /// (docs/TRANSPORT.md lists the layouts); the op's answer is the [`Reply`] its
+    /// doc names.
+    pub(crate) enum Op<'a> {
+        /// The global once every active round before `end` is observed, in frame
+        /// round `u64::MAX` → `Floats`.
+        Pull = 1 as PULL(end: u64),
+        /// The model a worker rejoining at the round pulls → `Floats`.
+        RejoinPull = 2 as REJOIN_PULL(),
+        /// The round of the last synchronization before the round → `Round`.
+        SchedRoundBefore = 3 as SCHED_ROUND_BEFORE(),
+        /// Push `params`, pull the mean of the round's `expected` → `Floats`.
+        SyncRound = 4 as SYNC_ROUND(expected: u32, params: Floats<'a>),
+        /// The status all-gather among `expected`: the worker's bit and, from the
+        /// round's emitter, its signal values and the next active round → `Status`.
+        Status = 5 as STATUS(flag: bool, expected: u32, pending: Option<([f32; 4], u64)>),
+        /// The signal exchange among `expected` → `Signal`.
+        Signals = 6 as SIGNALS(loss: f32, delta: f32, expected: u32),
+        /// The round's δ → `Delta`.
+        DeltaFor = 7 as DELTA_FOR(),
+        /// Post the round's cluster signal; the policy advances to `next` → `Done`.
+        Observe = 8 as OBSERVE(signal: [f32; 4], synced: bool, next: u64),
+        /// Announce the round at the membership barrier → `Evictions`.
+        RoundBegin = 9 as ROUND_BEGIN(),
+        /// The worker's part of the round's image, parked until it is written →
+        /// `Done`.
+        CkptDeposit = 10 as CKPT_DEPOSIT(deposit: Deposit),
+    }
+}
+
+/// What `ClusterCore::serve` answers an [`Op`] with.
+pub(crate) enum Reply<'a> {
+    /// A parameter vector: the rest of the payload.
+    Floats(Floats<'a>),
+    /// `Option<u64>`.
+    Round(Option<usize>),
+    /// One flag byte per worker, then `Option<(u64 next round, f32 δ)>`.
+    Status(Status),
+    /// Four `f32`s.
+    Signal([f32; 4]),
+    /// `f32`.
+    Delta(f32),
+    /// A `u32` count, then `(u32 worker, u64 round)` pairs.
+    Evictions(Vec<(usize, usize)>),
+    /// Nothing.
+    Done,
+}
+
+macro_rules! from_reply {
+    ($($variant:ident($ty:ty)),+) => {$(
+        impl<'a> From<Reply<'a>> for $ty {
+            fn from(reply: Reply<'a>) -> Self {
+                match reply {
+                    Reply::$variant(value) => value,
+                    _ => unreachable!(concat!("an op answered by ", stringify!($variant))),
+                }
+            }
+        }
+    )+};
+}
+
+from_reply!(
+    Floats(Floats<'a>),
+    Round(Option<usize>),
+    Status(Status),
+    Signal([f32; 4])
+);
+from_reply!(Delta(f32), Evictions(Vec<(usize, usize)>));
+
+impl<'a> Reply<'a> {
+    fn put(&self, frame: &mut FrameBuf) {
+        match self {
+            Reply::Floats(values) => values.put(frame),
+            Reply::Round(round) => round.map(|r| r as u64).put(frame),
+            Reply::Status(Status { flags, next }) => {
+                flags.iter().for_each(|flag| flag.put(frame));
+                next.map(|(round, delta)| (round as u64, delta)).put(frame);
+            }
+            Reply::Signal(values) => values.put(frame),
+            Reply::Delta(delta) => delta.put(frame),
+            Reply::Evictions(evictions) => {
+                (evictions.len() as u32).put(frame);
+                let wire = |&(worker, round): &_| (worker as u32, round as u64);
+                evictions.iter().for_each(|e| wire(e).put(frame));
+            }
+            Reply::Done => {}
+        }
+    }
+
+    /// Parse [`Self::put`]'s bytes as the answer to `op` among `workers` workers.
+    fn take(op: &Op, workers: usize, mut bytes: &'a [u8]) -> Result<Self, String> {
+        let b = &mut bytes;
+        let reply = match op {
+            Op::Pull(_) | Op::RejoinPull() | Op::SyncRound(..) => Reply::Floats(Field::take(b)?),
+            Op::SchedRoundBefore() => {
+                let round: Option<u64> = Field::take(b)?;
+                Reply::Round(round.map(|r| r as usize))
+            }
+            Op::Status(..) => {
+                let flags = (0..workers)
+                    .map(|_| bool::take(b))
+                    .collect::<Result<_, _>>()?;
+                let next: Option<(u64, f32)> = Field::take(b)?;
+                let next = next.map(|(round, delta)| (round as usize, delta));
+                Reply::Status(Status { flags, next })
+            }
+            Op::Signals(..) => Reply::Signal(Field::take(b)?),
+            Op::DeltaFor() => Reply::Delta(Field::take(b)?),
+            Op::RoundBegin() => {
+                let entry =
+                    |b: &mut &'a [u8]| <(u32, u64)>::take(b).map(|(w, r)| (w as usize, r as usize));
+                let count = u32::take(b)?;
+                Reply::Evictions((0..count).map(|_| entry(b)).collect::<Result<_, _>>()?)
+            }
+            Op::Observe(..) | Op::CkptDeposit(_) => Reply::Done,
+        };
+        whole(bytes, reply)
+    }
+}
+
+/// A ledger op's answer, or the reason the request is refused.
+type Served = Result<Reply<'static>, String>;
+
+/// The hub side of the RPC surface: decodes each request and serves it — the
+/// round barrier and the checkpoint gather from its own ledger, everything else
+/// through `ClusterCore::serve`, the call a worker thread makes in-process.
+/// Blocking rendezvous ops block the calling connection's hub thread, which is
+/// exactly the rendezvous behaviour the threaded workers get from blocking
+/// in-process calls.
 struct HubService {
-    cfg: TrainConfig,
     /// The shared cluster state. Its membership schedule is the *base* one;
     /// runtime death evictions layer on top in the ledger, never mutating it,
     /// and are never scheduled before its first round.
     core: ClusterCore,
+    /// The parameter vector's length: a sync that carries any other is refused.
+    dim: usize,
     ledger: Mutex<Ledger>,
     cv: Condvar,
 }
@@ -179,15 +471,6 @@ impl Ledger {
     }
 }
 
-/// Reply wire shape of `op::ROUND_BEGIN`: count, then `(worker, round)` pairs.
-fn put_evictions(reply: &mut FrameBuf, evictions: &[(usize, usize)]) {
-    reply.put(&(evictions.len() as u32).to_le_bytes());
-    for &(worker, round) in evictions {
-        reply.put(&(worker as u32).to_le_bytes());
-        reply.put(&(round as u64).to_le_bytes());
-    }
-}
-
 impl HubService {
     /// The hub's state for a run of `cfg`, restored from `resume` when given (any
     /// backend's image, [`Checkpoint::check_resumable`]).
@@ -196,9 +479,10 @@ impl HubService {
         // The hub shard carries a resume image's merged trace prefix; workers
         // re-emit nothing before the first resumed round, so the merged result is
         // exactly prefix + fresh suffix.
+        let core = ClusterCore::build(cfg, &spec, resume);
         HubService {
-            cfg: cfg.clone(),
-            core: ClusterCore::build(cfg, &spec, resume),
+            dim: core.handles.ps.dim(),
+            core,
             ledger: Mutex::new(Ledger::new(cfg.workers)),
             cv: Condvar::new(),
         }
@@ -207,16 +491,14 @@ impl HubService {
     /// The round-boundary membership barrier. A present worker announces round
     /// `it` before any other traffic of the round; the call blocks until every
     /// base-present worker of the round has either announced it or died, then
-    /// returns the eviction prefix frozen at the barrier's release — identical
+    /// answers the eviction prefix frozen at the barrier's release — identical
     /// for every present worker of the round.
-    fn round_begin(&self, worker: usize, it: usize, reply: &mut FrameBuf) {
-        let n = self.cfg.workers;
+    fn round_begin(&self, worker: usize, it: usize) -> Served {
+        let n = self.core.cfg.workers;
         let mut s = self.ledger.lock();
-        assert!(!s.dead[worker], "dead worker {worker} announced round {it}");
-        assert!(
-            s.last_begun[worker].is_none_or(|r| r < it),
-            "worker {worker} announced round {it} out of order"
-        );
+        ensure!(!s.dead[worker], "round {it} announced after death");
+        let in_order = s.last_begun[worker].is_none_or(|r| r < it);
+        ensure!(in_order, "round {it} announced out of order");
         s.last_begun[worker] = Some(it);
         s.prune_released(&self.core.conditions);
         self.cv.notify_all();
@@ -225,7 +507,7 @@ impl HubService {
             // parked waiter always finds its round here first, even after faster
             // workers advanced past it.
             if let Some(&frozen) = s.released.get(&it) {
-                return put_evictions(reply, &s.evictions[..frozen]);
+                return Ok(Reply::Evictions(s.evictions[..frozen].to_vec()));
             }
             let complete = self
                 .core
@@ -237,47 +519,39 @@ impl HubService {
                 let frozen = s.evictions.len();
                 s.released.insert(it, frozen);
                 self.cv.notify_all();
-                return put_evictions(reply, &s.evictions[..frozen]);
+                return Ok(Reply::Evictions(s.evictions[..frozen].to_vec()));
             }
             self.cv.wait(&mut s);
         }
     }
 
-    /// Gather one worker's checkpoint [`Deposit`], sent in round `round`'s frame,
-    /// and park the calling connection until the round's image is written (or
-    /// voided by a death) — the worker resumes only past the quiescent point.
-    fn ckpt_deposit(&self, worker: usize, round: u64, payload: &[u8]) {
-        let deposit = Deposit::parse(payload).unwrap_or_else(|e| {
-            panic!("worker {worker}'s checkpoint deposit fails to decode: {e}")
-        });
-        let it = deposit.round;
-        assert_eq!(it as u64, round, "worker {worker}'s deposit round");
-        assert_eq!(
-            deposit.fingerprint,
-            checkpoint::config_fingerprint(&self.cfg),
-            "worker {worker}'s deposit belongs to a different configuration"
-        );
-        assert_eq!(
-            deposit.section.name,
-            format!("worker{worker}"),
-            "worker {worker}'s deposit section"
-        );
+    /// Gather one worker's checkpoint [`Deposit`], sent in round `it`'s frame, and
+    /// park the calling connection until the round's image is written (or voided
+    /// by a death) — the worker resumes only past the quiescent point.
+    fn ckpt_deposit(&self, worker: usize, it: usize, deposit: Deposit) -> Served {
+        let round = deposit.round;
+        ensure!(round == it, "a deposit for round {round} in round {it}");
+        let ours = deposit.fingerprint == checkpoint::config_fingerprint(&self.core.cfg);
+        ensure!(ours, "a deposit of another configuration");
+        let name = &deposit.section.name;
+        let own = *name == format!("worker{worker}");
+        ensure!(own, "a deposit of section {name:?}");
         let mut s = self.ledger.lock();
-        assert!(
-            s.ckpt_round.is_none_or(|r| r == it),
-            "checkpoint rounds interleaved: deposit for {it} while gathering {:?}",
-            s.ckpt_round
+        let gathering = s.ckpt_round;
+        let interleaved = gathering.is_some_and(|r| r != it);
+        ensure!(
+            !interleaved,
+            "deposits for {gathering:?} and {it} interleave"
         );
+        let first = s.ckpt_deposits[worker].is_none();
+        ensure!(first, "a second deposit for round {it}");
         s.ckpt_round = Some(it);
-        assert!(
-            s.ckpt_deposits[worker].is_none(),
-            "worker {worker} deposited twice for round {it}"
-        );
         s.ckpt_deposits[worker] = Some(deposit);
         let mut s = self.finish_checkpoint_if_complete(s);
         while s.ckpt_released.is_none_or(|r| r < it) {
             self.cv.wait(&mut s);
         }
+        Ok(Reply::Done)
     }
 
     /// If every live worker has deposited for the gathering round, write the
@@ -295,7 +569,7 @@ impl HubService {
         let Some(it) = s.ckpt_round else {
             return s;
         };
-        let n = self.cfg.workers;
+        let n = self.core.cfg.workers;
         if !(0..n).all(|w| s.dead[w] || s.ckpt_deposits[w].is_some()) {
             return s;
         }
@@ -314,8 +588,7 @@ impl HubService {
                 .map(|d| d.expect("no worker is dead, so every slot deposited"))
                 .map(|d| (d.section, d.shard))
                 .unzip();
-            self.core
-                .write_image(&self.cfg, "process", it, sections, shards);
+            self.core.write_image("process", it, sections, shards);
         }
         let mut s = self.ledger.lock();
         s.ckpt_released = Some(it);
@@ -325,84 +598,61 @@ impl HubService {
 }
 
 impl RpcService for HubService {
+    /// [`Self::handle_into`]'s reply as bytes. Refusing a request means ending its
+    /// connection, which only the served path can do, so here a refused request
+    /// is answered with nothing and its worker recorded dead at once.
     fn handle(&self, worker: u32, round: u64, request: &[u8]) -> Vec<u8> {
         let mut reply = FrameBuf::new();
         reply.begin(MsgKind::Rpc, round, HUB_SENDER);
-        self.handle_into(worker, round, request, &mut reply);
+        let served = self.handle_into(worker, round, request, &mut reply);
+        if served.is_err() {
+            self.connection_closed(worker);
+            return Vec::new();
+        }
         reply.payload().to_vec()
     }
 
-    fn handle_into(&self, worker: u32, round: u64, request: &[u8], reply: &mut FrameBuf) {
+    /// Decode, serve — the ledger's two ops here, every other through
+    /// `ClusterCore::serve` — and encode. A request that fails to decode or one of
+    /// the ledger's checks is refused before it touches any state.
+    fn handle_into(
+        &self,
+        worker: u32,
+        round: u64,
+        request: &[u8],
+        reply: &mut FrameBuf,
+    ) -> Result<(), String> {
         let (worker, it) = (worker as usize, round as usize);
-        let args = &request[1..];
-        let ClusterCore { handles, board, .. } = &self.core;
-        let ps = &handles.ps;
-        match request[0] {
-            op::PULL => reply.put_f32s(&self.core.pull(read_u64(args, 0) as usize)),
-            op::REJOIN_PULL => reply.put_f32s(&self.core.rejoin_pull(&self.cfg, it)),
-            op::SCHED_ROUND_BEFORE => match ps.scheduled_round_before(round) {
-                Some(r) => {
-                    reply.put(&[1]);
-                    reply.put(&r.to_le_bytes());
-                }
-                None => reply.put(&[0]),
-            },
-            op::SYNC_ROUND => {
-                let expected = read_u32(args, 0) as usize;
-                let fill = |buf: &mut Vec<f32>| f32s_from_le_bytes_into(&args[4..], buf);
-                reply.put_f32s(&ps.sync_round_shared(round, worker, expected, fill));
+        let known = worker < self.core.cfg.workers;
+        ensure!(known, "no worker {worker} in this run");
+        match Op::take(request)? {
+            Op::RoundBegin() => self.round_begin(worker, it)?,
+            Op::CkptDeposit(deposit) => self.ckpt_deposit(worker, it, deposit)?,
+            Op::SyncRound(_, Floats::Wire(params)) if params.len() != 4 * self.dim => {
+                return Err(format!("a {}-byte parameter vector", params.len()));
             }
-            op::STATUS => {
-                let (flag, expected) = (args[0] != 0, read_u32(args, 1) as usize);
-                let pending = (args[5] != 0)
-                    .then(|| (read_signal(&args[6..], it), read_u64(args, 22) as usize));
-                let status = self.core.status(it, worker, flag, expected, pending);
-                for flag in status.flags {
-                    reply.put(&[u8::from(flag)]);
-                }
-                match status.next {
-                    Some((next, delta)) => {
-                        reply.put(&[1]);
-                        reply.put(&(next as u64).to_le_bytes());
-                        reply.put(&delta.to_le_bytes());
-                    }
-                    None => reply.put(&[0]),
-                }
-            }
-            op::SIGNALS => {
-                let (loss, delta) = (read_f32(args, 0), read_f32(args, 4));
-                let expected = read_u32(args, 8) as usize;
-                put_signal(reply, &self.core.signals(it, worker, loss, delta, expected));
-            }
-            op::DELTA_FOR => reply.put(&board.delta_for(it).to_le_bytes()),
-            op::OBSERVE => {
-                let mut signal = read_signal(args, it);
-                signal.synced = args[16] != 0;
-                board.observe(signal, read_u64(args, 17) as usize);
-            }
-            op::ROUND_BEGIN => self.round_begin(worker, it, reply),
-            op::CKPT_DEPOSIT => self.ckpt_deposit(worker, round, args),
-            other => panic!("unknown rpc op {other} from worker {worker}"),
+            op => self.core.serve(worker, it, op),
         }
+        .put(reply);
+        Ok(())
     }
 
-    /// A worker's connection terminated — cleanly or not. Record the death and
-    /// schedule a deterministic eviction at the first round boundary the base
-    /// schedule still expects it, so the surviving cluster folds the loss
-    /// exactly like a scheduled no-rejoin crash. A clean run reaches this
-    /// after the worker's last round, where the search finds no remaining
-    /// present round and schedules nothing.
+    /// A worker's connection terminated — cleanly, abruptly or refused. Record the
+    /// death and schedule a deterministic eviction at the first round boundary the
+    /// base schedule still expects it, so the surviving cluster folds the loss
+    /// exactly like a scheduled no-rejoin crash. A clean run reaches this after the
+    /// worker's last round, where the search finds no remaining present round and
+    /// schedules nothing.
     fn connection_closed(&self, worker: u32) {
         let worker = worker as usize;
         let mut s = self.ledger.lock();
-        if s.dead[worker] {
+        if s.dead.get(worker).is_none_or(|&dead| dead) {
             return;
         }
         s.dead[worker] = true;
         let from = s.last_begun[worker].map_or(self.core.start, |r| r + 1);
-        if let Some(round) =
-            (from..self.cfg.iterations).find(|&r| self.core.conditions.is_present(worker, r))
-        {
+        let (conditions, iterations) = (&self.core.conditions, self.core.cfg.iterations);
+        if let Some(round) = (from..iterations).find(|&r| conditions.is_present(worker, r)) {
             s.evictions.push((worker, round));
         }
         self.cv.notify_all();
@@ -410,169 +660,32 @@ impl RpcService for HubService {
     }
 }
 
-/// A worker process's [`ClusterLink`]: its envelopes, then blocking RPCs whose names
-/// and argument shapes match the in-process calls they stand in for.
-struct RemoteCluster<'a> {
-    env: Envelopes<'a>,
+/// A worker process's reach: each op encoded into one RPC to the hub that serves
+/// it, and the reply decoded where it was received.
+struct Remote {
     client: HubClient,
+    workers: usize,
+    /// Die abruptly at the top of this round ([`WorkerOptions::kill_at`]).
     kill_at: Option<usize>,
-    /// The next active round and its δ, as the last status all-gather that observed
-    /// its round answered them.
-    next_delta: Option<(usize, f32)>,
 }
 
-impl RemoteCluster<'_> {
-    /// One blocking RPC for round `it`: the op tag, then whatever `args` appends, out;
-    /// the reply payload lent to `reply` where it was received.
-    fn request<R>(
-        &self,
-        it: usize,
-        op: u8,
-        args: impl FnOnce(&mut FrameBuf),
-        reply: impl FnOnce(&[u8]) -> R,
-    ) -> R {
-        let request = |frame: &mut FrameBuf| {
-            frame.put(&[op]);
-            args(frame);
+impl Reach for Remote {
+    fn call<R>(&self, _: usize, it: usize, op: Op<'_>, read: impl FnOnce(Reply<'_>) -> R) -> R {
+        let decode = |bytes: &[u8]| match Reply::take(&op, self.workers, bytes) {
+            Ok(reply) => read(reply),
+            Err(e) => panic!("the hub's reply fails to decode: {e}"),
         };
-        self.client.call(it as u64, request, reply)
+        self.client.call(it as u64, |frame| op.put(frame), decode)
     }
-}
 
-impl ClusterLink for RemoteCluster<'_> {
+    fn shard(&self, cfg: &TrainConfig) -> EventLog {
+        cfg.trace.snapshot_log()
+    }
+
+    /// Abrupt death: the connection drops at a frame boundary and the rest of the
+    /// cluster learns of it at its next round boundary.
     fn dies_at(&self, it: usize) -> bool {
-        // Abrupt death: the connection drops at a frame boundary and the rest of the
-        // cluster learns of it at its next round boundary.
         self.kill_at == Some(it)
-    }
-
-    /// Blocks until the hub releases the round's barrier; the reply is the
-    /// eviction prefix frozen at that release.
-    fn round_begin(&mut self, it: usize) -> Vec<(usize, usize)> {
-        self.request(
-            it,
-            op::ROUND_BEGIN,
-            |_| {},
-            |reply| {
-                let count = read_u32(reply, 0) as usize;
-                let entry = |at| {
-                    (
-                        read_u32(reply, at) as usize,
-                        read_u64(reply, at + 4) as usize,
-                    )
-                };
-                (0..count).map(|i| entry(4 + i * 12)).collect()
-            },
-        )
-    }
-
-    fn farewell(&mut self, it: usize, _worker: usize) {
-        self.env.farewell(it)
-    }
-
-    fn rejoin_pull(&mut self, it: usize, _worker: usize) -> Vec<f32> {
-        self.env.rejoin(it);
-        self.request(it, op::REJOIN_PULL, |_| {}, f32s_from_le_bytes)
-    }
-
-    fn scheduled_round_before(&self, it: usize) -> Option<usize> {
-        let decode = |reply: &[u8]| (reply[0] != 0).then(|| read_u64(reply, 1) as usize);
-        self.request(it, op::SCHED_ROUND_BEFORE, |_| {}, decode)
-    }
-
-    fn signals(&mut self, it: usize, round: &RoundOutput, expected: usize) -> RoundSignal {
-        let (loss, delta) = (round.stats[0].loss, round.deltas[0]);
-        self.env.signals(it, loss, delta);
-        let args = |frame: &mut FrameBuf| {
-            frame.put_f32s(&[loss, delta]);
-            frame.put(&(expected as u32).to_le_bytes());
-        };
-        self.request(it, op::SIGNALS, args, |reply| read_signal(reply, it))
-    }
-
-    /// The δ the last observing status all-gather answered, when it is this round's;
-    /// otherwise (the first round, a resumed run, the round after a sync, a worker
-    /// that sat rounds out) the board's, over its own RPC.
-    fn delta_for(&mut self, it: usize) -> f32 {
-        match self.next_delta.take() {
-            Some((next, delta)) if next == it => delta,
-            _ => self.request(it, op::DELTA_FOR, |_| {}, |reply| read_f32(reply, 0)),
-        }
-    }
-
-    fn status(
-        &mut self,
-        it: usize,
-        present: &[usize],
-        flags: Vec<bool>,
-        pending: Option<(RoundSignal, usize)>,
-    ) -> (Vec<bool>, bool) {
-        let flag = flags[self.env.worker];
-        self.env.status(it, flag);
-        let args = |frame: &mut FrameBuf| {
-            frame.put(&[flag as u8]);
-            frame.put(&(present.len() as u32).to_le_bytes());
-            match pending {
-                Some((signal, next)) => {
-                    frame.put(&[1]);
-                    put_signal(frame, &signal);
-                    frame.put(&(next as u64).to_le_bytes());
-                }
-                None => frame.put(&[0]),
-            }
-        };
-        let n = flags.len();
-        let decode = |reply: &[u8]| {
-            let flags = reply[..n].iter().map(|&b| b != 0).collect();
-            let next =
-                (reply[n] != 0).then(|| (read_u64(reply, n + 1) as usize, read_f32(reply, n + 9)));
-            (flags, next)
-        };
-        let (flags, next) = self.request(it, op::STATUS, args, decode);
-        self.next_delta = next;
-        (flags, next.is_some())
-    }
-
-    fn sync(&mut self, it: usize, contributions: &[&[f32]], expected: usize, mean: &mut Vec<f32>) {
-        let params = contributions[0];
-        self.env.sync(it, params.len());
-        let args = |frame: &mut FrameBuf| {
-            frame.put(&(expected as u32).to_le_bytes());
-            frame.put_f32s(params);
-        };
-        let decode = |reply: &[u8]| f32s_from_le_bytes_into(reply, mean);
-        self.request(it, op::SYNC_ROUND, args, decode)
-    }
-
-    fn observe(&mut self, signal: RoundSignal, next_round: usize) {
-        let args = |frame: &mut FrameBuf| {
-            put_signal(frame, &signal);
-            frame.put(&[signal.synced as u8]);
-            frame.put(&(next_round as u64).to_le_bytes());
-        };
-        self.request(signal.iteration, op::OBSERVE, args, |_| {});
-    }
-
-    /// Ships the section together with this process's trace shard so far, as a
-    /// binary [`Deposit`] written straight into the frame, and parks inside the
-    /// RPC until the hub has written (or voided) the round's image.
-    fn checkpoint(&mut self, it: usize, group: &Simulator) {
-        let cfg = self.env.cfg;
-        let deposit = Deposit {
-            round: it,
-            fingerprint: checkpoint::config_fingerprint(cfg),
-            section: group.workers[0].section(self.env.worker),
-            shard: cfg.trace.snapshot_log(),
-        };
-        self.request(it, op::CKPT_DEPOSIT, |f| deposit.put(f), |_| {});
-    }
-
-    fn pull(&self, end: usize) -> Vec<f32> {
-        let request = |f: &mut FrameBuf| {
-            f.put(&[op::PULL]);
-            f.put(&(end as u64).to_le_bytes());
-        };
-        self.client.call(u64::MAX, request, f32s_from_le_bytes)
     }
 }
 
@@ -724,17 +837,13 @@ pub fn run_process_worker_with(
     // the in-memory transports — including with the fault decorator composed
     // over the socket.
     let layer = message_layer(cfg, Box::new(conn.transport()));
-    let mut hub = RemoteCluster {
-        env: Envelopes {
-            cfg,
-            layer: &layer,
-            worker,
-        },
+    let hub = Remote {
         client: conn.client(worker as u32),
+        workers: cfg.workers,
         kill_at: opts.kill_at,
-        next_delta: None,
     };
-    let report = run_worker(cfg, (rule, &spec), group, &mut hub, opts.resume);
+    let mut link = WorkerLink::new(cfg, &layer, worker, hub);
+    let report = run_worker(cfg, (rule, &spec), group, &mut link, opts.resume);
     (report, cfg.trace.take_log().encode())
 }
 
@@ -1186,7 +1295,13 @@ mod tests {
             self.inner.handle(worker, round, request)
         }
 
-        fn handle_into(&self, worker: u32, round: u64, request: &[u8], reply: &mut FrameBuf) {
+        fn handle_into(
+            &self,
+            worker: u32,
+            round: u64,
+            request: &[u8],
+            reply: &mut FrameBuf,
+        ) -> Result<(), String> {
             self.calls.lock().push((worker, round, request[0]));
             self.inner.handle_into(worker, round, request, reply)
         }
@@ -1349,6 +1464,214 @@ mod tests {
         assert_eq!(digests, pinned, "per-worker request and reply bytes");
     }
 
+    /// The bytes `put` lays down, as a payload.
+    fn payload_of(put: impl FnOnce(&mut FrameBuf)) -> Vec<u8> {
+        let mut frame = FrameBuf::new();
+        frame.begin(MsgKind::Rpc, 0, 0);
+        put(&mut frame);
+        frame.payload().to_vec()
+    }
+
+    /// One op of every tag, over fixed arguments: NaN signal values, a `STATUS` with
+    /// and without a pending signal, an empty and a NaN-carrying vector, a deposit.
+    fn every_op() -> Vec<Op<'static>> {
+        use crate::checkpoint::Section;
+        let values = [f32::NAN, -0.0, 1.5, f32::INFINITY];
+        let params: &'static [f32] = &[0.25, f32::NAN, -3.0];
+        let deposit = Deposit {
+            round: 4,
+            fingerprint: 0xFEED,
+            section: Section {
+                name: "worker1".into(),
+                ints: vec![3, u64::MAX],
+                floats: vec![f32::NAN, 2.0],
+            },
+            shard: EventLog::default(),
+        };
+        vec![
+            Op::Pull(u64::MAX),
+            Op::RejoinPull(),
+            Op::SchedRoundBefore(),
+            Op::SyncRound(3, Floats::Slice(params)),
+            Op::SyncRound(1, Floats::Slice(&[])),
+            Op::Status(true, 3, Some((values, 17))),
+            Op::Status(false, 1, None),
+            Op::Signals(f32::NAN, 0.5, 2),
+            Op::DeltaFor(),
+            Op::Observe(values, true, 9),
+            Op::RoundBegin(),
+            Op::CkptDeposit(deposit),
+        ]
+    }
+
+    #[test]
+    fn every_op_and_reply_round_trips_through_its_codec() {
+        let mut tags = std::collections::BTreeSet::new();
+        for op in every_op() {
+            let bytes = payload_of(|f| op.put(f));
+            tags.insert(bytes[0]);
+            let back = Op::take(&bytes).unwrap_or_else(|e| panic!("op {}: {e}", bytes[0]));
+            assert_eq!(payload_of(|f| back.put(f)), bytes, "op {}", bytes[0]);
+        }
+        assert_eq!(tags, (op::PULL..=op::CKPT_DEPOSIT).collect());
+        // Every reply shape, against the op it answers among three workers: empty and
+        // full memberships, a `None` round, a status that did and one that did not
+        // observe its round, NaN values.
+        let status = |flags: [bool; 3], next| Status {
+            flags: flags.to_vec(),
+            next,
+        };
+        let nan = Arc::new(vec![f32::NAN, 1.0, -0.0]);
+        let replies = [
+            (Op::Pull(0), Reply::Floats(Floats::Shared(nan))),
+            (
+                Op::RejoinPull(),
+                Reply::Floats(Floats::Shared(Arc::default())),
+            ),
+            (Op::SchedRoundBefore(), Reply::Round(None)),
+            (Op::SchedRoundBefore(), Reply::Round(Some(12))),
+            (Op::DeltaFor(), Reply::Delta(f32::NAN)),
+            (
+                Op::Signals(0.0, 0.0, 3),
+                Reply::Signal([f32::NAN, 0.0, 1.0, 2.0]),
+            ),
+            (
+                Op::Status(true, 3, None),
+                Reply::Status(status([true; 3], None)),
+            ),
+            (
+                Op::Status(false, 3, None),
+                Reply::Status(status([false; 3], Some((9, 0.5)))),
+            ),
+            (Op::RoundBegin(), Reply::Evictions(Vec::new())),
+            (
+                Op::RoundBegin(),
+                Reply::Evictions(vec![(0, 3), (1, 7), (2, 9)]),
+            ),
+            (Op::Observe([0.0; 4], false, 1), Reply::Done),
+        ];
+        for (op, reply) in &replies {
+            let bytes = payload_of(|f| reply.put(f));
+            let back = Reply::take(op, 3, &bytes).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(payload_of(|f| back.put(f)), bytes);
+        }
+    }
+
+    #[test]
+    fn decoding_refuses_short_overlong_and_unknown_payloads() {
+        for op in every_op() {
+            let bytes = payload_of(|f| op.put(f));
+            let fixed = !matches!(op, Op::SyncRound(..) | Op::CkptDeposit(_));
+            if fixed && bytes.len() > 1 {
+                assert!(
+                    Op::take(&bytes[..bytes.len() - 1]).is_err(),
+                    "op {} short",
+                    bytes[0]
+                );
+            }
+            let long = [&bytes[..], &[0]].concat();
+            assert!(Op::take(&long).is_err(), "op {} long", bytes[0]);
+        }
+        for payload in [
+            &[][..],
+            &[0],
+            &[11],
+            &[255, 1, 2],
+            &[op::STATUS, 2, 1, 0, 0, 0, 0],
+        ] {
+            assert!(Op::take(payload).is_err(), "{payload:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn decoding_random_bytes_never_panics(
+            tag in 0u8..12,
+            rest in proptest::collection::vec(0u16..256, 0..48),
+            workers in 1usize..5,
+        ) {
+            let bytes: Vec<u8> = std::iter::once(tag).chain(rest.iter().map(|&b| b as u8)).collect();
+            let _ = Op::take(&bytes);
+            let _ = Op::take(&bytes[1..]);
+            for op in every_op() {
+                let _ = Reply::take(&op, workers, &bytes);
+                let _ = Reply::take(&op, workers, &bytes[1..]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_malformed_request_is_its_workers_death_not_the_hubs() {
+        use std::io::{Read, Write};
+        use std::os::unix::net::UnixStream;
+        // An empty payload, an unknown tag, a `STATUS` one byte short and a sync of
+        // one parameter: each is refused, its connection ends without a reply, and
+        // the hub records the worker dead and serves on to a clean finish.
+        let c = cfg(0.05, 4);
+        let path = std::env::temp_dir().join(format!("selsync-malformed-{}", std::process::id()));
+        let addr = SocketAddrSpec::Unix(path.clone());
+        let hub = Arc::new(HubService::new(&c, None));
+        let server = HubServer::bind(&addr).expect("binds");
+        let sync = [op::SYNC_ROUND, 4, 0, 0, 0, 0, 0, 0, 0];
+        let payloads: [&[u8]; 4] = [&[], &[42], &[op::STATUS, 1, 3, 0, 0, 0], &sync];
+        let served = std::thread::scope(|scope| {
+            let service: Arc<dyn RpcService> = hub.clone();
+            let served = scope.spawn(|| server.serve(c.workers, service));
+            for (worker, payload) in payloads.iter().enumerate() {
+                let mut stream = UnixStream::connect(&path).expect("connects");
+                let mut frame = FrameBuf::new();
+                frame.begin(MsgKind::Rpc, 0, worker as u32);
+                frame.put(payload);
+                stream.write_all(frame.finish()).expect("writes");
+                let mut reply = Vec::new();
+                stream
+                    .read_to_end(&mut reply)
+                    .expect("reads to the hub's close");
+                assert!(reply.is_empty(), "worker {worker} got a reply");
+            }
+            served.join().expect("hub thread")
+        });
+        std::fs::remove_file(&path).ok();
+        assert!(served.is_ok(), "{served:?}");
+        assert_eq!(hub.ledger.lock().dead, [true; 4]);
+    }
+
+    #[test]
+    fn the_ledger_refuses_what_it_used_to_assert() {
+        // One worker, so the barrier releases at once.
+        let c = cfg(0.05, 1);
+        let hub = HubService::new(&c, None);
+        let serve = |round: u64, op: Op| {
+            let request = payload_of(|f| op.put(f));
+            hub.handle_into(0, round, &request, &mut FrameBuf::new())
+        };
+        assert!(serve(3, Op::RoundBegin()).is_ok());
+        assert!(serve(3, Op::RoundBegin()).is_err(), "announced twice");
+        assert!(
+            serve(2, Op::RoundBegin()).is_err(),
+            "announced out of order"
+        );
+        let deposit = |round, name: &str, fingerprint| Deposit {
+            round,
+            fingerprint,
+            section: crate::checkpoint::Section::new(name),
+            shard: EventLog::default(),
+        };
+        let ours = checkpoint::config_fingerprint(&c);
+        for (round, name, fingerprint) in [
+            (4, "worker0", ours),
+            (3, "worker1", ours),
+            (3, "worker0", 1),
+        ] {
+            let refused = serve(3, Op::CkptDeposit(deposit(round, name, fingerprint)));
+            assert!(refused.is_err(), "{round} {name} {fingerprint}");
+        }
+        assert!(hub
+            .handle_into(1, 3, &[op::DELTA_FOR], &mut FrameBuf::new())
+            .is_err());
+        assert!(!hub.ledger.lock().dead[0], "refusing is the server's call");
+    }
+
     #[test]
     fn the_barrier_ledger_stays_bounded_over_a_long_run() {
         use crate::conditions::ClusterConditions;
@@ -1375,7 +1698,7 @@ mod tests {
                     scope.spawn(move || {
                         let mut most = 0;
                         for it in (0..c.iterations).filter(|&it| c.conditions.is_present(w, it)) {
-                            hub.round_begin(w, it, &mut FrameBuf::new());
+                            hub.round_begin(w, it).expect("announced in order");
                             most = most.max(hub.ledger.lock().released.len());
                         }
                         most

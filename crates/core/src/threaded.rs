@@ -9,11 +9,13 @@
 //! averages are combined in **worker-id order** by the round-keyed elastic rendezvous
 //! ([`selsync_comm::rounds`]), bit-identical to the simulator's in-memory folds. So
 //! the threaded cluster's event log and synchronization schedule (`sync_rounds`)
-//! equal the simulator's. This module supplies what is particular to threads: the
-//! shared cluster state (`ClusterCore`, which the process hub builds and checkpoints
-//! through the very same functions), the in-process `ClusterLink` over it, and the
-//! checkpoint round: every thread deposits its section in one round-keyed
-//! rendezvous, whose last depositor writes the image.
+//! equal the simulator's. This module holds the shared cluster state (`ClusterCore`)
+//! and `ClusterCore::serve`, the one place a worker's op meets it. A worker thread
+//! runs `crate::worker::WorkerLink` and reaches `serve` by a direct call; a worker
+//! process runs the same link and reaches it through the hub, which builds,
+//! serves and checkpoints the very same state. The checkpoint round: every thread
+//! deposits its section in one round-keyed rendezvous, whose last depositor writes
+//! the image.
 //!
 //! A rejoining worker restarts its tracker and optimizer and pulls parameters as
 //! [`crate::config::RejoinPull`] says:
@@ -35,8 +37,9 @@ use crate::checkpoint::{Checkpoint, Section};
 use crate::conditions::ClusterConditions;
 use crate::config::{RejoinPull, TrainConfig};
 use crate::policy::{DeltaPolicy, PolicySpec, RoundSignal};
-use crate::sim::{RoundOutput, Simulator};
-use crate::worker::{message_layer, open_run, run_worker, ClusterLink, Envelopes};
+use crate::process::{Floats, Op, Reply};
+use crate::sim::Simulator;
+use crate::worker::{message_layer, open_run, run_worker, Reach, WorkerLink};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use selsync_comm::cluster::{make_handles, run_cluster_with, ClusterHandles};
 use selsync_comm::rounds::ElasticRounds;
@@ -143,18 +146,22 @@ pub(crate) struct Status {
 /// signal and next active round when it emits the round.
 type StatusBit = (bool, Option<(RoundSignal, usize)>);
 
-/// The cluster's shared state — parameter server, the status and signal
+/// The cluster's shared state — parameter server, the status, signal and checkpoint
 /// rendezvous, the δ-policy signal board — set up (fresh or from a recovery image)
-/// and checkpointed the same way by both cluster backends: the threaded driver's
-/// worker threads reach it through [`ThreadLink`], the process hub serves it to its
-/// workers over RPC.
+/// and checkpointed the same way by both cluster backends, and served to their
+/// workers by [`Self::serve`]: a thread calls it directly, the process hub on its
+/// workers' behalf.
 pub(crate) struct ClusterCore {
+    pub(crate) cfg: TrainConfig,
     pub(crate) handles: ClusterHandles,
     /// One rendezvous per round for the present workers' status bits.
     status_rounds: ElasticRounds<StatusBit, Status>,
     /// One rendezvous per round for the present workers' `(loss, Δ(g_i))` pairs.
     signal_rounds: ElasticRounds<(f32, f32), RoundSignal>,
-    pub(crate) board: SignalBoard,
+    /// Checkpoint rounds of worker threads, keyed by iteration: every thread deposits
+    /// its section. A hub gathers its workers' deposits in its own ledger.
+    checkpoints: ElasticRounds<Section, ()>,
+    board: SignalBoard,
     /// The *base* effective membership schedule: scheduled crashes plus compiled
     /// comm-fault evictions.
     pub(crate) conditions: ClusterConditions,
@@ -191,9 +198,11 @@ impl ClusterCore {
             cfg.trace.clone(),
         );
         ClusterCore {
+            cfg: cfg.clone(),
             handles,
             status_rounds: ElasticRounds::new(),
             signal_rounds: ElasticRounds::new(),
+            checkpoints: ElasticRounds::new(),
             board,
             conditions,
             start,
@@ -201,27 +210,74 @@ impl ClusterCore {
         }
     }
 
-    /// The model a worker rejoining at round `it` pulls ([`RejoinPull`]): the PS's
-    /// current global, or — once every active round before `it` has decided (the
-    /// board advances only after a round's sync, so the snapshot ring then holds
-    /// every global this lookup can need) — the last scheduled synchronization's.
-    pub(crate) fn rejoin_pull(&self, cfg: &TrainConfig, it: usize) -> Vec<f32> {
-        let ps = &self.handles.ps;
-        match cfg.rejoin_pull {
-            RejoinPull::WallClock => ps.pull(),
-            RejoinPull::Scheduled => {
-                drop(self.board.wait_caught_up(it));
-                ps.scheduled_global_before(it as u64)
+    /// Serve `worker`'s `op` for round `it`: the one place an op meets the cluster's
+    /// state. Rendezvous ops block until the round's other present workers have made
+    /// theirs. `ROUND_BEGIN` and `CKPT_DEPOSIT` are answered here for threads, which
+    /// share one process: no connection can die, so there is no eviction to publish
+    /// and no barrier to hold, and the last deposit writes the image. A hub answers
+    /// both from its own ledger instead.
+    pub(crate) fn serve(&self, worker: usize, it: usize, op: Op<'_>) -> Reply<'static> {
+        let (ps, round) = (&self.handles.ps, it as u64);
+        let shared = |values| Reply::Floats(Floats::Shared(Arc::new(values)));
+        match op {
+            // Once the board has observed every active round before `end`, every
+            // synchronization before it has reached the PS, whatever rounds the asking
+            // worker sat out.
+            Op::Pull(end) => {
+                drop(self.board.wait_caught_up(end as usize));
+                shared(ps.pull())
+            }
+            // The PS's current global, or — once every active round before `it` has
+            // decided (the board advances only after a round's sync, so the snapshot
+            // ring then holds every global this lookup can need) — the last scheduled
+            // synchronization's.
+            Op::RejoinPull() => shared(match self.cfg.rejoin_pull {
+                RejoinPull::WallClock => ps.pull(),
+                RejoinPull::Scheduled => {
+                    drop(self.board.wait_caught_up(it));
+                    ps.scheduled_global_before(round)
+                }
+            }),
+            Op::SchedRoundBefore() => {
+                Reply::Round(ps.scheduled_round_before(round).map(|r| r as usize))
+            }
+            Op::SyncRound(expected, params) => {
+                let fill = |buf: &mut Vec<f32>| params.read_into(buf);
+                let mean = ps.sync_round_shared(round, worker, expected as usize, fill);
+                Reply::Floats(Floats::Shared(mean))
+            }
+            Op::Status(flag, expected, pending) => {
+                let pending = pending.map(|(v, next)| (RoundSignal::of(it, v), next as usize));
+                Reply::Status(self.status(it, worker, flag, expected as usize, pending))
+            }
+            Op::Signals(loss, delta, expected) => Reply::Signal(
+                self.signals(it, worker, loss, delta, expected as usize)
+                    .values(),
+            ),
+            Op::DeltaFor() => Reply::Delta(self.board.delta_for(it)),
+            Op::Observe(values, synced, next) => {
+                let signal = RoundSignal {
+                    synced,
+                    ..RoundSignal::of(it, values)
+                };
+                self.board.observe(signal, next as usize);
+                Reply::Done
+            }
+            Op::RoundBegin() => Reply::Evictions(Vec::new()),
+            // Every thread, present or absent, deposits: the last one to arrive finds
+            // the cluster quiescent and writes the image from the sections in worker
+            // order. Threads record into this one sink, so no deposit carries a shard.
+            Op::CkptDeposit(deposit) => {
+                let write = |deposits: &mut [(usize, Section)]| {
+                    let sections = deposits.iter_mut().map(|(_, s)| std::mem::take(s));
+                    self.write_image("threaded", it, sections.collect(), Vec::new())
+                };
+                let n = self.cfg.workers;
+                self.checkpoints
+                    .run(round, worker, n, deposit.section, write);
+                Reply::Done
             }
         }
-    }
-
-    /// The PS's global vector once the board has observed every active round before
-    /// `end`: then every synchronization before `end` has reached the PS, whatever
-    /// rounds the asking worker sat out.
-    pub(crate) fn pull(&self, end: usize) -> Vec<f32> {
-        drop(self.board.wait_caught_up(end));
-        self.handles.ps.pull()
     }
 
     /// `worker`'s side of round `it`'s status all-gather among the `expected` present
@@ -281,12 +337,12 @@ impl ClusterCore {
     /// every worker parked, the round's signals observed.
     pub(crate) fn write_image(
         &self,
-        cfg: &TrainConfig,
         backend: &str,
         it: usize,
         sections: Vec<Section>,
         shards: Vec<EventLog>,
     ) {
+        let cfg = &self.cfg;
         let ck = cfg
             .checkpoint
             .as_ref()
@@ -305,85 +361,16 @@ impl ClusterCore {
     }
 }
 
-/// A worker thread's [`ClusterLink`]: its envelopes, then direct calls on the shared
-/// in-process state.
-struct ThreadLink<'a> {
-    env: Envelopes<'a>,
-    core: &'a ClusterCore,
-    /// Checkpoint rounds, keyed by iteration: every thread deposits its section.
-    checkpoints: &'a ElasticRounds<Section, ()>,
-}
-
-impl ClusterLink for ThreadLink<'_> {
-    fn farewell(&mut self, it: usize, _worker: usize) {
-        self.env.farewell(it)
-    }
-
-    fn rejoin_pull(&mut self, it: usize, _worker: usize) -> Vec<f32> {
-        self.env.rejoin(it);
-        self.core.rejoin_pull(self.env.cfg, it)
-    }
-
-    fn scheduled_round_before(&self, it: usize) -> Option<usize> {
-        let ps = &self.core.handles.ps;
-        ps.scheduled_round_before(it as u64).map(|r| r as usize)
-    }
-
-    fn signals(&mut self, it: usize, round: &RoundOutput, expected: usize) -> RoundSignal {
-        let (loss, delta) = (round.stats[0].loss, round.deltas[0]);
-        self.env.signals(it, loss, delta);
-        self.core
-            .signals(it, self.env.worker, loss, delta, expected)
-    }
-
-    fn delta_for(&mut self, it: usize) -> f32 {
-        self.core.board.delta_for(it)
-    }
-
-    fn status(
-        &mut self,
+/// A worker thread's reach: a direct call, with no bytes.
+impl Reach for &ClusterCore {
+    fn call<R>(
+        &self,
+        worker: usize,
         it: usize,
-        present: &[usize],
-        flags: Vec<bool>,
-        pending: Option<(RoundSignal, usize)>,
-    ) -> (Vec<bool>, bool) {
-        let (worker, flag) = (self.env.worker, flags[self.env.worker]);
-        self.env.status(it, flag);
-        let status = self.core.status(it, worker, flag, present.len(), pending);
-        (status.flags, status.next.is_some())
-    }
-
-    fn sync(&mut self, it: usize, contributions: &[&[f32]], expected: usize, mean: &mut Vec<f32>) {
-        let params = contributions[0];
-        self.env.sync(it, params.len());
-        let fill = |buf: &mut Vec<f32>| buf.extend_from_slice(params);
-        let ps = &self.core.handles.ps;
-        mean.clone_from(&ps.sync_round_shared(it as u64, self.env.worker, expected, fill));
-    }
-
-    fn observe(&mut self, signal: RoundSignal, next_round: usize) {
-        self.core.board.observe(signal, next_round);
-    }
-
-    fn checkpoint(&mut self, it: usize, group: &Simulator) {
-        let (cfg, worker) = (self.env.cfg, self.env.worker);
-        let section = group.workers[0].section(worker);
-        // Every thread, present or absent, deposits: the last one to arrive finds the
-        // cluster quiescent and writes the image from the sections in worker order.
-        let write = |deposits: &mut [(usize, Section)]| {
-            let sections = deposits
-                .iter_mut()
-                .map(|(_, s)| std::mem::take(s))
-                .collect();
-            self.core
-                .write_image(cfg, "threaded", it, sections, Vec::new())
-        };
-        self.checkpoints
-            .run(it as u64, worker, cfg.workers, section, write);
-    }
-
-    fn pull(&self, end: usize) -> Vec<f32> {
-        self.core.pull(end)
+        op: Op<'_>,
+        read: impl FnOnce(Reply<'_>) -> R,
+    ) -> R {
+        read(self.serve(worker, it, op))
     }
 }
 
@@ -431,19 +418,13 @@ fn run_threaded_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> Vec<Thr
         .unwrap_or_else(|e| panic!("threaded driver: {} ({})", e.message, e.key));
     let core = ClusterCore::build(cfg, &spec, resume);
     let layer = message_layer(cfg, Box::new(LosslessTransport));
-    let checkpoints = ElasticRounds::new();
     // One dataset build for the whole cluster; every thread's group of one shares it.
     let (train, test) = crate::sim::build_datasets(cfg);
     let datasets = (Arc::new(train), Arc::new(test));
-    let (core, checkpoints, layer) = (&core, &checkpoints, &layer);
+    let (core, layer) = (&core, &layer);
     run_cluster_with(core.handles.clone(), |worker, _| {
         let group = Simulator::group(cfg, &datasets, worker..worker + 1);
-        let env = Envelopes { cfg, layer, worker };
-        let mut link = ThreadLink {
-            env,
-            core,
-            checkpoints,
-        };
+        let mut link = WorkerLink::new(cfg, layer, worker, core);
         run_worker(cfg, (rule, &spec), group, &mut link, resume)
     })
 }
@@ -452,6 +433,7 @@ fn run_threaded_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> Vec<Thr
 mod tests {
     use super::*;
     use crate::config::AlgorithmSpec;
+    use crate::sim::RoundOutput;
     use selsync_nn::model::ModelKind;
     use selsync_tracelog::Event;
 

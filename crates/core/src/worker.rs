@@ -6,25 +6,28 @@
 //! What it shares with the rest of the cluster — parameter server, collectives,
 //! δ-policy, checkpoint writer — it reaches through a [`ClusterLink`]: every op takes
 //! the group's values and returns the cluster's answer. The simulator's link
-//! (`algorithms::selsync`) folds them in memory and prices each op on the cost model;
-//! [`crate::threaded`] makes direct calls on in-process handles and [`crate::process`]
-//! blocking RPCs to the hub, which makes the very same calls on the worker's behalf.
-//! The loop is monomorphised per link, so a threaded round still makes direct calls.
+//! (`algorithms::selsync`) folds them in memory and prices each op on the cost model.
+//! A cluster worker's link is [`WorkerLink`], one for both cluster backends: it sends
+//! each op's envelope, then hands the op to `ClusterCore::serve` over a [`Reach`] —
+//! a direct call from a worker thread ([`crate::threaded`]), one RPC to the hub that
+//! makes that call from a worker process ([`crate::process`]). The loop and the link
+//! are monomorphised per reach, so a threaded round still makes direct calls.
 //!
 //! What a group does *to its own replicas* are the phases of
 //! [`crate::replica::Replica`]. What is decided here and nowhere else is the order of
 //! a round's link ops between them, and which of them the run's [`SyncRule`] asks for.
 
 use crate::aggregation::AggregationMode;
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{self, Checkpoint, Deposit};
 use crate::config::TrainConfig;
 use crate::policy::{DeltaPolicy, PolicySpec, RoundSignal, SyncPolicy, SyncRule};
+use crate::process::{Floats, Op, Reply};
 use crate::sim::{RoundOutput, Simulator};
-use crate::threaded::ThreadedWorkerReport;
+use crate::threaded::{Status, ThreadedWorkerReport};
 use crate::tracing;
 use selsync_comm::wire::MsgKind;
 use selsync_comm::{CommFaultSchedule, MessageLayer, PsExchangeError, Transport};
-use selsync_tracelog::Event;
+use selsync_tracelog::{Event, EventLog};
 
 /// A replica group's view of the cluster's shared state. Each op takes the group's
 /// values for round `it` and returns the cluster's answer; on a cluster backend it
@@ -325,19 +328,61 @@ pub(crate) fn run_worker<L: ClusterLink>(
     }
 }
 
-/// A cluster worker's control plane: the envelope each link op sends on the message
-/// layer — request out, hub ack back, bounded retry — before its rendezvous. A worker
-/// present at a round always lands within its budget (exhaustion would have evicted
-/// it from the round's membership), so an `Err` is a schedule/layer disagreement,
-/// not a recoverable condition.
-pub(crate) struct Envelopes<'a> {
-    pub(crate) cfg: &'a TrainConfig,
-    pub(crate) layer: &'a MessageLayer,
-    pub(crate) worker: usize,
+/// How a cluster worker's link reaches `ClusterCore::serve`: a worker thread calls it
+/// in-process, with no bytes; a worker process encodes the op, makes one RPC to the
+/// hub that serves it and decodes the reply.
+pub(crate) trait Reach {
+    /// Serve `worker`'s `op` for round `it`, and hand the reply to `read` where it lies.
+    fn call<T>(&self, worker: usize, it: usize, op: Op, read: impl FnOnce(Reply) -> T) -> T;
+    /// The trace shard a checkpoint deposit carries: none from a worker that records
+    /// into the cluster's one sink.
+    fn shard(&self, _cfg: &TrainConfig) -> EventLog {
+        EventLog::default()
+    }
+    /// Whether the worker dies abruptly at the top of round `it` (a kill switch).
+    fn dies_at(&self, _it: usize) -> bool {
+        false
+    }
 }
 
-impl Envelopes<'_> {
-    /// One exchange; returns its attempt count, shared by every op this worker performs
+/// A cluster worker's [`ClusterLink`], on either cluster backend: each op's envelope
+/// on the message layer — request out, hub ack back, bounded retry — then the op
+/// itself, through `reach`. A worker present at a round always lands its envelopes
+/// within its budget (exhaustion would have evicted it from the round's membership),
+/// so a failed one is a schedule/layer disagreement, not a recoverable condition.
+pub(crate) struct WorkerLink<'a, R> {
+    cfg: &'a TrainConfig,
+    layer: &'a MessageLayer,
+    worker: usize,
+    reach: R,
+    /// The next active round and its δ, as the last status all-gather that observed
+    /// its round answered them.
+    next_delta: Option<(usize, f32)>,
+}
+
+impl<'a, R: Reach> WorkerLink<'a, R> {
+    pub(crate) fn new(
+        cfg: &'a TrainConfig,
+        layer: &'a MessageLayer,
+        worker: usize,
+        reach: R,
+    ) -> Self {
+        let next_delta = None;
+        WorkerLink {
+            cfg,
+            layer,
+            worker,
+            reach,
+            next_delta,
+        }
+    }
+
+    /// `op`'s reply, as `read` takes it.
+    fn call<T>(&self, it: usize, op: Op, read: impl FnOnce(Reply) -> T) -> T {
+        self.reach.call(self.worker, it, op, read)
+    }
+
+    /// One envelope; returns its attempt count, shared by every op this worker performs
     /// this round (link weather is per `(worker, round, attempt, leg)`, not per kind).
     fn send(&self, it: usize, kind: MsgKind, payload: &[u8]) -> u32 {
         let worker = self.worker;
@@ -345,9 +390,19 @@ impl Envelopes<'_> {
         let failed = |e| panic!("present worker {worker} failed a comm op at round {it}: {e}");
         outcome.unwrap_or_else(failed).attempts
     }
+}
+
+impl<R: Reach> ClusterLink for WorkerLink<'_, R> {
+    fn dies_at(&self, it: usize) -> bool {
+        self.reach.dies_at(it)
+    }
+
+    fn round_begin(&mut self, it: usize) -> Vec<(usize, usize)> {
+        self.call(it, Op::RoundBegin(), |reply| reply.into())
+    }
 
     /// The exchange the fault schedule drives past this worker's retry budget.
-    pub(crate) fn farewell(&self, it: usize) {
+    fn farewell(&mut self, it: usize, _worker: usize) {
         let worker = self.worker;
         let farewell = self.layer.exchange(worker, it as u64, MsgKind::Flags, &[0]);
         assert!(
@@ -356,52 +411,111 @@ impl Envelopes<'_> {
         );
     }
 
-    /// The rejoin pull request. At a PS-down round it is skipped — there is no server
-    /// to ack it — while the data-plane pull stays.
-    pub(crate) fn rejoin(&self, it: usize) {
+    /// At a PS-down round the request's envelope is skipped — there is no server to
+    /// ack it — while the data-plane pull stays.
+    fn rejoin_pull(&mut self, it: usize, _worker: usize) -> Vec<f32> {
         if !self.layer.ps_down(it as u64) {
             self.send(it, MsgKind::Pull, &(it as u64).to_le_bytes());
         }
+        self.call(it, Op::RejoinPull(), |reply| Floats::from(reply).into_vec())
+    }
+
+    fn scheduled_round_before(&self, it: usize) -> Option<usize> {
+        self.call(it, Op::SchedRoundBefore(), |reply| reply.into())
     }
 
     /// Both signal scalars ride one envelope (the envelope id is (kind, round, sender),
     /// so a second `ScalarReduce` would be dropped as a duplicate), the Δ moments
     /// their own.
-    pub(crate) fn signals(&self, it: usize, loss: f32, delta: f32) {
+    fn signals(&mut self, it: usize, round: &RoundOutput, expected: usize) -> RoundSignal {
+        let (loss, delta) = (round.stats[0].loss, round.deltas[0]);
         let pair = |a: f32, b: f32| [a.to_le_bytes(), b.to_le_bytes()].concat();
         self.send(it, MsgKind::ScalarReduce, &pair(loss, delta));
         self.send(it, MsgKind::VecReduce, &pair(delta, delta * delta));
+        let op = Op::Signals(loss, delta, expected as u32);
+        self.call(it, op, |reply| RoundSignal::of(it, reply.into()))
     }
 
-    /// The status bit's envelope, logging its retries: one event per (worker, round).
-    /// At a PS-down round, the probe that discovers the outage and fails fast.
-    pub(crate) fn status(&self, it: usize, flag: bool) {
-        let (worker, round) = (self.worker, it as u64);
+    /// The δ the last observing status all-gather answered, when it is this round's;
+    /// otherwise (the first round, a resumed run, the round after a sync, a worker
+    /// that sat rounds out) the board's.
+    fn delta_for(&mut self, it: usize) -> f32 {
+        match self.next_delta.take() {
+            Some((next, delta)) if next == it => delta,
+            _ => self.call(it, Op::DeltaFor(), |reply| reply.into()),
+        }
+    }
+
+    /// The status bit's envelope logs its retries: one event per (worker, round). At
+    /// a PS-down round it is the probe that discovers the outage and fails fast.
+    fn status(
+        &mut self,
+        it: usize,
+        present: &[usize],
+        flags: Vec<bool>,
+        pending: Option<(RoundSignal, usize)>,
+    ) -> (Vec<bool>, bool) {
+        let (worker, round, flag) = (self.worker, it as u64, flags[self.worker]);
         if self.layer.ps_down(round) {
-            let probe = self
-                .layer
-                .ps_exchange(worker, round, MsgKind::Pull, &round.to_le_bytes());
+            let probe =
+                (self.layer).ps_exchange(worker, round, MsgKind::Pull, &round.to_le_bytes());
             assert!(
                 matches!(probe, Err(PsExchangeError::Down { .. })),
                 "the PS availability schedule and the layer's gate disagree at round {it}"
             );
-            return;
+        } else {
+            let attempts = self.send(it, MsgKind::Flags, &[flag as u8]);
+            if attempts > 1 {
+                let retry = Event::CommRetry {
+                    round: it,
+                    worker,
+                    attempts,
+                };
+                self.cfg.trace.record(retry);
+            }
         }
-        let attempts = self.send(it, MsgKind::Flags, &[flag as u8]);
-        if attempts > 1 {
-            let retry = Event::CommRetry {
-                round: it,
-                worker,
-                attempts,
-            };
-            self.cfg.trace.record(retry);
-        }
+        let pending = pending.map(|(signal, next)| (signal.values(), next as u64));
+        let expected = present.len() as u32;
+        let op = Op::Status(flag, expected, pending);
+        let Status { flags, next } = self.call(it, op, |reply| reply.into());
+        self.next_delta = next;
+        (flags, next.is_some())
     }
 
-    /// The sync announcement: the parameter byte count (the parameters themselves move
-    /// through the data-plane rendezvous).
-    pub(crate) fn sync(&self, it: usize, params: usize) {
-        self.send(it, MsgKind::SyncRound, &((params * 4) as u64).to_le_bytes());
+    /// The envelope announces the parameter byte count; the parameters themselves
+    /// travel in the op.
+    fn sync(&mut self, it: usize, contributions: &[&[f32]], expected: usize, mean: &mut Vec<f32>) {
+        let params = contributions[0];
+        self.send(
+            it,
+            MsgKind::SyncRound,
+            &((params.len() * 4) as u64).to_le_bytes(),
+        );
+        let op = Op::SyncRound(expected as u32, Floats::Slice(params));
+        self.call(it, op, |reply| Floats::from(reply).read_into(mean))
+    }
+
+    fn observe(&mut self, signal: RoundSignal, next_round: usize) {
+        let op = Op::Observe(signal.values(), signal.synced, next_round as u64);
+        self.call(signal.iteration, op, |_| ())
+    }
+
+    /// Deposits the worker's section, with the trace shard its reach ships, and parks
+    /// until the round's image is written (or voided).
+    fn checkpoint(&mut self, it: usize, group: &Simulator) {
+        let deposit = Deposit {
+            round: it,
+            fingerprint: checkpoint::config_fingerprint(self.cfg),
+            section: group.workers[0].section(self.worker),
+            shard: self.reach.shard(self.cfg),
+        };
+        self.call(it, Op::CkptDeposit(deposit), |_| ())
+    }
+
+    /// Frame round `u64::MAX`: the pull belongs to no round.
+    fn pull(&self, end: usize) -> Vec<f32> {
+        let op = Op::Pull(end as u64);
+        self.call(usize::MAX, op, |reply| Floats::from(reply).into_vec())
     }
 }
 
