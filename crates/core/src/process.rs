@@ -190,12 +190,14 @@ impl Floats<'_> {
 
     /// The values in a vector of their own.
     pub(crate) fn into_vec(self) -> Vec<f32> {
-        let mut out = Vec::new();
         match self {
-            Floats::Shared(values) => return Arc::unwrap_or_clone(values),
-            floats => floats.read_into(&mut out),
+            Floats::Shared(values) => Arc::unwrap_or_clone(values),
+            floats => {
+                let mut out = Vec::new();
+                floats.read_into(&mut out);
+                out
+            }
         }
-        out
     }
 }
 
