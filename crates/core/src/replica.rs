@@ -165,3 +165,167 @@ impl Replica {
         self.cursor = (self.progress * batch) % self.traversal.len();
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::OptimizerSpec;
+    use crate::sim::build_datasets;
+
+    /// One training step of the pin: the replica's compute and update of one batch at
+    /// `forward_index` and learning rate `lr`, returning the step's stats and `Δ(g_i)`.
+    /// A step may fold bytes it alone sees (an exported gradient) into the digest.
+    type Step =
+        fn(&mut Replica, &mut Engine, &Dataset, &[usize], u64, f32, &mut u64) -> (BatchStats, f32);
+
+    /// FNV-1a over the little-endian bit patterns: a digest of bytes, not of values.
+    fn digest(h: u64, data: &[f32]) -> u64 {
+        data.iter()
+            .flat_map(|x| x.to_bits().to_le_bytes())
+            .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01B3))
+    }
+
+    /// The replica steps on its own gradient (Alg. 1 line 9).
+    fn local_step(
+        r: &mut Replica,
+        e: &mut Engine,
+        train: &Dataset,
+        indices: &[usize],
+        forward_index: u64,
+        lr: f32,
+        _: &mut u64,
+    ) -> (BatchStats, f32) {
+        let mut grads = Vec::new();
+        let out = r.compute(e, train, indices, forward_index, &mut grads);
+        r.apply_local(&grads, lr);
+        out
+    }
+
+    /// The gradient leaves the replica before its update (gradient aggregation): its
+    /// bytes are pinned too.
+    fn norm_only_step(
+        r: &mut Replica,
+        e: &mut Engine,
+        train: &Dataset,
+        indices: &[usize],
+        forward_index: u64,
+        lr: f32,
+        h: &mut u64,
+    ) -> (BatchStats, f32) {
+        let mut grads = Vec::new();
+        let out = r.compute(e, train, indices, forward_index, &mut grads);
+        *h = digest(*h, &grads);
+        r.apply_local(&grads, lr);
+        out
+    }
+
+    /// The optimizer of a pinned run: SGD with momentum and weight decay, or Adam with
+    /// weight decay, each at a learning rate that moves the parameters visibly.
+    fn optimizer(adam: bool) -> (OptimizerSpec, f32) {
+        if adam {
+            (OptimizerSpec::adam(1e-4), 1e-3)
+        } else {
+            (OptimizerSpec::sgd(0.9, 5e-4), 0.05)
+        }
+    }
+
+    /// The digest of 8 steps of a fresh `kind` replica on one reused engine, at fixed
+    /// forward indices: each step's loss, metric and `Δ(g_i)`, then the parameters, the
+    /// optimizer state and the tracker state.
+    fn pinned_run(kind: ModelKind, adam: bool, step: Step) -> u64 {
+        let mut cfg = TrainConfig::small(kind, 4);
+        cfg.train_samples = 256;
+        cfg.test_samples = 32;
+        let (spec, lr) = optimizer(adam);
+        cfg.optimizer = spec;
+        let (train, _) = build_datasets(&cfg);
+        let mut engine = Engine::new(kind, cfg.seed);
+        let params = engine.model.params_flat();
+        let mut replica = Replica::new(&cfg, params, (0..train.len()).collect());
+        let mut h = 0xCBF2_9CE4_8422_2325;
+        let mut indices = Vec::new();
+        for k in 0..8 {
+            replica.next_batch(cfg.batch_size, &mut indices);
+            let (stats, delta) = step(
+                &mut replica,
+                &mut engine,
+                &train,
+                &indices,
+                3 * k + 1,
+                lr,
+                &mut h,
+            );
+            h = digest(h, &[stats.loss, stats.metric, delta]);
+        }
+        h = digest(h, &replica.params);
+        let state = replica.optimizer.export_state();
+        h = digest(h, &[f32::from_bits(state.t as u32)]);
+        for buffer in &state.buffers {
+            h = digest(h, buffer);
+        }
+        // `{:?}` prints every f32 as its shortest round-trip form: one string per value.
+        let tracker = format!("{:?}", replica.tracker.export_state());
+        tracker
+            .bytes()
+            .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01B3))
+    }
+
+    /// `(model, adam, [local, norm-only])`.
+    const GOLDEN: [(ModelKind, bool, [u64; 2]); 8] = [
+        (
+            ModelKind::ResNetLike,
+            false,
+            [0xD2AC_F7DD_6581_054E, 0x7B99_1790_7ADF_13B0],
+        ),
+        (
+            ModelKind::ResNetLike,
+            true,
+            [0xA576_F6EB_D787_B20E, 0xC81E_6F3A_7677_61FF],
+        ),
+        (
+            ModelKind::VggLike,
+            false,
+            [0x5658_5D1C_674A_7474, 0xFAD4_EF62_1602_B641],
+        ),
+        (
+            ModelKind::VggLike,
+            true,
+            [0x2844_A676_B43C_6845, 0x43CF_33D7_4AE0_A43B],
+        ),
+        (
+            ModelKind::AlexLike,
+            false,
+            [0x49DB_38A1_54B9_83CD, 0x66FC_C368_13CC_10AA],
+        ),
+        (
+            ModelKind::AlexLike,
+            true,
+            [0x6E93_8D0D_F99B_148B, 0xE568_29EE_1EFC_B8FB],
+        ),
+        (
+            ModelKind::TransformerLike,
+            false,
+            [0xEB96_381B_ED89_A87E, 0xDB54_58A0_EAB5_C037],
+        ),
+        (
+            ModelKind::TransformerLike,
+            true,
+            [0xACE0_E384_DB4E_67D7, 0xDF7C_BDA7_5812_7DE9],
+        ),
+    ];
+
+    #[test]
+    fn every_model_step_is_pinned_across_commits() {
+        // Every layer kind (TransformerLike brings dropout, the embedding, layer norm
+        // and attention pooling), both optimizers, and both ways a step leaves the
+        // replica. Recorded before the training step became one sweep over the
+        // parameter vector: any change to a step's arithmetic or order moves a digest.
+        for (kind, adam, want) in GOLDEN {
+            let got = [
+                pinned_run(kind, adam, local_step),
+                pinned_run(kind, adam, norm_only_step),
+            ];
+            assert_eq!(got, want, "{kind:?} adam={adam}");
+        }
+    }
+}
