@@ -5,7 +5,9 @@
 //! [`Replica::rejoin`] (adopt the pulled model, restart optimizer and tracker),
 //! *compute* ([`Replica::next_batch`], `Replica::compute`: batch → forward/backward
 //! → `Δ(g_i)`), [`Replica::apply_local`] (the optimizer step) and
-//! [`Replica::apply_sync`] (adopt the PS mean, record the round). What happens
+//! [`Replica::apply_sync`] (adopt the PS mean, record the round). When the update
+//! needs nothing from the other workers (parameter aggregation, Alg. 1 line 9),
+//! `Replica::step` runs compute and the update as one pass over the parameters. What happens
 //! *between* them is the one round loop, `crate::worker::run_group`, with a
 //! `ClusterLink` there; the [`crate::sim::Simulator`] group runs the phases for its
 //! replicas, all W in the simulator and one on a cluster backend. No phase knows
@@ -18,13 +20,14 @@ use crate::config::TrainConfig;
 use crate::tracker::{GradStatistic, GradientTracker};
 use selsync_data::dataset::Dataset;
 use selsync_nn::model::{BatchStats, ModelKind, PaperModel};
-use selsync_nn::optim::Optimizer;
+use selsync_nn::optim::{self, Optimizer};
 use selsync_tensor::Tensor;
 
 /// A compute engine: one model plus reusable batch buffers. Engine identity cannot
-/// affect values — `Replica::compute` loads the parameters fresh, seeks the dropout
-/// stream to the step's global position, and a forward pass overwrites every layer
-/// cache its backward reads — so any replica may compute on any engine.
+/// affect values — a replica swaps its own parameters in for the step, seeks the dropout
+/// stream to the step's global position, a forward pass overwrites every layer cache
+/// its backward reads, and every step leaves the gradient zeroed — so any replica may
+/// compute on any engine.
 pub(crate) struct Engine {
     pub(crate) model: PaperModel,
     pub(crate) x: Tensor,
@@ -41,7 +44,8 @@ impl Engine {
     }
 }
 
-/// One worker's training state.
+/// One worker's training state. Its tracker follows the squared gradient norm
+/// ([`GradStatistic::SqNorm`]), the value the step's sweeps sum.
 pub struct Replica {
     /// Flat model parameters of this worker's replica.
     pub params: Vec<f32>,
@@ -98,9 +102,33 @@ impl Replica {
         self.cursor = (self.cursor + batch) % len;
     }
 
+    /// Forward/backward on `indices` at the canonical dropout-stream position
+    /// `forward_index`, with the parameters swapped into `engine` for the pass, not
+    /// copied. The batch's gradient is left in the engine, whose gradient every step
+    /// leaves zeroed.
+    fn forward_backward(
+        &mut self,
+        engine: &mut Engine,
+        train: &Dataset,
+        indices: &[usize],
+        forward_index: u64,
+    ) -> BatchStats {
+        train.batch_into(indices, &mut engine.x, &mut engine.y);
+        debug_assert!(engine.model.grads_mut().iter().all(|&g| g == 0.0));
+        engine.model.swap_params(&mut self.params);
+        engine.model.seek_dropout(forward_index);
+        let stats = engine
+            .model
+            .forward_backward_accumulate(&engine.x, &engine.y);
+        engine.model.swap_params(&mut self.params);
+        self.last_loss = stats.loss;
+        stats
+    }
+
     /// Compute: forward/backward on `indices` at the canonical dropout-stream
     /// position `forward_index`, the flat gradient into `grads`, and this step's
-    /// `Δ(g_i)`. Allocation-free once `engine` and `grads` are warm.
+    /// `Δ(g_i)`, for an update that waits for the synchronization. Allocation-free
+    /// once `engine` and `grads` are warm.
     pub(crate) fn compute(
         &mut self,
         engine: &mut Engine,
@@ -109,13 +137,27 @@ impl Replica {
         forward_index: u64,
         grads: &mut Vec<f32>,
     ) -> (BatchStats, f32) {
-        train.batch_into(indices, &mut engine.x, &mut engine.y);
-        engine.model.set_params_flat(&self.params);
-        engine.model.seek_dropout(forward_index);
-        let stats = engine.model.forward_backward(&engine.x, &engine.y);
-        engine.model.grads_flat_into(grads);
-        self.last_loss = stats.loss;
-        (stats, self.tracker.update(grads))
+        let stats = self.forward_backward(engine, train, indices, forward_index);
+        let sq_norm = optim::drain_grads(engine.model.grads_mut(), grads);
+        (stats, self.tracker.update_with_statistic(sq_norm))
+    }
+
+    /// Compute and apply-local in one: forward/backward as [`Self::compute`], then one
+    /// optimizer sweep at `lr` that updates the parameters, sums `Δ(g_i)`'s statistic
+    /// and resets the engine's gradient. Bit-identical to `compute` + `apply_local`.
+    pub(crate) fn step(
+        &mut self,
+        engine: &mut Engine,
+        train: &Dataset,
+        indices: &[usize],
+        forward_index: u64,
+        lr: f32,
+    ) -> (BatchStats, f32) {
+        let stats = self.forward_backward(engine, train, indices, forward_index);
+        let grads = engine.model.grads_mut();
+        let sq_norm = self.optimizer.step_fused(&mut self.params, grads, lr);
+        self.progress += 1;
+        (stats, self.tracker.update_with_statistic(sq_norm))
     }
 
     /// Apply-local: one optimizer step on `grads` at learning rate `lr` (Alg. 1 line 9).
@@ -217,6 +259,19 @@ mod tests {
         *h = digest(*h, &grads);
         r.apply_local(&grads, lr);
         out
+    }
+
+    /// Compute and the local update as one sweep: must land on the local digests.
+    fn fused_step(
+        r: &mut Replica,
+        e: &mut Engine,
+        train: &Dataset,
+        indices: &[usize],
+        forward_index: u64,
+        lr: f32,
+        _: &mut u64,
+    ) -> (BatchStats, f32) {
+        r.step(e, train, indices, forward_index, lr)
     }
 
     /// The optimizer of a pinned run: SGD with momentum and weight decay, or Adam with
@@ -326,6 +381,14 @@ mod tests {
                 pinned_run(kind, adam, norm_only_step),
             ];
             assert_eq!(got, want, "{kind:?} adam={adam}");
+        }
+    }
+
+    #[test]
+    fn the_fused_step_keeps_the_pinned_bytes() {
+        for (kind, adam, want) in GOLDEN {
+            let got = pinned_run(kind, adam, fused_step);
+            assert_eq!(got, want[0], "{kind:?} adam={adam}");
         }
     }
 }

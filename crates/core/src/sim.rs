@@ -197,8 +197,11 @@ pub struct Simulator {
     /// Per-step flat gradients of the most recent [`Self::run_round`] (buffers reused
     /// round to round).
     round_grads: Vec<Vec<f32>>,
-    /// Worker id behind each valid slot of [`Self::round_grads`] after the last round
-    /// (alignment checks for [`Self::apply_round_own`]).
+    /// How many slots of [`Self::round_grads`] the last round filled: none after a
+    /// [`Self::step_round`], whose gradients never leave the engines.
+    grad_slots: usize,
+    /// Worker id behind each step of the last round (alignment checks for
+    /// [`Self::apply_round_own`]).
     last_round_workers: Vec<usize>,
     /// Global training-forward counter: the canonical sequential position of the next
     /// forward pass, used to seek per-engine dropout streams.
@@ -270,6 +273,7 @@ impl Simulator {
             max_delta_seen: 0.0,
             engines: Vec::new(),
             round_grads: Vec::new(),
+            grad_slots: 0,
             last_round_workers: Vec::new(),
             forwards_issued: 0,
         }
@@ -379,11 +383,27 @@ impl Simulator {
     /// tracker/optimizer state is its own, and a step's outcome is independent of
     /// *which* engine runs it (see `Engine`).
     pub fn run_round(&mut self, steps: &[WorkerStep]) -> RoundOutput {
+        self.round(steps, None)
+    }
+
+    /// Compute and apply-local of a planned round as one phase, for a round whose
+    /// update needs nothing from the other workers (parameter aggregation, Alg. 1
+    /// line 9): every step's `Replica::step` at `lr`, partitioned across the pool like
+    /// [`Self::run_round`], so a worker's optimizer sweep runs in the task that computed
+    /// its gradient. Bit-identical to `run_round` then [`Self::apply_round_own`]. No
+    /// gradient leaves the engines: [`Self::round_grads`] is empty afterwards.
+    pub fn step_round(&mut self, steps: &[WorkerStep], lr: f32) -> RoundOutput {
+        self.round(steps, Some(lr))
+    }
+
+    /// [`Self::run_round`] without `lr`, [`Self::step_round`] with it.
+    fn round(&mut self, steps: &[WorkerStep], lr: Option<f32>) -> RoundOutput {
         let (n, first) = (steps.len(), self.first);
         assert_valid_round_workers(steps.iter().map(|s| s.worker - first), self.workers.len());
         self.last_round_workers.clear();
         self.last_round_workers
             .extend(steps.iter().map(|s| s.worker));
+        self.grad_slots = if lr.is_some() { 0 } else { n };
         let mut output = RoundOutput {
             stats: vec![NO_STATS; n],
             deltas: vec![0.0f32; n],
@@ -396,19 +416,21 @@ impl Simulator {
         if self.round_grads.len() < n {
             self.round_grads.resize_with(n, Vec::new);
         }
+        let train = &self.train;
+        let run = |replica: &mut Replica, engine: &mut Engine, step: &WorkerStep, grads: &mut _| {
+            let (indices, forward_index) = (&step.indices, step.forward_index);
+            match lr {
+                Some(lr) => replica.step(engine, train, indices, forward_index, lr),
+                None => replica.compute(engine, train, indices, forward_index, grads),
+            }
+        };
 
         if SEQUENTIAL_ROUNDS.with(|c| c.get()) {
             // Reference path: the same phase on the one shared engine, workers in order.
             for (i, step) in steps.iter().enumerate() {
-                let (stats, delta) = self.workers[step.worker - first].compute(
-                    &mut self.engine,
-                    &self.train,
-                    &step.indices,
-                    step.forward_index,
-                    &mut self.round_grads[i],
-                );
-                output.stats[i] = stats;
-                output.deltas[i] = delta;
+                let replica = &mut self.workers[step.worker - first];
+                let grads = &mut self.round_grads[i];
+                (output.stats[i], output.deltas[i]) = run(replica, &mut self.engine, step, grads);
             }
         } else {
             // Fixed-chunk partition over the round's slots: task `t` owns steps
@@ -428,7 +450,6 @@ impl Simulator {
             let grads_ptr = SendPtr(self.round_grads.as_mut_ptr());
             let stats_ptr = SendPtr(output.stats.as_mut_ptr());
             let deltas_ptr = SendPtr(output.deltas.as_mut_ptr());
-            let train = &self.train;
             par::parallel_for(tasks, |t| {
                 // SAFETY: each task owns engine `t` and a disjoint slot range (so the
                 // grads/stats/deltas writes are disjoint), and the steps' replica slots
@@ -440,8 +461,7 @@ impl Simulator {
                 for (i, step) in steps.iter().enumerate().take(hi).skip(t * chunk) {
                     let wstate = unsafe { &mut *workers_ptr.get().add(step.worker - first) };
                     let grads = unsafe { &mut *grads_ptr.get().add(i) };
-                    let (stats, delta) =
-                        wstate.compute(engine, train, &step.indices, step.forward_index, grads);
+                    let (stats, delta) = run(wstate, engine, step, grads);
                     unsafe {
                         *stats_ptr.get().add(i) = stats;
                         *deltas_ptr.get().add(i) = delta;
@@ -461,7 +481,7 @@ impl Simulator {
 
     /// Per-step flat gradients of the most recent [`Self::run_round`], in step order.
     pub fn round_grads(&self) -> &[Vec<f32>] {
-        &self.round_grads[..self.last_round_workers.len()]
+        &self.round_grads[..self.grad_slots]
     }
 
     /// Move the round-gradient buffers out of the simulator (for drivers that need to
@@ -485,7 +505,7 @@ impl Simulator {
         // applying a different or shifted step list would silently train the wrong
         // workers, so require exact alignment.
         assert!(
-            steps.len() <= self.last_round_workers.len(),
+            steps.len() <= self.grad_slots,
             "apply_round_own without run_round"
         );
         for (step, &w) in steps.iter().zip(&self.last_round_workers) {
@@ -889,16 +909,15 @@ impl Simulator {
         s.finish();
     }
 
-    /// Snapshot of a named layer's weights from the given parameters (used by the
-    /// weight-distribution figure, Fig. 11). Returns the flat weights of the `idx`-th
-    /// parameterised layer.
-    pub fn layer_weights(&mut self, params: &[f32], idx: usize) -> Vec<f32> {
+    /// Snapshot of one parameter tensor from the given parameters (used by the
+    /// weight-distribution figure, Fig. 11): the `idx`-th tensor in flat-vector order
+    /// (layer order, then each layer's tensors), empty past the last.
+    pub fn layer_weights(&self, params: &[f32], idx: usize) -> Vec<f32> {
         use selsync_nn::layer::Layer;
-        self.engine.model.set_params_flat(params);
-        let tensors = self.engine.model.network().params();
-        tensors
-            .get(idx)
-            .map(|t| t.data().to_vec())
+        let lens = self.engine.model.network().param_lens();
+        let start: usize = lens.iter().take(idx).sum();
+        lens.get(idx)
+            .map(|len| params[start..start + len].to_vec())
             .unwrap_or_default()
     }
 }
@@ -1115,6 +1134,46 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_step_round_is_run_round_then_apply_round_own() {
+        // The fused phase against the two-phase pair on a twin, over several rounds, on
+        // the parallel engines at 1 and 3 threads and on the sequential reference path.
+        let cfg = small_cfg();
+        let present: Vec<usize> = (0..cfg.workers).collect();
+        for mode in 0..3 {
+            let (mut a, mut b) = (Simulator::new(&cfg), Simulator::new(&cfg));
+            let (mut steps_a, mut steps_b) = (Vec::new(), Vec::new());
+            for _ in 0..3 {
+                a.plan_round(&present, &mut steps_a);
+                b.plan_round(&present, &mut steps_b);
+                let fused = |a: &mut Simulator| a.step_round(&steps_a, 0.05);
+                let got = match mode {
+                    0 => with_sequential_rounds(|| fused(&mut a)),
+                    t => par::with_threads(2 * t - 1, || fused(&mut a)),
+                };
+                let want = b.run_round(&steps_b);
+                b.apply_round_own(&steps_b, 0.05);
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "mode {mode}");
+                assert!(a.round_grads().is_empty());
+                for (x, y) in a.workers.iter().zip(&b.workers) {
+                    assert_eq!(x.params, y.params, "mode {mode}");
+                    assert_eq!(x.optimizer.export_state(), y.optimizer.export_state());
+                    assert_eq!(x.progress, y.progress);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "apply_round_own without run_round")]
+    fn a_step_round_leaves_no_gradient_to_apply() {
+        let mut sim = Simulator::new(&small_cfg());
+        let mut steps = Vec::new();
+        sim.plan_round(&[0, 1], &mut steps);
+        sim.step_round(&steps, 0.05);
+        sim.apply_round_own(&steps, 0.05);
     }
 
     #[test]

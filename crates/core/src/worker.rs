@@ -182,13 +182,14 @@ pub(crate) fn run_group<L: ClusterLink>(
                     group.replica_mut(step.worker).rejoin(&pulled);
                 }
             }
-            let round = group.run_round(&steps);
             let gradient = rule.aggregation() == AggregationMode::Gradient;
-            if !gradient {
-                // Alg. 1 line 9: the local update comes first; parameter aggregation
-                // then averages its result.
-                group.apply_round_own(&steps, lr);
-            }
+            let round = if gradient {
+                group.run_round(&steps)
+            } else {
+                // Alg. 1 line 9: the local update comes first, in the compute phase's
+                // own sweep; parameter aggregation then averages its result.
+                group.step_round(&steps, lr)
+            };
             // PS outage: the round degrades to forced-local. The status exchange
             // probes the outage, the signal exchange and the sync (all PS-bound) are
             // skipped, and the δ policy is fed the lowest-ranked present worker's

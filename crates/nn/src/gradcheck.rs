@@ -29,7 +29,6 @@ impl GradCheckReport {
 
 /// Loss of `net` on `(inputs, targets)` without touching gradients.
 fn loss_of(net: &mut Sequential, inputs: &Tensor, targets: &[usize]) -> f32 {
-    use crate::layer::Layer;
     let logits = net.forward(inputs, true);
     softmax_cross_entropy(&logits, targets).0
 }
@@ -47,8 +46,6 @@ pub fn check_gradients(
     eps: f32,
     max_coords: usize,
 ) -> GradCheckReport {
-    use crate::layer::Layer;
-
     // Analytic gradient.
     net.zero_grads();
     let logits = net.forward(inputs, true);

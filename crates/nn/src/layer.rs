@@ -2,7 +2,8 @@
 //!
 //! Each layer caches whatever it needs from the forward pass to compute gradients in the
 //! backward pass (the usual tape-free, layer-local autodiff used before general autograd
-//! engines). Correctness of every backward pass is certified by the finite-difference
+//! engines). A layer owns no parameters: its network ([`crate::model::Sequential`])
+//! keeps them in one flat vector and passes each layer its range. Correctness of every backward pass is certified by the finite-difference
 //! checks in [`crate::gradcheck`] and the unit tests below.
 
 use selsync_tensor::{ops, rng, Tensor};
@@ -29,42 +30,41 @@ fn replace_recycling(slot: &mut Option<Tensor>, value: Tensor) {
 
 /// A differentiable network layer.
 ///
-/// Layers own their parameters and their parameter gradients. Gradients are accumulated
-/// by [`Layer::backward`] and reset with [`Layer::zero_grads`]. The distributed training
-/// algorithms never touch layers directly; they use the flattened vector interface on
-/// [`crate::model::Sequential`].
+/// A layer reads its parameters from `p`, its range of the network's flat parameter
+/// vector, and accumulates their gradients into `g`, the same range of the network's
+/// gradient vector; the network resets `g`. Both hold the layer's tensors back to back
+/// in [`Layer::param_lens`] order. The distributed training algorithms never touch
+/// layers directly; they use the flat vectors of [`crate::model::Sequential`].
 pub trait Layer: Send {
     /// Short human-readable layer name (used in gradient KDE plots, Fig. 3/11).
     fn name(&self) -> &'static str;
 
     /// Forward pass. `train` enables training-only behaviour (e.g. dropout).
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    fn forward(&mut self, p: &[f32], input: &Tensor, train: bool) -> Tensor;
 
-    /// Backward pass: given `dL/d output`, accumulate parameter gradients and return
-    /// `dL/d input`.
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor;
+    /// Backward pass: given `dL/d output`, accumulate parameter gradients into `g` and
+    /// return `dL/d input`.
+    fn backward(&mut self, p: &[f32], g: &mut [f32], grad_output: &Tensor) -> Tensor;
 
-    /// Immutable references to this layer's parameter tensors (possibly empty).
-    fn params(&self) -> Vec<&Tensor> {
-        Vec::new()
+    /// [`Layer::backward`] where nobody reads `dL/d input` (a network's first layer):
+    /// only the parameter gradients are formed.
+    fn backward_params(&mut self, p: &[f32], g: &mut [f32], grad_output: &Tensor) {
+        self.backward(p, g, grad_output).recycle();
     }
 
-    /// Mutable references to this layer's parameter tensors (same order as [`Layer::params`]).
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+    /// Lengths of this layer's parameter tensors, in `p` order (possibly empty).
+    fn param_lens(&self) -> Vec<usize> {
         Vec::new()
     }
-
-    /// Immutable references to this layer's gradient tensors (same order as [`Layer::params`]).
-    fn grads(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-
-    /// Reset all accumulated gradients to zero.
-    fn zero_grads(&mut self) {}
 
     /// Total number of scalar parameters in this layer.
     fn param_count(&self) -> usize {
-        self.params().iter().map(|p| p.len()).sum()
+        self.param_lens().iter().sum()
+    }
+
+    /// The layer's initial parameters, moved out when it joins a network.
+    fn take_init(&mut self) -> Vec<f32> {
+        Vec::new()
     }
 
     /// Position every stochastic layer's RNG for the `forward_index`-th *training*
@@ -85,35 +85,38 @@ pub trait Layer: Send {
 // Linear
 // ---------------------------------------------------------------------------
 
-/// Fully-connected layer: `Y = X W + b` with `W` of shape `(in_dim, out_dim)`.
+/// Fully-connected layer: `Y = X W + b` with `W` of shape `(in_dim, out_dim)`; `p` is
+/// `W` row-major, then `b`.
 pub struct Linear {
-    weight: Tensor,
-    bias: Tensor,
-    grad_weight: Tensor,
-    grad_bias: Tensor,
+    in_dim: usize,
+    out_dim: usize,
+    init: Vec<f32>,
     cached_input: Option<Tensor>,
 }
 
 impl Linear {
     /// Create a Linear layer with He-normal weights and zero bias.
     pub fn new(rng_: &mut rng::SelRng, in_dim: usize, out_dim: usize) -> Self {
+        let mut init = selsync_tensor::init::he_normal(rng_, in_dim, out_dim)
+            .data()
+            .to_vec();
+        init.resize((in_dim + 1) * out_dim, 0.0);
         Linear {
-            weight: selsync_tensor::init::he_normal(rng_, in_dim, out_dim),
-            bias: Tensor::zeros(1, out_dim),
-            grad_weight: Tensor::zeros(in_dim, out_dim),
-            grad_bias: Tensor::zeros(1, out_dim),
+            in_dim,
+            out_dim,
+            init,
             cached_input: None,
         }
     }
 
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
-        self.weight.rows()
+        self.in_dim
     }
 
     /// Output dimensionality.
     pub fn out_dim(&self) -> usize {
-        self.weight.cols()
+        self.out_dim
     }
 }
 
@@ -122,13 +125,14 @@ impl Layer for Linear {
         "linear"
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, p: &[f32], input: &Tensor, train: bool) -> Tensor {
         // Zero-alloc hot path: X*W into a scratch tensor, bias added in place.
-        let mut out = Tensor::scratch_zeros(input.rows(), self.out_dim());
-        ops::matmul_acc(input, &self.weight, &mut out).expect("linear forward shape");
-        let bias = self.bias.row(0);
+        let (weight, bias) = p.split_at(self.in_dim * self.out_dim);
+        let mut out = Tensor::scratch_zeros(input.rows(), self.out_dim);
+        let shape = (input.rows(), self.in_dim, self.out_dim);
+        ops::matmul_slices_acc(input.data(), weight, out.data_mut(), shape);
         for r in 0..out.rows() {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(bias.iter()) {
+            for (o, &b) in out.row_mut(r).iter_mut().zip(bias) {
                 *o += b;
             }
         }
@@ -138,33 +142,38 @@ impl Layer for Linear {
         out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward(&mut self, p: &[f32], g: &mut [f32], grad_output: &Tensor) -> Tensor {
+        self.backward_params(p, g, grad_output);
+        // dX = dY W^T
+        let mut dx = Tensor::scratch_zeros(grad_output.rows(), self.in_dim);
+        let weight = &p[..self.in_dim * self.out_dim];
+        let shape = (grad_output.rows(), self.out_dim, self.in_dim);
+        ops::matmul_bt_slices_acc(grad_output.data(), weight, dx.data_mut(), shape);
+        dx
+    }
+
+    fn backward_params(&mut self, _: &[f32], g: &mut [f32], grad_output: &Tensor) {
         let input = self
             .cached_input
             .as_ref()
             .expect("backward called before forward");
-        // dW += X^T dY ; db += column sums of dY ; dX = dY W^T — the first two
-        // accumulate straight into the gradient tensors, no temporaries.
-        ops::matmul_at_acc(input, grad_output, &mut self.grad_weight).expect("linear dW");
-        ops::sum_rows_acc(grad_output, &mut self.grad_bias).expect("accumulate db");
-        ops::matmul_bt(grad_output, &self.weight).expect("linear dX")
+        // dW += X^T dY ; db += column sums of dY — straight into the gradient vector.
+        let (grad_weight, grad_bias) = g.split_at_mut(self.in_dim * self.out_dim);
+        let shape = (self.in_dim, input.rows(), self.out_dim);
+        ops::matmul_at_slices_acc(input.data(), grad_output.data(), grad_weight, shape);
+        for row in grad_output.rows_iter() {
+            for (o, &x) in grad_bias.iter_mut().zip(row) {
+                *o += x;
+            }
+        }
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.weight, &self.bias]
+    fn param_lens(&self) -> Vec<usize> {
+        vec![self.in_dim * self.out_dim, self.out_dim]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_weight, &self.grad_bias]
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_weight.fill(0.0);
-        self.grad_bias.fill(0.0);
+    fn take_init(&mut self) -> Vec<f32> {
+        std::mem::take(&mut self.init)
     }
 }
 
@@ -190,7 +199,7 @@ impl Layer for Relu {
         "relu"
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, _: &[f32], input: &Tensor, train: bool) -> Tensor {
         let mut out = Tensor::scratch_copy(input);
         out.map_inplace(|x| x.max(0.0));
         if train {
@@ -199,7 +208,7 @@ impl Layer for Relu {
         out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward(&mut self, _: &[f32], _: &mut [f32], grad_output: &Tensor) -> Tensor {
         let mask = self.mask.as_ref().expect("backward called before forward");
         let mut out = Tensor::scratch_copy(grad_output);
         out.zip_mut_with(mask, |g, m| g * m)
@@ -228,7 +237,7 @@ impl Layer for Tanh {
         "tanh"
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, _: &[f32], input: &Tensor, train: bool) -> Tensor {
         let mut out = Tensor::scratch_copy(input);
         out.map_inplace(|x| x.tanh());
         if train {
@@ -237,7 +246,7 @@ impl Layer for Tanh {
         out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward(&mut self, _: &[f32], _: &mut [f32], grad_output: &Tensor) -> Tensor {
         let out = self
             .cached_output
             .as_ref()
@@ -291,7 +300,7 @@ impl Layer for Dropout {
         "dropout"
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, _: &[f32], input: &Tensor, train: bool) -> Tensor {
         if !train || self.p == 0.0 {
             self.mask = None;
             return input.clone();
@@ -333,7 +342,7 @@ impl Layer for Dropout {
         out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward(&mut self, _: &[f32], _: &mut [f32], grad_output: &Tensor) -> Tensor {
         match &self.mask {
             Some(mask) => {
                 let mut out = Tensor::scratch_copy(grad_output);
@@ -355,12 +364,9 @@ impl Layer for Dropout {
 // ---------------------------------------------------------------------------
 
 /// Layer normalisation over the feature dimension of each row, with learnable scale
-/// (`gamma`) and shift (`beta`).
+/// (`gamma`) and shift (`beta`); `p` is `gamma`, then `beta`.
 pub struct LayerNorm {
-    gamma: Tensor,
-    beta: Tensor,
-    grad_gamma: Tensor,
-    grad_beta: Tensor,
+    dim: usize,
     eps: f32,
     cached_normed: Option<Tensor>,
     cached_inv_std: Option<Vec<f32>>,
@@ -370,10 +376,7 @@ impl LayerNorm {
     /// Create a LayerNorm over `dim` features.
     pub fn new(dim: usize) -> Self {
         LayerNorm {
-            gamma: Tensor::ones(1, dim),
-            beta: Tensor::zeros(1, dim),
-            grad_gamma: Tensor::zeros(1, dim),
-            grad_beta: Tensor::zeros(1, dim),
+            dim,
             eps: 1e-5,
             cached_normed: None,
             cached_inv_std: None,
@@ -386,7 +389,8 @@ impl Layer for LayerNorm {
         "layernorm"
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, p: &[f32], input: &Tensor, train: bool) -> Tensor {
+        let (gamma, beta) = p.split_at(self.dim);
         let (rows, cols) = input.shape();
         let mut normed = Tensor::scratch_zeros(rows, cols);
         // Only a training forward may consume the cached workspace: an eval-mode
@@ -418,11 +422,7 @@ impl Layer for LayerNorm {
         let mut out = Tensor::scratch_zeros(rows, cols);
         for r in 0..rows {
             for c in 0..cols {
-                out.set(
-                    r,
-                    c,
-                    normed.get(r, c) * self.gamma.get(0, c) + self.beta.get(0, c),
-                );
+                out.set(r, c, normed.get(r, c) * gamma[c] + beta[c]);
             }
         }
         if train {
@@ -435,7 +435,9 @@ impl Layer for LayerNorm {
         out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward(&mut self, p: &[f32], g: &mut [f32], grad_output: &Tensor) -> Tensor {
+        let gamma = &p[..self.dim];
+        let (grad_gamma, grad_beta) = g.split_at_mut(self.dim);
         let normed = self
             .cached_normed
             .as_ref()
@@ -455,8 +457,8 @@ impl Layer for LayerNorm {
                 gg += grad_output.get(r, c) * normed.get(r, c);
                 gb += grad_output.get(r, c);
             }
-            self.grad_gamma.set(0, c, self.grad_gamma.get(0, c) + gg);
-            self.grad_beta.set(0, c, self.grad_beta.get(0, c) + gb);
+            grad_gamma[c] += gg;
+            grad_beta[c] += gb;
         }
 
         // Standard layer-norm backward: for each row,
@@ -465,13 +467,13 @@ impl Layer for LayerNorm {
         for (r, &inv_std) in inv_stds.iter().enumerate().take(rows) {
             let mut sum_dxhat = 0.0f32;
             let mut sum_dxhat_xhat = 0.0f32;
-            for c in 0..cols {
-                let dxhat = grad_output.get(r, c) * self.gamma.get(0, c);
+            for (c, &gm) in gamma.iter().enumerate() {
+                let dxhat = grad_output.get(r, c) * gm;
                 sum_dxhat += dxhat;
                 sum_dxhat_xhat += dxhat * normed.get(r, c);
             }
-            for c in 0..cols {
-                let dxhat = grad_output.get(r, c) * self.gamma.get(0, c);
+            for (c, &gm) in gamma.iter().enumerate() {
+                let dxhat = grad_output.get(r, c) * gm;
                 let dx =
                     (inv_std / n) * (n * dxhat - sum_dxhat - normed.get(r, c) * sum_dxhat_xhat);
                 grad_input.set(r, c, dx);
@@ -480,21 +482,14 @@ impl Layer for LayerNorm {
         grad_input
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.gamma, &self.beta]
+    fn param_lens(&self) -> Vec<usize> {
+        vec![self.dim, self.dim]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.gamma, &mut self.beta]
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_gamma, &self.grad_beta]
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_gamma.fill(0.0);
-        self.grad_beta.fill(0.0);
+    fn take_init(&mut self) -> Vec<f32> {
+        (0..2 * self.dim)
+            .map(|i| if i < self.dim { 1.0 } else { 0.0 })
+            .collect()
     }
 }
 
@@ -506,28 +501,29 @@ impl Layer for LayerNorm {
 ///
 /// Input is a `(batch, tokens)` tensor whose entries are token ids stored as `f32`;
 /// output is `(batch, tokens * dim)` with per-token embeddings concatenated along the
-/// feature axis. The gradient is scatter-added into the embedding table.
+/// feature axis. The gradient is scatter-added into the embedding table, `p` row-major.
 pub struct Embedding {
-    table: Tensor,
-    grad_table: Tensor,
+    vocab: usize,
     dim: usize,
+    init: Vec<f32>,
     cached_ids: Option<Vec<Vec<usize>>>,
 }
 
 impl Embedding {
     /// Create an embedding table of shape `(vocab, dim)` with small normal init.
     pub fn new(rng_: &mut rng::SelRng, vocab: usize, dim: usize) -> Self {
+        let table = selsync_tensor::init::normal(rng_, vocab, dim, 0.0, 0.1);
         Embedding {
-            table: selsync_tensor::init::normal(rng_, vocab, dim, 0.0, 0.1),
-            grad_table: Tensor::zeros(vocab, dim),
+            vocab,
             dim,
+            init: table.data().to_vec(),
             cached_ids: None,
         }
     }
 
     /// Vocabulary size.
     pub fn vocab(&self) -> usize {
-        self.table.rows()
+        self.vocab
     }
 
     /// Embedding dimensionality.
@@ -541,9 +537,9 @@ impl Layer for Embedding {
         "embedding"
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, p: &[f32], input: &Tensor, train: bool) -> Tensor {
         let (batch, tokens) = input.shape();
-        let vocab = self.table.rows();
+        let vocab = self.vocab;
         let mut out = Tensor::scratch_zeros(batch, tokens * self.dim);
         // Reuse the cached id rows (inner vectors keep their capacity) — but only in
         // training mode: an eval forward must leave a previous training forward's
@@ -559,7 +555,7 @@ impl Layer for Embedding {
             for t in 0..tokens {
                 let id = (input.get(b, t).round().max(0.0) as usize).min(vocab - 1);
                 row_ids.push(id);
-                let emb = self.table.row(id);
+                let emb = &p[id * self.dim..(id + 1) * self.dim];
                 out.row_mut(b)[t * self.dim..(t + 1) * self.dim].copy_from_slice(emb);
             }
         }
@@ -569,40 +565,35 @@ impl Layer for Embedding {
         out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward(&mut self, p: &[f32], g: &mut [f32], grad_output: &Tensor) -> Tensor {
+        self.backward_params(p, g, grad_output);
+        let ids = self.cached_ids.as_deref().unwrap_or_default();
+        // Token ids are not differentiable; return a zero gradient of the input shape.
+        Tensor::scratch_zeros(ids.len(), ids.first().map_or(0, Vec::len))
+    }
+
+    fn backward_params(&mut self, _: &[f32], g: &mut [f32], grad_output: &Tensor) {
         let ids = self
             .cached_ids
             .as_ref()
             .expect("backward called before forward");
-        let batch = ids.len();
-        let tokens = if batch > 0 { ids[0].len() } else { 0 };
         for (b, row_ids) in ids.iter().enumerate() {
             for (t, &id) in row_ids.iter().enumerate() {
                 let slice = &grad_output.row(b)[t * self.dim..(t + 1) * self.dim];
-                let dst = self.grad_table.row_mut(id);
+                let dst = &mut g[id * self.dim..(id + 1) * self.dim];
                 for (d, &g) in dst.iter_mut().zip(slice.iter()) {
                     *d += g;
                 }
             }
         }
-        // Token ids are not differentiable; return a zero gradient of the input shape.
-        Tensor::scratch_zeros(batch, tokens)
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.table]
+    fn param_lens(&self) -> Vec<usize> {
+        vec![self.vocab * self.dim]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.table]
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_table]
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_table.fill(0.0);
+    fn take_init(&mut self) -> Vec<f32> {
+        std::mem::take(&mut self.init)
     }
 }
 
@@ -619,16 +610,14 @@ impl Layer for Embedding {
 /// attention mechanism of the paper's Transformer encoder reduced to a pooling head —
 /// small enough for hand-written gradients, but it preserves the softmax-attention
 /// training dynamics (sharp early perplexity drop, §IV of the paper).
+///
+/// `p` is `q`, then a learnable per-position score bias (1 x tokens). Content scores
+/// alone cannot distinguish *where* a token sits in the context, which makes next-token
+/// prediction on Markov data impossible beyond the unigram floor; the bias is
+/// initialised as a recency ramp (ALiBi-style) so the pool starts out focused on the
+/// most recent tokens and can sharpen or flatten that focus during training.
 pub struct AttentionPool {
-    query: Tensor,
-    grad_query: Tensor,
-    /// Learnable per-position score bias (1 x tokens). Content scores alone cannot
-    /// distinguish *where* a token sits in the context, which makes next-token
-    /// prediction on Markov data impossible beyond the unigram floor; the bias is
-    /// initialised as a recency ramp (ALiBi-style) so the pool starts out focused on
-    /// the most recent tokens and can sharpen or flatten that focus during training.
-    pos_bias: Tensor,
-    grad_pos_bias: Tensor,
+    init: Vec<f32>,
     dim: usize,
     tokens: usize,
     cached_input: Option<Tensor>,
@@ -638,12 +627,10 @@ pub struct AttentionPool {
 impl AttentionPool {
     /// Create an attention-pooling head over `tokens` vectors of size `dim`.
     pub fn new(rng_: &mut rng::SelRng, tokens: usize, dim: usize) -> Self {
-        let pos_bias = Tensor::from_fn(1, tokens, |_, t| (t as f32 - (tokens - 1) as f32) * 2.0);
+        let query = selsync_tensor::init::normal(rng_, 1, dim, 0.0, 0.2);
+        let pos_bias = (0..tokens).map(|t| (t as f32 - (tokens - 1) as f32) * 2.0);
         AttentionPool {
-            query: selsync_tensor::init::normal(rng_, 1, dim, 0.0, 0.2),
-            grad_query: Tensor::zeros(1, dim),
-            pos_bias,
-            grad_pos_bias: Tensor::zeros(1, tokens),
+            init: query.data().iter().copied().chain(pos_bias).collect(),
             dim,
             tokens,
             cached_input: None,
@@ -657,14 +644,14 @@ impl Layer for AttentionPool {
         "attention_pool"
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, p: &[f32], input: &Tensor, train: bool) -> Tensor {
         let batch = input.rows();
         assert_eq!(
             input.cols(),
             self.tokens * self.dim,
             "attention pool input width"
         );
-        let q = self.query.row(0);
+        let (q, pos_bias) = p.split_at(self.dim);
         let mut alpha = Tensor::scratch_zeros(batch, self.tokens);
         let mut out = Tensor::scratch_zeros(batch, self.dim);
         // One scratch score buffer reused across the whole batch.
@@ -676,7 +663,7 @@ impl Layer for AttentionPool {
             for t in 0..self.tokens {
                 let e = &row[t * self.dim..(t + 1) * self.dim];
                 let content: f32 = e.iter().zip(q.iter()).map(|(x, y)| x * y).sum();
-                scores[t] = content + self.pos_bias.get(0, t);
+                scores[t] = content + pos_bias[t];
             }
             // softmax
             let max = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
@@ -707,7 +694,7 @@ impl Layer for AttentionPool {
         out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward(&mut self, p: &[f32], g: &mut [f32], grad_output: &Tensor) -> Tensor {
         let input = self
             .cached_input
             .as_ref()
@@ -717,7 +704,8 @@ impl Layer for AttentionPool {
             .as_ref()
             .expect("backward called before forward");
         let batch = input.rows();
-        let q = self.query.row(0).to_vec();
+        let q = &p[..self.dim];
+        let (grad_query, grad_pos_bias) = g.split_at_mut(self.dim);
         let mut grad_input = Tensor::scratch_zeros(batch, self.tokens * self.dim);
         // Scratch buffers reused across the batch.
         let mut dalpha = selsync_tensor::scratch::take_zeroed(self.tokens);
@@ -739,12 +727,10 @@ impl Layer for AttentionPool {
             // dq += Σ_t ds_t e_t ; db_t += ds_t ; de_t = α_t dout + ds_t q
             for t in 0..self.tokens {
                 let e = &row[t * self.dim..(t + 1) * self.dim];
-                for (d, &ed) in e.iter().enumerate() {
-                    self.grad_query
-                        .set(0, d, self.grad_query.get(0, d) + ds[t] * ed);
+                for (gq, &ed) in grad_query.iter_mut().zip(e) {
+                    *gq += ds[t] * ed;
                 }
-                self.grad_pos_bias
-                    .set(0, t, self.grad_pos_bias.get(0, t) + ds[t]);
+                grad_pos_bias[t] += ds[t];
                 let gi = &mut grad_input.row_mut(b)[t * self.dim..(t + 1) * self.dim];
                 for (d, g) in gi.iter_mut().enumerate() {
                     *g = alpha.get(b, t) * dout[d] + ds[t] * q[d];
@@ -756,21 +742,12 @@ impl Layer for AttentionPool {
         grad_input
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.query, &self.pos_bias]
+    fn param_lens(&self) -> Vec<usize> {
+        vec![self.dim, self.tokens]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.query, &mut self.pos_bias]
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_query, &self.grad_pos_bias]
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_query.fill(0.0);
-        self.grad_pos_bias.fill(0.0);
+    fn take_init(&mut self) -> Vec<f32> {
+        std::mem::take(&mut self.init)
     }
 }
 
@@ -779,15 +756,23 @@ mod tests {
     use super::*;
     use selsync_tensor::rng::seeded;
 
+    /// A layer's parameters and a zeroed gradient, as its network would hold them.
+    fn slots(layer: &mut dyn Layer) -> (Vec<f32>, Vec<f32>) {
+        let p = layer.take_init();
+        let g = vec![0.0; p.len()];
+        (p, g)
+    }
+
     #[test]
     fn linear_forward_shapes_and_bias() {
         let mut rng = seeded(1);
         let mut l = Linear::new(&mut rng, 4, 3);
-        // Force known weights.
-        l.params_mut()[0].map_inplace(|_| 0.0);
-        l.params_mut()[1].map_inplace(|_| 1.5);
+        // Force known weights: W = 0, b = 1.5.
+        let (mut p, _) = slots(&mut l);
+        p[..12].fill(0.0);
+        p[12..].fill(1.5);
         let x = Tensor::ones(2, 4);
-        let y = l.forward(&x, false);
+        let y = l.forward(&p, &x, false);
         assert_eq!(y.shape(), (2, 3));
         assert!(y.data().iter().all(|&v| (v - 1.5).abs() < 1e-6));
     }
@@ -796,29 +781,30 @@ mod tests {
     fn linear_backward_accumulates() {
         let mut rng = seeded(2);
         let mut l = Linear::new(&mut rng, 3, 2);
+        let (p, mut g) = slots(&mut l);
         let x = Tensor::ones(4, 3);
-        let _ = l.forward(&x, true);
+        let _ = l.forward(&p, &x, true);
         let dy = Tensor::ones(4, 2);
-        let _ = l.backward(&dy);
+        let dx = l.backward(&p, &mut g, &dy);
         // dW = X^T dY = all 4s, db = 4
-        assert!(l.grads()[0].data().iter().all(|&v| (v - 4.0).abs() < 1e-6));
-        assert!(l.grads()[1].data().iter().all(|&v| (v - 4.0).abs() < 1e-6));
-        // Second backward accumulates.
-        let _ = l.forward(&x, true);
-        let _ = l.backward(&dy);
-        assert!(l.grads()[0].data().iter().all(|&v| (v - 8.0).abs() < 1e-6));
-        l.zero_grads();
-        assert!(l.grads()[0].data().iter().all(|&v| v == 0.0));
+        assert!(g.iter().all(|&v| (v - 4.0).abs() < 1e-6));
+        // Second backward accumulates, and without dX the same.
+        let _ = l.forward(&p, &x, true);
+        l.backward_params(&p, &mut g, &dy);
+        assert!(g.iter().all(|&v| (v - 8.0).abs() < 1e-6));
+        // dX = dY W^T: row sums of W.
+        let w_row_sums: Vec<f32> = p[..6].chunks(2).map(|r| r[0] + r[1]).collect();
+        assert_eq!(dx.row(0), &w_row_sums[..]);
     }
 
     #[test]
     fn relu_masks_negatives() {
         let mut r = Relu::new();
         let x = Tensor::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -3.0]).unwrap();
-        let y = r.forward(&x, true);
+        let y = r.forward(&[], &x, true);
         assert_eq!(y.data(), &[0.0, 0.0, 2.0, 0.0]);
         let dy = Tensor::ones(1, 4);
-        let dx = r.backward(&dy);
+        let dx = r.backward(&[], &mut [], &dy);
         assert_eq!(dx.data(), &[0.0, 0.0, 1.0, 0.0]);
     }
 
@@ -826,9 +812,9 @@ mod tests {
     fn tanh_derivative_matches_identity() {
         let mut t = Tanh::new();
         let x = Tensor::from_vec(1, 2, vec![0.0, 0.5]).unwrap();
-        let y = t.forward(&x, true);
+        let y = t.forward(&[], &x, true);
         assert!((y.get(0, 0)).abs() < 1e-6);
-        let dx = t.backward(&Tensor::ones(1, 2));
+        let dx = t.backward(&[], &mut [], &Tensor::ones(1, 2));
         assert!((dx.get(0, 0) - 1.0).abs() < 1e-6); // tanh'(0) = 1
         assert!(dx.get(0, 1) < 1.0);
     }
@@ -837,9 +823,9 @@ mod tests {
     fn dropout_eval_is_identity_and_train_scales() {
         let mut d = Dropout::new(0.5, 99);
         let x = Tensor::ones(8, 16);
-        let y_eval = d.forward(&x, false);
+        let y_eval = d.forward(&[], &x, false);
         assert_eq!(y_eval, x);
-        let y_train = d.forward(&x, true);
+        let y_train = d.forward(&[], &x, true);
         // Every surviving activation is scaled by 2.
         assert!(y_train
             .data()
@@ -854,7 +840,7 @@ mod tests {
         // One stateful layer running 6 training forwards in sequence is the baseline.
         let x = Tensor::ones(4, 16);
         let mut shared = Dropout::new(0.4, 123);
-        let baseline: Vec<Tensor> = (0..6).map(|_| shared.forward(&x, true)).collect();
+        let baseline: Vec<Tensor> = (0..6).map(|_| shared.forward(&[], &x, true)).collect();
         // Two independent replicas split the same forwards (even/odd), each seeking to
         // the global forward index first — every mask must match the shared stream.
         let mut even = Dropout::new(0.4, 123);
@@ -862,20 +848,21 @@ mod tests {
         for (j, expect) in baseline.iter().enumerate() {
             let replica = if j % 2 == 0 { &mut even } else { &mut odd };
             replica.seek_dropout(j as u64);
-            assert_eq!(&replica.forward(&x, true), expect, "forward {j}");
+            assert_eq!(&replica.forward(&[], &x, true), expect, "forward {j}");
         }
         // An eval forward between seeks neither draws nor consumes the pending seek.
         let mut r = Dropout::new(0.4, 123);
         r.seek_dropout(3);
-        assert_eq!(r.forward(&x, false), x);
-        assert_eq!(r.forward(&x, true), baseline[3]);
+        assert_eq!(r.forward(&[], &x, false), x);
+        assert_eq!(r.forward(&[], &x, true), baseline[3]);
     }
 
     #[test]
     fn layernorm_rows_are_normalised() {
         let mut ln = LayerNorm::new(6);
+        let (p, _) = slots(&mut ln);
         let x = Tensor::from_fn(3, 6, |r, c| (r * 6 + c) as f32);
-        let y = ln.forward(&x, true);
+        let y = ln.forward(&p, &x, true);
         for r in 0..3 {
             let mean: f32 = y.row(r).iter().sum::<f32>() / 6.0;
             let var: f32 = y.row(r).iter().map(|v| (v - mean).powi(2)).sum::<f32>() / 6.0;
@@ -888,30 +875,32 @@ mod tests {
     fn embedding_lookup_and_scatter_grad() {
         let mut rng = seeded(3);
         let mut e = Embedding::new(&mut rng, 10, 4);
+        let (p, mut g) = slots(&mut e);
         let ids = Tensor::from_vec(2, 3, vec![0.0, 1.0, 2.0, 2.0, 2.0, 9.0]).unwrap();
-        let out = e.forward(&ids, true);
+        let out = e.forward(&p, &ids, true);
         assert_eq!(out.shape(), (2, 12));
         // Row 0 token 1 equals table row 1.
-        assert_eq!(&out.row(0)[4..8], e.params()[0].row(1));
+        assert_eq!(&out.row(0)[4..8], &p[4..8]);
         let dy = Tensor::ones(2, 12);
-        let dx = e.backward(&dy);
+        let dx = e.backward(&p, &mut g, &dy);
         assert_eq!(dx.shape(), (2, 3));
         // Token 2 appears three times, so its grad row sums to 3 per dim.
-        assert!(e.grads()[0].row(2).iter().all(|&v| (v - 3.0).abs() < 1e-6));
-        assert!(e.grads()[0].row(5).iter().all(|&v| v == 0.0));
+        assert!(g[8..12].iter().all(|&v| (v - 3.0).abs() < 1e-6));
+        assert!(g[20..24].iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn attention_pool_outputs_convex_combination() {
         let mut rng = seeded(4);
         let mut a = AttentionPool::new(&mut rng, 3, 2);
+        let (p, mut g) = slots(&mut a);
         // Tokens: (1,0), (0,1), (1,1)
         let x = Tensor::from_vec(1, 6, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]).unwrap();
-        let y = a.forward(&x, true);
+        let y = a.forward(&p, &x, true);
         assert_eq!(y.shape(), (1, 2));
         // Output coordinates lie within the convex hull of token coordinates: [0, 1].
         assert!(y.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
-        let dx = a.backward(&Tensor::ones(1, 2));
+        let dx = a.backward(&p, &mut g, &Tensor::ones(1, 2));
         assert_eq!(dx.shape(), (1, 6));
         assert!(dx.data().iter().all(|v| v.is_finite()));
     }
@@ -922,33 +911,37 @@ mod tests {
         // the *training* forward's caches; the eval pass must leave them intact.
         let mut rng = seeded(8);
         let mut ln = LayerNorm::new(4);
+        let (p, mut g) = slots(&mut ln);
         let train_x = Tensor::from_fn(2, 4, |r, c| (r * 4 + c) as f32);
         let eval_x = Tensor::from_fn(3, 4, |r, c| -((r + c) as f32));
-        let _ = ln.forward(&train_x, true);
-        let _ = ln.forward(&eval_x, false);
-        let dx = ln.backward(&Tensor::ones(2, 4));
+        let _ = ln.forward(&p, &train_x, true);
+        let _ = ln.forward(&p, &eval_x, false);
+        let dx = ln.backward(&p, &mut g, &Tensor::ones(2, 4));
         assert_eq!(dx.shape(), (2, 4));
         assert!(dx.data().iter().all(|v| v.is_finite()));
 
         let mut e = Embedding::new(&mut rng, 10, 4);
+        let (p, mut g) = slots(&mut e);
         let train_ids = Tensor::from_vec(1, 2, vec![1.0, 2.0]).unwrap();
         let eval_ids = Tensor::from_vec(2, 2, vec![3.0, 4.0, 5.0, 6.0]).unwrap();
-        let _ = e.forward(&train_ids, true);
-        let _ = e.forward(&eval_ids, false);
-        let dx = e.backward(&Tensor::ones(1, 8));
+        let _ = e.forward(&p, &train_ids, true);
+        let _ = e.forward(&p, &eval_ids, false);
+        let dx = e.backward(&p, &mut g, &Tensor::ones(1, 8));
         assert_eq!(dx.shape(), (1, 2));
         // The gradient landed on the *training* batch's ids.
-        assert!(e.grads()[0].row(1).iter().any(|&v| v != 0.0));
-        assert!(e.grads()[0].row(3).iter().all(|&v| v == 0.0));
+        assert!(g[4..8].iter().any(|&v| v != 0.0));
+        assert!(g[12..16].iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn param_counts() {
         let mut rng = seeded(5);
-        let l = Linear::new(&mut rng, 10, 20);
+        let mut l = Linear::new(&mut rng, 10, 20);
         assert_eq!(l.param_count(), 10 * 20 + 20);
-        let e = Embedding::new(&mut rng, 50, 8);
+        assert_eq!(l.take_init().len(), l.param_count());
+        let mut e = Embedding::new(&mut rng, 50, 8);
         assert_eq!(e.param_count(), 400);
+        assert_eq!(e.take_init().len(), 400);
         assert_eq!(Relu::new().param_count(), 0);
     }
 }

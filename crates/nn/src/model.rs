@@ -24,25 +24,39 @@ use crate::layer::{AttentionPool, Dropout, Embedding, Layer, LayerNorm, Linear, 
 use crate::loss;
 use selsync_tensor::{rng, Tensor};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 // ---------------------------------------------------------------------------
 // Sequential
 // ---------------------------------------------------------------------------
 
-/// An ordered stack of layers.
+/// An ordered stack of layers over one flat parameter vector and one gradient vector of
+/// the same length, layer order, then tensor order: each layer reads and accumulates
+/// into its own range of them. A network nested in another (a [`Residual`]'s) hands its
+/// initial parameters to the outer network when it joins it, and from then on runs on
+/// the range the outer network passes it.
 #[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    ranges: Vec<Range<usize>>,
+    params: Vec<f32>,
+    grads: Vec<f32>,
 }
 
 impl Sequential {
     /// Create an empty network.
     pub fn new() -> Self {
-        Sequential { layers: Vec::new() }
+        Self::default()
     }
 
-    /// Append a layer.
-    pub fn push(&mut self, layer: Box<dyn Layer>) {
+    /// Append a layer, moving its initial parameters to the end of the flat vector.
+    pub fn push(&mut self, mut layer: Box<dyn Layer>) {
+        let init = layer.take_init();
+        assert_eq!(init.len(), layer.param_count(), "initial parameter count");
+        let start = self.param_count();
+        self.ranges.push(start..start + init.len());
+        self.params.extend(init);
+        self.grads.resize(self.params.len(), 0.0);
         self.layers.push(layer);
     }
 
@@ -52,89 +66,106 @@ impl Sequential {
         self
     }
 
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Whether the network has no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
-    /// Access the layer stack (read-only), e.g. to inspect a specific layer's weights for
-    /// the weight-distribution figure (Fig. 11).
-    pub fn layers(&self) -> &[Box<dyn Layer>] {
-        &self.layers
-    }
-
     /// Total scalar parameter count.
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_count()).sum()
+        self.ranges.last().map_or(0, |r| r.end)
     }
 
-    /// Flatten all parameters into a single vector (layer order, then tensor order).
+    /// A copy of the flat parameter vector.
     pub fn params_flat(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        self.params_flat_into(&mut out);
-        out
+        self.params.clone()
     }
 
-    /// Flatten all parameters into a caller-owned buffer (cleared first), so repeated
-    /// snapshots reuse one allocation.
-    pub fn params_flat_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        out.reserve(self.param_count());
-        for layer in &self.layers {
-            for p in layer.params() {
-                out.extend_from_slice(p.data());
-            }
-        }
-    }
-
-    /// Flatten all gradients into a single vector (same ordering as [`Self::params_flat`]).
+    /// A copy of the flat gradient vector (same ordering as [`Self::params_flat`]).
     pub fn grads_flat(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        self.grads_flat_into(&mut out);
-        out
-    }
-
-    /// Flatten all gradients into a caller-owned buffer (cleared first).
-    pub fn grads_flat_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        out.reserve(self.param_count());
-        for layer in &self.layers {
-            for g in layer.grads() {
-                out.extend_from_slice(g.data());
-            }
-        }
+        self.grads.clone()
     }
 
     /// Overwrite all parameters from a flat vector produced by [`Self::params_flat`].
     ///
     /// Panics if the length does not match the model's parameter count.
     pub fn set_params_flat(&mut self, flat: &[f32]) {
-        assert_eq!(
-            flat.len(),
-            self.param_count(),
-            "flat parameter length mismatch"
-        );
-        let mut offset = 0;
-        for layer in &mut self.layers {
-            for p in layer.params_mut() {
-                let n = p.len();
-                p.data_mut().copy_from_slice(&flat[offset..offset + n]);
-                offset += n;
-            }
-        }
+        assert_eq!(flat.len(), self.params.len(), "parameter count mismatch");
+        self.params.copy_from_slice(flat);
     }
 
-    /// Zero every layer's accumulated gradients.
+    /// Exchange the flat parameter vector with `params`, no copy: the network runs on
+    /// the caller's vector until the next swap hands it back. Panics if the length does
+    /// not match the model's parameter count.
+    pub fn swap_params(&mut self, params: &mut Vec<f32>) {
+        assert_eq!(params.len(), self.params.len(), "parameter count mismatch");
+        std::mem::swap(&mut self.params, params);
+    }
+
+    /// Zero the accumulated gradients.
     pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
+        self.grads.fill(0.0);
+    }
+
+    /// Forward pass on the network's own parameters.
+    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        forward_through(&mut self.layers, &self.ranges, &self.params, input, train)
+    }
+
+    /// Backward pass into the network's own gradients, returning `dL/d input`.
+    pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        let (p, g) = (&self.params, &mut self.grads);
+        backward_through(&mut self.layers, &self.ranges, p, g, grad_output, true)
+            .expect("the input gradient was asked for")
+    }
+
+    /// [`Self::backward`] without `dL/d input`, which nobody reads.
+    pub fn backward_params(&mut self, grad_output: &Tensor) {
+        let (p, g) = (&self.params, &mut self.grads);
+        backward_through(&mut self.layers, &self.ranges, p, g, grad_output, false);
+    }
+}
+
+/// Ping-pong `input` through `layers`, each on its range of `p`, recycling every
+/// intermediate activation into the scratch arena — steady-state forward allocates
+/// nothing.
+fn forward_through(
+    layers: &mut [Box<dyn Layer>],
+    ranges: &[Range<usize>],
+    p: &[f32],
+    input: &Tensor,
+    train: bool,
+) -> Tensor {
+    let mut x: Option<Tensor> = None;
+    for (layer, r) in layers.iter_mut().zip(ranges) {
+        let next = layer.forward(&p[r.clone()], x.as_ref().unwrap_or(input), train);
+        if let Some(prev) = x.replace(next) {
+            prev.recycle();
         }
     }
+    x.unwrap_or_else(|| input.clone())
+}
+
+/// Backpropagate through `layers` in reverse, each accumulating into its range of `g`;
+/// the first layer forms `dL/d input` only when `input_grad` asks for it.
+fn backward_through(
+    layers: &mut [Box<dyn Layer>],
+    ranges: &[Range<usize>],
+    p: &[f32],
+    g: &mut [f32],
+    grad_output: &Tensor,
+    input_grad: bool,
+) -> Option<Tensor> {
+    let mut dy: Option<Tensor> = None;
+    for (i, (layer, r)) in layers.iter_mut().zip(ranges).enumerate().rev() {
+        let (p, g) = (&p[r.clone()], &mut g[r.clone()]);
+        let d = dy.as_ref().unwrap_or(grad_output);
+        let next = if i > 0 || input_grad {
+            Some(layer.backward(p, g, d))
+        } else {
+            layer.backward_params(p, g, d);
+            None
+        };
+        if let Some(prev) = std::mem::replace(&mut dy, next) {
+            prev.recycle();
+        }
+    }
+    dy.or_else(|| input_grad.then(|| grad_output.clone()))
 }
 
 impl Layer for Sequential {
@@ -142,47 +173,26 @@ impl Layer for Sequential {
         "sequential"
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        // Ping-pong through the layers, recycling every intermediate activation into
-        // the scratch arena — steady-state forward allocates nothing.
-        let mut x: Option<Tensor> = None;
-        for layer in &mut self.layers {
-            let next = layer.forward(x.as_ref().unwrap_or(input), train);
-            if let Some(prev) = x.replace(next) {
-                prev.recycle();
-            }
-        }
-        x.unwrap_or_else(|| input.clone())
+    fn forward(&mut self, p: &[f32], input: &Tensor, train: bool) -> Tensor {
+        forward_through(&mut self.layers, &self.ranges, p, input, train)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut g: Option<Tensor> = None;
-        for layer in self.layers.iter_mut().rev() {
-            let next = layer.backward(g.as_ref().unwrap_or(grad_output));
-            if let Some(prev) = g.replace(next) {
-                prev.recycle();
-            }
-        }
-        g.unwrap_or_else(|| grad_output.clone())
+    fn backward(&mut self, p: &[f32], g: &mut [f32], grad_output: &Tensor) -> Tensor {
+        backward_through(&mut self.layers, &self.ranges, p, g, grad_output, true)
+            .expect("the input gradient was asked for")
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        self.layers.iter().flat_map(|l| l.params()).collect()
+    fn backward_params(&mut self, p: &[f32], g: &mut [f32], grad_output: &Tensor) {
+        backward_through(&mut self.layers, &self.ranges, p, g, grad_output, false);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
+    fn param_lens(&self) -> Vec<usize> {
+        self.layers.iter().flat_map(|l| l.param_lens()).collect()
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
-        self.layers.iter().flat_map(|l| l.grads()).collect()
-    }
-
-    fn zero_grads(&mut self) {
-        Sequential::zero_grads(self);
+    fn take_init(&mut self) -> Vec<f32> {
+        self.grads = Vec::new();
+        std::mem::take(&mut self.params)
     }
 
     fn seek_dropout(&mut self, forward_index: u64) {
@@ -211,8 +221,8 @@ impl Layer for Residual {
         "residual"
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut fx = self.inner.forward(input, train);
+    fn forward(&mut self, p: &[f32], input: &Tensor, train: bool) -> Tensor {
+        let mut fx = Layer::forward(&mut self.inner, p, input, train);
         // Reuse the inner network's output buffer for the skip addition:
         // out = f(x) + x has the same value as x + f(x) written into a clone of x.
         fx.zip_mut_with(input, |y, x| y + x)
@@ -220,28 +230,20 @@ impl Layer for Residual {
         fx
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut through = self.inner.backward(grad_output);
+    fn backward(&mut self, p: &[f32], g: &mut [f32], grad_output: &Tensor) -> Tensor {
+        let mut through = Layer::backward(&mut self.inner, p, g, grad_output);
         through
             .zip_mut_with(grad_output, |y, g| y + g)
             .expect("residual backward shapes");
         through
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        self.inner.params()
+    fn param_lens(&self) -> Vec<usize> {
+        self.inner.param_lens()
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        self.inner.params_mut()
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        self.inner.grads()
-    }
-
-    fn zero_grads(&mut self) {
-        self.inner.zero_grads();
+    fn take_init(&mut self) -> Vec<f32> {
+        self.inner.take_init()
     }
 
     fn seek_dropout(&mut self, forward_index: u64) {
@@ -500,12 +502,23 @@ impl PaperModel {
     /// Flattened gradients into a caller-owned buffer (cleared first) — the zero-alloc
     /// per-step gradient export used by the worker-parallel simulator rounds.
     pub fn grads_flat_into(&self, out: &mut Vec<f32>) {
-        self.net.grads_flat_into(out);
+        out.clear();
+        out.extend_from_slice(&self.net.grads);
     }
 
     /// Overwrite parameters from a flat vector.
     pub fn set_params_flat(&mut self, flat: &[f32]) {
         self.net.set_params_flat(flat);
+    }
+
+    /// Exchange the flat parameters with `params` ([`Sequential::swap_params`]).
+    pub fn swap_params(&mut self, params: &mut Vec<f32>) {
+        self.net.swap_params(params);
+    }
+
+    /// The flat gradients, where [`Self::forward_backward`] accumulates.
+    pub fn grads_mut(&mut self) -> &mut [f32] {
+        &mut self.net.grads
     }
 
     /// Zero accumulated gradients.
@@ -526,16 +539,26 @@ impl PaperModel {
         &self.net
     }
 
-    /// One training pass: zero grads, forward in train mode, compute loss, backpropagate.
+    /// One training pass: zero grads, then [`Self::forward_backward_accumulate`].
     /// Gradients are left accumulated in the model; read them with [`Self::grads_flat`].
     pub fn forward_backward(&mut self, inputs: &Tensor, targets: &[usize]) -> BatchStats {
         self.net.zero_grads();
+        self.forward_backward_accumulate(inputs, targets)
+    }
+
+    /// Forward in train mode, compute loss, backpropagate, adding the batch's gradient
+    /// to the accumulated one — the batch's gradient itself when the caller left the
+    /// gradients zeroed. The input gradient nobody reads is never formed.
+    pub fn forward_backward_accumulate(
+        &mut self,
+        inputs: &Tensor,
+        targets: &[usize],
+    ) -> BatchStats {
         let logits = self.net.forward(inputs, true);
         let (loss, grad) = loss::softmax_cross_entropy(&logits, targets);
         let metric = self.metric_from_logits(&logits, targets, loss);
         logits.recycle();
-        let dx = self.net.backward(&grad);
-        dx.recycle();
+        self.net.backward_params(&grad);
         grad.recycle();
         BatchStats { loss, metric }
     }
@@ -598,27 +621,86 @@ mod tests {
         let zeros = vec![0.0; block.param_count()];
         block.set_params_flat(&zeros);
         let mut res = Residual::new(block);
+        let p = res.take_init();
+        assert_eq!(p, zeros);
+        let mut g = vec![0.0; p.len()];
         let x = Tensor::from_fn(2, 4, |r, c| (r + c) as f32);
-        let y = res.forward(&x, true);
+        let y = res.forward(&p, &x, true);
         assert_eq!(y, x);
         let dy = Tensor::ones(2, 4);
-        let dx = res.backward(&dy);
+        let dx = res.backward(&p, &mut g, &dy);
         assert_eq!(dx, dy);
     }
 
     #[test]
+    fn a_nested_network_runs_on_its_range_of_the_outer_vector() {
+        let mut r = rng::seeded(4);
+        let block = Sequential::new().with(Box::new(Linear::new(&mut r, 3, 3)));
+        let inner = block.params_flat();
+        let mut net = Sequential::new()
+            .with(Box::new(Linear::new(&mut r, 2, 3)))
+            .with(Box::new(Residual::new(block)));
+        assert_eq!(net.param_count(), 9 + 12);
+        assert_eq!(&net.params_flat()[9..], &inner[..]);
+        assert_eq!(net.param_lens(), [6, 3, 9, 3]);
+        // The block's gradient lands in its range, after the first layer's.
+        net.forward(&Tensor::ones(2, 2), true);
+        net.backward_params(&Tensor::ones(2, 3));
+        assert!(net.grads_flat()[9..].iter().any(|&g| g != 0.0));
+    }
+
+    #[test]
+    fn swapping_hands_the_caller_its_own_allocation_back() {
+        let mut r = rng::seeded(5);
+        let mut net = Sequential::new().with(Box::new(Linear::new(&mut r, 4, 2)));
+        let own = net.params_flat();
+        let mut mine = vec![0.25; net.param_count()];
+        let ptr = mine.as_ptr();
+        net.swap_params(&mut mine);
+        // The network runs on the caller's values, and holds its previous vector out.
+        assert_eq!(net.params_flat(), vec![0.25; 10]);
+        assert_eq!(mine, own);
+        net.swap_params(&mut mine);
+        assert_eq!(mine.as_ptr(), ptr, "the swap copied instead of exchanging");
+        assert_eq!(net.params_flat(), own);
+    }
+
+    #[test]
     fn a_warm_training_step_takes_nothing_from_the_allocator() {
-        // "Steady-state forward allocates nothing", counted: after one warm-up step every
-        // activation, gradient and matmul pack buffer of the next comes out of the
-        // thread-local arena. Batch 16 puts VggLike's matmuls past the dispatch gate;
-        // buffers are taken by the calling thread on either side of it.
-        for kind in [ModelKind::ResNetLike, ModelKind::VggLike] {
+        // "Steady-state forward allocates nothing", counted over a worker's whole step:
+        // swap its parameters in, forward/backward, swap them out, one fused optimizer
+        // sweep. After one warm-up step every activation, gradient and matmul pack
+        // buffer of the next comes out of the thread-local arena, and the swap and the
+        // sweep take nothing at all. Batch 16 puts VggLike's matmuls at the dispatch
+        // gate and AlexLike's past it; buffers are taken by the calling thread on
+        // either side of it.
+        use crate::optim::{Adam, Optimizer, Sgd};
+        for kind in ModelKind::all() {
             let mut m = PaperModel::build(kind, 42);
-            let x = Tensor::from_fn(16, m.input_dim(), |r, c| ((r * 7 + c) % 5) as f32 * 0.1);
+            let x = match m.task {
+                TaskKind::Classification { .. } => {
+                    Tensor::from_fn(16, m.input_dim(), |r, c| ((r * 7 + c) % 5) as f32 * 0.1)
+                }
+                TaskKind::LanguageModel { vocab, context } => {
+                    Tensor::from_fn(16, context, |r, c| ((r * 13 + c * 7) % vocab) as f32)
+                }
+            };
             let targets: Vec<usize> = (0..16).map(|i| i % m.output_dim()).collect();
-            m.forward_backward(&x, &targets);
+            let mut params = m.params_flat();
+            let mut opt: Box<dyn Optimizer> = match kind {
+                ModelKind::AlexLike => Box::new(Adam::new(1e-4)),
+                _ => Box::new(Sgd::new(0.9, 5e-4)),
+            };
+            let mut step = |m: &mut PaperModel| {
+                m.swap_params(&mut params);
+                m.seek_dropout(3);
+                m.forward_backward_accumulate(&x, &targets);
+                m.swap_params(&mut params);
+                opt.step_fused(&mut params, m.grads_mut(), 0.01)
+            };
+            step(&mut m);
             let before = selsync_tensor::scratch::misses();
-            m.forward_backward(&x, &targets);
+            assert!(step(&mut m) > 0.0);
             assert_eq!(
                 selsync_tensor::scratch::misses(),
                 before,

@@ -10,6 +10,11 @@
 //! calling thread up to one `par::GRAIN` of elements, on the pool above it); the
 //! per-element arithmetic is unchanged, so the update is bit-identical to the serial
 //! loop for every thread count.
+//!
+//! A training step reads its gradient once: [`Optimizer::step_fused`] updates the
+//! parameters, sums the squared gradient norm the `Δ(g_i)` tracker needs and resets the
+//! gradient for the next backward in the same sweep; [`drain_grads`] is that sweep for
+//! a gradient that leaves the worker before its update.
 
 use selsync_tensor::par;
 use serde::{Deserialize, Serialize};
@@ -31,6 +36,11 @@ pub trait Optimizer: Send {
     /// supplied learning rate.
     fn step(&mut self, params: &mut [f32], grads: &[f32], lr: f32);
 
+    /// [`Self::step`] that also returns `Σ g²` over `grads` and leaves `grads` zeroed for
+    /// the next backward: the whole local step in one sweep. The sum runs in index
+    /// order from `Sum`'s start value, bit-identical to `grads.iter().map(|g| g * g).sum()`.
+    fn step_fused(&mut self, params: &mut [f32], grads: &mut [f32], lr: f32) -> f32;
+
     /// Reset internal state (momentum / moment estimates).
     fn reset(&mut self);
 
@@ -43,6 +53,27 @@ pub trait Optimizer: Send {
     /// Restore state captured by [`Self::export_state`] onto a same-configured
     /// optimizer. Panics when the buffer count does not match the optimizer kind.
     fn load_state(&mut self, state: &OptimizerState);
+}
+
+/// [`Optimizer::step_fused`] as three sweeps, for vectors past one `par::GRAIN`: the update
+/// then runs in chunks on the pool, where the norm's serial chain cannot follow it.
+fn step_unfused(opt: &mut dyn Optimizer, params: &mut [f32], grads: &mut [f32], lr: f32) -> f32 {
+    let sq = grads.iter().map(|g| g * g).sum();
+    opt.step(params, grads, lr);
+    grads.fill(0.0);
+    sq
+}
+
+/// The norm-only sweep of a step whose gradient leaves the worker before its update
+/// (gradient aggregation): `grads` moves into `out` and is left zeroed for the next
+/// backward. Returns `Σ g²`, summed as [`Optimizer::step_fused`] sums it.
+pub fn drain_grads(grads: &mut [f32], out: &mut Vec<f32>) -> f32 {
+    out.resize(grads.len(), 0.0);
+    let moved = out.iter_mut().zip(grads).map(|(o, g)| {
+        *o = std::mem::take(g);
+        *o * *o
+    });
+    moved.sum()
 }
 
 /// Stochastic gradient descent with classical momentum and decoupled L2 weight decay.
@@ -66,21 +97,45 @@ impl Sgd {
             velocity: Vec::new(),
         }
     }
-}
 
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [f32], grads: &[f32], lr: f32) {
+    /// Size the velocity for `params` and return the per-element update at `lr`.
+    fn update(
+        &mut self,
+        params: &[f32],
+        grads: &[f32],
+        lr: f32,
+    ) -> impl Fn(&mut f32, &mut f32, f32) + Sync {
         assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
         if self.velocity.len() != params.len() {
             self.velocity = vec![0.0; params.len()];
         }
-        let momentum = self.momentum;
-        let weight_decay = self.weight_decay;
-        par::zip3_mut(params, &mut self.velocity, grads, |p, v, g| {
+        let (momentum, weight_decay) = (self.momentum, self.weight_decay);
+        move |p, v, g| {
             let g = g + weight_decay * *p;
             *v = momentum * *v + g;
             *p -= lr * *v;
+        }
+    }
+}
+
+impl Optimizer for Sgd {
+    fn step(&mut self, params: &mut [f32], grads: &[f32], lr: f32) {
+        let update = self.update(params, grads, lr);
+        par::zip3_mut(params, &mut self.velocity, grads, update);
+    }
+
+    fn step_fused(&mut self, params: &mut [f32], grads: &mut [f32], lr: f32) -> f32 {
+        if grads.len() > par::GRAIN {
+            return step_unfused(self, params, grads, lr);
+        }
+        let update = self.update(params, grads, lr);
+        let swept = params.iter_mut().zip(&mut self.velocity).zip(grads);
+        let squares = swept.map(|((p, v), g)| {
+            let g = std::mem::take(g);
+            update(p, v, g);
+            g * g
         });
+        squares.sum()
     }
 
     fn reset(&mut self) {
@@ -135,8 +190,15 @@ impl Adam {
     }
 }
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [f32], grads: &[f32], lr: f32) {
+impl Adam {
+    /// Size the moments for `params`, advance the step counter and return the
+    /// per-element update of this step at `lr`.
+    fn update(
+        &mut self,
+        params: &[f32],
+        grads: &[f32],
+        lr: f32,
+    ) -> impl Fn(&mut f32, &mut f32, &mut f32, f32) + Sync {
         assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
         if self.m.len() != params.len() {
             self.m = vec![0.0; params.len()];
@@ -148,14 +210,36 @@ impl Optimizer for Adam {
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
         let (beta1, beta2) = (self.beta1, self.beta2);
         let (eps, weight_decay) = (self.eps, self.weight_decay);
-        par::zip4_mut(params, &mut self.m, &mut self.v, grads, |p, m, v, g| {
+        move |p, m, v, g| {
             let g = g + weight_decay * *p;
             *m = beta1 * *m + (1.0 - beta1) * g;
             *v = beta2 * *v + (1.0 - beta2) * g * g;
             let m_hat = *m / b1t;
             let v_hat = *v / b2t;
             *p -= lr * m_hat / (v_hat.sqrt() + eps);
+        }
+    }
+}
+
+impl Optimizer for Adam {
+    fn step(&mut self, params: &mut [f32], grads: &[f32], lr: f32) {
+        let update = self.update(params, grads, lr);
+        par::zip4_mut(params, &mut self.m, &mut self.v, grads, update);
+    }
+
+    fn step_fused(&mut self, params: &mut [f32], grads: &mut [f32], lr: f32) -> f32 {
+        if grads.len() > par::GRAIN {
+            return step_unfused(self, params, grads, lr);
+        }
+        let update = self.update(params, grads, lr);
+        let moments = self.m.iter_mut().zip(&mut self.v);
+        let swept = params.iter_mut().zip(moments).zip(grads);
+        let squares = swept.map(|((p, (m, v)), g)| {
+            let g = std::mem::take(g);
+            update(p, m, v, g);
+            g * g
         });
+        squares.sum()
     }
 
     fn reset(&mut self) {
@@ -297,6 +381,43 @@ mod tests {
         let mut p = vec![1.0f32];
         opt.step(&mut p, &[0.5], 0.1); // lazy init still works
         assert!(p[0] < 1.0);
+    }
+
+    #[test]
+    fn the_fused_step_is_norm_then_step_then_reset() {
+        // Both sides of the gate: the fused sweep and the three-sweep fallback.
+        for len in [1000, par::GRAIN + 3] {
+            let ramp = |salt: usize| -> Vec<f32> {
+                let f = |i: usize| ((i * 7 + salt * 13) % 29) as f32 * 0.037 - 0.51;
+                (0..len).map(f).collect()
+            };
+            for name in ["sgd", "adam"] {
+                let (mut a, mut b) = (by_name(name, 0.9, 0.01), by_name(name, 0.9, 0.01));
+                let (mut pa, mut pb) = (ramp(1), ramp(1));
+                for step in 0..3 {
+                    let mut grads = ramp(step + 2);
+                    let want: f32 = grads.iter().map(|g| g * g).sum();
+                    b.step(&mut pb, &grads, 0.05);
+                    let got = a.step_fused(&mut pa, &mut grads, 0.05);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{name} norm at {len}");
+                    assert!(grads.iter().all(|&g| g == 0.0), "{name} reset at {len}");
+                }
+                assert!(pa == pb, "{name} params at {len}");
+                assert_eq!(a.export_state(), b.export_state(), "{name} state at {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn drain_moves_the_gradient_out_and_sums_its_squares() {
+        let mut grads = vec![3.0f32, -4.0, 0.5];
+        let mut out = vec![9.0; 7];
+        assert_eq!(drain_grads(&mut grads, &mut out), 25.25);
+        assert_eq!(out, [3.0, -4.0, 0.5]);
+        assert_eq!(grads, [0.0; 3]);
+        // The empty sum keeps `Sum`'s start value.
+        let empty: f32 = std::iter::empty::<f32>().sum();
+        assert_eq!(drain_grads(&mut [], &mut out).to_bits(), empty.to_bits());
     }
 
     #[test]

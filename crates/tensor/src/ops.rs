@@ -279,18 +279,22 @@ pub fn matmul_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     if out.shape() != (m, n) {
         return Err(out_shape_err("matmul_into", out, (m, n)));
     }
-    if m == 0 || k == 0 || n == 0 {
-        return Ok(());
-    }
-    let g = Gemm::<false> {
-        a: a.data(),
-        lda: k,
-        b: b.data(),
-        k,
-        n,
-    };
-    gemm_acc(g, out.data_mut());
+    matmul_slices_acc(a.data(), b.data(), out.data_mut(), (m, k, n));
     Ok(())
+}
+
+/// [`matmul_acc`] over row-major slices of `(m, k, n)`: `out (m x n) += a (m x k) *
+/// b (k x n)`, for operands that live inside a larger buffer (a layer's weights in its
+/// network's flat parameter vector). Panics when a length does not match its shape.
+pub fn matmul_slices_acc(a: &[f32], b: &[f32], out: &mut [f32], (m, k, n): (usize, usize, usize)) {
+    assert!(
+        a.len() == m * k && b.len() == k * n && out.len() == m * n,
+        "matmul slices"
+    );
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    gemm_acc(Gemm::<false> { a, lda: k, b, k, n }, out);
 }
 
 /// Product with the second operand transposed: `A (m x k) * B^T` where `B` is `(n x k)`.
@@ -322,36 +326,51 @@ pub fn matmul_bt_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     if out.shape() != (m, n) {
         return Err(out_shape_err("matmul_bt_into", out, (m, n)));
     }
+    matmul_bt_slices_acc(a.data(), b.data(), out.data_mut(), (m, k, n));
+    Ok(())
+}
+
+/// [`matmul_bt_acc`] over row-major slices of `(m, k, n)`: `out (m x n) += a (m x k) *
+/// b^T` where `b` is `(n x k)`. Panics when a length does not match its shape.
+pub fn matmul_bt_slices_acc(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+) {
+    assert!(
+        a.len() == m * k && b.len() == n * k && out.len() == m * n,
+        "matmul_bt slices"
+    );
     if m == 0 || k == 0 || n == 0 {
-        return Ok(());
+        return;
     }
     // As `out^T = B * A^T`: the kernel wants its right operand row-major, and `A^T` is the
     // smaller pack (`m * k` elements against `B^T`'s `n * k`). Accumulated from zero into
     // `out_t` and added to `out` afterwards, so each element is `out + (sum from 0.0)`:
     // what this kernel has always computed. Both buffers are arena-recycled.
     let mut a_t = scratch::take_zeroed(m * k);
-    for (r, a_row) in a.data().chunks_exact(k).enumerate() {
+    for (r, a_row) in a.chunks_exact(k).enumerate() {
         for (p, &v) in a_row.iter().enumerate() {
             a_t[p * m + r] = v;
         }
     }
     let mut out_t = scratch::take_zeroed(n * m);
     let g = Gemm::<false> {
-        a: b.data(),
+        a: b,
         lda: k,
         b: &a_t,
         k,
         n: m,
     };
     gemm_acc(g, &mut out_t);
-    for (r, out_row) in out.data_mut().chunks_exact_mut(n).enumerate() {
+    for (r, out_row) in out.chunks_exact_mut(n).enumerate() {
         for (c, o) in out_row.iter_mut().enumerate() {
             *o += out_t[c * m + r];
         }
     }
     scratch::recycle(a_t);
     scratch::recycle(out_t);
-    Ok(())
 }
 
 /// Product with the first operand transposed: `A^T * B` where `A` is `(k x m)`, `B` is `(k x n)`.
@@ -383,19 +402,28 @@ pub fn matmul_at_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     if out.shape() != (m, n) {
         return Err(out_shape_err("matmul_at_into", out, (m, n)));
     }
+    matmul_at_slices_acc(a.data(), b.data(), out.data_mut(), (m, k, n));
+    Ok(())
+}
+
+/// [`matmul_at_acc`] over row-major slices of `(m, k, n)`: `out (m x n) += a^T * b`
+/// where `a` is `(k x m)` and `b` is `(k x n)`. Panics when a length does not match
+/// its shape.
+pub fn matmul_at_slices_acc(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+) {
+    assert!(
+        a.len() == k * m && b.len() == k * n && out.len() == m * n,
+        "matmul_at slices"
+    );
     if m == 0 || k == 0 || n == 0 {
-        return Ok(());
+        return;
     }
     // `a(r, p) = A[p][r]`: the tile's rows are contiguous in `A`'s row `p`.
-    let g = Gemm::<true> {
-        a: a.data(),
-        lda: m,
-        b: b.data(),
-        k,
-        n,
-    };
-    gemm_acc(g, out.data_mut());
-    Ok(())
+    gemm_acc(Gemm::<true> { a, lda: m, b, k, n }, out);
 }
 
 /// Materialised transpose.
