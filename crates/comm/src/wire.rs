@@ -342,11 +342,8 @@ impl FrameBuf {
 
     /// Append `values` to the payload as little-endian words.
     pub fn put_f32s(&mut self, values: &[f32]) {
-        let at = self.buf.len();
-        self.buf.resize(at + 4 * values.len(), 0);
-        for (dst, v) in self.buf[at..].chunks_exact_mut(4).zip(values) {
-            dst.copy_from_slice(&v.to_le_bytes());
-        }
+        self.buf.reserve(4 * values.len());
+        self.buf.extend(values.iter().flat_map(|v| v.to_le_bytes()));
     }
 
     /// The payload appended since [`begin`](FrameBuf::begin) (before

@@ -527,6 +527,28 @@ impl HubService {
         }
     }
 
+    /// Refuse a rendezvous op of round `it` whose membership count `expected` is not
+    /// the round's present count — the base schedule less the evictions frozen at the
+    /// round's barrier, what every live worker derives — or whose worker has not
+    /// announced the round. The rendezvous asserts both, and its panic would take the
+    /// whole hub down.
+    fn check_members(&self, worker: usize, it: usize, expected: u32) -> Result<(), String> {
+        let s = self.ledger.lock();
+        ensure!(s.last_begun[worker] == Some(it), "round {it} not announced");
+        let frozen = s.released.get(&it).map_or(&[][..], |&f| &s.evictions[..f]);
+        let evicted = |w| frozen.iter().any(|&(e, r)| e == w && r <= it);
+        let present = self
+            .core
+            .conditions
+            .present_workers(self.core.cfg.workers, it);
+        let present = present.into_iter().filter(|&w| !evicted(w)).count();
+        ensure!(
+            expected as usize == present,
+            "a count of {expected} for round {it}'s {present} workers"
+        );
+        Ok(())
+    }
+
     /// Gather one worker's checkpoint [`Deposit`], sent in round `it`'s frame, and
     /// park the calling connection until the round's image is written (or voided
     /// by a death) — the worker resumes only past the quiescent point.
@@ -616,7 +638,8 @@ impl RpcService for HubService {
 
     /// Decode, serve — the ledger's two ops here, every other through
     /// `ClusterCore::serve` — and encode. A request that fails to decode or one of
-    /// the ledger's checks is refused before it touches any state.
+    /// the ledger's checks (a rendezvous op's membership count among them) is
+    /// refused before it touches any state.
     fn handle_into(
         &self,
         worker: u32,
@@ -627,7 +650,14 @@ impl RpcService for HubService {
         let (worker, it) = (worker as usize, round as usize);
         let known = worker < self.core.cfg.workers;
         ensure!(known, "no worker {worker} in this run");
-        match Op::take(request)? {
+        let op = Op::take(request)?;
+        if let Op::SyncRound(expected, _)
+        | Op::Status(_, expected, _)
+        | Op::Signals(_, _, expected) = op
+        {
+            self.check_members(worker, it, expected)?;
+        }
+        match op {
             Op::RoundBegin() => self.round_begin(worker, it)?,
             Op::CkptDeposit(deposit) => self.ckpt_deposit(worker, it, deposit)?,
             Op::SyncRound(_, Floats::Wire(params)) if params.len() != 4 * self.dim => {
@@ -1672,6 +1702,34 @@ mod tests {
             .handle_into(1, 3, &[op::DELTA_FOR], &mut FrameBuf::new())
             .is_err());
         assert!(!hub.ledger.lock().dead[0], "refusing is the server's call");
+    }
+
+    #[test]
+    fn the_hub_refuses_a_wrong_membership_count() {
+        // One worker: round 0's only count is 1. A wrong one used to reach the
+        // rendezvous's asserts and panic the hub.
+        let hub = HubService::new(&cfg(0.05, 1), None);
+        let served = |round: u64, op: Op| {
+            let request = payload_of(|f| op.put(f));
+            hub.handle_into(0, round, &request, &mut FrameBuf::new())
+                .is_ok()
+        };
+        // The lone worker is its rounds' emitter: its bit carries the round's signal.
+        let status = |n| Op::Status(false, n, Some(([1.0, 0.5, 0.0, 0.0], 1)));
+        assert!(!served(0, status(1)), "before ROUND_BEGIN");
+        assert!(served(0, Op::RoundBegin()));
+        for n in [0, 2] {
+            let params = Floats::Shared(std::sync::Arc::new(vec![0.0; hub.dim]));
+            for op in [
+                status(n),
+                Op::Signals(1.0, 0.5, n),
+                Op::SyncRound(n, params),
+            ] {
+                assert!(!served(0, op), "a count of {n}");
+            }
+        }
+        assert!(!served(1, status(1)), "round 1 not announced");
+        assert!(served(0, status(1)));
     }
 
     #[test]

@@ -102,29 +102,6 @@ impl Replica {
         self.cursor = (self.cursor + batch) % len;
     }
 
-    /// Forward/backward on `indices` at the canonical dropout-stream position
-    /// `forward_index`, with the parameters swapped into `engine` for the pass, not
-    /// copied. The batch's gradient is left in the engine, whose gradient every step
-    /// leaves zeroed.
-    fn forward_backward(
-        &mut self,
-        engine: &mut Engine,
-        train: &Dataset,
-        indices: &[usize],
-        forward_index: u64,
-    ) -> BatchStats {
-        train.batch_into(indices, &mut engine.x, &mut engine.y);
-        debug_assert!(engine.model.grads_mut().iter().all(|&g| g == 0.0));
-        engine.model.swap_params(&mut self.params);
-        engine.model.seek_dropout(forward_index);
-        let stats = engine
-            .model
-            .forward_backward_accumulate(&engine.x, &engine.y);
-        engine.model.swap_params(&mut self.params);
-        self.last_loss = stats.loss;
-        stats
-    }
-
     /// Compute: forward/backward on `indices` at the canonical dropout-stream
     /// position `forward_index`, the flat gradient into `grads`, and this step's
     /// `Δ(g_i)`, for an update that waits for the synchronization. Allocation-free
@@ -137,9 +114,8 @@ impl Replica {
         forward_index: u64,
         grads: &mut Vec<f32>,
     ) -> (BatchStats, f32) {
-        let stats = self.forward_backward(engine, train, indices, forward_index);
-        let sq_norm = optim::drain_grads(engine.model.grads_mut(), grads);
-        (stats, self.tracker.update_with_statistic(sq_norm))
+        let drain = |_: &mut Self, g: &mut [f32]| optim::drain_grads(g, grads);
+        self.step_with(engine, train, indices, forward_index, drain)
     }
 
     /// Compute and apply-local in one: forward/backward as [`Self::compute`], then one
@@ -153,11 +129,48 @@ impl Replica {
         forward_index: u64,
         lr: f32,
     ) -> (BatchStats, f32) {
-        let stats = self.forward_backward(engine, train, indices, forward_index);
-        let grads = engine.model.grads_mut();
-        let sq_norm = self.optimizer.step_fused(&mut self.params, grads, lr);
         self.progress += 1;
+        let update = |r: &mut Self, g: &mut [f32]| r.optimizer.step_fused(&mut r.params, g, lr);
+        self.step_with(engine, train, indices, forward_index, update)
+    }
+
+    /// Forward/backward, then `sweep`: the one pass over the gradient where backward
+    /// left it in `engine`, which returns `Σ g²` for `Δ(g_i)` and leaves the gradient
+    /// zeroed for the next step on the engine.
+    fn step_with(
+        &mut self,
+        engine: &mut Engine,
+        train: &Dataset,
+        indices: &[usize],
+        forward_index: u64,
+        sweep: impl FnOnce(&mut Self, &mut [f32]) -> f32,
+    ) -> (BatchStats, f32) {
+        let stats = self.forward_backward(engine, train, indices, forward_index);
+        let sq_norm = sweep(self, engine.model.grads_mut());
         (stats, self.tracker.update_with_statistic(sq_norm))
+    }
+
+    /// Forward/backward on `indices` at the canonical dropout-stream position
+    /// `forward_index`, with the parameters swapped into `engine` for the pass, not
+    /// copied, onto the engine's zeroed gradient.
+    fn forward_backward(
+        &mut self,
+        engine: &mut Engine,
+        train: &Dataset,
+        indices: &[usize],
+        forward_index: u64,
+    ) -> BatchStats {
+        debug_assert_eq!(self.tracker.statistic(), GradStatistic::SqNorm);
+        debug_assert!(engine.model.grads_mut().iter().all(|&g| g == 0.0));
+        train.batch_into(indices, &mut engine.x, &mut engine.y);
+        engine.model.swap_params(&mut self.params);
+        engine.model.seek_dropout(forward_index);
+        let stats = engine
+            .model
+            .forward_backward_accumulate(&engine.x, &engine.y);
+        engine.model.swap_params(&mut self.params);
+        self.last_loss = stats.loss;
+        stats
     }
 
     /// Apply-local: one optimizer step on `grads` at learning rate `lr` (Alg. 1 line 9).
