@@ -669,11 +669,11 @@ mod tests {
     fn a_warm_training_step_takes_nothing_from_the_allocator() {
         // "Steady-state forward allocates nothing", counted over a worker's whole step:
         // swap its parameters in, forward/backward, swap them out, one fused optimizer
-        // sweep. After one warm-up step every activation, gradient and matmul pack
-        // buffer of the next comes out of the thread-local arena, and the swap and the
-        // sweep take nothing at all. Batch 16 puts VggLike's matmuls at the dispatch
-        // gate and AlexLike's past it; buffers are taken by the calling thread on
-        // either side of it.
+        // sweep. After one warm-up step every activation and matmul pack buffer of the
+        // next comes out of the thread-local arena; the swap and the sweep take no
+        // buffer at all. Batch 16 puts VggLike's matmuls at the dispatch gate and
+        // AlexLike's past it; buffers are taken by the calling thread on either side
+        // of it.
         use crate::optim::{Adam, Optimizer, Sgd};
         for kind in ModelKind::all() {
             let mut m = PaperModel::build(kind, 42);

@@ -55,13 +55,20 @@ pub trait Optimizer: Send {
     fn load_state(&mut self, state: &OptimizerState);
 }
 
-/// [`Optimizer::step_fused`] as three sweeps, for vectors past one `par::GRAIN`: the update
-/// then runs in chunks on the pool, where the norm's serial chain cannot follow it.
-fn step_unfused(opt: &mut dyn Optimizer, params: &mut [f32], grads: &mut [f32], lr: f32) -> f32 {
-    let sq = grads.iter().map(|g| g * g).sum();
-    opt.step(params, grads, lr);
-    grads.fill(0.0);
-    sq
+/// Elements per block of a fused sweep. The sweep sums a block's `g²` serially, then
+/// updates the block in a loop that vectorizes: the ordered sum is a latency chain,
+/// and a block this short lets the core run each block's update under the chain.
+const BLOCK: usize = 64;
+
+/// The start of a fused sweep's `Σ g²`: `Sum`'s own, so that continuing it block by
+/// block with [`sq_norm_from`] gives `grads.iter().map(|g| g * g).sum()` bit for bit.
+fn sq_norm_start() -> f32 {
+    std::iter::empty::<f32>().sum()
+}
+
+/// `sq` continued over `block`'s squares in index order.
+fn sq_norm_from(sq: f32, block: &[f32]) -> f32 {
+    block.iter().fold(sq, |sq, g| sq + g * g)
 }
 
 /// The norm-only sweep of a step whose gradient leaves the worker before its update
@@ -69,11 +76,14 @@ fn step_unfused(opt: &mut dyn Optimizer, params: &mut [f32], grads: &mut [f32], 
 /// backward. Returns `Σ g²`, summed as [`Optimizer::step_fused`] sums it.
 pub fn drain_grads(grads: &mut [f32], out: &mut Vec<f32>) -> f32 {
     out.resize(grads.len(), 0.0);
-    let moved = out.iter_mut().zip(grads).map(|(o, g)| {
-        *o = std::mem::take(g);
-        *o * *o
-    });
-    moved.sum()
+    let mut sq = sq_norm_start();
+    for (o, g) in out.chunks_mut(BLOCK).zip(grads.chunks_mut(BLOCK)) {
+        sq = sq_norm_from(sq, g);
+        for (o, g) in o.iter_mut().zip(g) {
+            *o = std::mem::take(g);
+        }
+    }
+    sq
 }
 
 /// Stochastic gradient descent with classical momentum and decoupled L2 weight decay.
@@ -125,17 +135,20 @@ impl Optimizer for Sgd {
     }
 
     fn step_fused(&mut self, params: &mut [f32], grads: &mut [f32], lr: f32) -> f32 {
-        if grads.len() > par::GRAIN {
-            return step_unfused(self, params, grads, lr);
-        }
         let update = self.update(params, grads, lr);
-        let swept = params.iter_mut().zip(&mut self.velocity).zip(grads);
-        let squares = swept.map(|((p, v), g)| {
-            let g = std::mem::take(g);
-            update(p, v, g);
-            g * g
-        });
-        squares.sum()
+        let state = self.velocity.chunks_mut(BLOCK);
+        let mut sq = sq_norm_start();
+        for ((p, v), g) in params
+            .chunks_mut(BLOCK)
+            .zip(state)
+            .zip(grads.chunks_mut(BLOCK))
+        {
+            sq = sq_norm_from(sq, g);
+            for ((p, v), g) in p.iter_mut().zip(v).zip(g) {
+                update(p, v, std::mem::take(g));
+            }
+        }
+        sq
     }
 
     fn reset(&mut self) {
@@ -228,18 +241,20 @@ impl Optimizer for Adam {
     }
 
     fn step_fused(&mut self, params: &mut [f32], grads: &mut [f32], lr: f32) -> f32 {
-        if grads.len() > par::GRAIN {
-            return step_unfused(self, params, grads, lr);
-        }
         let update = self.update(params, grads, lr);
-        let moments = self.m.iter_mut().zip(&mut self.v);
-        let swept = params.iter_mut().zip(moments).zip(grads);
-        let squares = swept.map(|((p, (m, v)), g)| {
-            let g = std::mem::take(g);
-            update(p, m, v, g);
-            g * g
-        });
-        squares.sum()
+        let state = self.m.chunks_mut(BLOCK).zip(self.v.chunks_mut(BLOCK));
+        let mut sq = sq_norm_start();
+        for ((p, (m, v)), g) in params
+            .chunks_mut(BLOCK)
+            .zip(state)
+            .zip(grads.chunks_mut(BLOCK))
+        {
+            sq = sq_norm_from(sq, g);
+            for (((p, m), v), g) in p.iter_mut().zip(m).zip(v).zip(g) {
+                update(p, m, v, std::mem::take(g));
+            }
+        }
+        sq
     }
 
     fn reset(&mut self) {
@@ -385,7 +400,8 @@ mod tests {
 
     #[test]
     fn the_fused_step_is_norm_then_step_then_reset() {
-        // Both sides of the gate: the fused sweep and the three-sweep fallback.
+        // Both sides of the gate, where `step` leaves the caller for the pool (the
+        // fused sweep never does), and block remainders.
         for len in [1000, par::GRAIN + 3] {
             let ramp = |salt: usize| -> Vec<f32> {
                 let f = |i: usize| ((i * 7 + salt * 13) % 29) as f32 * 0.037 - 0.51;
