@@ -37,8 +37,9 @@ pub trait Optimizer: Send {
     fn step(&mut self, params: &mut [f32], grads: &[f32], lr: f32);
 
     /// [`Self::step`] that also returns `Σ g²` over `grads` and leaves `grads` zeroed for
-    /// the next backward: the whole local step in one sweep. The sum runs in index
-    /// order from `Sum`'s start value, bit-identical to `grads.iter().map(|g| g * g).sum()`.
+    /// the next backward: the whole local step in one sweep, on the calling thread. The
+    /// sum runs in index order from `Sum`'s start value, bit-identical to
+    /// `grads.iter().map(|g| g * g).sum()`.
     fn step_fused(&mut self, params: &mut [f32], grads: &mut [f32], lr: f32) -> f32;
 
     /// Reset internal state (momentum / moment estimates).
@@ -201,9 +202,7 @@ impl Adam {
             t: 0,
         }
     }
-}
 
-impl Adam {
     /// Size the moments for `params`, advance the step counter and return the
     /// per-element update of this step at `lr`.
     fn update(
