@@ -7,10 +7,10 @@
 //! → `Δ(g_i)`), [`Replica::apply_local`] (the optimizer step) and
 //! [`Replica::apply_sync`] (adopt the PS mean, record the round). When the update
 //! needs nothing from the other workers (parameter aggregation, Alg. 1 line 9),
-//! `Replica::step` runs compute and the update as one pass over the parameters. What happens
-//! *between* them is the one round loop, `crate::worker::run_group`, with a
-//! `ClusterLink` there; the [`crate::sim::Simulator`] group runs the phases for its
-//! replicas, all W in the simulator and one on a cluster backend. No phase knows
+//! `Replica::step` runs compute and the update as one pass over the parameters.
+//! What happens *between* them is the one round loop, `crate::worker::run_group`,
+//! with a `ClusterLink` there; the [`crate::sim::Simulator`] group runs the phases for
+//! its replicas, all W in the simulator and one on a cluster backend. No phase knows
 //! which backend is calling. The replica is also the one writer and reader of a
 //! worker's durable record ([`Replica::section`], [`Replica::restore`]), so any
 //! backend continues any other's image.
