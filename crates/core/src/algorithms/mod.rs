@@ -71,36 +71,84 @@ mod tests {
         // One small run per sync rule, with a crash window so that rejoin pulls and
         // averages over only the present workers run. The digests were recorded at
         // the commit before BSP, FedAvg and local SGD became rules of the SelSync
-        // driver: a rule that moves one byte of a report fails here.
-        let golden = [
-            (AlgorithmSpec::Bsp, 0x5489_B39C_1BB6_E7F3),
-            (AlgorithmSpec::LocalSgd, 0x2053_E762_6B8C_10CA),
-            (
-                AlgorithmSpec::FedAvg { c: 1.0, e: 0.25 },
-                0xBB5F_0CE2_487E_C728,
-            ),
-            (
-                AlgorithmSpec::FedAvg { c: 0.5, e: 0.25 },
-                0x919A_5595_A9E9_2054,
-            ),
-            (AlgorithmSpec::selsync(0.05), 0xD732_0AF5_C001_65A1),
-            (AlgorithmSpec::selsync_ga(0.05), 0x86AE_5DBA_2460_613E),
-        ];
-        for (algo, want) in golden {
+        // driver: a rule that moves one byte of a report fails here. The last four
+        // rows pin what only the cost of a run reads: injected bytes (a non-IID
+        // run whose batches are topped up from other workers' shards), SSP's own
+        // pricing with its implicit straggler and with an explicit uniform
+        // profile, and a simulator resumed from a threaded image, whose cost
+        // totals restart at zero.
+        use crate::conditions::{ClusterConditions, FaultEvent};
+        let crash = |algo| {
             let mut cfg = tiny(algo);
             cfg.workers = 4;
             cfg.iterations = 16;
-            cfg.conditions = crate::conditions::ClusterConditions::uniform().with_fault(
-                crate::conditions::FaultEvent::Crash {
-                    worker: 2,
-                    start: 4,
-                    rejoin: Some(9),
-                },
-            );
-            let report = run(&cfg);
-            let got = selsync_comm::wire::checksum(format!("{report:?}").as_bytes());
-            assert_eq!(got, want, "{} digest {got:#018X}", algo.name());
+            cfg.conditions = ClusterConditions::uniform().with_fault(FaultEvent::Crash {
+                worker: 2,
+                start: 4,
+                rejoin: Some(9),
+            });
+            cfg
+        };
+        let mut got: Vec<(String, RunReport)> = Vec::new();
+        for algo in [
+            AlgorithmSpec::Bsp,
+            AlgorithmSpec::LocalSgd,
+            AlgorithmSpec::FedAvg { c: 1.0, e: 0.25 },
+            AlgorithmSpec::FedAvg { c: 0.5, e: 0.25 },
+            AlgorithmSpec::selsync(0.05),
+            AlgorithmSpec::selsync_ga(0.05),
+            AlgorithmSpec::Ssp { staleness: 8 },
+        ] {
+            got.push((algo.name(), run(&crash(algo))));
         }
+        let mut injected = tiny(AlgorithmSpec::selsync_injected(0.5, 0.5, 0.3));
+        injected.workers = 10;
+        injected.iterations = 16;
+        injected.non_iid_labels_per_worker = Some(1);
+        got.push(("injected".into(), run(&injected)));
+        let mut uniform = tiny(AlgorithmSpec::Ssp { staleness: 8 });
+        uniform.workers = 4;
+        uniform.iterations = 16;
+        uniform.conditions = ClusterConditions::with_speeds(vec![1.0; 4]);
+        got.push(("SSP uniform".into(), run(&uniform)));
+
+        let dir = std::env::temp_dir().join(format!("selsync-pin-resume-{}", std::process::id()));
+        let mut halted = crash(AlgorithmSpec::selsync(0.05));
+        halted.rejoin_pull = crate::config::RejoinPull::Scheduled;
+        halted.checkpoint = Some(crate::config::CheckpointSpec {
+            every: 100,
+            dir: dir.to_string_lossy().into_owned(),
+            halt_after: Some(6),
+            keep: None,
+        });
+        let _ = crate::threaded::run_threaded_selsync(&halted);
+        let image = crate::checkpoint::Checkpoint::read_file(dir.join("ckpt-6"));
+        std::fs::remove_dir_all(&dir).ok();
+        let image = image.expect("the threaded image reads back");
+        halted.checkpoint = None;
+        let resumed = selsync::run_resumed(&halted, &image);
+        got.push(("resumed from threaded".into(), resumed));
+
+        let want = [
+            ("BSP", 0x5489_B39C_1BB6_E7F3),
+            ("LocalSGD", 0x2053_E762_6B8C_10CA),
+            ("FedAvg(1,0.25)", 0xBB5F_0CE2_487E_C728),
+            ("FedAvg(0.5,0.25)", 0x919A_5595_A9E9_2054),
+            ("SelSync(d=0.05,PA)", 0xD732_0AF5_C001_65A1),
+            ("SelSync(d=0.05,GA)", 0x86AE_5DBA_2460_613E),
+            ("SSP(s=8)", 0xA319_C5FB_BB7B_C29C),
+            ("injected", 0x3FB8_FD25_2EEE_92FB),
+            ("SSP uniform", 0xF779_EF41_E0E5_E28D),
+            ("resumed from threaded", 0xEAF8_66C9_FE05_F1CD),
+        ];
+        let got: Vec<(&str, u64)> = (got.iter())
+            .map(|(label, report)| {
+                let digest = selsync_comm::wire::checksum(format!("{report:?}").as_bytes());
+                (label.as_str(), digest)
+            })
+            .collect();
+        let rendered: Vec<String> = got.iter().map(|(l, d)| format!("{l}: {d:#018X}")).collect();
+        assert_eq!(got, want, "digests moved:\n{}", rendered.join("\n"));
     }
 
     // --- BSP ----------------------------------------------------------------------
