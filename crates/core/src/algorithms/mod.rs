@@ -14,8 +14,9 @@
 //! | SelSync | `Δ(g_i) ≥ δ`, any bit syncs | present workers | parameters or gradients | yes | yes | parameters only; no injection over non-IID shards | §III |
 //!
 //! SSP (§II-C) keeps its own driver, [`ssp`]: each worker pushes to the global model
-//! and refreshes its stale copy on its own clock inside a round, which does not
-//! reduce to one cluster decision per round.
+//! and refreshes its stale copy on its own cadence inside a round, which does not
+//! reduce to one cluster decision per round. Every run's cost is
+//! [`crate::report::price`]'s.
 //!
 //! [`run`] dispatches on [`AlgorithmSpec`] and returns a [`RunReport`].
 

@@ -31,9 +31,6 @@ use crate::sim::{RoundOutput, Simulator};
 use crate::worker::{open_run, run_group, ClusterLink};
 use selsync_comm::faults::{CommFaultSchedule, PsFaultSchedule};
 use selsync_comm::ps::PsState;
-use selsync_comm::wire::frame_len;
-use selsync_comm::NetworkModel;
-use selsync_tracelog::Event;
 
 /// The algorithm label a run reports, as a pure function of its config.
 /// Shared by the simulator driver and the threaded driver (and the trace headers of
@@ -96,12 +93,9 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
         cfg,
         policy: open_run(cfg, &spec, resume),
         ps: resume.map_or_else(initial, Checkpoint::ps_state),
-        wire_bytes: sim.nominal().wire_bytes,
         faults: cfg.comm_faults.map(CommFaultSchedule::new),
         ps_schedule: cfg.ps_fault_schedule(),
         protect: resume.map(|c| c.round),
-        comm: [0.0; 6],
-        bytes: 0,
     };
     run_group(cfg, (rule, &spec), &mut sim, &mut link, resume);
     let mut report = sim.finalize(algorithm_label(cfg));
@@ -113,44 +107,22 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
 /// The simulator's [`ClusterLink`]: one group of all W workers, whose collectives are
 /// worker-order folds in memory. It holds what a hub holds — the parameter server's
 /// durable state, folded exactly as a live server folds it (so the image's `ps`
-/// section is the one a cluster backend writes), and the one δ-policy — and prices
-/// every op it performs on the cost model.
+/// section is the one a cluster backend writes), and the one δ-policy. It prices
+/// nothing: the run's cost is priced from its schedule ([`crate::report::price`]).
 struct MemoryLink<'a> {
     cfg: &'a TrainConfig,
     policy: Box<dyn DeltaPolicy>,
     ps: PsState,
-    /// Bytes one parameter transfer moves at paper scale.
-    wire_bytes: u64,
-    /// The comm-fault schedule, which prices retries.
+    /// The comm-fault schedule, whose retries the trace records.
     faults: Option<CommFaultSchedule>,
     /// PS availability: at a down round the status exchange is the outage probe.
     ps_schedule: Option<PsFaultSchedule>,
     /// The image a resume started from stays on disk whatever the retention says.
     protect: Option<usize>,
-    /// The round's cost terms in seconds, in the order they are summed: rejoin pulls,
-    /// probe or status all-gather, injection, signal exchange, retry penalty, sync.
-    comm: [f64; 6],
-    /// The round's bytes on the wire.
-    bytes: u64,
-}
-
-const REJOIN: usize = 0;
-const STATUS: usize = 1;
-const INJECTION: usize = 2;
-const SIGNALS: usize = 3;
-const RETRY: usize = 4;
-const SYNC: usize = 5;
-
-impl MemoryLink<'_> {
-    fn network(&self, it: usize) -> NetworkModel {
-        self.cfg.conditions.network_at(it, &self.cfg.network)
-    }
 }
 
 impl ClusterLink for MemoryLink<'_> {
-    fn rejoin_pull(&mut self, it: usize, _worker: usize) -> Vec<f32> {
-        self.comm[REJOIN] += self.network(it).ps_one_way_time(self.wire_bytes);
-        self.bytes += self.wire_bytes;
+    fn rejoin_pull(&mut self, _it: usize, _worker: usize) -> Vec<f32> {
         self.ps.global.clone()
     }
 
@@ -158,27 +130,13 @@ impl ClusterLink for MemoryLink<'_> {
         self.ps.last_global_round.map(|r| r as usize)
     }
 
-    /// Priced as two scalar all-reduces (loss mean, Δ max) plus the 2-element
-    /// Δ-moment vector: the 16 payload bytes per present worker of the `ScalarReduce`
-    /// and `VecReduce` envelopes.
-    fn signals(&mut self, it: usize, round: &RoundOutput, expected: usize) -> RoundSignal {
-        let net = self.network(it);
-        self.comm[SIGNALS] =
-            2.0 * net.scalar_allreduce_time(expected) + net.vec_allreduce_time(expected, 2);
-        self.bytes += expected as u64 * 16;
-        round.signal(it, false)
-    }
-
     fn delta_for(&mut self, it: usize) -> f32 {
         self.policy.delta(it)
     }
 
-    /// Every present worker pays one probe round-trip at a PS-down round, else the
-    /// 1-bit all-gather (≈1 B per worker) and its retries: failed attempts cost their
-    /// deterministic backoff (workers retry concurrently, so the round pays the worst
-    /// worker's penalty) and retransmit both legs of the op frame. The group is the
-    /// cluster, so its bits are the cluster's; the round is observed in
-    /// [`ClusterLink::observe`].
+    /// The status bit's retries are recorded, one event per (worker, round); a PS-down
+    /// round's probe sends no bit to retry. The group is the cluster, so its bits are
+    /// the cluster's; the round is observed in [`ClusterLink::observe`].
     fn status(
         &mut self,
         it: usize,
@@ -186,32 +144,16 @@ impl ClusterLink for MemoryLink<'_> {
         flags: Vec<bool>,
         _pending: Option<(RoundSignal, usize)>,
     ) -> (Vec<bool>, bool) {
-        let (net, round, n) = (self.network(it), it as u64, present.len() as u64);
-        if self.ps_schedule.as_ref().is_some_and(|s| s.down(round)) {
-            self.comm[STATUS] = net.ps_probe_time();
-            self.bytes += n * frame_len(8) as u64;
-            return (flags, false);
-        }
-        self.comm[STATUS] = net.status_allgather_time(present.len());
-        self.bytes += n;
-        let Some(schedule) = &self.faults else {
+        let round = it as u64;
+        let down = self.ps_schedule.as_ref().is_some_and(|s| s.down(round));
+        let Some(schedule) = self.faults.as_ref().filter(|_| !down) else {
             return (flags, false);
         };
         for &worker in present {
             let attempts = schedule
                 .attempts_used(worker, round)
                 .expect("present workers complete within their retry budget");
-            if attempts > 1 {
-                self.bytes += (attempts as u64 - 1) * 2 * frame_len(8) as u64;
-                let penalty = schedule.retry_penalty_s(worker, round);
-                self.comm[RETRY] = self.comm[RETRY].max(penalty);
-                let retry = Event::CommRetry {
-                    round: it,
-                    worker,
-                    attempts,
-                };
-                self.cfg.trace.record(retry);
-            }
+            crate::tracing::comm_retry(&self.cfg.trace, it, worker, attempts);
         }
         (flags, false)
     }
@@ -226,10 +168,8 @@ impl ClusterLink for MemoryLink<'_> {
         aggregation::average_into(contributions, mean);
     }
 
-    fn commit(&mut self, it: usize, global: &[f32], contributors: usize) {
+    fn commit(&mut self, it: usize, global: &[f32]) {
         self.ps.record_sync(it as u64, global);
-        self.comm[SYNC] = self.network(it).ps_sync_time(self.wire_bytes, contributors);
-        self.bytes += 2 * contributors as u64 * self.wire_bytes;
     }
 
     fn observe(&mut self, signal: RoundSignal, _next_round: usize) {
@@ -252,9 +192,8 @@ impl ClusterLink for MemoryLink<'_> {
         ck.write_image(&image, self.protect);
     }
 
-    /// Accounting (the round's cost terms summed in their fixed order, whatever order
-    /// the loop priced them in) and evaluation of the present replicas' average —
-    /// identical to any single present replica right after a PA synchronization.
+    /// The step's count, and evaluation of the present replicas' average — identical
+    /// to any single present replica right after a PA synchronization.
     fn round_done(
         &mut self,
         it: usize,
@@ -262,20 +201,8 @@ impl ClusterLink for MemoryLink<'_> {
         present: &[usize],
         round: Option<(&RoundOutput, bool)>,
     ) {
-        let Some((round, synced)) = round else {
-            group.account_step(0.0, 0.0, 0, false);
-            return;
-        };
-        // Worker-to-worker injection shipping is unaffected by a PS outage.
-        if round.injected_bytes > 0 {
-            self.comm[INJECTION] = self.network(it).p2p_time(round.injected_bytes);
-        }
-        let comm = std::mem::take(&mut self.comm)
-            .iter()
-            .fold(0.0, |sum, t| sum + t);
-        let bytes = std::mem::take(&mut self.bytes) + round.injected_bytes;
-        group.account_step(group.round_compute_seconds(it), comm, bytes, synced);
-        if group.should_eval(it) {
+        group.account_step(0.0, 0.0, 0, round.is_some_and(|(_, synced)| synced));
+        if let Some((round, _)) = round.filter(|_| group.should_eval(it)) {
             let mut avg = Vec::new();
             group.average_params_of_into(present, &mut avg);
             group.record_eval(it, &avg, round.max_delta);

@@ -2,23 +2,17 @@
 //!
 //! Workers push updates to the PS asynchronously and keep training on a locally cached
 //! copy of the global model; the cache is only refreshed periodically, so the gradients
-//! pushed to the PS are computed against *stale* parameters. A staleness threshold `s`
-//! bounds how far the fastest worker may run ahead of the slowest: when exceeded, the
-//! fast worker blocks (its simulated clock advances to the slowest worker's).
-//!
-//! Modelling notes: the simulator is sequential, so "fast" and
-//! "slow" workers are expressed through per-worker compute-time multipliers supplied by
-//! the [`crate::conditions::ClusterConditions`] heterogeneity profile — when the run
-//! configures no profile at all (`base_speed` empty), the paper's default applies
-//! ([`ClusterConditions::paper_straggler`]: the last worker is a 1.4× straggler, as in
-//! the heterogeneity discussion). An explicit profile — including an explicitly
-//! homogeneous `[1.0, …]` one, as scenario files compile to — is honoured verbatim so
-//! every algorithm arm of a scenario comparison runs on the same cluster. Cache
-//! refreshes happen every `s/4` steps — the staleness a worker sees therefore grows with
-//! the threshold, which reproduces the paper's observation that deep models degrade
-//! under SSP while shallow ones tolerate it.
+//! pushed to the PS are computed against *stale* parameters. Here the staleness
+//! threshold `s` sets only the refresh cadence: a worker refreshes its copy every
+//! `s/4` of its steps, so the staleness it sees grows with the threshold, which
+//! reproduces the paper's observation that deep models degrade under SSP while
+//! shallow ones tolerate it. No worker runs ahead of another or blocks on one: every
+//! present worker steps once per round, and a round costs the slowest present
+//! worker's compute ([`crate::report::price`], which runs SSP on the paper's 1.4×
+//! straggler when no heterogeneity profile is configured; an explicit one, uniform
+//! included, is honoured). Whether SSP gets a clock on which the bound binds is
+//! ROADMAP L's decision.
 
-use crate::conditions::ClusterConditions;
 use crate::config::{AlgorithmSpec, TrainConfig};
 use crate::report::RunReport;
 use crate::sim::{Simulator, WorkerStep};
@@ -32,54 +26,38 @@ pub fn run(cfg: &TrainConfig) -> RunReport {
 
     let mut sim = Simulator::new(cfg);
     let n = sim.num_workers();
-    let wire = sim.nominal().wire_bytes;
     // Global model lives on the PS; workers keep cached copies in their replica slots.
     let mut global = sim.workers[0].params.clone();
-    // Worker speeds come from the configured heterogeneity profile; only when none is
-    // configured at all does the paper's default apply (last worker a 1.4× straggler,
-    // others mildly mixed). An explicit all-1.0 profile stays homogeneous. Scheduled
-    // faults from the configuration are honoured either way.
-    let mut conditions = cfg.conditions.clone();
-    if conditions.base_speed.is_empty() {
-        conditions.base_speed = ClusterConditions::paper_straggler(n).base_speed;
-    }
+    let conditions = &cfg.conditions;
     let refresh_every = (staleness / 4).max(1);
 
-    let mut worker_time = vec![0.0f64; n];
     let mut steps_since_refresh = vec![0usize; n];
-    // Rejoin detection compares against the last *processed* round, exactly like
-    // `Simulator::begin_round` in the rule-driven loop — a per-worker previous-presence
-    // vector would miss crashes spanning an all-absent round.
-    let mut last_processed: Option<usize> = None;
-    let base_compute = sim.step_compute_seconds();
     let mut max_delta = 0.0f32;
 
     let mut steps: Vec<WorkerStep> = Vec::new();
 
     for it in 0..cfg.iterations {
         let lr = sim.lr_at(it);
-        let push_time = sim.ps_one_way_seconds_at(it);
         let present = conditions.present_workers(n, it);
         if present.is_empty() {
             sim.account_step(0.0, 0.0, 0, false);
-            last_processed = Some(it);
             continue;
         }
-        let mut rejoin_comm = 0.0f64;
-        let mut rejoin_bytes = 0u64;
         // Batches for the whole round are drawn up front in worker order (rejoins do
         // not touch cursors or the cluster RNG, so the streams match the old
         // interleaved loop exactly).
         sim.plan_round(&present, &mut steps);
 
-        // A rejoining worker pulls the global model *after* the pushes of every worker
-        // before it in the round, so its compute genuinely depends on same-round
-        // state. Split the round into segments at rejoiners: within a segment all
-        // computes are independent and run in parallel; the pushes / local applies /
-        // cache refreshes replay sequentially in worker order between segments.
+        // A rejoining worker — one that missed the round before, even when that round
+        // had no one present — pulls the global model *after* the pushes of every
+        // worker before it in the round, so its compute genuinely depends on
+        // same-round state. Split the round into segments at rejoiners: within a
+        // segment all computes are independent and run in parallel; the pushes /
+        // local applies / cache refreshes replay sequentially in worker order between
+        // segments.
         let rejoining: Vec<bool> = present
             .iter()
-            .map(|&w| last_processed.is_some_and(|prev| !conditions.is_present(w, prev)))
+            .map(|&w| it > 0 && !conditions.is_present(w, it - 1))
             .collect();
         let mut seg_start = 0usize;
         while seg_start < present.len() {
@@ -88,14 +66,9 @@ pub fn run(cfg: &TrainConfig) -> RunReport {
                 seg_end += 1;
             }
             if rejoining[seg_start] {
-                // Rejoin: pull the current global model (an extra one-way transfer,
-                // charged both to this worker's clock and to the round's accounting).
                 let w = present[seg_start];
                 sim.workers[w].rejoin(&global);
                 steps_since_refresh[w] = 0;
-                worker_time[w] += push_time;
-                rejoin_comm += push_time;
-                rejoin_bytes += wire;
             }
 
             // Parallel gradient phase for this segment.
@@ -105,19 +78,6 @@ pub fn run(cfg: &TrainConfig) -> RunReport {
             // Sequential post-phase, exactly the old per-worker order.
             let grads = sim.take_round_grads();
             for (j, &w) in present[seg_start..seg_end].iter().enumerate() {
-                // Staleness bound: a worker that is too far ahead waits for the
-                // slowest (earlier workers of this round have already advanced their
-                // progress, as in the interleaved loop).
-                let min_progress = present
-                    .iter()
-                    .map(|&p| sim.workers[p].progress)
-                    .min()
-                    .unwrap_or(0);
-                if sim.workers[w].progress > min_progress + staleness {
-                    let slowest_time = worker_time.iter().cloned().fold(0.0f64, f64::max);
-                    worker_time[w] = worker_time[w].max(slowest_time);
-                }
-
                 // Push: apply this worker's (stale) gradient directly to the global
                 // model.
                 for (p, &gi) in global.iter_mut().zip(grads[j].iter()) {
@@ -126,34 +86,20 @@ pub fn run(cfg: &TrainConfig) -> RunReport {
                 // The worker also advances its own cached copy with its local gradient.
                 sim.workers[w].apply_local(&grads[j], lr);
                 steps_since_refresh[w] += 1;
-                let mut comm = push_time;
                 if steps_since_refresh[w] >= refresh_every {
                     // Pull: refresh the cached copy from the global model.
                     sim.workers[w].params.copy_from_slice(&global);
                     sim.workers[w].optimizer.reset();
                     steps_since_refresh[w] = 0;
-                    comm += push_time;
                 }
-                worker_time[w] += base_compute * conditions.compute_multiplier(w, it) + comm;
             }
             sim.restore_round_grads(grads);
             seg_start = seg_end;
         }
-        // Account the wall-clock of this round as the slowest present worker's progress
-        // and the communication as 2 one-way transfers per present worker (push +
-        // amortised pull).
-        let round_compute = base_compute * conditions.slowest_present_multiplier(n, it);
-        let round_comm = push_time * present.len() as f64 * (1.0 + 1.0 / refresh_every as f64);
-        // SSP never performs a blocking aggregation, so LSSR does not apply; we record
-        // the steps as local (communication time is still charged).
-        sim.account_step(
-            round_compute,
-            round_comm + rejoin_comm,
-            (present.len() as u64) * wire + rejoin_bytes,
-            false,
-        );
+        // SSP never performs a blocking aggregation, so LSSR does not apply: every
+        // step counts as local.
+        sim.account_step(0.0, 0.0, 0, false);
 
-        last_processed = Some(it);
         if sim.should_eval(it) {
             sim.record_eval(it, &global, max_delta);
             max_delta = 0.0;

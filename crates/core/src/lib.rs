@@ -61,6 +61,15 @@
 //! assert_eq!(report.iterations, 120);
 //! ```
 
+/// Refuse the request being served, with the formatted reason, unless `ok`.
+macro_rules! ensure {
+    ($ok:expr, $($why:tt)+) => {
+        if !$ok {
+            return Err(format!($($why)+));
+        }
+    };
+}
+
 pub mod aggregation;
 pub mod algorithms;
 pub mod checkpoint;

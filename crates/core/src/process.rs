@@ -62,7 +62,7 @@ use crate::conditions::ClusterConditions;
 use crate::config::{AlgorithmSpec, TrainConfig};
 use crate::policy::{run_policy_spec, PolicySpec, SyncRule};
 use crate::sim::Simulator;
-use crate::threaded::{ClusterCore, Status, ThreadedWorkerReport};
+use crate::threaded::{ClusterCore, Served, Status, ThreadedWorkerReport};
 use crate::worker::{message_layer, run_worker, Reach, WorkerLink};
 use parking_lot::{Condvar, Mutex};
 use selsync_comm::socket::{HubClient, HubServer, RpcService, SocketAddrSpec, SocketConn};
@@ -225,15 +225,6 @@ fn whole<T>(rest: &[u8], value: T) -> Result<T, String> {
         0 => Ok(value),
         extra => Err(format!("{extra} bytes past the last field")),
     }
-}
-
-/// Refuse the request being served, with the formatted reason, unless `ok`.
-macro_rules! ensure {
-    ($ok:expr, $($why:tt)+) => {
-        if !$ok {
-            return Err(format!($($why)+));
-        }
-    };
 }
 
 /// Declares the op table: each op's tag constant and its variant, whose fields are
@@ -400,9 +391,6 @@ impl<'a> Reply<'a> {
     }
 }
 
-/// A ledger op's answer, or the reason the request is refused.
-type Served = Result<Reply<'static>, String>;
-
 /// The hub side of the RPC surface: decodes each request and serves it — the
 /// round barrier and the checkpoint gather from its own ledger, everything else
 /// through `ClusterCore::serve`, the call a worker thread makes in-process.
@@ -530,23 +518,20 @@ impl HubService {
     /// Refuse a rendezvous op of round `it` whose membership count `expected` is not
     /// the round's present count — the base schedule less the evictions frozen at the
     /// round's barrier, what every live worker derives — or whose worker has not
-    /// announced the round. The rendezvous asserts both, and its panic would take the
-    /// whole hub down.
-    fn check_members(&self, worker: usize, it: usize, expected: u32) -> Result<(), String> {
+    /// announced the round or is not present at it. The rendezvous asserts all three,
+    /// and its panic would take the whole hub down. Returns the round's emitter, its
+    /// lowest present worker.
+    fn check_members(&self, worker: usize, it: usize, expected: u32) -> Result<usize, String> {
         let s = self.ledger.lock();
         ensure!(s.last_begun[worker] == Some(it), "round {it} not announced");
         let frozen = s.released.get(&it).map_or(&[][..], |&f| &s.evictions[..f]);
         let evicted = |w| frozen.iter().any(|&(e, r)| e == w && r <= it);
-        let present = self
-            .core
-            .conditions
-            .present_workers(self.core.cfg.workers, it);
-        let present = present.into_iter().filter(|&w| !evicted(w)).count();
-        ensure!(
-            expected as usize == present,
-            "a count of {expected} for round {it}'s {present} workers"
-        );
-        Ok(())
+        let mut present = (self.core.conditions).present_workers(self.core.cfg.workers, it);
+        present.retain(|&w| !evicted(w));
+        ensure!(present.contains(&worker), "{worker} is absent at {it}");
+        let n = present.len();
+        ensure!(expected as usize == n, "a count of {expected} for {n}");
+        Ok(present[0])
     }
 
     /// Gather one worker's checkpoint [`Deposit`], sent in round `it`'s frame, and
@@ -655,7 +640,12 @@ impl RpcService for HubService {
         | Op::Status(_, expected, _)
         | Op::Signals(_, _, expected) = op
         {
-            self.check_members(worker, it, expected)?;
+            let emitter = self.check_members(worker, it, expected)?;
+            // Only the round's emitter carries its signal, and it always does.
+            if let Op::Status(_, _, pending) = op {
+                let ok = pending.is_some() == (worker == emitter);
+                ensure!(ok, "{worker} and emitter {emitter} disagree on a signal");
+            }
         }
         match op {
             Op::RoundBegin() => self.round_begin(worker, it)?,
@@ -663,7 +653,7 @@ impl RpcService for HubService {
             Op::SyncRound(_, Floats::Wire(params)) if params.len() != 4 * self.dim => {
                 return Err(format!("a {}-byte parameter vector", params.len()));
             }
-            op => self.core.serve(worker, it, op),
+            op => self.core.serve(worker, it, op)?,
         }
         .put(reply);
         Ok(())
@@ -1108,6 +1098,48 @@ mod tests {
         for (p, t) in reports.iter().zip(threaded.iter()) {
             assert_eq!(format!("{p:?}"), format!("{t:?}"), "worker {}", p.worker);
         }
+    }
+
+    #[test]
+    fn a_priced_process_schedule_costs_what_the_simulator_reports() {
+        use crate::conditions::ClusterConditions;
+        use crate::report::{price, Cost};
+        // A crash window with scheduled rejoin pulls: the merged schedule of the
+        // worker processes prices rejoins, partial rounds and syncs to the
+        // simulator's cost fields, bit for bit.
+        let mut c = cfg(0.05, 3);
+        c.eval_every = 5;
+        c.rejoin_pull = crate::config::RejoinPull::Scheduled;
+        c.conditions = ClusterConditions::uniform().with_fault(FaultEvent::Crash {
+            worker: 2,
+            start: 6,
+            rejoin: Some(13),
+        });
+        let sim = crate::algorithms::run(&c);
+        let (reports, _merged) = run_in_process_cluster(&c, "priced");
+        let mut merged: Vec<usize> = reports.into_iter().flat_map(|r| r.sync_rounds).collect();
+        merged.sort_unstable();
+        merged.dedup();
+        assert_eq!(merged, sim.sync_rounds);
+        assert!(!merged.is_empty() && merged.len() < c.iterations);
+        let mut history = sim.history.clone();
+        history.iter_mut().for_each(|p| p.sim_time_s = f64::NAN);
+        let cost = price(
+            &c,
+            0..c.iterations,
+            &merged,
+            &[],
+            Cost::default(),
+            &mut history,
+        );
+        let priced = (
+            cost.compute_time_s,
+            cost.comm_time_s,
+            cost.bytes_communicated,
+        );
+        let reported = (sim.compute_time_s, sim.comm_time_s, sim.bytes_communicated);
+        assert_eq!(format!("{priced:?}"), format!("{reported:?}"));
+        assert_eq!(format!("{history:?}"), format!("{:?}", sim.history));
     }
 
     #[test]
@@ -1730,6 +1762,49 @@ mod tests {
         }
         assert!(!served(1, status(1)), "round 1 not announced");
         assert!(served(0, status(1)));
+    }
+
+    #[test]
+    fn the_hub_refuses_a_malformed_status_observe_or_delta_for() {
+        // Two workers: worker 0 emits round 0. Each refused request used to reach an
+        // assert or an `expect` on the hub's path and panic it.
+        let hub = HubService::new(&cfg(0.05, 2), None);
+        let served = |worker: u32, round: u64, op: Op| {
+            let request = payload_of(|f| op.put(f));
+            hub.handle_into(worker, round, &request, &mut FrameBuf::new())
+                .is_ok()
+        };
+        let signal = [1.0, 0.5, 0.0, 0.0];
+        let both = |op: &(dyn Fn(u32) -> Op<'static> + Sync)| {
+            std::thread::scope(|scope| {
+                let calls: Vec<_> = (0..2)
+                    .map(|w| scope.spawn(move || served(w, 0, op(w))))
+                    .collect();
+                calls.into_iter().all(|call| call.join().expect("worker"))
+            })
+        };
+        assert!(both(&|_| Op::RoundBegin()));
+        assert!(
+            !served(0, 0, Op::Status(false, 2, None)),
+            "the emitter without"
+        );
+        assert!(
+            !served(1, 0, Op::Status(false, 2, Some((signal, 1)))),
+            "another with"
+        );
+        // A well-formed local round: its status all-gather observes round 0.
+        assert!(both(&|w| Op::Status(
+            false,
+            2,
+            (w == 0).then_some((signal, 1))
+        )));
+        assert!(
+            !served(0, 3, Op::Observe(signal, false, 4)),
+            "a future round"
+        );
+        assert!(!served(0, 0, Op::DeltaFor()), "an observed round");
+        assert!(served(1, 1, Op::DeltaFor()), "the hub keeps serving");
+        assert!(!hub.ledger.lock().dead.contains(&true));
     }
 
     #[test]

@@ -1,7 +1,15 @@
-//! Per-run results and the derived quantities the paper's Table I reports.
+//! Per-run results and the derived quantities the paper's Table I reports, and
+//! [`price`]: the one place a run's rounds meet the cost model.
 
+use crate::conditions::ClusterConditions;
+use crate::config::{AlgorithmSpec, TrainConfig};
+use crate::policy::{run_policy_spec, SyncRule};
+use selsync_comm::wire::frame_len;
+use selsync_comm::CommFaultSchedule;
+use selsync_nn::cost;
 use selsync_nn::model::ModelKind;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// One evaluation point along a training trajectory.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -71,34 +79,27 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Simulated time at which this run first reached `target` (metric ≥ target for
-    /// accuracy-style metrics, ≤ target for perplexity-style ones). `None` if never.
-    pub fn time_to_target(&self, target: f32) -> Option<f64> {
-        self.history
-            .iter()
-            .find(|p| {
-                if self.higher_is_better {
-                    p.test_metric >= target
-                } else {
-                    p.test_metric <= target
-                }
-            })
-            .map(|p| p.sim_time_s)
+    /// The first evaluation that reached `target` (metric ≥ target for accuracy-style
+    /// metrics, ≤ target for perplexity-style ones).
+    fn first_reaching(&self, target: f32) -> Option<&EvalPoint> {
+        let reached = |m: f32| {
+            if self.higher_is_better {
+                m >= target
+            } else {
+                m <= target
+            }
+        };
+        self.history.iter().find(|p| reached(p.test_metric))
     }
 
-    /// Iteration at which this run first reached `target` (same convention as
-    /// [`Self::time_to_target`]).
+    /// Simulated time at which this run first reached `target`. `None` if never.
+    pub fn time_to_target(&self, target: f32) -> Option<f64> {
+        self.first_reaching(target).map(|p| p.sim_time_s)
+    }
+
+    /// Iteration at which this run first reached `target`. `None` if never.
     pub fn iterations_to_target(&self, target: f32) -> Option<usize> {
-        self.history
-            .iter()
-            .find(|p| {
-                if self.higher_is_better {
-                    p.test_metric >= target
-                } else {
-                    p.test_metric <= target
-                }
-            })
-            .map(|p| p.iteration)
+        self.first_reaching(target).map(|p| p.iteration)
     }
 
     /// The paper's "Conv. Diff." column: this run's final metric minus the baseline's
@@ -146,6 +147,129 @@ impl RunReport {
             1.0 / (1.0 - self.lssr)
         }
     }
+}
+
+/// The cost fields of a [`RunReport`]: simulated seconds and bytes on the wire.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Cost {
+    /// Simulated time spent computing.
+    pub compute_time_s: f64,
+    /// Simulated time spent communicating.
+    pub comm_time_s: f64,
+    /// Bytes moved over the (simulated) network.
+    pub bytes_communicated: u64,
+}
+
+/// Price `rounds` of a run of `cfg` on its cost model, onward from the totals `from`,
+/// given its synchronization schedule and the `(round, bytes)` of every round that
+/// injected data, both in round order; each point of `history` in `rounds` gets the
+/// simulated time after its round. The simulator prices its own run with it, and a
+/// cluster run's merged schedule prices to the same numbers.
+///
+/// A round with a present worker costs the slowest one's compute. An SSP round adds
+/// one push per present worker, the pulls its refresh cadence (every `s/4` steps)
+/// amortises, and its rejoin pulls. A rule-driven round adds, in this order: rejoin
+/// pulls, the status all-gather (at a PS-down round the outage probe), injection, the
+/// signal exchange, the worst retry penalty, the synchronization.
+pub fn price(
+    cfg: &TrainConfig,
+    rounds: Range<usize>,
+    sync_rounds: &[usize],
+    injected: &[(usize, u64)],
+    from: Cost,
+    history: &mut [EvalPoint],
+) -> Cost {
+    let (n, nominal) = (cfg.workers, cfg.model.nominal());
+    let (wire, frame) = (nominal.wire_bytes, frame_len(8) as u64);
+    let step_s = cost::compute_time_ms(&nominal, cfg.batch_size, &cfg.device) / 1e3;
+    let (rule, refresh_every, mut conditions) = match cfg.algorithm {
+        AlgorithmSpec::Ssp { staleness } => (None, (staleness / 4).max(1), cfg.conditions.clone()),
+        _ => (Some(SyncRule::of(cfg)), 0, cfg.effective_conditions()),
+    };
+    // With no profile configured, SSP alone runs the paper's straggler.
+    if rule.is_none() && conditions.base_speed.is_empty() {
+        conditions.base_speed = ClusterConditions::paper_straggler(n).base_speed;
+    }
+    let signals = run_policy_spec(cfg).consumes_round_signals();
+    let status = rule.is_some_and(SyncRule::exchanges_status);
+    let ps = cfg.ps_fault_schedule().filter(|_| status);
+    let faults = cfg.comm_faults.map(CommFaultSchedule::new);
+    let (start, mut total) = (rounds.start, from);
+    let mut points = history
+        .iter_mut()
+        .skip_while(|p| p.iteration < start)
+        .peekable();
+    for it in rounds {
+        let present = conditions.present_workers(n, it);
+        let (k, round) = (present.len(), it as u64);
+        let net = conditions.network_at(it, &cfg.network);
+        let back = |&&w: &&usize| it > 0 && !conditions.is_present(w, it - 1);
+        let rejoins = present.iter().filter(back).count();
+        let rejoin_s = (0..rejoins).fold(0.0, |sum, _| sum + net.ps_one_way_time(wire));
+        let mut terms = [0.0f64; 6];
+        let mut bytes = 0;
+        match rule {
+            _ if k == 0 => {}
+            None => {
+                let pushes = net.ps_one_way_time(wire) * k as f64;
+                terms[0] = pushes * (1.0 + 1.0 / refresh_every as f64);
+                terms[1] = rejoin_s;
+                bytes += (k + rejoins) as u64 * wire;
+            }
+            Some(rule) => {
+                if rule.has_ps() {
+                    terms[0] = rejoin_s;
+                    bytes += rejoins as u64 * wire;
+                }
+                let down = ps.as_ref().is_some_and(|s| s.down(round));
+                if status && down {
+                    terms[1] = net.ps_probe_time();
+                    bytes += k as u64 * frame;
+                } else if status {
+                    terms[1] = net.status_allgather_time(k);
+                    bytes += k as u64;
+                    // A failed attempt costs its backoff (workers retry concurrently, so
+                    // the round pays the worst) and retransmits both legs of its frame.
+                    for (&w, faults) in present.iter().flat_map(|w| Some((w, faults.as_ref()?))) {
+                        let attempts = (faults.attempts_used(w, round))
+                            .expect("present workers complete within their retry budget");
+                        if attempts > 1 {
+                            bytes += (attempts as u64 - 1) * 2 * frame;
+                            terms[4] = terms[4].max(faults.retry_penalty_s(w, round));
+                        }
+                    }
+                }
+                // Worker-to-worker injection shipping is unaffected by a PS outage.
+                if let Ok(i) = injected.binary_search_by_key(&it, |&(r, _)| r) {
+                    terms[2] = net.p2p_time(injected[i].1);
+                    bytes += injected[i].1;
+                }
+                // Two scalar all-reduces (loss mean, Δ max) and the 2-element Δ-moment
+                // vector: 16 payload bytes per present worker.
+                if signals && !down {
+                    terms[3] = 2.0 * net.scalar_allreduce_time(k) + net.vec_allreduce_time(k, 2);
+                    bytes += k as u64 * 16;
+                }
+                if sync_rounds.binary_search(&it).is_ok() {
+                    let contributors = match rule {
+                        SyncRule::Periodic { participants, .. } => participants.min(k),
+                        _ => k,
+                    };
+                    terms[5] = net.ps_sync_time(wire, contributors);
+                    bytes += 2 * contributors as u64 * wire;
+                }
+            }
+        }
+        if k > 0 {
+            total.compute_time_s += step_s * conditions.slowest_present_multiplier(n, it);
+            total.comm_time_s += terms.iter().fold(0.0, |sum, t| sum + t);
+            total.bytes_communicated += bytes;
+        }
+        while let Some(p) = points.next_if(|p| p.iteration <= it) {
+            p.sim_time_s = total.compute_time_s + total.comm_time_s;
+        }
+    }
+    total
 }
 
 #[cfg(test)]

@@ -6,10 +6,10 @@
 //! uses it too. It owns the synthetic train/test datasets, the replicas, a pool of
 //! compute engines (one per round slot for the worker-parallel compute phase, one
 //! shared engine for evaluation and the sequential reference path) and — what only the
-//! simulator reads — the simulated clock (compute time from the device cost model,
-//! communication time priced by the link on the network cost model), LSSR
-//! bookkeeping, the evaluation history that becomes the [`RunReport`], and the
-//! data-injection draw, which advances *other* workers' shards.
+//! simulator reads — LSSR bookkeeping, the synchronization schedule, the evaluation
+//! history that becomes the [`RunReport`], and the data-injection draw, which advances
+//! *other* workers' shards. The group holds no clock: [`report::price`] turns the
+//! schedule and the injected bytes into the report's simulated time and bytes.
 //!
 //! The compute phase runs concurrently on the shared worker pool
 //! ([`selsync_tensor::par`]): batch indices are drawn up front from each worker's own
@@ -25,7 +25,7 @@ use crate::checkpoint::{Checkpoint, Section};
 use crate::config::{AlgorithmSpec, TrainConfig};
 use crate::policy::RoundSignal;
 use crate::replica::{Engine, Replica};
-use crate::report::{EvalPoint, RunReport};
+use crate::report::{self, Cost, EvalPoint, RunReport};
 use selsync_data::dataset::Dataset;
 use selsync_data::injection::DataInjection;
 use selsync_data::noniid;
@@ -68,8 +68,6 @@ pub struct RoundOutput {
     pub deltas: Vec<f32>,
     /// Maximum `Δ(g_i)` of the round.
     pub max_delta: f32,
-    /// Total data-injection bytes of the round.
-    pub injected_bytes: u64,
 }
 
 impl RoundOutput {
@@ -183,10 +181,13 @@ pub struct Simulator {
     /// Step indices at which [`Self::account_step`] recorded a synchronization — the
     /// run's synchronization schedule (see [`RunReport::sync_rounds`]).
     sync_rounds: Vec<usize>,
+    /// `(round, bytes)` of every round whose batches injected data: what the cost of
+    /// a run needs beyond its configuration and schedule.
+    injected: Vec<(usize, u64)>,
+    /// The rounds a resume image priced already, and their totals (zero from a
+    /// cluster image, which carries none).
+    priced_before: (usize, Cost),
     history: Vec<EvalPoint>,
-    compute_time_s: f64,
-    comm_time_s: f64,
-    bytes_communicated: u64,
     /// RNG for cluster-level stochastic decisions (FedAvg participant selection,
     /// data-injection donor choice, SSP scheduling jitter).
     pub rng: SelRng,
@@ -265,10 +266,9 @@ impl Simulator {
             injection,
             lssr: LssrCounter::new(),
             sync_rounds: Vec::new(),
+            injected: Vec::new(),
+            priced_before: (0, Cost::default()),
             history: Vec::new(),
-            compute_time_s: 0.0,
-            comm_time_s: 0.0,
-            bytes_communicated: 0,
             rng,
             max_delta_seen: 0.0,
             engines: Vec::new(),
@@ -353,7 +353,7 @@ impl Simulator {
     /// across rounds (cleared and refilled, index buffers kept).
     pub fn plan_round(&mut self, present: &[usize], steps: &mut Vec<WorkerStep>) {
         assert_valid_round_workers(present.iter().copied(), self.cfg.workers);
-        let mut planned = 0;
+        let (mut planned, mut injected) = (0, 0);
         for (rank, &w) in present.iter().enumerate() {
             if !self.hosts(w) {
                 continue;
@@ -365,7 +365,11 @@ impl Simulator {
             step.worker = w;
             step.injected_bytes = self.fill_batch_indices(w, &mut step.indices);
             step.forward_index = self.forwards_issued + rank as u64;
+            injected += step.injected_bytes;
             planned += 1;
+        }
+        if injected > 0 {
+            self.injected.push((self.step_index(), injected));
         }
         steps.truncate(planned);
         self.forwards_issued += present.len() as u64;
@@ -408,7 +412,6 @@ impl Simulator {
             stats: vec![NO_STATS; n],
             deltas: vec![0.0f32; n],
             max_delta: 0.0,
-            injected_bytes: 0,
         };
         if n == 0 {
             return output;
@@ -471,10 +474,9 @@ impl Simulator {
         }
 
         // Merge shared state in worker-index order, exactly like the sequential loop.
-        for (i, step) in steps.iter().enumerate() {
-            output.injected_bytes += step.injected_bytes;
-            output.max_delta = output.max_delta.max(output.deltas[i]);
-            self.max_delta_seen = self.max_delta_seen.max(output.deltas[i]);
+        for &delta in &output.deltas {
+            output.max_delta = output.max_delta.max(delta);
+            self.max_delta_seen = self.max_delta_seen.max(delta);
         }
         output
     }
@@ -638,16 +640,6 @@ impl Simulator {
         }
     }
 
-    /// Per-iteration compute time (seconds) for one worker's batch on the configured
-    /// device, using the nominal (paper-scale) per-sample FLOPs.
-    pub fn step_compute_seconds(&self) -> f64 {
-        cost::compute_time_ms(
-            &self.engine.model.nominal,
-            self.cfg.batch_size,
-            &self.cfg.device,
-        ) / 1e3
-    }
-
     // --- cluster-condition hooks (heterogeneity and fault injection) ---------------
 
     /// The alive workers at `iteration`, in worker order.
@@ -657,39 +649,21 @@ impl Simulator {
             .present_workers(self.cfg.workers, iteration)
     }
 
-    /// Wall-clock seconds of one synchronous compute round at `iteration`: the batch
-    /// compute time stretched by the slowest present worker's multiplier.
+    /// Seconds of one synchronous compute round at `iteration`: the batch compute time
+    /// stretched by the slowest present worker's multiplier (for the benchmark harness;
+    /// a run's own cost is [`report::price`]'s, like the next two).
     pub fn round_compute_seconds(&self, iteration: usize) -> f64 {
-        self.step_compute_seconds()
-            * self
-                .cfg
-                .conditions
-                .slowest_present_multiplier(self.cfg.workers, iteration)
-    }
-
-    /// The network model in effect at `iteration` (base model plus active degradations).
-    pub fn network_at(&self, iteration: usize) -> selsync_comm::NetworkModel {
-        self.cfg.conditions.network_at(iteration, &self.cfg.network)
-    }
-
-    /// Seconds for a full PS synchronization across `participants` under the network
-    /// conditions at `iteration`.
-    pub fn ps_sync_seconds_at(&self, iteration: usize, participants: usize) -> f64 {
-        self.network_at(iteration)
-            .ps_sync_time(self.engine.model.nominal.wire_bytes, participants)
+        let nominal = &self.engine.model.nominal;
+        let conditions = &self.cfg.conditions;
+        cost::compute_time_ms(nominal, self.cfg.batch_size, &self.cfg.device) / 1e3
+            * conditions.slowest_present_multiplier(self.cfg.workers, iteration)
     }
 
     /// Seconds for the 1-bit status all-gather among `participants` under the network
     /// conditions at `iteration`.
     pub fn status_allgather_seconds_at(&self, iteration: usize, participants: usize) -> f64 {
-        self.network_at(iteration)
-            .status_allgather_time(participants)
-    }
-
-    /// Seconds for a one-way PS push or pull under the network conditions at `iteration`.
-    pub fn ps_one_way_seconds_at(&self, iteration: usize) -> f64 {
-        self.network_at(iteration)
-            .ps_one_way_time(self.engine.model.nominal.wire_bytes)
+        let net = self.cfg.conditions.network_at(iteration, &self.cfg.network);
+        net.status_allgather_time(participants)
     }
 
     /// The sync apply ([`Replica::apply_sync`]) for `worker_ids`: each adopts the
@@ -711,17 +685,18 @@ impl Simulator {
     /// Begin a synchronous round at `iteration` for drivers with a PS rejoin path:
     /// returns the present workers, and for every worker that was absent at the
     /// round before and is back now, performs the rejoin pull from `global`
-    /// ([`Replica::rejoin`]) and accounts the one-way transfer. Returns
-    /// `(present, rejoin_comm_seconds, rejoin_bytes)` for the caller to fold into the
-    /// round's accounting.
+    /// ([`Replica::rejoin`]) and prices the one-way transfer. Returns
+    /// `(present, rejoin_comm_seconds, rejoin_bytes)`.
     pub fn begin_round(&mut self, iteration: usize, global: &[f32]) -> (Vec<usize>, f64, u64) {
         let present = self.present_workers(iteration);
         let (mut comm_s, mut bytes) = (0.0f64, 0u64);
+        let wire = self.nominal().wire_bytes;
+        let net = self.cfg.conditions.network_at(iteration, &self.cfg.network);
         for &w in &present {
             if self.rejoins(w, iteration) {
                 self.replica_mut(w).rejoin(global);
-                comm_s += self.ps_one_way_seconds_at(iteration);
-                bytes += self.nominal().wire_bytes;
+                comm_s += net.ps_one_way_time(wire);
+                bytes += wire;
                 crate::tracing::emit_rejoin_pull(&self.cfg, iteration, w, || {
                     self.sync_rounds.last().copied()
                 });
@@ -738,12 +713,10 @@ impl Simulator {
         self.lssr.total() as usize
     }
 
-    /// Account one step's simulated time and bytes. `sync_bytes` should include every
-    /// parameter/gradient transfer and the data-injection bytes of the step.
-    pub fn account_step(&mut self, compute_s: f64, comm_s: f64, sync_bytes: u64, synced: bool) {
-        self.compute_time_s += compute_s;
-        self.comm_time_s += comm_s;
-        self.bytes_communicated += sync_bytes;
+    /// Count one step, and whether it synchronized. The cost arguments are unused —
+    /// the step's cost is [`report::price`]'s — and go once the benchmark harness stops
+    /// passing them (ROADMAP A(iv)).
+    pub fn account_step(&mut self, _compute_s: f64, _comm_s: f64, _bytes: u64, synced: bool) {
         if synced {
             self.sync_rounds.push(self.step_index());
             self.lssr.record_sync();
@@ -757,7 +730,8 @@ impl Simulator {
         let stats = self.evaluate_params(params);
         let point = EvalPoint {
             iteration,
-            sim_time_s: self.compute_time_s + self.comm_time_s,
+            // Priced with the run (`report::price`).
+            sim_time_s: 0.0,
             // The most recent training step: the last worker of the last round.
             train_loss: (self.last_round_workers.last())
                 .map_or(0.0, |&w| self.workers[w].last_loss),
@@ -774,11 +748,21 @@ impl Simulator {
         iteration.is_multiple_of(self.cfg.eval_every.max(1)) || iteration + 1 == self.cfg.iterations
     }
 
+    /// The cost of the rounds run so far, with `history`'s points priced.
+    fn price(&self, history: &mut [EvalPoint]) -> Cost {
+        let (start, from) = self.priced_before;
+        let (sync_rounds, injected) = (&self.sync_rounds, &self.injected);
+        let rounds = start..self.step_index();
+        report::price(&self.cfg, rounds, sync_rounds, injected, from, history)
+    }
+
     /// Consume the simulator and produce the run report.
-    pub fn finalize(self, algorithm: String) -> RunReport {
+    pub fn finalize(mut self, algorithm: String) -> RunReport {
+        let mut history = std::mem::take(&mut self.history);
+        let cost = self.price(&mut history);
         let higher = self.engine.model.task.higher_is_better();
-        let last = self.history.last().copied();
-        let metrics = self.history.iter().map(|p| p.test_metric);
+        let last = history.last().copied();
+        let metrics = history.iter().map(|p| p.test_metric);
         let best = if higher {
             metrics.fold(f32::NEG_INFINITY, f32::max)
         } else {
@@ -794,18 +778,18 @@ impl Simulator {
             sync_rounds: self.sync_rounds,
             lssr: self.lssr.lssr(),
             final_metric: last.map(|p| p.test_metric).unwrap_or(0.0),
-            best_metric: if self.history.is_empty() { 0.0 } else { best },
+            best_metric: if history.is_empty() { 0.0 } else { best },
             final_loss: last.map(|p| p.test_loss).unwrap_or(f32::NAN),
             max_delta: self.max_delta_seen,
-            sim_time_s: self.compute_time_s + self.comm_time_s,
-            comm_time_s: self.comm_time_s,
-            compute_time_s: self.compute_time_s,
-            bytes_communicated: self.bytes_communicated,
+            sim_time_s: cost.compute_time_s + cost.comm_time_s,
+            comm_time_s: cost.comm_time_s,
+            compute_time_s: cost.compute_time_s,
+            bytes_communicated: cost.bytes_communicated,
             // SSP never switches regimes; the rule-driven loop overwrites these from
             // its policy after finalization.
             policy_switches: 0,
             switch_rounds: Vec::new(),
-            history: self.history,
+            history,
         }
     }
 
@@ -814,8 +798,8 @@ impl Simulator {
     /// The simulator's part of a recovery image ([`Checkpoint::assemble`]): one
     /// `worker<k>` section per worker ([`Replica::section`], exactly what that worker
     /// deposits on a cluster backend), then the `sim` section — what only the simulator measures
-    /// (cost-model seconds, bytes, eval history, the run-wide max `Δ(g_i)`, which
-    /// tracker restarts forget) or draws (the cluster RNG position and, because
+    /// (the cost of the rounds so far, priced, the eval history, the run-wide max
+    /// `Δ(g_i)`, which tracker restarts forget) or draws (the cluster RNG position and, because
     /// data-injection advances *other* workers' shards, the shard cursors). Must be
     /// called at a round boundary (after the round's updates, accounting and
     /// evaluation) — scratch buffers, engines and the round-gradient pool are
@@ -832,12 +816,14 @@ impl Simulator {
         s.push_int(self.rng.word_pos());
         let cursors: Vec<u64> = self.workers.iter().map(|w| w.cursor as u64).collect();
         s.push_ints(&cursors);
-        s.push_f64(self.compute_time_s);
-        s.push_f64(self.comm_time_s);
-        s.push_int(self.bytes_communicated);
+        let mut history = self.history.clone();
+        let cost = self.price(&mut history);
+        s.push_f64(cost.compute_time_s);
+        s.push_f64(cost.comm_time_s);
+        s.push_int(cost.bytes_communicated);
         s.push_f32(self.max_delta_seen);
-        s.push_usize(self.history.len());
-        for p in &self.history {
+        s.push_usize(history.len());
+        for p in &history {
             s.push_usize(p.iteration);
             s.push_f64(p.sim_time_s);
             s.push_f32(p.train_loss);
@@ -855,8 +841,8 @@ impl Simulator {
     /// ([`Replica::restore`], which also recomputes the data-traversal position); the
     /// cluster-level cursors (forward counter, presence edge, schedule) are
     /// recomputed from the configuration exactly as a cluster worker recomputes its
-    /// own. A cluster-written image has no `sim` section: the cost-model aggregates
-    /// and the eval history then restart at zero and the run-wide max `Δ(g_i)` is
+    /// own. A cluster-written image has no `sim` section: the cost totals the run
+    /// prices onward from and the eval history then restart at zero and the run-wide max `Δ(g_i)` is
     /// the trackers'. A group of part of the cluster reads only its members'
     /// sections.
     pub fn restore_checkpoint(&mut self, ckpt: &Checkpoint) {
@@ -876,6 +862,7 @@ impl Simulator {
         self.lssr.sync_steps = sync_rounds.len() as u64;
         self.lssr.local_steps = rounds as u64 - self.lssr.sync_steps;
         self.sync_rounds = sync_rounds;
+        self.priced_before = (rounds, Cost::default());
         self.forwards_issued = self
             .cfg
             .conditions
@@ -890,9 +877,11 @@ impl Simulator {
         for (w, cursor) in self.workers.iter_mut().zip(s.ints()) {
             w.cursor = cursor as usize;
         }
-        self.compute_time_s = s.f64();
-        self.comm_time_s = s.f64();
-        self.bytes_communicated = s.int();
+        self.priced_before.1 = Cost {
+            compute_time_s: s.f64(),
+            comm_time_s: s.f64(),
+            bytes_communicated: s.int(),
+        };
         self.max_delta_seen = s.f32();
         let n_history = s.usize();
         self.history = (0..n_history)
@@ -1073,8 +1062,11 @@ mod tests {
         assert_eq!(report.local_steps, 1);
         assert_eq!(report.sync_steps, 1);
         assert!((report.lssr - 0.5).abs() < 1e-9);
-        assert!((report.sim_time_s - 2.2).abs() < 1e-9);
-        assert_eq!(report.bytes_communicated, 1_000);
+        // The cost is the schedule's price, whatever the steps were handed.
+        let cost = report::price(&cfg, 0..2, &[1], &[], Cost::default(), &mut []);
+        assert!(cost.bytes_communicated > 1_000);
+        assert_eq!(report.bytes_communicated, cost.bytes_communicated);
+        assert_eq!(report.sim_time_s, cost.compute_time_s + cost.comm_time_s);
     }
 
     #[test]
@@ -1091,10 +1083,9 @@ mod tests {
     fn timing_helpers_are_positive_and_ordered() {
         let cfg = small_cfg();
         let sim = Simulator::new(&cfg);
-        assert!(sim.step_compute_seconds() > 0.0);
-        assert!(sim.ps_sync_seconds_at(0, 16) > sim.ps_sync_seconds_at(0, 4));
-        assert!(sim.status_allgather_seconds_at(0, 4) < sim.ps_sync_seconds_at(0, 4));
-        assert!(sim.ps_one_way_seconds_at(0) < sim.ps_sync_seconds_at(0, 4));
+        assert!(sim.round_compute_seconds(0) > 0.0);
+        let status = |n| sim.status_allgather_seconds_at(0, n);
+        assert!(status(4) > 0.0 && status(16) > status(4));
     }
 
     #[test]
@@ -1251,11 +1242,10 @@ mod tests {
         assert_eq!(b.forwards_issued, a.forwards_issued);
         assert_eq!(b.sync_rounds, a.sync_rounds);
         assert_eq!(b.lssr, a.lssr);
-        assert_eq!(b.history, a.history);
-        assert_eq!(
-            b.compute_time_s + b.comm_time_s,
-            a.compute_time_s + a.comm_time_s
-        );
+        // The image holds the history priced; the run holds it unpriced until its end.
+        let mut history = a.history.clone();
+        assert_eq!(b.price(&mut []), a.price(&mut history));
+        assert_eq!(b.history, history);
         // Continue both for two more rounds: plans, outputs and replicas must agree
         // byte for byte.
         let mut steps_b = Vec::new();

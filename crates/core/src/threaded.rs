@@ -105,31 +105,26 @@ impl SignalBoard {
     /// The δ in effect for the round at `iteration`, once caught up. The round's own
     /// signals cannot have been observed yet (the observation is posted no earlier than
     /// the round's status all-gather closes, which this call precedes on every present
-    /// worker).
-    pub(crate) fn delta_for(&self, iteration: usize) -> f32 {
+    /// worker), so a request that finds them observed is refused.
+    pub(crate) fn delta_for(&self, iteration: usize) -> Result<f32, String> {
         let s = self.wait_caught_up(iteration);
-        assert_eq!(
-            s.next_observe, iteration,
-            "δ requested for a round whose signals were already observed"
-        );
-        s.policy.delta(iteration)
+        ensure!(s.next_observe == iteration, "round {iteration} observed");
+        Ok(s.policy.delta(iteration))
     }
 
     /// Ingest the completed round's cluster-level signals and advance the board to
     /// `next_round` (the next active round, or the iteration count); returns the δ in
     /// effect for `next_round`. Called once per round — for the lowest-ranked present
-    /// worker — strictly in round order.
-    pub(crate) fn observe(&self, signal: RoundSignal, next_round: usize) -> f32 {
+    /// worker — strictly in round order: any other round's signals are refused.
+    pub(crate) fn observe(&self, signal: RoundSignal, next_round: usize) -> Result<f32, String> {
         let mut s = self.state.lock();
-        assert_eq!(
-            s.next_observe, signal.iteration,
-            "round signals observed out of order"
-        );
+        let (round, next) = (signal.iteration, s.next_observe);
+        ensure!(round == next, "round {round} observed before {next}");
         s.policy.observe(&signal);
         crate::tracing::regime_switch(&self.trace, s.policy.as_ref(), &signal);
         s.next_observe = next_round;
         self.cv.notify_all();
-        s.policy.delta(next_round)
+        Ok(s.policy.delta(next_round))
     }
 }
 
@@ -141,6 +136,9 @@ pub(crate) struct Status {
     pub(crate) flags: Vec<bool>,
     pub(crate) next: Option<(usize, f32)>,
 }
+
+/// A served op's reply, or the reason it is refused.
+pub(crate) type Served = Result<Reply<'static>, String>;
 
 /// One worker's part of a status all-gather: its bit, and the round's unsynchronized
 /// signal and next active round when it emits the round.
@@ -215,11 +213,12 @@ impl ClusterCore {
     /// theirs. `ROUND_BEGIN` and `CKPT_DEPOSIT` are answered here for threads, which
     /// share one process: no connection can die, so there is no eviction to publish
     /// and no barrier to hold, and the last deposit writes the image. A hub answers
-    /// both from its own ledger instead.
-    pub(crate) fn serve(&self, worker: usize, it: usize, op: Op<'_>) -> Reply<'static> {
+    /// both from its own ledger instead. `DELTA_FOR` and `OBSERVE` out of the board's
+    /// round order are refused.
+    pub(crate) fn serve(&self, worker: usize, it: usize, op: Op<'_>) -> Served {
         let (ps, round) = (&self.handles.ps, it as u64);
         let shared = |values| Reply::Floats(Floats::Shared(Arc::new(values)));
-        match op {
+        Ok(match op {
             // Once the board has observed every active round before `end`, every
             // synchronization before it has reached the PS, whatever rounds the asking
             // worker sat out.
@@ -254,13 +253,13 @@ impl ClusterCore {
                 self.signals(it, worker, loss, delta, expected as usize)
                     .values(),
             ),
-            Op::DeltaFor() => Reply::Delta(self.board.delta_for(it)),
+            Op::DeltaFor() => Reply::Delta(self.board.delta_for(it)?),
             Op::Observe(values, synced, next) => {
                 let signal = RoundSignal {
                     synced,
                     ..RoundSignal::of(it, values)
                 };
-                self.board.observe(signal, next as usize);
+                self.board.observe(signal, next as usize)?;
                 Reply::Done
             }
             Op::RoundBegin() => Reply::Evictions(Vec::new()),
@@ -277,14 +276,15 @@ impl ClusterCore {
                     .run(round, worker, n, deposit.section, write);
                 Reply::Done
             }
-        }
+        })
     }
 
     /// `worker`'s side of round `it`'s status all-gather among the `expected` present
     /// workers: one round-keyed rendezvous. When no bit is set the round stays local
     /// and the emitter's `pending` signal is final, so the combine observes it and
     /// answers with the next active round's δ — the local round's last touch of the
-    /// board. Otherwise the emitter observes the round after its sync.
+    /// board. Otherwise the emitter observes the round after its sync. A board that
+    /// refuses the signal leaves the round unobserved, and so will the emitter's own.
     pub(crate) fn status(
         &self,
         it: usize,
@@ -299,11 +299,9 @@ impl ClusterCore {
             for &(w, (bit, _)) in bits.iter() {
                 flags[w] = bit;
             }
-            let next = (!flags.contains(&true)).then(|| {
-                let emitted = bits.iter().find_map(|&(_, (_, pending))| pending);
-                let (signal, next) = emitted.expect("a round's emitter takes part in its status");
-                (next, self.board.observe(signal, next))
-            });
+            let next = (bits.iter().find_map(|&(_, (_, pending))| pending))
+                .filter(|_| !flags.contains(&true))
+                .and_then(|(signal, next)| Some((next, self.board.observe(signal, next).ok()?)));
             Status { flags, next }
         };
         let bit = (flag, pending);
@@ -370,7 +368,10 @@ impl Reach for &ClusterCore {
         op: Op<'_>,
         read: impl FnOnce(Reply<'_>) -> R,
     ) -> R {
-        read(self.serve(worker, it, op))
+        read(
+            self.serve(worker, it, op)
+                .expect("a worker thread's op is well-formed"),
+        )
     }
 }
 
@@ -498,7 +499,6 @@ mod tests {
                     .collect(),
                 deltas: present.iter().map(|&w| pairs[w].1).collect(),
                 max_delta: 0.0,
-                injected_bytes: 0,
             };
             let want = bits(&round.signal(it, false));
             for signal in &signals {

@@ -138,6 +138,18 @@ pub fn emit_rejoin_pull(
     });
 }
 
+/// The event of `worker`'s status bit at `round` when its envelope took more than one
+/// attempt: one per (worker, round), whoever delivered it.
+pub fn comm_retry(sink: &TraceSink, round: usize, worker: usize, attempts: u32) {
+    if attempts > 1 {
+        sink.record(Event::CommRetry {
+            round,
+            worker,
+            attempts,
+        });
+    }
+}
+
 /// The signal the δ policy observes for a degraded (PS-down) round: no cluster
 /// exchange ran, so it is the lowest-ranked present worker's own `loss` and
 /// `Δ(g_i)`, never synced — which keeps regime state coherent through the outage.

@@ -6,7 +6,7 @@
 //! What it shares with the rest of the cluster — parameter server, collectives,
 //! δ-policy, checkpoint writer — it reaches through a [`ClusterLink`]: every op takes
 //! the group's values and returns the cluster's answer. The simulator's link
-//! (`algorithms::selsync`) folds them in memory and prices each op on the cost model.
+//! (`algorithms::selsync`) folds them in memory.
 //! A cluster worker's link is [`WorkerLink`], one for both cluster backends: it sends
 //! each op's envelope, then hands the op to `ClusterCore::serve` over a [`Reach`] —
 //! a direct call from a worker thread ([`crate::threaded`]), one RPC to the hub that
@@ -51,8 +51,11 @@ pub(crate) trait ClusterLink {
     /// The round of the last synchronization before `it` (`None`: the initial global).
     fn scheduled_round_before(&self, it: usize) -> Option<usize>;
     /// The δ-signal exchange: the cluster's mean loss, maximum `Δ(g_i)` and Δ moments
-    /// from the group's `round`, folded in worker order (`synced` is left unset).
-    fn signals(&mut self, it: usize, round: &RoundOutput, expected: usize) -> RoundSignal;
+    /// from the group's `round`, folded in worker order (`synced` is left unset) — the
+    /// group's own fold when the group is the cluster.
+    fn signals(&mut self, it: usize, round: &RoundOutput, _expected: usize) -> RoundSignal {
+        round.signal(it, false)
+    }
     /// The cluster's δ for round `it`, once every earlier active round is observed.
     fn delta_for(&mut self, it: usize) -> f32;
     /// The status all-gather among `present`: the group's bits in, at their worker
@@ -70,15 +73,15 @@ pub(crate) trait ClusterLink {
     ) -> (Vec<bool>, bool);
     /// Push the group's `contributions`, pull their worker-order mean into `mean`.
     fn sync(&mut self, it: usize, contributions: &[&[f32]], expected: usize, mean: &mut Vec<f32>);
-    /// Round `it`'s synchronized `global` over `contributors` workers. A hub's PS
-    /// recorded it in [`Self::sync`] already; the in-memory PS records it here.
-    fn commit(&mut self, _it: usize, _global: &[f32], _contributors: usize) {}
+    /// Round `it`'s synchronized `global`. A hub's PS recorded it in [`Self::sync`]
+    /// already; the in-memory PS records it here.
+    fn commit(&mut self, _it: usize, _global: &[f32]) {}
     /// Post the completed round's cluster signal; the policy advances to `next_round`.
     fn observe(&mut self, signal: RoundSignal, next_round: usize);
     /// Take part in the recovery image after round `it`; returns once it is written.
     fn checkpoint(&mut self, it: usize, group: &Simulator);
-    /// The round is over: cost-model accounting and evaluation, given the round the
-    /// group ran and whether it synchronized (`None`: the group sat it out).
+    /// The round is over: the step's count and evaluation, given the round the group
+    /// ran and whether it synchronized (`None`: the group sat it out).
     fn round_done(
         &mut self,
         _it: usize,
@@ -253,7 +256,7 @@ pub(crate) fn run_group<L: ClusterLink>(
                         group.replica_mut(step.worker).apply_sync(it, &mean);
                     }
                 }
-                link.commit(it, &mean, contributors.len());
+                link.commit(it, &mean);
             } else if gradient {
                 group.apply_round_own(&steps, lr);
             }
@@ -466,14 +469,7 @@ impl<R: Reach> ClusterLink for WorkerLink<'_, R> {
             );
         } else {
             let attempts = self.send(it, MsgKind::Flags, &[flag as u8]);
-            if attempts > 1 {
-                let retry = Event::CommRetry {
-                    round: it,
-                    worker,
-                    attempts,
-                };
-                self.cfg.trace.record(retry);
-            }
+            tracing::comm_retry(&self.cfg.trace, it, worker, attempts);
         }
         let pending = pending.map(|(signal, next)| (signal.values(), next as u64));
         let expected = present.len() as u32;

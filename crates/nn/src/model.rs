@@ -288,6 +288,32 @@ impl ModelKind {
             ModelKind::TransformerLike => "Transformer",
         }
     }
+
+    /// The nominal paper-scale footprint the cost model prices this workload at.
+    pub fn nominal(self) -> NominalFootprint {
+        match self {
+            ModelKind::ResNetLike => NominalFootprint {
+                wire_bytes: 170 * 1024 * 1024, // ~44.5M params ≈ 170 MB
+                flops_per_sample: 7_800_000_000,
+                activation_bytes_per_sample: 9 * 1024 * 1024,
+            },
+            ModelKind::VggLike => NominalFootprint {
+                wire_bytes: 507 * 1024 * 1024, // paper: 507 MB VGG11
+                flops_per_sample: 900_000_000,
+                activation_bytes_per_sample: 2 * 1024 * 1024,
+            },
+            ModelKind::AlexLike => NominalFootprint {
+                wire_bytes: 244 * 1024 * 1024, // ~61M params ≈ 244 MB
+                flops_per_sample: 1_400_000_000,
+                activation_bytes_per_sample: 10 * 1024 * 1024,
+            },
+            ModelKind::TransformerLike => NominalFootprint {
+                wire_bytes: 213 * 1024 * 1024, // embedding-dominated small Transformer
+                flops_per_sample: 2_600_000_000,
+                activation_bytes_per_sample: 170 * 1024 * 1024,
+            },
+        }
+    }
 }
 
 /// The task a model is trained on, which determines the evaluation metric.
@@ -383,11 +409,7 @@ impl PaperModel {
                         classes: 10,
                         topk: 1,
                     },
-                    nominal: NominalFootprint {
-                        wire_bytes: 170 * 1024 * 1024, // ~44.5M params ≈ 170 MB
-                        flops_per_sample: 7_800_000_000,
-                        activation_bytes_per_sample: 9 * 1024 * 1024,
-                    },
+                    nominal: kind.nominal(),
                     net,
                 }
             }
@@ -407,11 +429,7 @@ impl PaperModel {
                         classes: 100,
                         topk: 1,
                     },
-                    nominal: NominalFootprint {
-                        wire_bytes: 507 * 1024 * 1024, // paper: 507 MB VGG11
-                        flops_per_sample: 900_000_000,
-                        activation_bytes_per_sample: 2 * 1024 * 1024,
-                    },
+                    nominal: kind.nominal(),
                     net,
                 }
             }
@@ -430,11 +448,7 @@ impl PaperModel {
                         classes: 200,
                         topk: 5,
                     },
-                    nominal: NominalFootprint {
-                        wire_bytes: 244 * 1024 * 1024, // ~61M params ≈ 244 MB
-                        flops_per_sample: 1_400_000_000,
-                        activation_bytes_per_sample: 10 * 1024 * 1024,
-                    },
+                    nominal: kind.nominal(),
                     net,
                 }
             }
@@ -454,11 +468,7 @@ impl PaperModel {
                 PaperModel {
                     kind,
                     task: TaskKind::LanguageModel { vocab, context },
-                    nominal: NominalFootprint {
-                        wire_bytes: 213 * 1024 * 1024, // embedding-dominated small Transformer
-                        flops_per_sample: 2_600_000_000,
-                        activation_bytes_per_sample: 170 * 1024 * 1024,
-                    },
+                    nominal: kind.nominal(),
                     net,
                 }
             }

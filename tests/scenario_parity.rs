@@ -27,6 +27,7 @@
 use selsync_repro::core::algorithms;
 use selsync_repro::core::config::{AlgorithmSpec, RejoinPull, TrainConfig};
 use selsync_repro::core::policy::PolicySpec;
+use selsync_repro::core::report::EvalPoint;
 use selsync_repro::core::threaded::run_threaded_selsync;
 use selsync_repro::scenario::{builtin, sweep, Scenario};
 use selsync_repro::tensor::par;
@@ -441,4 +442,55 @@ fn builtin_runs_are_pinned_across_commits() {
     let got: Vec<(&str, u64)> = got.iter().map(|(l, d)| (l.as_str(), *d)).collect();
     let rendered: Vec<String> = got.iter().map(|(l, d)| format!("{l}: {d:#018X}")).collect();
     assert_eq!(got, want, "digests moved:\n{}", rendered.join("\n"));
+}
+
+#[test]
+fn priced_threaded_schedules_cost_what_the_simulator_reports() {
+    // The cost of a run is a function of its configuration and schedule
+    // (`report::price`), so the threaded cluster's merged schedule prices to the
+    // simulator's cost fields bit for bit: every total and every eval point's
+    // simulated time. BSP is left out: the cluster runs it as SelSync at δ = 0,
+    // which meets the status exchange the simulator's BSP never pays.
+    use selsync_repro::core::process::ensure_supported;
+    use selsync_repro::core::report::{price, Cost};
+    use selsync_repro::scenario::BUILTIN_NAMES;
+
+    let mut admitted = 0;
+    for name in BUILTIN_NAMES {
+        let mut cfg = scaled(name).train_config(AlgorithmSpec::selsync(MIXED_DELTA));
+        cfg.rejoin_pull = RejoinPull::Scheduled;
+        if ensure_supported(&cfg).is_err() {
+            continue;
+        }
+        admitted += 1;
+        let sim = algorithms::run(&cfg);
+        let mut merged: Vec<usize> = run_threaded_selsync(&cfg)
+            .into_iter()
+            .flat_map(|w| w.sync_rounds)
+            .collect();
+        merged.sort_unstable();
+        merged.dedup();
+        assert_eq!(merged, sim.sync_rounds, "{name}");
+        let mut history = sim.history.clone();
+        history.iter_mut().for_each(|p| p.sim_time_s = f64::NAN);
+        let rounds = 0..cfg.iterations;
+        let cost = price(&cfg, rounds, &merged, &[], Cost::default(), &mut history);
+        let times = |h: &[EvalPoint]| h.iter().map(|p| p.sim_time_s.to_bits()).collect::<Vec<_>>();
+        let total = cost.compute_time_s + cost.comm_time_s;
+        assert_eq!(total.to_bits(), sim.sim_time_s.to_bits(), "{name}");
+        let compute = cost.compute_time_s.to_bits();
+        assert_eq!(compute, sim.compute_time_s.to_bits(), "{name}");
+        assert_eq!(
+            cost.comm_time_s.to_bits(),
+            sim.comm_time_s.to_bits(),
+            "{name}"
+        );
+        assert_eq!(cost.bytes_communicated, sim.bytes_communicated, "{name}");
+        assert_eq!(times(&history), times(&sim.history), "{name}");
+    }
+    assert_eq!(
+        admitted,
+        BUILTIN_NAMES.len(),
+        "the cluster admits every built-in"
+    );
 }
