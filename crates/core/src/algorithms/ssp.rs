@@ -19,8 +19,8 @@ use crate::sim::{Simulator, WorkerStep};
 
 /// Run SSP for `cfg.iterations` per-worker iterations. Panics if `cfg.algorithm` is not SSP.
 pub fn run(cfg: &TrainConfig) -> RunReport {
-    let staleness = match cfg.algorithm {
-        AlgorithmSpec::Ssp { staleness } => staleness.max(1),
+    let refresh_every = match cfg.algorithm {
+        AlgorithmSpec::Ssp { staleness } => refresh_every(staleness),
         _ => panic!("ssp::run called with a non-SSP configuration"),
     };
 
@@ -29,7 +29,6 @@ pub fn run(cfg: &TrainConfig) -> RunReport {
     // Global model lives on the PS; workers keep cached copies in their replica slots.
     let mut global = sim.workers[0].params.clone();
     let conditions = &cfg.conditions;
-    let refresh_every = (staleness / 4).max(1);
 
     let mut steps_since_refresh = vec![0usize; n];
     let mut max_delta = 0.0f32;
@@ -106,6 +105,11 @@ pub fn run(cfg: &TrainConfig) -> RunReport {
         }
     }
     sim.finalize(cfg.algorithm.name())
+}
+
+/// The steps between a worker's cache refreshes under the staleness threshold `s`.
+pub(crate) fn refresh_every(staleness: usize) -> usize {
+    (staleness / 4).max(1)
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Per-run results and the derived quantities the paper's Table I reports, and
 //! [`price`]: the one place a run's rounds meet the cost model.
 
+use crate::algorithms::ssp::refresh_every;
 use crate::conditions::ClusterConditions;
 use crate::config::{AlgorithmSpec, TrainConfig};
 use crate::policy::{run_policy_spec, SyncRule};
@@ -183,7 +184,9 @@ pub fn price(
     let (wire, frame) = (nominal.wire_bytes, frame_len(8) as u64);
     let step_s = cost::compute_time_ms(&nominal, cfg.batch_size, &cfg.device) / 1e3;
     let (rule, refresh_every, mut conditions) = match cfg.algorithm {
-        AlgorithmSpec::Ssp { staleness } => (None, (staleness / 4).max(1), cfg.conditions.clone()),
+        AlgorithmSpec::Ssp { staleness } => {
+            (None, refresh_every(staleness), cfg.conditions.clone())
+        }
         _ => (Some(SyncRule::of(cfg)), 0, cfg.effective_conditions()),
     };
     // With no profile configured, SSP alone runs the paper's straggler.

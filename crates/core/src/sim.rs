@@ -797,13 +797,13 @@ impl Simulator {
 
     /// The simulator's part of a recovery image ([`Checkpoint::assemble`]): one
     /// `worker<k>` section per worker ([`Replica::section`], exactly what that worker
-    /// deposits on a cluster backend), then the `sim` section — what only the simulator measures
-    /// (the cost of the rounds so far, priced, the eval history, the run-wide max
-    /// `Δ(g_i)`, which tracker restarts forget) or draws (the cluster RNG position and, because
-    /// data-injection advances *other* workers' shards, the shard cursors). Must be
-    /// called at a round boundary (after the round's updates, accounting and
-    /// evaluation) — scratch buffers, engines and the round-gradient pool are
-    /// rebuild-on-demand and deliberately not stored.
+    /// deposits on a cluster backend), then the `sim` section — what only the simulator
+    /// measures (the priced cost of the rounds so far, the eval history, the run-wide
+    /// max `Δ(g_i)`, which tracker restarts forget) or draws (the cluster RNG position
+    /// and, because data-injection advances *other* workers' shards, the shard
+    /// cursors). Must be called at a round boundary (after the round's updates,
+    /// accounting and evaluation) — scratch buffers, engines and the round-gradient
+    /// pool are rebuild-on-demand and deliberately not stored.
     pub fn recovery_sections(&self) -> Vec<Section> {
         let mut sections: Vec<Section> = self
             .workers
@@ -842,9 +842,9 @@ impl Simulator {
     /// cluster-level cursors (forward counter, presence edge, schedule) are
     /// recomputed from the configuration exactly as a cluster worker recomputes its
     /// own. A cluster-written image has no `sim` section: the cost totals the run
-    /// prices onward from and the eval history then restart at zero and the run-wide max `Δ(g_i)` is
-    /// the trackers'. A group of part of the cluster reads only its members'
-    /// sections.
+    /// prices onward from and the eval history then restart at zero, and the run-wide
+    /// max `Δ(g_i)` is the trackers'. A group of part of the cluster reads only its
+    /// members' sections.
     pub fn restore_checkpoint(&mut self, ckpt: &Checkpoint) {
         let rounds = ckpt.round + 1;
         let mut sync_rounds = Vec::new();
