@@ -94,13 +94,6 @@ fn threaded_schedule_json(scenario: &Scenario) -> String {
     out.push_str(&format!("  \"seed\": {},\n", scenario.seed));
     out.push_str(&format!("  \"iterations\": {},\n", cfg.iterations));
     out.push_str(&format!(
-        "  \"rejoin_pull\": \"{}\",\n",
-        match cfg.rejoin_pull {
-            selsync::config::RejoinPull::WallClock => "wall-clock",
-            selsync::config::RejoinPull::Scheduled => "scheduled",
-        }
-    ));
-    out.push_str(&format!(
         "  \"simulator_sync_rounds\": {},\n",
         fmt_rounds(&sim.sync_rounds)
     ));

@@ -115,7 +115,6 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("selsync-pin-resume-{}", std::process::id()));
         let mut halted = crash(AlgorithmSpec::selsync(0.05));
-        halted.rejoin_pull = crate::config::RejoinPull::Scheduled;
         halted.checkpoint = Some(crate::config::CheckpointSpec {
             every: 100,
             dir: dir.to_string_lossy().into_owned(),

@@ -54,10 +54,7 @@ pub fn run(cfg: &TrainConfig) -> RunReport {
         // segment all computes are independent and run in parallel; the pushes /
         // local applies / cache refreshes replay sequentially in worker order between
         // segments.
-        let rejoining: Vec<bool> = present
-            .iter()
-            .map(|&w| it > 0 && !conditions.is_present(w, it - 1))
-            .collect();
+        let rejoining: Vec<bool> = present.iter().map(|&w| conditions.rejoins(w, it)).collect();
         let mut seg_start = 0usize;
         while seg_start < present.len() {
             let mut seg_end = seg_start + 1;

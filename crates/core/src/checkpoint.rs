@@ -878,7 +878,7 @@ fn put_decimal(out: &mut Vec<u8>, mut v: u64) {
 /// the trace sink is per-run anyway).
 pub fn config_fingerprint(cfg: &TrainConfig) -> u64 {
     let facets = format!(
-        "{:?}|{}|{}|{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}",
+        "{:?}|{}|{}|{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}",
         cfg.model,
         cfg.workers,
         cfg.batch_size,
@@ -890,7 +890,6 @@ pub fn config_fingerprint(cfg: &TrainConfig) -> u64 {
         cfg.optimizer,
         cfg.lr,
         cfg.delta_policy,
-        cfg.rejoin_pull,
         cfg.comm_faults,
         cfg.ps_faults,
         cfg.ewma_window,

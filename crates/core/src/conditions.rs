@@ -220,6 +220,11 @@ impl ClusterConditions {
         true
     }
 
+    /// Whether `worker` rejoins at `iter`: present there, absent at the round before.
+    pub fn rejoins(&self, worker: usize, iter: usize) -> bool {
+        iter > 0 && self.is_present(worker, iter) && !self.is_present(worker, iter - 1)
+    }
+
     /// The alive subset of a `workers`-sized cluster at `iter`, in worker order.
     pub fn present_workers(&self, workers: usize, iter: usize) -> Vec<usize> {
         (0..workers).filter(|&w| self.is_present(w, iter)).collect()
@@ -426,6 +431,12 @@ mod tests {
         assert!(!c.is_present(2, 29));
         assert!(c.is_present(2, 30));
         assert_eq!(c.present_workers(4, 25), vec![0, 1, 3]);
+        let rejoins: Vec<usize> = (0..100).filter(|&it| c.rejoins(2, it)).collect();
+        assert_eq!(rejoins, [30]);
+        assert!(
+            !c.rejoins(1, 30),
+            "a worker that never left does not rejoin"
+        );
 
         let forever = ClusterConditions::uniform().with_fault(FaultEvent::Crash {
             worker: 0,

@@ -62,25 +62,6 @@ impl OptimizerSpec {
     }
 }
 
-/// How a rejoining worker obtains its parameters in the thread-per-worker driver
-/// ([`crate::threaded`]). The simulator always behaves like [`Self::Scheduled`] (its
-/// rejoin pull reads the last synchronized global, a pure function of the schedule);
-/// this knob selects which semantics the threaded driver mirrors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum RejoinPull {
-    /// Real-cluster semantics: the rejoiner pulls whatever the parameter server holds
-    /// at that wall-clock moment. Not deterministic — the pulled snapshot depends on
-    /// how far the live workers have raced ahead — so simulator parity covers
-    /// crash-free schedules only.
-    #[default]
-    WallClock,
-    /// Deterministic semantics: the rejoiner pulls the global produced by the last
-    /// *scheduled* synchronization before its rejoin round (the parameter server's
-    /// round-keyed snapshot ring), exactly matching the simulator. Extends the
-    /// threaded↔simulator parity contract to crash/rejoin schedules.
-    Scheduled,
-}
-
 /// Durable-checkpoint policy: where and how often both SelSync backends persist a
 /// full recovery image (see `crate::checkpoint`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -300,9 +281,6 @@ pub struct TrainConfig {
     /// or adaptive policy (the sweep harness's policy arms). Ignored by the other
     /// algorithms.
     pub delta_policy: Option<PolicySpec>,
-    /// Rejoin-pull semantics of the thread-per-worker driver (wall-clock by default;
-    /// the simulator is unaffected — it is always schedule-deterministic).
-    pub rejoin_pull: RejoinPull,
     /// Optional deterministic message-fault schedule (`[comm_faults]`). `None` (the
     /// default) routes all comm ops through the lossless transport, preserving
     /// historical behavior bit-for-bit. `Some` drives every op through the
@@ -384,7 +362,6 @@ impl TrainConfig {
             device: DeviceProfile::v100(),
             conditions: ClusterConditions::uniform(),
             delta_policy: None,
-            rejoin_pull: RejoinPull::WallClock,
             comm_faults: None,
             ps_faults: None,
             checkpoint: None,
@@ -456,9 +433,13 @@ impl TrainConfig {
     }
 
     /// Depth of the parameter server's round-keyed snapshot ring, when the run keeps
-    /// one: deterministic rejoin pulls read it instead of the wall-clock PS state.
+    /// one: exactly when its schedule has a rejoin, whose pull reads the global of the
+    /// last scheduled synchronization before it. Comm-fault evictions and process
+    /// deaths never rejoin, so the base schedule decides.
     pub fn snapshot_depth(&self) -> Option<usize> {
-        (self.rejoin_pull == RejoinPull::Scheduled).then_some(DEFAULT_SNAPSHOT_DEPTH)
+        let c = &self.conditions;
+        let rejoin = (1..self.iterations).any(|it| (0..self.workers).any(|w| c.rejoins(w, it)));
+        rejoin.then_some(DEFAULT_SNAPSHOT_DEPTH)
     }
 
     /// The compiled PS availability schedule, when `[ps_faults]` is configured.
@@ -527,6 +508,44 @@ mod tests {
         let cfg = TrainConfig::small(ModelKind::ResNetLike, 4);
         assert!(cfg.comm_fault_evictions().is_empty());
         assert_eq!(cfg.effective_conditions(), cfg.conditions);
+    }
+
+    #[test]
+    fn the_snapshot_ring_is_kept_exactly_when_the_schedule_rejoins() {
+        use crate::conditions::FaultEvent;
+        let crash = |rejoin| {
+            let mut cfg = TrainConfig::small(ModelKind::ResNetLike, 4);
+            cfg.iterations = 40;
+            cfg.conditions = ClusterConditions::uniform().with_fault(FaultEvent::Crash {
+                worker: 2,
+                start: 10,
+                rejoin,
+            });
+            cfg
+        };
+        let uniform = TrainConfig::small(ModelKind::ResNetLike, 4);
+        assert_eq!(uniform.snapshot_depth(), None);
+        assert_eq!(
+            crash(Some(20)).snapshot_depth(),
+            Some(DEFAULT_SNAPSHOT_DEPTH)
+        );
+        assert_eq!(crash(None).snapshot_depth(), None);
+        assert_eq!(crash(Some(40)).snapshot_depth(), None, "back after the run");
+        // A comm-fault eviction is a crash that never rejoins.
+        let mut evicting = crash(None);
+        evicting.conditions = ClusterConditions::uniform();
+        evicting.comm_faults = Some(CommFaultSpec {
+            seed: 7,
+            drop: 0.75,
+            duplicate: 0.0,
+            corrupt: 0.0,
+            delay: 0.0,
+            delay_rounds: 0,
+            retry_budget: 2,
+            timeout_s: 1e-3,
+        });
+        assert!(!evicting.comm_fault_evictions().is_empty());
+        assert_eq!(evicting.snapshot_depth(), None);
     }
 
     #[test]

@@ -1104,12 +1104,11 @@ mod tests {
     fn a_priced_process_schedule_costs_what_the_simulator_reports() {
         use crate::conditions::ClusterConditions;
         use crate::report::{price, Cost};
-        // A crash window with scheduled rejoin pulls: the merged schedule of the
-        // worker processes prices rejoins, partial rounds and syncs to the
-        // simulator's cost fields, bit for bit.
+        // A crash window with a rejoin: the merged schedule of the worker processes
+        // prices rejoins, partial rounds and syncs to the simulator's cost fields,
+        // bit for bit.
         let mut c = cfg(0.05, 3);
         c.eval_every = 5;
-        c.rejoin_pull = crate::config::RejoinPull::Scheduled;
         c.conditions = ClusterConditions::uniform().with_fault(FaultEvent::Crash {
             worker: 2,
             start: 6,
@@ -1268,15 +1267,14 @@ mod tests {
     #[test]
     fn all_three_backends_write_one_image_layout_and_resume_each_others_images() {
         use crate::algorithms::selsync::run_resumed;
-        use crate::config::{CheckpointSpec, RejoinPull};
+        use crate::config::CheckpointSpec;
         use crate::threaded::run_threaded_selsync_resumed;
         let dir =
             std::env::temp_dir().join(format!("selsync-cross-resume-test-{}", std::process::id()));
-        // A crash window straddling the halt round (scheduled rejoin pulls: the
-        // snapshot ring is part of the image) under the stateful adaptive policy.
+        // A crash window straddling the halt round (the rejoin keeps the snapshot
+        // ring, so it is part of the image) under the stateful adaptive policy.
         let make = |ckpt_dir: Option<&str>| {
             let mut c = cfg(0.05, 3);
-            c.rejoin_pull = RejoinPull::Scheduled;
             c.conditions = c.conditions.clone().with_fault(FaultEvent::Crash {
                 worker: 2,
                 start: 7,
@@ -1467,7 +1465,7 @@ mod tests {
     #[test]
     fn every_op_keeps_its_wire_bytes_across_commits() {
         use crate::conditions::ClusterConditions;
-        use crate::config::{CheckpointSpec, RejoinPull};
+        use crate::config::CheckpointSpec;
         use selsync_comm::wire::checksum;
         // One run that sends all ten ops: the adaptive policy asks for the signal
         // exchange, worker 2's crash window ends in a scheduled rejoin pull whose
@@ -1476,7 +1474,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("selsync-wire-pin-{}", std::process::id()));
         let mut c = cfg(0.05, 3);
         c.delta_policy = Some(PolicySpec::adaptive_default());
-        c.rejoin_pull = RejoinPull::Scheduled;
         c.conditions = ClusterConditions::uniform().with_fault(FaultEvent::Crash {
             worker: 2,
             start: 5,
@@ -1521,9 +1518,9 @@ mod tests {
         }
         let digests: Vec<u64> = bytes.iter().map(|b| checksum(b)).collect();
         let pinned = [
-            18323494345851240282,
-            9928425959756550839,
-            14591833946947874914,
+            9485502084185416566,
+            18263557698858925420,
+            6678382398203680368,
         ];
         assert_eq!(digests, pinned, "per-worker request and reply bytes");
     }

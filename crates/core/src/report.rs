@@ -206,8 +206,10 @@ pub fn price(
         let present = conditions.present_workers(n, it);
         let (k, round) = (present.len(), it as u64);
         let net = conditions.network_at(it, &cfg.network);
-        let back = |&&w: &&usize| it > 0 && !conditions.is_present(w, it - 1);
-        let rejoins = present.iter().filter(back).count();
+        let rejoins = present
+            .iter()
+            .filter(|&&w| conditions.rejoins(w, it))
+            .count();
         let rejoin_s = (0..rejoins).fold(0.0, |sum, _| sum + net.ps_one_way_time(wire));
         let mut terms = [0.0f64; 6];
         let mut bytes = 0;

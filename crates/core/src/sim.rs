@@ -676,12 +676,6 @@ impl Simulator {
         }
     }
 
-    /// Whether worker `w`, present at `iteration`, is back from an absence: it missed
-    /// the round before.
-    pub(crate) fn rejoins(&self, w: usize, iteration: usize) -> bool {
-        iteration > 0 && !self.cfg.conditions.is_present(w, iteration - 1)
-    }
-
     /// Begin a synchronous round at `iteration` for drivers with a PS rejoin path:
     /// returns the present workers, and for every worker that was absent at the
     /// round before and is back now, performs the rejoin pull from `global`
@@ -693,7 +687,7 @@ impl Simulator {
         let wire = self.nominal().wire_bytes;
         let net = self.cfg.conditions.network_at(iteration, &self.cfg.network);
         for &w in &present {
-            if self.rejoins(w, iteration) {
+            if self.cfg.conditions.rejoins(w, iteration) {
                 self.replica_mut(w).rejoin(global);
                 comm_s += net.ps_one_way_time(wire);
                 bytes += wire;

@@ -17,17 +17,12 @@
 //! deposits its section in one round-keyed rendezvous, whose last depositor writes
 //! the image.
 //!
-//! A rejoining worker restarts its tracker and optimizer and pulls parameters as
-//! [`crate::config::RejoinPull`] says:
-//!
-//! * **wall-clock** (the default, real-cluster semantics): whatever the PS holds at
-//!   that moment. The crashed thread skips its absent rounds instantly while live
-//!   workers are still training, so the pulled snapshot is not deterministic, and
-//!   simulator parity covers crash-free schedules only.
-//! * **scheduled** (deterministic): the global of the last *scheduled* synchronization
-//!   before its rejoin round, from the PS's round-keyed snapshot ring
-//!   ([`selsync_comm::ParameterServer::scheduled_global_before`]) — exactly what the
-//!   simulator's rejoin pull reads.
+//! A rejoining worker restarts its tracker and optimizer and pulls the global of the
+//! last *scheduled* synchronization before its rejoin round, from the PS's
+//! round-keyed snapshot ring ([`selsync_comm::ParameterServer::scheduled_global_before`],
+//! kept exactly when the schedule has a rejoin): what the simulator's rejoin pull
+//! reads, however far the live workers have raced ahead. So parity holds for
+//! crash/rejoin schedules too.
 //!
 //! The cluster runs **one** shared instance of the δ-policy, the `SignalBoard`,
 //! which orders observations by round id. Its signal stream, and so every threshold,
@@ -35,7 +30,7 @@
 
 use crate::checkpoint::{Checkpoint, Section};
 use crate::conditions::ClusterConditions;
-use crate::config::{RejoinPull, TrainConfig};
+use crate::config::TrainConfig;
 use crate::policy::{DeltaPolicy, PolicySpec, RoundSignal};
 use crate::process::{Floats, Op, Reply};
 use crate::sim::Simulator;
@@ -226,17 +221,13 @@ impl ClusterCore {
                 drop(self.board.wait_caught_up(end as usize));
                 shared(ps.pull())
             }
-            // The PS's current global, or — once every active round before `it` has
-            // decided (the board advances only after a round's sync, so the snapshot
-            // ring then holds every global this lookup can need) — the last scheduled
-            // synchronization's.
-            Op::RejoinPull() => shared(match self.cfg.rejoin_pull {
-                RejoinPull::WallClock => ps.pull(),
-                RejoinPull::Scheduled => {
-                    drop(self.board.wait_caught_up(it));
-                    ps.scheduled_global_before(round)
-                }
-            }),
+            // The last scheduled synchronization's global, once every active round
+            // before `it` has decided: the board advances only after a round's sync,
+            // so the snapshot ring then holds every global this lookup can need.
+            Op::RejoinPull() => {
+                drop(self.board.wait_caught_up(it));
+                shared(ps.scheduled_global_before(round))
+            }
             Op::SchedRoundBefore() => {
                 Reply::Round(ps.scheduled_round_before(round).map(|r| r as usize))
             }
@@ -386,7 +377,7 @@ pub struct ThreadedWorkerReport {
     pub local_steps: u64,
     /// The iterations at which this worker's rounds synchronized: the simulator's
     /// [`crate::report::RunReport::sync_rounds`] restricted to the rounds this worker
-    /// was present at (crash/rejoin schedules under [`RejoinPull::Scheduled`]).
+    /// was present at (crash/rejoin schedules included).
     pub sync_rounds: Vec<usize>,
     /// Final training loss observed by this worker.
     pub final_loss: f32,
@@ -600,12 +591,10 @@ mod tests {
     #[test]
     fn scheduled_rejoin_pull_reproduces_the_simulator_on_a_crash_schedule() {
         use crate::conditions::{ClusterConditions, FaultEvent};
-        use crate::config::RejoinPull;
-        // δ > 0 (mixed schedule) with a crash window: under the scheduled rejoin-pull
-        // mode the rejoiner reads the last scheduled global, so every worker's
-        // schedule must equal the simulator's restricted to its present rounds.
+        // δ > 0 (mixed schedule) with a crash window: the rejoiner reads the last
+        // scheduled global, so every worker's schedule must equal the simulator's
+        // restricted to its present rounds.
         let mut c = cfg(0.05, 3);
-        c.rejoin_pull = RejoinPull::Scheduled;
         c.conditions = ClusterConditions::uniform().with_fault(FaultEvent::Crash {
             worker: 2,
             start: 5,
@@ -664,14 +653,12 @@ mod tests {
     #[test]
     fn simulator_bsp_trace_equals_the_threaded_bsp_trace() {
         use crate::conditions::{ClusterConditions, FaultEvent};
-        use crate::config::RejoinPull;
         use selsync_tracelog::TraceGranularity;
         // Both backends run BSP as δ = 0 with every bit set, so their event logs
         // agree: the header (`BSP` and the fixed δ = 0 policy label), membership,
         // rejoin pulls and rounds.
         let mut c = cfg(0.0, 3);
         c.algorithm = AlgorithmSpec::Bsp;
-        c.rejoin_pull = RejoinPull::Scheduled;
         c.conditions = ClusterConditions::uniform().with_fault(FaultEvent::Crash {
             worker: 2,
             start: 5,

@@ -8,7 +8,7 @@
 //! schedules and the round's merged signal, never of backend state.
 
 use crate::conditions::{ClusterConditions, FaultEvent};
-use crate::config::{RejoinPull, TrainConfig};
+use crate::config::TrainConfig;
 use crate::policy::{DeltaPolicy, RoundSignal};
 use selsync_comm::faults::PsFaultSchedule;
 use selsync_tracelog::{Event, FaultKind, PullKind, TraceSink, WindowEdge, TRACE_VERSION};
@@ -113,10 +113,8 @@ pub fn emit_round_context(
     }
 }
 
-/// `worker`'s rejoin pull at `round`. Under scheduled pulls the source is the last
-/// synchronization before the round (`scheduled_from`: what the PS snapshot ring
-/// returns); wall-clock pulls have an inherently timing-dependent source, recorded as
-/// `None` on every backend so the logs stay byte-comparable.
+/// `worker`'s rejoin pull at `round`, whose source is the last synchronization before
+/// the round (`scheduled_from`: what the PS snapshot ring returns).
 pub fn emit_rejoin_pull(
     cfg: &TrainConfig,
     round: usize,
@@ -126,15 +124,11 @@ pub fn emit_rejoin_pull(
     if !cfg.trace.is_enabled() {
         return;
     }
-    let (pull, from) = match cfg.rejoin_pull {
-        RejoinPull::Scheduled => (PullKind::Scheduled, scheduled_from()),
-        RejoinPull::WallClock => (PullKind::WallClock, None),
-    };
     cfg.trace.record(Event::RejoinPull {
         round,
         worker,
-        pull,
-        from,
+        pull: PullKind::Scheduled,
+        from: scheduled_from(),
     });
 }
 

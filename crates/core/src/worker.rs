@@ -176,7 +176,7 @@ pub(crate) fn run_group<L: ClusterLink>(
         } else {
             let lr = group.lr_at(it);
             for step in &steps {
-                if rule.has_ps() && group.rejoins(step.worker, it) {
+                if rule.has_ps() && group.cfg.conditions.rejoins(step.worker, it) {
                     // Tracker and optimizer did not survive the crash; the policy,
                     // like the PS, is cluster state and untouched.
                     let pulled = link.rejoin_pull(it, step.worker);

@@ -7,7 +7,6 @@
 //! points for custom files.
 
 use crate::schema::{FaultSpec, Scenario, SweepSpec};
-use selsync::config::RejoinPull;
 use selsync::policy::PolicySpec;
 use selsync_comm::faults::{CommFaultSpec, PsFaultSpec};
 
@@ -120,9 +119,6 @@ pub fn crash_rejoin() -> Scenario {
             rejoin: None,
         },
     ];
-    // Crash scenarios ship with deterministic rejoin pulls so the threaded driver's
-    // schedule stays parity-exact with the simulator's (see docs/SCENARIOS.md).
-    s.rejoin_pull = RejoinPull::Scheduled;
     s
 }
 
@@ -178,7 +174,6 @@ pub fn elastic_churn() -> Scenario {
         seeds: vec![42, 43, 44],
         policies: vec![PolicySpec::adaptive_default()],
     });
-    s.rejoin_pull = RejoinPull::Scheduled;
     s
 }
 

@@ -13,7 +13,7 @@
 use crate::codec::{named, Codec, Mode, Tagged};
 use crate::toml;
 use selsync::conditions::{ClusterConditions, FaultEvent};
-use selsync::config::{CheckpointSpec, RejoinPull, TrainConfig};
+use selsync::config::{CheckpointSpec, TrainConfig};
 use selsync::policy::PolicySpec;
 use selsync_comm::faults::{CommFaultSpec, PsFaultSpec};
 use selsync_comm::NetworkModel;
@@ -273,13 +273,6 @@ pub struct Scenario {
     /// Optional sweep block (δ grid × seed set × policy arms); `None` means
     /// [`crate::sweep::run_sweep`] falls back to [`SweepSpec::default_grid`].
     pub sweep: Option<SweepSpec>,
-    /// Rejoin-pull semantics for the thread-per-worker driver
-    /// (`rejoin_pull = "wall-clock" | "scheduled"` in the `[scenario]` section;
-    /// wall-clock when omitted). `"scheduled"` makes crash/rejoin schedules
-    /// deterministic in the threaded driver — a rejoiner pulls the last *scheduled*
-    /// global from the PS snapshot ring — extending simulator parity to faulty
-    /// schedules. The simulator itself is unaffected.
-    pub rejoin_pull: RejoinPull,
     /// Transport selection for the cluster binary (`transport = "socket"` plus
     /// optional `transport_addr` in the `[scenario]` section; in-memory when
     /// omitted). Only `scenario_cluster` acts on it — the in-process backends
@@ -315,7 +308,6 @@ named!(ModelKind:
     ModelKind::VggLike => "vgg",
     ModelKind::AlexLike => "alexnet",
     ModelKind::TransformerLike => "transformer");
-named!(RejoinPull: RejoinPull::WallClock => "wall-clock", RejoinPull::Scheduled => "scheduled");
 named!(TraceGranularity:
     TraceGranularity::Full => TraceGranularity::Full.as_str(),
     TraceGranularity::Rounds => TraceGranularity::Rounds.as_str());
@@ -468,7 +460,6 @@ impl Scenario {
             heterogeneity: Vec::new(),
             faults: Vec::new(),
             sweep: None,
-            rejoin_pull: RejoinPull::WallClock,
             transport: TransportSpec::Memory,
             trace: TraceSpec::default(),
             comm_faults: None,
@@ -512,7 +503,6 @@ impl Scenario {
         cfg.network = self.network.to_model();
         cfg.conditions = self.to_conditions();
         cfg.algorithm = algorithm;
-        cfg.rejoin_pull = self.rejoin_pull;
         cfg.comm_faults = self.comm_faults;
         cfg.ps_faults = self.ps_faults.clone();
         cfg.checkpoint = self.checkpoint.clone();
@@ -615,7 +605,6 @@ impl Scenario {
             c.req("delta", &mut s.delta);
             let labels = &mut s.non_iid_labels_per_worker;
             c.elide("non_iid_labels_per_worker", labels, &None);
-            c.elide("rejoin_pull", &mut s.rejoin_pull, &d.rejoin_pull);
             // One enum in memory; a kind and an optional address on disk.
             let (mut kind, mut addr) = match &s.transport {
                 TransportSpec::Memory => (Transport::Memory, None),
@@ -940,40 +929,6 @@ mod tests {
                 .replace("kind = \"adaptive\"", "kind = \"oracle\"")
         )
         .is_err());
-    }
-
-    #[test]
-    fn rejoin_pull_round_trips_and_defaults_to_wall_clock() {
-        // Default: omitted from the TOML, parses back to wall-clock.
-        let s = sample();
-        assert_eq!(s.rejoin_pull, RejoinPull::WallClock);
-        let text = s.to_toml_string();
-        assert!(!text.contains("rejoin_pull"), "{text}");
-
-        // Scheduled: serialized explicitly, round-trips, reaches the train config.
-        let mut scheduled = sample();
-        scheduled.rejoin_pull = RejoinPull::Scheduled;
-        let text = scheduled.to_toml_string();
-        assert!(text.contains("rejoin_pull = \"scheduled\""), "{text}");
-        let parsed = Scenario::from_toml_str(&text).unwrap();
-        assert_eq!(parsed.rejoin_pull, RejoinPull::Scheduled);
-        assert_eq!(scheduled, parsed);
-        let cfg = parsed.train_config(selsync::config::AlgorithmSpec::selsync(0.1));
-        assert_eq!(cfg.rejoin_pull, RejoinPull::Scheduled);
-
-        // An explicit wall-clock value parses too; unknown values are rejected.
-        let explicit = text.replace(
-            "rejoin_pull = \"scheduled\"",
-            "rejoin_pull = \"wall-clock\"",
-        );
-        assert_eq!(
-            Scenario::from_toml_str(&explicit).unwrap().rejoin_pull,
-            RejoinPull::WallClock
-        );
-        let bad = text.replace("rejoin_pull = \"scheduled\"", "rejoin_pull = \"psychic\"");
-        assert!(Scenario::from_toml_str(&bad)
-            .unwrap_err()
-            .contains("rejoin_pull"));
     }
 
     #[test]
@@ -1307,9 +1262,9 @@ mod tests {
             ("steady", 0x5554_A1DE_5F76_F830),
             ("transient-straggler", 0xFA36_8A2C_F7FB_1903),
             ("degraded-network", 0x2220_12B4_7FD1_6F46),
-            ("crash-rejoin", 0x60F9_E4EC_1020_A4A3),
+            ("crash-rejoin", 0xDC88_0AAF_D791_FB18),
             ("heterogeneous-fleet", 0x7E9C_F9A6_5EAA_98F9),
-            ("elastic-churn", 0xB2E5_BC70_F735_4C65),
+            ("elastic-churn", 0x59A8_CACC_57C0_B926),
             ("flaky-links", 0xAB7B_B1F6_5495_88A2),
             ("ps-brownout", 0x2D14_D29E_64AF_0E3B),
         ];
@@ -1374,6 +1329,11 @@ mod tests {
                 "[[fault]] #0: unknown key \"factor\"",
             ),
             (format!("top = 1\n{base}"), "top level: unknown key \"top\""),
+            // A rejoin always pulls the scheduled global, so no key selects its pull.
+            (
+                base.replace("workers = 3", "workers = 3\nrejoin_pull = \"scheduled\""),
+                "[scenario]: unknown key \"rejoin_pull\"",
+            ),
         ];
         for (text, want) in cases {
             let err = Scenario::from_toml_str(&text).unwrap_err();

@@ -90,7 +90,9 @@ tags! {
 }
 
 tags! {
-    /// Which rejoin-pull semantics produced a global-model pull.
+    /// Which rejoin-pull semantics produced a global-model pull. Writers emit only
+    /// `scheduled`; `wall-clock` still decodes, for logs recorded when a rejoin could
+    /// read whatever the parameter server held at that moment.
     PullKind, "pull kind" {
         WallClock = "wall-clock",
         Scheduled = "scheduled",
@@ -206,8 +208,8 @@ events! {
             worker: Option<usize>,
         },
         /// A rejoining worker pulled a global model. `from` is the sync round whose
-        /// global it received (`None` for the initial model, or for wall-clock pulls
-        /// whose source is inherently timing-dependent).
+        /// global it received (`None` for the initial model, or in an older log for a
+        /// wall-clock pull, whose source was timing-dependent).
         RejoinPull = "rejoin", Full {
             round: usize,
             worker: usize,

@@ -21,7 +21,7 @@ use selsync_repro::comm::socket::SocketAddrSpec;
 use selsync_repro::core::algorithms;
 use selsync_repro::core::checkpoint::Checkpoint;
 use selsync_repro::core::conditions::{ClusterConditions, FaultEvent};
-use selsync_repro::core::config::{AlgorithmSpec, CheckpointSpec, RejoinPull, TrainConfig};
+use selsync_repro::core::config::{AlgorithmSpec, CheckpointSpec, TrainConfig};
 use selsync_repro::core::policy::PolicySpec;
 use selsync_repro::core::process::{
     decode_worker_report, run_process_hub_with, run_process_worker_with, WorkerOptions,
@@ -49,10 +49,9 @@ fn test_cfg(case: &str) -> TrainConfig {
     c.algorithm = AlgorithmSpec::selsync(0.05);
     match schedule {
         "crash-rejoin" => {
-            // Deterministic rejoin pulls are what makes a crash schedule
-            // simulator-comparable; the last worker crashes mid-run and
-            // rejoins, and the 4-worker case adds a permanent late crash.
-            c.rejoin_pull = RejoinPull::Scheduled;
+            // The last worker crashes mid-run and rejoins, pulling the last
+            // scheduled global as the simulator does, and the 4-worker case adds
+            // a permanent late crash.
             c.conditions = ClusterConditions::uniform().with_fault(FaultEvent::Crash {
                 worker: workers - 1,
                 start: 8,

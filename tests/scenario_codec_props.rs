@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use selsync_repro::comm::faults::{CommFaultSpec, PsFaultSpec};
-use selsync_repro::core::config::{CheckpointSpec, RejoinPull};
+use selsync_repro::core::config::CheckpointSpec;
 use selsync_repro::core::policy::PolicySpec;
 use selsync_repro::scenario::{FaultSpec, Scenario, SweepSpec, TraceSpec, TransportSpec};
 use selsync_repro::tracelog::TraceGranularity;
@@ -33,17 +33,11 @@ fn build_scenario(
     patience: usize,
     spike: f32,
     stage_gaps: &[usize],
-    scheduled_rejoin: bool,
     trace_kind: u8,
 ) -> Scenario {
     let mut s = Scenario::base("prop-scenario", workers, iterations);
     s.description = "randomly generated by the codec property test".into();
     s.delta = delta;
-    s.rejoin_pull = if scheduled_rejoin {
-        RejoinPull::Scheduled
-    } else {
-        RejoinPull::WallClock
-    };
     if speeds.len() >= workers {
         s.heterogeneity = speeds[..workers].to_vec();
     }
@@ -241,14 +235,12 @@ proptest! {
         patience in 1usize..10,
         spike in 1.1f32..5.0,
         stage_gaps in proptest::collection::vec(1usize..100, 0..4),
-        scheduled_rejoin in 0u8..2,
         trace_kind in 0u8..4,
     ) {
         let scenario = build_scenario(
             workers, iterations, delta, &speeds, &fault_kinds, &fault_pos, &fault_len,
             &fault_factor, sweep_deltas, sweep_seeds, policy_kind, pa, pb, factor,
-            warmup, settle, patience, spike, &stage_gaps, scheduled_rejoin == 1,
-            trace_kind,
+            warmup, settle, patience, spike, &stage_gaps, trace_kind,
         );
         prop_assert!(scenario.validate().is_ok(), "generated scenario must be valid");
 

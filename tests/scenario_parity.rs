@@ -15,17 +15,16 @@
 //!   worker-order cluster aggregates (loss mean, `Δ(g)` max, via the one signal
 //!   rendezvous and the simulator's own fold), so the stateful policy's decisions
 //!   coincide;
-//! * crash/rejoin schedules: under `RejoinPull::Scheduled` a rejoining thread pulls
-//!   the last *scheduled* global from the PS snapshot ring — exactly the simulator's
-//!   rejoin pull — instead of the non-deterministic wall-clock PS state. (The built-in
-//!   crash scenarios ship with `rejoin_pull = "scheduled"`.)
+//! * crash/rejoin schedules: a rejoining thread pulls the last *scheduled* global
+//!   from the PS snapshot ring — exactly the simulator's rejoin pull — however far
+//!   the live workers have raced ahead.
 //!
 //! Under a fault schedule a worker only sees the rounds it was present at, so the
 //! per-worker contract is: `worker.sync_rounds` equals the simulator's
 //! `RunReport::sync_rounds` restricted to that worker's present rounds.
 
 use selsync_repro::core::algorithms;
-use selsync_repro::core::config::{AlgorithmSpec, RejoinPull, TrainConfig};
+use selsync_repro::core::config::{AlgorithmSpec, TrainConfig};
 use selsync_repro::core::policy::PolicySpec;
 use selsync_repro::core::report::EvalPoint;
 use selsync_repro::core::threaded::run_threaded_selsync;
@@ -142,12 +141,11 @@ fn degraded_network_scenario_sync_schedule_matches_the_simulator() {
 
 #[test]
 fn crash_rejoin_scenario_sync_schedule_matches_the_simulator() {
-    // The built-in crash scenario ships with scheduled rejoin pulls, so the rejoining
-    // thread reads the last *scheduled* global (the simulator's semantics) and the
-    // parity contract extends into and beyond the crash windows.
+    // The rejoining thread reads the last *scheduled* global (the simulator's
+    // semantics), so the parity contract extends into and beyond the crash windows.
     let scenario = scaled("crash-rejoin");
     let cfg = scenario.train_config(AlgorithmSpec::selsync(MIXED_DELTA));
-    assert_eq!(cfg.rejoin_pull, RejoinPull::Scheduled);
+    assert!(cfg.snapshot_depth().is_some());
     let sim = algorithms::run(&cfg);
     assert!(
         sim.sync_steps > 0 && sim.local_steps > 0,
@@ -230,7 +228,7 @@ fn adaptive_policy_on_crash_and_churn_schedules_matches_the_simulator() {
         let scenario = scaled(name);
         let mut cfg = scenario.train_config(AlgorithmSpec::selsync(MIXED_DELTA));
         cfg.delta_policy = Some(PolicySpec::adaptive_default());
-        assert_eq!(cfg.rejoin_pull, RejoinPull::Scheduled, "{name}");
+        assert!(cfg.snapshot_depth().is_some(), "{name}");
         assert_parity(&cfg, &format!("{name}/adaptive-policy"));
     }
 }
@@ -344,8 +342,6 @@ fn all_faulty_builtins_hold_parity_for_every_arm_across_thread_counts() {
         ];
         for (arm, policy) in arms {
             let mut cfg = scenario.train_config(AlgorithmSpec::selsync(MIXED_DELTA));
-            // Crash-free builtins keep wall-clock pulls (nothing rejoins); the crash
-            // builtins ship scheduled pulls, which is what makes this sweep valid.
             cfg.delta_policy = policy;
             let label = format!("{name}/{arm}");
             let reference = par::with_threads(1, || {
@@ -366,8 +362,7 @@ fn builtin_runs_are_pinned_across_commits() {
     // Every built-in under the fixed and adaptive arms: one digest over the
     // simulator's report (cost-model seconds and bytes, sync schedule, eval
     // history), its full event log and the threaded run's worker-report lines
-    // (final loss and distance to the global, as bit patterns). Rejoin pulls are
-    // scheduled, because a wall-clock pull depends on thread timing. The last rows
+    // (final loss and distance to the global, as bit patterns). The last rows
     // run the simulator-only rules (BSP's gradient averaging, FedAvg's client
     // sampling, SelSync GA) on the two fault domains that price retries and PS
     // outages. The digests were recorded before the simulator and the cluster
@@ -377,7 +372,6 @@ fn builtin_runs_are_pinned_across_commits() {
     use selsync_repro::scenario::BUILTIN_NAMES;
 
     let digest = |cfg: &mut TrainConfig, threaded: bool| {
-        cfg.rejoin_pull = RejoinPull::Scheduled;
         cfg.trace = TraceSink::capture(TraceGranularity::Full);
         let mut text = format!("{:?}\n", algorithms::run(cfg));
         text += &cfg.trace.take_log().encode();
@@ -457,8 +451,7 @@ fn priced_threaded_schedules_cost_what_the_simulator_reports() {
 
     let mut admitted = 0;
     for name in BUILTIN_NAMES {
-        let mut cfg = scaled(name).train_config(AlgorithmSpec::selsync(MIXED_DELTA));
-        cfg.rejoin_pull = RejoinPull::Scheduled;
+        let cfg = scaled(name).train_config(AlgorithmSpec::selsync(MIXED_DELTA));
         if ensure_supported(&cfg).is_err() {
             continue;
         }

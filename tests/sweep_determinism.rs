@@ -3,7 +3,7 @@
 //! recorded-seed regression pins the adaptive arm's synchronization schedule.
 
 use selsync_repro::core::algorithms;
-use selsync_repro::core::config::{AlgorithmSpec, RejoinPull};
+use selsync_repro::core::config::AlgorithmSpec;
 use selsync_repro::core::policy::PolicySpec;
 use selsync_repro::core::sim::with_sequential_rounds;
 use selsync_repro::core::threaded::run_threaded_selsync;
@@ -120,14 +120,14 @@ fn recorded_seed_threaded_adaptive_sync_schedule_regression_on_elastic_churn() {
     // The *threaded* counterpart of the simulator regression above: the adaptive
     // arm's synchronization schedule on the scaled elastic-churn scenario (rolling
     // crash/rejoin churn, seed 42), produced by the shared cluster policy over the
-    // real PS/collectives with scheduled rejoin pulls. Any change to the scalar
+    // real PS/collectives, whose rejoins pull the last scheduled global. Any change to the scalar
     // all-reduce, the signal board's ordering, the snapshot ring, or the policy's
     // switching logic shows up here first — and the schedule must stay equal to the
     // simulator's (restricted per worker to its present rounds).
     let scenario = scaled_elastic_churn();
     let mut cfg = scenario.train_config(AlgorithmSpec::selsync(0.055));
     cfg.delta_policy = Some(PolicySpec::adaptive_default());
-    assert_eq!(cfg.rejoin_pull, RejoinPull::Scheduled);
+    assert!(cfg.snapshot_depth().is_some());
 
     let sim = algorithms::run(&cfg);
     // Dense through the churny descent (rounds 0..=19), relaxed once the loss EWMA

@@ -141,7 +141,6 @@ fn threaded_checkpoint_images_are_byte_identical_across_thread_counts() {
     // order, the image must hold the sections in worker order and the trace through
     // the round, byte for byte.
     use selsync_repro::core::conditions::{ClusterConditions, FaultEvent};
-    use selsync_repro::core::config::RejoinPull;
     use selsync_repro::core::policy::PolicySpec;
     use selsync_repro::tensor::par;
     use selsync_repro::tracelog::{TraceGranularity, TraceSink};
@@ -155,7 +154,6 @@ fn threaded_checkpoint_images_are_byte_identical_across_thread_counts() {
         cfg.test_samples = 64;
         cfg.algorithm = AlgorithmSpec::selsync(0.05);
         cfg.delta_policy = Some(PolicySpec::adaptive_default());
-        cfg.rejoin_pull = RejoinPull::Scheduled;
         cfg.conditions = ClusterConditions::uniform().with_fault(FaultEvent::Crash {
             worker: 0,
             start: 3,

@@ -12,7 +12,7 @@
 //! and elastic-churn schedules, for fixed, scheduled and adaptive δ policies alike.
 
 use selsync_repro::core::algorithms;
-use selsync_repro::core::config::{AlgorithmSpec, RejoinPull, TrainConfig};
+use selsync_repro::core::config::{AlgorithmSpec, TrainConfig};
 use selsync_repro::core::policy::PolicySpec;
 use selsync_repro::core::threaded::run_threaded_selsync;
 use selsync_repro::scenario::{builtin, sweep, Scenario};
@@ -89,11 +89,9 @@ fn trace_matrix(scenario_name: &str) {
     for (arm, policy) in arms() {
         let mut cfg = scenario.train_config(AlgorithmSpec::selsync(MIXED_DELTA));
         cfg.delta_policy = policy;
-        assert_eq!(
-            cfg.rejoin_pull,
-            RejoinPull::Scheduled,
-            "{scenario_name}: crash built-ins ship scheduled pulls, which is what \
-             makes the rejoin-pull events deterministic"
+        assert!(
+            cfg.snapshot_depth().is_some(),
+            "{scenario_name}: a rejoin keeps the snapshot ring its pull reads"
         );
         let label = format!("{scenario_name}/{arm}");
         let (sim_ref, thr_ref) = par::with_threads(1, || (sim_trace(&cfg), threaded_trace(&cfg)));
