@@ -414,6 +414,9 @@ struct HubService {
 struct Ledger {
     /// Per worker: the newest round announced through `op::ROUND_BEGIN`.
     last_begun: Vec<Option<usize>>,
+    /// Per worker and rendezvous op (`SYNC_ROUND`, `STATUS`, `SIGNALS`): the newest
+    /// round the worker met in through it.
+    met: Vec<[Option<usize>; 3]>,
     /// Per worker: whether its connection has terminated.
     dead: Vec<bool>,
     /// Death evictions in creation order: `(worker, first-absent round)`.
@@ -435,6 +438,7 @@ impl Ledger {
     fn new(n: usize) -> Self {
         Ledger {
             last_begun: vec![None; n],
+            met: vec![[None; 3]; n],
             dead: vec![false; n],
             evictions: Vec::new(),
             released: HashMap::new(),
@@ -515,14 +519,22 @@ impl HubService {
         }
     }
 
-    /// Refuse a rendezvous op of round `it` whose membership count `expected` is not
-    /// the round's present count — the base schedule less the evictions frozen at the
-    /// round's barrier, what every live worker derives — or whose worker has not
-    /// announced the round or is not present at it. The rendezvous asserts all three,
-    /// and its panic would take the whole hub down. Returns the round's emitter, its
-    /// lowest present worker.
-    fn check_members(&self, worker: usize, it: usize, expected: u32) -> Result<usize, String> {
-        let s = self.ledger.lock();
+    /// Refuse a rendezvous op of round `it` whose membership count is not the
+    /// round's present count — the base schedule less the evictions frozen at the
+    /// round's barrier, what every live worker derives — whose worker has not
+    /// announced the round, is not present at it or already met in it through the
+    /// same op, or whose `STATUS` disagrees with the round's emitter (its lowest
+    /// present worker) on carrying the signal. The rendezvous asserts the first four,
+    /// and a panic there would take the whole hub down; a repeat after the round
+    /// closed would park forever. Any other op passes.
+    fn check_members(&self, worker: usize, it: usize, op: &Op<'_>) -> Result<(), String> {
+        let (slot, expected) = match *op {
+            Op::SyncRound(expected, _) => (0, expected),
+            Op::Status(_, expected, _) => (1, expected),
+            Op::Signals(_, _, expected) => (2, expected),
+            _ => return Ok(()),
+        };
+        let mut s = self.ledger.lock();
         ensure!(s.last_begun[worker] == Some(it), "round {it} not announced");
         let frozen = s.released.get(&it).map_or(&[][..], |&f| &s.evictions[..f]);
         let evicted = |w| frozen.iter().any(|&(e, r)| e == w && r <= it);
@@ -531,7 +543,15 @@ impl HubService {
         ensure!(present.contains(&worker), "{worker} is absent at {it}");
         let n = present.len();
         ensure!(expected as usize == n, "a count of {expected} for {n}");
-        Ok(present[0])
+        if let Op::Status(_, _, pending) = op {
+            let emitter = present[0];
+            let ok = pending.is_some() == (worker == emitter);
+            ensure!(ok, "{worker} and emitter {emitter} disagree on a signal");
+        }
+        let met = &mut s.met[worker][slot];
+        ensure!(*met != Some(it), "{worker} met in round {it} twice");
+        *met = Some(it);
+        Ok(())
     }
 
     /// Gather one worker's checkpoint [`Deposit`], sent in round `it`'s frame, and
@@ -623,8 +643,8 @@ impl RpcService for HubService {
 
     /// Decode, serve — the ledger's two ops here, every other through
     /// `ClusterCore::serve` — and encode. A request that fails to decode or one of
-    /// the ledger's checks (a rendezvous op's membership count among them) is
-    /// refused before it touches any state.
+    /// the ledger's checks (a rendezvous op's membership count and repeat among
+    /// them) is refused before it touches any state.
     fn handle_into(
         &self,
         worker: u32,
@@ -636,23 +656,14 @@ impl RpcService for HubService {
         let known = worker < self.core.cfg.workers;
         ensure!(known, "no worker {worker} in this run");
         let op = Op::take(request)?;
-        if let Op::SyncRound(expected, _)
-        | Op::Status(_, expected, _)
-        | Op::Signals(_, _, expected) = op
-        {
-            let emitter = self.check_members(worker, it, expected)?;
-            // Only the round's emitter carries its signal, and it always does.
-            if let Op::Status(_, _, pending) = op {
-                let ok = pending.is_some() == (worker == emitter);
-                ensure!(ok, "{worker} and emitter {emitter} disagree on a signal");
-            }
+        if let Op::SyncRound(_, Floats::Wire(params)) = op {
+            let len = params.len();
+            ensure!(len == 4 * self.dim, "a {len}-byte parameter vector");
         }
+        self.check_members(worker, it, &op)?;
         match op {
             Op::RoundBegin() => self.round_begin(worker, it)?,
             Op::CkptDeposit(deposit) => self.ckpt_deposit(worker, it, deposit)?,
-            Op::SyncRound(_, Floats::Wire(params)) if params.len() != 4 * self.dim => {
-                return Err(format!("a {}-byte parameter vector", params.len()));
-            }
             op => self.core.serve(worker, it, op)?,
         }
         .put(reply);
@@ -1759,6 +1770,44 @@ mod tests {
         }
         assert!(!served(1, status(1)), "round 1 not announced");
         assert!(served(0, status(1)));
+    }
+
+    #[test]
+    fn the_hub_refuses_a_repeated_rendezvous_op() {
+        // Two workers. A worker's second `STATUS` of a round used to trip the
+        // rendezvous's "contributed twice" assert while the round was open, and to
+        // park forever in a new round after it had closed.
+        let hub = HubService::new(&cfg(0.05, 2), None);
+        let served = |worker: u32, op: Op| {
+            let request = payload_of(|f| op.put(f));
+            hub.handle_into(worker, 0, &request, &mut FrameBuf::new())
+                .is_ok()
+        };
+        let status = |w: u32| Op::Status(false, 2, (w == 0).then_some(([1.0, 0.5, 0.0, 0.0], 1)));
+        let repeat = std::thread::scope(|scope| {
+            let begun: Vec<_> = (0..2)
+                .map(|w| scope.spawn(move || served(w, Op::RoundBegin())))
+                .collect();
+            assert!(begun.into_iter().all(|b| b.join().expect("barrier")));
+            let first = scope.spawn(|| served(0, status(0)));
+            while hub.ledger.lock().met[0][1] != Some(0) {
+                std::thread::yield_now();
+            }
+            // Caught, so that a panicking repeat fails the test instead of leaving
+            // the first call parked in a round no one completes.
+            let repeat =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| served(0, status(0))));
+            assert!(served(1, status(1)), "the round completes");
+            assert!(first.join().expect("the first call returns"));
+            repeat
+        });
+        assert!(
+            matches!(repeat, Ok(false)),
+            "a repeat while the round is open"
+        );
+        assert!(!served(0, status(0)), "a repeat after the round closed");
+        assert!(!served(1, status(1)));
+        assert!(!hub.ledger.lock().dead.contains(&true));
     }
 
     #[test]
