@@ -206,10 +206,8 @@ pub fn price(
         let present = conditions.present_workers(n, it);
         let (k, round) = (present.len(), it as u64);
         let net = conditions.network_at(it, &cfg.network);
-        let rejoins = present
-            .iter()
-            .filter(|&&w| conditions.rejoins(w, it))
-            .count();
+        let back = |&&w: &&usize| conditions.rejoins(w, it);
+        let rejoins = present.iter().filter(back).count();
         let rejoin_s = (0..rejoins).fold(0.0, |sum, _| sum + net.ps_one_way_time(wire));
         let mut terms = [0.0f64; 6];
         let mut bytes = 0;
