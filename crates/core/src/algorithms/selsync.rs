@@ -143,6 +143,7 @@ impl ClusterLink for MemoryLink<'_> {
         present: &[usize],
         flags: Vec<bool>,
         _pending: Option<(RoundSignal, usize)>,
+        _announce: bool,
     ) -> (Vec<bool>, bool) {
         let round = it as u64;
         let down = self.ps_schedule.as_ref().is_some_and(|s| s.down(round));

@@ -18,9 +18,11 @@
 //! socket — are bit-identical to the in-memory transports). The op itself is encoded
 //! from the one op table below into one blocking RPC ([`selsync_comm::HubClient`]);
 //! the hub's [`RpcService`] decodes it and hands it to `ClusterCore::serve`, the very
-//! call a worker thread makes in-process. A fault-free local round is two calls:
-//! `op::ROUND_BEGIN`, and `op::STATUS`, whose reply carries the next round's δ once
-//! the all-gather has observed the round. Worker-order folds, round-keyed rendezvous
+//! call a worker thread makes in-process. A fault-free local round after the first is
+//! one call, `op::STATUS`: its reply carries the next round's δ once the all-gather
+//! has observed the round, and releases the next round's membership barrier once
+//! every worker the base schedule expects there announced it in the all-gather.
+//! Worker-order folds, round-keyed rendezvous
 //! and the board's round-ordered observation stream are all hub-side, so the merged
 //! event log is the threaded driver's — and the simulator's — byte for byte
 //! (`tests/process_parity.rs`).
@@ -42,13 +44,17 @@
 //! **Worker death.** A connection that terminates after identification — clean EOF,
 //! broken pipe, or a request the hub refuses (one that fails to decode or a ledger
 //! check) — is mapped by the hub to a deterministic eviction at the dead worker's next
-//! scheduled-present round, published to the survivors through the per-round
-//! `op::ROUND_BEGIN` barrier: every present worker of a round folds the identical
-//! frozen eviction prefix, so the surviving cluster continues exactly as if the
-//! schedule had carried a no-rejoin crash at that round. Out of contract: a death
-//! mid-round after the worker announced it (in-flight rendezvous may hang), the death
-//! of a round's sole present worker, and a death racing an in-flight checkpoint (that
-//! image is voided, not written).
+//! scheduled-present round, published to the survivors through the round's membership
+//! barrier: every present worker of a round folds the identical frozen eviction
+//! prefix, so the surviving cluster continues exactly as if the schedule had carried a
+//! no-rejoin crash at that round. A worker announces its next round inside `STATUS`
+//! only if it will run it, never when its kill switch fires there, so the survivors of
+//! a planned kill wait in `op::ROUND_BEGIN` for the connection to close, and so does
+//! every later round the base schedule expects the dead worker at: no one announces
+//! such a round for it. Out of contract: a death after the worker announced a round —
+//! mid-round, or between rounds once `STATUS` announced the next (in-flight
+//! rendezvous may hang) — the death of a round's sole present worker, and a death
+//! racing an in-flight checkpoint (that image is voided, not written).
 //!
 //! [`ensure_supported`] reports what the cluster backends cannot run as a structured
 //! [`UnsupportedConfig`], so orchestrators print a one-line diagnosis instead of an
@@ -62,7 +68,7 @@ use crate::conditions::ClusterConditions;
 use crate::config::{AlgorithmSpec, TrainConfig};
 use crate::policy::{run_policy_spec, PolicySpec, SyncRule};
 use crate::sim::Simulator;
-use crate::threaded::{ClusterCore, Served, Status, ThreadedWorkerReport};
+use crate::threaded::{ClusterCore, Served, Status, StatusFields, ThreadedWorkerReport};
 use crate::worker::{message_layer, run_worker, Reach, WorkerLink};
 use parking_lot::{Condvar, Mutex};
 use selsync_comm::socket::{HubClient, HubServer, RpcService, SocketAddrSpec, SocketConn};
@@ -149,6 +155,22 @@ impl Field<'_> for [f32; 4] {
             *value = f32::take(bytes)?;
         }
         Ok(values)
+    }
+}
+
+/// Death evictions as `(worker, first-absent round)`: a `u32` count, then
+/// `(u32 worker, u64 round)` pairs.
+impl Field<'_> for Vec<(usize, usize)> {
+    fn put(&self, frame: &mut FrameBuf) {
+        (self.len() as u32).put(frame);
+        let wire = |&(worker, round): &_| (worker as u32, round as u64);
+        self.iter().for_each(|e| wire(e).put(frame));
+    }
+
+    fn take(bytes: &mut &[u8]) -> Result<Self, String> {
+        let entry = |b: &mut &[u8]| <(u32, u64)>::take(b).map(|(w, r)| (w as usize, r as usize));
+        let count = u32::take(bytes)?;
+        (0..count).map(|_| entry(bytes)).collect()
     }
 }
 
@@ -284,9 +306,15 @@ ops! {
         SchedRoundBefore = 3 as SCHED_ROUND_BEFORE(),
         /// Push `params`, pull the mean of the round's `expected` → `Floats`.
         SyncRound = 4 as SYNC_ROUND(expected: u32, params: Floats<'a>),
-        /// The status all-gather among `expected`: the worker's bit and, from the
-        /// round's emitter, its signal values and the next active round → `Status`.
-        Status = 5 as STATUS(flag: bool, expected: u32, pending: Option<([f32; 4], u64)>),
+        /// The status all-gather among `expected`: the worker's bit, from the round's
+        /// emitter its signal values and the next active round, and whether the
+        /// worker announces the next round here → `Status`.
+        Status = 5 as STATUS(
+            flag: bool,
+            expected: u32,
+            pending: Option<([f32; 4], u64)>,
+            announce: bool
+        ),
         /// The signal exchange among `expected` → `Signal`.
         Signals = 6 as SIGNALS(loss: f32, delta: f32, expected: u32),
         /// The round's δ → `Delta`.
@@ -307,13 +335,14 @@ pub(crate) enum Reply<'a> {
     Floats(Floats<'a>),
     /// `Option<u64>`.
     Round(Option<usize>),
-    /// One flag byte per worker, then `Option<(u64 next round, f32 δ)>`.
+    /// One flag byte per worker, `Option<(u64 next round, f32 δ)>`, then the
+    /// release: `Option` of the next round's evictions.
     Status(Status),
     /// Four `f32`s.
     Signal([f32; 4]),
     /// `f32`.
     Delta(f32),
-    /// A `u32` count, then `(u32 worker, u64 round)` pairs.
+    /// The evictions' `u32` count, then `(u32 worker, u64 round)` pairs.
     Evictions(Vec<(usize, usize)>),
     /// Nothing.
     Done,
@@ -345,17 +374,18 @@ impl<'a> Reply<'a> {
         match self {
             Reply::Floats(values) => values.put(frame),
             Reply::Round(round) => round.map(|r| r as u64).put(frame),
-            Reply::Status(Status { flags, next }) => {
+            Reply::Status(Status {
+                flags,
+                next,
+                release,
+            }) => {
                 flags.iter().for_each(|flag| flag.put(frame));
                 next.map(|(round, delta)| (round as u64, delta)).put(frame);
+                release.put(frame);
             }
             Reply::Signal(values) => values.put(frame),
             Reply::Delta(delta) => delta.put(frame),
-            Reply::Evictions(evictions) => {
-                (evictions.len() as u32).put(frame);
-                let wire = |&(worker, round): &_| (worker as u32, round as u64);
-                evictions.iter().for_each(|e| wire(e).put(frame));
-            }
+            Reply::Evictions(evictions) => evictions.put(frame),
             Reply::Done => {}
         }
     }
@@ -375,16 +405,16 @@ impl<'a> Reply<'a> {
                     .collect::<Result<_, _>>()?;
                 let next: Option<(u64, f32)> = Field::take(b)?;
                 let next = next.map(|(round, delta)| (round as usize, delta));
-                Reply::Status(Status { flags, next })
+                let release = Field::take(b)?;
+                Reply::Status(Status {
+                    flags,
+                    next,
+                    release,
+                })
             }
             Op::Signals(..) => Reply::Signal(Field::take(b)?),
             Op::DeltaFor() => Reply::Delta(Field::take(b)?),
-            Op::RoundBegin() => {
-                let entry =
-                    |b: &mut &'a [u8]| <(u32, u64)>::take(b).map(|(w, r)| (w as usize, r as usize));
-                let count = u32::take(b)?;
-                Reply::Evictions((0..count).map(|_| entry(b)).collect::<Result<_, _>>()?)
-            }
+            Op::RoundBegin() => Reply::Evictions(Field::take(b)?),
             Op::Observe(..) | Op::CkptDeposit(_) => Reply::Done,
         };
         whole(bytes, reply)
@@ -412,7 +442,8 @@ struct HubService {
 /// so a death atomically updates the barrier, the eviction list and any
 /// in-flight checkpoint gather.
 struct Ledger {
-    /// Per worker: the newest round announced through `op::ROUND_BEGIN`.
+    /// Per worker: the newest round it has begun — announced through `op::ROUND_BEGIN`,
+    /// or released into by its `op::STATUS` reply.
     last_begun: Vec<Option<usize>>,
     /// Per worker and rendezvous op (`SYNC_ROUND`, `STATUS`, `SIGNALS`): the newest
     /// round the worker met in through it.
@@ -422,9 +453,10 @@ struct Ledger {
     /// Death evictions in creation order: `(worker, first-absent round)`.
     evictions: Vec<(usize, usize)>,
     /// Per released round: the eviction count frozen at its barrier release —
-    /// every `ROUND_BEGIN` reply for that round carries the identical prefix,
-    /// keeping the folded membership a pure function of the round. A round stays
-    /// on file while one of its present workers may still be parked in it.
+    /// every `ROUND_BEGIN` reply and `STATUS` release for that round carries the
+    /// identical prefix, keeping the folded membership a pure function of the round.
+    /// A round stays on file while one of its present workers may still be parked in
+    /// it or read its release.
     released: HashMap<usize, usize>,
     /// The round currently gathering checkpoint deposits, if any.
     ckpt_round: Option<usize>,
@@ -448,10 +480,12 @@ impl Ledger {
         }
     }
 
-    /// Forget the released rounds no one can still wait in: each of the round's
-    /// present workers has died or announced a later round, so it has returned from
-    /// this one. What stays is at most one round per worker, its newest.
-    fn prune_released(&mut self, conditions: &ClusterConditions) {
+    /// Record that `worker` begins round `it`, and forget the released rounds no one
+    /// can still wait in: each of the round's present workers has died or begun a
+    /// later round, so it has returned from this one. What stays is at most one round
+    /// per worker, its newest.
+    fn begin(&mut self, worker: usize, it: usize, conditions: &ClusterConditions) {
+        self.last_begun[worker] = Some(it);
         let Ledger {
             released,
             last_begun,
@@ -462,6 +496,13 @@ impl Ledger {
             (0..dead.len())
                 .any(|w| conditions.is_present(w, r) && !dead[w] && last_begun[w] <= Some(r))
         });
+    }
+
+    /// Round `it`'s eviction prefix: the one frozen at its release, frozen now if this
+    /// is the release.
+    fn release(&mut self, it: usize) -> Vec<(usize, usize)> {
+        let frozen = *self.released.entry(it).or_insert(self.evictions.len());
+        self.evictions[..frozen].to_vec()
     }
 }
 
@@ -487,63 +528,86 @@ impl HubService {
     /// base-present worker of the round has either announced it or died, then
     /// answers the eviction prefix frozen at the barrier's release — identical
     /// for every present worker of the round.
+    ///
+    /// A worker whose `STATUS` reply released it into `it` has begun the round
+    /// already, so its `ROUND_BEGIN` for it is refused as a repeat; one whose reply
+    /// carried no release announced `it` there, but still sends this.
     fn round_begin(&self, worker: usize, it: usize) -> Served {
         let n = self.core.cfg.workers;
         let mut s = self.ledger.lock();
         ensure!(!s.dead[worker], "round {it} announced after death");
         let in_order = s.last_begun[worker].is_none_or(|r| r < it);
         ensure!(in_order, "round {it} announced out of order");
-        s.last_begun[worker] = Some(it);
-        s.prune_released(&self.core.conditions);
+        s.begin(worker, it, &self.core.conditions);
         self.cv.notify_all();
         loop {
             // Released rounds stay on file until their waiters have returned: a
             // parked waiter always finds its round here first, even after faster
             // workers advanced past it.
-            if let Some(&frozen) = s.released.get(&it) {
-                return Ok(Reply::Evictions(s.evictions[..frozen].to_vec()));
+            if s.released.contains_key(&it) {
+                return Ok(Reply::Evictions(s.release(it)));
             }
-            let complete = self
-                .core
-                .conditions
-                .present_workers(n, it)
-                .into_iter()
+            let complete = (self.core.conditions.present_workers(n, it).into_iter())
                 .all(|w| s.dead[w] || s.last_begun[w].is_some_and(|r| r >= it));
             if complete {
-                let frozen = s.evictions.len();
-                s.released.insert(it, frozen);
+                let evictions = s.release(it);
                 self.cv.notify_all();
-                return Ok(Reply::Evictions(s.evictions[..frozen].to_vec()));
+                return Ok(Reply::Evictions(evictions));
             }
             self.cv.wait(&mut s);
         }
     }
 
+    /// Round `it`'s status all-gather, which doubles as round `it + 1`'s membership
+    /// barrier when every base-present worker of `it + 1` announces it there: each
+    /// announcer then begins `it + 1` with this reply, which carries the round's
+    /// frozen eviction prefix, and sends no `ROUND_BEGIN` for it. Otherwise the reply
+    /// carries no release, and the barrier is `ROUND_BEGIN`'s, as on a round after a
+    /// rejoin or a death. No barrier waits on the announce: a worker parked in
+    /// `ROUND_BEGIN(it + 1)` would be a base-present worker of `it + 1` that did not
+    /// announce it here.
+    fn status(&self, worker: usize, it: usize, bit: StatusFields, expected: usize) -> Served {
+        let announce = bit.1;
+        let (mut status, begun) = self.core.status(it, worker, bit, expected);
+        if announce && begun {
+            let mut s = self.ledger.lock();
+            s.begin(worker, it + 1, &self.core.conditions);
+            status.release = Some(s.release(it + 1));
+        }
+        Ok(Reply::Status(status))
+    }
+
     /// Refuse a rendezvous op of round `it` whose membership count is not the
-    /// round's present count — the base schedule less the evictions frozen at the
-    /// round's barrier, what every live worker derives — whose worker has not
-    /// announced the round, is not present at it or already met in it through the
-    /// same op, or whose `STATUS` disagrees with the round's emitter (its lowest
-    /// present worker) on carrying the signal. The rendezvous asserts the first four,
-    /// and a panic there would take the whole hub down; a repeat after the round
-    /// closed would park forever. Any other op passes.
+    /// round's present count — the base schedule less the evictions at or before the
+    /// round, what every live worker derives — whose worker has not begun the round,
+    /// is not present at it or already met in it through the same op, or whose
+    /// `STATUS` disagrees with the round's emitter (its lowest present worker) on
+    /// carrying the signal. A worker whose `STATUS` released it into the next round
+    /// still syncs this one. The rendezvous asserts the first four, and a panic there
+    /// would take the whole hub down; a repeat after the round closed would park
+    /// forever. Any other op passes.
+    ///
+    /// Every eviction at or before `it` is in the prefix frozen at the round's
+    /// release: a worker dies before its next present round's barrier releases, or
+    /// after it announced that round, mid-round, which is out of contract.
     fn check_members(&self, worker: usize, it: usize, op: &Op<'_>) -> Result<(), String> {
         let (slot, expected) = match *op {
             Op::SyncRound(expected, _) => (0, expected),
-            Op::Status(_, expected, _) => (1, expected),
+            Op::Status(_, expected, ..) => (1, expected),
             Op::Signals(_, _, expected) => (2, expected),
             _ => return Ok(()),
         };
         let mut s = self.ledger.lock();
-        ensure!(s.last_begun[worker] == Some(it), "round {it} not announced");
-        let frozen = s.released.get(&it).map_or(&[][..], |&f| &s.evictions[..f]);
-        let evicted = |w| frozen.iter().any(|&(e, r)| e == w && r <= it);
+        let finishing = slot == 0 && s.met[worker][1] == Some(it);
+        let begun = s.last_begun[worker] == Some(it) || finishing;
+        ensure!(begun, "round {it} not announced");
+        let evicted = |w| s.evictions.iter().any(|&(e, r)| e == w && r <= it);
         let mut present = (self.core.conditions).present_workers(self.core.cfg.workers, it);
         present.retain(|&w| !evicted(w));
         ensure!(present.contains(&worker), "{worker} is absent at {it}");
         let n = present.len();
         ensure!(expected as usize == n, "a count of {expected} for {n}");
-        if let Op::Status(_, _, pending) = op {
+        if let Op::Status(_, _, pending, _) = op {
             let emitter = present[0];
             let ok = pending.is_some() == (worker == emitter);
             ensure!(ok, "{worker} and emitter {emitter} disagree on a signal");
@@ -641,8 +705,9 @@ impl RpcService for HubService {
         reply.payload().to_vec()
     }
 
-    /// Decode, serve — the ledger's two ops here, every other through
-    /// `ClusterCore::serve` — and encode. A request that fails to decode or one of
+    /// Decode, serve — the ledger's barrier and gather here, the status all-gather
+    /// through `ClusterCore::status` and every other op through `ClusterCore::serve`
+    /// — and encode. A request that fails to decode or one of
     /// the ledger's checks (a rendezvous op's membership count and repeat among
     /// them) is refused before it touches any state.
     fn handle_into(
@@ -663,6 +728,9 @@ impl RpcService for HubService {
         self.check_members(worker, it, &op)?;
         match op {
             Op::RoundBegin() => self.round_begin(worker, it)?,
+            Op::Status(flag, expected, pending, announce) => {
+                self.status(worker, it, (flag, announce, pending), expected as usize)?
+            }
             Op::CkptDeposit(deposit) => self.ckpt_deposit(worker, it, deposit)?,
             op => self.core.serve(worker, it, op)?,
         }
@@ -1384,16 +1452,20 @@ mod tests {
         }
     }
 
-    /// Each worker's in-round hub calls on a fault-free run of `c`, in call order,
-    /// and worker 0's synchronized rounds.
-    fn hub_calls(c: &TrainConfig, tag: &str) -> (Vec<Vec<(u64, u8)>>, Vec<usize>) {
+    /// Each worker's in-round hub calls on a run of `c`, in call order, and worker 0's
+    /// synchronized rounds; `kill` as in [`run_in_process_cluster_with`].
+    fn hub_calls(
+        c: &TrainConfig,
+        tag: &str,
+        kill: Option<(usize, usize)>,
+    ) -> (Vec<Vec<(u64, u8)>>, Vec<usize>) {
         let calls = Arc::new(Mutex::new(Vec::new()));
         let log = Arc::clone(&calls);
         let hub = move |cfg: &TrainConfig, addr: &SocketAddrSpec| {
             let inner = HubService::new(cfg, None);
             serve_hub(cfg, addr, Arc::new(Counting { inner, calls: log }))
         };
-        let (reports, _) = run_in_process_cluster_over(c, tag, None, None, hub);
+        let (reports, _) = run_in_process_cluster_over(c, tag, None, kill, hub);
         let mut per_worker = vec![Vec::new(); c.workers];
         for &(worker, round, op) in calls.lock().iter() {
             if op != op::PULL {
@@ -1404,49 +1476,85 @@ mod tests {
     }
 
     #[test]
-    fn a_local_round_is_two_hub_round_trips_per_worker() {
-        use op::{DELTA_FOR, OBSERVE, ROUND_BEGIN, STATUS, SYNC_ROUND};
-        // Every round local: `ROUND_BEGIN` and `STATUS`, whose reply carries the next
-        // round's δ, so `DELTA_FOR` is asked at round 0 only and the status
-        // all-gather observes every round — no `OBSERVE`. The flags envelope rides
-        // the `STATUS` call instead of making round trips of its own.
+    fn a_local_round_is_one_hub_round_trip_per_worker() {
+        use crate::conditions::ClusterConditions;
+        use op::{DELTA_FOR, OBSERVE, REJOIN_PULL, ROUND_BEGIN, SCHED_ROUND_BEFORE};
+        use op::{STATUS, SYNC_ROUND};
+        // Every round local: round 0 announces itself through `ROUND_BEGIN` and asks
+        // its δ; every later round is `STATUS` alone. The previous round's reply
+        // carried the round's δ (the all-gather observed its round, so no `OBSERVE`)
+        // and released its barrier (every worker announced it there). The flags
+        // envelope rides the `STATUS` call instead of making round trips of its own.
         let c = cfg(1e9, 3);
-        let (calls, synced) = hub_calls(&c, "trips-local");
+        let (calls, synced) = hub_calls(&c, "trips-local", None);
         assert!(synced.is_empty(), "δ = 1e9 must keep every round local");
         let rounds = 0..c.iterations as u64;
+        let statuses = |r: std::ops::Range<u64>| r.map(|r| (r, STATUS));
+        let first = [(0, ROUND_BEGIN), (0, DELTA_FOR)];
+        let local: Vec<(u64, u8)> = (first.into_iter())
+            .chain(statuses(rounds.clone()))
+            .collect();
         for (worker, calls) in calls.iter().enumerate() {
-            let expected: Vec<(u64, u8)> = rounds
-                .clone()
-                .flat_map(|r| {
-                    let delta = (r == 0).then_some((r, DELTA_FOR));
-                    [Some((r, ROUND_BEGIN)), delta, Some((r, STATUS))]
-                })
-                .flatten()
-                .collect();
-            assert_eq!(*calls, expected, "worker {worker}");
+            assert_eq!(*calls, local, "worker {worker}");
         }
         // Every round synchronized (δ = 0): the round after a sync asks its δ, and
         // rank 0 observes each round after its sync.
         let c = cfg(0.0, 3);
-        let (calls, synced) = hub_calls(&c, "trips-sync");
+        let (calls, synced) = hub_calls(&c, "trips-sync", None);
         assert_eq!(synced, (0..c.iterations).collect::<Vec<_>>());
         for (worker, calls) in calls.iter().enumerate() {
             let expected: Vec<(u64, u8)> = rounds
                 .clone()
                 .flat_map(|r| {
+                    let begin = (r == 0).then_some((r, ROUND_BEGIN));
                     let observe = (worker == 0).then_some((r, OBSERVE));
-                    let sync = [
-                        (r, ROUND_BEGIN),
-                        (r, DELTA_FOR),
-                        (r, STATUS),
-                        (r, SYNC_ROUND),
-                    ];
-                    sync.into_iter().map(Some).chain([observe])
+                    let sync = [(r, DELTA_FOR), (r, STATUS), (r, SYNC_ROUND)];
+                    [begin].into_iter().chain(sync.map(Some)).chain([observe])
                 })
                 .flatten()
                 .collect();
             assert_eq!(*calls, expected, "worker {worker}");
         }
+        // Worker 2 sits out rounds 5..12. Round 5 is released in `STATUS(4)`, where
+        // workers 0 and 1 announce it. No one can announce round 12 for the rejoiner,
+        // so every present worker sends `ROUND_BEGIN(12)`; the rejoiner also pulls,
+        // asks which round its pull is from, and asks its δ.
+        let mut c = cfg(1e9, 3);
+        c.conditions = ClusterConditions::uniform().with_fault(FaultEvent::Crash {
+            worker: 2,
+            start: 5,
+            rejoin: Some(12),
+        });
+        let (calls, _) = hub_calls(&c, "trips-rejoin", None);
+        let stayed: Vec<(u64, u8)> = (first.into_iter())
+            .chain(statuses(0..12))
+            .chain([(12, ROUND_BEGIN)])
+            .chain(statuses(12..c.iterations as u64))
+            .collect();
+        assert_eq!(calls[0], stayed);
+        assert_eq!(calls[1], stayed);
+        let back = [ROUND_BEGIN, REJOIN_PULL, SCHED_ROUND_BEFORE, DELTA_FOR];
+        let rejoiner: Vec<(u64, u8)> = (first.into_iter())
+            .chain(statuses(0..5))
+            .chain(back.map(|op| (12, op)))
+            .chain(statuses(12..c.iterations as u64))
+            .collect();
+        assert_eq!(calls[2], rejoiner);
+        // Worker 1 dies at the top of round 10, so it does not announce round 10 in
+        // `STATUS(9)`: the survivors park in `ROUND_BEGIN(10)` until its connection
+        // closes. The base schedule still expects it at every later round, which no
+        // one announces for it, so `ROUND_BEGIN` goes out at each of them.
+        let c = cfg(1e9, 3);
+        let (calls, _) = hub_calls(&c, "trips-kill", Some((1, 10)));
+        let survivor: Vec<(u64, u8)> = (local.iter().copied())
+            .flat_map(|(r, op)| {
+                let begin = (op == STATUS && r >= 10).then_some((r, ROUND_BEGIN));
+                begin.into_iter().chain([(r, op)])
+            })
+            .collect();
+        assert_eq!(calls[0], survivor);
+        assert_eq!(calls[1], local[..local.len() - 10]);
+        assert_eq!(calls[2], survivor);
     }
 
     /// The hub's service, logging every call as `(worker, round, request, reply)`
@@ -1529,9 +1637,9 @@ mod tests {
         }
         let digests: Vec<u64> = bytes.iter().map(|b| checksum(b)).collect();
         let pinned = [
-            9485502084185416566,
-            18263557698858925420,
-            6678382398203680368,
+            644125246829761045,
+            2277725362867754915,
+            16584958039524008969,
         ];
         assert_eq!(digests, pinned, "per-worker request and reply bytes");
     }
@@ -1566,8 +1674,8 @@ mod tests {
             Op::SchedRoundBefore(),
             Op::SyncRound(3, Floats::Slice(params)),
             Op::SyncRound(1, Floats::Slice(&[])),
-            Op::Status(true, 3, Some((values, 17))),
-            Op::Status(false, 1, None),
+            Op::Status(true, 3, Some((values, 17)), true),
+            Op::Status(false, 1, None, false),
             Op::Signals(f32::NAN, 0.5, 2),
             Op::DeltaFor(),
             Op::Observe(values, true, 9),
@@ -1589,9 +1697,10 @@ mod tests {
         // Every reply shape, against the op it answers among three workers: empty and
         // full memberships, a `None` round, a status that did and one that did not
         // observe its round, NaN values.
-        let status = |flags: [bool; 3], next| Status {
+        let status = |flags: [bool; 3], next, release| Status {
             flags: flags.to_vec(),
             next,
+            release,
         };
         let nan = Arc::new(vec![f32::NAN, 1.0, -0.0]);
         let replies = [
@@ -1608,12 +1717,16 @@ mod tests {
                 Reply::Signal([f32::NAN, 0.0, 1.0, 2.0]),
             ),
             (
-                Op::Status(true, 3, None),
-                Reply::Status(status([true; 3], None)),
+                Op::Status(true, 3, None, false),
+                Reply::Status(status([true; 3], None, None)),
             ),
             (
-                Op::Status(false, 3, None),
-                Reply::Status(status([false; 3], Some((9, 0.5)))),
+                Op::Status(false, 3, None, true),
+                Reply::Status(status([false; 3], Some((9, 0.5)), Some(Vec::new()))),
+            ),
+            (
+                Op::Status(true, 3, None, true),
+                Reply::Status(status([true; 3], None, Some(vec![(1, 7)]))),
             ),
             (Op::RoundBegin(), Reply::Evictions(Vec::new())),
             (
@@ -1676,7 +1789,7 @@ mod tests {
     fn a_malformed_request_is_its_workers_death_not_the_hubs() {
         use std::io::{Read, Write};
         use std::os::unix::net::UnixStream;
-        // An empty payload, an unknown tag, a `STATUS` one byte short and a sync of
+        // An empty payload, an unknown tag, a `STATUS` cut short and a sync of
         // one parameter: each is refused, its connection ends without a reply, and
         // the hub records the worker dead and serves on to a clean finish.
         let c = cfg(0.05, 4);
@@ -1745,6 +1858,88 @@ mod tests {
     }
 
     #[test]
+    fn a_status_announce_stands_in_for_the_next_round_begin() {
+        use crate::conditions::ClusterConditions;
+        use crate::config::CheckpointSpec;
+        let dir = std::env::temp_dir().join(format!("selsync-announce-{}", std::process::id()));
+        // One worker, so every rendezvous completes at once; an image is due each round.
+        let mut c = cfg(0.05, 1);
+        c.checkpoint = Some(CheckpointSpec {
+            every: 1,
+            dir: dir.to_string_lossy().into_owned(),
+            halt_after: None,
+            keep: Some(1),
+        });
+        let hub = HubService::new(&c, None);
+        let serve = |round: u64, op: Op| {
+            let request = payload_of(|f| op.put(f));
+            hub.handle_into(0, round, &request, &mut FrameBuf::new())
+        };
+        let signal = [1.0, 0.5, 0.0, 0.0];
+        // Round `round`'s `STATUS` from the lone worker, which emits the round: the
+        // release its reply carries.
+        let status = |hub: &HubService, worker: u32, round: u64, flag, n, announce| {
+            let pending = (worker == 0).then_some((signal, round + 1));
+            let op = Op::Status(flag, n, pending, announce);
+            let mut reply = FrameBuf::new();
+            reply.begin(MsgKind::Rpc, round, HUB_SENDER);
+            let request = payload_of(|f| op.put(f));
+            let served = hub.handle_into(worker, round, &request, &mut reply);
+            served.expect("a well-formed status");
+            let reply = Reply::take(&op, hub.core.cfg.workers, reply.payload());
+            Status::from(reply.expect("decodes")).release
+        };
+        assert!(serve(0, Op::RoundBegin()).is_ok());
+        // Announced and released: round 1 has begun, and a sync round's ops of round
+        // 0 are still served after the announce.
+        assert_eq!(status(&hub, 0, 0, true, 1, true), Some(Vec::new()));
+        let params = || Floats::Shared(Arc::new(vec![0.0; hub.dim]));
+        assert!(serve(0, Op::SyncRound(1, params())).is_ok());
+        assert!(serve(0, Op::Observe(signal, true, 1)).is_ok());
+        let deposit = Deposit {
+            round: 0,
+            fingerprint: checkpoint::config_fingerprint(&c),
+            section: crate::checkpoint::Section::new("worker0"),
+            shard: EventLog::default(),
+        };
+        assert!(serve(0, Op::CkptDeposit(deposit)).is_ok());
+        assert!(serve(0, Op::SyncRound(1, params())).is_err(), "a repeat");
+        assert!(serve(1, Op::RoundBegin()).is_err(), "a released round");
+        // Not announced: no release, and one `ROUND_BEGIN(2)` is owed.
+        assert_eq!(status(&hub, 0, 1, false, 1, false), None);
+        assert!(serve(2, Op::RoundBegin()).is_ok());
+        assert!(serve(2, Op::RoundBegin()).is_err(), "announced twice");
+        assert!(!hub.ledger.lock().dead[0]);
+        std::fs::remove_dir_all(&dir).ok();
+
+        // Worker 1 rejoins at round 1, so worker 0's announce in `STATUS(0)` releases
+        // nothing, and both workers' `ROUND_BEGIN(1)` meet at the barrier.
+        let mut c = cfg(0.05, 2);
+        c.conditions = ClusterConditions::uniform().with_fault(FaultEvent::Crash {
+            worker: 1,
+            start: 0,
+            rejoin: Some(1),
+        });
+        let hub = HubService::new(&c, None);
+        let serve = |worker: u32, round: u64, op: Op| {
+            let request = payload_of(|f| op.put(f));
+            hub.handle_into(worker, round, &request, &mut FrameBuf::new())
+        };
+        assert!(serve(0, 0, Op::RoundBegin()).is_ok());
+        assert_eq!(status(&hub, 0, 0, false, 1, true), None);
+        std::thread::scope(|scope| {
+            let rejoiner = scope.spawn(|| serve(1, 1, Op::RoundBegin()));
+            assert!(
+                serve(0, 1, Op::RoundBegin()).is_ok(),
+                "announced, not released"
+            );
+            assert!(rejoiner.join().expect("rejoiner").is_ok());
+        });
+        assert!(serve(0, 1, Op::RoundBegin()).is_err(), "announced twice");
+        assert!(!hub.ledger.lock().dead.contains(&true));
+    }
+
+    #[test]
     fn the_hub_refuses_a_wrong_membership_count() {
         // One worker: round 0's only count is 1. A wrong one used to reach the
         // rendezvous's asserts and panic the hub.
@@ -1755,7 +1950,7 @@ mod tests {
                 .is_ok()
         };
         // The lone worker is its rounds' emitter: its bit carries the round's signal.
-        let status = |n| Op::Status(false, n, Some(([1.0, 0.5, 0.0, 0.0], 1)));
+        let status = |n| Op::Status(false, n, Some(([1.0, 0.5, 0.0, 0.0], 1)), false);
         assert!(!served(0, status(1)), "before ROUND_BEGIN");
         assert!(served(0, Op::RoundBegin()));
         for n in [0, 2] {
@@ -1783,7 +1978,10 @@ mod tests {
             hub.handle_into(worker, 0, &request, &mut FrameBuf::new())
                 .is_ok()
         };
-        let status = |w: u32| Op::Status(false, 2, (w == 0).then_some(([1.0, 0.5, 0.0, 0.0], 1)));
+        let status = |w: u32| {
+            let pending = (w == 0).then_some(([1.0, 0.5, 0.0, 0.0], 1));
+            Op::Status(false, 2, pending, false)
+        };
         let repeat = std::thread::scope(|scope| {
             let begun: Vec<_> = (0..2)
                 .map(|w| scope.spawn(move || served(w, Op::RoundBegin())))
@@ -1831,18 +2029,19 @@ mod tests {
         };
         assert!(both(&|_| Op::RoundBegin()));
         assert!(
-            !served(0, 0, Op::Status(false, 2, None)),
+            !served(0, 0, Op::Status(false, 2, None, false)),
             "the emitter without"
         );
         assert!(
-            !served(1, 0, Op::Status(false, 2, Some((signal, 1)))),
+            !served(1, 0, Op::Status(false, 2, Some((signal, 1)), false)),
             "another with"
         );
         // A well-formed local round: its status all-gather observes round 0.
         assert!(both(&|w| Op::Status(
             false,
             2,
-            (w == 0).then_some((signal, 1))
+            (w == 0).then_some((signal, 1)),
+            false
         )));
         assert!(
             !served(0, 3, Op::Observe(signal, false, 4)),
@@ -1872,14 +2071,29 @@ mod tests {
                 rejoin: Some(120),
             });
         let hub = HubService::new(&c, None);
+        // Each worker announces its next round inside every `STATUS` it will run, and
+        // sends `ROUND_BEGIN` only where no release came back: at round 0 and at
+        // worker 1's rejoin.
         let most = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..c.workers)
                 .map(|w| {
                     let (hub, c) = (&hub, &c);
                     scope.spawn(move || {
-                        let mut most = 0;
+                        let (mut most, mut released) = (0, None);
+                        let present = |it| c.conditions.present_workers(c.workers, it);
                         for it in (0..c.iterations).filter(|&it| c.conditions.is_present(w, it)) {
-                            hub.round_begin(w, it).expect("announced in order");
+                            if released != Some(it) {
+                                hub.round_begin(w, it).expect("announced in order");
+                                most = most.max(hub.ledger.lock().released.len());
+                            }
+                            let next = it + 1;
+                            let announce = next < c.iterations && c.conditions.is_present(w, next);
+                            let signal = [1.0, 0.5, 0.0, 0.0];
+                            let pending = (present(it)[0] == w).then_some((signal, next as u64));
+                            let served =
+                                hub.status(w, it, (false, announce, pending), present(it).len());
+                            let status: Status = served.expect("a well-formed status").into();
+                            released = status.release.map(|_| next);
                             most = most.max(hub.ledger.lock().released.len());
                         }
                         most
@@ -1888,7 +2102,7 @@ mod tests {
                 .collect();
             workers.into_iter().map(|h| h.join().expect("worker")).max()
         });
-        // At most one round per worker: the one it announced last.
+        // At most one round per worker: the one it began last.
         assert!(
             most.is_some_and(|m| m <= c.workers),
             "{most:?} rounds on file"

@@ -123,21 +123,31 @@ impl SignalBoard {
     }
 }
 
-/// What round `it`'s status all-gather hands every participant: the present workers'
-/// bits at their worker positions and, when none is set, the next active round and
-/// its δ — the all-gather observed the local round.
+/// What round `it`'s status all-gather hands a participant: the present workers' bits
+/// at their worker positions; when none is set, the next active round and its δ — the
+/// all-gather observed the local round; and the release of round `it + 1`'s membership
+/// barrier, when the all-gather also was that barrier.
 #[derive(Debug, Clone)]
 pub(crate) struct Status {
     pub(crate) flags: Vec<bool>,
     pub(crate) next: Option<(usize, f32)>,
+    /// Round `it + 1`'s frozen eviction prefix, on a hub's reply to a worker that
+    /// announced that round, when every base-present worker of it did so in this
+    /// all-gather. Threads hold no barrier, so they never get one.
+    pub(crate) release: Option<Vec<(usize, usize)>>,
 }
 
 /// A served op's reply, or the reason it is refused.
 pub(crate) type Served = Result<Reply<'static>, String>;
 
-/// One worker's part of a status all-gather: its bit, and the round's unsynchronized
-/// signal and next active round when it emits the round.
-type StatusBit = (bool, Option<(RoundSignal, usize)>);
+/// A `STATUS` request's fields but its count, as on the wire: the worker's bit, whether
+/// it announces the next round, and the emitter's signal values and next active round.
+pub(crate) type StatusFields = (bool, bool, Option<([f32; 4], u64)>);
+
+/// One worker's part of a status all-gather: its bit, whether it announces the next
+/// round, and the round's unsynchronized signal and next active round when it emits
+/// the round.
+type StatusBit = (bool, bool, Option<(RoundSignal, usize)>);
 
 /// The cluster's shared state — parameter server, the status, signal and checkpoint
 /// rendezvous, the δ-policy signal board — set up (fresh or from a recovery image)
@@ -147,8 +157,9 @@ type StatusBit = (bool, Option<(RoundSignal, usize)>);
 pub(crate) struct ClusterCore {
     pub(crate) cfg: TrainConfig,
     pub(crate) handles: ClusterHandles,
-    /// One rendezvous per round for the present workers' status bits.
-    status_rounds: ElasticRounds<StatusBit, Status>,
+    /// One rendezvous per round for the present workers' status bits: the status and
+    /// whether every base-present worker of the next round announced it there.
+    status_rounds: ElasticRounds<StatusBit, (Status, bool)>,
     /// One rendezvous per round for the present workers' `(loss, Δ(g_i))` pairs.
     signal_rounds: ElasticRounds<(f32, f32), RoundSignal>,
     /// Checkpoint rounds of worker threads, keyed by iteration: every thread deposits
@@ -236,9 +247,9 @@ impl ClusterCore {
                 let mean = ps.sync_round_shared(round, worker, expected as usize, fill);
                 Reply::Floats(Floats::Shared(mean))
             }
-            Op::Status(flag, expected, pending) => {
-                let pending = pending.map(|(v, next)| (RoundSignal::of(it, v), next as usize));
-                Reply::Status(self.status(it, worker, flag, expected as usize, pending))
+            Op::Status(flag, expected, pending, announce) => {
+                let bit = (flag, announce, pending);
+                Reply::Status(self.status(it, worker, bit, expected as usize).0)
             }
             Op::Signals(loss, delta, expected) => Reply::Signal(
                 self.signals(it, worker, loss, delta, expected as usize)
@@ -271,31 +282,43 @@ impl ClusterCore {
     }
 
     /// `worker`'s side of round `it`'s status all-gather among the `expected` present
-    /// workers: one round-keyed rendezvous. When no bit is set the round stays local
-    /// and the emitter's `pending` signal is final, so the combine observes it and
-    /// answers with the next active round's δ — the local round's last touch of the
-    /// board. Otherwise the emitter observes the round after its sync. A board that
-    /// refuses the signal leaves the round unobserved, and so will the emitter's own.
+    /// workers: one round-keyed rendezvous over its `(flag, announce, pending)` wire
+    /// fields. When no bit is set the round stays local and the emitter's `pending`
+    /// signal is final, so the combine observes it and answers with the next active
+    /// round's δ — the local round's last touch of the board. Otherwise the emitter
+    /// observes the round after its sync. A board that refuses the signal leaves the
+    /// round unobserved, and so will the emitter's own. The combine also answers
+    /// whether every base-present worker of round `it + 1` announced it here: a pure
+    /// function of the schedule and the announce bits, never of timing.
     pub(crate) fn status(
         &self,
         it: usize,
         worker: usize,
-        flag: bool,
+        (flag, announce, pending): StatusFields,
         expected: usize,
-        pending: Option<(RoundSignal, usize)>,
-    ) -> Status {
+    ) -> (Status, bool) {
         let n = self.handles.world_size;
         let combine = |bits: &mut [(usize, StatusBit)]| {
             let mut flags = vec![false; n];
-            for &(w, (bit, _)) in bits.iter() {
-                flags[w] = bit;
+            let mut announced = vec![false; n];
+            for &(w, (bit, announce, _)) in bits.iter() {
+                (flags[w], announced[w]) = (bit, announce);
             }
-            let next = (bits.iter().find_map(|&(_, (_, pending))| pending))
+            let next = (bits.iter().find_map(|&(_, (_, _, pending))| pending))
                 .filter(|_| !flags.contains(&true))
                 .and_then(|(signal, next)| Some((next, self.board.observe(signal, next).ok()?)));
-            Status { flags, next }
+            let begun = (0..n)
+                .filter(|&w| self.conditions.is_present(w, it + 1))
+                .all(|w| announced[w]);
+            let status = Status {
+                flags,
+                next,
+                release: None,
+            };
+            (status, begun)
         };
-        let bit = (flag, pending);
+        let pending = pending.map(|(v, next)| (RoundSignal::of(it, v), next as usize));
+        let bit = (flag, announce, pending);
         self.status_rounds
             .run(it as u64, worker, expected, bit, combine)
     }

@@ -39,8 +39,9 @@ pub(crate) trait ClusterLink {
     fn dies_at(&self, _it: usize) -> bool {
         false
     }
-    /// Announce round `it`; returns the cluster's runtime evictions so far, frozen for
-    /// the round, as `(worker, first-absent round)`.
+    /// Announce round `it`, unless [`Self::status`] announced it already and the
+    /// cluster released it there; returns the cluster's runtime evictions so far,
+    /// frozen for the round, as `(worker, first-absent round)`.
     fn round_begin(&mut self, _it: usize) -> Vec<(usize, usize)> {
         Vec::new()
     }
@@ -64,12 +65,14 @@ pub(crate) trait ClusterLink {
     /// unsynchronized signal and next active round, from the group that emits the
     /// round (`None` elsewhere). A cluster link observes it right here when no bit
     /// is set and returns `true`; otherwise [`Self::observe`] posts the round later.
+    /// `announce`: the group will run round `it + 1`, and announces it here.
     fn status(
         &mut self,
         it: usize,
         present: &[usize],
         flags: Vec<bool>,
         pending: Option<(RoundSignal, usize)>,
+        announce: bool,
     ) -> (Vec<bool>, bool);
     /// Push the group's `contributions`, pull their worker-order mean into `mean`.
     fn sync(&mut self, it: usize, contributions: &[&[f32]], expected: usize, mean: &mut Vec<f32>);
@@ -231,7 +234,15 @@ pub(crate) fn run_group<L: ClusterLink>(
             let mut observed = false;
             if rule.exchanges_status() {
                 let pending = emitter.then_some((signal, next));
-                (flags, observed) = link.status(it, &present, flags, pending);
+                // The group announces the next round in this all-gather when it will
+                // run it: not after the last round or a halt, not into a round it sits
+                // out, not when its kill switch fires there.
+                let halts = cfg.checkpoint.as_ref().and_then(|ck| ck.halt_after) == Some(it);
+                let announce = it + 1 < cfg.iterations
+                    && !halts
+                    && (0..n).any(|w| group.hosts(w) && group.cfg.conditions.is_present(w, it + 1))
+                    && !link.dies_at(it + 1);
+                (flags, observed) = link.status(it, &present, flags, pending, announce);
             }
             signal.synced = flags.iter().any(|&f| f);
             if signal.synced {
@@ -362,6 +373,9 @@ pub(crate) struct WorkerLink<'a, R> {
     /// The next active round and its δ, as the last status all-gather that observed
     /// its round answered them.
     next_delta: Option<(usize, f32)>,
+    /// The next round and its frozen eviction prefix, as the last status all-gather
+    /// that released its barrier answered them.
+    release: Option<(usize, Vec<(usize, usize)>)>,
 }
 
 impl<'a, R: Reach> WorkerLink<'a, R> {
@@ -371,13 +385,13 @@ impl<'a, R: Reach> WorkerLink<'a, R> {
         worker: usize,
         reach: R,
     ) -> Self {
-        let next_delta = None;
         WorkerLink {
             cfg,
             layer,
             worker,
             reach,
-            next_delta,
+            next_delta: None,
+            release: None,
         }
     }
 
@@ -401,8 +415,14 @@ impl<R: Reach> ClusterLink for WorkerLink<'_, R> {
         self.reach.dies_at(it)
     }
 
+    /// The release the last status all-gather answered, when it is this round's;
+    /// otherwise (the first round, a resumed run, a rejoin, the round after a death or
+    /// a kill, a worker that sat rounds out) the barrier's.
     fn round_begin(&mut self, it: usize) -> Vec<(usize, usize)> {
-        self.call(it, Op::RoundBegin(), |reply| reply.into())
+        match self.release.take() {
+            Some((next, evictions)) if next == it => evictions,
+            _ => self.call(it, Op::RoundBegin(), |reply| reply.into()),
+        }
     }
 
     /// The exchange the fault schedule drives past this worker's retry budget.
@@ -458,6 +478,7 @@ impl<R: Reach> ClusterLink for WorkerLink<'_, R> {
         present: &[usize],
         flags: Vec<bool>,
         pending: Option<(RoundSignal, usize)>,
+        announce: bool,
     ) -> (Vec<bool>, bool) {
         let (worker, round, flag) = (self.worker, it as u64, flags[self.worker]);
         if self.layer.ps_down(round) {
@@ -473,9 +494,14 @@ impl<R: Reach> ClusterLink for WorkerLink<'_, R> {
         }
         let pending = pending.map(|(signal, next)| (signal.values(), next as u64));
         let expected = present.len() as u32;
-        let op = Op::Status(flag, expected, pending);
-        let Status { flags, next } = self.call(it, op, |reply| reply.into());
+        let op = Op::Status(flag, expected, pending, announce);
+        let Status {
+            flags,
+            next,
+            release,
+        } = self.call(it, op, |reply| reply.into());
         self.next_delta = next;
+        self.release = release.map(|evictions| (it + 1, evictions));
         (flags, next.is_some())
     }
 
